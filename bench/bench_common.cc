@@ -119,7 +119,7 @@ StatusOr<SnapshotLoadResult> MeasureSnapshotLoad(
   r.edges = graph.num_edges();
 
   // Cold build: the work a process without a snapshot pays at startup —
-  // Monte-Carlo index estimation plus the arena build.
+  // Monte-Carlo index estimation.
   WallTimer build_timer;
   CW_ASSIGN_OR_RETURN(std::shared_ptr<const CloudWalker> built,
                       CloudWalker::Build(std::move(graph), options, pool));

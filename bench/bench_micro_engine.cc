@@ -2,12 +2,12 @@
 // drives every CloudWalker phase (DESIGN.md section 8).
 //
 //   Table 1 — single-source walk-kernel throughput: the frozen pre-PR
-//             scalar kernel vs the batched kernel on the plain CSR and on
-//             the flattened alias arena. The arena/legacy speedup is the
-//             repo's tracked perf number (gated >= 2x).
-//   Table 2 — alias arena: build rate, footprint, weighted sampling rate.
-//   Table 3 — false-sharing check: per-worker counters packed into one
+//             scalar kernel vs the batched kernel's prefetch pipeline over
+//             the in-CSR. The batched/legacy speedup is the repo's tracked
+//             perf number (gated >= 2x).
+//   Table 2 — false-sharing check: per-worker counters packed into one
 //             cache line vs padded WalkWorkerState-style slots.
+//   Table 3 — snapshot cold build vs mmap open.
 //
 // Self-timed (no Google Benchmark dependency) so it runs everywhere,
 // honors CW_BENCH_SCALE / CW_BENCH_QUICK, and emits machine-readable
@@ -26,7 +26,6 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "common/timer.h"
-#include "engine/alias.h"
 #include "engine/walk.h"
 #include "engine/walk_program.h"
 #include "graph/generators.h"
@@ -149,7 +148,7 @@ int main() {
   const bool quick = scale <= 0.05;
   const double min_seconds = quick ? 0.5 : 2.0;
 
-  // A graph whose CSR + arena exceed last-level caches even in quick mode:
+  // A graph whose CSR exceeds last-level caches even in quick mode:
   // walk throughput here is memory-latency bound, which is exactly what the
   // batched prefetch pipeline attacks.
   const NodeId n = static_cast<NodeId>(
@@ -173,14 +172,6 @@ int main() {
   report.AddContextNumber("walkers", cfg.num_walkers);
   report.AddContextNumber("steps", cfg.num_steps);
 
-  // --- Arena build. ------------------------------------------------------
-  WallTimer arena_timer;
-  const WalkContext context(graph);
-  const double arena_build_seconds = arena_timer.Seconds();
-  const double arena_bytes_per_edge =
-      static_cast<double>(context.MemoryBytes()) /
-      static_cast<double>(graph.num_edges());
-
   // --- Table 1: single-source walk-kernel throughput. --------------------
   SparseAccumulator legacy_scratch(cfg.num_walkers * 2);
   const Throughput legacy = MeasureWalkThroughput(
@@ -188,19 +179,13 @@ int main() {
         LegacyWalkDistributions(graph, source, cfg, &legacy_scratch, stats);
       });
   WalkScratch scratch(cfg.num_walkers);
-  const Throughput batched_csr = MeasureWalkThroughput(
+  const Throughput batched = MeasureWalkThroughput(
       n, min_seconds, [&](NodeId source, WalkStats* stats) {
         SimulateWalkDistributions(graph, source, cfg, &scratch, nullptr,
                                   stats);
       });
-  const Throughput batched_arena = MeasureWalkThroughput(
-      n, min_seconds, [&](NodeId source, WalkStats* stats) {
-        SimulateWalkDistributions(context, source, cfg, &scratch, nullptr,
-                                  stats);
-      });
 
-  const double speedup =
-      batched_arena.steps_per_sec / legacy.steps_per_sec;
+  const double speedup = batched.steps_per_sec / legacy.steps_per_sec;
   {
     TablePrinter t({"kernel", "Msteps/s", "speedup vs legacy"});
     auto add = [&](const std::string& name, const Throughput& tp) {
@@ -209,24 +194,20 @@ int main() {
                     "x"});
     };
     add("legacy scalar (pre-PR)", legacy);
-    add("batched, plain CSR", batched_csr);
-    add("batched, alias arena", batched_arena);
+    add("batched, in-CSR prefetch", batched);
     std::cout << "Table 1 — single-source walk kernel (R'="
               << cfg.num_walkers << ", T=" << cfg.num_steps << "):\n";
     t.RenderText(std::cout);
     const bool speedup_ok = speedup >= 2.0;
-    std::cout << "batched-arena speedup vs pre-PR kernel: "
+    std::cout << "batched speedup vs pre-PR kernel: "
               << FormatDouble(speedup, 2) << "x (target >= 2x) — "
               << (speedup_ok ? "PASS" : "FAIL") << "\n\n";
   }
   report.AddMetric({"walk_legacy_msteps_per_sec", legacy.steps_per_sec / 1e6,
                     "Msteps/s", true, false, -1.0});
   report.AddMetric({"walk_batched_csr_msteps_per_sec",
-                    batched_csr.steps_per_sec / 1e6, "Msteps/s", true, false,
+                    batched.steps_per_sec / 1e6, "Msteps/s", true, false,
                     -1.0});
-  report.AddMetric({"walk_batched_arena_msteps_per_sec",
-                    batched_arena.steps_per_sec / 1e6, "Msteps/s", true,
-                    false, -1.0});
   report.AddMetric({"walk_batched_speedup_vs_legacy", speedup, "x", true,
                     /*gate=*/true, /*min=*/2.0});
 
@@ -241,25 +222,24 @@ int main() {
   {
     const Throughput ppr = MeasureWalkThroughput(
         n, min_seconds, [&](NodeId source, WalkStats* stats) {
-          SimulatePprEndpoints(graph, &context, source, cfg, PprParams{},
-                               &scratch, nullptr, stats);
+          SimulatePprEndpoints(graph, source, cfg, PprParams{}, &scratch,
+                               nullptr, stats);
         });
     Node2VecParams n2v_params;
     n2v_params.return_p = 0.5;
     n2v_params.in_out_q = 2.0;
     const Throughput n2v = MeasureWalkThroughput(
         n, min_seconds, [&](NodeId source, WalkStats* stats) {
-          SimulateNode2VecVisits(graph, &context, source, cfg, n2v_params,
+          SimulateNode2VecVisits(graph, nullptr, source, cfg, n2v_params,
                                  &scratch, nullptr, stats);
         });
     TablePrinter t({"program", "Msteps/s", "vs simrank"});
     auto add = [&](const std::string& name, const Throughput& tp) {
       t.AddRow({name, FormatDouble(tp.steps_per_sec / 1e6, 2),
-                FormatDouble(
-                    tp.steps_per_sec / batched_arena.steps_per_sec, 2) +
+                FormatDouble(tp.steps_per_sec / batched.steps_per_sec, 2) +
                     "x"});
     };
-    add("simrank endpoints", batched_arena);
+    add("simrank endpoints", batched);
     add("ppr endpoints (alpha=0.85)", ppr);
     add("node2vec visits (p=0.5, q=2)", n2v);
     std::cout << "Table 1b — walk-program throughput on the shared kernel:\n";
@@ -281,62 +261,18 @@ int main() {
     for (uint64_t i = 0; i < 3; ++i) {
       const NodeId source = ScatterSource(i * 7 + 1, n);
       const WalkDistributions a =
-          SimulateWalkDistributions(context, source, narrow);
+          SimulateWalkDistributions(graph, source, narrow);
       const WalkDistributions b =
-          SimulateWalkDistributions(context, source, wide);
-      const WalkDistributions c =
           SimulateWalkDistributions(graph, source, wide);
-      determinism_ok = determinism_ok && SameDistributions(a, b) &&
-                       SameDistributions(a, c);
+      determinism_ok = determinism_ok && SameDistributions(a, b);
     }
-    std::cout << "determinism (W=1 vs W=64 vs plain CSR): "
+    std::cout << "determinism (W=1 vs W=64): "
               << (determinism_ok ? "PASS" : "FAIL") << "\n\n";
   }
   report.AddMetric({"walk_determinism_ok", determinism_ok ? 1.0 : 0.0, "bool",
                     true, /*gate=*/true, /*min=*/1.0});
 
-  // --- Table 2: alias arena. ---------------------------------------------
-  {
-    // Weighted sampling rate over the arena rows (the general code path;
-    // the uniform walk fast path is measured by Table 1).
-    auto weighted = AliasArena::BuildInLinkWeighted(
-        graph, [](NodeId, uint32_t k) { return static_cast<double>(k) + 1.0; });
-    CW_CHECK_OK(weighted.status());
-    Xoshiro256 rng(7);
-    WallTimer timer;
-    uint64_t samples = 0;
-    uint64_t sink = 0;
-    do {
-      const NodeId v = ScatterSource(samples, n);
-      sink ^= weighted->Sample(graph, v, rng.Next());
-      ++samples;
-    } while (timer.Seconds() < min_seconds * 0.5);
-    const double samples_per_sec =
-        static_cast<double>(samples) / timer.Seconds();
-    if (sink == 0xdeadbeef) std::cout << "";  // keep the loop observable
-
-    TablePrinter t({"arena", "value"});
-    t.AddRow({"build rate",
-              FormatDouble(graph.num_edges() / arena_build_seconds / 1e6, 1) +
-                  " Medges/s"});
-    t.AddRow({"footprint", HumanCount(context.MemoryBytes()) + "B (" +
-                               FormatDouble(arena_bytes_per_edge, 2) +
-                               " B/edge)"});
-    t.AddRow({"weighted sample rate",
-              FormatDouble(samples_per_sec / 1e6, 1) + " Msamples/s"});
-    std::cout << "Table 2 — flattened alias arena:\n";
-    t.RenderText(std::cout);
-    std::cout << "\n";
-    report.AddMetric({"arena_build_medges_per_sec",
-                      graph.num_edges() / arena_build_seconds / 1e6,
-                      "Medges/s", true, false, -1.0});
-    report.AddMetric({"arena_bytes_per_edge", arena_bytes_per_edge, "B",
-                      /*higher_is_better=*/false, /*gate=*/true, -1.0});
-    report.AddMetric({"arena_weighted_msamples_per_sec", samples_per_sec / 1e6,
-                      "Msamples/s", true, false, -1.0});
-  }
-
-  // --- Table 3: false-sharing check. -------------------------------------
+  // --- Table 2: false-sharing check. -------------------------------------
   // Adjacent workers' counters packed into one cache line vs spread across
   // padded WalkWorkerState-style slots. The padded layout must never lose;
   // on multi-core hosts it wins big. Gated so a future layout change that
@@ -359,7 +295,7 @@ int main() {
     TablePrinter t({"layout", "Mincr/s"});
     t.AddRow({"packed (shared line)", FormatDouble(packed / 1e6, 1)});
     t.AddRow({"padded (64B stride)", FormatDouble(padded / 1e6, 1)});
-    std::cout << "Table 3 — per-worker counter layout (" << threads
+    std::cout << "Table 2 — per-worker counter layout (" << threads
               << " threads):\n";
     t.RenderText(std::cout);
     std::cout << "padded/packed: " << FormatDouble(padded_over_packed, 2)
@@ -369,13 +305,13 @@ int main() {
                       "x", true, /*gate=*/true, /*min=*/0.9});
   } else {
     // No metric: a value never measured must not enter a baseline.
-    std::cout << "Table 3 — skipped (single hardware thread; padded layout "
+    std::cout << "Table 2 — skipped (single hardware thread; padded layout "
                  "trivially exempt from false sharing)\n\n";
   }
 
-  // --- Table 4: snapshot cold build vs mmap open. ------------------------
+  // --- Table 3: snapshot cold build vs mmap open. ------------------------
   // The restart-time story (DESIGN.md section 9): a process opening a
-  // persisted cloudwalker-snap-v1 artifact must come up at least 10x
+  // persisted snapshot artifact must come up at least 10x
   // faster than one rebuilding the index from the raw graph. Run on its
   // own (smaller) graph so the offline build stays benchable; the ratio
   // is what's gated, and it only grows with graph size.
@@ -393,13 +329,13 @@ int main() {
         static_cast<double>(snap->file_bytes) /
         static_cast<double>(snap->edges);
     TablePrinter t({"phase", "seconds"});
-    t.AddRow({"cold build (index + arena)",
+    t.AddRow({"cold build (index)",
               FormatDouble(snap->build_seconds, 3)});
     t.AddRow({"write snapshot", FormatDouble(snap->write_seconds, 3)});
     t.AddRow({"mmap open + verify", FormatDouble(snap->open_seconds, 4)});
     t.AddRow({"reopen (page cache warm)",
               FormatDouble(snap->reopen_seconds, 4)});
-    std::cout << "Table 4 — snapshot restart time (|V|="
+    std::cout << "Table 3 — snapshot restart time (|V|="
               << HumanCount(snap->nodes) << ", |E|="
               << HumanCount(snap->edges) << ", "
               << HumanBytes(snap->file_bytes) << " artifact):\n";

@@ -3,7 +3,7 @@
 //
 // Three claims, CI-gated via BENCH_OOC.json / tools/check_bench.py:
 //   1. Bit identity: with the block cache budget capped at 50% of the
-//      paged (in-targets + arena-slots) bytes, all six QueryKinds answer
+//      paged (in-targets) bytes, all six QueryKinds answer
 //      exactly as the in-memory engine (ooc_bit_identical == 1.0).
 //   2. Throughput: the paged engine holds a walkers/sec floor at that
 //      budget, and the cache counters prove it genuinely paged (misses
@@ -98,7 +98,6 @@ bool AllPairsIdenticalOnSmallArtifact(ThreadPool* pool) {
   SnapshotWriteOptions write_options;
   write_options.block_bytes = 16 << 10;
   CW_CHECK_OK(SnapshotWriter::Write(path, (*built)->graph(),
-                                    (*built)->walk_context().arena(),
                                     (*built)->index(), SnapshotMetadata{},
                                     write_options));
   auto mem = CloudWalker::Open(path);
@@ -172,9 +171,11 @@ int main() {
   const bool quick = scale <= 0.05;
   report.AddContext("scale", FormatDouble(scale, 3));
 
-  // Degree ~20 so the paged per-edge sections dominate the resident
-  // per-node arrays — the regime the out-of-core tier exists for.
-  const NodeId n = quick ? 40'000 : 150'000;
+  // Degree ~20 so the paged per-edge section dominates the resident
+  // per-node arrays — the regime the out-of-core tier exists for. Quick
+  // mode's 120k nodes page ~8.4 MB in ~34 blocks, so the address-space
+  // cap below (budget + 4 MiB of headroom) stays under the paged bytes.
+  const NodeId n = quick ? 120'000 : 150'000;
   const uint64_t m = 20ull * n;
   IndexingOptions options;  // paper defaults: R=100, T=10, L=3
   ThreadPool pool;
@@ -193,7 +194,6 @@ int main() {
   SnapshotWriteOptions write_options;
   write_options.block_bytes = 256 << 10;
   CW_CHECK_OK(SnapshotWriter::Write(plain_path, (*built)->graph(),
-                                    (*built)->walk_context().arena(),
                                     (*built)->index(), SnapshotMetadata{},
                                     write_options));
 

@@ -1,5 +1,5 @@
 // Snapshot load bench: cold offline build vs mmap-open of a persisted
-// cloudwalker-snap-v1 artifact, across graph sizes (DESIGN.md section 9).
+// cloudwalker-snap artifact, across graph sizes (DESIGN.md section 9).
 //
 // This is the restart-time artifact behind the serving story: a replica
 // that boots by CloudWalker::Open() pays one integrity pass over the file
@@ -30,7 +30,7 @@ using namespace cloudwalker;
 int main() {
   bench::PrintHeader("bench_snapshot_load",
                      "snapshot restart time: cold index build vs "
-                     "mmap-open of a cloudwalker-snap-v1 artifact "
+                     "mmap-open of a cloudwalker-snap artifact "
                      "(DESIGN.md section 9; not a paper artifact)");
   bench::JsonReporter report("bench_snapshot_load");
   const double scale = bench::BenchScale();

@@ -104,11 +104,9 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Shard(
         "Shard does not support locality-reordered snapshots: replacing "
         "the walk backend would drop the external-id RNG keying");
   }
-  CW_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ShardedWalkEngine> engine,
-      ShardedWalkEngine::Build(base->graph(), base->walk_context_.get(),
-                               options));
-  // The copy shares the graph / arena / snapshot ownership with `base`, so
+  CW_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedWalkEngine> engine,
+                      ShardedWalkEngine::Build(base->graph(), options));
+  // The copy shares the graph / snapshot ownership with `base`, so
   // the borrowed pointers inside the engine stay pinned even after the
   // caller drops `base`. (A borrowed-graph base keeps its original
   // contract: the external graph must outlive the sharded instance too.)
@@ -137,7 +135,7 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Parallelize(
       std::shared_ptr<const ParallelWalkExecutor> executor,
       ParallelWalkExecutor::Build(base->graph(), base->walk_context_.get(),
                                   options));
-  // Same ownership story as Shard(): the copy pins base's graph / arena /
+  // Same ownership story as Shard(): the copy pins base's graph / context /
   // snapshot for the executor's borrowed pointers.
   CloudWalker parallel(*base);
   parallel.walk_backend_ = std::move(executor);
@@ -166,8 +164,8 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Distribute(
       std::shared_ptr<const RemoteWalkBackend> backend,
       RemoteWalkBackend::Connect(base->graph(),
                                  base->snapshot_->fingerprint(), options));
-  // Same ownership story as Shard(): the copy pins base's graph / arena /
-  // snapshot for the backend's borrowed pointers.
+  // Same ownership story as Shard(): the copy pins base's graph / snapshot
+  // for the backend's borrowed pointers.
   CloudWalker distributed(*base);
   distributed.walk_backend_ = std::move(backend);
   return std::shared_ptr<const CloudWalker>(
@@ -183,9 +181,10 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Open(
   auto graph = std::make_shared<const Graph>(Graph::FromCsrViews(
       view->num_nodes(), view->out_offsets(), view->out_targets(),
       view->in_offsets(), view->in_targets()));
-  auto context = std::make_shared<const WalkContext>(
-      *graph,
-      AliasArena::FromViews(view->arena_offsets(), view->arena_slots()));
+  // A reordered artifact's in-rows are sorted by external id; the context
+  // carries that order to node2vec's membership test.
+  auto context =
+      std::make_shared<const WalkContext>(*graph, view->permutation());
   DiagonalIndex index =
       DiagonalIndex::FromView(view->params(), view->diagonal());
 
@@ -229,21 +228,13 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::OutOfCore(
   auto graph = std::make_shared<const Graph>(Graph::FromCsrViews(
       paged->num_nodes(), paged->out_offsets(), paged->out_targets(),
       paged->in_offsets(), std::span<const NodeId>{}));
-  // Degenerate arena for the same reason: the context is plumbing only.
-  auto context = std::make_shared<const WalkContext>(
-      *graph,
-      AliasArena::FromParts(
-          std::vector<uint64_t>(static_cast<size_t>(paged->num_nodes()) + 1,
-                                0),
-          {}));
   DiagonalIndex index =
       DiagonalIndex::FromView(paged->params(), paged->diagonal());
 
   const SnapshotMetadata& meta = paged->metadata();
   CloudWalker opened(graph.get(), std::move(index),
                      StatsFromMetadata(meta),
-                     OptionsFromMetadata(paged->params(), meta),
-                     std::move(context));
+                     OptionsFromMetadata(paged->params(), meta));
   opened.owned_graph_ = std::move(graph);
   opened.ooc_backend_ = backend;
   opened.walk_backend_ = backend;
@@ -308,8 +299,7 @@ Status CloudWalker::WriteSnapshot(const std::string& path) const {
     write_options.block_bytes = snapshot_->block_target_bytes();
     write_options.permutation = snapshot_->permutation();
   }
-  return SnapshotWriter::Write(path, *graph_, walk_context_->arena(),
-                               index_, BuildSnapshotMetadata(),
+  return SnapshotWriter::Write(path, *graph_, index_, BuildSnapshotMetadata(),
                                write_options);
 }
 
@@ -333,9 +323,8 @@ Status CloudWalker::WriteReorderedSnapshot(const std::string& path,
       DiagonalIndex::FromView(index_.params(), artifact.diagonal);
   SnapshotWriteOptions write_options;
   write_options.permutation = artifact.perm;
-  return SnapshotWriter::Write(path, artifact.graph, artifact.arena,
-                               permuted, BuildSnapshotMetadata(),
-                               write_options);
+  return SnapshotWriter::Write(path, artifact.graph, permuted,
+                               BuildSnapshotMetadata(), write_options);
 }
 
 Status CloudWalker::TakeBackendError() const {

@@ -17,7 +17,7 @@
 namespace cloudwalker {
 
 /// Immutable diag(D) estimate for one graph + parameter set. Span-backed
-/// like Graph / AliasArena: a built index owns its vector, FromView wraps
+/// like Graph: a built index owns its vector, FromView wraps
 /// an external array (an mmapped snapshot, DESIGN.md section 9) zero-copy.
 /// Copies materialize into owned storage; moves preserve the mode.
 class DiagonalIndex {

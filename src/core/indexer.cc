@@ -41,11 +41,10 @@ SparseVector RowFromWalkDistributions(const WalkDistributions& dists,
 SparseVector BuildIndexRow(const Graph& graph, NodeId k,
                            const IndexingOptions& options,
                            WalkScratch* scratch_walk,
-                           SparseAccumulator* scratch_row, uint64_t* steps,
-                           const WalkContext* context) {
+                           SparseAccumulator* scratch_row, uint64_t* steps) {
   WalkStats walk_stats;
   const WalkDistributions dists = SimulateWalkDistributions(
-      graph, context, k, WalkConfigFromIndexing(options), scratch_walk,
+      graph, k, WalkConfigFromIndexing(options), scratch_walk,
       /*owner=*/nullptr, &walk_stats);
   if (steps != nullptr) *steps += walk_stats.steps;
   return RowFromWalkDistributions(dists, options.params.decay, scratch_row);
@@ -69,7 +68,6 @@ IndexRows BuildIndexRows(const Graph& graph, const IndexingOptions& options,
                          ThreadPool* pool) {
   IndexRows out;
   out.rows.resize(graph.num_nodes());
-  const WalkContext context(graph);  // amortized over all rows
   std::atomic<uint64_t> total_steps{0};
   ParallelFor(pool, 0, graph.num_nodes(), /*grain=*/0,
               [&](uint64_t begin, uint64_t end) {
@@ -78,8 +76,7 @@ IndexRows BuildIndexRows(const Graph& graph, const IndexingOptions& options,
                 for (uint64_t v = begin; v < end; ++v) {
                   out.rows[v] =
                       BuildIndexRow(graph, static_cast<NodeId>(v), options,
-                                    &state.walk, &state.row, &steps,
-                                    &context);
+                                    &state.walk, &state.row, &steps);
                 }
                 total_steps.fetch_add(steps, std::memory_order_relaxed);
               });
@@ -183,7 +180,6 @@ StatusOr<DiagonalIndex> BuildDiagonalIndex(const Graph& graph,
     // kRegenerate: each sweep re-derives every row from its per-node seed,
     // so all sweeps see the same matrix A without storing it.
     WallTimer solve_timer;
-    const WalkContext context(graph);  // shared by all sweeps
     std::atomic<uint64_t> total_steps{0};
     std::atomic<uint64_t> total_nnz{0};
     for (uint32_t it = 0; it < options.jacobi_iterations; ++it) {
@@ -197,8 +193,7 @@ StatusOr<DiagonalIndex> BuildDiagonalIndex(const Graph& graph,
             for (uint64_t k = begin; k < end; ++k) {
               const SparseVector row =
                   BuildIndexRow(graph, static_cast<NodeId>(k), options,
-                                &state.walk, &state.row, &steps,
-                                &context);
+                                &state.walk, &state.row, &steps);
               nnz += row.size();
               double off = 0.0, diag = 0.0;
               for (const SparseEntry& e : row) {

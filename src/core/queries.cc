@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <span>
 
 #include "common/logging.h"
@@ -271,20 +270,35 @@ SparseVector Node2VecVisitQuery(const Graph& graph, const DiagonalIndex& index,
 
 std::vector<ScoredNode> TopKFromSparse(const SparseVector& scores,
                                        NodeId exclude, size_t k) {
-  std::vector<ScoredNode> all;
-  all.reserve(scores.size());
+  // Ranks ahead: higher score, then lower node id.
+  const auto ahead = [](const ScoredNode& a, const ScoredNode& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.node < b.node;
+  };
+  const bool has_exclude = std::binary_search(
+      scores.begin(), scores.end(), SparseEntry{exclude, 0.0},
+      [](const SparseEntry& a, const SparseEntry& b) {
+        return a.index < b.index;
+      });
+  // Sized exactly: answers are cached, so no slack may ride along.
+  std::vector<ScoredNode> top;
+  top.reserve(std::min(k, scores.size() - (has_exclude ? 1 : 0)));
+  if (k == 0) return top;
+  // A bounded heap whose front is the last-ranked entry kept so far.
   for (const SparseEntry& e : scores) {
     if (e.index == exclude) continue;
-    all.push_back(ScoredNode{e.index, e.value});
+    const ScoredNode candidate{e.index, e.value};
+    if (top.size() < k) {
+      top.push_back(candidate);
+      std::push_heap(top.begin(), top.end(), ahead);
+    } else if (ahead(candidate, top.front())) {
+      std::pop_heap(top.begin(), top.end(), ahead);
+      top.back() = candidate;
+      std::push_heap(top.begin(), top.end(), ahead);
+    }
   }
-  const size_t keep = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + keep, all.end(),
-                    [](const ScoredNode& a, const ScoredNode& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.node < b.node;
-                    });
-  all.resize(keep);
-  return all;
+  std::sort_heap(top.begin(), top.end(), ahead);
+  return top;
 }
 
 std::vector<std::vector<ScoredNode>> AllPairsTopK(
@@ -293,11 +307,6 @@ std::vector<std::vector<ScoredNode>> AllPairsTopK(
     uint64_t* total_walk_steps, const WalkContext* context,
     const CancelToken* cancel, const WalkBackend* backend) {
   std::vector<std::vector<ScoredNode>> out(graph.num_nodes());
-  std::optional<WalkContext> local_context;
-  if (context == nullptr && backend == nullptr) {
-    local_context.emplace(graph);  // amortized over all sources
-    context = &*local_context;
-  }
   std::atomic<uint64_t> steps{0};
   ParallelFor(pool, 0, graph.num_nodes(), /*grain=*/0,
               [&](uint64_t begin, uint64_t end) {

@@ -43,10 +43,10 @@ struct QueryStats {
 /// are intersected level by level, giving R'^2 effective walker pairings
 /// per level at O(T R') cost.
 ///
-/// `context` (optional, here and in SingleSourceQuery / AllPairsTopK)
-/// routes the walks through the batched arena kernel; results are
-/// bit-identical with or without it (DESIGN.md section 8). The CloudWalker
-/// facade always passes its prebuilt context.
+/// `context` (optional, here and in the other walk-running kernels)
+/// carries the in-row order of a locality-reordered snapshot to the walk
+/// engine (engine/walk.h); null means in-rows sorted by id. The CloudWalker
+/// facade always passes its context.
 ///
 /// `cancel` (optional, same three kernels) is the cooperative stop signal
 /// threaded into the walk engine's level loop and the push phases; a
@@ -133,8 +133,6 @@ SparseVector Node2VecVisitQuery(const Graph& graph,
 /// MCAP: runs MCSS from every node (parallel across sources) and keeps the
 /// top-k similar nodes per source. O(n T^2 R') — the n x n result is never
 /// materialized. `total_walk_steps` (optional) accumulates walk counters.
-/// Builds a WalkContext internally when none is supplied (amortized over
-/// all sources).
 std::vector<std::vector<ScoredNode>> AllPairsTopK(
     const Graph& graph, const DiagonalIndex& index,
     const QueryOptions& options, size_t k, ThreadPool* pool,

@@ -38,16 +38,15 @@ struct alignas(kCacheLineBytes) RangeResult {
 };
 
 // First-touch warm-up, run by each range task on its worker thread before
-// the kernel: pulls the source row's offsets and leading slot lines into
+// the kernel: pulls the source row's offsets and leading target lines into
 // the worker's cache so the first blocks of every range don't all stall on
 // the same cold lines.
-void WarmArena(const AliasArena* arena, NodeId source) {
-  if (arena == nullptr) return;
-  arena->PrefetchOffsets(source);
-  const uint64_t off = arena->RowOffset(source);
-  const uint32_t lines = std::min<uint32_t>(arena->RowDegree(source), 64);
-  // 8 packed slots per cache line.
-  for (uint32_t k = 0; k < lines; k += 8) arena->PrefetchSlot(off + k);
+void WarmRow(const Graph& graph, NodeId source) {
+  PrefetchRead(&graph.InOffsets()[source]);
+  const std::span<const NodeId> row = graph.InNeighbors(source);
+  const size_t targets = std::min<size_t>(row.size(), 64);
+  // 16 targets per cache line.
+  for (size_t k = 0; k < targets; k += 16) PrefetchRead(&row[k]);
 }
 
 void AccumulateStats(const std::vector<RangeResult>& results,
@@ -118,12 +117,10 @@ WalkDistributions ParallelWalkExecutor::SimRankLevels(
     NodeId source, const WalkConfig& config, WalkStats* stats) const {
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    return SimulateWalkDistributions(*graph_, context_, source, config,
+    return SimulateWalkDistributions(*graph_, source, config,
                                      /*scratch=*/nullptr, /*owner=*/nullptr,
                                      stats);
   }
-  const AliasArena* arena =
-      context_ != nullptr ? &context_->arena() : nullptr;
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
@@ -137,8 +134,8 @@ WalkDistributions ParallelWalkExecutor::SimRankLevels(
           program.walker_offset = ranges[i].begin;
           program.raw = &res.raw;
           WalkWorkerState state;
-          WarmArena(arena, source);
-          WalkKernel::Run(*graph_, arena, source, sub, &state.scratch,
+          WarmRow(*graph_, source);
+          WalkKernel::Run(*graph_, source, sub, &state.scratch,
                           /*owner=*/nullptr, &res.stats, program);
         }
       });
@@ -172,12 +169,10 @@ SparseVector ParallelWalkExecutor::PprEndpoints(NodeId source,
   CW_CHECK_LT(params.alpha, 1.0);
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    return SimulatePprEndpoints(*graph_, context_, source, config, params,
+    return SimulatePprEndpoints(*graph_, source, config, params,
                                 /*scratch=*/nullptr, /*owner=*/nullptr,
                                 stats);
   }
-  const AliasArena* arena =
-      context_ != nullptr ? &context_->arena() : nullptr;
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
@@ -190,8 +185,8 @@ SparseVector ParallelWalkExecutor::PprEndpoints(NodeId source,
           program.alpha = params.alpha;
           program.walker_offset = ranges[i].begin;
           WalkWorkerState state;
-          WarmArena(arena, source);
-          WalkKernel::Run(*graph_, arena, source, sub, &state.scratch,
+          WarmRow(*graph_, source);
+          WalkKernel::Run(*graph_, source, sub, &state.scratch,
                           /*owner=*/nullptr, &res.stats, program);
           res.terminals = std::move(program.terminals);
         }
@@ -216,8 +211,6 @@ WalkDistributions ParallelWalkExecutor::Node2VecLevels(
                                   /*scratch=*/nullptr, /*owner=*/nullptr,
                                   stats);
   }
-  const AliasArena* arena =
-      context_ != nullptr ? &context_->arena() : nullptr;
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
@@ -229,13 +222,15 @@ WalkDistributions ParallelWalkExecutor::Node2VecLevels(
           sub.num_walkers = ranges[i].end - ranges[i].begin;
           RawNode2VecProgram program;
           program.graph = graph_;
-          program.arena = arena;
+          if (context_ != nullptr) {
+            program.external_ids = context_->external_ids();
+          }
           program.Configure(params);
           program.walker_offset = ranges[i].begin;
           program.raw = &res.raw;
           WalkWorkerState state;
-          WarmArena(arena, source);
-          WalkKernel::Run(*graph_, arena, source, sub, &state.scratch,
+          WarmRow(*graph_, source);
+          WalkKernel::Run(*graph_, source, sub, &state.scratch,
                           /*owner=*/nullptr, &res.stats, program);
         }
       });

@@ -43,7 +43,7 @@ struct ParallelWalkOptions {
   uint32_t min_walkers_per_range = 256;
 };
 
-/// Multi-threaded WalkBackend over one graph / arena. Borrows `graph` and
+/// Multi-threaded WalkBackend over one graph. Borrows `graph` and
 /// `context_or_null` (both must outlive the executor); owns its thread
 /// pool. Results are bit-identical to LocalWalkBackend for every thread
 /// count and every option setting.

@@ -32,20 +32,6 @@ void AggregateSortedRunsScalar(const NodeId* data, uint32_t n, double inv_r,
   }
 }
 
-void ResolveAliasBatchScalar(const AliasSlot* slots, const uint64_t* global,
-                             const uint32_t* accept,
-                             const uint32_t* slot_index, const NodeId* prev,
-                             const uint64_t* in_offsets,
-                             const NodeId* in_targets, uint32_t n,
-                             NodeId* out) {
-  for (uint32_t j = 0; j < n; ++j) {
-    const AliasSlot slot = slots[global[j]];
-    out[j] = accept[j] < slot.accept
-                 ? in_targets[in_offsets[prev[j]] + slot_index[j]]
-                 : slot.alias;
-  }
-}
-
 #ifdef CLOUDWALKER_SIMD_X86
 
 // Compares each adjacent pair of 8 sorted elements at once: a whole block
@@ -88,103 +74,11 @@ __attribute__((target("avx2"))) void AggregateSortedRunsAvx2(
   }
 }
 
-namespace {
-
-// Packs the low dwords of two 4x64 gathers into one 8x32 vector, lane
-// order preserved (lo lanes 0-3 then hi lanes 0-3).
-__attribute__((target("avx2"))) inline __m256i PackLowDwords(__m256i lo,
-                                                             __m256i hi) {
-  const __m256 even = _mm256_shuffle_ps(_mm256_castsi256_ps(lo),
-                                        _mm256_castsi256_ps(hi),
-                                        _MM_SHUFFLE(2, 0, 2, 0));
-  return _mm256_permute4x64_epi64(_mm256_castps_si256(even),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-
-// As above for the high dwords.
-__attribute__((target("avx2"))) inline __m256i PackHighDwords(__m256i lo,
-                                                              __m256i hi) {
-  const __m256 odd = _mm256_shuffle_ps(_mm256_castsi256_ps(lo),
-                                       _mm256_castsi256_ps(hi),
-                                       _MM_SHUFFLE(3, 1, 3, 1));
-  return _mm256_permute4x64_epi64(_mm256_castps_si256(odd),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-
-}  // namespace
-
-// Eight walkers per iteration: gather the 8-byte alias slots by their
-// arena-global indices (accept in the low dword, alias in the high — the
-// packed AliasSlot layout), gather the accepted branch's CSR target, and
-// blend on the unsigned accept comparison. The comparisons are the same
-// integer operations as the scalar path, so the resolved node ids are
-// identical element for element.
-__attribute__((target("avx2"))) void ResolveAliasBatchAvx2(
-    const AliasSlot* slots, const uint64_t* global, const uint32_t* accept,
-    const uint32_t* slot_index, const NodeId* prev,
-    const uint64_t* in_offsets, const NodeId* in_targets, uint32_t n,
-    NodeId* out) {
-  const long long* slots64 = reinterpret_cast<const long long*>(slots);
-  const long long* offsets64 = reinterpret_cast<const long long*>(in_offsets);
-  const int* targets32 = reinterpret_cast<const int*>(in_targets);
-  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  uint32_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i gidx_lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(global + j));
-    const __m256i gidx_hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(global + j + 4));
-    const __m256i slot_lo = _mm256_i64gather_epi64(slots64, gidx_lo, 8);
-    const __m256i slot_hi = _mm256_i64gather_epi64(slots64, gidx_hi, 8);
-    const __m256i slot_accept = PackLowDwords(slot_lo, slot_hi);
-    const __m256i slot_alias = PackHighDwords(slot_lo, slot_hi);
-
-    // Accepted branch: in_targets[in_offsets[prev] + slot_index].
-    const __m128i prev_lo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev + j));
-    const __m128i prev_hi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev + j + 4));
-    const __m256i base_lo = _mm256_i32gather_epi64(offsets64, prev_lo, 8);
-    const __m256i base_hi = _mm256_i32gather_epi64(offsets64, prev_hi, 8);
-    const __m256i sidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slot_index + j));
-    const __m256i sidx_lo =
-        _mm256_cvtepu32_epi64(_mm256_castsi256_si128(sidx));
-    const __m256i sidx_hi =
-        _mm256_cvtepu32_epi64(_mm256_extracti128_si256(sidx, 1));
-    const __m256i tidx_lo = _mm256_add_epi64(base_lo, sidx_lo);
-    const __m256i tidx_hi = _mm256_add_epi64(base_hi, sidx_hi);
-    const __m128i csr_lo = _mm256_i64gather_epi32(targets32, tidx_lo, 4);
-    const __m128i csr_hi = _mm256_i64gather_epi32(targets32, tidx_hi, 4);
-    const __m256i csr = _mm256_set_m128i(csr_hi, csr_lo);
-
-    // accept[j] < slot.accept, unsigned: biased signed compare.
-    const __m256i draw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(accept + j));
-    const __m256i take_csr = _mm256_cmpgt_epi32(
-        _mm256_xor_si256(slot_accept, sign), _mm256_xor_si256(draw, sign));
-    const __m256i next = _mm256_blendv_epi8(slot_alias, csr, take_csr);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j), next);
-  }
-  if (j < n) {
-    ResolveAliasBatchScalar(slots, global + j, accept + j, slot_index + j,
-                            prev + j, in_offsets, in_targets, n - j, out + j);
-  }
-}
-
 #else  // !CLOUDWALKER_SIMD_X86
 
 void AggregateSortedRunsAvx2(const NodeId* data, uint32_t n, double inv_r,
                              std::vector<SparseEntry>* entries) {
   AggregateSortedRunsScalar(data, n, inv_r, entries);
-}
-
-void ResolveAliasBatchAvx2(const AliasSlot* slots, const uint64_t* global,
-                           const uint32_t* accept, const uint32_t* slot_index,
-                           const NodeId* prev, const uint64_t* in_offsets,
-                           const NodeId* in_targets, uint32_t n, NodeId* out) {
-  ResolveAliasBatchScalar(slots, global, accept, slot_index, prev, in_offsets,
-                          in_targets, n, out);
 }
 
 #endif  // CLOUDWALKER_SIMD_X86
@@ -195,19 +89,6 @@ void AggregateSortedRuns(const NodeId* data, uint32_t n, double inv_r,
     AggregateSortedRunsAvx2(data, n, inv_r, entries);
   } else {
     AggregateSortedRunsScalar(data, n, inv_r, entries);
-  }
-}
-
-void ResolveAliasBatch(const AliasSlot* slots, const uint64_t* global,
-                       const uint32_t* accept, const uint32_t* slot_index,
-                       const NodeId* prev, const uint64_t* in_offsets,
-                       const NodeId* in_targets, uint32_t n, NodeId* out) {
-  if (HaveAvx2()) {
-    ResolveAliasBatchAvx2(slots, global, accept, slot_index, prev, in_offsets,
-                          in_targets, n, out);
-  } else {
-    ResolveAliasBatchScalar(slots, global, accept, slot_index, prev,
-                            in_offsets, in_targets, n, out);
   }
 }
 

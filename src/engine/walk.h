@@ -7,9 +7,8 @@
 // (mass loss is part of the definition; see DanglingPolicy).
 //
 // The kernel advances all walkers of a source level-synchronously in blocks
-// of `WalkConfig::batch_width`, streaming a flattened alias arena
-// (engine/alias.h) with software prefetch when a WalkContext is supplied
-// (DESIGN.md section 8).
+// of `WalkConfig::batch_width`, streaming the graph's in-CSR with software
+// prefetch (DESIGN.md section 8).
 //
 // SimRank's endpoint-per-level walk is the first *walk program* of the
 // shared engine (DESIGN.md section 10): the per-step policy lives in a
@@ -19,23 +18,22 @@
 //
 // Determinism: every draw is the stateless CounterRandom of
 // (DeriveSeed(config.seed, source), walker, step), so results are
-// bit-identical across thread counts, batch widths, and the arena /
-// plain-CSR code paths.
+// bit-identical across thread counts, batch widths, and backends.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_H_
 #define CLOUDWALKER_ENGINE_WALK_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/random.h"
 #include "common/sparse.h"
 #include "common/threading.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -86,6 +84,43 @@ struct WalkConfig {
   NodeId rng_node = kInvalidNode;
 };
 
+/// Issues a read prefetch for the cache line holding `addr` (no-op on
+/// compilers without the builtin). The walk kernel uses this to overlap
+/// the in-CSR lookups of a whole walker block.
+inline void PrefetchRead(const void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
+#else
+  (void)addr;
+#endif
+}
+
+/// Maps the upper 32 bits of `raw` onto [0, degree) by multiply-shift: the
+/// in-row slot a uniform reverse step takes. Every executor (the kernel,
+/// shard slices, socket workers, out-of-core block leases) picks
+/// `in_targets[in_offsets[v] + PickSlot(raw, deg)]`, so all of them
+/// consume randomness identically.
+inline uint32_t PickSlot(uint64_t raw, uint32_t degree) {
+  return static_cast<uint32_t>(((raw >> 32) * degree) >> 32);
+}
+
+/// True when `node` is in `row`, an in-row of a graph whose in-rows are
+/// sorted ascending by `external_ids` (internal id -> external id of a
+/// locality-reordered snapshot, DESIGN.md section 14), or by id when
+/// `external_ids` is empty. One binary search either way — node2vec's
+/// "candidate in In(prev)" test.
+inline bool InRowContains(std::span<const NodeId> row, NodeId node,
+                          std::span<const NodeId> external_ids) {
+  if (external_ids.empty()) {
+    return std::binary_search(row.begin(), row.end(), node);
+  }
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), node, [external_ids](NodeId a, NodeId b) {
+        return external_ids[a] < external_ids[b];
+      });
+  return it != row.end() && *it == node;
+}
+
 /// Advances one walker one step along in-links. Returns kInvalidNode when
 /// the walker dies (dangling node under kDie policy).
 inline NodeId StepReverse(const Graph& graph, NodeId v, Xoshiro256& rng,
@@ -121,30 +156,23 @@ struct WalkStats {
   uint64_t partition_crossings = 0;
 };
 
-/// Prebuilt per-graph acceleration state for the batched kernel: the
-/// flattened alias arena over the graph's in-link distributions. Build once
-/// per graph (O(|E|)), then share freely — immutable and thread-safe.
-/// Borrows `graph`, which must outlive the context.
+/// The per-graph walk state every query of one engine shares: the graph
+/// and, on a locality-reordered snapshot, the permutation its in-rows are
+/// sorted by (internal id -> external id; empty otherwise). Only node2vec's
+/// in-row membership test reads the permutation. Immutable and
+/// thread-safe; borrows both, which must outlive the context.
 class WalkContext {
  public:
-  explicit WalkContext(const Graph& graph)
-      : graph_(&graph), arena_(AliasArena::BuildInLink(graph)) {}
-
-  /// Wraps a prebuilt arena (e.g. an AliasArena::FromViews over an mmapped
-  /// snapshot, DESIGN.md section 9) instead of rebuilding it. The arena
-  /// must describe `graph`'s in-adjacency exactly.
-  WalkContext(const Graph& graph, AliasArena arena)
-      : graph_(&graph), arena_(std::move(arena)) {}
+  explicit WalkContext(const Graph& graph,
+                       std::span<const NodeId> external_ids = {})
+      : graph_(&graph), external_ids_(external_ids) {}
 
   const Graph& graph() const { return *graph_; }
-  const AliasArena& arena() const { return arena_; }
-
-  /// Resident bytes of the arena.
-  uint64_t MemoryBytes() const { return arena_.MemoryBytes(); }
+  std::span<const NodeId> external_ids() const { return external_ids_; }
 
  private:
   const Graph* graph_;
-  AliasArena arena_;
+  std::span<const NodeId> external_ids_;
 };
 
 /// Reusable per-worker scratch of the walk kernel: the struct-of-arrays
@@ -182,48 +210,19 @@ static_assert(sizeof(WalkWorkerState) % kCacheLineBytes == 0);
 /// Simulates `config.num_walkers` reverse walks from `source` and returns
 /// the empirical distribution at every step. `scratch` (optional) avoids
 /// reallocation across calls on the same thread. `owner` (optional) enables
-/// partition-crossing accounting into `stats`. Walks over the plain CSR;
-/// identical results to the WalkContext overload, which is faster.
+/// partition-crossing accounting into `stats`.
 WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
                                             const WalkConfig& config,
                                             WalkScratch* scratch = nullptr,
                                             const NodeOwnerFn* owner = nullptr,
                                             WalkStats* stats = nullptr);
 
-/// Batched fast path: same results, but streams `context`'s alias arena
-/// with software prefetch across each walker block.
-WalkDistributions SimulateWalkDistributions(const WalkContext& context,
-                                            NodeId source,
-                                            const WalkConfig& config,
-                                            WalkScratch* scratch = nullptr,
-                                            const NodeOwnerFn* owner = nullptr,
-                                            WalkStats* stats = nullptr);
-
-/// Dispatch for callers holding an optional context (which, when non-null,
-/// must have been built from `graph`).
-inline WalkDistributions SimulateWalkDistributions(
-    const Graph& graph, const WalkContext* context_or_null, NodeId source,
-    const WalkConfig& config, WalkScratch* scratch = nullptr,
-    const NodeOwnerFn* owner = nullptr, WalkStats* stats = nullptr) {
-  return context_or_null != nullptr
-             ? SimulateWalkDistributions(*context_or_null, source, config,
-                                         scratch, owner, stats)
-             : SimulateWalkDistributions(graph, source, config, scratch,
-                                         owner, stats);
-}
-
 /// Runs SimulateWalkDistributions for every source in [0, graph.num_nodes())
 /// on `pool` (serial when null) and invokes `consume(source, dists)` once
 /// per source. `consume` may run concurrently for different sources and must
-/// be thread-safe across them. Builds a WalkContext internally (amortized
-/// over all sources); use the context overload to reuse one.
+/// be thread-safe across them.
 void SimulateAllSources(
     const Graph& graph, const WalkConfig& config, ThreadPool* pool,
-    const std::function<void(NodeId, const WalkDistributions&)>& consume);
-
-/// As above over a prebuilt context.
-void SimulateAllSources(
-    const WalkContext& context, const WalkConfig& config, ThreadPool* pool,
     const std::function<void(NodeId, const WalkDistributions&)>& consume);
 
 /// Records the full trajectory of a single walker: positions[t] is the node

@@ -64,7 +64,7 @@ class WalkBackend {
 };
 
 /// The single-node backend: forwards to the batched walk kernel
-/// (engine/walk.h, engine/walk_program.h) over one graph / arena. Cheap to
+/// (engine/walk.h, engine/walk_program.h) over one graph. Cheap to
 /// construct — the query kernels stack-allocate one per call when no
 /// explicit backend is supplied. Borrows everything.
 class LocalWalkBackend final : public WalkBackend {
@@ -75,14 +75,14 @@ class LocalWalkBackend final : public WalkBackend {
 
   WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
                                   WalkStats* stats) const override {
-    return SimulateWalkDistributions(*graph_, context_, source, config,
+    return SimulateWalkDistributions(*graph_, source, config,
                                      /*scratch=*/nullptr, owner_, stats);
   }
 
   SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
                             const PprParams& params,
                             WalkStats* stats) const override {
-    return SimulatePprEndpoints(*graph_, context_, source, config, params,
+    return SimulatePprEndpoints(*graph_, source, config, params,
                                 /*scratch=*/nullptr, owner_, stats);
   }
 

@@ -7,8 +7,8 @@
 //
 // A *walk program* supplies the per-step policy; the kernel supplies
 // everything else — the SoA walker cursors, the blocked advance with
-// software prefetch over the alias arena, dangling handling, cancel
-// polling, and the radix-sort endpoint aggregation. Programs are selected
+// software prefetch over the in-CSR, dangling handling, cancel polling,
+// and the radix-sort endpoint aggregation. Programs are selected
 // at compile time (one template instantiation per program), so the SimRank
 // instantiation compiles to exactly the pre-refactor machine code: every
 // hook a program does not use is a `if constexpr (false)` branch, not a
@@ -24,7 +24,7 @@
 //     True when the next node depends on (current, previous) — the kernel
 //     then maintains a per-walker previous-vertex SoA cursor and delegates
 //     the whole draw to Advance() instead of running the first-order
-//     alias pipeline.
+//     prefetch pipeline.
 //   static constexpr bool kEmitsLevels;
 //     True when the program consumes per-level endpoint distributions;
 //     false skips endpoint recording and sorting entirely.
@@ -56,7 +56,7 @@
 // channels from the per-source key with DeriveSeed so distinct programs
 // (and distinct draws within a step) consume disjoint streams. This is
 // what makes results bit-identical across batch widths, thread counts,
-// and the arena / plain-CSR access paths.
+// and backends.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_KERNEL_H_
 #define CLOUDWALKER_ENGINE_WALK_KERNEL_H_
@@ -66,7 +66,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/sparse.h"
-#include "engine/alias.h"
 #include "engine/simd.h"
 #include "engine/walk.h"
 #include "graph/graph.h"
@@ -74,8 +73,7 @@
 namespace cloudwalker {
 
 /// The engine's internal implementation (friend of WalkScratch). Results
-/// depend only on (graph, source, config, program) — the arena is purely
-/// an access-path accelerator.
+/// depend only on (graph, source, config, program).
 struct WalkKernel {
   // 11-bit digits: one counting pass covers 2048 ids, two cover 4.2M-node
   // graphs, three cover the full 32-bit id space. The counter array stays
@@ -143,14 +141,12 @@ struct WalkKernel {
 
   /// Runs `program` over config.num_walkers walkers from `source`. The
   /// shared engine: level-synchronous blocks of config.batch_width, the
-  /// 3-pass prefetch pipeline over `arena` (plain CSR when null) for
-  /// first-order programs, per-walker previous-vertex cursors for
-  /// second-order ones.
+  /// 3-pass prefetch pipeline over the in-CSR for first-order programs,
+  /// per-walker previous-vertex cursors for second-order ones.
   template <typename Program>
-  static void Run(const Graph& graph, const AliasArena* arena, NodeId source,
-                  const WalkConfig& config, WalkScratch* scratch,
-                  const NodeOwnerFn* owner, WalkStats* stats,
-                  Program& program) {
+  static void Run(const Graph& graph, NodeId source, const WalkConfig& config,
+                  WalkScratch* scratch, const NodeOwnerFn* owner,
+                  WalkStats* stats, Program& program) {
     CW_CHECK_LT(source, graph.num_nodes());
     CW_CHECK_GT(config.num_walkers, 0u);
     program.Begin(source, config);
@@ -176,17 +172,12 @@ struct WalkKernel {
     NodeId* const endpoints = s.endpoints_.data();
     uint32_t alive = r;
 
-    // Stack-resident SoA cursors of the in-flight block (first-order arena
-    // path): the pending walkers between the slot-prefetch and
-    // slot-resolve passes.
-    uint64_t pending_global[kMaxWalkBatchWidth];
-    uint32_t pending_accept[kMaxWalkBatchWidth];
-    uint32_t pending_slot[kMaxWalkBatchWidth];
+    // Stack-resident SoA cursors of the in-flight block (first-order
+    // path): the pending walkers between the target-prefetch and
+    // target-read passes.
+    uint64_t pending_edge[kMaxWalkBatchWidth];
     uint32_t pending_walker[kMaxWalkBatchWidth];
     NodeId pending_prev[kMaxWalkBatchWidth];
-    NodeId next_nodes[kMaxWalkBatchWidth];
-    const AliasSlot* const arena_slots =
-        arena != nullptr ? arena->Slots().data() : nullptr;
     const uint64_t* const in_offsets = graph.InOffsets().data();
     const NodeId* const in_targets = graph.InTargets().data();
 
@@ -214,8 +205,7 @@ struct WalkKernel {
                 continue;
               }
             }
-            const uint32_t deg =
-                arena != nullptr ? arena->RowDegree(v) : graph.InDegree(v);
+            const uint32_t deg = graph.InDegree(v);
             if (deg == 0) {
               if (stats != nullptr) ++stats->steps;
               if (self_loop) {
@@ -242,14 +232,15 @@ struct WalkKernel {
               endpoints[n_live++] = next;
             }
           }
-        } else if (arena != nullptr) {
+        } else {
           // Pass 1: prefetch the offset entries of the block's frontier.
           for (uint32_t i = 0; i < wn; ++i) {
             if (pos[w0 + i] != kInvalidNode) {
-              arena->PrefetchOffsets(pos[w0 + i]);
+              PrefetchRead(in_offsets + pos[w0 + i]);
             }
           }
-          // Pass 2: draw, pick slots, prefetch the packed slots.
+          // Pass 2: draw, pick the row slot, prefetch the in-target it
+          // names.
           uint32_t pending = 0;
           for (uint32_t i = 0; i < wn; ++i) {
             const uint32_t w = w0 + i;
@@ -262,7 +253,9 @@ struct WalkKernel {
                 continue;
               }
             }
-            const uint32_t deg = arena->RowDegree(v);
+            const uint64_t row = in_offsets[v];
+            const uint32_t deg =
+                static_cast<uint32_t>(in_offsets[v + 1] - row);
             if (deg == 0) {
               if (stats != nullptr) ++stats->steps;
               if (self_loop) {
@@ -275,25 +268,16 @@ struct WalkKernel {
               }
               continue;
             }
-            const uint64_t raw = program.Draw(w, t);
-            const uint32_t slot = AliasArena::PickSlot(raw, deg);
-            const uint64_t global = arena->RowOffset(v) + slot;
-            arena->PrefetchSlot(global);
-            pending_global[pending] = global;
-            pending_accept[pending] = static_cast<uint32_t>(raw);
-            pending_slot[pending] = slot;
+            const uint64_t edge = row + PickSlot(program.Draw(w, t), deg);
+            PrefetchRead(in_targets + edge);
+            pending_edge[pending] = edge;
             pending_walker[pending] = w;
             pending_prev[pending] = v;
             ++pending;
           }
-          // Pass 3: resolve the prefetched slots as one SIMD batch
-          // (engine/simd.h — same comparisons as the scalar path, so the
-          // resolved ids are identical), then the scalar bookkeeping.
-          simd::ResolveAliasBatch(arena_slots, pending_global, pending_accept,
-                                  pending_slot, pending_prev, in_offsets,
-                                  in_targets, pending, next_nodes);
+          // Pass 3: read the prefetched targets and do the bookkeeping.
           for (uint32_t j = 0; j < pending; ++j) {
-            const NodeId next = next_nodes[j];
+            const NodeId next = in_targets[pending_edge[j]];
             if (stats != nullptr) {
               ++stats->steps;
               if (owner != nullptr &&
@@ -302,46 +286,6 @@ struct WalkKernel {
               }
             }
             pos[pending_walker[j]] = next;
-            if constexpr (Program::kEmitsLevels) {
-              endpoints[n_live++] = next;
-            }
-          }
-        } else {
-          // Plain-CSR fallback: same draws, same endpoints, no prefetch.
-          for (uint32_t i = 0; i < wn; ++i) {
-            const uint32_t w = w0 + i;
-            const NodeId v = pos[w];
-            if (v == kInvalidNode) continue;
-            if constexpr (Program::kMayRetire) {
-              if (!program.PreStep(w, t, v)) {
-                pos[w] = kInvalidNode;
-                --alive;
-                continue;
-              }
-            }
-            const uint32_t deg = graph.InDegree(v);
-            if (deg == 0) {
-              if (stats != nullptr) ++stats->steps;
-              if (self_loop) {
-                if constexpr (Program::kEmitsLevels) {
-                  endpoints[n_live++] = v;
-                }
-              } else {
-                pos[w] = kInvalidNode;
-                --alive;
-              }
-              continue;
-            }
-            const uint64_t raw = program.Draw(w, t);
-            const NodeId next =
-                graph.InNeighbor(v, AliasArena::PickSlot(raw, deg));
-            if (stats != nullptr) {
-              ++stats->steps;
-              if (owner != nullptr && (*owner)(v) != (*owner)(next)) {
-                ++stats->partition_crossings;
-              }
-            }
-            pos[w] = next;
             if constexpr (Program::kEmitsLevels) {
               endpoints[n_live++] = next;
             }

@@ -4,16 +4,16 @@
 // entry points in engine/walk.h.
 //
 // Both programs run on the same kernel as SimRank (SoA cursors, blocked
-// advance, arena prefetch, radix aggregation) and inherit its determinism
+// advance, in-CSR prefetch, radix aggregation) and inherit its determinism
 // contract: every draw is a pure function of (config.seed, source, walker,
 // step[, trial]), on per-program channels derived from the per-source key,
-// so results are bit-identical across batch widths, thread counts, and the
-// arena / plain-CSR access paths — per program.
+// so results are bit-identical across batch widths, thread counts, and
+// backends — per program.
 //
 // Both walk the same reverse transition kernel P as SimRank (each move
 // goes to a uniformly random *in-neighbor*), so they measure relevance in
 // the graph whose arcs are the reversed input arcs. This is deliberate:
-// one arena, one snapshot, one cache serve all programs.
+// one in-CSR, one snapshot, one cache serve all programs.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_PROGRAM_H_
 #define CLOUDWALKER_ENGINE_WALK_PROGRAM_H_
@@ -92,11 +92,9 @@ struct Node2VecParams {
 ///   ppr_T(v) = sum_{t<T} (1-a) a^t (P^t e_s)(v) + a^T (P^T e_s)(v).
 /// Under DanglingPolicy::kDie the distribution is sub-stochastic (mass at
 /// walkers that die dangling is lost, exactly as in SimRank's levels).
-/// `context_or_null`, `scratch`, `owner`, `stats` as in
-/// SimulateWalkDistributions.
-SparseVector SimulatePprEndpoints(const Graph& graph,
-                                  const WalkContext* context_or_null,
-                                  NodeId source, const WalkConfig& config,
+/// `scratch`, `owner`, `stats` as in SimulateWalkDistributions.
+SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
+                                  const WalkConfig& config,
                                   const PprParams& params,
                                   WalkScratch* scratch = nullptr,
                                   const NodeOwnerFn* owner = nullptr,
@@ -106,9 +104,11 @@ SparseVector SimulatePprEndpoints(const Graph& graph,
 /// the per-level empirical distributions (levels[0] = e_source), exactly
 /// like SimulateWalkDistributions but with the biased transition
 ///   w(next) = 1/p if next == prev, 1 if next in In(prev), 1/q otherwise,
-/// sampled by rejection against the uniform alias arena. The first step
+/// sampled by rejection against the uniform in-row pick. The first step
 /// (no previous node yet) is uniform. Visit scores for ranking are the
 /// level average; see Node2VecVisitScores in core/queries.h.
+/// `context_or_null` supplies the in-row order of a reordered snapshot
+/// (WalkContext::external_ids); null means rows sorted by id.
 WalkDistributions SimulateNode2VecVisits(const Graph& graph,
                                          const WalkContext* context_or_null,
                                          NodeId source,

@@ -15,6 +15,7 @@
 #define CLOUDWALKER_ENGINE_WALK_PROGRAMS_INTERNAL_H_
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -73,8 +74,7 @@ struct PprEndpointsProgram {
 /// Second-order node2vec-style walks as a walk program. The previous
 /// vertex lives in the kernel's SoA cursor; the biased transition is
 /// sampled by rejection against the uniform in-link distribution (the
-/// alias arena when available, the CSR row otherwise — bit-identical
-/// either way): draw a uniform candidate, accept with probability
+/// in-CSR row): draw a uniform candidate, accept with probability
 /// w(candidate) / w_max. Every trial draw is
 /// CounterRandom(DeriveSeed(trial_base, walker << 32 | step), trial),
 /// a pure function of (seed, source, walker, step, trial).
@@ -84,7 +84,9 @@ struct Node2VecProgram {
   static constexpr bool kEmitsLevels = true;
 
   const Graph* graph = nullptr;
-  const AliasArena* arena = nullptr;
+  // In-row sort key of a reordered snapshot (WalkContext::external_ids);
+  // empty when the rows are sorted by id.
+  std::span<const NodeId> external_ids;
   uint32_t max_trials = 64;
   uint64_t key = 0;         // canonical move stream (first, uniform step)
   uint64_t trial_base = 0;  // per-source rejection-trial channel
@@ -116,18 +118,9 @@ struct Node2VecProgram {
     out->levels[0] = SparseVector::FromSorted({SparseEntry{source, 1.0}});
   }
 
-  // Uniform in-neighbor pick, resolved exactly like the first-order
-  // kernel's pass 3 so the arena and CSR paths consume `raw` identically
-  // (in-link rows are uniform: accept == 0, alias == own target).
+  // Uniform in-neighbor pick, the first-order kernel's pick exactly.
   NodeId Resolve(NodeId cur, uint64_t raw, uint32_t deg) const {
-    const uint32_t slot = AliasArena::PickSlot(raw, deg);
-    if (arena != nullptr) {
-      const AliasSlot s = arena->slot(arena->RowOffset(cur) + slot);
-      return static_cast<uint32_t>(raw) < s.accept
-                 ? graph->InNeighbor(cur, slot)
-                 : s.alias;
-    }
-    return graph->InNeighbor(cur, slot);
+    return graph->InNeighbor(cur, PickSlot(raw, deg));
   }
 
   NodeId Advance(uint32_t w, uint32_t t, NodeId cur, NodeId prev,
@@ -139,9 +132,9 @@ struct Node2VecProgram {
     }
     const uint64_t trial_key = DeriveSeed(
         trial_base, (static_cast<uint64_t>(w + walker_offset) << 32) | t);
-    // In(prev) is sorted ascending (graph.h), so candidate distance
-    // classifies with one binary search; d == 0 (the previous node
-    // itself) takes precedence.
+    // In(prev) is sorted (by external id on a reordered snapshot), so
+    // candidate distance classifies with one binary search; d == 0 (the
+    // previous node itself) takes precedence.
     const auto in_prev = graph->InNeighbors(prev);
     NodeId candidate = kInvalidNode;
     for (uint32_t trial = 0; trial < max_trials; ++trial) {
@@ -150,8 +143,7 @@ struct Node2VecProgram {
       uint64_t threshold;
       if (candidate == prev) {
         threshold = thr_return;
-      } else if (std::binary_search(in_prev.begin(), in_prev.end(),
-                                    candidate)) {
+      } else if (InRowContains(in_prev, candidate, external_ids)) {
         threshold = thr_near;
       } else {
         threshold = thr_far;

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -50,6 +51,22 @@ Graph Graph::FromCsrViews(NodeId num_nodes,
   g.out_targets_v_ = out_targets;
   g.in_offsets_v_ = in_offsets;
   g.in_targets_v_ = in_targets;
+  return g;
+}
+
+Graph Graph::FromCsr(NodeId num_nodes, std::vector<uint64_t> out_offsets,
+                     std::vector<NodeId> out_targets,
+                     std::vector<uint64_t> in_offsets,
+                     std::vector<NodeId> in_targets) {
+  CW_CHECK_EQ(out_offsets.size(), static_cast<size_t>(num_nodes) + 1);
+  CW_CHECK_EQ(in_offsets.size(), static_cast<size_t>(num_nodes) + 1);
+  Graph g;
+  g.num_nodes_ = num_nodes;
+  g.out_offsets_ = std::move(out_offsets);
+  g.out_targets_ = std::move(out_targets);
+  g.in_offsets_ = std::move(in_offsets);
+  g.in_targets_ = std::move(in_targets);
+  g.AdoptOwnedStorage();
   return g;
 }
 

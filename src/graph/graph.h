@@ -22,8 +22,8 @@ using NodeId = uint32_t;
 inline constexpr NodeId kInvalidNode = 0xffffffffu;
 
 /// Immutable CSR digraph. Construct with GraphBuilder, the generators in
-/// graph/generators.h, or — zero-copy over external flat arrays such as an
-/// mmapped snapshot — FromCsrViews. Accessors read through internal spans,
+/// graph/generators.h, FromCsr, or — zero-copy over external flat arrays
+/// such as an mmapped snapshot — FromCsrViews. Accessors read through internal spans,
 /// so the same kernel code walks a heap-built graph and a snapshot view
 /// identically (DESIGN.md section 9). Copying always materializes into
 /// owned storage (a copy never dangles when the external memory goes
@@ -44,14 +44,23 @@ class Graph {
 
   /// Wraps externally owned CSR arrays without copying. The arrays must
   /// satisfy the builder's invariants (offsets of size num_nodes + 1
-  /// starting at 0, per-row sorted targets) and must outlive the returned
-  /// graph and every move of it — the caller keeps ownership (the snapshot
-  /// layer pins the backing mmap for exactly this reason).
+  /// starting at 0, per-row sorted targets — in-rows of a
+  /// locality-reordered snapshot are sorted by external id instead,
+  /// DESIGN.md section 14) and must outlive the returned graph and every
+  /// move of it — the caller keeps ownership (the snapshot layer pins the
+  /// backing mmap for exactly this reason).
   static Graph FromCsrViews(NodeId num_nodes,
                             std::span<const uint64_t> out_offsets,
                             std::span<const NodeId> out_targets,
                             std::span<const uint64_t> in_offsets,
                             std::span<const NodeId> in_targets);
+
+  /// Owning counterpart of FromCsrViews: adopts the arrays, same
+  /// invariants.
+  static Graph FromCsr(NodeId num_nodes, std::vector<uint64_t> out_offsets,
+                       std::vector<NodeId> out_targets,
+                       std::vector<uint64_t> in_offsets,
+                       std::vector<NodeId> in_targets);
 
   /// False when the CSR arrays alias external memory (FromCsrViews).
   bool owns_storage() const {
@@ -70,7 +79,8 @@ class Graph {
             out_targets_v_.data() + out_offsets_v_[v + 1]};
   }
 
-  /// Sources of edges entering `v` (sorted ascending).
+  /// Sources of edges entering `v` (sorted ascending; by external id on a
+  /// locality-reordered snapshot).
   std::span<const NodeId> InNeighbors(NodeId v) const {
     return {in_targets_v_.data() + in_offsets_v_[v],
             in_targets_v_.data() + in_offsets_v_[v + 1]};

@@ -12,7 +12,6 @@ BlockCache::Lease& BlockCache::Lease::operator=(Lease&& other) noexcept {
     block_ = other.block_;
     base_ = other.base_;
     targets_ = std::exchange(other.targets_, nullptr);
-    slots_ = std::exchange(other.slots_, nullptr);
   }
   return *this;
 }
@@ -21,7 +20,6 @@ BlockCache::Lease::~Lease() {
   if (cache_ != nullptr) cache_->Release(block_);
   cache_ = nullptr;
   targets_ = nullptr;
-  slots_ = nullptr;
 }
 
 BlockCache::BlockCache(std::shared_ptr<const PagedSnapshot> snapshot,
@@ -58,7 +56,7 @@ StatusOr<BlockCache::Lease> BlockCache::Acquire(uint32_t b) {
   }
   const BlockExtent& ext = blocks[b];
   if (snapshot_->all_resident()) {
-    // Leases alias the resident arrays directly; no pin bookkeeping needed
+    // Leases alias the resident array directly; no pin bookkeeping needed
     // (nothing is ever evicted), so the lease carries no cache pointer.
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.hits;
@@ -66,11 +64,10 @@ StatusOr<BlockCache::Lease> BlockCache::Acquire(uint32_t b) {
     lease.block_ = b;
     lease.base_ = ext.edge_begin;
     lease.targets_ = snapshot_->resident_in_targets().data() + ext.edge_begin;
-    lease.slots_ = snapshot_->resident_arena_slots().data() + ext.edge_begin;
     return lease;
   }
 
-  const uint64_t bytes = ext.num_edges() * kPagedBytesPerEdge;
+  const uint64_t bytes = ext.payload_bytes();
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     Frame& f = frames_[b];
@@ -83,7 +80,6 @@ StatusOr<BlockCache::Lease> BlockCache::Acquire(uint32_t b) {
       lease.block_ = b;
       lease.base_ = ext.edge_begin;
       lease.targets_ = f.targets.data();
-      lease.slots_ = f.slots.data();
       return lease;
     }
     if (f.loading) {
@@ -111,8 +107,7 @@ StatusOr<BlockCache::Lease> BlockCache::Acquire(uint32_t b) {
     lock.unlock();
 
     std::vector<NodeId> targets(ext.num_edges());
-    std::vector<AliasSlot> slots(ext.num_edges());
-    const Status read = snapshot_->ReadBlock(b, targets.data(), slots.data());
+    const Status read = snapshot_->ReadBlock(b, targets.data());
 
     lock.lock();
     f.loading = false;
@@ -122,7 +117,6 @@ StatusOr<BlockCache::Lease> BlockCache::Acquire(uint32_t b) {
       return read;
     }
     f.targets = std::move(targets);
-    f.slots = std::move(slots);
     f.resident = true;
     f.pins = 1;
     f.tick = ++tick_;
@@ -133,7 +127,6 @@ StatusOr<BlockCache::Lease> BlockCache::Acquire(uint32_t b) {
     lease.block_ = b;
     lease.base_ = ext.edge_begin;
     lease.targets_ = f.targets.data();
-    lease.slots_ = f.slots.data();
     return lease;
   }
 }
@@ -153,13 +146,11 @@ bool BlockCache::MakeRoom(uint64_t need) {
     }
     if (victim == frames_.size()) return false;
     Frame& v = frames_[victim];
-    counters_.bytes_resident -=
-        blocks[victim].num_edges() * kPagedBytesPerEdge;
+    counters_.bytes_resident -= blocks[victim].payload_bytes();
     ++counters_.evictions;
     v.resident = false;
     // Actually return the memory (clear() keeps capacity).
     std::vector<NodeId>().swap(v.targets);
-    std::vector<AliasSlot>().swap(v.slots);
   }
   return true;
 }

@@ -1,5 +1,5 @@
-// BlockCache — demand-paged residency for a PagedSnapshot's per-edge
-// arrays under a hard byte budget (DESIGN.md section 14).
+// BlockCache — demand-paged residency for a PagedSnapshot's in-targets
+// under a byte budget (DESIGN.md section 14).
 //
 // The walker-block scheduler asks for one block at a time (two for
 // second-order walks: the current block plus the previous hop's). A hit
@@ -8,16 +8,21 @@
 // budget admits it. Pins are RAII leases, so a block a walker bucket is
 // mid-drain on can never be evicted under it.
 //
-// The budget is hard in the steady state: bytes_resident never exceeds it
-// while any unpinned block remains evictable. The one escape hatch is a
-// budget too small for the blocks currently pinned (the scheduler pins at
-// most two) — rather than deadlock, the cache admits the block over budget
-// and counts it in overflow_admits. OutOfCoreWalkBackend::Create rejects
-// budgets below two blocks precisely so that counter stays zero.
+// The budget holds while any resident block is evictable: a miss evicts
+// until the new block fits. Blocks that are pinned or still loading are
+// unevictable, and each walk in flight makes at most two of them so (its
+// current block, plus the previous hop's for second-order walks). When a
+// miss finds nothing left to evict, the cache admits the block over budget
+// rather than deadlock — the pins may belong to the caller itself — and
+// counts it in overflow_admits. So with W concurrent walks,
+// peak_bytes_resident <= max(budget, 2 * W * largest block).
+// OutOfCoreWalkBackend::Create insists on a two-block budget, which keeps
+// overflow_admits at zero for one walk at a time; concurrent walks need
+// 2 * W blocks for the same.
 //
-// For all-resident snapshots (old-format fallback) leases point straight
-// into the resident arrays: every acquire is a hit, nothing is ever read
-// twice, and bytes_resident reports the full paged payload.
+// For all-resident snapshots (the no-block-index fallback) leases point
+// straight into the resident array: every acquire is a hit, nothing is
+// ever read twice, and bytes_resident reports the full paged payload.
 
 #ifndef CLOUDWALKER_OOC_BLOCK_CACHE_H_
 #define CLOUDWALKER_OOC_BLOCK_CACHE_H_
@@ -51,10 +56,10 @@ struct BlockCacheCounters {
 /// Thread-safe demand-paged block cache over one PagedSnapshot.
 class BlockCache {
  public:
-  /// An RAII pin on one resident block. `targets()`/`slots()` are the
-  /// block's slices of the paged arrays, indexed block-locally: global
-  /// edge index i lives at [i - base()]. Valid until destruction; move-
-  /// only. A default-constructed lease is empty.
+  /// An RAII pin on one resident block. `targets()` is the block's slice
+  /// of the in-targets, indexed block-locally: global edge index i lives
+  /// at [i - base()]. Valid until destruction; move-only. A
+  /// default-constructed lease is empty.
   class Lease {
    public:
     Lease() = default;
@@ -69,7 +74,6 @@ class BlockCache {
     /// Global edge index of the first element (the block's edge_begin).
     uint64_t base() const { return base_; }
     const NodeId* targets() const { return targets_; }
-    const AliasSlot* slots() const { return slots_; }
 
    private:
     friend class BlockCache;
@@ -77,7 +81,6 @@ class BlockCache {
     uint32_t block_ = 0;
     uint64_t base_ = 0;
     const NodeId* targets_ = nullptr;
-    const AliasSlot* slots_ = nullptr;
   };
 
   /// `budget_bytes` caps resident paged payload. Must admit the largest
@@ -99,7 +102,6 @@ class BlockCache {
 
   struct Frame {
     std::vector<NodeId> targets;
-    std::vector<AliasSlot> slots;
     uint32_t pins = 0;
     bool resident = false;
     bool loading = false;

@@ -8,13 +8,25 @@
 namespace cloudwalker {
 namespace {
 
-constexpr uint32_t kBlockIndexVersion = 1;
+constexpr uint32_t kBlockIndexVersion = 2;
+
+// The on-disk block record. Both index versions use this layout; version 1
+// stored a CRC of the block's alias-arena slice in `unused`, version 2
+// writes 0 there, and the decoder ignores it either way.
+struct BlockRecord {
+  uint64_t node_begin = 0;
+  uint64_t node_end = 0;
+  uint64_t edge_begin = 0;
+  uint64_t edge_end = 0;
+  uint32_t crc_in_targets = 0;
+  uint32_t unused = 0;
+};
+static_assert(sizeof(BlockRecord) == 40, "fixed layout, serialized verbatim");
 
 }  // namespace
 
 std::vector<BlockExtent> BuildBlockLayout(std::span<const uint64_t> in_offsets,
                                           std::span<const NodeId> in_targets,
-                                          std::span<const AliasSlot> slots,
                                           uint64_t target_block_bytes) {
   std::vector<BlockExtent> blocks;
   if (in_offsets.size() < 2) return blocks;  // zero-node graph: no blocks
@@ -39,8 +51,6 @@ std::vector<BlockExtent> BuildBlockLayout(std::span<const uint64_t> in_offsets,
     b.edge_end = in_offsets[node];
     b.crc_in_targets = Crc32(in_targets.data() + b.edge_begin,
                              b.num_edges() * sizeof(NodeId));
-    b.crc_arena_slots = Crc32(slots.data() + b.edge_begin,
-                              b.num_edges() * sizeof(AliasSlot));
     blocks.push_back(b);
   }
   return blocks;
@@ -48,10 +58,16 @@ std::vector<BlockExtent> BuildBlockLayout(std::span<const uint64_t> in_offsets,
 
 std::string EncodeBlockIndex(const std::vector<BlockExtent>& blocks,
                              uint64_t target_block_bytes) {
+  std::vector<BlockRecord> records;
+  records.reserve(blocks.size());
+  for (const BlockExtent& b : blocks) {
+    records.push_back({b.node_begin, b.node_end, b.edge_begin, b.edge_end,
+                       b.crc_in_targets, /*unused=*/0});
+  }
   BinaryWriter w;
   w.Write(kBlockIndexVersion);
   w.Write(target_block_bytes);
-  w.WriteVector(blocks);
+  w.WriteVector(records);
   return w.buffer();
 }
 
@@ -61,14 +77,21 @@ Status DecodeBlockIndex(const std::string& bytes, uint64_t num_nodes,
   BinaryReader r(bytes);
   uint32_t version = 0;
   CW_RETURN_IF_ERROR(r.Read(&version));
-  if (version != kBlockIndexVersion) {
+  if (version != 1 && version != kBlockIndexVersion) {
     return Status::InvalidArgument("unsupported block index version " +
                                    std::to_string(version));
   }
   CW_RETURN_IF_ERROR(r.Read(target_block_bytes));
-  CW_RETURN_IF_ERROR(r.ReadVector(blocks));
+  std::vector<BlockRecord> records;
+  CW_RETURN_IF_ERROR(r.ReadVector(&records));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after block index");
+  }
+  blocks->clear();
+  blocks->reserve(records.size());
+  for (const BlockRecord& rec : records) {
+    blocks->push_back({rec.node_begin, rec.node_end, rec.edge_begin,
+                       rec.edge_end, rec.crc_in_targets});
   }
   if (blocks->empty() != (num_nodes == 0)) {
     return Status::InvalidArgument("block count disagrees with node count");

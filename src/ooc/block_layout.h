@@ -1,21 +1,24 @@
 // Block layout pass of the out-of-core walk engine (DESIGN.md section 14).
 //
-// The two demand-paged snapshot sections — kInTargets and kArenaSlots, the
-// per-edge arrays that dominate a snapshot's bytes — are partitioned into
-// self-contained node-range blocks: block b covers nodes
-// [node_begin, node_end) and the matching edge range
-// [in_offsets[node_begin], in_offsets[node_end)) of BOTH arrays, so one
-// block read makes every walker resident on its nodes advanceable (CSR
-// row + alias row) without touching another block. Blocks are cut greedily
-// at ~target_block_bytes of paged payload (12 bytes per in-edge), always at
-// node boundaries, so a node's rows never straddle blocks.
+// The demand-paged snapshot section — kInTargets, the per-edge array that
+// dominates a snapshot's bytes — is partitioned into self-contained
+// node-range blocks: block b covers nodes [node_begin, node_end) and the
+// matching edge range [in_offsets[node_begin], in_offsets[node_end)), so
+// one block read makes every walker resident on its nodes advanceable
+// without touching another block. Blocks are cut greedily at
+// ~target_block_bytes of paged payload (4 bytes per in-edge), always at
+// node boundaries, so a node's row never straddles blocks.
 //
 // The layout is computed once at snapshot-write time and persisted as the
-// kBlockIndex section, stamped with a per-block CRC for each paged array —
+// kBlockIndex section, stamped with a per-block CRC of the paged slice —
 // the block cache reads block payloads with pread (no whole-file mapping,
 // so an address-space cap applies to it meaningfully) and therefore cannot
 // lean on the section-level CRC pass; the per-block CRCs restore the same
 // read-time tamper evidence at block granularity.
+//
+// Index version 1 (written into version 1 snapshots) also carried a CRC of
+// each block's alias-arena slice; a reader keeps only the in-target
+// extents and CRCs.
 
 #ifndef CLOUDWALKER_OOC_BLOCK_LAYOUT_H_
 #define CLOUDWALKER_OOC_BLOCK_LAYOUT_H_
@@ -26,47 +29,40 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
 
-/// One self-contained node-range block of the paged sections.
+/// Paged bytes one in-edge contributes (its kInTargets id).
+inline constexpr uint64_t kPagedBytesPerEdge = sizeof(NodeId);
+
+/// One self-contained node-range block of the paged section.
 struct BlockExtent {
   uint64_t node_begin = 0;  // first node of the block
   uint64_t node_end = 0;    // one past the last node
   uint64_t edge_begin = 0;  // in_offsets[node_begin]
   uint64_t edge_end = 0;    // in_offsets[node_end]
-  uint32_t crc_in_targets = 0;   // CRC-32 of the kInTargets slice
-  uint32_t crc_arena_slots = 0;  // CRC-32 of the kArenaSlots slice
+  uint32_t crc_in_targets = 0;  // CRC-32 of the kInTargets slice
 
-  /// Edges (== alias slots) covered by the block.
+  /// In-edges covered by the block.
   uint64_t num_edges() const { return edge_end - edge_begin; }
   /// Bytes of paged payload the block pins while resident.
-  uint64_t payload_bytes() const {
-    return num_edges() * (sizeof(NodeId) + sizeof(AliasSlot));
-  }
+  uint64_t payload_bytes() const { return num_edges() * kPagedBytesPerEdge; }
 
   bool operator==(const BlockExtent&) const = default;
 };
-static_assert(sizeof(BlockExtent) == 40, "fixed layout, serialized verbatim");
-
-/// Paged bytes one in-edge contributes (its kInTargets id + alias slot).
-inline constexpr uint64_t kPagedBytesPerEdge =
-    sizeof(NodeId) + sizeof(AliasSlot);
 
 /// Default block payload target: 1 MiB of paged bytes per block.
 inline constexpr uint64_t kDefaultBlockBytes = 1ull << 20;
 
 /// Cuts [0, n) into node-range blocks of ~target_block_bytes paged payload
-/// (clamped to at least one node per block) and stamps each block's CRCs
-/// over the corresponding `in_targets` / `slots` slices. Deterministic:
+/// (clamped to at least one node per block) and stamps each block's CRC
+/// over the corresponding `in_targets` slice. Deterministic:
 /// the same inputs always produce the same layout, which is what keeps
 /// snapshot writes byte-stable across open/rewrite round trips. Returns at
 /// least one block whenever n > 0.
 std::vector<BlockExtent> BuildBlockLayout(std::span<const uint64_t> in_offsets,
                                           std::span<const NodeId> in_targets,
-                                          std::span<const AliasSlot> slots,
                                           uint64_t target_block_bytes);
 
 /// Serializes a block layout into the kBlockIndex section payload.
@@ -74,10 +70,10 @@ std::string EncodeBlockIndex(const std::vector<BlockExtent>& blocks,
                              uint64_t target_block_bytes);
 
 /// Parses and structurally validates a kBlockIndex payload for a snapshot
-/// with `num_nodes` nodes and `num_edges` in-edges: version check, blocks
-/// must tile [0, num_nodes) and [0, num_edges) contiguously. Per-block
-/// CRCs are *not* checked here — the block cache verifies each one as the
-/// block is paged in.
+/// with `num_nodes` nodes and `num_edges` in-edges: version check (1 or
+/// 2), blocks must tile [0, num_nodes) and [0, num_edges) contiguously.
+/// Per-block CRCs are *not* checked here — the block cache verifies each
+/// one as the block is paged in.
 Status DecodeBlockIndex(const std::string& bytes, uint64_t num_nodes,
                         uint64_t num_edges, std::vector<BlockExtent>* blocks,
                         uint64_t* target_block_bytes);

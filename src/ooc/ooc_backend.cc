@@ -11,13 +11,11 @@ namespace {
 
 // The Rows concept of shard/walk_policies.h over pinned block leases:
 // Locate answers from the resident in-CSR offsets (global edge indices);
-// Pick and InRow rebase into the block-local lease arrays. Resolution is
-// byte-for-byte PickFromRow's slots path, which is the proven arena-path
-// equivalence.
+// Pick and InRow rebase into the block-local lease arrays, picking exactly
+// the in-target the in-memory kernel picks.
 struct LeasedRows {
-  const uint64_t* offsets = nullptr;  // resident in/arena offsets (global)
+  const uint64_t* offsets = nullptr;  // resident in-CSR offsets (global)
   const NodeId* targets = nullptr;    // current block's in_targets slice
-  const AliasSlot* slots = nullptr;   // current block's arena slice
   uint64_t base = 0;                  // global edge index of targets[0]
   const NodeId* prev_targets = nullptr;  // previous hop's block (2nd order)
   uint64_t prev_base = 0;
@@ -26,10 +24,7 @@ struct LeasedRows {
     return {offsets[v], static_cast<uint32_t>(offsets[v + 1] - offsets[v])};
   }
   NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    const uint32_t slot = AliasArena::PickSlot(raw, loc.degree);
-    const uint64_t i = loc.offset + slot - base;
-    const AliasSlot s = slots[i];
-    return static_cast<uint32_t>(raw) < s.accept ? targets[i] : s.alias;
+    return targets[loc.offset + PickSlot(raw, loc.degree) - base];
   }
   std::span<const NodeId> InRow(NodeId v, uint64_t* /*remote_rows*/) const {
     return {prev_targets + (offsets[v] - prev_base),
@@ -156,7 +151,6 @@ Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
       LeasedRows rows;
       rows.offsets = offsets;
       rows.targets = lease.targets();
-      rows.slots = lease.slots();
       rows.base = lease.base();
       if constexpr (!Policy::kSecondOrder) {
         DrainBucket(policy, rows, t, self_loop,
@@ -229,9 +223,9 @@ OutOfCoreWalkBackend::Create(std::shared_ptr<const PagedSnapshot> snapshot,
   if (snapshot == nullptr) {
     return Status::InvalidArgument("out-of-core backend needs a snapshot");
   }
-  // Two pins can be live at once (second-order walks), so the budget must
-  // admit two of the largest block — otherwise the cache would have to
-  // overflow-admit on every level.
+  // One walk can pin two blocks at once (second-order walks), so the
+  // budget must admit two of the largest block — otherwise the cache would
+  // have to overflow-admit on every level.
   const uint64_t min_budget = 2 * snapshot->max_block_bytes();
   if (!snapshot->all_resident() && options.budget_bytes < min_budget) {
     return Status::InvalidArgument(
@@ -275,6 +269,8 @@ WalkDistributions OutOfCoreWalkBackend::Node2VecLevels(
     WalkStats* stats) const {
   Node2VecWalkPolicy policy;
   policy.Configure(config.seed, KeyNode(config, source), params);
+  // A reordered snapshot's in-rows are sorted by external id.
+  policy.external_ids = snapshot_->permutation();
   WalkDistributions out;
   const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
                              stats, &out, nullptr);

@@ -34,9 +34,11 @@ namespace cloudwalker {
 
 /// Knobs of an out-of-core open.
 struct OutOfCoreOptions {
-  /// Hard cap on resident paged bytes (the block cache budget). Must admit
-  /// two blocks — second-order walks pin the current and previous hop's
-  /// blocks simultaneously. Default 64 MiB.
+  /// Cap on resident paged bytes (the block cache budget). Must admit two
+  /// blocks — a second-order walk pins the current and previous hop's
+  /// blocks simultaneously. Concurrent walks can each pin two, so W of
+  /// them need 2 * W blocks to never overflow (ooc/block_cache.h).
+  /// Default 64 MiB.
   uint64_t budget_bytes = 64ull << 20;
 };
 

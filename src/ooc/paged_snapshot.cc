@@ -23,12 +23,12 @@ namespace {
 // frozen by DESIGN.md section 9, and the snapshot tests' flipped-byte
 // sweeps exercise both readers against the same files.
 constexpr char kMagic[8] = {'C', 'W', 'S', 'N', 'A', 'P', '1', '\0'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kEndianStamp = 0x01020304u;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint64_t kDirEntryBytes = 32;
 constexpr uint64_t kSectionAlign = 64;
-constexpr uint32_t kNumRequiredSections = 8;
+constexpr uint32_t kNumRequiredSections = 6;
 constexpr uint32_t kNumKnownSections = 10;
 
 struct DirEntry {
@@ -138,7 +138,7 @@ Status PagedSnapshot::Load(const std::string& path) {
   std::memcpy(&file_size, header + 24, 8);
   std::memcpy(&n64, header + 32, 8);
   std::memcpy(&m64, header + 40, 8);
-  if (version != kFormatVersion) {
+  if (version != 1 && version != kFormatVersion) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version) + " in " + path);
   }
@@ -212,8 +212,6 @@ Status PagedSnapshot::Load(const std::string& path) {
       {SnapshotSection::kOutTargets, sizeof(NodeId), m},
       {SnapshotSection::kInOffsets, sizeof(uint64_t), n + 1},
       {SnapshotSection::kInTargets, sizeof(NodeId), m},
-      {SnapshotSection::kArenaOffsets, sizeof(uint64_t), n + 1},
-      {SnapshotSection::kArenaSlots, sizeof(AliasSlot), m},
       {SnapshotSection::kDiagonal, sizeof(double), n},
       {SnapshotSection::kMeta, 1, 0},
   };
@@ -252,8 +250,6 @@ Status PagedSnapshot::Load(const std::string& path) {
   CW_RETURN_IF_ERROR(
       load_section(entry(SnapshotSection::kInOffsets), &in_offsets_));
   CW_RETURN_IF_ERROR(
-      load_section(entry(SnapshotSection::kArenaOffsets), &arena_offsets_));
-  CW_RETURN_IF_ERROR(
       load_section(entry(SnapshotSection::kDiagonal), &diagonal_));
 
   // The same structural invariants SnapshotView::Validate enforces for the
@@ -268,10 +264,6 @@ Status PagedSnapshot::Load(const std::string& path) {
   };
   if (!offsets_ok(out_offsets_) || !offsets_ok(in_offsets_)) {
     return Corrupt(path, "CSR offsets are not monotone over [0, num_edges]");
-  }
-  if (std::memcmp(arena_offsets_.data(), in_offsets_.data(),
-                  (n + 1) * sizeof(uint64_t)) != 0) {
-    return Corrupt(path, "alias arena offsets diverge from the in-CSR");
   }
   for (const NodeId t : out_targets_) {
     if (t >= n) return Corrupt(path, "edge target out of node range");
@@ -308,10 +300,10 @@ Status PagedSnapshot::Load(const std::string& path) {
       }
       seen[ext] = 1;
     }
+    if (version == 1) return RefuseV1Reordered(path);
   }
 
   const DirEntry* e_in_tgt = entry(SnapshotSection::kInTargets);
-  const DirEntry* e_slots = entry(SnapshotSection::kArenaSlots);
   const DirEntry* e_blocks = entry(SnapshotSection::kBlockIndex);
 #if !CW_OOC_HAS_PREAD
   e_blocks = nullptr;  // no pread: run every artifact all-resident
@@ -340,29 +332,21 @@ Status PagedSnapshot::Load(const std::string& path) {
     }
     from_block_index_ = true;
     in_targets_offset_ = e_in_tgt->offset;
-    arena_slots_offset_ = e_slots->offset;
   } else {
-    // Old-format artifact (or no pread): whole-file fallback. Load the
-    // per-edge arrays resident with the full checks a mapped open would
-    // apply, and synthesize the block layout so the scheduler and cache
-    // run the identical single code path — just with a 100% hit rate.
+    // No block index (or no pread): whole-file fallback. Load the
+    // in-targets resident with the full checks a mapped open would apply,
+    // and synthesize the block layout so the scheduler and cache run the
+    // identical single code path — just with a 100% hit rate.
     CW_RETURN_IF_ERROR(load_section(e_in_tgt, &resident_in_targets_));
-    CW_RETURN_IF_ERROR(load_section(e_slots, &resident_arena_slots_));
     for (const NodeId t : resident_in_targets_) {
       if (t >= n) return Corrupt(path, "edge target out of node range");
     }
-    for (const AliasSlot& s : resident_arena_slots_) {
-      if (s.alias >= n) {
-        return Corrupt(path, "alias slot target out of node range");
-      }
-    }
     block_target_bytes_ = kDefaultBlockBytes;
     blocks_ = BuildBlockLayout(in_offsets_, resident_in_targets_,
-                               resident_arena_slots_, block_target_bytes_);
+                               block_target_bytes_);
   }
   for (const BlockExtent& b : blocks_) {
-    max_block_bytes_ =
-        std::max(max_block_bytes_, b.num_edges() * kPagedBytesPerEdge);
+    max_block_bytes_ = std::max(max_block_bytes_, b.payload_bytes());
   }
 
   num_nodes_ = static_cast<NodeId>(n);
@@ -370,8 +354,7 @@ Status PagedSnapshot::Load(const std::string& path) {
   return Status::Ok();
 }
 
-Status PagedSnapshot::ReadBlock(uint32_t b, NodeId* targets_out,
-                                AliasSlot* slots_out) const {
+Status PagedSnapshot::ReadBlock(uint32_t b, NodeId* targets_out) const {
   if (b >= blocks_.size()) {
     return Status::Internal("block id " + std::to_string(b) +
                             " out of range");
@@ -381,8 +364,6 @@ Status PagedSnapshot::ReadBlock(uint32_t b, NodeId* targets_out,
   if (!from_block_index_) {
     std::memcpy(targets_out, resident_in_targets_.data() + ext.edge_begin,
                 edges * sizeof(NodeId));
-    std::memcpy(slots_out, resident_arena_slots_.data() + ext.edge_begin,
-                edges * sizeof(AliasSlot));
     return Status::Ok();
   }
 #if CW_OOC_HAS_PREAD
@@ -408,17 +389,10 @@ Status PagedSnapshot::ReadBlock(uint32_t b, NodeId* targets_out,
     return Corrupt(path_, "checksum mismatch in block " + std::to_string(b) +
                               " of in_targets");
   }
-  CW_RETURN_IF_ERROR(
-      read_range(arena_slots_offset_ + ext.edge_begin * sizeof(AliasSlot),
-                 edges * sizeof(AliasSlot), slots_out));
-  if (Crc32(slots_out, edges * sizeof(AliasSlot)) != ext.crc_arena_slots) {
-    return Corrupt(path_, "checksum mismatch in block " + std::to_string(b) +
-                              " of arena_slots");
-  }
   // The walk kernels index with these ids unchecked — the same guarantee
   // SnapshotView's whole-file sweep gives, applied per page-in.
   for (uint64_t i = 0; i < edges; ++i) {
-    if (targets_out[i] >= num_nodes_ || slots_out[i].alias >= num_nodes_) {
+    if (targets_out[i] >= num_nodes_) {
       return Corrupt(path_, "id out of node range in block " +
                                 std::to_string(b));
     }

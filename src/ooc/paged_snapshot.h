@@ -1,26 +1,26 @@
-// PagedSnapshot — the out-of-core view of a cloudwalker-snap-v1 artifact
-// (DESIGN.md section 14).
+// PagedSnapshot — the out-of-core view of a snapshot artifact (DESIGN.md
+// section 14).
 //
 // Where SnapshotView maps the whole file and hands out spans, PagedSnapshot
 // keeps only the per-node arrays resident (CSR offsets, out-targets for the
-// combine phases, arena offsets, diagonal, metadata, block index,
-// permutation — a few dozen bytes per node) and leaves the two per-edge
-// walk arrays — kInTargets and kArenaSlots, 12 bytes per in-edge, the bulk
-// of the file — on disk. The block cache preads node-range blocks of those
-// arrays on demand (ooc/block_cache.h); pread rather than mmap, so an
+// combine phases, diagonal, metadata, block index, permutation — a few
+// dozen bytes per node) and leaves the per-edge walk array — kInTargets,
+// 4 bytes per in-edge — on disk. The block cache preads node-range blocks
+// of it on demand (ooc/block_cache.h); pread rather than mmap, so an
 // address-space cap (setrlimit(RLIMIT_AS)) genuinely bounds the process
 // and the cache's byte budget is the real residency ceiling.
 //
 // Integrity: the header + directory CRC is verified, every *resident*
-// section is CRC-checked as it loads, and the paged sections are covered
-// at block granularity by the per-block CRCs in the block index, verified
-// on every page-in. (The whole-file padding sweep is SnapshotView's job;
-// a paged open never reads the bytes between sections.)
+// section is CRC-checked as it loads, and the paged section is covered at
+// block granularity by the per-block CRCs in the block index, verified on
+// every page-in. (The whole-file padding sweep is SnapshotView's job; a
+// paged open never reads the bytes between sections, nor a version 1
+// file's alias-arena sections.)
 //
-// Old-format artifacts (no kBlockIndex section) fall back to whole-file
-// residency: the per-edge arrays are loaded, CRC-checked, and a block
-// layout is synthesized in memory, so the same scheduler serves them —
-// with every block permanently resident and the cache reporting that.
+// Artifacts without a kBlockIndex section fall back to whole-file
+// residency: the in-targets are loaded, CRC-checked, and a block layout is
+// synthesized in memory, so the same scheduler serves them — with every
+// block permanently resident and the cache reporting that.
 
 #ifndef CLOUDWALKER_OOC_PAGED_SNAPSHOT_H_
 #define CLOUDWALKER_OOC_PAGED_SNAPSHOT_H_
@@ -32,7 +32,6 @@
 
 #include "common/status.h"
 #include "core/options.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 #include "ooc/block_layout.h"
 #include "snapshot/snapshot.h"
@@ -46,8 +45,9 @@ namespace cloudwalker {
 class PagedSnapshot {
  public:
   /// Opens `path`, validates the header/directory and every resident
-  /// section, and decodes (or, for old-format files, synthesizes) the
-  /// block layout.
+  /// section, and decodes (or, without a block index, synthesizes) the
+  /// block layout. A version 1 reordered file fails like
+  /// SnapshotView::Open (RefuseV1Reordered).
   static StatusOr<std::shared_ptr<const PagedSnapshot>> Open(
       const std::string& path);
 
@@ -70,12 +70,11 @@ class PagedSnapshot {
   std::span<const uint64_t> out_offsets() const { return out_offsets_; }
   std::span<const NodeId> out_targets() const { return out_targets_; }
   std::span<const uint64_t> in_offsets() const { return in_offsets_; }
-  std::span<const uint64_t> arena_offsets() const { return arena_offsets_; }
   std::span<const double> diagonal() const { return diagonal_; }
   std::span<const NodeId> permutation() const { return permutation_; }
 
   /// The block layout the scheduler buckets walkers by. Decoded from the
-  /// kBlockIndex section, or synthesized for old-format files.
+  /// kBlockIndex section, or synthesized when the file has none.
   std::span<const BlockExtent> blocks() const { return blocks_; }
   uint64_t block_target_bytes() const { return block_target_bytes_; }
 
@@ -83,29 +82,27 @@ class PagedSnapshot {
   /// paged mode). False means the whole-file fallback is active.
   bool has_block_index() const { return from_block_index_; }
 
-  /// True when the per-edge arrays are fully resident (the old-format
+  /// True when the in-targets are fully resident (the no-block-index
   /// fallback, or a platform without pread). ReadBlock is never needed —
-  /// resident_in_targets()/resident_arena_slots() serve directly.
-  bool all_resident() const { return !resident_in_targets_.empty() || num_edges_ == 0; }
+  /// resident_in_targets() serves directly.
+  bool all_resident() const {
+    return !resident_in_targets_.empty() || num_edges_ == 0;
+  }
   std::span<const NodeId> resident_in_targets() const {
     return resident_in_targets_;
   }
-  std::span<const AliasSlot> resident_arena_slots() const {
-    return resident_arena_slots_;
-  }
 
-  /// Total bytes of the two demand-paged sections — the denominator of the
+  /// Total bytes of the demand-paged section — the denominator of the
   /// "budget capped at <= 50% of the paged bytes" acceptance metric.
   uint64_t paged_bytes() const { return num_edges_ * kPagedBytesPerEdge; }
 
   /// Largest single block's payload — the minimum viable cache budget.
   uint64_t max_block_bytes() const { return max_block_bytes_; }
 
-  /// Reads block `b`'s slices of kInTargets and kArenaSlots into the
-  /// caller's buffers (sized blocks()[b].num_edges() each), verifying the
-  /// per-block CRCs and that every id is in range. Thread-safe.
-  Status ReadBlock(uint32_t b, NodeId* targets_out,
-                   AliasSlot* slots_out) const;
+  /// Reads block `b`'s slice of kInTargets into the caller's buffer
+  /// (sized blocks()[b].num_edges()), verifying the per-block CRC and that
+  /// every id is in range. Thread-safe.
+  Status ReadBlock(uint32_t b, NodeId* targets_out) const;
 
  private:
   PagedSnapshot() = default;
@@ -123,7 +120,6 @@ class PagedSnapshot {
   std::vector<uint64_t> out_offsets_;
   std::vector<NodeId> out_targets_;
   std::vector<uint64_t> in_offsets_;
-  std::vector<uint64_t> arena_offsets_;
   std::vector<double> diagonal_;
   std::vector<NodeId> permutation_;
 
@@ -131,12 +127,10 @@ class PagedSnapshot {
   uint64_t block_target_bytes_ = 0;
   uint64_t max_block_bytes_ = 0;
   bool from_block_index_ = false;
-  // File offsets of the paged sections' payloads (paged mode).
+  // File offset of the paged section's payload (paged mode).
   uint64_t in_targets_offset_ = 0;
-  uint64_t arena_slots_offset_ = 0;
-  // Whole-file fallback storage (old-format artifacts).
+  // Whole-file fallback storage (artifacts without a block index).
   std::vector<NodeId> resident_in_targets_;
-  std::vector<AliasSlot> resident_arena_slots_;
 };
 
 }  // namespace cloudwalker

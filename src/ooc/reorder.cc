@@ -100,29 +100,27 @@ StatusOr<ReorderedArtifact> ReorderForLocality(const Graph& graph,
   GraphBuildOptions opts;
   opts.dedup = false;
   opts.remove_self_loops = false;
-  CW_ASSIGN_OR_RETURN(art.graph, builder.Build(opts));
+  CW_ASSIGN_OR_RETURN(const Graph relabeled, builder.Build(opts));
 
-  // The external-rank arena: row u's slot k resolves to the in-neighbor
-  // whose *external* id ranks k-th in the row — the slot the unreordered
-  // artifact's uniform-row arena (accept == 0, alias == target) resolves
-  // the same draw to. Offsets mirror the in-CSR, which is all the snapshot
-  // writer checks.
-  const std::span<const uint64_t> in_offsets = art.graph.InOffsets();
-  std::vector<uint64_t> arena_offsets(in_offsets.begin(), in_offsets.end());
-  std::vector<AliasSlot> slots(art.graph.num_edges());
-  std::vector<NodeId> row;
+  // Sort every in-row by *external* id: slot k of a row is then the
+  // in-neighbor the unreordered artifact's row holds at slot k, so a draw
+  // picks the same external node on both artifacts.
+  const std::span<const uint64_t> in_offsets = relabeled.InOffsets();
+  std::vector<NodeId> in_targets(relabeled.InTargets().begin(),
+                                 relabeled.InTargets().end());
   for (NodeId u = 0; u < n; ++u) {
-    const std::span<const NodeId> in_row = art.graph.InNeighbors(u);
-    row.assign(in_row.begin(), in_row.end());
-    std::sort(row.begin(), row.end(), [&](NodeId a, NodeId b) {
-      return art.perm[a] < art.perm[b];
-    });
-    for (size_t k = 0; k < row.size(); ++k) {
-      slots[in_offsets[u] + k] = AliasSlot{0, row[k]};
-    }
+    std::sort(in_targets.begin() + in_offsets[u],
+              in_targets.begin() + in_offsets[u + 1],
+              [&](NodeId a, NodeId b) { return art.perm[a] < art.perm[b]; });
   }
-  art.arena = AliasArena::FromParts(std::move(arena_offsets),
-                                    std::move(slots));
+  art.graph = Graph::FromCsr(
+      n,
+      std::vector<uint64_t>(relabeled.OutOffsets().begin(),
+                            relabeled.OutOffsets().end()),
+      std::vector<NodeId>(relabeled.OutTargets().begin(),
+                          relabeled.OutTargets().end()),
+      std::vector<uint64_t>(in_offsets.begin(), in_offsets.end()),
+      std::move(in_targets));
 
   art.diagonal.resize(n);
   for (NodeId u = 0; u < n; ++u) art.diagonal[u] = diagonal[art.perm[u]];

@@ -10,13 +10,16 @@
 // boundary so callers never see internal ids.
 //
 // Bit-identity across reordering: the per-source RNG key derives from the
-// *external* id (WalkConfig::rng_node), and the on-disk arena rows resolve
-// alias slots in external-id rank order, so every walker makes the same
-// sequence of draws and visits the same external nodes as on the
-// unreordered artifact — walk distributions are exactly identical after id
-// translation. Combines that sum those distributions in internal-id order
-// (the pair dot product, the exact-push propagation) reassociate float
-// sums only: equal to within rounding, exact for the endpoint top-k kinds.
+// *external* id (WalkConfig::rng_node), and every in-row is stored sorted
+// by external id, so a draw picks the same slot of the same row on both
+// artifacts — every walker makes the same sequence of draws and visits the
+// same external nodes as on the unreordered artifact, and walk
+// distributions are exactly identical after id translation. node2vec's
+// membership test searches those rows by external id too (InRowContains
+// in engine/walk.h). Combines that sum those distributions in internal-id
+// order (the pair dot product, the exact-push propagation) reassociate
+// float sums only: equal to within rounding, exact for the endpoint top-k
+// kinds.
 // The one exception is the *sampled*-push single-source combine, whose
 // backward propagation draws from one sequential RNG in internal-id
 // iteration order — under a renumbering it redraws, so its answers are
@@ -32,7 +35,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/alias.h"
 #include "engine/walk_backend.h"
 #include "graph/graph.h"
 
@@ -62,11 +64,9 @@ std::vector<NodeId> ComputeLocalityOrder(const Graph& graph,
 /// A graph renumbered for locality, with everything a snapshot write
 /// needs, all in internal (reordered) id space.
 struct ReorderedArtifact {
+  /// The renumbered graph. Out-rows are sorted by internal id; in-rows by
+  /// *external* id (see the bit-identity note above).
   Graph graph;
-  /// Mirrors graph's in-adjacency offsets; row slots resolve in
-  /// *external-id rank* order (see the bit-identity note above), which the
-  /// snapshot writer accepts because only the offsets must mirror.
-  AliasArena arena;
   /// diagonal[internal] = original diagonal[perm[internal]] — permuted
   /// exactly, never re-estimated.
   std::vector<double> diagonal;

@@ -47,9 +47,8 @@
 //   3. wait-free latency/throughput accounting (ServeStats); latencies
 //      are measured from admission for every requester, dedup waiters
 //      included.
-// Kernel runs themselves go through the wrapped CloudWalker's prebuilt
-// WalkContext, i.e. the batched alias-arena walk engine (DESIGN.md
-// section 8) — cache misses pay the fast kernel, not the scalar one.
+// Kernel runs themselves go through the wrapped CloudWalker's walk
+// backend or, without one, the batched walk kernel (DESIGN.md section 8).
 //
 // Determinism contract: a request's answer depends only on (effective
 // options, request fields), both folded into the cache key — so every

@@ -25,7 +25,7 @@ struct SliceRowSource {
     return RowLocation{slice->offsets[row], slice->RowDegree(row)};
   }
   NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    return PickFromRow(slice->targets, slice->slots, loc, raw);
+    return slice->targets[loc.offset + PickSlot(raw, loc.degree)];
   }
   std::span<const NodeId> InRow(NodeId v, uint64_t* remote_rows) const {
     bool remote = false;
@@ -46,8 +46,7 @@ ShardedWalkEngine::ShardedWalkEngine(const Graph& graph, ShardPlan plan,
                             : nullptr) {}
 
 StatusOr<std::shared_ptr<const ShardedWalkEngine>> ShardedWalkEngine::Build(
-    const Graph& graph, const WalkContext* context_or_null,
-    const ShardingOptions& options) {
+    const Graph& graph, const ShardingOptions& options) {
   if (options.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1, got " +
                                    std::to_string(options.num_shards));
@@ -55,9 +54,7 @@ StatusOr<std::shared_ptr<const ShardedWalkEngine>> ShardedWalkEngine::Build(
   if (graph.num_nodes() == 0) {
     return Status::InvalidArgument("cannot shard an empty graph");
   }
-  const AliasArena* arena =
-      context_or_null != nullptr ? &context_or_null->arena() : nullptr;
-  ShardPlan plan = ShardPlan::Build(graph, arena, options);
+  ShardPlan plan = ShardPlan::Build(graph, options);
   return std::shared_ptr<const ShardedWalkEngine>(new ShardedWalkEngine(
       graph, std::move(plan), options.num_threads));
 }

@@ -4,13 +4,12 @@
 //
 // A ShardPlan hash- or range-partitions the node space with
 // cluster/partitioner and materializes one ShardSlice per shard: the
-// shard's owned nodes, a local CSR over their in-adjacency (targets keep
-// *global* ids — walkers address the whole graph), and, optionally, a copy
-// of the alias-arena rows of the owned nodes. During a walk job, a shard
-// worker touches only its own slice; adjacency of nodes it does not own is
-// reachable solely through ShardPlan::InRow, which the engine counts as a
-// remote row fetch (the in-process stand-in for a distributed
-// adjacency-fetch message).
+// shard's owned nodes and a local CSR over their in-adjacency (targets
+// keep *global* ids — walkers address the whole graph). During a walk
+// job, a shard worker touches only its own slice; adjacency of nodes it
+// does not own is reachable solely through ShardPlan::InRow, which the
+// engine counts as a remote row fetch (the in-process stand-in for a
+// distributed adjacency-fetch message).
 //
 // Placement (kAuto) scores both strategies with the simulated-cluster
 // CostModel — per-superstep critical path of the busiest shard plus the
@@ -27,7 +26,6 @@
 
 #include "cluster/cost_model.h"
 #include "cluster/partitioner.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -43,10 +41,6 @@ struct ShardingOptions {
   /// never receive walkers.
   int num_shards = 2;
   Placement placement = Placement::kAuto;
-  /// Copy the alias-arena rows of each shard's owned nodes into its slice.
-  /// Off, shards resolve moves against the slice CSR alone — results are
-  /// bit-identical either way (in-link rows are uniform).
-  bool use_arena = true;
   /// Worker threads of the engine-owned pool driving the supersteps.
   /// 0 runs every superstep serially on the calling thread (still a real
   /// multi-shard execution — just time-sliced), which is the safe default
@@ -58,14 +52,11 @@ struct ShardingOptions {
 
 /// One shard's owned portion of the graph. `nodes` are the owned global
 /// ids, ascending; row r of the local CSR describes the in-adjacency of
-/// nodes[r]. Targets are global ids. `slots` mirrors the arena rows of the
-/// owned nodes (same row offsets as `offsets`) and is empty when the plan
-/// was built without arena slices.
+/// nodes[r]. Targets are global ids.
 struct ShardSlice {
   std::vector<NodeId> nodes;
   std::vector<uint64_t> offsets;  // nodes.size() + 1 entries
   std::vector<NodeId> targets;
-  std::vector<AliasSlot> slots;
 
   uint64_t num_edges() const { return targets.size(); }
 
@@ -93,11 +84,8 @@ struct PlacementScore {
 /// slices. Immutable after Build; cheap to share by const reference.
 class ShardPlan {
  public:
-  /// Partitions `graph` into options.num_shards slices. `arena` (optional)
-  /// supplies the alias rows copied into the slices when
-  /// options.use_arena; pass null to force CSR-only slices.
-  static ShardPlan Build(const Graph& graph, const AliasArena* arena,
-                         const ShardingOptions& options);
+  /// Partitions `graph` into options.num_shards slices.
+  static ShardPlan Build(const Graph& graph, const ShardingOptions& options);
 
   /// Scores `strategy` for `graph` under `model` without materializing
   /// slices (exposed for tests and placement diagnostics).
@@ -129,9 +117,6 @@ class ShardPlan {
   /// at build time (equal strategies when placement was forced).
   const PlacementScore& chosen_score() const { return chosen_score_; }
   const PlacementScore& other_score() const { return other_score_; }
-
-  /// True when the plan carries arena slices.
-  bool has_arena_slices() const;
 
  private:
   ShardPlan(Partitioner partitioner, std::vector<ShardSlice> slices,

@@ -23,7 +23,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "engine/alias.h"
+#include "engine/walk.h"
 #include "engine/walk_program.h"
 #include "graph/graph.h"
 
@@ -53,24 +53,6 @@ struct RowLocation {
   uint32_t degree = 0;
 };
 
-/// Uniform in-neighbor pick against flat target/slot arrays, resolved
-/// exactly like the single-node kernel's pass 3 (and its plain-CSR
-/// fallback): with alias slots, the accept test then target or alias;
-/// without, the CSR row directly. In-link rows are uniform, so both
-/// consume `raw` identically — the arena-vs-CSR half of the bit-identity
-/// matrix.
-inline NodeId PickFromRow(std::span<const NodeId> targets,
-                          std::span<const AliasSlot> slots,
-                          const RowLocation& loc, uint64_t raw) {
-  const uint32_t slot = AliasArena::PickSlot(raw, loc.degree);
-  if (!slots.empty()) {
-    const AliasSlot s = slots[loc.offset + slot];
-    return static_cast<uint32_t>(raw) < s.accept ? targets[loc.offset + slot]
-                                                 : s.alias;
-  }
-  return targets[loc.offset + slot];
-}
-
 // The three walk programs, restated as shard policies. Every draw below
 // matches the corresponding single-node program (engine/walk_kernel.h,
 // engine/walk_program.cc) bit for bit: the canonical move stream
@@ -82,9 +64,11 @@ inline NodeId PickFromRow(std::span<const NodeId> targets,
 //   RowLocation Locate(NodeId v) const;
 //   NodeId Pick(const RowLocation&, uint64_t raw) const;
 //   std::span<const NodeId> InRow(NodeId v, uint64_t* remote_rows) const;
-// InRow returns the ascending in-neighbor row of *any* node (second-order
-// programs read In(prev), which the caller's shard may not own) and bumps
-// *remote_rows when the row belongs to another shard.
+// Pick returns the row's in-target at slot PickSlot(raw, degree) — the
+// single-node kernel's pick exactly. InRow returns the in-neighbor row of
+// *any* node (second-order programs read In(prev), which the caller's
+// shard may not own) and bumps *remote_rows when the row belongs to
+// another shard.
 
 struct SimRankWalkPolicy {
   static constexpr bool kMayRetire = false;
@@ -140,6 +124,9 @@ struct Node2VecWalkPolicy {
   uint64_t thr_return = 0;
   uint64_t thr_near = 0;
   uint64_t thr_far = 0;
+  // In-row sort key of a reordered snapshot (internal -> external id);
+  // empty when the rows are sorted by id.
+  std::span<const NodeId> external_ids;
 
   void Configure(uint64_t seed, NodeId source, const Node2VecParams& params) {
     CW_CHECK_GT(params.return_p, 0.0);
@@ -181,8 +168,7 @@ struct Node2VecWalkPolicy {
       uint64_t threshold;
       if (candidate == prev) {
         threshold = thr_return;
-      } else if (std::binary_search(in_prev.begin(), in_prev.end(),
-                                    candidate)) {
+      } else if (InRowContains(in_prev, candidate, external_ids)) {
         threshold = thr_near;
       } else {
         threshold = thr_far;

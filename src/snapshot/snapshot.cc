@@ -22,13 +22,13 @@ namespace cloudwalker {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'W', 'S', 'N', 'A', 'P', '1', '\0'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kEndianStamp = 0x01020304u;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint64_t kDirEntryBytes = 32;
 constexpr uint64_t kSectionAlign = 64;
-constexpr uint32_t kNumSections = 8;       // required sections, ids 1..8
-constexpr uint32_t kNumKnownSections = 10;  // + optional block index, perm
+constexpr uint32_t kNumSections = 6;       // required: ids 1-4, 7, 8
+constexpr uint32_t kNumKnownSections = 10;  // highest known section id
 
 struct DirEntry {
   uint32_t id = 0;
@@ -50,9 +50,9 @@ const char* SectionName(uint32_t id) {
       return "in_offsets";
     case SnapshotSection::kInTargets:
       return "in_targets";
-    case SnapshotSection::kArenaOffsets:
+    case SnapshotSection::kV1ArenaOffsets:
       return "arena_offsets";
-    case SnapshotSection::kArenaSlots:
+    case SnapshotSection::kV1ArenaSlots:
       return "arena_slots";
     case SnapshotSection::kDiagonal:
       return "diagonal";
@@ -112,8 +112,21 @@ Status Corrupt(const std::string& path, const std::string& what) {
   return Status::DataLoss("snapshot " + path + ": " + what);
 }
 
+}  // namespace
+
+Status RefuseV1Reordered(const std::string& path) {
+  return Status::FailedPrecondition(
+      "snapshot " + path +
+      " is a version 1 locality-reordered artifact: its in-rows are in "
+      "internal-id order, which walks on the in-CSR cannot use; rebuild it "
+      "with `cloudwalker_cli index --reorder=...`");
+}
+
+namespace {
+
 // The SnapshotSections group a payload section belongs to. 0 means the
-// section (metadata) is validated under every mask.
+// section (metadata, extensions, version 1's arena) is CRC-checked under
+// every mask.
 uint32_t SectionGroup(uint32_t id) {
   switch (static_cast<SnapshotSection>(id)) {
     case SnapshotSection::kOutOffsets:
@@ -122,11 +135,10 @@ uint32_t SectionGroup(uint32_t id) {
     case SnapshotSection::kInOffsets:
     case SnapshotSection::kInTargets:
       return kSnapshotIn;
-    case SnapshotSection::kArenaOffsets:
-    case SnapshotSection::kArenaSlots:
-      return kSnapshotArena;
     case SnapshotSection::kDiagonal:
       return kSnapshotDiagonal;
+    case SnapshotSection::kV1ArenaOffsets:
+    case SnapshotSection::kV1ArenaSlots:
     case SnapshotSection::kMeta:
     case SnapshotSection::kBlockIndex:
     case SnapshotSection::kPermutation:
@@ -200,14 +212,6 @@ Status VerifyWrittenFile(const std::string& tmp, uint64_t expect_size,
 }  // namespace
 
 Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
-                             const AliasArena& arena,
-                             const DiagonalIndex& index,
-                             const SnapshotMetadata& metadata) {
-  return Write(path, graph, arena, index, metadata, SnapshotWriteOptions{});
-}
-
-Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
-                             const AliasArena& arena,
                              const DiagonalIndex& index,
                              const SnapshotMetadata& metadata,
                              const SnapshotWriteOptions& options) {
@@ -219,12 +223,6 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
         " nodes but the graph has " + std::to_string(n));
   }
   CW_RETURN_IF_ERROR(index.params().Validate());
-  if (arena.num_rows() != graph.num_nodes() || arena.num_slots() != m ||
-      std::memcmp(arena.Offsets().data(), graph.InOffsets().data(),
-                  (n + 1) * sizeof(uint64_t)) != 0) {
-    return Status::InvalidArgument(
-        "snapshot: alias arena does not mirror the graph's in-adjacency");
-  }
   if (!options.permutation.empty()) {
     if (options.permutation.size() != n) {
       return Status::InvalidArgument(
@@ -259,10 +257,6 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
        graph.InOffsets().data(), (n + 1) * sizeof(uint64_t)},
       {SnapshotSection::kInTargets, sizeof(NodeId), graph.InTargets().data(),
        m * sizeof(NodeId)},
-      {SnapshotSection::kArenaOffsets, sizeof(uint64_t),
-       arena.Offsets().data(), (n + 1) * sizeof(uint64_t)},
-      {SnapshotSection::kArenaSlots, sizeof(AliasSlot), arena.Slots().data(),
-       m * sizeof(AliasSlot)},
       {SnapshotSection::kDiagonal, sizeof(double), index.diagonal().data(),
        n * sizeof(double)},
       {SnapshotSection::kMeta, 1, meta_bytes.data(), meta_bytes.size()},
@@ -272,8 +266,7 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
     const uint64_t target =
         options.block_bytes != 0 ? options.block_bytes : kDefaultBlockBytes;
     block_index_bytes = EncodeBlockIndex(
-        BuildBlockLayout(graph.InOffsets(), graph.InTargets(), arena.Slots(),
-                         target),
+        BuildBlockLayout(graph.InOffsets(), graph.InTargets(), target),
         target);
     payloads.push_back({SnapshotSection::kBlockIndex, 1,
                         block_index_bytes.data(), block_index_bytes.size()});
@@ -447,7 +440,7 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   std::memcpy(&file_size, data_ + 24, 8);
   std::memcpy(&n64, data_ + 32, 8);
   std::memcpy(&m64, data_ + 40, 8);
-  if (version != kFormatVersion) {
+  if (version != 1 && version != kFormatVersion) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version) + " in " + path);
   }
@@ -558,8 +551,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       {SnapshotSection::kOutTargets, sizeof(NodeId), m},
       {SnapshotSection::kInOffsets, sizeof(uint64_t), n + 1},
       {SnapshotSection::kInTargets, sizeof(NodeId), m},
-      {SnapshotSection::kArenaOffsets, sizeof(uint64_t), n + 1},
-      {SnapshotSection::kArenaSlots, sizeof(AliasSlot), m},
       {SnapshotSection::kDiagonal, sizeof(double), n},
       {SnapshotSection::kMeta, 1, 0},
   };
@@ -590,10 +581,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       found[static_cast<uint32_t>(SnapshotSection::kInOffsets) - 1];
   const DirEntry* e_in_tgt =
       found[static_cast<uint32_t>(SnapshotSection::kInTargets) - 1];
-  const DirEntry* e_ar_off =
-      found[static_cast<uint32_t>(SnapshotSection::kArenaOffsets) - 1];
-  const DirEntry* e_ar_slot =
-      found[static_cast<uint32_t>(SnapshotSection::kArenaSlots) - 1];
   const DirEntry* e_diag =
       found[static_cast<uint32_t>(SnapshotSection::kDiagonal) - 1];
   const DirEntry* e_meta =
@@ -610,12 +597,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
                    n + 1};
     in_targets_ = {reinterpret_cast<const NodeId*>(section_ptr(e_in_tgt)),
                    m};
-  }
-  if ((sections & kSnapshotArena) != 0) {
-    arena_offsets_ = {
-        reinterpret_cast<const uint64_t*>(section_ptr(e_ar_off)), n + 1};
-    arena_slots_ = {
-        reinterpret_cast<const AliasSlot*>(section_ptr(e_ar_slot)), m};
   }
   if ((sections & kSnapshotDiagonal) != 0) {
     diagonal_ = {reinterpret_cast<const double*>(section_ptr(e_diag)), n};
@@ -636,19 +617,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       ((sections & kSnapshotIn) != 0 && !offsets_ok(in_offsets_))) {
     return Corrupt(path, "CSR offsets are not monotone over [0, num_edges]");
   }
-  if ((sections & kSnapshotArena) != 0) {
-    if ((sections & kSnapshotIn) != 0) {
-      if (std::memcmp(arena_offsets_.data(), in_offsets_.data(),
-                      (n + 1) * sizeof(uint64_t)) != 0) {
-        return Corrupt(path, "alias arena offsets diverge from the in-CSR");
-      }
-    } else if (!offsets_ok(arena_offsets_)) {
-      // Without the in-CSR to mirror-check against, the arena offsets
-      // must still be independently safe to index with.
-      return Corrupt(path,
-                     "arena offsets are not monotone over [0, num_edges]");
-    }
-  }
   const auto targets_ok = [n, m](std::span<const NodeId> targets) {
     for (uint64_t i = 0; i < m; ++i) {
       if (targets[i] >= n) return false;
@@ -658,13 +626,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   if (((sections & kSnapshotOut) != 0 && !targets_ok(out_targets_)) ||
       ((sections & kSnapshotIn) != 0 && !targets_ok(in_targets_))) {
     return Corrupt(path, "edge target out of node range");
-  }
-  if ((sections & kSnapshotArena) != 0) {
-    for (uint64_t i = 0; i < m; ++i) {
-      if (arena_slots_[i].alias >= n) {
-        return Corrupt(path, "alias slot target out of node range");
-      }
-    }
   }
 
   // Optional extension sections (ids 9/10). The CRC pass above already
@@ -710,6 +671,7 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       }
       seen[ext] = 1;
     }
+    if (version == 1) return RefuseV1Reordered(path);
   }
 
   std::string meta_bytes(section_ptr(e_meta), e_meta->length);
@@ -722,15 +684,14 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   }
 
 #if CW_SNAPSHOT_HAS_MMAP
-  // Serving hint: queries hit the CSR and arena arrays in walker order —
-  // effectively at random — so flip those extents from the sequential
-  // validation hint to MADV_RANDOM. Purely advisory; a failing madvise
+  // Serving hint: queries hit the CSR arrays in walker order — effectively
+  // at random — so flip those extents from the sequential validation hint
+  // to MADV_RANDOM. Purely advisory; a failing madvise
   // (see SetSnapshotMadviseFailForTest) never fails the open.
   if (mmapped_) {
     for (const SnapshotSection id :
          {SnapshotSection::kOutOffsets, SnapshotSection::kOutTargets,
-          SnapshotSection::kInOffsets, SnapshotSection::kInTargets,
-          SnapshotSection::kArenaOffsets, SnapshotSection::kArenaSlots}) {
+          SnapshotSection::kInOffsets, SnapshotSection::kInTargets}) {
       const DirEntry* e = found[static_cast<uint32_t>(id) - 1];
       MadviseRange(data_, e->offset, e->length, MADV_RANDOM);
     }

@@ -1,22 +1,21 @@
-// cloudwalker-snap-v1 — the persistent, mmap-loadable engine snapshot
+// cloudwalker-snap-v2 — the persistent, mmap-loadable engine snapshot
 // (DESIGN.md section 9).
 //
 // A snapshot freezes everything a query-ready CloudWalker needs — the CSR
 // graph (both adjacency directions: walks follow in-links, the MCSS push
-// follows out-links), the flattened AliasArena, the diag(D) index, and
-// build metadata — into one flat file whose payload arrays are 64-byte
-// aligned and individually CRC-32 stamped. SnapshotView::Open mmaps the
-// file and hands out spans into the mapping; Graph::FromCsrViews,
-// AliasArena::FromViews, and DiagonalIndex::FromView wrap those spans
-// zero-copy, so opening costs one integrity pass instead of an index
-// rebuild, and answers are bit-identical to an in-memory build.
+// follows out-links), the diag(D) index, and build metadata — into one
+// flat file whose payload arrays are 64-byte aligned and individually
+// CRC-32 stamped. SnapshotView::Open mmaps the file and hands out spans
+// into the mapping; Graph::FromCsrViews and DiagonalIndex::FromView wrap
+// those spans zero-copy, so opening costs one integrity pass instead of an
+// index rebuild, and answers are bit-identical to an in-memory build.
 //
 // Byte layout (all integers little-endian; the header stamps the byte
 // order and a foreign-endian file is rejected rather than byte-swapped):
 //
 //   [0, 64)    header
 //     0   8   magic "CWSNAP1\0"
-//     8   4   format version (1)
+//     8   4   format version (2; readers also accept 1)
 //     12  4   endianness stamp 0x01020304
 //     16  4   section count
 //     20  4   CRC-32 of header (with this field zeroed) + directory
@@ -38,8 +37,14 @@
 // order fail with kInvalidArgument, any mismatch between the directory,
 // the checksums, and the bytes on disk fails with kDataLoss, and the
 // structural invariants the zero-copy views rely on (monotone offsets,
-// in-range targets, arena/in-CSR agreement) are verified before a span is
-// ever handed out.
+// in-range targets) are verified before a span is ever handed out.
+//
+// Version 1 files stay readable. They carry two more sections (ids 5 and
+// 6, a per-edge alias arena that duplicated the in-CSR); a reader
+// CRC-checks them like any other section and otherwise ignores them. A
+// version 1 file with a kPermutation section is refused with
+// kFailedPrecondition: its in-rows are in internal-id order, and walks
+// now pick from the in-rows alone (DESIGN.md section 14).
 
 #ifndef CLOUDWALKER_SNAPSHOT_SNAPSHOT_H_
 #define CLOUDWALKER_SNAPSHOT_SNAPSHOT_H_
@@ -53,46 +58,41 @@
 #include "common/status.h"
 #include "core/diagonal.h"
 #include "core/options.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 #include "ooc/block_layout.h"
 
 namespace cloudwalker {
 
-/// Payload section ids of cloudwalker-snap-v1. Sections 1-8 are required;
-/// 9 and 10 are optional extensions (still format version 1): a reader
-/// that predates them validates them generically (bounds, element sizing,
-/// CRC — every unknown id gets the always-checked group) and otherwise
-/// ignores them, and a reader that knows them treats their absence as
-/// "old-format snapshot" and falls back accordingly (DESIGN.md
-/// section 14). Both directions stay fully compatible.
+/// Payload section ids. Sections 1-4, 7 and 8 are required; 9 and 10 are
+/// optional extensions: a reader that knows them treats their absence as
+/// "no block index" / "not reordered" and falls back accordingly
+/// (DESIGN.md section 14). Ids 5 and 6 appear only in version 1 files.
+/// Every section a reader does not use still gets its CRC checked.
 enum class SnapshotSection : uint32_t {
-  kOutOffsets = 1,    // uint64[num_nodes + 1]
-  kOutTargets = 2,    // NodeId[num_edges]
-  kInOffsets = 3,     // uint64[num_nodes + 1]
-  kInTargets = 4,     // NodeId[num_edges]
-  kArenaOffsets = 5,  // uint64[num_nodes + 1] (mirrors kInOffsets)
-  kArenaSlots = 6,    // AliasSlot[num_edges]
-  kDiagonal = 7,      // double[num_nodes]
-  kMeta = 8,          // BinaryWriter-encoded SnapshotMetadata
-  kBlockIndex = 9,    // EncodeBlockIndex bytes (ooc/block_layout.h)
-  kPermutation = 10,  // NodeId[num_nodes]: internal id -> external id
+  kOutOffsets = 1,      // uint64[num_nodes + 1]
+  kOutTargets = 2,      // NodeId[num_edges]
+  kInOffsets = 3,       // uint64[num_nodes + 1]
+  kInTargets = 4,       // NodeId[num_edges]
+  kV1ArenaOffsets = 5,  // version 1 only: uint64[num_nodes + 1]
+  kV1ArenaSlots = 6,    // version 1 only: 8 bytes per edge
+  kDiagonal = 7,        // double[num_nodes]
+  kMeta = 8,            // BinaryWriter-encoded SnapshotMetadata
+  kBlockIndex = 9,      // EncodeBlockIndex bytes (ooc/block_layout.h)
+  kPermutation = 10,    // NodeId[num_nodes]: internal id -> external id
 };
 
 /// Bitmask over the payload groups of a snapshot, for partition-aware
 /// opens: a shard worker that only ever advances walkers along in-links
-/// loads kSnapshotIn | kSnapshotArena and skips the integrity pass (CRC +
-/// structural sweep) over the out-CSR and diagonal sections it never
-/// touches. The header, directory, and metadata are always validated, and
+/// loads kSnapshotIn and skips the integrity pass (CRC + structural
+/// sweep) over the out-CSR and diagonal sections it never touches. The header, directory, and metadata are always validated, and
 /// the directory CRC still covers every section checksum, so a masked open
 /// loses no tamper evidence for the bytes it actually reads. Spans of
 /// unselected groups come back empty.
 enum SnapshotSections : uint32_t {
   kSnapshotOut = 1u << 0,       // kOutOffsets + kOutTargets
   kSnapshotIn = 1u << 1,        // kInOffsets + kInTargets
-  kSnapshotArena = 1u << 2,     // kArenaOffsets + kArenaSlots
-  kSnapshotDiagonal = 1u << 3,  // kDiagonal
-  kSnapshotAll = 0xfu,
+  kSnapshotDiagonal = 1u << 2,  // kDiagonal
+  kSnapshotAll = 0x7u,
 };
 
 /// Build provenance stamped into every snapshot: the indexing knobs the
@@ -118,40 +118,35 @@ struct SnapshotMetadata {
 /// Writer knobs for the optional format extensions.
 struct SnapshotWriteOptions {
   /// Write the kBlockIndex section (the out-of-core block layout;
-  /// DESIGN.md section 14). Off reproduces the pre-extension format
-  /// exactly — the compatibility tests use this to author "old" snapshots
-  /// with the current writer.
+  /// DESIGN.md section 14). Off writes a snapshot an out-of-core open
+  /// serves all-resident — the tests of that fallback author theirs this
+  /// way.
   bool write_block_index = true;
   /// Target paged payload bytes per block; 0 selects kDefaultBlockBytes
   /// (ooc/block_layout.h).
   uint64_t block_bytes = 0;
   /// When non-empty: the locality reorder permutation, internal id ->
   /// external id, written as the kPermutation section. Must be a bijection
-  /// over [0, num_nodes). The graph/arena/index passed to Write are
-  /// already in internal (reordered) id space; the permutation is what
-  /// lets the API boundary translate back (DESIGN.md section 14).
+  /// over [0, num_nodes). The graph/index passed to Write are already in
+  /// internal (reordered) id space, with every in-row sorted by external
+  /// id; the permutation is what lets the API boundary translate back
+  /// (DESIGN.md section 14).
   std::span<const NodeId> permutation = {};
 };
 
-/// Writes one cloudwalker-snap-v1 file. The arena must mirror the graph's
-/// in-adjacency (the layout every CloudWalker build produces) and the
-/// index must cover the graph's nodes.
+/// Writes one version 2 snapshot file. The index must cover the graph's
+/// nodes.
 class SnapshotWriter {
  public:
   static Status Write(const std::string& path, const Graph& graph,
-                      const AliasArena& arena, const DiagonalIndex& index,
-                      const SnapshotMetadata& metadata);
-
-  /// As above with explicit extension knobs.
-  static Status Write(const std::string& path, const Graph& graph,
-                      const AliasArena& arena, const DiagonalIndex& index,
+                      const DiagonalIndex& index,
                       const SnapshotMetadata& metadata,
-                      const SnapshotWriteOptions& options);
+                      const SnapshotWriteOptions& options = {});
 };
 
 /// An open snapshot: the validated mmap plus typed spans into it. Share
-/// via shared_ptr — every consumer of the spans (Graph views, arena views,
-/// the CloudWalker facade) must keep the view alive, which is exactly what
+/// via shared_ptr — every consumer of the spans (Graph views, the
+/// CloudWalker facade) must keep the view alive, which is exactly what
 /// CloudWalker::Open arranges.
 class SnapshotView {
  public:
@@ -164,7 +159,7 @@ class SnapshotView {
   /// Partition-aware open: validates and exposes only the payload groups
   /// in `sections` (a SnapshotSections mask; the header, directory, and
   /// metadata are always checked). The net shard worker uses this to mmap
-  /// just the in-CSR + alias arena it walks against.
+  /// just the in-CSR it walks against.
   static StatusOr<std::shared_ptr<const SnapshotView>> Open(
       const std::string& path, uint32_t sections);
 
@@ -179,8 +174,6 @@ class SnapshotView {
   std::span<const NodeId> out_targets() const { return out_targets_; }
   std::span<const uint64_t> in_offsets() const { return in_offsets_; }
   std::span<const NodeId> in_targets() const { return in_targets_; }
-  std::span<const uint64_t> arena_offsets() const { return arena_offsets_; }
-  std::span<const AliasSlot> arena_slots() const { return arena_slots_; }
   std::span<const double> diagonal() const { return diagonal_; }
 
   /// SimRank parameters of the embedded D-vector.
@@ -203,9 +196,9 @@ class SnapshotView {
   /// True when the spans alias an mmap (false on the heap fallback).
   bool mmapped() const { return mmapped_; }
 
-  /// True when the snapshot carries the kBlockIndex section. Old-format
-  /// artifacts return false; the out-of-core layer falls back to
-  /// whole-file residency for them (DESIGN.md section 14).
+  /// True when the snapshot carries the kBlockIndex section. Without one
+  /// the out-of-core layer falls back to whole-file residency (DESIGN.md
+  /// section 14).
   bool has_block_index() const { return !blocks_.empty(); }
 
   /// The decoded block layout (empty without a kBlockIndex section).
@@ -242,8 +235,6 @@ class SnapshotView {
   std::span<const NodeId> out_targets_;
   std::span<const uint64_t> in_offsets_;
   std::span<const NodeId> in_targets_;
-  std::span<const uint64_t> arena_offsets_;
-  std::span<const AliasSlot> arena_slots_;
   std::span<const double> diagonal_;
   std::span<const NodeId> permutation_;
   std::vector<BlockExtent> blocks_;
@@ -284,6 +275,11 @@ struct SnapshotInfo {
 /// Reads and decodes `path`'s header and section directory (see
 /// SnapshotInfo).
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path);
+
+/// The kFailedPrecondition both snapshot readers (SnapshotView and the
+/// out-of-core PagedSnapshot) return for a version 1 file that carries a
+/// kPermutation section.
+Status RefuseV1Reordered(const std::string& path);
 
 /// Test hook: when set, every madvise the snapshot layer issues reports
 /// failure. Open and Write must still succeed — the hints are

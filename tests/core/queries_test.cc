@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "baselines/exact_simrank.h"
 #include "core/indexer.h"
@@ -58,8 +61,8 @@ TEST_F(QueriesTest, SelfPairIsOne) {
 }
 
 TEST_F(QueriesTest, WalkContextDoesNotChangeAnswers) {
-  // The prebuilt arena is an access-path accelerator only: queries through
-  // a WalkContext must be bit-identical to the plain-CSR path (this is what
+  // A context without a permutation carries nothing but the graph:
+  // queries through it must be bit-identical to passing none (this is what
   // lets the CloudWalker facade always pass its context).
   const QueryOptions q = BigQuery();
   const WalkContext ctx(*graph_);
@@ -340,6 +343,43 @@ TEST(TopKTest, KLargerThanEntries) {
   const SparseVector scores = SparseVector::FromSorted({{2, 0.3}});
   const auto top = TopKFromSparse(scores, kInvalidNode, 10);
   ASSERT_EQ(top.size(), 1u);
+}
+
+TEST(TopKTest, MatchesAFullSortOnTiedScoresAndKeepsNoSlack) {
+  // Reference: the full-list partial_sort the bounded heap replaced.
+  const auto reference = [](const SparseVector& scores, NodeId exclude,
+                            size_t k) {
+    std::vector<ScoredNode> all;
+    for (const SparseEntry& e : scores) {
+      if (e.index != exclude) all.push_back(ScoredNode{e.index, e.value});
+    }
+    const size_t keep = std::min(k, all.size());
+    std::partial_sort(all.begin(), all.begin() + keep, all.end(),
+                      [](const ScoredNode& a, const ScoredNode& b) {
+                        if (a.score != b.score) return a.score > b.score;
+                        return a.node < b.node;
+                      });
+    all.resize(keep);
+    return all;
+  };
+  std::mt19937 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Few distinct scores, so most comparisons fall through to the id.
+    std::vector<SparseEntry> entries;
+    const uint32_t n = rng() % 300;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (rng() % 3 != 0) entries.push_back({i, (rng() % 5) * 0.25});
+    }
+    const SparseVector scores = SparseVector::FromSorted(entries);
+    const NodeId exclude = trial % 2 == 0 ? kInvalidNode : rng() % 300;
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{10}, size_t{500}}) {
+      const std::vector<ScoredNode> top = TopKFromSparse(scores, exclude, k);
+      EXPECT_EQ(top, reference(scores, exclude, k))
+          << "trial " << trial << " k " << k;
+      EXPECT_EQ(top.capacity(), top.size())
+          << "trial " << trial << " k " << k;
+    }
+  }
 }
 
 TEST(AllPairsTest, ReturnsTopKPerSource) {

@@ -1,6 +1,6 @@
 // Determinism contract of the batched walk kernel (DESIGN.md section 8):
-// bit-identical distributions across batch widths, thread counts, scratch
-// reuse, and the arena vs plain-CSR code paths.
+// bit-identical distributions across batch widths, thread counts, and
+// scratch reuse, and every move is the canonical in-row pick.
 
 #include "engine/walk.h"
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "graph/generators.h"
 
 namespace cloudwalker {
@@ -38,45 +39,59 @@ WalkConfig TestConfig(uint32_t batch_width = 256) {
   return cfg;
 }
 
-TEST(BatchedWalkTest, ArenaPathMatchesPlainCsrPath) {
+TEST(BatchedWalkTest, FirstStepIsTheCanonicalInRowPick) {
+  // Walker w's first move from s is in_targets[in_offsets[s] + slot] with
+  // slot = PickSlot(CounterRandom(DeriveSeed(seed, s), w << 32 | 1), deg)
+  // — the pick every backend (shards, workers, out-of-core) reproduces.
   const Graph g = GenerateRmat(512, 4096, /*seed=*/3);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   for (NodeId source : {0u, 17u, 300u, 511u}) {
-    const WalkDistributions with_arena =
-        SimulateWalkDistributions(ctx, source, cfg);
-    const WalkDistributions plain =
-        SimulateWalkDistributions(g, source, cfg);
-    ExpectSameDistributions(with_arena, plain,
-                            "source " + std::to_string(source));
+    const uint32_t deg = g.InDegree(source);
+    if (deg == 0) continue;
+    std::vector<uint32_t> count(g.num_nodes(), 0);
+    const uint64_t key = DeriveSeed(cfg.seed, source);
+    for (uint64_t w = 0; w < cfg.num_walkers; ++w) {
+      const uint64_t raw = CounterRandom(key, (w << 32) | 1);
+      ++count[g.InNeighbor(source, PickSlot(raw, deg))];
+    }
+    const WalkDistributions d = SimulateWalkDistributions(g, source, cfg);
+    size_t k = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (count[v] == 0) continue;
+      ASSERT_LT(k, d.levels[1].size()) << "source " << source;
+      EXPECT_EQ(d.levels[1][k].index, v) << "source " << source;
+      EXPECT_EQ(d.levels[1][k].value,
+                count[v] * (1.0 / static_cast<double>(cfg.num_walkers)))
+          << "source " << source;
+      ++k;
+    }
+    EXPECT_EQ(k, d.levels[1].size()) << "source " << source;
   }
 }
 
 TEST(BatchedWalkTest, BitIdenticalAcrossBatchWidths) {
   const Graph g = GenerateRmat(1024, 8192, /*seed=*/4);
-  const WalkContext ctx(g);
   const WalkDistributions narrow =
-      SimulateWalkDistributions(ctx, 42, TestConfig(/*batch_width=*/1));
+      SimulateWalkDistributions(g, 42, TestConfig(/*batch_width=*/1));
   for (uint32_t width : {3u, 64u, 256u, 100000u /* clamped */}) {
     const WalkDistributions wide =
-        SimulateWalkDistributions(ctx, 42, TestConfig(width));
+        SimulateWalkDistributions(g, 42, TestConfig(width));
     ExpectSameDistributions(narrow, wide, "W=" + std::to_string(width));
   }
 }
 
 TEST(BatchedWalkTest, BitIdenticalAcrossThreadCounts) {
   const Graph g = GenerateRmat(256, 2048, /*seed=*/5);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
 
   std::vector<WalkDistributions> serial(g.num_nodes());
-  SimulateAllSources(ctx, cfg, /*pool=*/nullptr,
+  SimulateAllSources(g, cfg, /*pool=*/nullptr,
                      [&](NodeId s, const WalkDistributions& d) {
                        serial[s] = d;
                      });
   ThreadPool pool(4);
   std::vector<WalkDistributions> parallel(g.num_nodes());
-  SimulateAllSources(ctx, cfg, &pool,
+  SimulateAllSources(g, cfg, &pool,
                      [&](NodeId s, const WalkDistributions& d) {
                        parallel[s] = d;
                      });
@@ -88,14 +103,13 @@ TEST(BatchedWalkTest, BitIdenticalAcrossThreadCounts) {
 
 TEST(BatchedWalkTest, ScratchReuseDoesNotChangeResults) {
   const Graph g = GenerateRmat(512, 4096, /*seed=*/6);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   WalkScratch scratch(cfg.num_walkers);
   for (NodeId source : {9u, 10u, 11u}) {
     const WalkDistributions reused =
-        SimulateWalkDistributions(ctx, source, cfg, &scratch);
+        SimulateWalkDistributions(g, source, cfg, &scratch);
     const WalkDistributions fresh =
-        SimulateWalkDistributions(ctx, source, cfg);
+        SimulateWalkDistributions(g, source, cfg);
     ExpectSameDistributions(reused, fresh,
                             "source " + std::to_string(source));
   }
@@ -106,47 +120,40 @@ TEST(BatchedWalkTest, MassConservedOnDanglingFreeGraph) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_GT(g.InDegree(v), 0u) << "need no dangling nodes";
   }
-  const WalkContext ctx(g);
-  const WalkDistributions d = SimulateWalkDistributions(ctx, 0, TestConfig());
+  const WalkDistributions d = SimulateWalkDistributions(g, 0, TestConfig());
   for (size_t t = 0; t < d.num_levels(); ++t) {
     EXPECT_NEAR(d.levels[t].Sum(), 1.0, 1e-9) << "level " << t;
   }
 }
 
-TEST(BatchedWalkTest, DanglingPoliciesThroughArena) {
+TEST(BatchedWalkTest, DanglingPolicies) {
   const Graph g = GeneratePath(4);  // node 0 has no in-neighbors
-  const WalkContext ctx(g);
   WalkConfig cfg = TestConfig();
   cfg.num_steps = 5;
 
-  const WalkDistributions die = SimulateWalkDistributions(ctx, 3, cfg);
+  const WalkDistributions die = SimulateWalkDistributions(g, 3, cfg);
   EXPECT_DOUBLE_EQ(die.levels[3].Sum(), 1.0);
   EXPECT_EQ(die.levels[3][0].index, 0u);
   EXPECT_DOUBLE_EQ(die.levels[4].Sum(), 0.0);
 
   cfg.dangling = DanglingPolicy::kSelfLoop;
-  const WalkDistributions park = SimulateWalkDistributions(ctx, 3, cfg);
+  const WalkDistributions park = SimulateWalkDistributions(g, 3, cfg);
   EXPECT_NEAR(park.levels[5].Sum(), 1.0, 1e-9);
   EXPECT_EQ(park.levels[5][0].index, 0u);
 }
 
-TEST(BatchedWalkTest, StatsMatchAcrossPaths) {
+TEST(BatchedWalkTest, StatsCountStepsAndCrossings) {
   const Graph g = GenerateCycle(6);
   WalkConfig cfg;
   cfg.num_steps = 4;
   cfg.num_walkers = 10;
-  const WalkContext ctx(g);
   const NodeOwnerFn owner = [](NodeId v) { return static_cast<int>(v % 2); };
 
-  WalkStats arena_stats, plain_stats;
-  SimulateWalkDistributions(ctx, 0, cfg, nullptr, &owner, &arena_stats);
-  SimulateWalkDistributions(g, 0, cfg, nullptr, &owner, &plain_stats);
-  EXPECT_EQ(arena_stats.steps, 40u);  // no deaths on a cycle
-  EXPECT_EQ(arena_stats.steps, plain_stats.steps);
+  WalkStats stats;
+  SimulateWalkDistributions(g, 0, cfg, nullptr, &owner, &stats);
+  EXPECT_EQ(stats.steps, 40u);  // no deaths on a cycle
   // Every cycle step flips node parity, so every step crosses.
-  EXPECT_EQ(arena_stats.partition_crossings, 40u);
-  EXPECT_EQ(arena_stats.partition_crossings,
-            plain_stats.partition_crossings);
+  EXPECT_EQ(stats.partition_crossings, 40u);
 }
 
 TEST(BatchedWalkTest, WorkerStateIsPaddedToCacheLines) {

@@ -1,7 +1,7 @@
 // Bit-identity of the multi-threaded walk executor (DESIGN.md section 12):
-// for every walk program, every thread count, every batch width, arena and
-// CSR sampling alike, ParallelWalkExecutor must reproduce the
-// single-threaded kernel's results *exactly* — the counter RNG keys on
+// for every walk program, every thread count, and every batch width,
+// ParallelWalkExecutor must reproduce the single-threaded kernel's results
+// *exactly* — the counter RNG keys on
 // global walker ids, never threads, and the merge concatenates raw
 // endpoints before the single aggregation pass. Also covers the facade
 // wrapper (CloudWalker::Parallelize across all six query kinds), the
@@ -71,27 +71,23 @@ void ExpectSameDistributions(const WalkDistributions& a,
   }
 }
 
-// The tentpole matrix: program x thread count x batch width x arena-vs-CSR
-// sampling, against the single-threaded kernel.
+// The tentpole matrix: program x thread count x batch width, against the
+// single-threaded kernel.
 
 TEST(ParallelWalkTest, SimRankLevelsMatchSingleThreadAcrossMatrix) {
   const Graph g = GenerateRmat(400, 3200, /*seed=*/5);
   const WalkContext ctx(g);
   for (const uint32_t width : {1u, 32u, 256u}) {
     const WalkConfig cfg = TestConfig(width);
-    for (const bool arena : {true, false}) {
-      const WalkContext* use_ctx = arena ? &ctx : nullptr;
-      for (const NodeId source : {0u, 17u, 399u}) {
-        const WalkDistributions single =
-            SimulateWalkDistributions(g, use_ctx, source, cfg);
-        for (const int threads : kThreadCounts) {
-          const auto executor = MakeExecutor(g, use_ctx, threads);
-          ExpectSameDistributions(
-              single, executor->SimRankLevels(source, cfg, nullptr),
-              "source " + std::to_string(source) + " threads " +
-                  std::to_string(threads) + " arena " +
-                  std::to_string(arena) + " width " + std::to_string(width));
-        }
+    for (const NodeId source : {0u, 17u, 399u}) {
+      const WalkDistributions single =
+          SimulateWalkDistributions(g, source, cfg);
+      for (const int threads : kThreadCounts) {
+        const auto executor = MakeExecutor(g, &ctx, threads);
+        ExpectSameDistributions(
+            single, executor->SimRankLevels(source, cfg, nullptr),
+            "source " + std::to_string(source) + " threads " +
+                std::to_string(threads) + " width " + std::to_string(width));
       }
     }
   }
@@ -104,20 +100,16 @@ TEST(ParallelWalkTest, PprEndpointsMatchSingleThreadAcrossMatrix) {
   PprParams params;
   for (const double alpha : {0.5, 0.85}) {
     params.alpha = alpha;
-    for (const bool arena : {true, false}) {
-      const WalkContext* use_ctx = arena ? &ctx : nullptr;
-      for (const NodeId source : {3u, 211u}) {
-        const SparseVector single =
-            SimulatePprEndpoints(g, use_ctx, source, cfg, params);
-        for (const int threads : kThreadCounts) {
-          const auto executor = MakeExecutor(g, use_ctx, threads);
-          ExpectSameVector(
-              single, executor->PprEndpoints(source, cfg, params, nullptr),
-              "alpha " + std::to_string(alpha) + " source " +
-                  std::to_string(source) + " threads " +
-                  std::to_string(threads) + " arena " +
-                  std::to_string(arena));
-        }
+    for (const NodeId source : {3u, 211u}) {
+      const SparseVector single =
+          SimulatePprEndpoints(g, source, cfg, params);
+      for (const int threads : kThreadCounts) {
+        const auto executor = MakeExecutor(g, &ctx, threads);
+        ExpectSameVector(
+            single, executor->PprEndpoints(source, cfg, params, nullptr),
+            "alpha " + std::to_string(alpha) + " source " +
+                std::to_string(source) + " threads " +
+                std::to_string(threads));
       }
     }
   }
@@ -131,18 +123,15 @@ TEST(ParallelWalkTest, Node2VecLevelsMatchSingleThreadAcrossMatrix) {
   Node2VecParams params;
   params.return_p = 0.5;
   params.in_out_q = 2.0;
-  for (const bool arena : {true, false}) {
-    const WalkContext* use_ctx = arena ? &ctx : nullptr;
-    for (const NodeId source : {1u, 120u, 299u}) {
-      const WalkDistributions single =
-          SimulateNode2VecVisits(g, use_ctx, source, cfg, params);
-      for (const int threads : kThreadCounts) {
-        const auto executor = MakeExecutor(g, use_ctx, threads);
-        ExpectSameDistributions(
-            single, executor->Node2VecLevels(source, cfg, params, nullptr),
-            "source " + std::to_string(source) + " threads " +
-                std::to_string(threads) + " arena " + std::to_string(arena));
-      }
+  for (const NodeId source : {1u, 120u, 299u}) {
+    const WalkDistributions single =
+        SimulateNode2VecVisits(g, &ctx, source, cfg, params);
+    for (const int threads : kThreadCounts) {
+      const auto executor = MakeExecutor(g, &ctx, threads);
+      ExpectSameDistributions(
+          single, executor->Node2VecLevels(source, cfg, params, nullptr),
+          "source " + std::to_string(source) + " threads " +
+              std::to_string(threads));
     }
   }
 }
@@ -152,7 +141,7 @@ TEST(ParallelWalkTest, WalkStatsAggregateAcrossRanges) {
   const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   WalkStats single_stats;
-  (void)SimulateWalkDistributions(g, &ctx, 7, cfg, /*scratch=*/nullptr,
+  (void)SimulateWalkDistributions(g, 7, cfg, /*scratch=*/nullptr,
                                   /*owner=*/nullptr, &single_stats);
   const auto executor = MakeExecutor(g, &ctx, 4);
   WalkStats parallel_stats;
@@ -169,7 +158,7 @@ TEST(ParallelWalkTest, TinyBatchesFallBackToTheSerialPath) {
   const auto executor =
       MakeExecutor(g, &ctx, 8, /*min_walkers_per_range=*/256);
   EXPECT_EQ(executor->num_threads(), 8);
-  ExpectSameDistributions(SimulateWalkDistributions(g, &ctx, 9, cfg),
+  ExpectSameDistributions(SimulateWalkDistributions(g, 9, cfg),
                           executor->SimRankLevels(9, cfg, nullptr),
                           "serial fallback");
 }
@@ -255,19 +244,18 @@ TEST(ParallelWalkTest, AllSixQueryKindsBitIdenticalThroughParallelize) {
 // same thread matrix must stay bit-identical through ShardingOptions.
 TEST(ParallelWalkTest, ShardedPhaseAThreadMatrixBitIdentical) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/8);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   PprParams ppr;
   for (const NodeId source : {0u, 150u, 299u}) {
     const WalkDistributions single =
-        SimulateWalkDistributions(g, &ctx, source, cfg);
+        SimulateWalkDistributions(g, source, cfg);
     const SparseVector single_ppr =
-        SimulatePprEndpoints(g, &ctx, source, cfg, ppr);
+        SimulatePprEndpoints(g, source, cfg, ppr);
     for (const int threads : kThreadCounts) {
       ShardingOptions opts;
       opts.num_shards = 4;
       opts.num_threads = threads;
-      auto engine = ShardedWalkEngine::Build(g, &ctx, opts);
+      auto engine = ShardedWalkEngine::Build(g, opts);
       ASSERT_TRUE(engine.ok()) << engine.status().message();
       const std::string what = "source " + std::to_string(source) +
                                " phase-A threads " + std::to_string(threads);

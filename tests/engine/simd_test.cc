@@ -1,8 +1,8 @@
-// Element-for-element equality of the SIMD kernels (DESIGN.md section 12):
-// the AVX2 variants of sorted-run aggregation and batched alias resolve
-// must produce exactly the same output as the scalar reference — every id,
-// every multiplicity, every double bit pattern — across run-length edge
-// cases and every remainder-lane count. On hosts without AVX2 the Avx2
+// Element-for-element equality of the SIMD kernel (DESIGN.md section 12):
+// the AVX2 variant of sorted-run aggregation must produce exactly the same
+// output as the scalar reference — every id, every multiplicity, every
+// double bit pattern — across run-length edge cases and every
+// remainder-lane count. On hosts without AVX2 the Avx2
 // entry points are the scalar code, so the suite still runs (vacuously
 // for the vector lanes) everywhere.
 
@@ -15,9 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/alias.h"
-#include "engine/walk.h"
-#include "graph/generators.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -110,95 +107,6 @@ TEST(SimdTest, AggregateLargeRandomSweep) {
     CheckAggregate(sorted, 1.0 / static_cast<double>(n),
                    "trial " + std::to_string(trial));
   }
-}
-
-// Batched alias resolve over a real arena + CSR, sweeping every remainder
-// count and both branches (accept vs alias) of every lane.
-TEST(SimdTest, ResolveAliasBatchMatchesScalarOnRealArena) {
-  const Graph g = GenerateRmat(500, 4000, /*seed=*/9);
-  const WalkContext ctx(g);
-  const AliasArena& arena = ctx.arena();
-  const auto slots = arena.Slots();
-  const auto in_offsets = g.InOffsets();
-  const auto in_targets = g.InTargets();
-
-  std::mt19937 rng(31);
-  for (uint32_t n = 0; n <= 25; ++n) {
-    std::vector<uint64_t> global(n);
-    std::vector<uint32_t> accept(n), slot_index(n);
-    std::vector<NodeId> prev(n);
-    for (uint32_t j = 0; j < n; ++j) {
-      // Pick a node with in-degree > 0 and one of its slots, like pass 2
-      // of the walk kernel does.
-      NodeId v = rng() % g.num_nodes();
-      while (g.InDegree(v) == 0) v = (v + 1) % g.num_nodes();
-      const uint32_t k = rng() % g.InDegree(v);
-      prev[j] = v;
-      slot_index[j] = k;
-      global[j] = arena.RowOffset(v) + k;
-      // Mix accept and alias branches, including the boundary values.
-      const uint32_t slot_accept = slots[global[j]].accept;
-      switch (rng() % 3) {
-        case 0:
-          accept[j] = 0;  // accepts unless slot_accept == 0
-          break;
-        case 1:
-          accept[j] = slot_accept;  // exact boundary: takes the alias
-          break;
-        default:
-          accept[j] = rng();
-      }
-    }
-    std::vector<NodeId> scalar_out(n, 0xdeadbeef), avx2_out(n, 0xfeedface);
-    simd::ResolveAliasBatchScalar(slots.data(), global.data(), accept.data(),
-                                  slot_index.data(), prev.data(),
-                                  in_offsets.data(), in_targets.data(), n,
-                                  scalar_out.data());
-    simd::ResolveAliasBatchAvx2(slots.data(), global.data(), accept.data(),
-                                slot_index.data(), prev.data(),
-                                in_offsets.data(), in_targets.data(), n,
-                                avx2_out.data());
-    for (uint32_t j = 0; j < n; ++j) {
-      EXPECT_EQ(scalar_out[j], avx2_out[j]) << "n=" << n << " lane " << j;
-      // And the semantics contract itself.
-      const AliasSlot& slot = slots[global[j]];
-      const NodeId want =
-          accept[j] < slot.accept
-              ? in_targets[in_offsets[prev[j]] + slot_index[j]]
-              : slot.alias;
-      EXPECT_EQ(scalar_out[j], want) << "n=" << n << " lane " << j;
-    }
-  }
-}
-
-TEST(SimdTest, ResolveAliasBatchLargeSweep) {
-  const Graph g = GenerateRmat(300, 2400, /*seed=*/4);
-  const WalkContext ctx(g);
-  const AliasArena& arena = ctx.arena();
-  const auto slots = arena.Slots();
-  std::mt19937 rng(77);
-  const uint32_t n = 999;  // odd: exercises the 7-lane remainder
-  std::vector<uint64_t> global(n);
-  std::vector<uint32_t> accept(n), slot_index(n);
-  std::vector<NodeId> prev(n);
-  for (uint32_t j = 0; j < n; ++j) {
-    NodeId v = rng() % g.num_nodes();
-    while (g.InDegree(v) == 0) v = (v + 1) % g.num_nodes();
-    prev[j] = v;
-    slot_index[j] = rng() % g.InDegree(v);
-    global[j] = arena.RowOffset(v) + slot_index[j];
-    accept[j] = rng();
-  }
-  std::vector<NodeId> scalar_out(n), avx2_out(n);
-  simd::ResolveAliasBatchScalar(slots.data(), global.data(), accept.data(),
-                                slot_index.data(), prev.data(),
-                                g.InOffsets().data(), g.InTargets().data(),
-                                n, scalar_out.data());
-  simd::ResolveAliasBatchAvx2(slots.data(), global.data(), accept.data(),
-                              slot_index.data(), prev.data(),
-                              g.InOffsets().data(), g.InTargets().data(), n,
-                              avx2_out.data());
-  EXPECT_EQ(scalar_out, avx2_out);
 }
 
 }  // namespace

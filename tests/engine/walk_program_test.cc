@@ -1,13 +1,15 @@
 // Determinism and distribution contracts of the non-SimRank walk programs
 // (DESIGN.md section 10): personalized PageRank endpoints and second-order
-// node2vec visits must be bit-identical across batch widths, scratch
-// reuse, and the arena vs plain-CSR code paths, and must conserve the
-// walker mass their semantics promise.
+// node2vec visits must be bit-identical across batch widths and scratch
+// reuse — and, for node2vec, across a renumbering whose in-rows are sorted
+// by external id — and must conserve the walker mass their semantics
+// promise.
 
 #include "engine/walk_program.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -15,6 +17,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "ooc/reorder.h"
 
 namespace cloudwalker {
 namespace {
@@ -52,31 +55,15 @@ double Mass(const SparseVector& v) {
   return total;
 }
 
-TEST(PprProgramTest, ArenaPathMatchesPlainCsrPath) {
-  const Graph g = GenerateRmat(512, 4096, /*seed=*/3);
-  const WalkContext ctx(g);
-  const WalkConfig cfg = TestConfig();
-  PprParams params;
-  for (NodeId source : {0u, 17u, 300u, 511u}) {
-    const SparseVector with_arena =
-        SimulatePprEndpoints(g, &ctx, source, cfg, params);
-    const SparseVector plain =
-        SimulatePprEndpoints(g, nullptr, source, cfg, params);
-    ExpectSameVector(with_arena, plain,
-                     "source " + std::to_string(source));
-  }
-}
-
 TEST(PprProgramTest, BitIdenticalAcrossBatchWidthsAndScratchReuse) {
   const Graph g = GenerateRmat(1024, 8192, /*seed=*/4);
-  const WalkContext ctx(g);
   PprParams params;
   const SparseVector narrow = SimulatePprEndpoints(
-      g, &ctx, 42, TestConfig(/*batch_width=*/1), params);
+      g, 42, TestConfig(/*batch_width=*/1), params);
   WalkScratch scratch;
   for (uint32_t width : {3u, 64u, 256u, 100000u /* clamped */}) {
     const SparseVector wide = SimulatePprEndpoints(
-        g, &ctx, 42, TestConfig(width), params, &scratch);
+        g, 42, TestConfig(width), params, &scratch);
     ExpectSameVector(narrow, wide, "width " + std::to_string(width));
   }
 }
@@ -88,7 +75,7 @@ TEST(PprProgramTest, EndpointMassIsOneWithoutDanglingNodes) {
   const WalkConfig cfg = TestConfig();
   PprParams params;
   const SparseVector endpoints =
-      SimulatePprEndpoints(g, nullptr, 5, cfg, params);
+      SimulatePprEndpoints(g, 5, cfg, params);
   EXPECT_NEAR(Mass(endpoints), 1.0, 1e-12);
 }
 
@@ -101,7 +88,7 @@ TEST(PprProgramTest, SmallAlphaConcentratesMassAtTheSource) {
   PprParams params;
   params.alpha = 0.05;
   const SparseVector endpoints =
-      SimulatePprEndpoints(g, nullptr, 7, cfg, params);
+      SimulatePprEndpoints(g, 7, cfg, params);
   EXPECT_GT(endpoints.Get(7), 0.85);
 }
 
@@ -111,26 +98,66 @@ TEST(PprProgramTest, DifferentAlphaDifferentDistribution) {
   PprParams low, high;
   low.alpha = 0.2;
   high.alpha = 0.95;
-  const SparseVector a = SimulatePprEndpoints(g, nullptr, 7, cfg, low);
-  const SparseVector b = SimulatePprEndpoints(g, nullptr, 7, cfg, high);
+  const SparseVector a = SimulatePprEndpoints(g, 7, cfg, low);
+  const SparseVector b = SimulatePprEndpoints(g, 7, cfg, high);
   EXPECT_GT(a.Get(7), b.Get(7));
 }
 
-TEST(Node2VecProgramTest, ArenaPathMatchesPlainCsrPath) {
-  const Graph g = GenerateRmat(512, 4096, /*seed=*/3);
-  const WalkContext ctx(g);
-  const WalkConfig cfg = TestConfig();
+// Maps every level of a walk on a renumbered graph back to external ids.
+WalkDistributions ToExternal(const WalkDistributions& internal,
+                             const std::vector<NodeId>& perm) {
+  WalkDistributions out;
+  for (const SparseVector& level : internal.levels) {
+    std::vector<SparseEntry> entries;
+    for (const SparseEntry& e : level) {
+      entries.push_back(SparseEntry{perm[e.index], e.value});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const SparseEntry& a, const SparseEntry& b) {
+                return a.index < b.index;
+              });
+    out.levels.push_back(SparseVector::FromSorted(std::move(entries)));
+  }
+  return out;
+}
+
+TEST(Node2VecProgramTest, ExternalIdRowOrderReproducesTheOriginalGraph) {
+  // A locality renumbering stores every in-row sorted by external id, so
+  // a draw picks the same external node; with the permutation in the
+  // context, the membership test searches those rows correctly and the
+  // walk matches the original graph's exactly.
+  const Graph g = GenerateRmat(300, 2400, /*seed=*/3);
+  const std::vector<double> diagonal(g.num_nodes(), 0.5);
+  auto art = ReorderForLocality(g, diagonal, ReorderKind::kBfs);
+  ASSERT_TRUE(art.ok()) << art.status().ToString();
+  std::vector<NodeId> to_internal(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) to_internal[art->perm[u]] = u;
+  const WalkContext ctx(art->graph, art->perm);
   Node2VecParams params;
   params.return_p = 0.5;
   params.in_out_q = 2.0;
-  for (NodeId source : {0u, 17u, 300u, 511u}) {
-    const WalkDistributions with_arena =
-        SimulateNode2VecVisits(g, &ctx, source, cfg, params);
-    const WalkDistributions plain =
-        SimulateNode2VecVisits(g, nullptr, source, cfg, params);
-    ExpectSameDistributions(with_arena, plain,
+  bool order_mattered = false;
+  for (NodeId source : {0u, 17u, 150u, 299u}) {
+    const WalkDistributions original =
+        SimulateNode2VecVisits(g, nullptr, source, TestConfig(), params);
+    WalkConfig keyed = TestConfig();
+    keyed.rng_node = source;  // the external id keys the draws
+    const WalkDistributions renumbered = SimulateNode2VecVisits(
+        art->graph, &ctx, to_internal[source], keyed, params);
+    ExpectSameDistributions(original, ToExternal(renumbered, art->perm),
                             "source " + std::to_string(source));
+    // Without the permutation the binary search runs on rows that are not
+    // sorted by id and misclassifies candidates.
+    const WalkDistributions unordered = SimulateNode2VecVisits(
+        art->graph, nullptr, to_internal[source], keyed, params);
+    const WalkDistributions mapped = ToExternal(unordered, art->perm);
+    for (size_t t = 0; t < mapped.num_levels(); ++t) {
+      order_mattered |=
+          !std::equal(mapped.levels[t].begin(), mapped.levels[t].end(),
+                      original.levels[t].begin(), original.levels[t].end());
+    }
   }
+  EXPECT_TRUE(order_mattered);
 }
 
 TEST(Node2VecProgramTest, BitIdenticalAcrossBatchWidthsAndScratchReuse) {

@@ -63,7 +63,7 @@ TEST(PprAccuracyTest, MatchesTruncatedPowerIterationReference) {
   }
 
   const SparseVector endpoints =
-      SimulatePprEndpoints(g, nullptr, /*source=*/5, cfg, params);
+      SimulatePprEndpoints(g, /*source=*/5, cfg, params);
   EXPECT_LT(L1(Dense(endpoints, n), reference), 0.05);
 }
 
@@ -91,7 +91,7 @@ TEST(PprAccuracyTest, AlphaSweepStaysWithinTheBound) {
     PprParams params;
     params.alpha = alpha;
     const SparseVector endpoints =
-        SimulatePprEndpoints(g, nullptr, /*source=*/2, cfg, params);
+        SimulatePprEndpoints(g, /*source=*/2, cfg, params);
     EXPECT_LT(L1(Dense(endpoints, n), reference), 0.05) << "alpha " << alpha;
   }
 }

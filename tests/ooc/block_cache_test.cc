@@ -25,8 +25,8 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// One many-block snapshot shared by every test: block_bytes=4096 over
-// ~5000 in-edges (12 bytes each) yields ~15 blocks.
+// One many-block snapshot shared by every test: block_bytes=1024 over
+// ~5000 in-edges (4 bytes each) yields ~20 blocks.
 class BlockCacheTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -39,10 +39,10 @@ class BlockCacheTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     path_ = new std::string(TempPath("cache_fixture.cwk"));
     SnapshotWriteOptions write_options;
-    write_options.block_bytes = 4096;
-    const Status s = SnapshotWriter::Write(
-        *path_, (*built)->graph(), (*built)->walk_context().arena(),
-        (*built)->index(), SnapshotMetadata{}, write_options);
+    write_options.block_bytes = 1024;
+    const Status s =
+        SnapshotWriter::Write(*path_, (*built)->graph(), (*built)->index(),
+                              SnapshotMetadata{}, write_options);
     ASSERT_TRUE(s.ok()) << s.ToString();
     auto paged = PagedSnapshot::Open(*path_);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -180,15 +180,12 @@ TEST_F(BlockCacheTest, LeaseContentMatchesDirectRead) {
   for (uint32_t b = 0; b < snapshot()->blocks().size(); ++b) {
     const BlockExtent& extent = snapshot()->blocks()[b];
     std::vector<NodeId> targets(extent.num_edges());
-    std::vector<AliasSlot> slots(extent.num_edges());
-    ASSERT_TRUE(snapshot()->ReadBlock(b, targets.data(), slots.data()).ok());
+    ASSERT_TRUE(snapshot()->ReadBlock(b, targets.data()).ok());
     auto lease = (*cache)->Acquire(b);
     ASSERT_TRUE(lease.ok());
     EXPECT_EQ(lease->base(), extent.edge_begin);
     EXPECT_EQ(0, std::memcmp(lease->targets(), targets.data(),
                              targets.size() * sizeof(NodeId)));
-    EXPECT_EQ(0, std::memcmp(lease->slots(), slots.data(),
-                             slots.size() * sizeof(AliasSlot)));
   }
 }
 
@@ -213,8 +210,7 @@ TEST_F(BlockCacheTest, ConcurrentAcquiresStayCorrectAndWithinBudget) {
         // Spot-check one element against the authoritative read.
         const BlockExtent& extent = raw->snapshot().blocks()[b];
         std::vector<NodeId> targets(extent.num_edges());
-        std::vector<AliasSlot> slots(extent.num_edges());
-        if (!raw->snapshot().ReadBlock(b, targets.data(), slots.data()).ok() ||
+        if (!raw->snapshot().ReadBlock(b, targets.data()).ok() ||
             std::memcmp(lease->targets(), targets.data(),
                         targets.size() * sizeof(NodeId)) != 0) {
           failures.fetch_add(1);
@@ -233,10 +229,49 @@ TEST_F(BlockCacheTest, ConcurrentAcquiresStayCorrectAndWithinBudget) {
             8 * snapshot()->max_block_bytes() + BudgetFor(3));
 }
 
+TEST_F(BlockCacheTest, ConcurrentWalksEachPinTwoBlocks) {
+  // The bound the cache documents: each walk in flight makes at most two
+  // blocks unevictable, so W concurrent walks can push residency past a
+  // two-block budget (overflow admits), but never past 2 * W blocks.
+  constexpr uint32_t kWalks = 3;
+  ASSERT_GE(snapshot()->blocks().size(), 2 * kWalks);
+  const uint64_t budget = BudgetFor(2);
+  auto cache = BlockCache::Create(snapshot(), budget);
+  ASSERT_TRUE(cache.ok());
+  BlockCache* raw = cache.value().get();
+  uint64_t held = 0;  // payload of every block pinned at the rendezvous
+  for (uint32_t b = 0; b < 2 * kWalks; ++b) {
+    held += snapshot()->blocks()[b].payload_bytes();
+  }
+  ASSERT_GT(held, budget) << "the pins must not fit the budget";
+
+  std::atomic<uint32_t> holding{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> walks;
+  for (uint32_t w = 0; w < kWalks; ++w) {
+    walks.emplace_back([raw, w, &holding, &failures] {
+      auto current = raw->Acquire(2 * w);
+      auto previous = raw->Acquire(2 * w + 1);
+      if (!current.ok() || !previous.ok()) failures.fetch_add(1);
+      // Hold both pins until every walk holds its pair.
+      holding.fetch_add(1);
+      while (holding.load() < kWalks) std::this_thread::yield();
+    });
+  }
+  for (std::thread& t : walks) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const BlockCacheCounters c = (*cache)->counters();
+  EXPECT_GT(c.overflow_admits, 0u);
+  EXPECT_GE(c.peak_bytes_resident, held);
+  EXPECT_LE(c.peak_bytes_resident,
+            std::max(budget, 2 * kWalks * snapshot()->max_block_bytes()));
+}
+
 TEST_F(BlockCacheTest, AllResidentFallbackServesWithoutReads) {
-  // An old-format artifact (no block index): every acquire is a hit into
-  // the resident arrays and nothing is ever read through the cache.
-  const std::string old_path = TempPath("cache_oldformat.cwk");
+  // An artifact without a block index: every acquire is a hit into the
+  // resident array and nothing is ever read through the cache.
+  const std::string flat_path = TempPath("cache_noblockindex.cwk");
   Graph graph = GenerateRmat(/*num_nodes=*/120, /*num_edges=*/900, /*seed=*/3);
   IndexingOptions options;
   options.num_walkers = 5;
@@ -245,12 +280,11 @@ TEST_F(BlockCacheTest, AllResidentFallbackServesWithoutReads) {
   ASSERT_TRUE(built.ok());
   SnapshotWriteOptions write_options;
   write_options.write_block_index = false;
-  ASSERT_TRUE(SnapshotWriter::Write(old_path, (*built)->graph(),
-                                    (*built)->walk_context().arena(),
+  ASSERT_TRUE(SnapshotWriter::Write(flat_path, (*built)->graph(),
                                     (*built)->index(), SnapshotMetadata{},
                                     write_options)
                   .ok());
-  auto paged = PagedSnapshot::Open(old_path);
+  auto paged = PagedSnapshot::Open(flat_path);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   ASSERT_TRUE((*paged)->all_resident());
   ASSERT_FALSE((*paged)->has_block_index());
@@ -266,7 +300,7 @@ TEST_F(BlockCacheTest, AllResidentFallbackServesWithoutReads) {
   EXPECT_EQ(c.misses, 0u);
   EXPECT_EQ(c.bytes_read, 0u);
   EXPECT_EQ(c.bytes_resident, (*paged)->paged_bytes());
-  std::remove(old_path.c_str());
+  std::remove(flat_path.c_str());
 }
 
 }  // namespace

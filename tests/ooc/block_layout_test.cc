@@ -7,29 +7,24 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "common/serialize.h"
 #include "gtest/gtest.h"
 #include "ooc/block_layout.h"
 
 namespace cloudwalker {
 namespace {
 
-// In-adjacency arrays + a uniform-row arena slot per edge, the inputs the
-// snapshot writer hands the layout pass.
+// The in-adjacency arrays, the inputs the snapshot writer hands the layout
+// pass.
 struct PagedArrays {
   std::vector<uint64_t> in_offsets;
   std::vector<NodeId> in_targets;
-  std::vector<AliasSlot> slots;
 };
 
 PagedArrays ArraysOf(const Graph& graph) {
   PagedArrays a;
   a.in_offsets.assign(graph.InOffsets().begin(), graph.InOffsets().end());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    for (const NodeId w : graph.InNeighbors(v)) {
-      a.in_targets.push_back(w);
-      a.slots.push_back(AliasSlot{0, w});
-    }
-  }
+  a.in_targets.assign(graph.InTargets().begin(), graph.InTargets().end());
   return a;
 }
 
@@ -55,7 +50,7 @@ TEST(BlockLayoutTest, TilesNodesAndEdgesContiguously) {
   for (const uint64_t target : {uint64_t{1}, uint64_t{512}, uint64_t{4096},
                                 uint64_t{1} << 30}) {
     const std::vector<BlockExtent> blocks =
-        BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, target);
+        BuildBlockLayout(a.in_offsets, a.in_targets, target);
     ExpectTiles(blocks, graph.num_nodes(), graph.num_edges());
     // Every block beyond a single node respects the byte target: removing
     // its last node would leave it under target (greedy cut).
@@ -79,7 +74,7 @@ TEST(BlockLayoutTest, OversizedRowGetsItsOwnBlock) {
   ASSERT_TRUE(graph.ok());
   const PagedArrays a = ArraysOf(*graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots,
+      BuildBlockLayout(a.in_offsets, a.in_targets,
                        /*target_block_bytes=*/2 * kPagedBytesPerEdge);
   ExpectTiles(blocks, graph->num_nodes(), graph->num_edges());
   const uint32_t hub_block = FindBlock(blocks, 0);
@@ -91,7 +86,7 @@ TEST(BlockLayoutTest, OversizedRowGetsItsOwnBlock) {
 TEST(BlockLayoutTest, EmptyGraphHasNoBlocks) {
   const std::vector<uint64_t> offsets{0};
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(offsets, {}, {}, kDefaultBlockBytes);
+      BuildBlockLayout(offsets, {}, kDefaultBlockBytes);
   EXPECT_TRUE(blocks.empty());
 }
 
@@ -99,7 +94,7 @@ TEST(BlockLayoutTest, EncodeDecodeRoundTrips) {
   const Graph graph = GenerateRmat(300, 2500, /*seed=*/9);
   const PagedArrays a = ArraysOf(graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, /*target=*/1024);
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/1024);
   const std::string bytes = EncodeBlockIndex(blocks, 1024);
 
   std::vector<BlockExtent> decoded;
@@ -111,11 +106,46 @@ TEST(BlockLayoutTest, EncodeDecodeRoundTrips) {
   EXPECT_EQ(decoded, blocks);  // CRCs ride along verbatim
 }
 
+TEST(BlockLayoutTest, DecodeReadsVersion1Index) {
+  // A version 1 snapshot's block index: the same 40-byte records, the last
+  // field holding a CRC of the block's alias-arena slice. Only the
+  // in-target extents and CRCs come back.
+  const Graph graph = GenerateRmat(300, 2500, /*seed=*/9);
+  const PagedArrays a = ArraysOf(graph);
+  const std::vector<BlockExtent> blocks =
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/1024);
+  BinaryWriter w;
+  w.Write<uint32_t>(1);
+  w.Write<uint64_t>(1024);
+  w.Write<uint64_t>(blocks.size());
+  for (const BlockExtent& b : blocks) {
+    w.Write(b.node_begin);
+    w.Write(b.node_end);
+    w.Write(b.edge_begin);
+    w.Write(b.edge_end);
+    w.Write(b.crc_in_targets);
+    w.Write<uint32_t>(0xdeadbeef);  // the arena slice's CRC
+  }
+  std::vector<BlockExtent> decoded;
+  uint64_t target = 0;
+  const Status s = DecodeBlockIndex(w.buffer(), graph.num_nodes(),
+                                    graph.num_edges(), &decoded, &target);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(target, 1024u);
+  EXPECT_EQ(decoded, blocks);
+  // A version this reader does not know is refused.
+  std::string future = w.buffer();
+  future[0] = 3;
+  EXPECT_FALSE(DecodeBlockIndex(future, graph.num_nodes(), graph.num_edges(),
+                                &decoded, &target)
+                   .ok());
+}
+
 TEST(BlockLayoutTest, DecodeRejectsStructuralDamage) {
   const Graph graph = GenerateRmat(100, 800, /*seed=*/2);
   const PagedArrays a = ArraysOf(graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, /*target=*/512);
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/512);
   const std::string bytes = EncodeBlockIndex(blocks, 512);
   std::vector<BlockExtent> decoded;
   uint64_t target = 0;
@@ -147,7 +177,7 @@ TEST(BlockLayoutTest, FindBlockLocatesEveryNode) {
   const Graph graph = GenerateRmat(700, 6000, /*seed=*/13);
   const PagedArrays a = ArraysOf(graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, /*target=*/2048);
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/2048);
   ASSERT_GT(blocks.size(), 3u) << "target too large to exercise the search";
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const uint32_t b = FindBlock(blocks, v);

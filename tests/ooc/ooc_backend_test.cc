@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "ooc/ooc_backend.h"
 #include "ooc/paged_snapshot.h"
+#include "ooc/reorder.h"
 #include "shard/sharding.h"
 #include "snapshot/snapshot.h"
 
@@ -39,9 +40,8 @@ class OocBackendTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     path_ = new std::string(TempPath("ooc_fixture.cwk"));
     SnapshotWriteOptions write_options;
-    write_options.block_bytes = 4096;
+    write_options.block_bytes = 1024;
     ASSERT_TRUE(SnapshotWriter::Write(*path_, (*built)->graph(),
-                                      (*built)->walk_context().arena(),
                                       (*built)->index(), SnapshotMetadata{},
                                       write_options)
                     .ok());
@@ -199,17 +199,41 @@ TEST_F(OocBackendTest, GuardsRejectRebackingAndSnapshotting) {
   EXPECT_TRUE(parallel.status().IsFailedPrecondition());
 }
 
-TEST_F(OocBackendTest, OldFormatFallbackAnswersIdentically) {
+TEST_F(OocBackendTest, BiasedNode2VecOnReorderedSnapshotMatches) {
+  // A reordered artifact stores its in-rows in external-id order. With
+  // p != 1 and q != 1, node2vec's "candidate in In(prev)" test decides
+  // moves, so both open paths must search those rows by external id.
+  const std::string reordered_path = TempPath("ooc_reordered.cwk");
+  ASSERT_TRUE(mem().WriteReorderedSnapshot(reordered_path, ReorderKind::kBfs)
+                  .ok());
+  auto mmap_open = CloudWalker::Open(reordered_path);
+  ASSERT_TRUE(mmap_open.ok()) << mmap_open.status().ToString();
+  auto paged_open = CloudWalker::OutOfCore(reordered_path);
+  ASSERT_TRUE(paged_open.ok()) << paged_open.status().ToString();
+  QueryOptions biased;
+  biased.n2v_return_p = 0.5;
+  biased.n2v_in_out_q = 2.0;
+  for (const NodeId q : {NodeId{0}, NodeId{77}, NodeId{321}, NodeId{499}}) {
+    auto want = mem().Node2VecTopK(q, 10, biased);
+    auto via_mmap = (*mmap_open)->Node2VecTopK(q, 10, biased);
+    auto via_paged = (*paged_open)->Node2VecTopK(q, 10, biased);
+    ASSERT_TRUE(want.ok() && via_mmap.ok() && via_paged.ok());
+    EXPECT_EQ(*want, *via_mmap) << "q=" << q;
+    EXPECT_EQ(*want, *via_paged) << "q=" << q;
+  }
+  std::remove(reordered_path.c_str());
+}
+
+TEST_F(OocBackendTest, NoBlockIndexFallbackAnswersIdentically) {
   // No block index in the artifact: OutOfCore still opens it (whole-file
   // residency) and answers match the mmap open bit for bit.
-  const std::string old_path = TempPath("ooc_oldformat.cwk");
+  const std::string flat_path = TempPath("ooc_noblockindex.cwk");
   SnapshotWriteOptions write_options;
   write_options.write_block_index = false;
-  ASSERT_TRUE(SnapshotWriter::Write(old_path, mem().graph(),
-                                    mem().walk_context().arena(), mem().index(),
+  ASSERT_TRUE(SnapshotWriter::Write(flat_path, mem().graph(), mem().index(),
                                     SnapshotMetadata{}, write_options)
                   .ok());
-  auto fallback = CloudWalker::OutOfCore(old_path);
+  auto fallback = CloudWalker::OutOfCore(flat_path);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
   EXPECT_TRUE((*fallback)->ooc_backend()->paged_snapshot().all_resident());
   auto a = mem().SingleSource(77);
@@ -223,7 +247,7 @@ TEST_F(OocBackendTest, OldFormatFallbackAnswersIdentically) {
   auto ppr_b = (*fallback)->PersonalizedPageRankTopK(8, 10);
   ASSERT_TRUE(ppr_a.ok() && ppr_b.ok());
   EXPECT_EQ(*ppr_a, *ppr_b);
-  std::remove(old_path.c_str());
+  std::remove(flat_path.c_str());
 }
 
 }  // namespace

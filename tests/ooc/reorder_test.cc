@@ -97,10 +97,15 @@ TEST(ReorderForLocalityTest, RelabelsFaithfully) {
     EXPECT_EQ(artifact->diagonal[u], diagonal[artifact->perm[u]]);
   }
 
-  // Arena mirrors the reordered in-adjacency offsets.
-  ASSERT_EQ(artifact->arena.num_rows(), graph.num_nodes());
+  // In-rows are stored in external-id order: slot k of a row holds the
+  // in-neighbor the unreordered graph's row holds at slot k.
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    EXPECT_EQ(artifact->arena.RowDegree(u), artifact->graph.InDegree(u));
+    const auto row = artifact->graph.InNeighbors(u);
+    const auto original = graph.InNeighbors(artifact->perm[u]);
+    ASSERT_EQ(row.size(), original.size()) << "internal node " << u;
+    for (size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(artifact->perm[row[k]], original[k]) << "internal node " << u;
+    }
   }
 
   EXPECT_FALSE(ReorderForLocality(graph, diagonal, ReorderKind::kNone).ok());

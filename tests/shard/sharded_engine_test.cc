@@ -1,6 +1,6 @@
 // Backend-level bit-identity of the in-process sharded BSP walk engine
-// (DESIGN.md section 11): for every walk program, every shard count, every
-// placement, arena and CSR slices alike, ShardedWalkEngine must reproduce
+// (DESIGN.md section 11): for every walk program, every shard count, and
+// every placement, ShardedWalkEngine must reproduce
 // the single-node kernel's aggregated distributions *exactly* — plus the
 // walker-exchange edge cases (empty shards, total emigration, cooperative
 // stop mid-job) and the ShardPlan structural invariants.
@@ -36,16 +36,14 @@ WalkConfig TestConfig(uint32_t batch_width = 256) {
 }
 
 std::shared_ptr<const ShardedWalkEngine> MakeEngine(
-    const Graph& graph, const WalkContext* ctx, int num_shards,
-    bool use_arena = true,
+    const Graph& graph, int num_shards,
     ShardingOptions::Placement placement = ShardingOptions::Placement::kAuto,
     int num_threads = 0) {
   ShardingOptions opts;
   opts.num_shards = num_shards;
-  opts.use_arena = use_arena;
   opts.placement = placement;
   opts.num_threads = num_threads;
-  auto engine = ShardedWalkEngine::Build(graph, ctx, opts);
+  auto engine = ShardedWalkEngine::Build(graph, opts);
   EXPECT_TRUE(engine.ok()) << engine.status().message();
   return std::move(engine).value();
 }
@@ -68,36 +66,31 @@ void ExpectSameDistributions(const WalkDistributions& a,
   }
 }
 
-// The tentpole matrix: program x shard count x placement x arena-vs-CSR
-// slices, against the single-node kernel at several batch widths (batch
+// The tentpole matrix: program x shard count x placement, against the
+// single-node kernel at several batch widths (batch
 // width is a single-node scheduling knob; the sharded engine must match
 // them all because they are all bit-identical to each other).
 
 TEST(ShardedEngineTest, SimRankLevelsMatchSingleNodeAcrossMatrix) {
   const Graph g = GenerateRmat(400, 3200, /*seed=*/5);
-  const WalkContext ctx(g);
   for (const uint32_t width : {1u, 32u, 256u}) {
     const WalkConfig cfg = TestConfig(width);
     for (const NodeId source : {0u, 17u, 399u}) {
       const WalkDistributions single =
-          SimulateWalkDistributions(g, &ctx, source, cfg);
+          SimulateWalkDistributions(g, source, cfg);
       for (const int shards : kShardCounts) {
-        for (const bool arena : {true, false}) {
-          for (const auto placement : {ShardingOptions::Placement::kAuto,
-                                       ShardingOptions::Placement::kHash,
-                                       ShardingOptions::Placement::kRange}) {
-            const auto engine =
-                MakeEngine(g, &ctx, shards, arena, placement);
-            const WalkDistributions sharded =
-                engine->SimRankLevels(source, cfg, nullptr);
-            ExpectSameDistributions(
-                single, sharded,
-                "source " + std::to_string(source) + " shards " +
-                    std::to_string(shards) + " arena " +
-                    std::to_string(arena) + " placement " +
-                    std::to_string(static_cast<int>(placement)) +
-                    " width " + std::to_string(width));
-          }
+        for (const auto placement : {ShardingOptions::Placement::kAuto,
+                                     ShardingOptions::Placement::kHash,
+                                     ShardingOptions::Placement::kRange}) {
+          const auto engine = MakeEngine(g, shards, placement);
+          const WalkDistributions sharded =
+              engine->SimRankLevels(source, cfg, nullptr);
+          ExpectSameDistributions(
+              single, sharded,
+              "source " + std::to_string(source) + " shards " +
+                  std::to_string(shards) + " placement " +
+                  std::to_string(static_cast<int>(placement)) + " width " +
+                  std::to_string(width));
         }
       }
     }
@@ -106,25 +99,21 @@ TEST(ShardedEngineTest, SimRankLevelsMatchSingleNodeAcrossMatrix) {
 
 TEST(ShardedEngineTest, PprEndpointsMatchSingleNodeAcrossMatrix) {
   const Graph g = GenerateRmat(400, 3200, /*seed=*/5);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   PprParams params;
   for (const double alpha : {0.5, 0.85}) {
     params.alpha = alpha;
     for (const NodeId source : {3u, 211u}) {
       const SparseVector single =
-          SimulatePprEndpoints(g, &ctx, source, cfg, params);
+          SimulatePprEndpoints(g, source, cfg, params);
       for (const int shards : kShardCounts) {
-        for (const bool arena : {true, false}) {
-          const auto engine = MakeEngine(g, &ctx, shards, arena);
-          const SparseVector sharded =
-              engine->PprEndpoints(source, cfg, params, nullptr);
-          ExpectSameVector(single, sharded,
-                           "alpha " + std::to_string(alpha) + " source " +
-                               std::to_string(source) + " shards " +
-                               std::to_string(shards) + " arena " +
-                               std::to_string(arena));
-        }
+        const auto engine = MakeEngine(g, shards);
+        const SparseVector sharded =
+            engine->PprEndpoints(source, cfg, params, nullptr);
+        ExpectSameVector(single, sharded,
+                         "alpha " + std::to_string(alpha) + " source " +
+                             std::to_string(source) + " shards " +
+                             std::to_string(shards));
       }
     }
   }
@@ -132,7 +121,6 @@ TEST(ShardedEngineTest, PprEndpointsMatchSingleNodeAcrossMatrix) {
 
 TEST(ShardedEngineTest, Node2VecLevelsMatchSingleNodeAcrossMatrix) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/11);
-  const WalkContext ctx(g);
   WalkConfig cfg = TestConfig();
   cfg.num_walkers = 200;
   Node2VecParams params;
@@ -140,17 +128,14 @@ TEST(ShardedEngineTest, Node2VecLevelsMatchSingleNodeAcrossMatrix) {
   params.in_out_q = 2.0;
   for (const NodeId source : {1u, 120u, 299u}) {
     const WalkDistributions single =
-        SimulateNode2VecVisits(g, &ctx, source, cfg, params);
+        SimulateNode2VecVisits(g, nullptr, source, cfg, params);
     for (const int shards : kShardCounts) {
-      for (const bool arena : {true, false}) {
-        const auto engine = MakeEngine(g, &ctx, shards, arena);
-        const WalkDistributions sharded =
-            engine->Node2VecLevels(source, cfg, params, nullptr);
-        ExpectSameDistributions(single, sharded,
-                                "source " + std::to_string(source) +
-                                    " shards " + std::to_string(shards) +
-                                    " arena " + std::to_string(arena));
-      }
+      const auto engine = MakeEngine(g, shards);
+      const WalkDistributions sharded =
+          engine->Node2VecLevels(source, cfg, params, nullptr);
+      ExpectSameDistributions(single, sharded,
+                              "source " + std::to_string(source) +
+                                  " shards " + std::to_string(shards));
     }
   }
 }
@@ -159,15 +144,14 @@ TEST(ShardedEngineTest, SelfLoopDanglingPolicyMatchesSingleNode) {
   // A star pulls every walker into the dangling hub by step 1; both
   // dangling policies must shard identically.
   const Graph g = GenerateStarInward(64);
-  const WalkContext ctx(g);
   for (const DanglingPolicy policy :
        {DanglingPolicy::kDie, DanglingPolicy::kSelfLoop}) {
     WalkConfig cfg = TestConfig();
     cfg.dangling = policy;
     const WalkDistributions single =
-        SimulateWalkDistributions(g, &ctx, 5, cfg);
+        SimulateWalkDistributions(g, 5, cfg);
     for (const int shards : kShardCounts) {
-      const auto engine = MakeEngine(g, &ctx, shards);
+      const auto engine = MakeEngine(g, shards);
       ExpectSameDistributions(
           single, engine->SimRankLevels(5, cfg, nullptr),
           "policy " + std::to_string(static_cast<int>(policy)) +
@@ -178,11 +162,9 @@ TEST(ShardedEngineTest, SelfLoopDanglingPolicyMatchesSingleNode) {
 
 TEST(ShardedEngineTest, ThreadedSuperstepsBitIdentical) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/8);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
-  const auto serial = MakeEngine(g, &ctx, 4);
-  const auto threaded = MakeEngine(g, &ctx, 4, /*use_arena=*/true,
-                                   ShardingOptions::Placement::kAuto,
+  const auto serial = MakeEngine(g, 4);
+  const auto threaded = MakeEngine(g, 4, ShardingOptions::Placement::kAuto,
                                    /*num_threads=*/3);
   PprParams ppr;
   Node2VecParams n2v;
@@ -206,16 +188,14 @@ TEST(ShardedEngineTest, EmptyShardsNeverReceiveWalkers) {
   // Range placement with more shards than nodes leaves trailing shards
   // empty; the exchange must simply never route anything to them.
   const Graph g = GenerateCycle(5);
-  const WalkContext ctx(g);
-  const auto engine = MakeEngine(g, &ctx, 8, /*use_arena=*/true,
-                                 ShardingOptions::Placement::kRange);
+  const auto engine = MakeEngine(g, 8, ShardingOptions::Placement::kRange);
   int empty = 0;
   for (int s = 0; s < engine->num_shards(); ++s) {
     if (engine->plan().slice(s).nodes.empty()) ++empty;
   }
   EXPECT_GT(empty, 0);
   const WalkConfig cfg = TestConfig();
-  ExpectSameDistributions(SimulateWalkDistributions(g, &ctx, 2, cfg),
+  ExpectSameDistributions(SimulateWalkDistributions(g, 2, cfg),
                           engine->SimRankLevels(2, cfg, nullptr),
                           "cycle with empty shards");
 }
@@ -230,9 +210,7 @@ TEST(ShardedEngineTest, AllWalkersEmigrateEverySuperstep) {
   auto built = b.Build();
   ASSERT_TRUE(built.ok());
   const Graph g = std::move(built).value();
-  const WalkContext ctx(g);
-  const auto engine = MakeEngine(g, &ctx, 2, /*use_arena=*/true,
-                                 ShardingOptions::Placement::kRange);
+  const auto engine = MakeEngine(g, 2, ShardingOptions::Placement::kRange);
   ASSERT_NE(engine->plan().Owner(0), engine->plan().Owner(1));
 
   WalkConfig cfg = TestConfig();
@@ -244,18 +222,17 @@ TEST(ShardedEngineTest, AllWalkersEmigrateEverySuperstep) {
   const ShardExchangeStats ex = engine->exchange_stats();
   EXPECT_EQ(ex.supersteps, cfg.num_steps);
   EXPECT_EQ(ex.walkers_exchanged, stats.steps);
-  ExpectSameDistributions(SimulateWalkDistributions(g, &ctx, 0, cfg),
+  ExpectSameDistributions(SimulateWalkDistributions(g, 0, cfg),
                           sharded, "total emigration");
 }
 
 TEST(ShardedEngineTest, CancelledJobTruncatesLikeSingleNode) {
   const Graph g = GenerateRmat(200, 1600, /*seed=*/2);
-  const WalkContext ctx(g);
   CancelToken cancel;
   cancel.Cancel();
   WalkConfig cfg = TestConfig();
   cfg.cancel = &cancel;
-  const auto engine = MakeEngine(g, &ctx, 3);
+  const auto engine = MakeEngine(g, 3);
   const WalkDistributions sharded = engine->SimRankLevels(9, cfg, nullptr);
   // A pre-stopped job still reports T + 1 levels, but only level 0 (the
   // source) is populated — the same truncated shape the single-node
@@ -265,26 +242,25 @@ TEST(ShardedEngineTest, CancelledJobTruncatesLikeSingleNode) {
   for (size_t t = 1; t < sharded.num_levels(); ++t) {
     EXPECT_TRUE(sharded.levels[t].empty()) << "level " << t;
   }
-  ExpectSameDistributions(SimulateWalkDistributions(g, &ctx, 9, cfg),
+  ExpectSameDistributions(SimulateWalkDistributions(g, 9, cfg),
                           sharded, "pre-cancelled");
 }
 
 TEST(ShardedEngineTest, ExpiredDeadlineStopsSupersteps) {
   const Graph g = GenerateRmat(200, 1600, /*seed=*/2);
-  const WalkContext ctx(g);
   CancelToken deadline;
   deadline.SetDeadline(1e-9);
   while (!deadline.ShouldStop()) {
   }
   WalkConfig cfg = TestConfig();
   cfg.cancel = &deadline;
-  const auto engine = MakeEngine(g, &ctx, 2);
+  const auto engine = MakeEngine(g, 2);
   const uint64_t before = engine->exchange_stats().supersteps;
   const SparseVector endpoints =
       engine->PprEndpoints(9, cfg, PprParams{}, nullptr);
   EXPECT_EQ(engine->exchange_stats().supersteps, before);
   EXPECT_TRUE(deadline.ShouldStop());
-  ExpectSameVector(SimulatePprEndpoints(g, &ctx, 9, cfg, PprParams{}),
+  ExpectSameVector(SimulatePprEndpoints(g, 9, cfg, PprParams{}),
                    endpoints, "expired deadline");
 }
 
@@ -292,9 +268,9 @@ TEST(ShardedEngineTest, BuildRejectsInvalidShardCounts) {
   const Graph g = GenerateCycle(8);
   ShardingOptions opts;
   opts.num_shards = 0;
-  EXPECT_FALSE(ShardedWalkEngine::Build(g, nullptr, opts).ok());
+  EXPECT_FALSE(ShardedWalkEngine::Build(g, opts).ok());
   opts.num_shards = -3;
-  EXPECT_FALSE(ShardedWalkEngine::Build(g, nullptr, opts).ok());
+  EXPECT_FALSE(ShardedWalkEngine::Build(g, opts).ok());
 }
 
 // --- ShardPlan structural invariants ---
@@ -307,7 +283,7 @@ TEST(ShardPlanTest, SlicesPartitionTheNodeSpace) {
       ShardingOptions opts;
       opts.num_shards = shards;
       opts.placement = placement;
-      const ShardPlan plan = ShardPlan::Build(g, nullptr, opts);
+      const ShardPlan plan = ShardPlan::Build(g, opts);
       std::vector<int> seen(g.num_nodes(), 0);
       uint64_t edges = 0;
       for (int s = 0; s < plan.num_shards(); ++s) {
@@ -338,7 +314,7 @@ TEST(ShardPlanTest, InRowFlagsRemoteFetches) {
   ShardingOptions opts;
   opts.num_shards = 3;
   opts.placement = ShardingOptions::Placement::kRange;
-  const ShardPlan plan = ShardPlan::Build(g, nullptr, opts);
+  const ShardPlan plan = ShardPlan::Build(g, opts);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const int owner = plan.Owner(v);
     bool remote = true;
@@ -358,7 +334,7 @@ TEST(ShardPlanTest, AutoPlacementPicksTheCheaperScore) {
   const Graph g = GenerateCycle(512);
   ShardingOptions opts;
   opts.num_shards = 4;
-  const ShardPlan plan = ShardPlan::Build(g, nullptr, opts);
+  const ShardPlan plan = ShardPlan::Build(g, opts);
   EXPECT_LE(plan.chosen_score().superstep_seconds,
             plan.other_score().superstep_seconds);
   const PlacementScore hash = ShardPlan::Score(
@@ -369,31 +345,6 @@ TEST(ShardPlanTest, AutoPlacementPicksTheCheaperScore) {
   EXPECT_EQ(plan.strategy(), range.superstep_seconds < hash.superstep_seconds
                                  ? PartitionStrategy::kRange
                                  : PartitionStrategy::kHash);
-}
-
-TEST(ShardPlanTest, ArenaSlicesMirrorTheArenaRows) {
-  const Graph g = GenerateRmat(128, 1024, /*seed=*/21);
-  const WalkContext ctx(g);
-  ShardingOptions opts;
-  opts.num_shards = 3;
-  const ShardPlan plan = ShardPlan::Build(g, &ctx.arena(), opts);
-  EXPECT_TRUE(plan.has_arena_slices());
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    const ShardSlice& sl = plan.slice(s);
-    ASSERT_EQ(sl.slots.size(), sl.targets.size());
-    for (uint32_t r = 0; r < sl.nodes.size(); ++r) {
-      const NodeId v = sl.nodes[r];
-      const uint64_t arena_off = ctx.arena().RowOffset(v);
-      for (uint32_t k = 0; k < sl.RowDegree(r); ++k) {
-        const AliasSlot& mirrored = sl.slots[sl.offsets[r] + k];
-        const AliasSlot& original = ctx.arena().slot(arena_off + k);
-        EXPECT_EQ(mirrored.accept, original.accept);
-        EXPECT_EQ(mirrored.alias, original.alias);
-      }
-    }
-  }
-  const ShardPlan no_arena = ShardPlan::Build(g, nullptr, opts);
-  EXPECT_FALSE(no_arena.has_arena_slices());
 }
 
 }  // namespace

@@ -110,22 +110,6 @@ TEST(ShardedQueryTest, AllSixKindsBitIdenticalAtEveryShardCount) {
   }
 }
 
-TEST(ShardedQueryTest, CsrOnlySlicesAnswerIdentically) {
-  const auto base = BuildBase();
-  ShardingOptions opts;
-  opts.num_shards = 3;
-  opts.use_arena = false;
-  auto sharded = CloudWalker::Shard(base, opts);
-  ASSERT_TRUE(sharded.ok());
-  const QueryOptions q = FastOptions();
-  EXPECT_EQ(base->SinglePair(4, 50, q).value(),
-            (*sharded)->SinglePair(4, 50, q).value());
-  ExpectSameSparse(base->SingleSource(4, q).value(),
-                   (*sharded)->SingleSource(4, q).value(), "single source");
-  ExpectSameTopK(base->Node2VecTopK(4, 10, q).value(),
-                 (*sharded)->Node2VecTopK(4, 10, q).value(), "n2v");
-}
-
 TEST(ShardedQueryTest, LegacyMethodsMatchExecute) {
   const auto base = BuildBase(120, 900, 9);
   ShardingOptions opts;
@@ -143,7 +127,7 @@ TEST(ShardedQueryTest, LegacyMethodsMatchExecute) {
 }
 
 TEST(ShardedQueryTest, ShardedInstanceSurvivesBaseRelease) {
-  // The sharded engine shares ownership of the graph / arena, so dropping
+  // The sharded engine shares ownership of the graph, so dropping
   // the base facade must not invalidate it.
   std::shared_ptr<const CloudWalker> sharded;
   double expected = 0.0;
@@ -167,7 +151,7 @@ TEST(ShardedQueryTest, ShardValidatesInputs) {
 
 TEST(ShardedQueryTest, SnapshotRoundTripThenShardBitIdentical) {
   // Open() -> Shard(): the sharded engine built over a view-backed graph
-  // and arena answers exactly like the in-memory build it came from.
+  // answers exactly like the in-memory build it came from.
   const auto base = BuildBase(150, 1100, 17);
   const std::string path = ::testing::TempDir() + "/sharded_query.cwk";
   ASSERT_TRUE(base->WriteSnapshot(path).ok());

@@ -5,7 +5,8 @@
 // kind bit-identically to the instance that wrote it — and any corruption
 // of the file (truncation, flipped bytes, wrong magic/version/endianness)
 // is rejected with a clean kDataLoss / kInvalidArgument before a kernel
-// ever touches a byte.
+// ever touches a byte. Version 1 artifacts written by an older CLI (the
+// fixtures under testdata/) stay readable, except reordered ones.
 
 #include <cstdint>
 #include <cstdio>
@@ -92,7 +93,6 @@ TEST_F(SnapshotTest, OpenIsZeroCopy) {
   // The flat arrays alias the mapping, not heap vectors.
   EXPECT_FALSE(cw.graph().owns_storage());
   EXPECT_FALSE(cw.index().owns_storage());
-  EXPECT_FALSE(cw.walk_context().arena().owns_storage());
   EXPECT_EQ(cw.graph().num_nodes(), built().graph().num_nodes());
   EXPECT_EQ(cw.graph().num_edges(), built().graph().num_edges());
   // Build metadata survived the trip.
@@ -239,7 +239,7 @@ TEST_F(SnapshotTest, RejectsFlippedCrcField) {
   const std::string original = ReadFile(path());
   const std::string mutant = TempPath("crcflip.cwk");
   const uint32_t num_sections = NumSections(original);
-  ASSERT_GE(num_sections, 9u) << "expected the kBlockIndex section too";
+  ASSERT_GE(num_sections, 7u) << "expected the kBlockIndex section too";
   // Section CRCs live at directory offset 64 + 32*i + 24.
   for (uint32_t section = 0; section < num_sections; ++section) {
     std::string bad = original;
@@ -253,25 +253,23 @@ TEST_F(SnapshotTest, RejectsFlippedCrcField) {
   std::remove(mutant.c_str());
 }
 
-TEST_F(SnapshotTest, OldFormatOpensThroughBothPathsIdentically) {
-  // A pre-extension artifact (no kBlockIndex section, authored with the
-  // current writer's compatibility knob) must open via the mmap path AND
-  // via OutOfCore's whole-file fallback, answering identically.
-  const std::string old_path = TempPath("oldformat.cwk");
+TEST_F(SnapshotTest, NoBlockIndexOpensThroughBothPathsIdentically) {
+  // An artifact without the kBlockIndex section must open via the mmap
+  // path AND via OutOfCore's whole-file fallback, answering identically.
+  const std::string flat_path = TempPath("noblockindex.cwk");
   SnapshotWriteOptions write_options;
   write_options.write_block_index = false;
-  ASSERT_TRUE(SnapshotWriter::Write(old_path, built().graph(),
-                                    built().walk_context().arena(),
+  ASSERT_TRUE(SnapshotWriter::Write(flat_path, built().graph(),
                                     built().index(), SnapshotMetadata{},
                                     write_options)
                   .ok());
-  const std::string bytes = ReadFile(old_path);
-  EXPECT_EQ(NumSections(bytes), 8u) << "compat knob wrote a new section";
+  const std::string bytes = ReadFile(flat_path);
+  EXPECT_EQ(NumSections(bytes), 6u) << "only the required sections";
 
-  auto mmap_open = CloudWalker::Open(old_path);
+  auto mmap_open = CloudWalker::Open(flat_path);
   ASSERT_TRUE(mmap_open.ok()) << mmap_open.status().ToString();
   EXPECT_FALSE((*mmap_open)->snapshot()->has_block_index());
-  auto ooc_open = CloudWalker::OutOfCore(old_path);
+  auto ooc_open = CloudWalker::OutOfCore(flat_path);
   ASSERT_TRUE(ooc_open.ok()) << ooc_open.status().ToString();
   ASSERT_NE((*ooc_open)->ooc_backend(), nullptr);
   EXPECT_TRUE((*ooc_open)->ooc_backend()->paged_snapshot().all_resident());
@@ -285,7 +283,7 @@ TEST_F(SnapshotTest, OldFormatOpensThroughBothPathsIdentically) {
     EXPECT_EQ(a->entries()[e].value, b->entries()[e].value);
     EXPECT_EQ(a->entries()[e].value, c->entries()[e].value);
   }
-  std::remove(old_path.c_str());
+  std::remove(flat_path.c_str());
 }
 
 TEST_F(SnapshotTest, MadviseFailureIsBestEffort) {
@@ -304,7 +302,7 @@ TEST_F(SnapshotTest, MadviseFailureIsBestEffort) {
 TEST_F(SnapshotTest, InspectReportsDirectoryAndFlagsDamage) {
   auto info = InspectSnapshot(path());
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->format_version, 1u);
+  EXPECT_EQ(info->format_version, 2u);
   EXPECT_EQ(info->num_nodes, built().graph().num_nodes());
   EXPECT_EQ(info->num_edges, built().graph().num_edges());
   EXPECT_TRUE(info->header_crc_ok);
@@ -352,17 +350,159 @@ TEST(SnapshotWriterTest, RejectsMismatchedInputs) {
   auto cw = CloudWalker::Build(&g1, options);
   ASSERT_TRUE(cw.ok());
   // Index from a different graph: node counts disagree.
-  const Status s = SnapshotWriter::Write(
-      TempPath("bad.cwk"), g2, AliasArena::BuildInLink(g2), cw->index(),
-      SnapshotMetadata{});
+  const Status s = SnapshotWriter::Write(TempPath("bad.cwk"), g2, cw->index(),
+                                         SnapshotMetadata{});
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  // Arena from a different graph: in-adjacency diverges.
-  const Status s2 = SnapshotWriter::Write(
-      TempPath("bad.cwk"), g1, AliasArena::BuildInLink(g1.Reversed()),
-      cw->index(), SnapshotMetadata{});
+  // A permutation that is not a bijection.
+  SnapshotWriteOptions write_options;
+  const std::vector<NodeId> not_a_bijection(g1.num_nodes(), 0);
+  write_options.permutation = not_a_bijection;
+  const Status s2 = SnapshotWriter::Write(TempPath("bad.cwk"), g1,
+                                          cw->index(), SnapshotMetadata{},
+                                          write_options);
   ASSERT_FALSE(s2.ok());
   EXPECT_TRUE(s2.IsInvalidArgument()) << s2.ToString();
+}
+
+// --- Version 1 artifacts ---
+//
+// The fixtures were written by the CLI of the last version 1 release, one
+// command per line:
+//
+//   cloudwalker_cli generate --type=rmat --nodes=300 --edges=2400
+//       --seed=5 --out=v1.graph
+//   cloudwalker_cli index --graph=v1.graph --snapshot-out=v1_plain.cwk
+//       --walkers=10 --steps=5 --threads=1
+//   cloudwalker_cli index --graph=v1.graph
+//       --snapshot-out=v1_reordered_bfs.cwk --walkers=10 --steps=5
+//       --reorder=bfs --threads=1
+
+std::string Fixture(const std::string& name) {
+  return std::string(CLOUDWALKER_TESTDATA_DIR) + "/" + name;
+}
+
+// Every query kind through Execute, so two engines can be compared whole.
+std::vector<QueryResponse> AskAllKinds(const CloudWalker& cw) {
+  QueryOptions q;
+  q.num_walkers = 200;
+  std::vector<QueryResponse> out;
+  for (const NodeId node : {NodeId{0}, NodeId{5}, NodeId{123}, NodeId{299}}) {
+    out.push_back(cw.Execute(QueryRequest::Pair(node, 42).WithOptions(q)));
+    out.push_back(cw.Execute(QueryRequest::SingleSource(node).WithOptions(q)));
+    out.push_back(
+        cw.Execute(QueryRequest::SourceTopK(node, 10).WithOptions(q)));
+    out.push_back(cw.Execute(
+        QueryRequest::PersonalizedPageRank(node, 10).WithOptions(q)));
+    out.push_back(
+        cw.Execute(QueryRequest::Node2Vec(node, 10).WithOptions(q)));
+  }
+  QueryOptions cheap = q;
+  cheap.num_walkers = 20;
+  out.push_back(cw.Execute(QueryRequest::AllPairsTopK(3).WithOptions(cheap)));
+  return out;
+}
+
+void ExpectSameAnswers(const std::vector<QueryResponse>& a,
+                       const std::vector<QueryResponse>& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(a[i].ok() && b[i].ok()) << what << " request " << i;
+    ASSERT_EQ(a[i].kind, b[i].kind);
+    switch (a[i].kind) {
+      case QueryKind::kPair:
+        EXPECT_EQ(a[i].score(), b[i].score()) << what << " request " << i;
+        break;
+      case QueryKind::kSingleSource: {
+        const SparseVector& x = *a[i].scores();
+        const SparseVector& y = *b[i].scores();
+        ASSERT_EQ(x.size(), y.size()) << what << " request " << i;
+        for (size_t e = 0; e < x.size(); ++e) {
+          EXPECT_EQ(x[e], y[e]) << what << " request " << i;
+        }
+        break;
+      }
+      case QueryKind::kAllPairsTopK:
+        EXPECT_EQ(*a[i].all_pairs(), *b[i].all_pairs()) << what;
+        break;
+      default:
+        EXPECT_EQ(*a[i].topk(), *b[i].topk()) << what << " request " << i;
+    }
+  }
+}
+
+TEST(SnapshotV1Test, PlainFixtureAnswersLikeItsVersion2Rewrite) {
+  const std::string v1 = Fixture("v1_plain.cwk");
+  auto info = InspectSnapshot(v1);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->format_version, 1u);
+  EXPECT_TRUE(info->has_block_index);
+
+  auto mmap_v1 = CloudWalker::Open(v1);
+  ASSERT_TRUE(mmap_v1.ok()) << mmap_v1.status().ToString();
+  auto ooc_v1 = CloudWalker::OutOfCore(v1);
+  ASSERT_TRUE(ooc_v1.ok()) << ooc_v1.status().ToString();
+  EXPECT_FALSE((*ooc_v1)->ooc_backend()->paged_snapshot().all_resident());
+
+  // Rewriting the opened version 1 artifact writes version 2: the same
+  // graph and diagonal without the arena sections.
+  const std::string v2 = TempPath("v1_rewritten.cwk");
+  ASSERT_TRUE((*mmap_v1)->WriteSnapshot(v2).ok());
+  auto v2_info = InspectSnapshot(v2);
+  ASSERT_TRUE(v2_info.ok()) << v2_info.status().ToString();
+  EXPECT_EQ(v2_info->format_version, 2u);
+  for (const SnapshotSectionInfo& section : v2_info->sections) {
+    EXPECT_NE(section.id, 5u);
+    EXPECT_NE(section.id, 6u);
+  }
+  auto mmap_v2 = CloudWalker::Open(v2);
+  ASSERT_TRUE(mmap_v2.ok()) << mmap_v2.status().ToString();
+  auto ooc_v2 = CloudWalker::OutOfCore(v2);
+  ASSERT_TRUE(ooc_v2.ok()) << ooc_v2.status().ToString();
+
+  const std::vector<QueryResponse> reference = AskAllKinds(**mmap_v2);
+  ExpectSameAnswers(reference, AskAllKinds(**mmap_v1), "v1 mmap");
+  ExpectSameAnswers(reference, AskAllKinds(**ooc_v1), "v1 out-of-core");
+  ExpectSameAnswers(reference, AskAllKinds(**ooc_v2), "v2 out-of-core");
+  std::remove(v2.c_str());
+}
+
+TEST(SnapshotV1Test, ArenaSectionsKeepTheirChecksum) {
+  // Version 1's arena sections are ignored, but a flipped byte in one
+  // still fails the mmap open.
+  const std::string original = ReadFile(Fixture("v1_plain.cwk"));
+  auto info = InspectSnapshot(Fixture("v1_plain.cwk"));
+  ASSERT_TRUE(info.ok());
+  const std::string mutant = TempPath("v1_arena_flip.cwk");
+  for (const SnapshotSectionInfo& section : info->sections) {
+    if (section.id != 5 && section.id != 6) continue;
+    std::string bad = original;
+    const size_t off = section.offset + section.length / 2;
+    bad[off] = static_cast<char>(bad[off] ^ 0x40);
+    WriteFile(mutant, bad);
+    auto r = CloudWalker::Open(mutant);
+    ASSERT_FALSE(r.ok()) << section.name;
+    EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
+  }
+  std::remove(mutant.c_str());
+}
+
+TEST(SnapshotV1Test, ReorderedFixtureIsRefused) {
+  // Its in-rows are in internal-id order, which walks on the in-CSR alone
+  // cannot use: both open paths refuse it and say how to rebuild.
+  const std::string v1 = Fixture("v1_reordered_bfs.cwk");
+  auto mmap_open = CloudWalker::Open(v1);
+  ASSERT_FALSE(mmap_open.ok());
+  EXPECT_TRUE(mmap_open.status().IsFailedPrecondition())
+      << mmap_open.status().ToString();
+  EXPECT_NE(mmap_open.status().message().find("index --reorder"),
+            std::string::npos)
+      << mmap_open.status().ToString();
+  auto ooc_open = CloudWalker::OutOfCore(v1);
+  ASSERT_FALSE(ooc_open.ok());
+  EXPECT_TRUE(ooc_open.status().IsFailedPrecondition())
+      << ooc_open.status().ToString();
 }
 
 }  // namespace

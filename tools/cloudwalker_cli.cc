@@ -17,10 +17,9 @@
 //        --ppr-frac=0.1 --n2v-frac=0.1]
 //       [--deadline-ms=50] [--max-queue=4096]
 //
-// The query commands take either a --snapshot=PATH (a cloudwalker-snap-v1
+// The query commands take either a --snapshot=PATH (a cloudwalker-snap
 // artifact written by `index --snapshot-out`, mmap-opened in milliseconds)
-// or the legacy --graph=PATH --index=PATH pair (graph reload + arena
-// rebuild at startup). `serve --reload-on=sighup` re-opens the snapshot
+// or the legacy --graph=PATH --index=PATH pair (graph reload at startup). `serve --reload-on=sighup` re-opens the snapshot
 // and hot-swaps it into the running service when the process receives
 // SIGHUP — the operator's zero-downtime reload.
 //

@@ -4,8 +4,8 @@
 //   cloudwalker_shard_worker --snapshot=web.cwk [--listen=7001]
 //       [--port-file=PATH] [--verbose]
 //
-// The worker mmaps the snapshot's in-CSR + alias arena (partition-aware
-// open; the out-CSR and diagonal are never touched), listens for a
+// The worker mmaps the snapshot's in-CSR (partition-aware open; the
+// out-CSR and diagonal are never touched), listens for a
 // coordinator, and advances walker batches one level per superstep frame.
 // Its shard assignment arrives in the handshake, so the same binary with
 // the same flags serves any shard of any plan over that snapshot.
