@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 
 namespace cloudwalker {
 
@@ -212,13 +213,18 @@ void SparseAccumulator::Rehash(size_t new_capacity) {
 SparseVector SparseAccumulator::ToSortedVector() const {
   std::vector<SparseEntry> entries;
   entries.reserve(size_);
-  ForEach([&entries](uint32_t k, double v) {
+  uint32_t max_key = 0;
+  ForEach([&entries, &max_key](uint32_t k, double v) {
     entries.push_back(SparseEntry{k, v});
+    max_key = std::max(max_key, k);
   });
-  std::sort(entries.begin(), entries.end(),
-            [](const SparseEntry& a, const SparseEntry& b) {
-              return a.index < b.index;
-            });
+  // Keys are distinct, so the sorted order is unique.
+  const auto by_index = [](const SparseEntry& e) { return e.index; };
+  const uint32_t n = static_cast<uint32_t>(entries.size());
+  const uint32_t bits = KeyBits(max_key);
+  std::vector<SparseEntry> tmp;
+  const SparseEntry* sorted = SortByKey(entries.data(), n, bits, tmp, by_index);
+  if (sorted != entries.data()) entries.swap(tmp);
   return SparseVector::FromSorted(std::move(entries));
 }
 

@@ -29,27 +29,70 @@ bool Stopped(const CancelToken* cancel) {
   return cancel != nullptr && cancel->ShouldStop();
 }
 
+// Draws a sampled push step keeps in flight, so that the out-target and
+// in-offset misses of a whole batch overlap.
+constexpr uint32_t kPushBatch = 64;
+
 /// One sampled forward-push step: an unbiased one-sample estimate of
 /// z' = P^T z. Mass at node k moves to `fanout` sampled out-neighbors v,
-/// reweighted by |Out(k)| / (fanout * |In(v)|).
+/// reweighted by |Out(k)| / (fanout * |In(v)|). Runs as the walk
+/// kernel's three-pass prefetch pipeline over batches of kPushBatch
+/// draws (DESIGN.md section 5.1): draw the out-edge slots and prefetch
+/// their targets; read the targets and prefetch their in-offsets; add.
+/// The draws and each node's additions keep the one-at-a-time order, so
+/// the result does not depend on the batching.
 void SampledPushStep(const Graph& graph, const SparseVector& z,
                      uint32_t fanout, Xoshiro256& rng, SparseAccumulator& out,
                      QueryStats* stats, const NodeOwnerFn* owner) {
   out.Clear();
-  for (const SparseEntry& e : z) {
-    const NodeId k = e.index;
-    const uint32_t out_deg = graph.OutDegree(k);
-    if (out_deg == 0) continue;  // k is in nobody's in-neighborhood
-    const double scale =
-        e.value * static_cast<double>(out_deg) / static_cast<double>(fanout);
-    for (uint32_t f = 0; f < fanout; ++f) {
-      const NodeId v = graph.OutNeighbor(k, rng.UniformInt32(out_deg));
-      const uint32_t in_deg = graph.InDegree(v);
+  const uint64_t* const out_offsets = graph.OutOffsets().data();
+  const NodeId* const out_targets = graph.OutTargets().data();
+  const uint64_t* const in_offsets = graph.InOffsets().data();
+  uint64_t slot[kPushBatch];
+  double scale[kPushBatch];
+  NodeId from[kPushBatch];
+  NodeId to[kPushBatch];
+  size_t i = 0;    // next entry of z to draw for
+  uint32_t f = 0;  // draws already made for entry i
+  while (i < z.size()) {
+    // Pass 1: draw in entry order; a batch may end inside an entry.
+    uint32_t n = 0;
+    while (n < kPushBatch && i < z.size()) {
+      const NodeId k = z[i].index;
+      const uint64_t row = out_offsets[k];
+      const uint32_t out_deg = static_cast<uint32_t>(out_offsets[k + 1] - row);
+      if (out_deg == 0) {  // k is in nobody's in-neighborhood
+        ++i;
+        continue;
+      }
+      const double s = z[i].value * static_cast<double>(out_deg) /
+                       static_cast<double>(fanout);
+      for (; f < fanout && n < kPushBatch; ++f, ++n) {
+        slot[n] = row + rng.UniformInt32(out_deg);
+        PrefetchRead(out_targets + slot[n]);
+        scale[n] = s;
+        from[n] = k;
+      }
+      if (f == fanout) {
+        f = 0;
+        ++i;
+      }
+    }
+    // Pass 2: read the targets, prefetch their in-offsets.
+    for (uint32_t j = 0; j < n; ++j) {
+      to[j] = out_targets[slot[j]];
+      PrefetchRead(in_offsets + to[j]);
+    }
+    // Pass 3: add, in draw order.
+    for (uint32_t j = 0; j < n; ++j) {
+      const NodeId v = to[j];
+      const uint32_t in_deg =
+          static_cast<uint32_t>(in_offsets[v + 1] - in_offsets[v]);
       CW_DCHECK(in_deg > 0);  // v has at least the edge k -> v
-      out.Add(v, scale / static_cast<double>(in_deg));
+      out.Add(v, scale[j] / static_cast<double>(in_deg));
       if (stats != nullptr) {
         ++stats->push_ops;
-        if (owner != nullptr && (*owner)(k) != (*owner)(v)) {
+        if (owner != nullptr && (*owner)(from[j]) != (*owner)(v)) {
           ++stats->push_crossings;
         }
       }
@@ -187,6 +230,9 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
       if (v != 0.0) z_entries.push_back(SparseEntry{e.index, v});
     }
     SparseVector z = SparseVector::FromSorted(std::move(z_entries));
+    if (t == 0) {
+      for (const SparseEntry& e : z) result.Add(e.index, e.value);
+    }
     for (size_t step = 0; step < t && !z.empty(); ++step) {
       SparseAccumulator& out = (step % 2 == 0) ? ping : pong;
       if (options.push == PushStrategy::kSampled) {
@@ -195,9 +241,15 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
       } else {
         ExactPushStep(graph, z, options.prune_threshold, out, stats, owner);
       }
-      z = out.ToSortedVector();
+      if (step + 1 < t) {
+        z = out.ToSortedVector();
+      } else {
+        // The level's last push adds straight into the result: a node
+        // occurs once per level, so its sum over levels still adds up
+        // in level order.
+        out.ForEach([&result](uint32_t k, double v) { result.Add(k, v); });
+      }
     }
-    for (const SparseEntry& e : z) result.Add(e.index, e.value);
     ct *= index.params().decay;
   }
 

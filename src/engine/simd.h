@@ -38,7 +38,7 @@ const char* ActiveLevel();
 /// Run-length encodes the *sorted* array data[0, n) into entries:
 /// one SparseEntry{id, multiplicity * inv_r} per distinct id, ascending.
 /// Appends to `entries` (callers reserve). This is the aggregation loop
-/// of WalkKernel::DrainLevel and AggregateEndpointNodes.
+/// of AggregateEndpointNodes.
 void AggregateSortedRuns(const NodeId* data, uint32_t n, double inv_r,
                          std::vector<SparseEntry>* entries);
 void AggregateSortedRunsScalar(const NodeId* data, uint32_t n, double inv_r,

@@ -64,10 +64,11 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "common/random.h"
 #include "common/sparse.h"
-#include "engine/simd.h"
 #include "engine/walk.h"
+#include "engine/walk_program.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -75,68 +76,9 @@ namespace cloudwalker {
 /// The engine's internal implementation (friend of WalkScratch). Results
 /// depend only on (graph, source, config, program).
 struct WalkKernel {
-  // 11-bit digits: one counting pass covers 2048 ids, two cover 4.2M-node
-  // graphs, three cover the full 32-bit id space. The counter array stays
-  // L1 resident (8 KB).
-  static constexpr uint32_t kRadixBits = 11;
-  static constexpr uint32_t kRadixBuckets = 1u << kRadixBits;
-
-  // Below this many endpoints a comparison sort beats zeroing the radix
-  // counters.
-  static constexpr uint32_t kSmallSortCutoff = 64;
-
-  /// LSD radix sort of a[0, n); returns a pointer to the sorted data,
-  /// which lives in either `a` or `tmp`. `id_bits` bounds the ids.
-  static NodeId* RadixSort(NodeId* a, NodeId* tmp, uint32_t n,
-                           uint32_t id_bits) {
-    uint32_t counts[kRadixBuckets];
-    NodeId* in = a;
-    NodeId* out = tmp;
-    for (uint32_t shift = 0; shift < id_bits; shift += kRadixBits) {
-      std::fill(counts, counts + kRadixBuckets, 0u);
-      for (uint32_t i = 0; i < n; ++i) {
-        ++counts[(in[i] >> shift) & (kRadixBuckets - 1)];
-      }
-      uint32_t running = 0;
-      for (uint32_t b = 0; b < kRadixBuckets; ++b) {
-        const uint32_t c = counts[b];
-        counts[b] = running;
-        running += c;
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        out[counts[(in[i] >> shift) & (kRadixBuckets - 1)]++] = in[i];
-      }
-      std::swap(in, out);
-    }
-    return in;
-  }
-
-  /// Sorts the level's `n_live` endpoints and run-length encodes them into
-  /// the level distribution: value(id) = multiplicity * inv_r. Identical
-  /// counts for every walker order, so the result is independent of batch
-  /// width and pass structure.
-  static SparseVector DrainLevel(WalkScratch& s, uint32_t n_live,
-                                 double inv_r, uint32_t id_bits) {
-    if (n_live == 0) return SparseVector();
-    NodeId* data = s.endpoints_.data();
-    if (n_live < kSmallSortCutoff) {
-      std::sort(data, data + n_live);
-    } else {
-      data = RadixSort(data, s.sort_buffer_.data(), n_live, id_bits);
-    }
-    std::vector<SparseEntry> entries;
-    entries.reserve(std::min<uint32_t>(n_live, 256));
-    simd::AggregateSortedRuns(data, n_live, inv_r, &entries);
-    return SparseVector::FromSorted(std::move(entries));
-  }
-
   /// Bits needed to represent every node id of `graph`.
   static uint32_t IdBits(const Graph& graph) {
-    uint32_t id_bits = 1;
-    while ((static_cast<uint64_t>(graph.num_nodes()) - 1) >> id_bits) {
-      ++id_bits;
-    }
-    return id_bits;
+    return KeyBits(graph.num_nodes() == 0 ? 0 : graph.num_nodes() - 1);
   }
 
   /// Runs `program` over config.num_walkers walkers from `source`. The
@@ -163,7 +105,6 @@ struct WalkKernel {
     s.positions_.assign(r, source);
     if constexpr (Program::kEmitsLevels) {
       s.endpoints_.resize(r);
-      s.sort_buffer_.resize(r);
     }
     if constexpr (Program::kSecondOrder) {
       s.previous_.assign(r, kInvalidNode);
@@ -302,7 +243,9 @@ struct WalkKernel {
           // after the cross-range merge.
           program.EmitRawLevel(t, endpoints, n_live);
         } else {
-          program.EmitLevel(t, DrainLevel(s, n_live, inv_r, id_bits));
+          SparseVector level = AggregateEndpointNodes(
+              endpoints, n_live, s.sort_buffer_, inv_r, id_bits);
+          program.EmitLevel(t, std::move(level));
         }
       }
     }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "common/random.h"
 #include "engine/simd.h"
 #include "engine/walk_kernel.h"
@@ -11,22 +12,22 @@
 
 namespace cloudwalker {
 
-SparseVector AggregateEndpointNodes(std::vector<NodeId>& nodes, double inv_r,
+SparseVector AggregateEndpointNodes(NodeId* data, uint32_t n,
+                                    std::vector<NodeId>& tmp, double inv_r,
                                     uint32_t id_bits) {
-  if (nodes.empty()) return SparseVector();
-  const uint32_t n = static_cast<uint32_t>(nodes.size());
-  NodeId* data = nodes.data();
-  std::vector<NodeId> tmp;
-  if (n < WalkKernel::kSmallSortCutoff) {
-    std::sort(data, data + n);
-  } else {
-    tmp.resize(n);
-    data = WalkKernel::RadixSort(data, tmp.data(), n, id_bits);
-  }
+  if (n == 0) return SparseVector();
+  data = SortByKey(data, n, id_bits, tmp, [](NodeId v) { return v; });
   std::vector<SparseEntry> entries;
   entries.reserve(std::min<uint32_t>(n, 256));
   simd::AggregateSortedRuns(data, n, inv_r, &entries);
   return SparseVector::FromSorted(std::move(entries));
+}
+
+SparseVector AggregateEndpointNodes(std::vector<NodeId>& nodes, double inv_r,
+                                    uint32_t id_bits) {
+  const uint32_t n = static_cast<uint32_t>(nodes.size());
+  std::vector<NodeId> tmp;
+  return AggregateEndpointNodes(nodes.data(), n, tmp, inv_r, id_bits);
 }
 
 SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,

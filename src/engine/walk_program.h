@@ -51,13 +51,18 @@ inline double DrawToUnit(uint64_t raw) {
 }
 
 /// Sorts a bag of endpoint nodes and run-length encodes it into the
-/// empirical distribution value(id) = multiplicity * inv_r — the same
-/// aggregation the kernel's DrainLevel applies per level. Order
-/// independent: any permutation of `nodes` (it is sorted in place)
-/// produces the bit-identical SparseVector, which is what lets a sharded
-/// backend concatenate per-shard endpoint lists and still match the
-/// single-node kernel exactly. `id_bits` bounds the ids (radix digits).
+/// empirical distribution value(id) = multiplicity * inv_r — the
+/// aggregation the kernel applies to every level. Order independent: any
+/// permutation of `nodes` (it is sorted in place) produces the
+/// bit-identical SparseVector, which is what lets a sharded backend
+/// concatenate per-shard endpoint lists and still match the single-node
+/// kernel exactly. `id_bits` bounds the ids (radix digits).
 SparseVector AggregateEndpointNodes(std::vector<NodeId>& nodes, double inv_r,
+                                    uint32_t id_bits);
+/// The same over data[0, n), sorting through the caller's `tmp` (grown to
+/// n when needed) — the kernel's per-level drain over its scratch.
+SparseVector AggregateEndpointNodes(NodeId* data, uint32_t n,
+                                    std::vector<NodeId>& tmp, double inv_r,
                                     uint32_t id_bits);
 
 /// Personalized PageRank parameters.

@@ -197,6 +197,17 @@ inline void AppendPod(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
 }
 
+// Copies `count` Ts from `p` into `out` and returns the position after
+// them. An empty vector's data() may be null, which memcpy must never
+// see, so a zero count copies nothing.
+template <typename T>
+const char* ReadArray(const char* p, uint32_t count, std::vector<T>* out) {
+  const size_t bytes = size_t{count} * sizeof(T);
+  out->resize(count);
+  if (bytes != 0) std::memcpy(out->data(), p, bytes);
+  return p + bytes;
+}
+
 inline std::string EncodeHello(const HelloMsg& msg,
                                std::string_view build_info) {
   std::string out;
@@ -240,9 +251,7 @@ inline Status DecodeSuperstep(std::string_view payload, SuperstepMsg* msg,
         "net: Superstep payload is " + std::to_string(payload.size()) +
         " bytes but walker_count implies " + std::to_string(want));
   }
-  walkers->resize(msg->walker_count);
-  std::memcpy(walkers->data(), payload.data() + sizeof(SuperstepMsg),
-              size_t{msg->walker_count} * sizeof(WalkerRec));
+  ReadArray(payload.data() + sizeof(SuperstepMsg), msg->walker_count, walkers);
   return Status::Ok();
 }
 
@@ -281,17 +290,9 @@ inline Status DecodeResult(std::string_view payload, ResultMsg* msg,
         " bytes but the counts imply " + std::to_string(want));
   }
   const char* p = payload.data() + sizeof(ResultMsg);
-  survivors->resize(msg->survivor_count);
-  std::memcpy(survivors->data(), p,
-              size_t{msg->survivor_count} * sizeof(WalkerRec));
-  p += size_t{msg->survivor_count} * sizeof(WalkerRec);
-  endpoints->resize(msg->endpoint_count);
-  std::memcpy(endpoints->data(), p,
-              size_t{msg->endpoint_count} * sizeof(NodeId));
-  p += size_t{msg->endpoint_count} * sizeof(NodeId);
-  terminals->resize(msg->terminal_count);
-  std::memcpy(terminals->data(), p,
-              size_t{msg->terminal_count} * sizeof(NodeId));
+  p = ReadArray(p, msg->survivor_count, survivors);
+  p = ReadArray(p, msg->endpoint_count, endpoints);
+  ReadArray(p, msg->terminal_count, terminals);
   return Status::Ok();
 }
 

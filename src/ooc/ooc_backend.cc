@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/radix_sort.h"
 #include "shard/walk_policies.h"
 
 namespace cloudwalker {
@@ -38,14 +39,6 @@ struct LeasedRows {
 // here, once, instead of inside each policy.
 NodeId KeyNode(const WalkConfig& config, NodeId source) {
   return config.rng_node != kInvalidNode ? config.rng_node : source;
-}
-
-uint32_t IdBitsFor(NodeId n) {
-  uint32_t id_bits = 1;
-  if (n > 0) {
-    while (((static_cast<uint64_t>(n) - 1) >> id_bits) != 0) ++id_bits;
-  }
-  return id_bits;
 }
 
 // Drains one walker bucket against `rows`, applying the bookkeeping the
@@ -91,7 +84,8 @@ Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
                SparseVector* ppr_out) {
   const uint32_t r = config.num_walkers;
   const double inv_r = 1.0 / static_cast<double>(r);
-  const uint32_t id_bits = IdBitsFor(snap.num_nodes());
+  const uint32_t id_bits =
+      KeyBits(snap.num_nodes() == 0 ? 0 : snap.num_nodes() - 1);
   const bool self_loop = config.dangling == DanglingPolicy::kSelfLoop;
   const std::span<const BlockExtent> blocks = snap.blocks();
   const uint64_t* const offsets = snap.in_offsets().data();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -168,6 +170,69 @@ TEST(SparseAccumulatorTest, ToSortedVectorIsSortedAndComplete) {
   for (const SparseEntry& e : v) {
     EXPECT_DOUBLE_EQ(e.value, dense[e.index]);
   }
+}
+
+// Adds `n` distinct keys in [0, max_key] with random values; max_key itself
+// is always one of them, so the drain needs every radix digit it implies.
+void FillDistinct(SparseAccumulator& acc, uint32_t n, uint32_t max_key,
+                  Xoshiro256& rng) {
+  if (n == 0) return;
+  acc.Add(max_key, rng.NextDouble());
+  while (acc.size() < n) {
+    acc.Add(static_cast<uint32_t>(rng.UniformInt(uint64_t{max_key} + 1)),
+            rng.NextDouble());
+  }
+}
+
+// ToSortedVector must return exactly what std::sort makes of the same
+// entries: same order, same value bits.
+void ExpectDrainMatchesStdSort(const SparseAccumulator& acc) {
+  std::vector<SparseEntry> want;
+  acc.ForEach([&want](uint32_t k, double v) {
+    want.push_back(SparseEntry{k, v});
+  });
+  std::sort(want.begin(), want.end(),
+            [](const SparseEntry& a, const SparseEntry& b) {
+              return a.index < b.index;
+            });
+  const SparseVector got = acc.ToSortedVector();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "entry " << i;
+  }
+}
+
+TEST(SparseAccumulatorTest, ToSortedVectorMatchesStdSort) {
+  Xoshiro256 rng(29);
+  // One, two and three radix digits; 0xffffffff is the reserved key.
+  for (const uint32_t max_key : {2047u, 200000u, 0xfffffffeu}) {
+    for (const uint32_t n : {0u, 1u, 63u, 64u, 65u, 5000u}) {
+      if (n > uint64_t{max_key} + 1) continue;
+      SCOPED_TRACE(testing::Message() << "max_key " << max_key << " n " << n);
+      SparseAccumulator acc(n);
+      FillDistinct(acc, n, max_key, rng);
+      ASSERT_EQ(acc.size(), n);
+      ExpectDrainMatchesStdSort(acc);
+    }
+  }
+}
+
+TEST(SparseAccumulatorTest, ToSortedVectorMatchesStdSortAfterClear) {
+  Xoshiro256 rng(31);
+  SparseAccumulator acc(5000);
+  FillDistinct(acc, 5000, 0xfffffffeu, rng);
+  ExpectDrainMatchesStdSort(acc);
+  acc.Clear();
+  FillDistinct(acc, 65, 4095, rng);
+  ASSERT_EQ(acc.size(), 65u);
+  ExpectDrainMatchesStdSort(acc);
+}
+
+TEST(SparseAccumulatorTest, ToSortedVectorMatchesStdSortAfterRehash) {
+  Xoshiro256 rng(37);
+  SparseAccumulator acc(2);  // 16 slots: 5000 keys rehash nine times
+  FillDistinct(acc, 5000, 0xfffffffeu, rng);
+  ExpectDrainMatchesStdSort(acc);
 }
 
 TEST(SparseAccumulatorTest, ForEachVisitsEveryEntryOnce) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -380,6 +381,81 @@ TEST(TopKTest, MatchesAFullSortOnTiedScoresAndKeepsNoSlack) {
           << "trial " << trial << " k " << k;
     }
   }
+}
+
+// FNV-1a over the index and value bits of `v`, chained onto `h`.
+uint64_t HashSparse(const SparseVector& v, uint64_t h = 0xcbf29ce484222325ull) {
+  const auto mix = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const SparseEntry& e : v) {
+    mix(&e.index, sizeof(e.index));
+    mix(&e.value, sizeof(e.value));
+  }
+  return h;
+}
+
+// Pins the single-source (MCSS), node2vec and index-row answers bit for
+// bit on a fixed R-MAT graph. A change to any draw, to the order of the
+// draws, or to the order in which one node's contributions are summed
+// moves these hashes; a pure speedup of the push or of the drains must
+// not. Fanout 3 puts push-batch boundaries inside one entry's draws. The
+// constants assume IEEE-754 doubles without FMA contraction, as on x86-64.
+TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden constants are recorded for x86-64";
+#endif
+  const Graph g = GenerateRmat(3000, 24000, /*seed=*/21);
+  IndexingOptions io;
+  io.num_walkers = 100;
+  io.jacobi_iterations = 3;
+  io.seed = 5;
+  auto idx = BuildDiagonalIndex(g, io, /*pool=*/nullptr);
+  ASSERT_TRUE(idx.ok());
+
+  const NodeOwnerFn owner = [](NodeId v) { return static_cast<int>(v % 3); };
+  const NodeId sources[] = {0, 1, 7, 42, 199, 1024, 2047, 2999};
+  struct Expected {
+    uint32_t fanout;
+    uint64_t hash;
+    uint64_t push_ops;
+    uint64_t push_crossings;
+  };
+  const Expected expected[] = {
+      {1, 0x7ccb16ec82777a46ull, 69516, 46745},
+      {3, 0x57f20cbbdff2116bull, 567945, 381023},
+  };
+  for (const Expected& want : expected) {
+    QueryOptions q;
+    q.num_walkers = 1000;
+    q.seed = 11;
+    q.push_fanout = want.fanout;
+    uint64_t h = 0xcbf29ce484222325ull;
+    QueryStats stats;
+    for (const NodeId s : sources) {
+      h = HashSparse(SingleSourceQuery(g, *idx, s, q, &stats, &owner), h);
+    }
+    EXPECT_EQ(h, want.hash) << "fanout " << want.fanout;
+    EXPECT_EQ(stats.push_ops, want.push_ops) << "fanout " << want.fanout;
+    EXPECT_EQ(stats.push_crossings, want.push_crossings)
+        << "fanout " << want.fanout;
+  }
+
+  QueryOptions n2v;
+  n2v.num_walkers = 500;
+  n2v.seed = 13;
+  n2v.n2v_return_p = 0.5;
+  n2v.n2v_in_out_q = 2.0;
+  EXPECT_EQ(HashSparse(Node2VecVisitQuery(g, *idx, 42, n2v)),
+            0xa8c0f9a066e6422full);
+
+  const IndexRows rows = BuildIndexRows(g, io, /*pool=*/nullptr);
+  ASSERT_EQ(rows.rows.size(), g.num_nodes());
+  EXPECT_EQ(HashSparse(rows.rows[42]), 0x8b680ff79267caf4ull);
 }
 
 TEST(AllPairsTest, ReturnsTopKPerSource) {

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -50,8 +51,13 @@ class WorkerProcess {
     const std::string listen = "--listen=" + std::to_string(port);
     const std::string snap = "--snapshot=" + snapshot;
     const std::string pfile = "--port-file=" + port_file;
+    const pid_t parent = getpid();
     pid_ = fork();
     if (pid_ == 0) {
+      // Die with the test: an orphaned worker would hold ctest's output
+      // pipe open after a failed assertion aborts the suite.
+      prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (getppid() != parent) _exit(1);
       // Quiet the child's stderr so test logs stay readable.
       std::freopen("/dev/null", "w", stderr);
       execl(binary.c_str(), binary.c_str(), snap.c_str(), listen.c_str(),

@@ -169,6 +169,36 @@ TEST(WireFormatTest, ResultGoldenRoundTrip) {
   EXPECT_TRUE(bad.IsInternal());
 }
 
+TEST(WireFormatTest, EmptyArraysRoundTrip) {
+  // Zero counts decode into empty vectors whose data() may be null; the
+  // decoders must not hand that pointer to memcpy.
+  SuperstepMsg step;
+  step.step = 3;
+  const std::string step_payload = EncodeSuperstep(step, {});
+  ASSERT_EQ(step_payload.size(), sizeof(SuperstepMsg));
+  SuperstepMsg step_back;
+  std::vector<WalkerRec> walkers_back;
+  ASSERT_TRUE(DecodeSuperstep(step_payload, &step_back, &walkers_back).ok());
+  EXPECT_EQ(step_back.step, 3u);
+  EXPECT_EQ(step_back.walker_count, 0u);
+  EXPECT_TRUE(walkers_back.empty());
+
+  ResultMsg result;
+  result.steps = 9;
+  const std::string result_payload = EncodeResult(result, {}, {}, {});
+  ASSERT_EQ(result_payload.size(), sizeof(ResultMsg));
+  ResultMsg result_back;
+  std::vector<WalkerRec> survivors_back;
+  std::vector<NodeId> endpoints_back, terminals_back;
+  ASSERT_TRUE(DecodeResult(result_payload, &result_back, &survivors_back,
+                           &endpoints_back, &terminals_back)
+                  .ok());
+  EXPECT_EQ(result_back.steps, 9u);
+  EXPECT_TRUE(survivors_back.empty());
+  EXPECT_TRUE(endpoints_back.empty());
+  EXPECT_TRUE(terminals_back.empty());
+}
+
 TEST(WireFormatTest, ErrorStatusRoundTrip) {
   const Status original = Status::FailedPrecondition("fingerprint mismatch");
   const Status back = DecodeErrorStatus(EncodeErrorStatus(original));
