@@ -2,37 +2,17 @@
 
 #include <algorithm>
 #include <thread>
-#include <utility>
 
-#include "common/logging.h"
 #include "engine/walk_kernel.h"
-#include "engine/walk_programs_internal.h"
+#include "engine/walk_step.h"
 
 namespace cloudwalker {
 namespace {
 
-// Range programs: the ordinary walk programs, except levels leave as raw
-// endpoint lists (the kernel's EmitRawLevel trait) so the executor can
-// merge multisets across ranges and aggregate once. The inherited Begin
-// tolerates out == nullptr for exactly this use.
-struct RawSimRankProgram : internal::SimRankEndpointsProgram {
-  std::vector<std::vector<NodeId>>* raw = nullptr;  // [t] -> endpoints
-  void EmitRawLevel(uint32_t t, const NodeId* data, uint32_t n) {
-    (*raw)[t].assign(data, data + n);
-  }
-};
-
-struct RawNode2VecProgram : internal::Node2VecProgram {
-  std::vector<std::vector<NodeId>>* raw = nullptr;  // [t] -> endpoints
-  void EmitRawLevel(uint32_t t, const NodeId* data, uint32_t n) {
-    (*raw)[t].assign(data, data + n);
-  }
-};
-
 // Per-range result block, padded so neighboring ranges' stats counters
 // never share a cache line with another worker's writes.
 struct alignas(kCacheLineBytes) RangeResult {
-  std::vector<std::vector<NodeId>> raw;  // [t] -> endpoints (level programs)
+  std::vector<std::vector<NodeId>> raw;  // [t] -> endpoints (level policies)
   std::vector<NodeId> terminals;         // retired walkers (PPR)
   WalkStats stats;
 };
@@ -47,15 +27,6 @@ void WarmRow(const Graph& graph, NodeId source) {
   const size_t targets = std::min<size_t>(row.size(), 64);
   // 16 targets per cache line.
   for (size_t k = 0; k < targets; k += 16) PrefetchRead(&row[k]);
-}
-
-void AccumulateStats(const std::vector<RangeResult>& results,
-                     WalkStats* stats) {
-  if (stats == nullptr) return;
-  for (const RangeResult& res : results) {
-    stats->steps += res.stats.steps;
-    stats->partition_crossings += res.stats.partition_crossings;
-  }
 }
 
 }  // namespace
@@ -113,30 +84,36 @@ ParallelWalkExecutor::SplitWalkers(uint32_t num_walkers) const {
   return ranges;
 }
 
-WalkDistributions ParallelWalkExecutor::SimRankLevels(
-    NodeId source, const WalkConfig& config, WalkStats* stats) const {
+template <typename Policy>
+void ParallelWalkExecutor::RunRanges(NodeId source, const WalkConfig& config,
+                                     const Policy& policy, WalkStats* stats,
+                                     std::vector<SparseVector>* levels,
+                                     std::vector<NodeId>* terminals) const {
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    return SimulateWalkDistributions(*graph_, source, config,
-                                     /*scratch=*/nullptr, /*owner=*/nullptr,
-                                     stats);
+    WalkKernel::Run(*graph_, source, config, policy, 0, config.num_walkers,
+                    /*scratch=*/nullptr, /*owner=*/nullptr, stats,
+                    WalkOutput{.levels = levels, .terminals = terminals});
+    return;
   }
+  // Each range walks its own global walker ids, so its draws are the ones
+  // the single-thread run makes; levels leave as raw endpoint lists.
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
       [&](uint64_t begin, uint64_t end) {
         for (uint64_t i = begin; i < end; ++i) {
           RangeResult& res = results[i];
-          res.raw.assign(config.num_steps + 1, {});
-          WalkConfig sub = config;
-          sub.num_walkers = ranges[i].end - ranges[i].begin;
-          RawSimRankProgram program;
-          program.walker_offset = ranges[i].begin;
-          program.raw = &res.raw;
+          WalkOutput out{.terminals = &res.terminals};
+          if constexpr (Policy::kEmitsLevels) {
+            res.raw.assign(config.num_steps + 1, {});
+            out.raw_levels = &res.raw;
+          }
           WalkWorkerState state;
           WarmRow(*graph_, source);
-          WalkKernel::Run(*graph_, source, sub, &state.scratch,
-                          /*owner=*/nullptr, &res.stats, program);
+          WalkKernel::Run(*graph_, source, config, policy, ranges[i].begin,
+                          ranges[i].end - ranges[i].begin, &state.scratch,
+                          /*owner=*/nullptr, &res.stats, out);
         }
       });
 
@@ -144,20 +121,36 @@ WalkDistributions ParallelWalkExecutor::SimRankLevels(
   // exact multiset the single-thread kernel drains per level, and the
   // shared sort-and-RLE aggregation is order independent — so the level
   // vectors are bit-identical at every thread count.
-  WalkDistributions out;
-  out.levels.assign(config.num_steps + 1, SparseVector());
-  out.levels[0] = SparseVector::FromSorted({SparseEntry{source, 1.0}});
-  const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  std::vector<NodeId> merged;
-  merged.reserve(config.num_walkers);
-  for (uint32_t t = 1; t <= config.num_steps; ++t) {
-    merged.clear();
-    for (const RangeResult& res : results) {
-      merged.insert(merged.end(), res.raw[t].begin(), res.raw[t].end());
+  if constexpr (Policy::kEmitsLevels) {
+    const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
+    std::vector<NodeId> merged;
+    merged.reserve(config.num_walkers);
+    for (uint32_t t = 1; t <= config.num_steps; ++t) {
+      merged.clear();
+      for (const RangeResult& res : results) {
+        merged.insert(merged.end(), res.raw[t].begin(), res.raw[t].end());
+      }
+      (*levels)[t] = AggregateEndpointNodes(merged, inv_r, id_bits_);
     }
-    out.levels[t] = AggregateEndpointNodes(merged, inv_r, id_bits_);
+  } else {
+    for (const RangeResult& res : results) {
+      terminals->insert(terminals->end(), res.terminals.begin(),
+                        res.terminals.end());
+    }
   }
-  AccumulateStats(results, stats);
+  if (stats != nullptr) {
+    for (const RangeResult& res : results) {
+      stats->steps += res.stats.steps;
+      stats->partition_crossings += res.stats.partition_crossings;
+    }
+  }
+}
+
+WalkDistributions ParallelWalkExecutor::SimRankLevels(
+    NodeId source, const WalkConfig& config, WalkStats* stats) const {
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  RunRanges(source, config, SimRankPolicy(config, source), stats,
+            &out.levels, /*terminals=*/nullptr);
   return out;
 }
 
@@ -165,90 +158,24 @@ SparseVector ParallelWalkExecutor::PprEndpoints(NodeId source,
                                                 const WalkConfig& config,
                                                 const PprParams& params,
                                                 WalkStats* stats) const {
-  CW_CHECK_GT(params.alpha, 0.0);
-  CW_CHECK_LT(params.alpha, 1.0);
-  const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
-  if (ranges.size() <= 1) {
-    return SimulatePprEndpoints(*graph_, source, config, params,
-                                /*scratch=*/nullptr, /*owner=*/nullptr,
-                                stats);
-  }
-  std::vector<RangeResult> results(ranges.size());
-  ParallelFor(
-      pool_.get(), 0, ranges.size(), /*grain=*/1,
-      [&](uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; ++i) {
-          RangeResult& res = results[i];
-          WalkConfig sub = config;
-          sub.num_walkers = ranges[i].end - ranges[i].begin;
-          internal::PprEndpointsProgram program;
-          program.alpha = params.alpha;
-          program.walker_offset = ranges[i].begin;
-          WalkWorkerState state;
-          WarmRow(*graph_, source);
-          WalkKernel::Run(*graph_, source, sub, &state.scratch,
-                          /*owner=*/nullptr, &res.stats, program);
-          res.terminals = std::move(program.terminals);
-        }
-      });
-
-  std::vector<NodeId> merged;
-  merged.reserve(config.num_walkers);
-  for (const RangeResult& res : results) {
-    merged.insert(merged.end(), res.terminals.begin(), res.terminals.end());
-  }
-  AccumulateStats(results, stats);
+  std::vector<NodeId> terminals;
+  terminals.reserve(config.num_walkers);
+  RunRanges(source, config, PprPolicy(config, source, params), stats,
+            /*levels=*/nullptr, &terminals);
   const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  return AggregateEndpointNodes(merged, inv_r, id_bits_);
+  return AggregateEndpointNodes(terminals, inv_r, id_bits_);
 }
 
 WalkDistributions ParallelWalkExecutor::Node2VecLevels(
     NodeId source, const WalkConfig& config, const Node2VecParams& params,
     WalkStats* stats) const {
-  const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
-  if (ranges.size() <= 1) {
-    return SimulateNode2VecVisits(*graph_, context_, source, config, params,
-                                  /*scratch=*/nullptr, /*owner=*/nullptr,
-                                  stats);
-  }
-  std::vector<RangeResult> results(ranges.size());
-  ParallelFor(
-      pool_.get(), 0, ranges.size(), /*grain=*/1,
-      [&](uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; ++i) {
-          RangeResult& res = results[i];
-          res.raw.assign(config.num_steps + 1, {});
-          WalkConfig sub = config;
-          sub.num_walkers = ranges[i].end - ranges[i].begin;
-          RawNode2VecProgram program;
-          program.graph = graph_;
-          if (context_ != nullptr) {
-            program.external_ids = context_->external_ids();
-          }
-          program.Configure(params);
-          program.walker_offset = ranges[i].begin;
-          program.raw = &res.raw;
-          WalkWorkerState state;
-          WarmRow(*graph_, source);
-          WalkKernel::Run(*graph_, source, sub, &state.scratch,
-                          /*owner=*/nullptr, &res.stats, program);
-        }
-      });
-
-  WalkDistributions out;
-  out.levels.assign(config.num_steps + 1, SparseVector());
-  out.levels[0] = SparseVector::FromSorted({SparseEntry{source, 1.0}});
-  const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  std::vector<NodeId> merged;
-  merged.reserve(config.num_walkers);
-  for (uint32_t t = 1; t <= config.num_steps; ++t) {
-    merged.clear();
-    for (const RangeResult& res : results) {
-      merged.insert(merged.end(), res.raw[t].begin(), res.raw[t].end());
-    }
-    out.levels[t] = AggregateEndpointNodes(merged, inv_r, id_bits_);
-  }
-  AccumulateStats(results, stats);
+  const Node2VecPolicy policy(config, source, params,
+                              context_ != nullptr
+                                  ? context_->external_ids()
+                                  : std::span<const NodeId>());
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  RunRanges(source, config, policy, stats, &out.levels,
+            /*terminals=*/nullptr);
   return out;
 }
 

@@ -8,9 +8,9 @@
 // executor splits [0, R) into contiguous ranges (at least
 // `min_walkers_per_range` walkers each, at most one per worker thread),
 // runs each range through the ordinary walk kernel with its own
-// cache-line-padded WalkScratch and a `walker_offset` program, and merges
-// by concatenating the ranges' *raw* endpoint lists before aggregating
-// once with the shared sort-and-RLE pass. Summing per-range SparseVectors
+// cache-line-padded WalkScratch, seeding its records with their global
+// walker ids, and merges by concatenating the ranges' *raw* endpoint lists
+// before aggregating once with the shared sort-and-RLE pass. Summing per-range SparseVectors
 // instead would reassociate doubles and break bit-identity — the merge
 // must happen on node ids, not on aggregated values.
 //
@@ -81,6 +81,15 @@ class ParallelWalkExecutor final : public WalkBackend {
   /// min_walkers_per_range; a single range means "run serially". The split
   /// is pure scheduling — results do not depend on it.
   std::vector<WalkerRange> SplitWalkers(uint32_t num_walkers) const;
+
+  /// Runs `policy`'s walk over the split ranges and merges them into
+  /// `levels` (level policies; sized, level 0 set) or appends to
+  /// `terminals` (PPR). One range runs the kernel directly.
+  template <typename Policy>
+  void RunRanges(NodeId source, const WalkConfig& config,
+                 const Policy& policy, WalkStats* stats,
+                 std::vector<SparseVector>* levels,
+                 std::vector<NodeId>* terminals) const;
 
   const Graph* graph_;
   const WalkContext* context_;

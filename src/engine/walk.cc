@@ -8,7 +8,8 @@
 namespace cloudwalker {
 
 WalkScratch::WalkScratch(uint32_t expected_walkers) {
-  positions_.reserve(expected_walkers);
+  walkers_.reserve(expected_walkers);
+  survivors_.reserve(expected_walkers);
   endpoints_.reserve(expected_walkers);
   sort_buffer_.reserve(expected_walkers);
 }
@@ -18,27 +19,11 @@ WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
                                             WalkScratch* scratch,
                                             const NodeOwnerFn* owner,
                                             WalkStats* stats) {
-  WalkDistributions out;
-  internal::SimRankEndpointsProgram program;
-  program.out = &out;
-  WalkKernel::Run(graph, source, config, scratch, owner, stats, program);
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  WalkKernel::Run(graph, source, config, SimRankPolicy(config, source), 0,
+                  config.num_walkers, scratch, owner, stats,
+                  WalkOutput{.levels = &out.levels});
   return out;
-}
-
-void SimulateAllSources(
-    const Graph& graph, const WalkConfig& config, ThreadPool* pool,
-    const std::function<void(NodeId, const WalkDistributions&)>& consume) {
-  const uint64_t n = graph.num_nodes();
-  ParallelFor(pool, 0, n, /*grain=*/0,
-              [&graph, &config, &consume](uint64_t begin, uint64_t end) {
-                WalkWorkerState state;  // padded; one per chunk, never shared
-                for (uint64_t s = begin; s < end; ++s) {
-                  const NodeId source = static_cast<NodeId>(s);
-                  const WalkDistributions dists = SimulateWalkDistributions(
-                      graph, source, config, &state.scratch);
-                  consume(source, dists);
-                }
-              });
 }
 
 WalkDistributions ExactWalkDistributions(const Graph& graph, NodeId source,
@@ -69,21 +54,6 @@ WalkDistributions ExactWalkDistributions(const Graph& graph, NodeId source,
     out.levels[t] = std::move(level);
   }
   return out;
-}
-
-std::vector<NodeId> SimulateTrajectory(const Graph& graph, NodeId source,
-                                       uint32_t num_steps, Xoshiro256& rng,
-                                       DanglingPolicy policy) {
-  CW_CHECK_LT(source, graph.num_nodes());
-  std::vector<NodeId> positions(num_steps + 1, kInvalidNode);
-  positions[0] = source;
-  NodeId v = source;
-  for (uint32_t t = 1; t <= num_steps; ++t) {
-    if (v == kInvalidNode) break;
-    v = StepReverse(graph, v, rng, policy);
-    positions[t] = v;
-  }
-  return positions;
 }
 
 }  // namespace cloudwalker

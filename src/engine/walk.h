@@ -11,10 +11,11 @@
 // prefetch (DESIGN.md section 8).
 //
 // SimRank's endpoint-per-level walk is the first *walk program* of the
-// shared engine (DESIGN.md section 10): the per-step policy lives in a
-// compile-time program (engine/walk_kernel.h), the cursors / prefetch /
-// aggregation in the kernel. Further programs — personalized PageRank and
-// second-order node2vec walks — are declared in engine/walk_program.h.
+// shared engine (DESIGN.md section 10): its policy and the level step every
+// executor runs live in engine/walk_step.h, the walker records and the
+// aggregation in the kernel (engine/walk_kernel.h). Further programs —
+// personalized PageRank and second-order node2vec walks — are declared in
+// engine/walk_program.h.
 //
 // Determinism: every draw is the stateless CounterRandom of
 // (DeriveSeed(config.seed, source), walker, step), so results are
@@ -28,12 +29,12 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/random.h"
 #include "common/sparse.h"
-#include "common/threading.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -41,8 +42,8 @@ namespace cloudwalker {
 /// The coherence granule the engine pads per-worker state to.
 inline constexpr size_t kCacheLineBytes = 64;
 
-/// Upper bound on WalkConfig::batch_width (sizes the kernel's stack-resident
-/// cursor arrays).
+/// Upper bound on WalkConfig::batch_width (sizes the level step's
+/// stack-resident pending arrays).
 inline constexpr uint32_t kMaxWalkBatchWidth = 256;
 
 /// What a walker does at a node with no in-neighbors.
@@ -175,11 +176,31 @@ class WalkContext {
   std::span<const NodeId> external_ids_;
 };
 
-/// Reusable per-worker scratch of the walk kernel: the struct-of-arrays
-/// walker cursors and the per-level endpoint radix-sort buffers. Opaque —
-/// create one per worker (never share concurrently) and pass it to repeated
-/// simulations to avoid reallocation. Cache-line aligned so arrays of
-/// per-worker scratches can never false-share.
+/// One walker in flight: its global id (the RNG stream index), its current
+/// node, and — for second-order programs — the node it came from.
+/// Everything else needed to advance it derives from (config, walker,
+/// step). Every executor advances these records (engine/walk_step.h), and
+/// they are also the wire record of cloudwalker-net-v1 SuperstepExchange
+/// payloads: the static_asserts below freeze the byte layout (see
+/// net/wire.h and tests/net/wire_format_test.cc's golden bytes).
+struct WalkerRec {
+  uint32_t walker = 0;
+  NodeId cur = kInvalidNode;
+  NodeId prev = kInvalidNode;
+};
+static_assert(std::is_trivially_copyable_v<WalkerRec>,
+              "WalkerRec ships raw over the wire");
+static_assert(sizeof(WalkerRec) == 12, "wire layout frozen by net-v1");
+static_assert(offsetof(WalkerRec, walker) == 0);
+static_assert(offsetof(WalkerRec, cur) == 4);
+static_assert(offsetof(WalkerRec, prev) == 8);
+
+/// Reusable per-worker scratch of the walk kernel: the live walker records
+/// (the level's input and its compacted survivors) and the per-level
+/// endpoint radix-sort buffers. Opaque — create one per worker (never share
+/// concurrently) and pass it to repeated simulations to avoid reallocation.
+/// Cache-line aligned so arrays of per-worker scratches can never
+/// false-share.
 class alignas(kCacheLineBytes) WalkScratch {
  public:
   /// `expected_walkers` presizes the buffers for that many walkers.
@@ -188,11 +209,10 @@ class alignas(kCacheLineBytes) WalkScratch {
  private:
   friend struct WalkKernel;  // the engine's internal implementation
 
-  std::vector<NodeId> positions_;  // SoA cursor: walker -> current node
-  std::vector<NodeId> previous_;   // walker -> previous node (second-order
-                                   // programs only; empty otherwise)
-  std::vector<NodeId> endpoints_;  // live endpoints of the current level
-  std::vector<NodeId> sort_buffer_;  // radix ping-pong partner
+  std::vector<WalkerRec> walkers_;    // live walkers entering a level
+  std::vector<WalkerRec> survivors_;  // the level's survivors, compacted
+  std::vector<NodeId> endpoints_;     // endpoints of the current level
+  std::vector<NodeId> sort_buffer_;   // radix ping-pong partner
 };
 static_assert(alignof(WalkScratch) >= kCacheLineBytes);
 static_assert(sizeof(WalkScratch) % kCacheLineBytes == 0);
@@ -216,21 +236,6 @@ WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
                                             WalkScratch* scratch = nullptr,
                                             const NodeOwnerFn* owner = nullptr,
                                             WalkStats* stats = nullptr);
-
-/// Runs SimulateWalkDistributions for every source in [0, graph.num_nodes())
-/// on `pool` (serial when null) and invokes `consume(source, dists)` once
-/// per source. `consume` may run concurrently for different sources and must
-/// be thread-safe across them.
-void SimulateAllSources(
-    const Graph& graph, const WalkConfig& config, ThreadPool* pool,
-    const std::function<void(NodeId, const WalkDistributions&)>& consume);
-
-/// Records the full trajectory of a single walker: positions[t] is the node
-/// at step t (kInvalidNode after death). positions[0] == source.
-std::vector<NodeId> SimulateTrajectory(const Graph& graph, NodeId source,
-                                       uint32_t num_steps, Xoshiro256& rng,
-                                       DanglingPolicy policy =
-                                           DanglingPolicy::kDie);
 
 /// Deterministic counterpart of SimulateWalkDistributions: computes the
 /// exact distributions u_{s,t} = P^t e_s by sparse propagation along

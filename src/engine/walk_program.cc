@@ -8,7 +8,7 @@
 #include "common/random.h"
 #include "engine/simd.h"
 #include "engine/walk_kernel.h"
-#include "engine/walk_programs_internal.h"
+#include "engine/walk_step.h"
 
 namespace cloudwalker {
 
@@ -36,14 +36,13 @@ SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
                                   WalkScratch* scratch,
                                   const NodeOwnerFn* owner,
                                   WalkStats* stats) {
-  CW_CHECK_GT(params.alpha, 0.0);
-  CW_CHECK_LT(params.alpha, 1.0);
-  internal::PprEndpointsProgram program;
-  program.alpha = params.alpha;
-  WalkKernel::Run(graph, source, config, scratch, owner, stats, program);
+  std::vector<NodeId> terminals;
+  terminals.reserve(config.num_walkers);
+  WalkKernel::Run(graph, source, config, PprPolicy(config, source, params), 0,
+                  config.num_walkers, scratch, owner, stats,
+                  WalkOutput{.terminals = &terminals});
   const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  return AggregateEndpointNodes(program.terminals, inv_r,
-                                WalkKernel::IdBits(graph));
+  return AggregateEndpointNodes(terminals, inv_r, WalkKernel::IdBits(graph));
 }
 
 WalkDistributions SimulateNode2VecVisits(const Graph& graph,
@@ -54,15 +53,13 @@ WalkDistributions SimulateNode2VecVisits(const Graph& graph,
                                          WalkScratch* scratch,
                                          const NodeOwnerFn* owner,
                                          WalkStats* stats) {
-  WalkDistributions out;
-  internal::Node2VecProgram program;
-  program.graph = &graph;
-  if (context_or_null != nullptr) {
-    program.external_ids = context_or_null->external_ids();
-  }
-  program.out = &out;
-  program.Configure(params);
-  WalkKernel::Run(graph, source, config, scratch, owner, stats, program);
+  const Node2VecPolicy policy(
+      config, source, params,
+      context_or_null != nullptr ? context_or_null->external_ids()
+                                 : std::span<const NodeId>());
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  WalkKernel::Run(graph, source, config, policy, 0, config.num_walkers,
+                  scratch, owner, stats, WalkOutput{.levels = &out.levels});
   return out;
 }
 

@@ -3,8 +3,9 @@
 // node2vec-style walks. SimRank — the first program — keeps its original
 // entry points in engine/walk.h.
 //
-// Both programs run on the same kernel as SimRank (SoA cursors, blocked
-// advance, in-CSR prefetch, radix aggregation) and inherit its determinism
+// Both programs run on the same kernel as SimRank (walker records, blocked
+// advance, in-CSR prefetch, radix aggregation; their policies live in
+// engine/walk_step.h) and inherit its determinism
 // contract: every draw is a pure function of (config.seed, source, walker,
 // step[, trial]), on per-program channels derived from the per-source key,
 // so results are bit-identical across batch widths, thread counts, and

@@ -9,9 +9,9 @@
 
 #include "cluster/partitioner.h"
 #include "common/version.h"
+#include "engine/walk_step.h"
 #include "net/framing.h"
 #include "net/wire.h"
-#include "shard/walk_policies.h"
 
 namespace cloudwalker {
 namespace {
@@ -23,64 +23,47 @@ constexpr double kFrameIoSeconds = 30.0;
 // Accept / readability poll slice between stop-flag checks.
 constexpr double kPollSliceSeconds = 0.1;
 
-// Row source over the snapshot's full in-CSR (shard/walk_policies.h
-// defines the contract). A worker maps the whole
-// in-adjacency, so Locate indexes by global node id directly; ownership
-// only matters for the remote-row telemetry of second-order In(prev)
-// reads, which the partitioner answers exactly like the in-process
-// engine's slice lookup.
-struct SnapshotRowSource {
-  std::span<const uint64_t> offsets;
-  std::span<const NodeId> targets;
+// Row source over the snapshot's full in-CSR (engine/walk_step.h defines
+// the concept). A worker maps the whole in-adjacency, so rows index by
+// global node id directly; ownership only matters for the remote-row
+// telemetry of second-order In(prev) reads, which the partitioner answers
+// exactly like the in-process engine's slice lookup.
+struct SnapshotRows : CsrRows {
   const Partitioner* partitioner = nullptr;
   int shard = 0;
+  uint64_t* remote_rows = nullptr;
 
-  RowLocation Locate(NodeId v) const {
-    return RowLocation{offsets[v],
-                       static_cast<uint32_t>(offsets[v + 1] - offsets[v])};
-  }
-  NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    return targets[loc.offset + PickSlot(raw, loc.degree)];
-  }
-  std::span<const NodeId> InRow(NodeId v, uint64_t* remote_rows) const {
+  std::span<const NodeId> InRow(NodeId v) const {
     if (partitioner->Owner(v) != shard) ++*remote_rows;
-    return {targets.data() + offsets[v],
-            static_cast<size_t>(offsets[v + 1] - offsets[v])};
+    return CsrRows::InRow(v);
   }
 };
 
-// Advances one resident batch one level under `policy`, compacting
-// survivors in place — the same bookkeeping the in-process engine's inner
-// loop performs (shard/sharded_engine.cc), restated over the wire structs:
-// retired walkers become terminals, dangling deaths count into
-// `result->dead`, survivors keep their slot order.
+// Advances one resident batch one level under `policy` with the shared
+// level step, collecting the survivors, endpoints and terminals the
+// kResult frame carries. The wire carries no batch width, so the worker
+// uses the widest.
 template <typename Policy>
-void AdvanceBatch(const SnapshotRowSource& rows, const Policy& policy,
+void AdvanceBatch(const SnapshotRows& rows, const Policy& policy,
                   const SuperstepMsg& msg, std::vector<WalkerRec>* walkers,
                   ResultMsg* result, std::vector<NodeId>* endpoints,
                   std::vector<NodeId>* terminals) {
-  const bool self_loop =
-      static_cast<DanglingPolicy>(msg.dangling) == DanglingPolicy::kSelfLoop;
-  size_t kept = 0;
-  for (WalkerRec& rec : *walkers) {
-    const NodeId v = rec.cur;
-    const WalkerStepOutcome outcome = AdvanceWalker(
-        rows, policy, msg.step, self_loop, rec, &result->remote_rows);
-    if constexpr (Policy::kMayRetire) {
-      if (outcome == WalkerStepOutcome::kRetired) {
-        terminals->push_back(v);
-        continue;
-      }
-    }
-    ++result->steps;
-    if (outcome == WalkerStepOutcome::kDied) {
-      ++result->dead;
-      continue;
-    }
-    if constexpr (Policy::kEmitsLevels) endpoints->push_back(rec.cur);
-    (*walkers)[kept++] = rec;
-  }
-  walkers->resize(kept);
+  std::vector<WalkerRec> survivors(walkers->size());
+  if constexpr (Policy::kEmitsLevels) endpoints->resize(walkers->size());
+  BufferSink<Policy::kEmitsLevels> sink;
+  sink.survivors = survivors.data();
+  sink.endpoints = endpoints->data();
+  sink.terminals = terminals;
+  AdvanceLevel(rows, policy, msg.step,
+               static_cast<DanglingPolicy>(msg.dangling) ==
+                   DanglingPolicy::kSelfLoop,
+               std::span<const WalkerRec>(*walkers), kMaxWalkBatchWidth, sink);
+  survivors.resize(sink.num_survivors);
+  endpoints->resize(sink.num_endpoints);
+  result->steps += sink.steps;
+  result->dead += static_cast<uint32_t>(walkers->size() - survivors.size() -
+                                        terminals->size());
+  *walkers = std::move(survivors);
 }
 
 // Sanity bounds on a decoded superstep. The payload CRC already passed,
@@ -278,37 +261,35 @@ bool ShardWorker::ServeConnection(Socket conn) {
           SendErrorFrame(conn, status, kFrameIoSeconds);
           return true;
         }
-        const SnapshotRowSource rows{snapshot_->in_offsets(),
-                                     snapshot_->in_targets(),
-                                     &partitioner.value(), shard};
         ResultMsg result;
         result.step = msg.step;
+        const SnapshotRows rows{
+            {snapshot_->in_offsets().data(), snapshot_->in_targets().data()},
+            &partitioner.value(),
+            shard,
+            &result.remote_rows};
+        WalkConfig config;
+        config.seed = msg.seed;
         std::vector<NodeId> endpoints;
         std::vector<NodeId> terminals;
         switch (static_cast<WalkPhase>(msg.phase)) {
-          case WalkPhase::kSimRank: {
-            SimRankWalkPolicy policy;
-            policy.Configure(msg.seed, msg.source);
-            AdvanceBatch(rows, policy, msg, &walkers, &result, &endpoints,
-                         &terminals);
+          case WalkPhase::kSimRank:
+            AdvanceBatch(rows, SimRankPolicy(config, msg.source), msg,
+                         &walkers, &result, &endpoints, &terminals);
             break;
-          }
-          case WalkPhase::kPpr: {
-            PprWalkPolicy policy;
-            policy.Configure(msg.seed, msg.source, PprParams{msg.alpha});
-            AdvanceBatch(rows, policy, msg, &walkers, &result, &endpoints,
-                         &terminals);
+          case WalkPhase::kPpr:
+            AdvanceBatch(rows,
+                         PprPolicy(config, msg.source, PprParams{msg.alpha}),
+                         msg, &walkers, &result, &endpoints, &terminals);
             break;
-          }
-          case WalkPhase::kNode2Vec: {
-            Node2VecWalkPolicy policy;
-            policy.Configure(
-                msg.seed, msg.source,
-                Node2VecParams{msg.return_p, msg.in_out_q, msg.max_trials});
-            AdvanceBatch(rows, policy, msg, &walkers, &result, &endpoints,
-                         &terminals);
+          case WalkPhase::kNode2Vec:
+            AdvanceBatch(
+                rows,
+                Node2VecPolicy(config, msg.source,
+                               Node2VecParams{msg.return_p, msg.in_out_q,
+                                              msg.max_trials}),
+                msg, &walkers, &result, &endpoints, &terminals);
             break;
-          }
         }
         const std::string reply =
             EncodeResult(result, walkers, endpoints, terminals);

@@ -4,7 +4,7 @@
 //
 // Workers are completely stateless between frames: every kSuperstep
 // carries the full job spec plus the resident batch, and every draw is a
-// pure function of the spec's fields (shard/walk_policies.h). The
+// pure function of the spec's fields (engine/walk_step.h). The
 // coordinator can therefore kill, restart, and replay a worker at any
 // frame boundary and provably get the identical bytes back — the property
 // the failure-path tests (tests/net/) assert end to end.

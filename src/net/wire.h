@@ -6,11 +6,11 @@
 // `payload_len` payload bytes. Headers and payloads are CRC-32 stamped
 // independently, so a corrupt or desynchronized stream is detected before
 // a single payload byte is interpreted. All integers are little-endian;
-// the structs below are trivially-copyable PODs whose exact byte layout is
-// frozen by static_asserts here and golden-byte tests
-// (tests/net/wire_format_test.cc) — the same discipline the snapshot
-// format uses, because WalkerRec batches are memcpy'd straight onto the
-// wire.
+// the structs below, and WalkerRec (engine/walk.h), are trivially-copyable
+// PODs whose exact byte layout is frozen by static_asserts beside them and
+// golden-byte tests (tests/net/wire_format_test.cc) — the same discipline
+// the snapshot format uses, because WalkerRec batches are memcpy'd
+// straight onto the wire.
 //
 // Handshake: the coordinator opens with kHello carrying the protocol
 // version, the snapshot fingerprint (snapshot/snapshot.h), the shard plan
@@ -43,8 +43,8 @@
 #include "cluster/partitioner.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "engine/walk.h"
 #include "graph/graph.h"
-#include "shard/walk_policies.h"
 
 namespace cloudwalker {
 

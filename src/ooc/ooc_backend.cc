@@ -5,15 +5,15 @@
 #include <vector>
 
 #include "common/radix_sort.h"
-#include "shard/walk_policies.h"
+#include "engine/walk_step.h"
 
 namespace cloudwalker {
 namespace {
 
-// The Rows concept of shard/walk_policies.h over pinned block leases:
-// Locate answers from the resident in-CSR offsets (global edge indices);
-// Pick and InRow rebase into the block-local lease arrays, picking exactly
-// the in-target the in-memory kernel picks.
+// Row source over pinned block leases (engine/walk_step.h defines the
+// concept): rows locate through the resident in-CSR offsets (global edge
+// indices), and targets rebase into the block-local lease arrays, picking
+// exactly the in-target the in-memory kernel picks.
 struct LeasedRows {
   const uint64_t* offsets = nullptr;  // resident in-CSR offsets (global)
   const NodeId* targets = nullptr;    // current block's in_targets slice
@@ -21,66 +21,29 @@ struct LeasedRows {
   const NodeId* prev_targets = nullptr;  // previous hop's block (2nd order)
   uint64_t prev_base = 0;
 
+  void Prefetch(NodeId v) const { PrefetchRead(offsets + v); }
   RowLocation Locate(NodeId v) const {
     return {offsets[v], static_cast<uint32_t>(offsets[v + 1] - offsets[v])};
   }
-  NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    return targets[loc.offset + PickSlot(raw, loc.degree) - base];
+  void PrefetchEdge(uint64_t edge) const {
+    PrefetchRead(targets + (edge - base));
   }
-  std::span<const NodeId> InRow(NodeId v, uint64_t* /*remote_rows*/) const {
+  NodeId Target(uint64_t edge) const { return targets[edge - base]; }
+  std::span<const NodeId> InRow(NodeId v) const {
     return {prev_targets + (offsets[v] - prev_base),
             static_cast<size_t>(offsets[v + 1] - offsets[v])};
   }
 };
 
-// The node the per-source RNG key derives from — the external id on a
-// reordered snapshot (WalkConfig::rng_node), the source itself otherwise.
-// Policies key on their `source` argument, so the override is applied
-// here, once, instead of inside each policy.
-NodeId KeyNode(const WalkConfig& config, NodeId source) {
-  return config.rng_node != kInvalidNode ? config.rng_node : source;
-}
-
-// Drains one walker bucket against `rows`, applying the bookkeeping the
-// AdvanceWalker outcome contract assigns to the caller. Appends endpoints
-// (kEmitsLevels) / terminals (kMayRetire) and updates steps and the alive
-// count in place.
-template <typename Policy>
-void DrainBucket(const Policy& policy, const LeasedRows& rows, uint32_t t,
-                 bool self_loop, std::span<const uint32_t> walkers,
-                 std::vector<WalkerRec>& recs, std::vector<NodeId>& endpoints,
-                 std::vector<NodeId>& terminals, uint64_t& steps,
-                 uint32_t& alive) {
-  uint64_t remote_rows = 0;
-  for (const uint32_t w : walkers) {
-    WalkerRec& rec = recs[w];
-    switch (AdvanceWalker(rows, policy, t, self_loop, rec, &remote_rows)) {
-      case WalkerStepOutcome::kAdvanced:
-        ++steps;
-        if constexpr (Policy::kEmitsLevels) endpoints.push_back(rec.cur);
-        break;
-      case WalkerStepOutcome::kRetired:
-        if constexpr (Policy::kMayRetire) terminals.push_back(rec.cur);
-        rec.cur = kInvalidNode;
-        --alive;
-        break;
-      case WalkerStepOutcome::kDied:
-        ++steps;
-        rec.cur = kInvalidNode;
-        --alive;
-        break;
-    }
-  }
-}
-
-// The walker-block scheduler: one level-synchronous pass per step,
-// bucketing the live frontier by destination block so each touched block
-// is leased exactly once per level (twice never — second-order sub-buckets
-// share the current lease when the previous hop lands in the same block).
+// The walker-block scheduler: one level-synchronous pass per step. The
+// live frontier is counting-sorted by the block of each walker's node, so
+// every bucket is a contiguous span that advances against one lease, and
+// each touched block is leased once per level (node2vec sub-buckets a span
+// by the previous hop's block and holds at most two leases).
 template <typename Policy>
 Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
                const WalkConfig& config, const Policy& policy,
-               WalkStats* stats, WalkDistributions* levels_out,
+               WalkStats* stats, std::vector<SparseVector>* levels,
                SparseVector* ppr_out) {
   const uint32_t r = config.num_walkers;
   const double inv_r = 1.0 / static_cast<double>(r);
@@ -88,124 +51,110 @@ Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
       KeyBits(snap.num_nodes() == 0 ? 0 : snap.num_nodes() - 1);
   const bool self_loop = config.dangling == DanglingPolicy::kSelfLoop;
   const std::span<const BlockExtent> blocks = snap.blocks();
-  const uint64_t* const offsets = snap.in_offsets().data();
   const uint32_t num_blocks = static_cast<uint32_t>(blocks.size());
+  LeasedRows rows;
+  rows.offsets = snap.in_offsets().data();
 
-  if (levels_out != nullptr) {
-    levels_out->levels.assign(config.num_steps + 1, SparseVector());
-    // Level 0 is exactly e_source, as in the kernel.
-    levels_out->levels[0] =
-        SparseVector::FromSorted({SparseEntry{source, 1.0}});
-  }
-
-  std::vector<WalkerRec> recs(r);
+  std::vector<WalkerRec> recs(r);    // the live frontier
+  std::vector<WalkerRec> sorted(r);  // the frontier, bucketed by block
   for (uint32_t w = 0; w < r; ++w) recs[w] = {w, source, kInvalidNode};
-  uint32_t alive = r;
-  uint64_t steps = 0;
-
-  std::vector<NodeId> endpoints;
+  size_t live = r;
+  std::vector<NodeId> endpoints(Policy::kEmitsLevels ? r : 0);
+  std::vector<NodeId> sort_buffer;
   std::vector<NodeId> terminals;
-  if constexpr (Policy::kEmitsLevels) endpoints.reserve(r);
   if constexpr (Policy::kMayRetire) terminals.reserve(r);
+  BufferSink<Policy::kEmitsLevels> sink;
+  sink.endpoints = endpoints.data();
+  sink.terminals = &terminals;
 
-  // Counting-sort scratch for the per-level frontier bucketing.
   std::vector<uint32_t> block_of(r);
   std::vector<uint32_t> bucket_start(num_blocks + 1);
   std::vector<uint32_t> cursor(num_blocks);
-  std::vector<uint32_t> order(r);
-  // Second-order sub-bucketing scratch: (prev block + 1, walker), 0 = no
-  // previous hop yet.
+  // node2vec sub-bucketing scratch: (prev block + 1, index in the bucket),
+  // 0 = no previous hop yet, and the bucket regrouped in that order.
   std::vector<std::pair<uint32_t, uint32_t>> by_prev;
+  std::vector<WalkerRec> group;
 
-  for (uint32_t t = 1; t <= config.num_steps && alive > 0; ++t) {
+  for (uint32_t t = 1; t <= config.num_steps && live > 0; ++t) {
     // One cancel poll per level, as in the kernel: a stopped walk returns
     // truncated and the caller discards it after observing the token.
     if (config.cancel != nullptr && config.cancel->ShouldStop()) break;
 
     std::fill(bucket_start.begin(), bucket_start.end(), 0u);
-    for (uint32_t w = 0; w < r; ++w) {
-      if (recs[w].cur == kInvalidNode) continue;
-      block_of[w] = FindBlock(blocks, recs[w].cur);
-      ++bucket_start[block_of[w] + 1];
+    for (size_t i = 0; i < live; ++i) {
+      block_of[i] = FindBlock(blocks, recs[i].cur);
+      ++bucket_start[block_of[i] + 1];
     }
     for (uint32_t b = 0; b < num_blocks; ++b) {
       bucket_start[b + 1] += bucket_start[b];
       cursor[b] = bucket_start[b];
     }
-    for (uint32_t w = 0; w < r; ++w) {
-      if (recs[w].cur == kInvalidNode) continue;
-      order[cursor[block_of[w]]++] = w;
-    }
+    for (size_t i = 0; i < live; ++i) sorted[cursor[block_of[i]]++] = recs[i];
 
-    if constexpr (Policy::kEmitsLevels) endpoints.clear();
+    // Survivors compact back into `recs`, which the sort has consumed.
+    sink.survivors = recs.data();
+    sink.num_survivors = 0;
+    sink.num_endpoints = 0;
     for (uint32_t b = 0; b < num_blocks; ++b) {
-      const uint32_t begin = bucket_start[b], end = bucket_start[b + 1];
-      if (begin == end) continue;
+      const std::span<const WalkerRec> bucket(
+          sorted.data() + bucket_start[b],
+          bucket_start[b + 1] - bucket_start[b]);
+      if (bucket.empty()) continue;
       CW_ASSIGN_OR_RETURN(BlockCache::Lease lease, cache.Acquire(b));
-      LeasedRows rows;
-      rows.offsets = offsets;
       rows.targets = lease.targets();
       rows.base = lease.base();
       if constexpr (!Policy::kSecondOrder) {
-        DrainBucket(policy, rows, t, self_loop,
-                    std::span<const uint32_t>(order.data() + begin,
-                                              end - begin),
-                    recs, endpoints, terminals, steps, alive);
+        AdvanceLevel(rows, policy, t, self_loop, bucket, config.batch_width,
+                     sink);
       } else {
         // Sub-bucket by the previous hop's block so In(prev) resolves
         // against one extra lease per run (none for first-step walkers or
         // when prev lives in the current block).
         by_prev.clear();
-        for (uint32_t i = begin; i < end; ++i) {
-          const uint32_t w = order[i];
-          const uint32_t key = recs[w].prev == kInvalidNode
-                                   ? 0
-                                   : FindBlock(blocks, recs[w].prev) + 1;
-          by_prev.emplace_back(key, w);
+        group.clear();
+        for (uint32_t i = 0; i < bucket.size(); ++i) {
+          const NodeId prev = bucket[i].prev;
+          by_prev.emplace_back(
+              prev == kInvalidNode ? 0 : FindBlock(blocks, prev) + 1, i);
         }
         std::sort(by_prev.begin(), by_prev.end());
-        std::vector<uint32_t> group;
-        for (size_t i = 0; i < by_prev.size();) {
-          const uint32_t key = by_prev[i].first;
-          group.clear();
-          for (; i < by_prev.size() && by_prev[i].first == key; ++i) {
-            group.push_back(by_prev[i].second);
-          }
+        for (const auto& [key, i] : by_prev) group.push_back(bucket[i]);
+        for (size_t g0 = 0; g0 < group.size();) {
+          const uint32_t key = by_prev[g0].first;
+          size_t g1 = g0;
+          while (g1 < group.size() && by_prev[g1].first == key) ++g1;
           BlockCache::Lease prev_lease;
           rows.prev_targets = nullptr;
           rows.prev_base = 0;
-          if (key != 0) {
-            const uint32_t pb = key - 1;
-            if (pb == b) {
-              rows.prev_targets = lease.targets();
-              rows.prev_base = lease.base();
-            } else {
-              CW_ASSIGN_OR_RETURN(prev_lease, cache.Acquire(pb));
-              rows.prev_targets = prev_lease.targets();
-              rows.prev_base = prev_lease.base();
-            }
+          if (key == b + 1) {
+            rows.prev_targets = lease.targets();
+            rows.prev_base = lease.base();
+          } else if (key != 0) {
+            CW_ASSIGN_OR_RETURN(prev_lease, cache.Acquire(key - 1));
+            rows.prev_targets = prev_lease.targets();
+            rows.prev_base = prev_lease.base();
           }
-          DrainBucket(policy, rows, t, self_loop,
-                      std::span<const uint32_t>(group.data(), group.size()),
-                      recs, endpoints, terminals, steps, alive);
+          AdvanceLevel(rows, policy, t, self_loop,
+                       std::span<const WalkerRec>(group.data() + g0, g1 - g0),
+                       config.batch_width, sink);
+          g0 = g1;
         }
       }
     }
+    live = sink.num_survivors;
     if constexpr (Policy::kEmitsLevels) {
-      levels_out->levels[t] =
-          AggregateEndpointNodes(endpoints, inv_r, id_bits);
+      (*levels)[t] = AggregateEndpointNodes(
+          endpoints.data(), static_cast<uint32_t>(sink.num_endpoints),
+          sort_buffer, inv_r, id_bits);
     }
   }
 
   if constexpr (Policy::kMayRetire) {
-    // The kernel's Finish: surviving walkers terminate where truncation
-    // left them.
-    for (uint32_t w = 0; w < r; ++w) {
-      if (recs[w].cur != kInvalidNode) terminals.push_back(recs[w].cur);
-    }
+    // Walkers alive after the last level terminate where they stand.
+    for (size_t i = 0; i < live; ++i) terminals.push_back(recs[i].cur);
     *ppr_out = AggregateEndpointNodes(terminals, inv_r, id_bits);
   }
-  if (stats != nullptr) stats->steps += steps;
+  if (stats != nullptr) stats->steps += sink.steps;
   return Status::Ok();
 }
 
@@ -236,11 +185,10 @@ OutOfCoreWalkBackend::Create(std::shared_ptr<const PagedSnapshot> snapshot,
 
 WalkDistributions OutOfCoreWalkBackend::SimRankLevels(
     NodeId source, const WalkConfig& config, WalkStats* stats) const {
-  SimRankWalkPolicy policy;
-  policy.Configure(config.seed, KeyNode(config, source));
-  WalkDistributions out;
-  const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
-                             stats, &out, nullptr);
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  const Status run =
+      RunWalk(*cache_, *snapshot_, source, config,
+              SimRankPolicy(config, source), stats, &out.levels, nullptr);
   if (!run.ok()) RecordError(run);
   return out;
 }
@@ -249,11 +197,10 @@ SparseVector OutOfCoreWalkBackend::PprEndpoints(NodeId source,
                                                 const WalkConfig& config,
                                                 const PprParams& params,
                                                 WalkStats* stats) const {
-  PprWalkPolicy policy;
-  policy.Configure(config.seed, KeyNode(config, source), params);
   SparseVector out;
-  const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
-                             stats, nullptr, &out);
+  const Status run =
+      RunWalk(*cache_, *snapshot_, source, config,
+              PprPolicy(config, source, params), stats, nullptr, &out);
   if (!run.ok()) RecordError(run);
   return out;
 }
@@ -261,13 +208,12 @@ SparseVector OutOfCoreWalkBackend::PprEndpoints(NodeId source,
 WalkDistributions OutOfCoreWalkBackend::Node2VecLevels(
     NodeId source, const WalkConfig& config, const Node2VecParams& params,
     WalkStats* stats) const {
-  Node2VecWalkPolicy policy;
-  policy.Configure(config.seed, KeyNode(config, source), params);
   // A reordered snapshot's in-rows are sorted by external id.
-  policy.external_ids = snapshot_->permutation();
-  WalkDistributions out;
+  const Node2VecPolicy policy(config, source, params,
+                              snapshot_->permutation());
+  WalkDistributions out = SourceLevels(source, config.num_steps);
   const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
-                             stats, &out, nullptr);
+                             stats, &out.levels, nullptr);
   if (!run.ok()) RecordError(run);
   return out;
 }

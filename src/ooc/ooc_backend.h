@@ -10,8 +10,8 @@
 // the previous hop's block and hold at most two pins.
 //
 // Bit identity with the in-memory kernel is inherited, not re-proven: each
-// walker advances through the exact shard policy layer
-// (shard/walk_policies.h AdvanceWalker — every draw a pure function of
+// bucket advances through the level step every executor shares
+// (engine/walk_step.h AdvanceLevel — every draw a pure function of
 // (seed, source, walker, step[, trial])), and per-level endpoints aggregate
 // through the same order-independent sort-and-RLE path
 // (AggregateEndpointNodes), so bucketing freely reorders walkers without

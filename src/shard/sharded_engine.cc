@@ -6,28 +6,34 @@
 
 #include "common/logging.h"
 #include "engine/walk_kernel.h"
-#include "shard/walk_policies.h"
+#include "engine/walk_step.h"
 
 namespace cloudwalker {
 namespace {
 
-// Row source over one shard's materialized slice (shard/walk_policies.h
-// defines the contract). In(prev) fetches of nodes the shard does not own
-// go through the plan's owning slice and are counted as remote row reads —
+// Row source over one shard's materialized slice (engine/walk_step.h
+// defines the concept). In(prev) reads of nodes the shard does not own go
+// through the plan's owning slice and are counted as remote row reads —
 // the in-process stand-in for a cross-worker adjacency message.
-struct SliceRowSource {
+struct SliceRows {
   const ShardPlan* plan = nullptr;
   const ShardSlice* slice = nullptr;
   int shard = 0;
+  uint64_t* remote_rows = nullptr;
 
+  void Prefetch(NodeId v) const {  // through the owner: v may be In(prev)'s
+    PrefetchRead(plan->slice(plan->Owner(v)).offsets.data() +
+                 plan->LocalRow(v));
+  }
   RowLocation Locate(NodeId v) const {
     const uint32_t row = plan->LocalRow(v);
     return RowLocation{slice->offsets[row], slice->RowDegree(row)};
   }
-  NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    return slice->targets[loc.offset + PickSlot(raw, loc.degree)];
+  void PrefetchEdge(uint64_t edge) const {
+    PrefetchRead(slice->targets.data() + edge);
   }
-  std::span<const NodeId> InRow(NodeId v, uint64_t* remote_rows) const {
+  NodeId Target(uint64_t edge) const { return slice->targets[edge]; }
+  std::span<const NodeId> InRow(NodeId v) const {
     bool remote = false;
     const std::span<const NodeId> row = plan->InRow(v, shard, &remote);
     if (remote) ++*remote_rows;
@@ -71,11 +77,6 @@ void ShardedWalkEngine::RunSupersteps(NodeId source, const WalkConfig& config,
   const bool self_loop = config.dangling == DanglingPolicy::kSelfLoop;
   const int num_shards = plan_.num_shards();
 
-  if constexpr (Policy::kEmitsLevels) {
-    levels->assign(config.num_steps + 1, SparseVector());
-    (*levels)[0] = SparseVector::FromSorted({SparseEntry{source, 1.0}});
-  }
-
   // Per-shard cursors. A shard worker writes only its own state during the
   // advance phase; the exchange phase gives each *destination* exclusive
   // access to the outboxes addressed to it. Cache-line aligned so adjacent
@@ -87,8 +88,27 @@ void ShardedWalkEngine::RunSupersteps(NodeId source, const WalkConfig& config,
     std::vector<NodeId> endpoints;  // this level's recorded endpoints
     std::vector<NodeId> terminals;  // retired walkers (kMayRetire)
     WalkStats stats;
-    uint64_t dead = 0;         // deaths this level (retire / dangling)
     uint64_t remote_rows = 0;  // cross-shard adjacency reads
+  };
+  // The shard's routing of each outcome of the shared level step: an
+  // endpoint per move, then keep or outbox by the new node's owner.
+  struct RouteSink {
+    const ShardPlan* plan;
+    int shard;
+    ShardState* st;
+
+    void Step() { ++st->stats.steps; }
+    void Moved(const WalkerRec& rec, NodeId /*from*/) {
+      if constexpr (Policy::kEmitsLevels) st->endpoints.push_back(rec.cur);
+      const int dest = plan->Owner(rec.cur);
+      if (dest == shard) {
+        st->keep.push_back(rec);
+      } else {
+        ++st->stats.partition_crossings;
+        st->outbox[static_cast<size_t>(dest)].push_back(rec);
+      }
+    }
+    void Retired(NodeId v) { st->terminals.push_back(v); }
   };
   std::vector<ShardState> shards(static_cast<size_t>(num_shards));
   for (ShardState& st : shards) {
@@ -116,47 +136,23 @@ void ShardedWalkEngine::RunSupersteps(NodeId source, const WalkConfig& config,
     // empty and the caller discards the truncated result wholesale.
     if (config.cancel != nullptr && config.cancel->ShouldStop()) break;
 
-    // Phase A — advance. Each shard moves its residents one level using
-    // only its slice (the shared AdvanceWalker step of
-    // shard/walk_policies.h); emigrants batch into per-destination
-    // outboxes.
+    // Phase A — advance. Each shard moves its residents one level with
+    // the shared level step (engine/walk_step.h) over its slice;
+    // emigrants batch into per-destination outboxes.
     ParallelFor(
         pool_.get(), 0, static_cast<uint64_t>(num_shards), /*grain=*/1,
         [&](uint64_t begin, uint64_t end) {
           for (uint64_t si = begin; si < end; ++si) {
             ShardState& st = shards[si];
-            const SliceRowSource rows{&plan_,
-                                      &plan_.slice(static_cast<int>(si)),
-                                      static_cast<int>(si)};
+            const int shard = static_cast<int>(si);
+            const SliceRows rows{&plan_, &plan_.slice(shard), shard,
+                                 &st.remote_rows};
+            RouteSink sink{&plan_, shard, &st};
             st.endpoints.clear();
             st.keep.clear();
-            for (WalkerRec& rec : st.inbox) {
-              const NodeId v = rec.cur;
-              const WalkerStepOutcome outcome = AdvanceWalker(
-                  rows, policy, t, self_loop, rec, &st.remote_rows);
-              if constexpr (Policy::kMayRetire) {
-                if (outcome == WalkerStepOutcome::kRetired) {
-                  st.terminals.push_back(v);
-                  ++st.dead;
-                  continue;
-                }
-              }
-              ++st.stats.steps;
-              if (outcome == WalkerStepOutcome::kDied) {
-                ++st.dead;
-                continue;
-              }
-              if constexpr (Policy::kEmitsLevels) {
-                st.endpoints.push_back(rec.cur);
-              }
-              const int dest = plan_.Owner(rec.cur);
-              if (dest == static_cast<int>(si)) {
-                st.keep.push_back(rec);
-              } else {
-                ++st.stats.partition_crossings;
-                st.outbox[static_cast<size_t>(dest)].push_back(rec);
-              }
-            }
+            AdvanceLevel(rows, policy, t, self_loop,
+                         std::span<const WalkerRec>(st.inbox),
+                         config.batch_width, sink);
             st.inbox.clear();
           }
         });
@@ -165,10 +161,6 @@ void ShardedWalkEngine::RunSupersteps(NodeId source, const WalkConfig& config,
     // lists yields the same multiset the single-node kernel drains, and
     // the shared sort-and-RLE aggregation is order independent, so the
     // level vector is bit-identical at every shard count.
-    for (ShardState& st : shards) {
-      alive -= st.dead;
-      st.dead = 0;
-    }
     if constexpr (Policy::kEmitsLevels) {
       merged.clear();
       for (const ShardState& st : shards) {
@@ -200,6 +192,8 @@ void ShardedWalkEngine::RunSupersteps(NodeId source, const WalkConfig& config,
             }
           }
         });
+    alive = 0;
+    for (const ShardState& st : shards) alive += st.inbox.size();
     ++supersteps;
   }
 
@@ -230,11 +224,9 @@ void ShardedWalkEngine::RunSupersteps(NodeId source, const WalkConfig& config,
 WalkDistributions ShardedWalkEngine::SimRankLevels(NodeId source,
                                                    const WalkConfig& config,
                                                    WalkStats* stats) const {
-  SimRankWalkPolicy policy;
-  policy.Configure(config.seed, source);
-  WalkDistributions out;
-  RunSupersteps(source, config, policy, stats, &out.levels,
-                /*terminals=*/nullptr);
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  RunSupersteps(source, config, SimRankPolicy(config, source), stats,
+                &out.levels, /*terminals=*/nullptr);
   return out;
 }
 
@@ -242,12 +234,10 @@ SparseVector ShardedWalkEngine::PprEndpoints(NodeId source,
                                              const WalkConfig& config,
                                              const PprParams& params,
                                              WalkStats* stats) const {
-  PprWalkPolicy policy;
-  policy.Configure(config.seed, source, params);
   std::vector<NodeId> terminals;
   terminals.reserve(config.num_walkers);
-  RunSupersteps(source, config, policy, stats, /*levels=*/nullptr,
-                &terminals);
+  RunSupersteps(source, config, PprPolicy(config, source, params), stats,
+                /*levels=*/nullptr, &terminals);
   const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
   return AggregateEndpointNodes(terminals, inv_r, id_bits_);
 }
@@ -255,11 +245,9 @@ SparseVector ShardedWalkEngine::PprEndpoints(NodeId source,
 WalkDistributions ShardedWalkEngine::Node2VecLevels(
     NodeId source, const WalkConfig& config, const Node2VecParams& params,
     WalkStats* stats) const {
-  Node2VecWalkPolicy policy;
-  policy.Configure(config.seed, source, params);
-  WalkDistributions out;
-  RunSupersteps(source, config, policy, stats, &out.levels,
-                /*terminals=*/nullptr);
+  WalkDistributions out = SourceLevels(source, config.num_steps);
+  RunSupersteps(source, config, Node2VecPolicy(config, source, params), stats,
+                &out.levels, /*terminals=*/nullptr);
   return out;
 }
 

@@ -10,6 +10,7 @@
 
 #include "baselines/exact_simrank.h"
 #include "core/indexer.h"
+#include "engine/walk_program.h"
 #include "graph/generators.h"
 
 namespace cloudwalker {
@@ -399,12 +400,15 @@ uint64_t HashSparse(const SparseVector& v, uint64_t h = 0xcbf29ce484222325ull) {
   return h;
 }
 
-// Pins the single-source (MCSS), node2vec and index-row answers bit for
-// bit on a fixed R-MAT graph. A change to any draw, to the order of the
-// draws, or to the order in which one node's contributions are summed
-// moves these hashes; a pure speedup of the push or of the drains must
-// not. Fanout 3 puts push-batch boundaries inside one entry's draws. The
-// constants assume IEEE-754 doubles without FMA contraction, as on x86-64.
+// Pins the single-source (MCSS), PPR, node2vec and index-row answers bit
+// for bit on a fixed R-MAT graph, the walk step and crossing counts of
+// the query runs, and one first- and one second-order walk that parks at
+// dangling nodes (kSelfLoop). A change to any draw, to the order of the
+// draws, to what counts as a step, or to the order in which one node's
+// contributions are summed moves these values; a pure speedup of the
+// walk, the push or the drains must not. Fanout 3 puts push-batch
+// boundaries inside one entry's draws. The constants assume IEEE-754
+// doubles without FMA contraction, as on x86-64.
 TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
 #if !defined(__x86_64__)
   GTEST_SKIP() << "golden constants are recorded for x86-64";
@@ -424,10 +428,12 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
     uint64_t hash;
     uint64_t push_ops;
     uint64_t push_crossings;
+    uint64_t walk_steps;
+    uint64_t walk_crossings;
   };
   const Expected expected[] = {
-      {1, 0x7ccb16ec82777a46ull, 69516, 46745},
-      {3, 0x57f20cbbdff2116bull, 567945, 381023},
+      {1, 0x7ccb16ec82777a46ull, 69516, 46745, 57344, 36594},
+      {3, 0x57f20cbbdff2116bull, 567945, 381023, 57344, 36594},
   };
   for (const Expected& want : expected) {
     QueryOptions q;
@@ -443,15 +449,64 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
     EXPECT_EQ(stats.push_ops, want.push_ops) << "fanout " << want.fanout;
     EXPECT_EQ(stats.push_crossings, want.push_crossings)
         << "fanout " << want.fanout;
+    EXPECT_EQ(stats.walk_steps, want.walk_steps) << "fanout " << want.fanout;
+    EXPECT_EQ(stats.walk_crossings, want.walk_crossings)
+        << "fanout " << want.fanout;
   }
+
+  // PPR: the stop coin's channel and when a retirement counts as a step.
+  QueryOptions ppr;
+  ppr.num_walkers = 1000;
+  ppr.seed = 17;
+  ppr.ppr_alpha = 0.7;
+  uint64_t ppr_hash = 0xcbf29ce484222325ull;
+  QueryStats ppr_stats;
+  for (const NodeId s : sources) {
+    ppr_hash = HashSparse(
+        PersonalizedPageRankQuery(g, *idx, s, ppr, &ppr_stats, &owner),
+        ppr_hash);
+  }
+  EXPECT_EQ(ppr_hash, 0x6e5637ab07e0e092ull);
+  EXPECT_EQ(ppr_stats.walk_steps, 14717u);
+  EXPECT_EQ(ppr_stats.walk_crossings, 9057u);
 
   QueryOptions n2v;
   n2v.num_walkers = 500;
   n2v.seed = 13;
   n2v.n2v_return_p = 0.5;
   n2v.n2v_in_out_q = 2.0;
-  EXPECT_EQ(HashSparse(Node2VecVisitQuery(g, *idx, 42, n2v)),
+  QueryStats n2v_stats;
+  EXPECT_EQ(HashSparse(Node2VecVisitQuery(g, *idx, 42, n2v, &n2v_stats,
+                                          &owner)),
             0xa8c0f9a066e6422full);
+  EXPECT_EQ(n2v_stats.walk_steps, 4615u);
+  EXPECT_EQ(n2v_stats.walk_crossings, 3099u);
+
+  // Walkers parked at dangling nodes (kSelfLoop), first and second order.
+  const auto hash_levels = [](const WalkDistributions& d) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const SparseVector& level : d.levels) h = HashSparse(level, h);
+    return h;
+  };
+  WalkConfig parked;
+  parked.num_walkers = 1000;
+  parked.seed = 19;
+  parked.dangling = DanglingPolicy::kSelfLoop;
+  Node2VecParams biased;
+  biased.return_p = 0.5;
+  biased.in_out_q = 2.0;
+  WalkStats simrank_parked;
+  EXPECT_EQ(hash_levels(SimulateWalkDistributions(g, 42, parked, nullptr,
+                                                  &owner, &simrank_parked)),
+            0x29f9db81b10b2813ull);
+  EXPECT_EQ(simrank_parked.steps, 10000u);
+  EXPECT_EQ(simrank_parked.partition_crossings, 6126u);
+  WalkStats n2v_parked;
+  EXPECT_EQ(hash_levels(SimulateNode2VecVisits(g, nullptr, 42, parked, biased,
+                                               nullptr, &owner, &n2v_parked)),
+            0xf970ffd77f50ad3bull);
+  EXPECT_EQ(n2v_parked.steps, 10000u);
+  EXPECT_EQ(n2v_parked.partition_crossings, 6204u);
 
   const IndexRows rows = BuildIndexRows(g, io, /*pool=*/nullptr);
   ASSERT_EQ(rows.rows.size(), g.num_nodes());

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "graph/generators.h"
@@ -169,68 +168,6 @@ TEST(WalkDistributionsTest, StatsCountCrossings) {
   SimulateWalkDistributions(g, 0, cfg, nullptr, &owner, &stats);
   EXPECT_EQ(stats.steps, 5u);
   EXPECT_EQ(stats.partition_crossings, 5u);
-}
-
-TEST(SimulateAllSourcesTest, VisitsEverySourceOnce) {
-  const Graph g = GenerateErdosRenyi(300, 3000, 8);
-  WalkConfig cfg;
-  cfg.num_steps = 3;
-  cfg.num_walkers = 8;
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(g.num_nodes());
-  SimulateAllSources(g, cfg, &pool,
-                     [&visits](NodeId s, const WalkDistributions& d) {
-                       EXPECT_EQ(d.levels[0][0].index, s);
-                       visits[s].fetch_add(1);
-                     });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(SimulateAllSourcesTest, SerialAndParallelAgree) {
-  const Graph g = GenerateRmat(128, 1024, 9);
-  WalkConfig cfg;
-  cfg.num_steps = 4;
-  cfg.num_walkers = 16;
-  std::vector<double> serial_sums(g.num_nodes());
-  SimulateAllSources(g, cfg, nullptr,
-                     [&](NodeId s, const WalkDistributions& d) {
-                       double sum = 0;
-                       for (const auto& lvl : d.levels) sum += lvl.Sum();
-                       serial_sums[s] = sum;
-                     });
-  ThreadPool pool(8);
-  std::vector<double> parallel_sums(g.num_nodes());
-  SimulateAllSources(g, cfg, &pool,
-                     [&](NodeId s, const WalkDistributions& d) {
-                       double sum = 0;
-                       for (const auto& lvl : d.levels) sum += lvl.Sum();
-                       parallel_sums[s] = sum;
-                     });
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_DOUBLE_EQ(serial_sums[v], parallel_sums[v]) << "node " << v;
-  }
-}
-
-TEST(SimulateTrajectoryTest, StartsAtSourceAndFollowsInLinks) {
-  const Graph g = GenerateCycle(7);
-  Xoshiro256 rng(10);
-  const auto traj = SimulateTrajectory(g, 3, 5, rng);
-  ASSERT_EQ(traj.size(), 6u);
-  EXPECT_EQ(traj[0], 3u);
-  for (uint32_t t = 1; t <= 5; ++t) {
-    EXPECT_EQ(traj[t], (3 + 7 - t) % 7);
-  }
-}
-
-TEST(SimulateTrajectoryTest, DiesAtDanglingNode) {
-  const Graph g = GeneratePath(3);
-  Xoshiro256 rng(11);
-  const auto traj = SimulateTrajectory(g, 2, 5, rng);
-  EXPECT_EQ(traj[0], 2u);
-  EXPECT_EQ(traj[1], 1u);
-  EXPECT_EQ(traj[2], 0u);
-  EXPECT_EQ(traj[3], kInvalidNode);
-  EXPECT_EQ(traj[4], kInvalidNode);
 }
 
 TEST(ExactWalkDistributionsTest, MatchesCycle) {

@@ -3,7 +3,7 @@
 // changes these bytes must bump kNetProtocolVersion, because an old
 // worker would misread a new coordinator's frames (and vice versa).
 // Compile-time layout is pinned by the static_asserts in wire.h and
-// shard/walk_policies.h; this suite pins the runtime byte stream.
+// engine/walk.h; this suite pins the runtime byte stream.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/walk.h"
 #include "net/wire.h"
-#include "shard/walk_policies.h"
 
 namespace cloudwalker {
 namespace {
