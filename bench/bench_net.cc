@@ -148,7 +148,7 @@ int main() {
   const LocalWalkBackend local(graph, &ctx);
   ShardingOptions sharding;
   sharding.num_shards = kWorkers;
-  auto sharded = ShardedWalkEngine::Build(graph, sharding);
+  auto sharded = ShardedWalkEngine::Build(graph, &ctx, sharding);
   CW_CHECK_OK(sharded.status());
 
   const uint32_t sources = quick ? 8 : 24;

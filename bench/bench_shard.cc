@@ -133,7 +133,7 @@ int main() {
     ShardingOptions options;
     options.num_shards = shards;
     options.num_threads = threads;
-    auto built = ShardedWalkEngine::Build(graph, options);
+    auto built = ShardedWalkEngine::Build(graph, &ctx, options);
     CW_CHECK_OK(built.status());
     return std::move(built).value();
   };

@@ -99,15 +99,12 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Shard(
         "Shard requires an in-memory graph: an out-of-core instance pages "
         "its edges through the walker-block scheduler instead");
   }
-  if (!base->int_to_ext_.empty()) {
-    return Status::FailedPrecondition(
-        "Shard does not support locality-reordered snapshots: replacing "
-        "the walk backend would drop the external-id RNG keying");
-  }
-  CW_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedWalkEngine> engine,
-                      ShardedWalkEngine::Build(base->graph(), options));
-  // The copy shares the graph / snapshot ownership with `base`, so
-  // the borrowed pointers inside the engine stay pinned even after the
+  CW_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ShardedWalkEngine> engine,
+      ShardedWalkEngine::Build(base->graph(), base->walk_context_.get(),
+                               options));
+  // The copy shares the graph / context / snapshot ownership with `base`,
+  // so the borrowed pointers inside the engine stay pinned even after the
   // caller drops `base`. (A borrowed-graph base keeps its original
   // contract: the external graph must outlive the sharded instance too.)
   CloudWalker sharded(*base);
@@ -125,11 +122,6 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Parallelize(
     return Status::FailedPrecondition(
         "Parallelize requires an in-memory graph: an out-of-core instance "
         "pages its edges through the walker-block scheduler instead");
-  }
-  if (!base->int_to_ext_.empty()) {
-    return Status::FailedPrecondition(
-        "Parallelize does not support locality-reordered snapshots: "
-        "replacing the walk backend would drop the external-id RNG keying");
   }
   CW_ASSIGN_OR_RETURN(
       std::shared_ptr<const ParallelWalkExecutor> executor,
@@ -154,11 +146,6 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Distribute(
         "Distribute requires a snapshot-backed engine (CloudWalker::Open): "
         "the handshake pins the snapshot fingerprint so coordinator and "
         "workers provably serve the same artifact");
-  }
-  if (!base->int_to_ext_.empty()) {
-    return Status::FailedPrecondition(
-        "Distribute does not support locality-reordered snapshots: the "
-        "wire protocol does not carry the external-id RNG keying");
   }
   CW_ASSIGN_OR_RETURN(
       std::shared_ptr<const RemoteWalkBackend> backend,
@@ -194,15 +181,10 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Open(
                      OptionsFromMetadata(view->params(), meta),
                      std::move(context));
   opened.owned_graph_ = std::move(graph);
-  if (!view->permutation().empty()) {
-    // Locality-reordered artifact: queries run on internal ids behind an
-    // external-id translation layer, and every walk re-keys its RNG on
-    // the source's external id so answers match the unreordered artifact.
-    opened.InstallPermutation(
-        view->permutation(),
-        std::make_shared<const LocalWalkBackend>(*opened.graph_,
-                                                 opened.walk_context_.get()));
-  }
+  // On a locality-reordered artifact queries run on internal ids behind an
+  // external-id translation layer; the walks key on external ids through
+  // the context.
+  opened.InstallPermutation(view->permutation());
   opened.snapshot_ = std::move(view);
   return std::shared_ptr<const CloudWalker>(
       new CloudWalker(std::move(opened)));
@@ -237,23 +219,17 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::OutOfCore(
                      OptionsFromMetadata(paged->params(), meta));
   opened.owned_graph_ = std::move(graph);
   opened.ooc_backend_ = backend;
-  opened.walk_backend_ = backend;
-  if (!paged->permutation().empty()) {
-    opened.InstallPermutation(paged->permutation(), std::move(backend));
-  }
+  opened.walk_backend_ = std::move(backend);
+  // The backend keys its walks through the paged snapshot's permutation.
+  opened.InstallPermutation(paged->permutation());
   return std::shared_ptr<const CloudWalker>(
       new CloudWalker(std::move(opened)));
 }
 
-void CloudWalker::InstallPermutation(
-    std::span<const NodeId> perm,
-    std::shared_ptr<const WalkBackend> inner) {
+void CloudWalker::InstallPermutation(std::span<const NodeId> perm) {
   int_to_ext_ = perm;
   ext_to_int_.resize(perm.size());
   for (NodeId u = 0; u < perm.size(); ++u) ext_to_int_[perm[u]] = u;
-  walk_backend_ =
-      std::make_shared<const ExternalKeyWalkBackend>(std::move(inner),
-                                                     int_to_ext_);
 }
 
 SparseVector CloudWalker::TranslateSparse(SparseVector raw) const {

@@ -253,12 +253,14 @@ class CloudWalker {
   /// The graph being queried.
   const Graph& graph() const { return *graph_; }
 
-  /// The walk context (graph plus, on a reordered snapshot, its in-row
-  /// order; engine/walk.h) every query of this instance runs through.
+  /// The walk context (graph plus, on a reordered snapshot, the
+  /// permutation that keys its walks and orders its in-rows;
+  /// engine/walk.h) every query of this instance runs through.
   const WalkContext& walk_context() const { return *walk_context_; }
 
-  /// The walk backend override installed by Shard(), or null when queries
-  /// run the single-node batched kernel.
+  /// The walk backend installed by Shard(), Parallelize(), Distribute()
+  /// or OutOfCore(), or null when queries run the single-node backend over
+  /// graph() and walk_context().
   const WalkBackend* walk_backend() const { return walk_backend_.get(); }
 
   /// Persists the index; reload with DiagonalIndex::Load + FromIndex.
@@ -304,12 +306,12 @@ class CloudWalker {
   // top-k extraction so score ties break on external ids.
   SparseVector TranslateSparse(SparseVector raw) const;
 
-  // Installs the id-translation state for a reordered snapshot: borrows
-  // `perm` (internal -> external; the instance must pin its owner),
-  // builds the inverse, and re-keys every walk on external source ids by
-  // wrapping `inner` in an ExternalKeyWalkBackend.
-  void InstallPermutation(std::span<const NodeId> perm,
-                          std::shared_ptr<const WalkBackend> inner);
+  // Installs the id-translation state for a reordered snapshot (a no-op
+  // for an empty `perm`): borrows `perm` (internal -> external; the
+  // instance must pin its owner) and builds the inverse. The walks key on
+  // external ids on their own, through the permutation every backend
+  // reads from its copy of the artifact.
+  void InstallPermutation(std::span<const NodeId> perm);
 
   // The shared kernels behind both the per-kind methods and Execute().
   // All assume validated inputs; `stats` / `cancel` may be null. A stopped
@@ -342,17 +344,17 @@ class CloudWalker {
   // Shared so copies of the facade (Shard(), Parallelize(), ...) keep the
   // borrowed context alive for their backends.
   std::shared_ptr<const WalkContext> walk_context_;
-  // Walk backend override (Shard()); null runs the single-node kernel. The
-  // backend borrows graph_ / walk_context_, which this instance pins.
+  // Walk backend override (Shard(), Parallelize(), Distribute(),
+  // OutOfCore()); null runs the single-node backend. The backend borrows
+  // graph_ / walk_context_, which this instance pins.
   std::shared_ptr<const WalkBackend> walk_backend_;
   // Ownership plumbing of the shared_ptr factories: the heap graph (owning
   // Build / FromIndex / Open) and the backing mapping (Open). Null when
   // the graph is merely borrowed. graph_ aliases owned_graph_ when set.
   std::shared_ptr<const Graph> owned_graph_;
   std::shared_ptr<const SnapshotView> snapshot_;
-  // OutOfCore(): the demand-paged backend (also aliased — possibly through
-  // an ExternalKeyWalkBackend wrapper — by walk_backend_). Pins the
-  // PagedSnapshot the facade's graph / index spans alias.
+  // OutOfCore(): the demand-paged backend (also aliased by walk_backend_).
+  // Pins the PagedSnapshot the facade's graph / index spans alias.
   std::shared_ptr<const OutOfCoreWalkBackend> ooc_backend_;
   // Locality-reorder translation (empty unless the backing snapshot
   // carries a permutation). int_to_ext_ borrows the snapshot's

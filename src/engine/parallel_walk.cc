@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "engine/walk_kernel.h"
-#include "engine/walk_step.h"
+#include "engine/walk_driver.h"
 
 namespace cloudwalker {
 namespace {
@@ -18,7 +17,7 @@ struct alignas(kCacheLineBytes) RangeResult {
 };
 
 // First-touch warm-up, run by each range task on its worker thread before
-// the kernel: pulls the source row's offsets and leading target lines into
+// its level loop: pulls the source row's offsets and leading target lines into
 // the worker's cache so the first blocks of every range don't all stall on
 // the same cold lines.
 void WarmRow(const Graph& graph, NodeId source) {
@@ -58,10 +57,9 @@ ParallelWalkExecutor::Build(const Graph& graph,
 ParallelWalkExecutor::ParallelWalkExecutor(
     const Graph& graph, const WalkContext* context_or_null,
     const ParallelWalkOptions& options, int num_threads)
-    : graph_(&graph),
-      context_(context_or_null),
+    : WalkFront(graph, context_or_null),
+      graph_(&graph),
       options_(options),
-      id_bits_(WalkKernel::IdBits(graph)),
       num_threads_(num_threads),
       pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
                             : nullptr) {}
@@ -85,16 +83,14 @@ ParallelWalkExecutor::SplitWalkers(uint32_t num_walkers) const {
 }
 
 template <typename Policy>
-void ParallelWalkExecutor::RunRanges(NodeId source, const WalkConfig& config,
-                                     const Policy& policy, WalkStats* stats,
-                                     std::vector<SparseVector>* levels,
-                                     std::vector<NodeId>* terminals) const {
+Status ParallelWalkExecutor::Walk(NodeId source, const WalkConfig& config,
+                                  const Policy& policy, WalkStats* stats,
+                                  const WalkOutput& out) const {
+  const CsrLevels levels{graph_};
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    WalkKernel::Run(*graph_, source, config, policy, 0, config.num_walkers,
-                    /*scratch=*/nullptr, /*owner=*/nullptr, stats,
-                    WalkOutput{.levels = levels, .terminals = terminals});
-    return;
+    return LevelLoop::Run(levels, source, config, policy, 0,
+                          config.num_walkers, /*scratch=*/nullptr, stats, out);
   }
   // Each range walks its own global walker ids, so its draws are the ones
   // the single-thread run makes; levels leave as raw endpoint lists.
@@ -104,21 +100,23 @@ void ParallelWalkExecutor::RunRanges(NodeId source, const WalkConfig& config,
       [&](uint64_t begin, uint64_t end) {
         for (uint64_t i = begin; i < end; ++i) {
           RangeResult& res = results[i];
-          WalkOutput out{.terminals = &res.terminals};
+          WalkOutput range_out{.terminals = &res.terminals};
           if constexpr (Policy::kEmitsLevels) {
             res.raw.assign(config.num_steps + 1, {});
-            out.raw_levels = &res.raw;
+            range_out.raw_levels = &res.raw;
           }
           WalkWorkerState state;
           WarmRow(*graph_, source);
-          WalkKernel::Run(*graph_, source, config, policy, ranges[i].begin,
-                          ranges[i].end - ranges[i].begin, &state.scratch,
-                          /*owner=*/nullptr, &res.stats, out);
+          // In-CSR ranges cannot fail.
+          (void)LevelLoop::Run(levels, source, config, policy,
+                               ranges[i].begin,
+                               ranges[i].end - ranges[i].begin,
+                               &state.scratch, &res.stats, range_out);
         }
       });
 
   // Merge: concatenating the ranges' raw endpoint lists reproduces the
-  // exact multiset the single-thread kernel drains per level, and the
+  // exact multiset the single-thread loop drains per level, and the
   // shared sort-and-RLE aggregation is order independent — so the level
   // vectors are bit-identical at every thread count.
   if constexpr (Policy::kEmitsLevels) {
@@ -130,12 +128,12 @@ void ParallelWalkExecutor::RunRanges(NodeId source, const WalkConfig& config,
       for (const RangeResult& res : results) {
         merged.insert(merged.end(), res.raw[t].begin(), res.raw[t].end());
       }
-      (*levels)[t] = AggregateEndpointNodes(merged, inv_r, id_bits_);
+      (*out.levels)[t] = AggregateEndpointNodes(merged, inv_r, id_bits());
     }
   } else {
     for (const RangeResult& res : results) {
-      terminals->insert(terminals->end(), res.terminals.begin(),
-                        res.terminals.end());
+      out.terminals->insert(out.terminals->end(), res.terminals.begin(),
+                            res.terminals.end());
     }
   }
   if (stats != nullptr) {
@@ -144,39 +142,17 @@ void ParallelWalkExecutor::RunRanges(NodeId source, const WalkConfig& config,
       stats->partition_crossings += res.stats.partition_crossings;
     }
   }
+  return Status::Ok();
 }
 
-WalkDistributions ParallelWalkExecutor::SimRankLevels(
-    NodeId source, const WalkConfig& config, WalkStats* stats) const {
-  WalkDistributions out = SourceLevels(source, config.num_steps);
-  RunRanges(source, config, SimRankPolicy(config, source), stats,
-            &out.levels, /*terminals=*/nullptr);
-  return out;
-}
-
-SparseVector ParallelWalkExecutor::PprEndpoints(NodeId source,
-                                                const WalkConfig& config,
-                                                const PprParams& params,
-                                                WalkStats* stats) const {
-  std::vector<NodeId> terminals;
-  terminals.reserve(config.num_walkers);
-  RunRanges(source, config, PprPolicy(config, source, params), stats,
-            /*levels=*/nullptr, &terminals);
-  const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  return AggregateEndpointNodes(terminals, inv_r, id_bits_);
-}
-
-WalkDistributions ParallelWalkExecutor::Node2VecLevels(
-    NodeId source, const WalkConfig& config, const Node2VecParams& params,
-    WalkStats* stats) const {
-  const Node2VecPolicy policy(config, source, params,
-                              context_ != nullptr
-                                  ? context_->external_ids()
-                                  : std::span<const NodeId>());
-  WalkDistributions out = SourceLevels(source, config.num_steps);
-  RunRanges(source, config, policy, stats, &out.levels,
-            /*terminals=*/nullptr);
-  return out;
-}
+template Status ParallelWalkExecutor::Walk(NodeId, const WalkConfig&,
+                                           const SimRankPolicy&, WalkStats*,
+                                           const WalkOutput&) const;
+template Status ParallelWalkExecutor::Walk(NodeId, const WalkConfig&,
+                                           const PprPolicy&, WalkStats*,
+                                           const WalkOutput&) const;
+template Status ParallelWalkExecutor::Walk(NodeId, const WalkConfig&,
+                                           const Node2VecPolicy&, WalkStats*,
+                                           const WalkOutput&) const;
 
 }  // namespace cloudwalker

@@ -7,12 +7,13 @@
 // partition of the walker ids produces the same endpoint multisets. The
 // executor splits [0, R) into contiguous ranges (at least
 // `min_walkers_per_range` walkers each, at most one per worker thread),
-// runs each range through the ordinary walk kernel with its own
-// cache-line-padded WalkScratch, seeding its records with their global
-// walker ids, and merges by concatenating the ranges' *raw* endpoint lists
-// before aggregating once with the shared sort-and-RLE pass. Summing per-range SparseVectors
-// instead would reassociate doubles and break bit-identity — the merge
-// must happen on node ids, not on aggregated values.
+// runs the level loop (engine/walk_driver.h) once per range over the
+// in-CSR with its own cache-line-padded WalkScratch, seeding its records
+// with their global walker ids, and merges by concatenating the ranges'
+// *raw* endpoint lists before aggregating once with the shared
+// sort-and-RLE pass. Summing per-range SparseVectors instead would
+// reassociate doubles and break bit-identity — the merge must happen on
+// node ids, not on aggregated values.
 //
 // The executor is a WalkBackend, so it slots behind CloudWalker /
 // QueryService exactly like the sharded engine: the combine phases of the
@@ -47,7 +48,7 @@ struct ParallelWalkOptions {
 /// `context_or_null` (both must outlive the executor); owns its thread
 /// pool. Results are bit-identical to LocalWalkBackend for every thread
 /// count and every option setting.
-class ParallelWalkExecutor final : public WalkBackend {
+class ParallelWalkExecutor final : public WalkFront<ParallelWalkExecutor> {
  public:
   static StatusOr<std::shared_ptr<const ParallelWalkExecutor>> Build(
       const Graph& graph, const WalkContext* context_or_null,
@@ -56,19 +57,10 @@ class ParallelWalkExecutor final : public WalkBackend {
   /// Resolved worker count (>= 1).
   int num_threads() const { return num_threads_; }
 
-  WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
-                                  WalkStats* stats) const override;
-
-  SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
-                            const PprParams& params,
-                            WalkStats* stats) const override;
-
-  WalkDistributions Node2VecLevels(NodeId source, const WalkConfig& config,
-                                   const Node2VecParams& params,
-                                   WalkStats* stats) const override;
-
  private:
-  /// A contiguous walker-id range [begin, end) — one kernel run.
+  friend class WalkFront<ParallelWalkExecutor>;
+
+  /// A contiguous walker-id range [begin, end) — one level-loop run.
   struct WalkerRange {
     uint32_t begin = 0;
     uint32_t end = 0;
@@ -83,18 +75,13 @@ class ParallelWalkExecutor final : public WalkBackend {
   std::vector<WalkerRange> SplitWalkers(uint32_t num_walkers) const;
 
   /// Runs `policy`'s walk over the split ranges and merges them into
-  /// `levels` (level policies; sized, level 0 set) or appends to
-  /// `terminals` (PPR). One range runs the kernel directly.
+  /// `out`. One range runs the level loop directly.
   template <typename Policy>
-  void RunRanges(NodeId source, const WalkConfig& config,
-                 const Policy& policy, WalkStats* stats,
-                 std::vector<SparseVector>* levels,
-                 std::vector<NodeId>* terminals) const;
+  Status Walk(NodeId source, const WalkConfig& config, const Policy& policy,
+              WalkStats* stats, const WalkOutput& out) const;
 
   const Graph* graph_;
-  const WalkContext* context_;
   ParallelWalkOptions options_;
-  uint32_t id_bits_;
   int num_threads_;
   // Null when num_threads_ == 1. Mutable because enqueueing work is not
   // logically a mutation of the (immutable) executor.

@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "engine/walk_kernel.h"
+#include "engine/walk_backend.h"
+#include "engine/walk_driver.h"
 
 namespace cloudwalker {
 
@@ -14,15 +15,33 @@ WalkScratch::WalkScratch(uint32_t expected_walkers) {
   sort_buffer_.reserve(expected_walkers);
 }
 
+template <typename Policy>
+Status LocalWalkBackend::Walk(NodeId source, const WalkConfig& config,
+                              const Policy& policy, WalkStats* stats,
+                              const WalkOutput& out) const {
+  return LevelLoop::Run(levels_, source, config, policy, 0,
+                        config.num_walkers, /*scratch=*/nullptr, stats, out);
+}
+
+template Status LocalWalkBackend::Walk(NodeId, const WalkConfig&,
+                                       const SimRankPolicy&, WalkStats*,
+                                       const WalkOutput&) const;
+template Status LocalWalkBackend::Walk(NodeId, const WalkConfig&,
+                                       const PprPolicy&, WalkStats*,
+                                       const WalkOutput&) const;
+template Status LocalWalkBackend::Walk(NodeId, const WalkConfig&,
+                                       const Node2VecPolicy&, WalkStats*,
+                                       const WalkOutput&) const;
+
 WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
                                             const WalkConfig& config,
                                             WalkScratch* scratch,
                                             const NodeOwnerFn* owner,
                                             WalkStats* stats) {
   WalkDistributions out = SourceLevels(source, config.num_steps);
-  WalkKernel::Run(graph, source, config, SimRankPolicy(config, source), 0,
-                  config.num_walkers, scratch, owner, stats,
-                  WalkOutput{.levels = &out.levels});
+  (void)LevelLoop::Run(CsrLevels{&graph, owner}, source, config,
+                       SimRankPolicy(config, source), 0, config.num_walkers,
+                       scratch, stats, WalkOutput{.levels = &out.levels});
   return out;
 }
 

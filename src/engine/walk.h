@@ -12,14 +12,17 @@
 //
 // SimRank's endpoint-per-level walk is the first *walk program* of the
 // shared engine (DESIGN.md section 10): its policy and the level step every
-// executor runs live in engine/walk_step.h, the walker records and the
-// aggregation in the kernel (engine/walk_kernel.h). Further programs —
+// executor runs live in engine/walk_step.h, and the level loop with its
+// endpoint aggregation in engine/walk_driver.h. Further programs —
 // personalized PageRank and second-order node2vec walks — are declared in
 // engine/walk_program.h.
 //
 // Determinism: every draw is the stateless CounterRandom of
-// (DeriveSeed(config.seed, source), walker, step), so results are
-// bit-identical across thread counts, batch widths, and backends.
+// (DeriveSeed(config.seed, key node), walker, step), where the key node is
+// the source's external id on a locality-reordered snapshot
+// (WalkContext::external_ids) and the source otherwise, so results are
+// bit-identical across thread counts, batch widths, backends and node
+// numberings.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_H_
 #define CLOUDWALKER_ENGINE_WALK_H_
@@ -72,17 +75,11 @@ struct WalkConfig {
   /// bit-identical for every width. The default keeps ~256 prefetches in
   /// flight per pass, enough to cover DRAM latency at every pass boundary.
   uint32_t batch_width = 256;
-  /// Cooperative stop signal (borrowed, may be null). Polled between
-  /// level-synchronous walk blocks; a stopped simulation returns early
-  /// with the remaining levels empty, and the caller is expected to
-  /// discard the truncated result (see common/cancel.h).
+  /// Cooperative stop signal (borrowed, may be null). Polled once per
+  /// level by the level loop; a stopped simulation returns early with the
+  /// remaining levels empty, and the caller is expected to discard the
+  /// truncated result (see common/cancel.h).
   const CancelToken* cancel = nullptr;
-  /// Node id the per-source RNG key is derived from; kInvalidNode (the
-  /// default) keys on the walk's actual source. A locality-reordered
-  /// snapshot (DESIGN.md section 14) sets this to the source's *external*
-  /// id so the draw streams — and therefore the walk distributions, after
-  /// id translation — are identical to the unreordered artifact's.
-  NodeId rng_node = kInvalidNode;
 };
 
 /// Issues a read prefetch for the cache line holding `addr` (no-op on
@@ -97,7 +94,7 @@ inline void PrefetchRead(const void* addr) {
 }
 
 /// Maps the upper 32 bits of `raw` onto [0, degree) by multiply-shift: the
-/// in-row slot a uniform reverse step takes. Every executor (the kernel,
+/// in-row slot a uniform reverse step takes. Every executor (the in-CSR,
 /// shard slices, socket workers, out-of-core block leases) picks
 /// `in_targets[in_offsets[v] + PickSlot(raw, deg)]`, so all of them
 /// consume randomness identically.
@@ -158,10 +155,11 @@ struct WalkStats {
 };
 
 /// The per-graph walk state every query of one engine shares: the graph
-/// and, on a locality-reordered snapshot, the permutation its in-rows are
-/// sorted by (internal id -> external id; empty otherwise). Only node2vec's
-/// in-row membership test reads the permutation. Immutable and
-/// thread-safe; borrows both, which must outlive the context.
+/// and, on a locality-reordered snapshot, its permutation (internal id ->
+/// external id; empty otherwise). Every walk keys its draws on the
+/// source's external id through it (KeyNode, engine/walk_step.h), and
+/// node2vec's in-row membership test searches rows sorted by it. Immutable
+/// and thread-safe; borrows both, which must outlive the context.
 class WalkContext {
  public:
   explicit WalkContext(const Graph& graph,
@@ -195,24 +193,28 @@ static_assert(offsetof(WalkerRec, walker) == 0);
 static_assert(offsetof(WalkerRec, cur) == 4);
 static_assert(offsetof(WalkerRec, prev) == 8);
 
-/// Reusable per-worker scratch of the walk kernel: the live walker records
-/// (the level's input and its compacted survivors) and the per-level
-/// endpoint radix-sort buffers. Opaque — create one per worker (never share
-/// concurrently) and pass it to repeated simulations to avoid reallocation.
-/// Cache-line aligned so arrays of per-worker scratches can never
-/// false-share.
+/// Reusable per-worker scratch of the level loop (engine/walk_driver.h):
+/// the live walker records (the level's input and its compacted
+/// survivors), the per-level endpoint radix-sort buffers and, for
+/// executors with several parts, the frontier's bucketing arrays. Opaque —
+/// create one per worker (never share concurrently) and pass it to
+/// repeated simulations to avoid reallocation. Cache-line aligned so
+/// arrays of per-worker scratches can never false-share.
 class alignas(kCacheLineBytes) WalkScratch {
  public:
   /// `expected_walkers` presizes the buffers for that many walkers.
   explicit WalkScratch(uint32_t expected_walkers = 16);
 
  private:
-  friend struct WalkKernel;  // the engine's internal implementation
+  friend struct LevelLoop;  // the engine's internal implementation
 
   std::vector<WalkerRec> walkers_;    // live walkers entering a level
-  std::vector<WalkerRec> survivors_;  // the level's survivors, compacted
+  std::vector<WalkerRec> survivors_;  // survivors, or the bucketed frontier
   std::vector<NodeId> endpoints_;     // endpoints of the current level
   std::vector<NodeId> sort_buffer_;   // radix ping-pong partner
+  std::vector<uint32_t> part_of_;       // each live walker's part
+  std::vector<uint32_t> bucket_start_;  // part p's bucket offset
+  std::vector<uint32_t> cursor_;        // counting-sort write cursors
 };
 static_assert(alignof(WalkScratch) >= kCacheLineBytes);
 static_assert(sizeof(WalkScratch) % kCacheLineBytes == 0);

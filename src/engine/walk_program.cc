@@ -1,14 +1,14 @@
 #include "engine/walk_program.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/radix_sort.h"
 #include "common/random.h"
 #include "engine/simd.h"
-#include "engine/walk_kernel.h"
-#include "engine/walk_step.h"
+#include "engine/walk_driver.h"
 
 namespace cloudwalker {
 
@@ -37,12 +37,12 @@ SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
                                   const NodeOwnerFn* owner,
                                   WalkStats* stats) {
   std::vector<NodeId> terminals;
-  terminals.reserve(config.num_walkers);
-  WalkKernel::Run(graph, source, config, PprPolicy(config, source, params), 0,
-                  config.num_walkers, scratch, owner, stats,
-                  WalkOutput{.terminals = &terminals});
+  (void)LevelLoop::Run(CsrLevels{&graph, owner}, source, config,
+                       PprPolicy(config, source, params), 0, config.num_walkers,
+                       scratch, stats, WalkOutput{.terminals = &terminals});
   const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  return AggregateEndpointNodes(terminals, inv_r, WalkKernel::IdBits(graph));
+  return AggregateEndpointNodes(terminals, inv_r,
+                                NodeIdBits(graph.num_nodes()));
 }
 
 WalkDistributions SimulateNode2VecVisits(const Graph& graph,
@@ -58,8 +58,9 @@ WalkDistributions SimulateNode2VecVisits(const Graph& graph,
       context_or_null != nullptr ? context_or_null->external_ids()
                                  : std::span<const NodeId>());
   WalkDistributions out = SourceLevels(source, config.num_steps);
-  WalkKernel::Run(graph, source, config, policy, 0, config.num_walkers,
-                  scratch, owner, stats, WalkOutput{.levels = &out.levels});
+  (void)LevelLoop::Run(CsrLevels{&graph, owner}, source, config, policy, 0,
+                       config.num_walkers, scratch, stats,
+                       WalkOutput{.levels = &out.levels});
   return out;
 }
 

@@ -3,13 +3,13 @@
 // node2vec-style walks. SimRank — the first program — keeps its original
 // entry points in engine/walk.h.
 //
-// Both programs run on the same kernel as SimRank (walker records, blocked
-// advance, in-CSR prefetch, radix aggregation; their policies live in
-// engine/walk_step.h) and inherit its determinism
-// contract: every draw is a pure function of (config.seed, source, walker,
-// step[, trial]), on per-program channels derived from the per-source key,
-// so results are bit-identical across batch widths, thread counts, and
-// backends — per program.
+// Both programs run on the same engine as SimRank (walker records, the
+// level loop of engine/walk_driver.h, blocked advance with in-CSR
+// prefetch, radix aggregation; their policies live in engine/walk_step.h)
+// and inherit its determinism contract: every draw is a pure function of
+// (config.seed, key node, walker, step[, trial]), on per-program channels
+// derived from the per-source key, so results are bit-identical across
+// batch widths, thread counts, and backends — per program.
 //
 // Both walk the same reverse transition kernel P as SimRank (each move
 // goes to a uniformly random *in-neighbor*), so they measure relevance in
@@ -30,7 +30,7 @@ namespace cloudwalker {
 
 /// Channel tags for program-specific draw streams. A program needing a
 /// draw beyond the canonical move stream derives its own channel key as
-/// DeriveSeed(DeriveSeed(config.seed, source), channel) so no two
+/// DeriveSeed(DeriveSeed(config.seed, key node), channel) so no two
 /// programs — and no two draw purposes within one step — ever consume the
 /// same counter stream.
 inline constexpr uint64_t kPprStopChannel = 0x7070722d73746f70ull;   // "ppr-stop"
@@ -113,8 +113,10 @@ SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
 /// sampled by rejection against the uniform in-row pick. The first step
 /// (no previous node yet) is uniform. Visit scores for ranking are the
 /// level average; see Node2VecVisitScores in core/queries.h.
-/// `context_or_null` supplies the in-row order of a reordered snapshot
-/// (WalkContext::external_ids); null means rows sorted by id.
+/// `context_or_null` supplies a reordered snapshot's permutation
+/// (WalkContext::external_ids), which keys the draws on the source's
+/// external id and orders the in-rows; null means the original
+/// numbering, rows sorted by id.
 WalkDistributions SimulateNode2VecVisits(const Graph& graph,
                                          const WalkContext* context_or_null,
                                          NodeId source,

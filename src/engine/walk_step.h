@@ -1,21 +1,24 @@
 // The walker step every executor shares (DESIGN.md section 10.1): the
 // three walk programs as policies, each defined once, and AdvanceLevel,
 // which moves a span of walker records one in-link step over any row
-// source. The single-node kernel and the parallel executor advance
-// against the resident in-CSR, the sharded engine against a shard slice,
-// the socket worker against its mapped snapshot and the out-of-core
-// scheduler against a pinned block lease; each keeps only its routing,
-// in a sink.
+// source. The single-node and parallel executors advance against the
+// resident in-CSR, the sharded engine against a shard slice, the socket
+// worker against its mapped snapshot and the out-of-core scheduler against
+// a pinned block lease; each keeps only its routing, in a sink. The level
+// loop around the step is engine/walk_driver.h.
 //
 // RNG keying contract: every draw is a pure function of
-// (seed, KeyNode(config, source), global walker id, step[, trial]). The
-// canonical move stream is CounterRandom(DeriveSeed(seed, key_node),
-// walker << 32 | step); any further randomness comes from a channel
+// (seed, KeyNode(external_ids, source), global walker id, step[, trial]),
+// where `external_ids` is the permutation of a locality-reordered snapshot
+// (empty otherwise) that each executor reads from its own copy of the
+// artifact. The canonical move stream is
+// CounterRandom(DeriveSeed(seed, key_node), walker << 32 | step); any
+// further randomness comes from a channel
 // DeriveSeed(DeriveSeed(seed, key_node), tag), so no two programs, and no
 // two draw purposes within one step, share a stream. Walker ids are
 // global (a walker range or a shard batch carries them in its records),
 // so results are bit-identical across batch widths, thread counts,
-// shards, workers and block schedules.
+// shards, workers, block schedules and node numberings.
 //
 // Row source concept (first order uses the first four, node2vec also
 // InRow):
@@ -48,11 +51,13 @@
 
 namespace cloudwalker {
 
-/// The node the per-source RNG key derives from: the external id on a
-/// locality-reordered snapshot (WalkConfig::rng_node), the source itself
-/// otherwise.
-inline NodeId KeyNode(const WalkConfig& config, NodeId source) {
-  return config.rng_node != kInvalidNode ? config.rng_node : source;
+/// The node the per-source RNG key derives from: the source's external id
+/// on a locality-reordered snapshot (`external_ids`, internal id ->
+/// external id), the source itself when `external_ids` is empty. Keying on
+/// the external id makes every draw — and so every walk, after id
+/// translation — identical to the unreordered artifact's.
+inline NodeId KeyNode(std::span<const NodeId> external_ids, NodeId source) {
+  return external_ids.empty() ? source : external_ids[source];
 }
 
 /// The counter of walker `w`'s draw at step `t`.
@@ -104,8 +109,9 @@ struct SimRankPolicy {
 
   uint64_t key = 0;  // the canonical move stream
 
-  SimRankPolicy(const WalkConfig& config, NodeId source)
-      : key(DeriveSeed(config.seed, KeyNode(config, source))) {}
+  SimRankPolicy(const WalkConfig& config, NodeId source,
+                std::span<const NodeId> external_ids = {})
+      : key(DeriveSeed(config.seed, KeyNode(external_ids, source))) {}
 
   uint64_t Draw(uint32_t w, uint32_t t) const {
     return CounterRandom(key, WalkerStepCounter(w, t));
@@ -125,8 +131,9 @@ struct PprPolicy {
   uint64_t stop_key = 0;  // DeriveSeed(key, kPprStopChannel)
   double alpha = 0.85;
 
-  PprPolicy(const WalkConfig& config, NodeId source, const PprParams& params)
-      : key(DeriveSeed(config.seed, KeyNode(config, source))),
+  PprPolicy(const WalkConfig& config, NodeId source, const PprParams& params,
+            std::span<const NodeId> external_ids = {})
+      : key(DeriveSeed(config.seed, KeyNode(external_ids, source))),
         stop_key(DeriveSeed(key, kPprStopChannel)),
         alpha(params.alpha) {
     CW_CHECK_GT(params.alpha, 0.0);
@@ -156,17 +163,19 @@ struct Node2VecPolicy {
   uint64_t thr_return = 0;  // candidate == prev        (weight 1/p)
   uint64_t thr_near = 0;    // candidate in In(prev)    (weight 1)
   uint64_t thr_far = 0;     // otherwise                (weight 1/q)
-  uint32_t max_trials = 64;
-  // In-row sort key of a reordered snapshot (internal -> external id);
-  // empty when the rows are sorted by id.
+  Node2VecParams params;    // p, q and the trial cap, as given
+  // The permutation of a reordered snapshot (internal -> external id),
+  // which keys the draws and sorts the in-rows; empty when the rows are
+  // sorted by id.
   std::span<const NodeId> external_ids;
 
   Node2VecPolicy(const WalkConfig& config, NodeId source,
-                 const Node2VecParams& params,
+                 const Node2VecParams& params_in,
                  std::span<const NodeId> external_ids_or_empty = {})
-      : key(DeriveSeed(config.seed, KeyNode(config, source))),
+      : key(DeriveSeed(config.seed,
+                       KeyNode(external_ids_or_empty, source))),
         trial_base(DeriveSeed(key, kNode2VecTrialChannel)),
-        max_trials(params.max_trials),
+        params(params_in),
         external_ids(external_ids_or_empty) {
     CW_CHECK_GT(params.return_p, 0.0);
     CW_CHECK_GT(params.in_out_q, 0.0);
@@ -196,7 +205,7 @@ struct Node2VecPolicy {
     // candidate classifies with one binary search; d == 0 wins.
     const std::span<const NodeId> in_prev = rows.InRow(prev);
     NodeId candidate = kInvalidNode;
-    for (uint32_t trial = 0; trial < max_trials; ++trial) {
+    for (uint32_t trial = 0; trial < params.max_trials; ++trial) {
       const uint64_t raw = CounterRandom(trial_key, trial);
       candidate = PickTarget(rows, loc, raw);
       uint64_t threshold;
@@ -294,20 +303,21 @@ inline void AdvanceLevel(const Rows rows, const Policy policy, uint32_t t,
   }
 }
 
-/// The sink that collects a level into flat buffers: survivors (presized
-/// to the walkers advanced), endpoints (level policies, presized too),
-/// terminals, and the step and crossing counts. Crossings — steps whose
-/// endpoint `owner` places on another worker than the start — are counted
-/// only when `owner` is set. The cursors and counters are 64-bit so the
-/// NodeId stores through `endpoints` cannot alias them.
+/// The sink that collects a level into flat buffers, each presized to the
+/// walkers advanced: survivors, endpoints (level policies) and terminals
+/// (retiring policies), plus the step and crossing counts. Crossings —
+/// steps whose endpoint `owner` places on another worker than the start —
+/// are counted only when `owner` is set. The cursors and counters are
+/// 64-bit so the NodeId stores through `endpoints` cannot alias them.
 template <bool kEmitsLevels>
 struct BufferSink {
   WalkerRec* survivors = nullptr;
   NodeId* endpoints = nullptr;
-  std::vector<NodeId>* terminals = nullptr;  // retiring policies only
+  NodeId* terminals = nullptr;
   const NodeOwnerFn* owner = nullptr;
   size_t num_survivors = 0;
   size_t num_endpoints = 0;
+  size_t num_terminals = 0;
   uint64_t steps = 0;
   uint64_t crossings = 0;
 
@@ -319,7 +329,7 @@ struct BufferSink {
       ++crossings;
     }
   }
-  void Retired(NodeId v) { terminals->push_back(v); }
+  void Retired(NodeId v) { terminals[num_terminals++] = v; }
 };
 
 /// The walk distributions of `source` before any step: num_steps + 1

@@ -1,12 +1,15 @@
 #include "net/remote_backend.h"
 
+#include <algorithm>
 #include <chrono>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/version.h"
-#include "engine/walk_kernel.h"
+#include "engine/walk_driver.h"
 #include "net/framing.h"
 
 namespace cloudwalker {
@@ -84,7 +87,10 @@ RemoteWalkBackend::RemoteWalkBackend(const Graph& graph,
                                      uint64_t fingerprint,
                                      RemoteBackendOptions options,
                                      PartitionStrategy strategy)
-    : graph_(&graph),
+    // The workers key every draw from their own snapshots; the
+    // coordinator draws nothing, so its policies need no permutation.
+    : WalkFront(graph.num_nodes(), /*external_ids=*/{}),
+      graph_(&graph),
       fingerprint_(fingerprint),
       options_(std::move(options)),
       partitioner_(strategy, graph.num_nodes(),
@@ -92,7 +98,6 @@ RemoteWalkBackend::RemoteWalkBackend(const Graph& graph,
       plan_hash_(NetPlanHash(strategy,
                              static_cast<uint32_t>(options_.workers.size()),
                              graph.num_nodes())),
-      id_bits_(WalkKernel::IdBits(graph)),
       last_activity_(Clock::now()) {}
 
 StatusOr<std::shared_ptr<const RemoteWalkBackend>> RemoteWalkBackend::Connect(
@@ -231,239 +236,217 @@ Status RemoteWalkBackend::ExchangeOne(int shard, const std::string& request,
       last.ToString());
 }
 
-void RemoteWalkBackend::RunJob(SuperstepMsg proto, const WalkConfig& config,
-                               std::vector<SparseVector>* levels,
-                               std::vector<NodeId>* terminals,
-                               WalkStats* stats) const {
-  CW_CHECK_LT(proto.source, graph_->num_nodes());
-  CW_CHECK_GT(config.num_walkers, 0u);
-  const uint32_t r = config.num_walkers;
-  const double inv_r = 1.0 / static_cast<double>(r);
-  const int num_shards = partitioner_.num_workers();
-  const bool emits_levels =
-      proto.phase != static_cast<uint32_t>(WalkPhase::kPpr);
-  proto.num_walkers = r;
-  proto.num_steps = config.num_steps;
-  proto.seed = config.seed;
-  proto.dangling = static_cast<uint32_t>(config.dangling);
-
-  if (emits_levels) {
-    levels->assign(config.num_steps + 1, SparseVector());
-    (*levels)[0] =
-        SparseVector::FromSorted({SparseEntry{proto.source, 1.0}});
-  }
-
-  // One job at a time over the shared connections: concurrency lives in
-  // the workers. QueryService's dedup/cache layers sit in front of this
-  // lock, so identical concurrent queries still collapse to one job.
-  std::lock_guard<std::mutex> lock(mu_);
-
-  // Lazy death detection: a job arriving after a quiet period sweeps
-  // heartbeats first and drops dead connections so the first superstep
-  // reconnects eagerly instead of burning its timeout.
-  if (options_.heartbeat_interval_seconds > 0 &&
-      std::chrono::duration<double>(Clock::now() - last_activity_).count() >
+void RemoteWalkBackend::SweepHeartbeats() const {
+  if (options_.heartbeat_interval_seconds <= 0 ||
+      std::chrono::duration<double>(Clock::now() - last_activity_).count() <=
           options_.heartbeat_interval_seconds) {
-    for (int shard = 0; shard < num_shards; ++shard) {
-      Socket& conn = conns_[static_cast<size_t>(shard)];
-      if (!conn.valid()) continue;
-      Status alive_check = SendFrame(conn, MsgType::kHeartbeat, {},
-                                     options_.connect_timeout_seconds);
-      if (alive_check.ok()) {
-        StatusOr<Frame> ack =
-            RecvFrame(conn, options_.connect_timeout_seconds);
-        if (!ack.ok()) {
-          alive_check = ack.status();
-        } else if (ack->type != MsgType::kHeartbeatAck) {
-          // A stale kResult / kError here means the connection is
-          // desynced, not alive — drop it like a dead one.
-          alive_check = Status::Internal("desynced heartbeat reply");
-        }
+    return;
+  }
+  for (Socket& conn : conns_) {
+    if (!conn.valid()) continue;
+    Status alive_check = SendFrame(conn, MsgType::kHeartbeat, {},
+                                   options_.connect_timeout_seconds);
+    if (alive_check.ok()) {
+      StatusOr<Frame> ack = RecvFrame(conn, options_.connect_timeout_seconds);
+      if (!ack.ok()) {
+        alive_check = ack.status();
+      } else if (ack->type != MsgType::kHeartbeatAck) {
+        // A stale kResult / kError here means the connection is desynced,
+        // not alive — drop it like a dead one.
+        alive_check = Status::Internal("desynced heartbeat reply");
       }
-      if (!alive_check.ok()) conn.Close();  // redialed on first use
     }
+    if (!alive_check.ok()) conn.Close();  // redialed on first use
+  }
+}
+
+// The level-loop executor of one job (engine/walk_driver.h): one part per
+// worker. Advance is the coordinator's superstep — send every non-empty
+// bucket, then drain each reply into the level buffers — and the loop's
+// next bucketing by owner routes the survivors.
+class RemoteWalkBackend::Levels {
+ public:
+  template <typename Policy>
+  Levels(const RemoteWalkBackend& backend, NodeId source,
+         const WalkConfig& config, const Policy& policy)
+      : backend_(&backend),
+        requests_(static_cast<size_t>(backend.num_workers())),
+        sent_(static_cast<size_t>(backend.num_workers()), 0) {
+    SetProgram(policy);
+    proto_.source = source;
+    proto_.num_walkers = config.num_walkers;
+    proto_.num_steps = config.num_steps;
+    proto_.seed = config.seed;
+    proto_.dangling = static_cast<uint32_t>(config.dangling);
   }
 
-  // Every walker starts at the source, resident on its owning shard.
-  std::vector<std::vector<WalkerRec>> inbox(
-      static_cast<size_t>(num_shards));
-  std::vector<std::vector<WalkerRec>> next(static_cast<size_t>(num_shards));
-  {
-    std::vector<WalkerRec>& home =
-        inbox[static_cast<size_t>(partitioner_.Owner(proto.source))];
-    home.reserve(r);
-    for (uint32_t w = 0; w < r; ++w) {
-      home.push_back(WalkerRec{w, proto.source, kInvalidNode});
-    }
+  NodeId num_nodes() const { return backend_->graph_->num_nodes(); }
+  uint32_t num_parts() const {
+    return static_cast<uint32_t>(backend_->num_workers());
+  }
+  uint32_t PartOf(NodeId v) const {
+    return static_cast<uint32_t>(backend_->partitioner_.Owner(v));
   }
 
-  uint64_t alive = r;
-  std::vector<NodeId> merged;
-  if (emits_levels) merged.reserve(r);
-  std::vector<std::string> requests(static_cast<size_t>(num_shards));
-  std::vector<char> sent(static_cast<size_t>(num_shards), 0);
-  std::vector<WalkerRec> survivors;
-  std::vector<NodeId> endpoints;
-  std::vector<NodeId> terms;
-
-  for (uint32_t t = 1; t <= config.num_steps && alive > 0; ++t) {
-    // Cooperative stop, polled once per superstep: a stopped job leaves
-    // the remaining levels empty and the caller discards the truncated
-    // result wholesale (same contract as the in-process engines).
-    if (config.cancel != nullptr && config.cancel->ShouldStop()) break;
-    proto.step = t;
-
+  template <typename Policy>
+  Status Advance(const Policy& /*policy*/, const WalkConfig& /*config*/,
+                 uint32_t t, const LevelFrontier& frontier,
+                 BufferSink<Policy::kEmitsLevels>& sink) const {
+    const RemoteWalkBackend& b = *backend_;
+    proto_.step = t;
     // Send-all, then recv-all: every worker computes its batch while the
     // coordinator is still draining the others' replies. Deadlock-free
     // because a worker fully reads its request before replying. A failed
     // send is not fatal here — the retry path resends.
-    std::vector<int> active;
-    for (int shard = 0; shard < num_shards; ++shard) {
-      const std::vector<WalkerRec>& batch =
-          inbox[static_cast<size_t>(shard)];
+    active_.clear();
+    for (uint32_t shard = 0; shard < num_parts(); ++shard) {
+      const std::span<const WalkerRec> batch = frontier.Part(shard);
       if (batch.empty()) continue;
-      active.push_back(shard);
-      requests[static_cast<size_t>(shard)] = EncodeSuperstep(proto, batch);
-      const Status st = SendFrame(conns_[static_cast<size_t>(shard)],
-                                  MsgType::kSuperstep,
-                                  requests[static_cast<size_t>(shard)],
-                                  options_.superstep_timeout_seconds);
-      sent[static_cast<size_t>(shard)] = st.ok() ? 1 : 0;
-      if (st.ok()) {
-        stats_.bytes_sent += requests[static_cast<size_t>(shard)].size();
-      }
-      stats_.walkers_shipped += batch.size();
+      active_.push_back(shard);
+      requests_[shard] = EncodeSuperstep(proto_, batch);
+      const Status st =
+          SendFrame(b.conns_[shard], MsgType::kSuperstep, requests_[shard],
+                    b.options_.superstep_timeout_seconds);
+      sent_[shard] = st.ok() ? 1 : 0;
+      if (st.ok()) b.stats_.bytes_sent += requests_[shard].size();
+      b.stats_.walkers_shipped += batch.size();
     }
-
-    if (emits_levels) merged.clear();
-    for (size_t drained = 0; drained < active.size(); ++drained) {
-      const int shard = active[drained];
-      Frame reply;
-      Status status =
-          ExchangeOne(shard, requests[static_cast<size_t>(shard)],
-                      sent[static_cast<size_t>(shard)] != 0, &reply);
-      ResultMsg result;
-      if (status.ok()) {
-        survivors.clear();
-        endpoints.clear();
-        terms.clear();
-        status = DecodeResult(reply.payload, &result, &survivors,
-                              &endpoints, &terms);
-      }
-      if (status.ok() &&
-          (result.step != t ||
-           survivors.size() + terms.size() + result.dead !=
-               inbox[static_cast<size_t>(shard)].size())) {
-        status = Status::Internal(
-            "worker " +
-            options_.workers[static_cast<size_t>(shard)].ToString() +
-            " broke the superstep bookkeeping invariant at step " +
-            std::to_string(t));
-      }
+    for (size_t drained = 0; drained < active_.size(); ++drained) {
+      const uint32_t shard = active_[drained];
+      const Status status = Drain(shard, t, frontier.Part(shard).size(), sink);
       if (!status.ok()) {
-        // Unrecoverable: record the first error and return the truncated
-        // job. The facade drains it via TakeError() and reports it
-        // instead of the partial answer. The failing shard and every
-        // still-undrained shard may have a kSuperstep in flight whose
-        // reply was never matched; close those connections so the next
-        // job re-dials instead of reading a stale buffered kResult.
-        for (size_t rest = drained; rest < active.size(); ++rest) {
-          conns_[static_cast<size_t>(active[rest])].Close();
+        // Unrecoverable: the loop aborts the job and the front records the
+        // error. The failing shard and every still-undrained shard may
+        // have a kSuperstep in flight whose reply was never matched;
+        // close those connections so the next job re-dials instead of
+        // reading a stale buffered kResult.
+        for (size_t rest = drained; rest < active_.size(); ++rest) {
+          b.conns_[active_[rest]].Close();
         }
-        RecordError(status);
-        return;
+        return status;
       }
-      if (stats != nullptr) stats->steps += result.steps;
-      alive -= result.dead + terms.size();
-      if (emits_levels) {
-        merged.insert(merged.end(), endpoints.begin(), endpoints.end());
-      }
-      if (terminals != nullptr) {
-        terminals->insert(terminals->end(), terms.begin(), terms.end());
-      }
-      // Route survivors to their next owner — the coordinator-side half
-      // of the exchange barrier.
-      for (const WalkerRec& rec : survivors) {
-        const int dest = partitioner_.Owner(rec.cur);
-        if (dest != shard && stats != nullptr) {
-          ++stats->partition_crossings;
-        }
-        next[static_cast<size_t>(dest)].push_back(rec);
-      }
-      inbox[static_cast<size_t>(shard)].clear();
     }
-
-    // Coordinator merge: concatenated endpoint lists aggregate to the
-    // bit-identical level vector at every worker count (the
-    // order-independent sort-and-RLE of AggregateEndpointNodes).
-    if (emits_levels) {
-      (*levels)[t] = AggregateEndpointNodes(merged, inv_r, id_bits_);
-    }
-    std::swap(inbox, next);
-    for (std::vector<WalkerRec>& box : next) box.clear();
-    ++stats_.supersteps;
-    last_activity_ = Clock::now();
+    ++b.stats_.supersteps;
+    b.last_activity_ = Clock::now();
+    return Status::Ok();
   }
 
-  // Epilogue: surviving walkers terminate where they stand (PPR).
-  if (terminals != nullptr) {
-    for (const std::vector<WalkerRec>& box : inbox) {
-      for (const WalkerRec& rec : box) terminals->push_back(rec.cur);
-    }
+ private:
+  void SetProgram(const SimRankPolicy& /*policy*/) {
+    proto_.phase = static_cast<uint32_t>(WalkPhase::kSimRank);
   }
+  void SetProgram(const PprPolicy& policy) {
+    proto_.phase = static_cast<uint32_t>(WalkPhase::kPpr);
+    proto_.alpha = policy.alpha;
+  }
+  void SetProgram(const Node2VecPolicy& policy) {
+    proto_.phase = static_cast<uint32_t>(WalkPhase::kNode2Vec);
+    proto_.return_p = policy.params.return_p;
+    proto_.in_out_q = policy.params.in_out_q;
+    proto_.max_trials = policy.params.max_trials;
+  }
+
+  // Receives `shard`'s reply to its `batch`-walker superstep `t`, checks
+  // that it answers that batch, and appends it to the level buffers.
+  template <bool kEmitsLevels>
+  Status Drain(uint32_t shard, uint32_t t, size_t batch,
+               BufferSink<kEmitsLevels>& sink) const {
+    const RemoteWalkBackend& b = *backend_;
+    Frame reply;
+    CW_RETURN_IF_ERROR(
+        b.ExchangeOne(static_cast<int>(shard), requests_[shard],
+                      sent_[shard] != 0, &reply));
+    ResultMsg result;
+    survivors_.clear();
+    endpoints_.clear();
+    terminals_.clear();
+    CW_RETURN_IF_ERROR(DecodeResult(reply.payload, &result, &survivors_,
+                                    &endpoints_, &terminals_));
+    if (const char* invalid = InvalidReply(result, t, batch, kEmitsLevels)) {
+      return Status::Internal("worker " +
+                              b.options_.workers[shard].ToString() + " " +
+                              invalid + " at step " + std::to_string(t));
+    }
+    for (const WalkerRec& rec : survivors_) {
+      sink.survivors[sink.num_survivors++] = rec;
+      if (PartOf(rec.cur) != shard) ++sink.crossings;
+    }
+    if constexpr (kEmitsLevels) {
+      std::copy(endpoints_.begin(), endpoints_.end(),
+                sink.endpoints + sink.num_endpoints);
+      sink.num_endpoints += endpoints_.size();
+    } else {
+      std::copy(terminals_.begin(), terminals_.end(),
+                sink.terminals + sink.num_terminals);
+      sink.num_terminals += terminals_.size();
+    }
+    sink.steps += result.steps;
+    return Status::Ok();
+  }
+
+  // Why the decoded reply cannot answer a `batch`-walker superstep `t`,
+  // or null when it can: the step echo, the walker bookkeeping, the counts
+  // the program allows, and every node id the level buffers would take.
+  // The payload CRC already passed, so a violation is a worker bug, never
+  // a transport fault.
+  const char* InvalidReply(const ResultMsg& result, uint32_t t, size_t batch,
+                           bool emits_levels) const {
+    if (result.step != t) return "answered the wrong superstep";
+    if (survivors_.size() + terminals_.size() + result.dead != batch) {
+      return "broke the superstep bookkeeping invariant";
+    }
+    if (emits_levels ? endpoints_.size() != survivors_.size() ||
+                           !terminals_.empty()
+                     : !endpoints_.empty()) {
+      return "sent counts its walk program cannot produce";
+    }
+    const auto out_of_range = [n = num_nodes()](NodeId v) { return v >= n; };
+    for (const WalkerRec& rec : survivors_) {
+      if (out_of_range(rec.cur) ||
+          (rec.prev != kInvalidNode && out_of_range(rec.prev))) {
+        return "placed a survivor outside the graph";
+      }
+    }
+    if (std::any_of(endpoints_.begin(), endpoints_.end(), out_of_range) ||
+        std::any_of(terminals_.begin(), terminals_.end(), out_of_range)) {
+      return "sent a node id outside the graph";
+    }
+    return nullptr;
+  }
+
+  const RemoteWalkBackend* backend_;
+  mutable SuperstepMsg proto_;
+  mutable std::vector<std::string> requests_;
+  mutable std::vector<char> sent_;
+  mutable std::vector<uint32_t> active_;
+  mutable std::vector<WalkerRec> survivors_;
+  mutable std::vector<NodeId> endpoints_;
+  mutable std::vector<NodeId> terminals_;
+};
+
+template <typename Policy>
+Status RemoteWalkBackend::Walk(NodeId source, const WalkConfig& config,
+                               const Policy& policy, WalkStats* stats,
+                               const WalkOutput& out) const {
+  const Levels levels(*this, source, config, policy);
+  // One job at a time over the shared connections: concurrency lives in
+  // the workers. QueryService's dedup/cache layers sit in front of this
+  // lock, so identical concurrent queries still collapse to one job.
+  std::lock_guard<std::mutex> lock(mu_);
+  SweepHeartbeats();
+  return LevelLoop::Run(levels, source, config, policy, 0,
+                        config.num_walkers, /*scratch=*/nullptr, stats, out);
 }
 
-WalkDistributions RemoteWalkBackend::SimRankLevels(NodeId source,
-                                                   const WalkConfig& config,
-                                                   WalkStats* stats) const {
-  SuperstepMsg proto;
-  proto.phase = static_cast<uint32_t>(WalkPhase::kSimRank);
-  proto.source = source;
-  WalkDistributions out;
-  RunJob(proto, config, &out.levels, /*terminals=*/nullptr, stats);
-  return out;
-}
-
-SparseVector RemoteWalkBackend::PprEndpoints(NodeId source,
-                                             const WalkConfig& config,
-                                             const PprParams& params,
-                                             WalkStats* stats) const {
-  SuperstepMsg proto;
-  proto.phase = static_cast<uint32_t>(WalkPhase::kPpr);
-  proto.source = source;
-  proto.alpha = params.alpha;
-  std::vector<NodeId> terminals;
-  terminals.reserve(config.num_walkers);
-  RunJob(proto, config, /*levels=*/nullptr, &terminals, stats);
-  const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-  return AggregateEndpointNodes(terminals, inv_r, id_bits_);
-}
-
-WalkDistributions RemoteWalkBackend::Node2VecLevels(
-    NodeId source, const WalkConfig& config, const Node2VecParams& params,
-    WalkStats* stats) const {
-  SuperstepMsg proto;
-  proto.phase = static_cast<uint32_t>(WalkPhase::kNode2Vec);
-  proto.source = source;
-  proto.return_p = params.return_p;
-  proto.in_out_q = params.in_out_q;
-  proto.max_trials = params.max_trials;
-  WalkDistributions out;
-  RunJob(proto, config, &out.levels, /*terminals=*/nullptr, stats);
-  return out;
-}
-
-Status RemoteWalkBackend::TakeError() const {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  Status out = first_error_;
-  first_error_ = Status::Ok();
-  return out;
-}
-
-void RemoteWalkBackend::RecordError(const Status& status) const {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (first_error_.ok()) first_error_ = status;
-}
+template Status RemoteWalkBackend::Walk(NodeId, const WalkConfig&,
+                                        const SimRankPolicy&, WalkStats*,
+                                        const WalkOutput&) const;
+template Status RemoteWalkBackend::Walk(NodeId, const WalkConfig&,
+                                        const PprPolicy&, WalkStats*,
+                                        const WalkOutput&) const;
+template Status RemoteWalkBackend::Walk(NodeId, const WalkConfig&,
+                                        const Node2VecPolicy&, WalkStats*,
+                                        const WalkOutput&) const;
 
 Status RemoteWalkBackend::Ping() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -2,14 +2,21 @@
 // WalkBackend that runs every walk phase as BSP supersteps across
 // socket-connected shard workers (net/shard_worker.h).
 //
-// The coordinator holds all walker state. Each superstep it ships every
-// shard's resident batch in one kSuperstep frame, collects the kResult
-// replies, merges endpoint lists with the same order-independent
-// aggregation the single-node kernel uses, and routes survivors to their
-// next owner. Workers are stateless, so results are bit-identical to the
-// single-node and in-process sharded backends at every worker count —
-// and a worker death mid-superstep is recovered by reconnecting and
-// resending the identical frame (deterministic replay), bounded by
+// The backend is an executor of the shared level loop (engine/
+// walk_driver.h) with one part per worker: the coordinator holds all
+// walker state, and each level the loop buckets the live walkers by the
+// worker owning their node. The executor ships every non-empty bucket in
+// one kSuperstep frame, then drains the kResult replies into the level
+// buffers; the loop merges endpoint lists with the same order-independent
+// aggregation every executor uses, and its next bucketing routes the
+// survivors to their next owner. Workers are stateless, and each keys its
+// draws from its own mapped snapshot — on a locality-reordered artifact,
+// through that artifact's permutation; the handshake pins the fingerprint,
+// so coordinator and workers serve the same artifact and the wire carries
+// no key. Results are therefore bit-identical to the single-node and
+// in-process sharded backends at every worker count — and a worker death
+// mid-superstep is recovered by reconnecting and resending the identical
+// frame (deterministic replay), bounded by
 // RemoteBackendOptions::max_attempts.
 //
 // Error model: walk methods return plain values (the WalkBackend seam),
@@ -17,7 +24,10 @@
 // typically kUnavailable naming the worker — and returns a truncated
 // result. The facade drains it via TakeError() and surfaces the error
 // instead of the partial answer; QueryService never caches non-ok
-// responses, so no partial answer is ever cached.
+// responses, so no partial answer is ever cached. A reply that does not
+// answer its batch — wrong step, counts that disagree with the batch or
+// the program, or a node id outside the graph — is rejected the same way,
+// with kInternal, before any of it reaches the level buffers.
 
 #ifndef CLOUDWALKER_NET_REMOTE_BACKEND_H_
 #define CLOUDWALKER_NET_REMOTE_BACKEND_H_
@@ -91,7 +101,7 @@ struct RemoteExchangeStats {
 /// lifetime. Jobs are serialized over the shared worker connections by an
 /// internal mutex — concurrency lives in the workers, not in parallel
 /// jobs (DESIGN.md section 13).
-class RemoteWalkBackend final : public WalkBackend {
+class RemoteWalkBackend final : public WalkFront<RemoteWalkBackend> {
  public:
   /// Resolves placement, dials every worker, and handshakes each one
   /// (protocol version, `snapshot_fingerprint`, shard plan hash). Fails
@@ -99,16 +109,6 @@ class RemoteWalkBackend final : public WalkBackend {
   static StatusOr<std::shared_ptr<const RemoteWalkBackend>> Connect(
       const Graph& graph, uint64_t snapshot_fingerprint,
       const RemoteBackendOptions& options);
-
-  WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
-                                  WalkStats* stats) const override;
-  SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
-                            const PprParams& params,
-                            WalkStats* stats) const override;
-  WalkDistributions Node2VecLevels(NodeId source, const WalkConfig& config,
-                                   const Node2VecParams& params,
-                                   WalkStats* stats) const override;
-  Status TakeError() const override;
 
   /// Heartbeats every worker; returns the first failure (kUnavailable
   /// naming the dead worker). Does not consume the retry budget.
@@ -124,6 +124,9 @@ class RemoteWalkBackend final : public WalkBackend {
   RemoteExchangeStats exchange_stats() const;
 
  private:
+  friend class WalkFront<RemoteWalkBackend>;
+  class Levels;  // the level-loop executor of one job
+
   RemoteWalkBackend(const Graph& graph, uint64_t fingerprint,
                     RemoteBackendOptions options,
                     PartitionStrategy strategy);
@@ -138,31 +141,30 @@ class RemoteWalkBackend final : public WalkBackend {
   Status ExchangeOne(int shard, const std::string& request, bool sent_ok,
                      Frame* reply) const;
 
-  // The BSP driver shared by the three walk methods. On failure, records
-  // the first error and returns with the remaining output truncated.
-  void RunJob(SuperstepMsg proto, const WalkConfig& config,
-              std::vector<SparseVector>* levels,
-              std::vector<NodeId>* terminals, WalkStats* stats) const;
+  // Lazy death detection: after a quiet period longer than the heartbeat
+  // interval, heartbeats every connection and drops the dead ones, so the
+  // first superstep reconnects eagerly instead of burning its timeout.
+  // Requires mu_.
+  void SweepHeartbeats() const;
 
-  void RecordError(const Status& status) const;
+  // Runs one job through the level loop over the workers, under mu_. The
+  // front records a failure for TakeError, which has its own lock and so
+  // never waits on a running job.
+  template <typename Policy>
+  Status Walk(NodeId source, const WalkConfig& config, const Policy& policy,
+              WalkStats* stats, const WalkOutput& out) const;
 
   const Graph* graph_;
   uint64_t fingerprint_ = 0;
   RemoteBackendOptions options_;
   Partitioner partitioner_;
   uint64_t plan_hash_ = 0;
-  uint32_t id_bits_ = 0;
 
   // Job / connection state, serialized by mu_.
   mutable std::mutex mu_;
   mutable std::vector<Socket> conns_;
   mutable std::chrono::steady_clock::time_point last_activity_;
   mutable RemoteExchangeStats stats_;
-
-  // First job-fatal error since the last TakeError() drain. Its own lock:
-  // TakeError() must not wait on a running job.
-  mutable std::mutex error_mu_;
-  mutable Status first_error_;
 };
 
 }  // namespace cloudwalker

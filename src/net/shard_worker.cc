@@ -50,16 +50,18 @@ void AdvanceBatch(const SnapshotRows& rows, const Policy& policy,
                   std::vector<NodeId>* terminals) {
   std::vector<WalkerRec> survivors(walkers->size());
   if constexpr (Policy::kEmitsLevels) endpoints->resize(walkers->size());
+  if constexpr (Policy::kMayRetire) terminals->resize(walkers->size());
   BufferSink<Policy::kEmitsLevels> sink;
   sink.survivors = survivors.data();
   sink.endpoints = endpoints->data();
-  sink.terminals = terminals;
+  sink.terminals = terminals->data();
   AdvanceLevel(rows, policy, msg.step,
                static_cast<DanglingPolicy>(msg.dangling) ==
                    DanglingPolicy::kSelfLoop,
                std::span<const WalkerRec>(*walkers), kMaxWalkBatchWidth, sink);
   survivors.resize(sink.num_survivors);
   endpoints->resize(sink.num_endpoints);
+  terminals->resize(sink.num_terminals);
   result->steps += sink.steps;
   result->dead += static_cast<uint32_t>(walkers->size() - survivors.size() -
                                         terminals->size());
@@ -270,24 +272,30 @@ bool ShardWorker::ServeConnection(Socket conn) {
             &result.remote_rows};
         WalkConfig config;
         config.seed = msg.seed;
+        // A reordered artifact keys the draws on the source's external id
+        // through its own permutation — the coordinator's artifact too,
+        // since the handshake pinned the fingerprint.
+        const std::span<const NodeId> perm = snapshot_->permutation();
         std::vector<NodeId> endpoints;
         std::vector<NodeId> terminals;
         switch (static_cast<WalkPhase>(msg.phase)) {
           case WalkPhase::kSimRank:
-            AdvanceBatch(rows, SimRankPolicy(config, msg.source), msg,
+            AdvanceBatch(rows, SimRankPolicy(config, msg.source, perm), msg,
                          &walkers, &result, &endpoints, &terminals);
             break;
           case WalkPhase::kPpr:
-            AdvanceBatch(rows,
-                         PprPolicy(config, msg.source, PprParams{msg.alpha}),
-                         msg, &walkers, &result, &endpoints, &terminals);
+            AdvanceBatch(
+                rows,
+                PprPolicy(config, msg.source, PprParams{msg.alpha}, perm),
+                msg, &walkers, &result, &endpoints, &terminals);
             break;
           case WalkPhase::kNode2Vec:
             AdvanceBatch(
                 rows,
                 Node2VecPolicy(config, msg.source,
                                Node2VecParams{msg.return_p, msg.in_out_q,
-                                              msg.max_trials}),
+                                              msg.max_trials},
+                               perm),
                 msg, &walkers, &result, &endpoints, &terminals);
             break;
         }

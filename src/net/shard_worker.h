@@ -4,10 +4,12 @@
 //
 // Workers are completely stateless between frames: every kSuperstep
 // carries the full job spec plus the resident batch, and every draw is a
-// pure function of the spec's fields (engine/walk_step.h). The
-// coordinator can therefore kill, restart, and replay a worker at any
-// frame boundary and provably get the identical bytes back — the property
-// the failure-path tests (tests/net/) assert end to end.
+// pure function of the spec's fields and the served artifact — whose
+// permutation, on a locality-reordered snapshot, keys the draws on the
+// source's external id (engine/walk_step.h). The coordinator can
+// therefore kill, restart, and replay a worker at any frame boundary and
+// provably get the identical bytes back — the property the failure-path
+// tests (tests/net/) assert end to end.
 //
 // A worker validates its coordinator at handshake: protocol version,
 // snapshot fingerprint, node count, shard assignment, and the shard plan

@@ -4,8 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/radix_sort.h"
-#include "engine/walk_step.h"
+#include "engine/walk_driver.h"
 
 namespace cloudwalker {
 namespace {
@@ -35,72 +34,35 @@ struct LeasedRows {
   }
 };
 
-// The walker-block scheduler: one level-synchronous pass per step. The
-// live frontier is counting-sorted by the block of each walker's node, so
-// every bucket is a contiguous span that advances against one lease, and
-// each touched block is leased once per level (node2vec sub-buckets a span
-// by the previous hop's block and holds at most two leases).
-template <typename Policy>
-Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
-               const WalkConfig& config, const Policy& policy,
-               WalkStats* stats, std::vector<SparseVector>* levels,
-               SparseVector* ppr_out) {
-  const uint32_t r = config.num_walkers;
-  const double inv_r = 1.0 / static_cast<double>(r);
-  const uint32_t id_bits =
-      KeyBits(snap.num_nodes() == 0 ? 0 : snap.num_nodes() - 1);
-  const bool self_loop = config.dangling == DanglingPolicy::kSelfLoop;
-  const std::span<const BlockExtent> blocks = snap.blocks();
-  const uint32_t num_blocks = static_cast<uint32_t>(blocks.size());
-  LeasedRows rows;
-  rows.offsets = snap.in_offsets().data();
+// The walker-block scheduler, as a level-loop executor (engine/
+// walk_driver.h): one part per block. The loop counting-sorts the live
+// frontier by the block of each walker's node, so every bucket is a
+// contiguous span that advances against one lease, and each touched block
+// is leased once per level (node2vec sub-buckets a span by the previous
+// hop's block and holds at most two leases). Per-job state.
+class BlockLevels {
+ public:
+  BlockLevels(BlockCache& cache, const PagedSnapshot& snap)
+      : cache_(&cache),
+        blocks_(snap.blocks()),
+        offsets_(snap.in_offsets().data()),
+        num_nodes_(snap.num_nodes()) {}
 
-  std::vector<WalkerRec> recs(r);    // the live frontier
-  std::vector<WalkerRec> sorted(r);  // the frontier, bucketed by block
-  for (uint32_t w = 0; w < r; ++w) recs[w] = {w, source, kInvalidNode};
-  size_t live = r;
-  std::vector<NodeId> endpoints(Policy::kEmitsLevels ? r : 0);
-  std::vector<NodeId> sort_buffer;
-  std::vector<NodeId> terminals;
-  if constexpr (Policy::kMayRetire) terminals.reserve(r);
-  BufferSink<Policy::kEmitsLevels> sink;
-  sink.endpoints = endpoints.data();
-  sink.terminals = &terminals;
+  NodeId num_nodes() const { return num_nodes_; }
+  uint32_t num_parts() const { return static_cast<uint32_t>(blocks_.size()); }
+  uint32_t PartOf(NodeId v) const { return FindBlock(blocks_, v); }
 
-  std::vector<uint32_t> block_of(r);
-  std::vector<uint32_t> bucket_start(num_blocks + 1);
-  std::vector<uint32_t> cursor(num_blocks);
-  // node2vec sub-bucketing scratch: (prev block + 1, index in the bucket),
-  // 0 = no previous hop yet, and the bucket regrouped in that order.
-  std::vector<std::pair<uint32_t, uint32_t>> by_prev;
-  std::vector<WalkerRec> group;
-
-  for (uint32_t t = 1; t <= config.num_steps && live > 0; ++t) {
-    // One cancel poll per level, as in the kernel: a stopped walk returns
-    // truncated and the caller discards it after observing the token.
-    if (config.cancel != nullptr && config.cancel->ShouldStop()) break;
-
-    std::fill(bucket_start.begin(), bucket_start.end(), 0u);
-    for (size_t i = 0; i < live; ++i) {
-      block_of[i] = FindBlock(blocks, recs[i].cur);
-      ++bucket_start[block_of[i] + 1];
-    }
-    for (uint32_t b = 0; b < num_blocks; ++b) {
-      bucket_start[b + 1] += bucket_start[b];
-      cursor[b] = bucket_start[b];
-    }
-    for (size_t i = 0; i < live; ++i) sorted[cursor[block_of[i]]++] = recs[i];
-
-    // Survivors compact back into `recs`, which the sort has consumed.
-    sink.survivors = recs.data();
-    sink.num_survivors = 0;
-    sink.num_endpoints = 0;
-    for (uint32_t b = 0; b < num_blocks; ++b) {
-      const std::span<const WalkerRec> bucket(
-          sorted.data() + bucket_start[b],
-          bucket_start[b + 1] - bucket_start[b]);
+  template <typename Policy>
+  Status Advance(const Policy& policy, const WalkConfig& config, uint32_t t,
+                 const LevelFrontier& frontier,
+                 BufferSink<Policy::kEmitsLevels>& sink) const {
+    const bool self_loop = config.dangling == DanglingPolicy::kSelfLoop;
+    LeasedRows rows;
+    rows.offsets = offsets_;
+    for (uint32_t b = 0; b < num_parts(); ++b) {
+      const std::span<const WalkerRec> bucket = frontier.Part(b);
       if (bucket.empty()) continue;
-      CW_ASSIGN_OR_RETURN(BlockCache::Lease lease, cache.Acquire(b));
+      CW_ASSIGN_OR_RETURN(BlockCache::Lease lease, cache_->Acquire(b));
       rows.targets = lease.targets();
       rows.base = lease.base();
       if constexpr (!Policy::kSecondOrder) {
@@ -110,19 +72,19 @@ Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
         // Sub-bucket by the previous hop's block so In(prev) resolves
         // against one extra lease per run (none for first-step walkers or
         // when prev lives in the current block).
-        by_prev.clear();
-        group.clear();
+        by_prev_.clear();
+        group_.clear();
         for (uint32_t i = 0; i < bucket.size(); ++i) {
           const NodeId prev = bucket[i].prev;
-          by_prev.emplace_back(
-              prev == kInvalidNode ? 0 : FindBlock(blocks, prev) + 1, i);
+          by_prev_.emplace_back(
+              prev == kInvalidNode ? 0 : FindBlock(blocks_, prev) + 1, i);
         }
-        std::sort(by_prev.begin(), by_prev.end());
-        for (const auto& [key, i] : by_prev) group.push_back(bucket[i]);
-        for (size_t g0 = 0; g0 < group.size();) {
-          const uint32_t key = by_prev[g0].first;
+        std::sort(by_prev_.begin(), by_prev_.end());
+        for (const auto& [key, i] : by_prev_) group_.push_back(bucket[i]);
+        for (size_t g0 = 0; g0 < group_.size();) {
+          const uint32_t key = by_prev_[g0].first;
           size_t g1 = g0;
-          while (g1 < group.size() && by_prev[g1].first == key) ++g1;
+          while (g1 < group_.size() && by_prev_[g1].first == key) ++g1;
           BlockCache::Lease prev_lease;
           rows.prev_targets = nullptr;
           rows.prev_base = 0;
@@ -130,33 +92,31 @@ Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
             rows.prev_targets = lease.targets();
             rows.prev_base = lease.base();
           } else if (key != 0) {
-            CW_ASSIGN_OR_RETURN(prev_lease, cache.Acquire(key - 1));
+            CW_ASSIGN_OR_RETURN(prev_lease, cache_->Acquire(key - 1));
             rows.prev_targets = prev_lease.targets();
             rows.prev_base = prev_lease.base();
           }
-          AdvanceLevel(rows, policy, t, self_loop,
-                       std::span<const WalkerRec>(group.data() + g0, g1 - g0),
-                       config.batch_width, sink);
+          AdvanceLevel(
+              rows, policy, t, self_loop,
+              std::span<const WalkerRec>(group_.data() + g0, g1 - g0),
+              config.batch_width, sink);
           g0 = g1;
         }
       }
     }
-    live = sink.num_survivors;
-    if constexpr (Policy::kEmitsLevels) {
-      (*levels)[t] = AggregateEndpointNodes(
-          endpoints.data(), static_cast<uint32_t>(sink.num_endpoints),
-          sort_buffer, inv_r, id_bits);
-    }
+    return Status::Ok();
   }
 
-  if constexpr (Policy::kMayRetire) {
-    // Walkers alive after the last level terminate where they stand.
-    for (size_t i = 0; i < live; ++i) terminals.push_back(recs[i].cur);
-    *ppr_out = AggregateEndpointNodes(terminals, inv_r, id_bits);
-  }
-  if (stats != nullptr) stats->steps += sink.steps;
-  return Status::Ok();
-}
+ private:
+  BlockCache* cache_;
+  std::span<const BlockExtent> blocks_;
+  const uint64_t* offsets_;  // resident in-CSR offsets (global)
+  NodeId num_nodes_;
+  // node2vec sub-bucketing scratch: (prev block + 1, index in the bucket),
+  // 0 = no previous hop yet, and the bucket regrouped in that order.
+  mutable std::vector<std::pair<uint32_t, uint32_t>> by_prev_;
+  mutable std::vector<WalkerRec> group_;
+};
 
 }  // namespace
 
@@ -183,51 +143,23 @@ OutOfCoreWalkBackend::Create(std::shared_ptr<const PagedSnapshot> snapshot,
       new OutOfCoreWalkBackend(std::move(snapshot), std::move(cache)));
 }
 
-WalkDistributions OutOfCoreWalkBackend::SimRankLevels(
-    NodeId source, const WalkConfig& config, WalkStats* stats) const {
-  WalkDistributions out = SourceLevels(source, config.num_steps);
-  const Status run =
-      RunWalk(*cache_, *snapshot_, source, config,
-              SimRankPolicy(config, source), stats, &out.levels, nullptr);
-  if (!run.ok()) RecordError(run);
-  return out;
+template <typename Policy>
+Status OutOfCoreWalkBackend::Walk(NodeId source, const WalkConfig& config,
+                                  const Policy& policy, WalkStats* stats,
+                                  const WalkOutput& out) const {
+  return LevelLoop::Run(BlockLevels(*cache_, *snapshot_), source, config,
+                        policy, 0, config.num_walkers, /*scratch=*/nullptr,
+                        stats, out);
 }
 
-SparseVector OutOfCoreWalkBackend::PprEndpoints(NodeId source,
-                                                const WalkConfig& config,
-                                                const PprParams& params,
-                                                WalkStats* stats) const {
-  SparseVector out;
-  const Status run =
-      RunWalk(*cache_, *snapshot_, source, config,
-              PprPolicy(config, source, params), stats, nullptr, &out);
-  if (!run.ok()) RecordError(run);
-  return out;
-}
-
-WalkDistributions OutOfCoreWalkBackend::Node2VecLevels(
-    NodeId source, const WalkConfig& config, const Node2VecParams& params,
-    WalkStats* stats) const {
-  // A reordered snapshot's in-rows are sorted by external id.
-  const Node2VecPolicy policy(config, source, params,
-                              snapshot_->permutation());
-  WalkDistributions out = SourceLevels(source, config.num_steps);
-  const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
-                             stats, &out.levels, nullptr);
-  if (!run.ok()) RecordError(run);
-  return out;
-}
-
-Status OutOfCoreWalkBackend::TakeError() const {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  Status out = std::move(error_);
-  error_ = Status::Ok();
-  return out;
-}
-
-void OutOfCoreWalkBackend::RecordError(const Status& status) const {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (error_.ok()) error_ = status;
-}
+template Status OutOfCoreWalkBackend::Walk(NodeId, const WalkConfig&,
+                                           const SimRankPolicy&, WalkStats*,
+                                           const WalkOutput&) const;
+template Status OutOfCoreWalkBackend::Walk(NodeId, const WalkConfig&,
+                                           const PprPolicy&, WalkStats*,
+                                           const WalkOutput&) const;
+template Status OutOfCoreWalkBackend::Walk(NodeId, const WalkConfig&,
+                                           const Node2VecPolicy&, WalkStats*,
+                                           const WalkOutput&) const;
 
 }  // namespace cloudwalker

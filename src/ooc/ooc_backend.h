@@ -1,9 +1,9 @@
 // OutOfCoreWalkBackend — the walker-block scheduler behind the WalkBackend
 // seam (DESIGN.md section 14).
 //
-// The walk kernels are level-synchronous already; this backend exploits
-// that for locality instead of parallelism: at each level the live walker
-// frontier is bucketed by the block its current node lives in, and each
+// The backend is an executor of the shared level loop (engine/
+// walk_driver.h) with one part per block: at each level the loop buckets
+// the live frontier by the block each walker's node lives in, and each
 // bucket drains against exactly one pinned block lease — so a block is
 // paged in once per level it is touched, no matter how many walkers sit in
 // it (the randgraph walker-block model). Second-order walks sub-bucket by
@@ -12,18 +12,18 @@
 // Bit identity with the in-memory kernel is inherited, not re-proven: each
 // bucket advances through the level step every executor shares
 // (engine/walk_step.h AdvanceLevel — every draw a pure function of
-// (seed, source, walker, step[, trial])), and per-level endpoints aggregate
-// through the same order-independent sort-and-RLE path
+// (seed, key node, walker, step[, trial])), and per-level endpoints
+// aggregate through the same order-independent sort-and-RLE path
 // (AggregateEndpointNodes), so bucketing freely reorders walkers without
-// moving a single output bit. The six QueryKinds route through this
-// backend unchanged — the combine phases never know the graph wasn't in
-// memory.
+// moving a single output bit. A reordered snapshot's permutation keys the
+// draws straight from the paged artifact. The six QueryKinds route through
+// this backend unchanged — the combine phases never know the graph wasn't
+// in memory.
 
 #ifndef CLOUDWALKER_OOC_OOC_BACKEND_H_
 #define CLOUDWALKER_OOC_OOC_BACKEND_H_
 
 #include <memory>
-#include <mutex>
 
 #include "common/status.h"
 #include "engine/walk_backend.h"
@@ -45,37 +45,32 @@ struct OutOfCoreOptions {
 /// WalkBackend over a demand-paged snapshot. Immutable after construction
 /// and thread-safe (the block cache synchronizes internally), per the
 /// WalkBackend contract.
-class OutOfCoreWalkBackend final : public WalkBackend {
+class OutOfCoreWalkBackend final : public WalkFront<OutOfCoreWalkBackend> {
  public:
   static StatusOr<std::shared_ptr<const OutOfCoreWalkBackend>> Create(
       std::shared_ptr<const PagedSnapshot> snapshot,
       const OutOfCoreOptions& options);
-
-  WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
-                                  WalkStats* stats) const override;
-  SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
-                            const PprParams& params,
-                            WalkStats* stats) const override;
-  WalkDistributions Node2VecLevels(NodeId source, const WalkConfig& config,
-                                   const Node2VecParams& params,
-                                   WalkStats* stats) const override;
-  Status TakeError() const override;
 
   const PagedSnapshot& paged_snapshot() const { return *snapshot_; }
   BlockCacheCounters cache_counters() const { return cache_->counters(); }
   uint64_t budget_bytes() const { return cache_->budget_bytes(); }
 
  private:
+  friend class WalkFront<OutOfCoreWalkBackend>;
+
   OutOfCoreWalkBackend(std::shared_ptr<const PagedSnapshot> snapshot,
                        std::unique_ptr<BlockCache> cache)
-      : snapshot_(std::move(snapshot)), cache_(std::move(cache)) {}
+      : WalkFront(snapshot->num_nodes(), snapshot->permutation()),
+        snapshot_(std::move(snapshot)),
+        cache_(std::move(cache)) {}
 
-  void RecordError(const Status& status) const;
+  // A failed block read aborts the walk (TakeError reports it).
+  template <typename Policy>
+  Status Walk(NodeId source, const WalkConfig& config, const Policy& policy,
+              WalkStats* stats, const WalkOutput& out) const;
 
   const std::shared_ptr<const PagedSnapshot> snapshot_;
   const std::unique_ptr<BlockCache> cache_;
-  mutable std::mutex error_mu_;
-  mutable Status error_;  // first job-fatal error since the last TakeError
 };
 
 }  // namespace cloudwalker

@@ -10,16 +10,18 @@
 // boundary so callers never see internal ids.
 //
 // Bit-identity across reordering: the per-source RNG key derives from the
-// *external* id (WalkConfig::rng_node), and every in-row is stored sorted
-// by external id, so a draw picks the same slot of the same row on both
-// artifacts — every walker makes the same sequence of draws and visits the
-// same external nodes as on the unreordered artifact, and walk
-// distributions are exactly identical after id translation. node2vec's
-// membership test searches those rows by external id too (InRowContains
-// in engine/walk.h). Combines that sum those distributions in internal-id
-// order (the pair dot product, the exact-push propagation) reassociate
-// float sums only: equal to within rounding, exact for the endpoint top-k
-// kinds.
+// *external* id (KeyNode in engine/walk_step.h, which every executor
+// applies with the permutation of its own copy of the artifact — the
+// engine's WalkContext, the paged snapshot, a socket worker's mapping),
+// and every in-row is stored sorted by external id, so a draw picks the
+// same slot of the same row on both artifacts — every walker makes the
+// same sequence of draws and visits the same external nodes as on the
+// unreordered artifact, and walk distributions are exactly identical after
+// id translation, on every backend. node2vec's membership test searches
+// those rows by external id too (InRowContains in engine/walk.h).
+// Combines that sum those distributions in internal-id order (the pair
+// dot product, the exact-push propagation) reassociate float sums only:
+// equal to within rounding, exact for the endpoint top-k kinds.
 // The one exception is the *sampled*-push single-source combine, whose
 // backward propagation draws from one sequential RNG in internal-id
 // iteration order — under a renumbering it redraws, so its answers are
@@ -29,13 +31,11 @@
 #ifndef CLOUDWALKER_OOC_REORDER_H_
 #define CLOUDWALKER_OOC_REORDER_H_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "engine/walk_backend.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -78,46 +78,6 @@ struct ReorderedArtifact {
 /// alongside. kNone is rejected (write an ordinary snapshot instead).
 StatusOr<ReorderedArtifact> ReorderForLocality(
     const Graph& graph, std::span<const double> diagonal, ReorderKind kind);
-
-/// Decorator that re-keys every walk on the source's external id: sets
-/// WalkConfig::rng_node = perm[source] before delegating, which is the
-/// entire RNG side of the reorder bit-identity argument. Borrows `perm`
-/// (the snapshot's kPermutation span — the facade keeps the snapshot
-/// alive).
-class ExternalKeyWalkBackend final : public WalkBackend {
- public:
-  ExternalKeyWalkBackend(std::shared_ptr<const WalkBackend> inner,
-                         std::span<const NodeId> perm)
-      : inner_(std::move(inner)), perm_(perm) {}
-
-  WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
-                                  WalkStats* stats) const override {
-    return inner_->SimRankLevels(source, Keyed(config, source), stats);
-  }
-  SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
-                            const PprParams& params,
-                            WalkStats* stats) const override {
-    return inner_->PprEndpoints(source, Keyed(config, source), params,
-                                stats);
-  }
-  WalkDistributions Node2VecLevels(NodeId source, const WalkConfig& config,
-                                   const Node2VecParams& params,
-                                   WalkStats* stats) const override {
-    return inner_->Node2VecLevels(source, Keyed(config, source), params,
-                                  stats);
-  }
-  Status TakeError() const override { return inner_->TakeError(); }
-
- private:
-  WalkConfig Keyed(const WalkConfig& config, NodeId source) const {
-    WalkConfig keyed = config;
-    keyed.rng_node = perm_[source];
-    return keyed;
-  }
-
-  const std::shared_ptr<const WalkBackend> inner_;
-  const std::span<const NodeId> perm_;
-};
 
 }  // namespace cloudwalker
 

@@ -156,15 +156,6 @@ struct ServeOptions {
   /// unaffected. 0 or 1 serves walks single-threaded; engines already
   /// carrying a backend (e.g. sharded ones) pass through untouched.
   int walk_threads = 0;
-  /// Out-of-core budget in MiB for the snapshot (re)opens the serving
-  /// front end performs (the CLI serve command and its SIGHUP reload
-  /// path): > 0 opens snapshots with CloudWalker::OutOfCore under this
-  /// block-cache budget instead of the mmap-resident Open(), so a server
-  /// can host an artifact larger than RAM (DESIGN.md section 14). The
-  /// service itself serves whichever engine is published; the knob lives
-  /// here so reloads reproduce the startup engine shape. Exclusive with
-  /// walk_threads (an out-of-core engine carries its own backend).
-  uint64_t ooc_budget_mb = 0;
   /// Default query options; per-request overrides take precedence.
   QueryOptions query;
 };

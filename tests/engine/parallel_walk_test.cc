@@ -255,7 +255,8 @@ TEST(ParallelWalkTest, ShardedPhaseAThreadMatrixBitIdentical) {
       ShardingOptions opts;
       opts.num_shards = 4;
       opts.num_threads = threads;
-      auto engine = ShardedWalkEngine::Build(g, opts);
+      auto engine =
+          ShardedWalkEngine::Build(g, /*context_or_null=*/nullptr, opts);
       ASSERT_TRUE(engine.ok()) << engine.status().message();
       const std::string what = "source " + std::to_string(source) +
                                " phase-A threads " + std::to_string(threads);

@@ -141,7 +141,6 @@ TEST(Node2VecProgramTest, ExternalIdRowOrderReproducesTheOriginalGraph) {
     const WalkDistributions original =
         SimulateNode2VecVisits(g, nullptr, source, TestConfig(), params);
     WalkConfig keyed = TestConfig();
-    keyed.rng_node = source;  // the external id keys the draws
     const WalkDistributions renumbered = SimulateNode2VecVisits(
         art->graph, &ctx, to_internal[source], keyed, params);
     ExpectSameDistributions(original, ToExternal(renumbered, art->perm),

@@ -21,6 +21,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "ooc/reorder.h"
 
 namespace cloudwalker {
 namespace {
@@ -210,6 +211,65 @@ TEST_P(WalkStepTest, Node2VecMatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(BothDanglingPolicies, WalkStepTest,
                          ::testing::Values(DanglingPolicy::kDie,
                                            DanglingPolicy::kSelfLoop));
+
+// A level outcome with every node id mapped through `perm`, re-sorted.
+LevelOutcome ToExternal(const LevelOutcome& internal,
+                        const std::vector<NodeId>& perm) {
+  const auto ext = [&perm](NodeId v) {
+    return v == kInvalidNode ? v : perm[v];
+  };
+  LevelOutcome out;
+  for (const auto& [w, cur, prev, from] : internal.moved) {
+    out.moved.emplace_back(w, ext(cur), ext(prev), ext(from));
+    out.endpoints.push_back(ext(cur));
+  }
+  out.steps = internal.steps;
+  out.Sort();
+  return out;
+}
+
+TEST(WalkStepRowOrderTest, Node2VecSearchesRowsInThePolicysOrder) {
+  // A locality renumbering stores every in-row sorted by external id. Two
+  // node2vec policies with the same key — the source's external id — see
+  // the same draws; only the row order their membership test assumes
+  // differs. The one given the permutation reproduces the original
+  // graph's level exactly; the one assuming id order misclassifies.
+  const Graph g = GenerateRmat(300, 2400, /*seed=*/3);
+  const std::vector<double> diagonal(g.num_nodes(), 0.5);
+  auto art = ReorderForLocality(g, diagonal, ReorderKind::kBfs);
+  ASSERT_TRUE(art.ok()) << art.status().ToString();
+  std::vector<NodeId> to_internal(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) to_internal[art->perm[u]] = u;
+  WalkConfig cfg;
+  cfg.seed = 29;
+  Node2VecParams params;
+  params.return_p = 0.5;
+  params.in_out_q = 2.0;
+  const NodeId source = 17;
+  const Node2VecPolicy original(cfg, source, params);
+  const Node2VecPolicy ordered(cfg, to_internal[source], params, art->perm);
+  Node2VecPolicy unordered = ordered;
+  unordered.external_ids = {};
+  ASSERT_EQ(ordered.key, original.key);
+
+  const std::vector<WalkerRec> batch = ShuffledBatch(art->graph, 23);
+  std::vector<WalkerRec> external_batch;
+  for (const WalkerRec& rec : batch) {
+    external_batch.push_back(WalkerRec{
+        rec.walker, art->perm[rec.cur],
+        rec.prev == kInvalidNode ? kInvalidNode : art->perm[rec.prev]});
+  }
+  const LevelOutcome want = PipelineLevel(g, original, /*t=*/2,
+                                          /*self_loop=*/false,
+                                          external_batch, 256);
+  const LevelOutcome got = ToExternal(
+      PipelineLevel(art->graph, ordered, 2, false, batch, 256), art->perm);
+  EXPECT_EQ(got.moved, want.moved);
+  EXPECT_EQ(got.steps, want.steps);
+  const LevelOutcome misread = ToExternal(
+      PipelineLevel(art->graph, unordered, 2, false, batch, 256), art->perm);
+  EXPECT_NE(misread.moved, want.moved);
+}
 
 }  // namespace
 }  // namespace cloudwalker

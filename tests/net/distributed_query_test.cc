@@ -4,7 +4,10 @@
 // in-process sharded engine exactly — the wire moves walkers, never
 // changes what they draw. Plus the serving integration the error model
 // exists for: a dead fleet surfaces kUnavailable, QueryService refuses
-// to cache it, and the same service recovers once workers return.
+// to cache it, and the same service recovers once workers return. Last,
+// the same fleets, shards and threads over a locality-reordered snapshot,
+// whose walks every backend keys on external ids from its own copy of
+// the artifact.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +18,10 @@
 #include <vector>
 
 #include "core/cloudwalker.h"
+#include "engine/parallel_walk.h"
 #include "graph/generators.h"
 #include "net/remote_backend.h"
+#include "ooc/reorder.h"
 #include "serve/query_service.h"
 #include "shard/sharding.h"
 #include "worker_fleet.h"
@@ -232,6 +237,79 @@ TEST_F(DistributedQueryTest, QueryServiceNeverCachesUnavailable) {
   }
   for (auto& worker : workers) worker->Stop();
   for (auto& thread : threads) thread.join();
+}
+
+TEST(ReorderedBackendsTest, ShardsThreadsAndWorkersServeReorderedSnapshots) {
+  // One engine written twice: plain, and renumbered by a BFS locality
+  // order. Every backend over the reordered artifact must answer all six
+  // kinds and a biased node2vec exactly as its plain Open does; PPR and
+  // node2vec are also exact against the plain artifact (their answers
+  // are endpoint frequencies, translated to external ids).
+  IndexingOptions opts;
+  opts.num_walkers = 40;
+  auto built = CloudWalker::Build(GenerateRmat(220, 1600, 31), opts);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  const std::string plain_path =
+      ::testing::TempDir() + "/reordered_backends_plain.cwk";
+  const std::string bfs_path =
+      ::testing::TempDir() + "/reordered_backends_bfs.cwk";
+  ASSERT_TRUE((*built)->WriteSnapshot(plain_path).ok());
+  ASSERT_TRUE(
+      (*built)->WriteReorderedSnapshot(bfs_path, ReorderKind::kBfs).ok());
+  auto plain = CloudWalker::Open(plain_path);
+  auto reordered = CloudWalker::Open(bfs_path);
+  ASSERT_TRUE(plain.ok() && reordered.ok());
+  ASSERT_FALSE((*reordered)->permutation().empty());
+
+  QueryOptions q;
+  q.num_walkers = 150;
+  QueryOptions biased = q;
+  biased.n2v_return_p = 0.5;
+  biased.n2v_in_out_q = 2.0;
+  const std::vector<QueryRequest> requests = {
+      QueryRequest::Pair(3, 140).WithOptions(q),
+      QueryRequest::SingleSource(7).WithOptions(q),
+      QueryRequest::SourceTopK(7, 12).WithOptions(q),
+      QueryRequest::AllPairsTopK(3).WithOptions(q),
+      QueryRequest::PersonalizedPageRank(7, 12).WithOptions(q),
+      QueryRequest::Node2Vec(7, 12).WithOptions(q),
+      QueryRequest::Node2Vec(150, 12).WithOptions(biased),
+  };
+
+  ShardingOptions sharding;
+  sharding.num_shards = 3;
+  sharding.num_threads = 2;
+  auto sharded = CloudWalker::Shard(*reordered, sharding);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ParallelWalkOptions threads;
+  threads.num_threads = 3;
+  threads.min_walkers_per_range = 16;
+  auto parallel = CloudWalker::Parallelize(*reordered, threads);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  WorkerFleet fleet(bfs_path, 2);
+  RemoteBackendOptions remote_options;
+  remote_options.workers = fleet.Addresses();
+  auto distributed = CloudWalker::Distribute(*reordered, remote_options);
+  ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+
+  const std::vector<std::pair<std::string, std::shared_ptr<const CloudWalker>>>
+      backends = {{"Shard(3)", *sharded},
+                  {"Parallelize(3)", *parallel},
+                  {"Distribute(2)", *distributed}};
+  for (const QueryRequest& request : requests) {
+    const QueryResponse want = (*reordered)->Execute(request);
+    const std::string kind =
+        "kind " + std::to_string(static_cast<int>(request.kind));
+    if (request.kind == QueryKind::kPersonalizedPageRank ||
+        request.kind == QueryKind::kNode2Vec) {
+      ExpectSameResponse(want, (*plain)->Execute(request), request.kind,
+                         kind + " reordered Open vs plain");
+    }
+    for (const auto& [name, engine] : backends) {
+      ExpectSameResponse(engine->Execute(request), want, request.kind,
+                         kind + " " + name);
+    }
+  }
 }
 
 }  // namespace

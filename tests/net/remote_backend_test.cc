@@ -2,13 +2,16 @@
 // handshake acceptance and every rejection path (protocol version,
 // snapshot fingerprint, plan hash, shard range), fast failure on an
 // unreachable worker, bounded reconnect-and-replay after a worker fault,
-// and the TakeError() contract that keeps partial answers out of caches.
+// the rejection of worker replies that do not answer their batch, and the
+// TakeError() contract that keeps partial answers out of caches.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cloudwalker.h"
@@ -17,6 +20,7 @@
 #include "net/remote_backend.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "serve/query_service.h"
 #include "worker_fleet.h"
 
 namespace cloudwalker {
@@ -346,6 +350,166 @@ TEST_F(RemoteBackendTest, ExchangeStatsCountTraffic) {
   EXPECT_GT(net.bytes_sent, 0u);
   EXPECT_GT(net.bytes_received, 0u);
   EXPECT_EQ(net.replays, 0u);
+}
+
+// A worker's reply to one superstep, before it is framed.
+struct Reply {
+  std::vector<WalkerRec> survivors;
+  std::vector<NodeId> endpoints;
+  std::vector<NodeId> terminals;
+  uint32_t dead = 0;
+};
+
+// A fake worker that handshakes like a real one, then answers every
+// kSuperstep with a CRC-valid kResult: every walker survives in place
+// (with its endpoint for a level program), then `forge` edits the reply.
+// Only the coordinator's reply validation stands between the forged
+// reply and the level buffers. Serves connections one after another
+// until destroyed.
+class FakeWorker {
+ public:
+  using Forge = void (*)(NodeId num_nodes, Reply* reply);
+
+  FakeWorker(NodeId num_nodes, Forge forge)
+      : num_nodes_(num_nodes), forge_(forge) {
+    auto listener = TcpListen(0);
+    EXPECT_TRUE(listener.ok()) << listener.status().ToString();
+    listener_ = std::move(*listener);
+    port_ = BoundPort(listener_).value();
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~FakeWorker() {
+    stop_.store(true);
+    thread_.join();
+  }
+  FakeWorker(const FakeWorker&) = delete;
+  FakeWorker& operator=(const FakeWorker&) = delete;
+
+  RemoteWorkerAddress address() const { return {"127.0.0.1", port_}; }
+
+ private:
+  void Serve() {
+    while (!stop_.load()) {
+      StatusOr<Socket> conn = TcpAccept(listener_, 0.05);
+      if (conn.ok()) ServeConnection(*conn);
+    }
+  }
+
+  void ServeConnection(const Socket& conn) {
+    while (!stop_.load()) {
+      const Status ready = WaitReadable(conn, 0.05);
+      if (ready.IsDeadlineExceeded()) continue;
+      if (!ready.ok()) return;
+      StatusOr<Frame> frame = RecvFrame(conn, 5.0);
+      if (!frame.ok()) return;
+      if (frame->type == MsgType::kHello) {
+        HelloMsg hello;
+        std::string build;
+        ASSERT_TRUE(DecodeHello(frame->payload, &hello, &build).ok());
+        ASSERT_TRUE(SendFrame(conn, MsgType::kHelloOk,
+                              EncodeHello(hello, "fake-worker"), 5.0)
+                        .ok());
+      } else if (frame->type == MsgType::kSuperstep) {
+        SuperstepMsg msg;
+        std::vector<WalkerRec> batch;
+        ASSERT_TRUE(DecodeSuperstep(frame->payload, &msg, &batch).ok());
+        Reply reply;
+        reply.survivors = batch;
+        if (static_cast<WalkPhase>(msg.phase) != WalkPhase::kPpr) {
+          for (const WalkerRec& rec : batch) {
+            reply.endpoints.push_back(rec.cur);
+          }
+        }
+        forge_(num_nodes_, &reply);
+        ResultMsg result;
+        result.step = msg.step;
+        result.steps = batch.size();
+        result.dead = reply.dead;
+        ASSERT_TRUE(SendFrame(conn, MsgType::kResult,
+                              EncodeResult(result, reply.survivors,
+                                           reply.endpoints, reply.terminals),
+                              5.0)
+                        .ok());
+      } else {
+        ASSERT_TRUE(
+            SendFrame(conn, MsgType::kHeartbeatAck, {}, 5.0).ok());
+      }
+    }
+  }
+
+  const NodeId num_nodes_;
+  const Forge forge_;
+  Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+// Serves `request` twice through a QueryService over a one-worker fleet
+// whose worker forges its replies with `forge`: both answers must be
+// kInternal (the error was not cached), and nothing may hit the cache.
+void ExpectForgedReplyRejected(const std::shared_ptr<const CloudWalker>& base,
+                               FakeWorker::Forge forge,
+                               const QueryRequest& request) {
+  FakeWorker fake(base->graph().num_nodes(), forge);
+  RemoteBackendOptions options;
+  options.workers = {fake.address()};
+  auto remote = CloudWalker::Distribute(base, options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ServeOptions serve;
+  serve.query.num_walkers = 120;
+  QueryService service(*remote, serve);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const QueryResponse response = service.Execute(request);
+    EXPECT_EQ(response.status.code(), StatusCode::kInternal)
+        << "attempt " << attempt << ": " << response.status.ToString();
+  }
+  EXPECT_EQ(service.Stats().cache_hits, 0u);
+}
+
+TEST_F(RemoteBackendTest, RejectsAnEndpointOutsideTheGraph) {
+  ExpectForgedReplyRejected(
+      base(), [](NodeId n, Reply* r) { r->endpoints.front() = n + 5; },
+      QueryRequest::Pair(3, 40));
+}
+
+TEST_F(RemoteBackendTest, RejectsEndpointsThatDoNotMatchTheSurvivors) {
+  ExpectForgedReplyRejected(
+      base(), [](NodeId, Reply* r) { r->endpoints.clear(); },
+      QueryRequest::SourceTopK(3, 10));
+}
+
+TEST_F(RemoteBackendTest, RejectsASurvivorOutsideTheGraph) {
+  ExpectForgedReplyRejected(
+      base(), [](NodeId, Reply* r) { r->survivors.front().cur = 1000; },
+      QueryRequest::PersonalizedPageRank(3, 10));
+}
+
+TEST_F(RemoteBackendTest, RejectsATerminalOutsideTheGraph) {
+  ExpectForgedReplyRejected(
+      base(),
+      [](NodeId n, Reply* r) {
+        r->terminals.push_back(n);
+        r->survivors.pop_back();
+      },
+      QueryRequest::PersonalizedPageRank(3, 10));
+}
+
+TEST_F(RemoteBackendTest, RejectsCountsTheProgramCannotProduce) {
+  // A PPR reply with endpoints...
+  ExpectForgedReplyRejected(
+      base(), [](NodeId, Reply* r) { r->endpoints.push_back(0); },
+      QueryRequest::PersonalizedPageRank(3, 10));
+  // ...and a level-program reply with terminals.
+  ExpectForgedReplyRejected(
+      base(),
+      [](NodeId, Reply* r) {
+        r->terminals.push_back(r->survivors.back().cur);
+        r->survivors.pop_back();
+        r->endpoints.pop_back();
+      },
+      QueryRequest::Node2Vec(3, 10));
 }
 
 }  // namespace

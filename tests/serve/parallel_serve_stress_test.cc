@@ -8,14 +8,17 @@
 // pool-sharing and the wrap-at-publish path race-free.
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cloudwalker.h"
 #include "engine/parallel_walk.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "ooc/reorder.h"
 #include "serve/query_service.h"
 
 namespace cloudwalker {
@@ -120,6 +123,54 @@ TEST(ParallelServeStressTest, PreWrappedEnginePassesThroughUnchanged) {
   auto direct = base->SingleSourceTopK(3, 5, options.query);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*r.topk(), *direct);
+}
+
+TEST(ParallelServeStressTest, ReorderedSnapshotIsParallelizedAtPublish) {
+  // A locality-reordered snapshot opens with no walk backend of its own
+  // (its walks key on external ids through the walk context), so
+  // walk_threads wraps it like any other engine — and the wrapped walks,
+  // split into walker ranges, answer exactly as the direct engine does.
+  auto base = BuildWalker(/*graph_seed=*/9);
+  ASSERT_NE(base, nullptr);
+  const std::string path =
+      ::testing::TempDir() + "/parallel_serve_reordered.cwk";
+  ASSERT_TRUE(base->WriteReorderedSnapshot(path, ReorderKind::kBfs).ok());
+  auto reordered = CloudWalker::Open(path);
+  ASSERT_TRUE(reordered.ok()) << reordered.status().ToString();
+  ASSERT_FALSE((*reordered)->permutation().empty());
+  ASSERT_EQ((*reordered)->walk_backend(), nullptr);
+
+  ServeOptions options;
+  options.query.num_walkers = 1200;  // three ranges of >= 256 walkers
+  options.cache_capacity = 0;
+  options.walk_threads = 3;
+  ThreadPool pool(2);
+  QueryService service(*reordered, options, &pool);
+  EXPECT_NE(dynamic_cast<const ParallelWalkExecutor*>(
+                service.CurrentSnapshot()->walker->walk_backend()),
+            nullptr);
+
+  for (const NodeId s : {0u, 41u, 177u, 299u}) {
+    const QueryRequest pair = QueryRequest::Pair(s, (s + 13) % 300);
+    const QueryResponse served_pair = service.Submit(pair).Wait();
+    const QueryResponse direct_pair =
+        (*reordered)->Execute(pair.WithOptions(options.query));
+    ASSERT_TRUE(served_pair.ok() && direct_pair.ok());
+    EXPECT_EQ(served_pair.score(), direct_pair.score()) << "pair " << s;
+    for (const QueryRequest& request :
+         {QueryRequest::SourceTopK(s, 8),
+          QueryRequest::PersonalizedPageRank(s, 8),
+          QueryRequest::Node2Vec(s, 8)}) {
+      const QueryResponse served = service.Submit(request).Wait();
+      const QueryResponse direct =
+          (*reordered)->Execute(request.WithOptions(options.query));
+      ASSERT_TRUE(served.ok()) << served.status.ToString();
+      ASSERT_TRUE(direct.ok()) << direct.status.ToString();
+      EXPECT_EQ(*served.topk(), *direct.topk())
+          << "kind " << static_cast<int>(request.kind) << " source " << s;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -43,7 +43,8 @@ std::shared_ptr<const ShardedWalkEngine> MakeEngine(
   opts.num_shards = num_shards;
   opts.placement = placement;
   opts.num_threads = num_threads;
-  auto engine = ShardedWalkEngine::Build(graph, opts);
+  auto engine =
+      ShardedWalkEngine::Build(graph, /*context_or_null=*/nullptr, opts);
   EXPECT_TRUE(engine.ok()) << engine.status().message();
   return std::move(engine).value();
 }
@@ -268,9 +269,9 @@ TEST(ShardedEngineTest, BuildRejectsInvalidShardCounts) {
   const Graph g = GenerateCycle(8);
   ShardingOptions opts;
   opts.num_shards = 0;
-  EXPECT_FALSE(ShardedWalkEngine::Build(g, opts).ok());
+  EXPECT_FALSE(ShardedWalkEngine::Build(g, nullptr, opts).ok());
   opts.num_shards = -3;
-  EXPECT_FALSE(ShardedWalkEngine::Build(g, opts).ok());
+  EXPECT_FALSE(ShardedWalkEngine::Build(g, nullptr, opts).ok());
 }
 
 // --- ShardPlan structural invariants ---

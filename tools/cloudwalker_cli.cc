@@ -488,9 +488,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   // operator over the registry) and passes already-wrapped ones through.
   options.walk_threads = std::stoi(GetFlag(flags, "walk-threads", "0"));
   // LoadEngine also applied --ooc-budget-mb (and enforced exclusivity);
-  // recording it here makes the SIGHUP reload reproduce the same
+  // keeping it here makes the SIGHUP reload reproduce the same
   // out-of-core shape.
-  options.ooc_budget_mb = ParseU64(flags, "ooc-budget-mb", "0");
+  const uint64_t ooc_budget_mb = ParseU64(flags, "ooc-budget-mb", "0");
   options.query = QueryFlags(flags);
 
   // Optional per-request deadline, applied uniformly to the stream.
@@ -530,9 +530,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
           // started with.
           auto reopened =
               [&]() -> StatusOr<std::shared_ptr<const CloudWalker>> {
-            if (options.ooc_budget_mb > 0) {
+            if (ooc_budget_mb > 0) {
               OutOfCoreOptions ooc;
-              ooc.budget_bytes = options.ooc_budget_mb << 20;
+              ooc.budget_bytes = ooc_budget_mb << 20;
               return CloudWalker::OutOfCore(snapshot_path, ooc);
             }
             CW_ASSIGN_OR_RETURN(auto mem, CloudWalker::Open(snapshot_path));
