@@ -4,16 +4,16 @@
 //
 // Three in-process ShardWorkers serve a temp snapshot on loopback ports;
 // the coordinator runs the SimRank + PPR workload through real
-// cloudwalker-net-v1 frames. Gated metrics:
+// cloudwalker-net-v2 frames, one kWalk job per worker per walk. Gated
+// metrics:
 //
-//   net_exchange_walkers_per_second — WalkerRecs shipped through
-//       kSuperstep frames per second of workload wall time (floor 20k:
-//       catches a framing layer that starts copying or syscalling per
-//       walker instead of per batch)
+//   net_exchange_walkers_per_second — walkers assigned in kWalk frames
+//       per second of workload wall time (floor 20k: catches an exchange
+//       that starts paying per walker instead of per job)
 //   net_distributed_efficiency — remote steps/s over single-node steps/s
-//       (floor 0.05: loopback round-trips per superstep are expected to
-//       dominate at this scale; the floor catches collapse, the baseline
-//       tolerance catches drift)
+//       (floor 0.2: the workers walk their ranges in parallel, one round
+//       trip per walk; the floor catches a return to per-level exchange,
+//       the baseline tolerance catches drift)
 //   net_bit_identical — all three backends byte-equal (must be 1)
 //
 //   CW_BENCH_QUICK=1 ./bench_net               # small sizes, CI
@@ -194,9 +194,9 @@ int main() {
             << HumanCount(static_cast<uint64_t>(walkers_per_second))
             << " walkers/s over "
             << HumanCount(after.supersteps - before.supersteps)
-            << " supersteps (floor 20K)\n"
+            << " walk jobs (floor 20K)\n"
             << "distributed efficiency vs single-node: "
-            << FormatDouble(efficiency, 3) << " (floor 0.05)\n"
+            << FormatDouble(efficiency, 3) << " (floor 0.2)\n"
             << "bit-identical across backends: "
             << (identical ? "PASS" : "FAIL") << "\n";
 
@@ -217,7 +217,7 @@ int main() {
                     "walkers/s", true, /*gate=*/true, /*min=*/20'000.0,
                     /*max_regression=*/0.6});
   report.AddMetric({"net_distributed_efficiency", efficiency, "ratio",
-                    true, /*gate=*/true, /*min=*/0.05,
+                    true, /*gate=*/true, /*min=*/0.2,
                     /*max_regression=*/0.7});
   report.AddMetric({"net_bit_identical", identical ? 1.0 : 0.0, "bool",
                     true, /*gate=*/true, /*min=*/1.0});

@@ -163,16 +163,18 @@ class CloudWalker {
       const ParallelWalkOptions& options);
 
   /// Re-backs `base` with the socket-connected distributed walk backend
-  /// (net/remote_backend.h, DESIGN.md section 13): every walk phase runs
-  /// as BSP supersteps across the options.workers shard-worker processes,
-  /// which must serve the *same snapshot artifact* — the handshake pins
-  /// the snapshot fingerprint, so `base` must be snapshot-backed (Open());
-  /// an in-memory build fails with kFailedPrecondition. Results are
-  /// bit-identical to `base` at every worker count; a worker death
-  /// mid-query is recovered by deterministic superstep replay, and a
-  /// worker lost past the retry budget surfaces as kUnavailable (never a
-  /// partial answer, never cached). The returned instance shares base's
-  /// graph / index / snapshot.
+  /// (net/remote_backend.h, DESIGN.md section 13): every walk phase splits
+  /// its walkers into one contiguous range per options.workers process,
+  /// and each worker walks its range to the end over its own full replica
+  /// of the in-CSR — the paper's Broadcasting model, one round trip per
+  /// walk. The workers must serve the *same snapshot artifact* — the
+  /// handshake pins the snapshot fingerprint, so `base` must be
+  /// snapshot-backed (Open()); an in-memory build fails with
+  /// kFailedPrecondition. Results are bit-identical to `base` at every
+  /// worker count; a worker death mid-query is recovered by deterministic
+  /// job replay, and a worker lost past the retry budget surfaces as
+  /// kUnavailable (never a partial answer, never cached). The returned
+  /// instance shares base's graph / index / snapshot.
   static StatusOr<std::shared_ptr<const CloudWalker>> Distribute(
       const std::shared_ptr<const CloudWalker>& base,
       const RemoteBackendOptions& options);

@@ -8,14 +8,6 @@
 namespace cloudwalker {
 namespace {
 
-// Per-range result block, padded so neighboring ranges' stats counters
-// never share a cache line with another worker's writes.
-struct alignas(kCacheLineBytes) RangeResult {
-  std::vector<std::vector<NodeId>> raw;  // [t] -> endpoints (level policies)
-  std::vector<NodeId> terminals;         // retired walkers (PPR)
-  WalkStats stats;
-};
-
 // First-touch warm-up, run by each range task on its worker thread before
 // its level loop: pulls the source row's offsets and leading target lines into
 // the worker's cache so the first blocks of every range don't all stall on
@@ -64,84 +56,38 @@ ParallelWalkExecutor::ParallelWalkExecutor(
       pool_(num_threads > 1 ? std::make_unique<ThreadPool>(num_threads)
                             : nullptr) {}
 
-std::vector<ParallelWalkExecutor::WalkerRange>
-ParallelWalkExecutor::SplitWalkers(uint32_t num_walkers) const {
-  const uint32_t by_floor =
-      std::max<uint32_t>(1, num_walkers / options_.min_walkers_per_range);
-  const uint32_t n =
-      std::min(static_cast<uint32_t>(num_threads_), by_floor);
-  std::vector<WalkerRange> ranges(n);
-  const uint32_t base = num_walkers / n;
-  const uint32_t rem = num_walkers % n;
-  uint32_t begin = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t size = base + (i < rem ? 1 : 0);
-    ranges[i] = WalkerRange{begin, begin + size};
-    begin += size;
-  }
-  return ranges;
-}
-
 template <typename Policy>
 Status ParallelWalkExecutor::Walk(NodeId source, const WalkConfig& config,
                                   const Policy& policy, WalkStats* stats,
                                   const WalkOutput& out) const {
-  const CsrLevels levels{graph_};
-  const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
+  const CsrLevels levels = CsrLevels::In(*graph_);
+  const uint32_t by_floor = std::max<uint32_t>(
+      1, config.num_walkers / options_.min_walkers_per_range);
+  const std::vector<WalkerRange> ranges = SplitWalkerRanges(
+      config.num_walkers,
+      std::min(static_cast<uint32_t>(num_threads_), by_floor));
   if (ranges.size() <= 1) {
     return LevelLoop::Run(levels, source, config, policy, 0,
                           config.num_walkers, /*scratch=*/nullptr, stats, out);
   }
   // Each range walks its own global walker ids, so its draws are the ones
   // the single-thread run makes; levels leave as raw endpoint lists.
-  std::vector<RangeResult> results(ranges.size());
+  std::vector<RangeWalk> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
       [&](uint64_t begin, uint64_t end) {
         for (uint64_t i = begin; i < end; ++i) {
-          RangeResult& res = results[i];
-          WalkOutput range_out{.terminals = &res.terminals};
-          if constexpr (Policy::kEmitsLevels) {
-            res.raw.assign(config.num_steps + 1, {});
-            range_out.raw_levels = &res.raw;
-          }
+          RangeWalk& res = results[i];
+          const WalkOutput range_out = res.Reset<Policy>(config.num_steps);
           WalkWorkerState state;
           WarmRow(*graph_, source);
           // In-CSR ranges cannot fail.
           (void)LevelLoop::Run(levels, source, config, policy,
-                               ranges[i].begin,
-                               ranges[i].end - ranges[i].begin,
+                               ranges[i].begin, ranges[i].size(),
                                &state.scratch, &res.stats, range_out);
         }
       });
-
-  // Merge: concatenating the ranges' raw endpoint lists reproduces the
-  // exact multiset the single-thread loop drains per level, and the
-  // shared sort-and-RLE aggregation is order independent — so the level
-  // vectors are bit-identical at every thread count.
-  if constexpr (Policy::kEmitsLevels) {
-    const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
-    std::vector<NodeId> merged;
-    merged.reserve(config.num_walkers);
-    for (uint32_t t = 1; t <= config.num_steps; ++t) {
-      merged.clear();
-      for (const RangeResult& res : results) {
-        merged.insert(merged.end(), res.raw[t].begin(), res.raw[t].end());
-      }
-      (*out.levels)[t] = AggregateEndpointNodes(merged, inv_r, id_bits());
-    }
-  } else {
-    for (const RangeResult& res : results) {
-      out.terminals->insert(out.terminals->end(), res.terminals.begin(),
-                            res.terminals.end());
-    }
-  }
-  if (stats != nullptr) {
-    for (const RangeResult& res : results) {
-      stats->steps += res.stats.steps;
-      stats->partition_crossings += res.stats.partition_crossings;
-    }
-  }
+  MergeRangeWalks<Policy>(results, config, id_bits(), stats, out);
   return Status::Ok();
 }
 

@@ -60,22 +60,12 @@ class ParallelWalkExecutor final : public WalkFront<ParallelWalkExecutor> {
  private:
   friend class WalkFront<ParallelWalkExecutor>;
 
-  /// A contiguous walker-id range [begin, end) — one level-loop run.
-  struct WalkerRange {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-  };
-
   ParallelWalkExecutor(const Graph& graph, const WalkContext* context_or_null,
                        const ParallelWalkOptions& options, int num_threads);
 
-  /// Partitions [0, num_walkers) into ranges honoring
-  /// min_walkers_per_range; a single range means "run serially". The split
-  /// is pure scheduling — results do not depend on it.
-  std::vector<WalkerRange> SplitWalkers(uint32_t num_walkers) const;
-
-  /// Runs `policy`'s walk over the split ranges and merges them into
-  /// `out`. One range runs the level loop directly.
+  /// Splits [0, R') into ranges honoring min_walkers_per_range (at most
+  /// one per thread), runs `policy`'s walk over them and merges them into
+  /// `out` (engine/walk_driver.h). One range runs the level loop directly.
   template <typename Policy>
   Status Walk(NodeId source, const WalkConfig& config, const Policy& policy,
               WalkStats* stats, const WalkOutput& out) const;

@@ -39,7 +39,7 @@ WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
                                             const NodeOwnerFn* owner,
                                             WalkStats* stats) {
   WalkDistributions out = SourceLevels(source, config.num_steps);
-  (void)LevelLoop::Run(CsrLevels{&graph, owner}, source, config,
+  (void)LevelLoop::Run(CsrLevels::In(graph, owner), source, config,
                        SimRankPolicy(config, source), 0, config.num_walkers,
                        scratch, stats, WalkOutput{.levels = &out.levels});
   return out;

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/cancel.h"
@@ -177,21 +176,14 @@ class WalkContext {
 /// One walker in flight: its global id (the RNG stream index), its current
 /// node, and — for second-order programs — the node it came from.
 /// Everything else needed to advance it derives from (config, walker,
-/// step). Every executor advances these records (engine/walk_step.h), and
-/// they are also the wire record of cloudwalker-net-v1 SuperstepExchange
-/// payloads: the static_asserts below freeze the byte layout (see
-/// net/wire.h and tests/net/wire_format_test.cc's golden bytes).
+/// step). Every executor advances these records (engine/walk_step.h); they
+/// never leave the process that seeded them — a socket worker seeds its
+/// own range's records from the job's walker ids.
 struct WalkerRec {
   uint32_t walker = 0;
   NodeId cur = kInvalidNode;
   NodeId prev = kInvalidNode;
 };
-static_assert(std::is_trivially_copyable_v<WalkerRec>,
-              "WalkerRec ships raw over the wire");
-static_assert(sizeof(WalkerRec) == 12, "wire layout frozen by net-v1");
-static_assert(offsetof(WalkerRec, walker) == 0);
-static_assert(offsetof(WalkerRec, cur) == 4);
-static_assert(offsetof(WalkerRec, prev) == 8);
 
 /// Reusable per-worker scratch of the level loop (engine/walk_driver.h):
 /// the live walker records (the level's input and its compacted

@@ -161,7 +161,8 @@ class LocalWalkBackend final : public WalkFront<LocalWalkBackend> {
  public:
   LocalWalkBackend(const Graph& graph, const WalkContext* context_or_null,
                    const NodeOwnerFn* owner = nullptr)
-      : WalkFront(graph, context_or_null), levels_{&graph, owner} {}
+      : WalkFront(graph, context_or_null),
+        levels_(CsrLevels::In(graph, owner)) {}
 
  private:
   friend class WalkFront<LocalWalkBackend>;

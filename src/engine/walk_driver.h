@@ -55,9 +55,9 @@ inline uint32_t NodeIdBits(NodeId num_nodes) {
 
 /// Where a walk's output goes. A level policy fills exactly one of
 /// `levels` (aggregated levels 1..T, sized by the caller) and `raw_levels`
-/// (each level's unsorted endpoint multiset, for a cross-range merge); a
-/// retiring policy appends its terminals, survivors included, to
-/// `terminals`.
+/// (level t's unsorted endpoint multiset at index t - 1, T entries sized
+/// by the caller, for a cross-range merge); a retiring policy appends its
+/// terminals, survivors included, to `terminals`.
 struct WalkOutput {
   std::vector<SparseVector>* levels = nullptr;
   std::vector<std::vector<NodeId>>* raw_levels = nullptr;
@@ -152,7 +152,7 @@ struct LevelLoop {
         NodeId* const endpoints = s.endpoints_.data();
         const uint32_t n = static_cast<uint32_t>(sink.num_endpoints);
         if (out.raw_levels != nullptr) {
-          (*out.raw_levels)[t].assign(endpoints, endpoints + n);
+          (*out.raw_levels)[t - 1].assign(endpoints, endpoints + n);
         } else {
           (*out.levels)[t] = AggregateEndpointNodes(
               endpoints, n, s.sort_buffer_, inv_r, id_bits);
@@ -200,13 +200,19 @@ struct LevelLoop {
 };
 
 /// The one-part executor over a resident in-CSR: the single-node backend,
-/// each range of the parallel executor, and the indexer. `owner`
-/// (optional) enables partition-crossing accounting.
+/// each range of the parallel executor, the indexer, and a socket worker
+/// over its mapped snapshot. `owner` (optional) enables
+/// partition-crossing accounting.
 struct CsrLevels {
-  const Graph* graph = nullptr;
+  CsrRows rows;
+  NodeId nodes = 0;
   const NodeOwnerFn* owner = nullptr;
 
-  NodeId num_nodes() const { return graph->num_nodes(); }
+  static CsrLevels In(const Graph& graph, const NodeOwnerFn* owner = nullptr) {
+    return {CsrRows::In(graph), graph.num_nodes(), owner};
+  }
+
+  NodeId num_nodes() const { return nodes; }
   static constexpr uint32_t num_parts() { return 1; }
   static constexpr uint32_t PartOf(NodeId /*v*/) { return 0; }
 
@@ -215,12 +221,104 @@ struct CsrLevels {
                  const LevelFrontier& frontier,
                  BufferSink<Policy::kEmitsLevels>& sink) const {
     sink.owner = owner;
-    AdvanceLevel(CsrRows::In(*graph), policy, t,
-                 config.dangling == DanglingPolicy::kSelfLoop,
+    AdvanceLevel(rows, policy, t, config.dangling == DanglingPolicy::kSelfLoop,
                  frontier.walkers, config.batch_width, sink);
     return Status::Ok();
   }
 };
+
+// --- Walker ranges ------------------------------------------------------
+//
+// The parallel executor (threads) and the remote backend (socket workers)
+// both split a walk's walker ids into contiguous ranges, run the level
+// loop once per range wherever the range lives, and merge. The merge
+// concatenates the ranges' raw endpoint lists per level and aggregates
+// once with the sort-and-RLE pass, so the result is the single-range
+// walk's bit for bit (DESIGN.md section 12.1).
+
+/// A contiguous walker-id range [begin, end): one level-loop run.
+struct WalkerRange {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+
+  uint32_t size() const { return end - begin; }
+};
+
+/// Splits walker ids [0, num_walkers) into min(num_ranges, num_walkers)
+/// contiguous ranges (at least one) whose sizes differ by at most one,
+/// the larger ones first. The split is pure scheduling: every draw keys
+/// on the global walker id.
+inline std::vector<WalkerRange> SplitWalkerRanges(uint32_t num_walkers,
+                                                  uint32_t num_ranges) {
+  const uint32_t n = std::max(1u, std::min(num_ranges, num_walkers));
+  std::vector<WalkerRange> ranges(n);
+  const uint32_t base = num_walkers / n;
+  const uint32_t rem = num_walkers % n;
+  uint32_t begin = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t size = base + (i < rem ? 1 : 0);
+    ranges[i] = WalkerRange{begin, begin + size};
+    begin += size;
+  }
+  return ranges;
+}
+
+/// One walker range's unmerged output: level t's raw endpoints at
+/// levels[t - 1] (level programs) or the terminals (retiring programs),
+/// plus the range's counters. Cache-line aligned so an array of them,
+/// one per thread, never false-shares.
+struct alignas(kCacheLineBytes) RangeWalk {
+  std::vector<std::vector<NodeId>> levels;
+  std::vector<NodeId> terminals;
+  WalkStats stats;
+
+  /// Clears the range for a `num_steps`-level walk of `Policy` (keeping
+  /// capacity) and returns the level-loop output that fills it.
+  template <typename Policy>
+  WalkOutput Reset(uint32_t num_steps) {
+    for (std::vector<NodeId>& level : levels) level.clear();
+    levels.resize(Policy::kEmitsLevels ? num_steps : 0);
+    terminals.clear();
+    stats = WalkStats();
+    WalkOutput out{.terminals = &terminals};
+    if constexpr (Policy::kEmitsLevels) out.raw_levels = &levels;
+    return out;
+  }
+};
+
+/// Merges the ranges of one walk into `out` — for each level, the
+/// ranges' endpoints concatenated and aggregated once; a retiring
+/// program's terminals appended — and adds their counters to `stats`
+/// (optional). `id_bits` is NodeIdBits of the graph.
+template <typename Policy>
+void MergeRangeWalks(std::span<const RangeWalk> ranges,
+                     const WalkConfig& config, uint32_t id_bits,
+                     WalkStats* stats, const WalkOutput& out) {
+  if constexpr (Policy::kEmitsLevels) {
+    const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
+    std::vector<NodeId> merged;
+    merged.reserve(config.num_walkers);
+    for (uint32_t t = 1; t <= config.num_steps; ++t) {
+      merged.clear();
+      for (const RangeWalk& range : ranges) {
+        const std::vector<NodeId>& level = range.levels[t - 1];
+        merged.insert(merged.end(), level.begin(), level.end());
+      }
+      (*out.levels)[t] = AggregateEndpointNodes(merged, inv_r, id_bits);
+    }
+  } else {
+    for (const RangeWalk& range : ranges) {
+      out.terminals->insert(out.terminals->end(), range.terminals.begin(),
+                            range.terminals.end());
+    }
+  }
+  if (stats != nullptr) {
+    for (const RangeWalk& range : ranges) {
+      stats->steps += range.stats.steps;
+      stats->partition_crossings += range.stats.partition_crossings;
+    }
+  }
+}
 
 }  // namespace cloudwalker
 

@@ -37,7 +37,7 @@ SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
                                   const NodeOwnerFn* owner,
                                   WalkStats* stats) {
   std::vector<NodeId> terminals;
-  (void)LevelLoop::Run(CsrLevels{&graph, owner}, source, config,
+  (void)LevelLoop::Run(CsrLevels::In(graph, owner), source, config,
                        PprPolicy(config, source, params), 0, config.num_walkers,
                        scratch, stats, WalkOutput{.terminals = &terminals});
   const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
@@ -58,7 +58,7 @@ WalkDistributions SimulateNode2VecVisits(const Graph& graph,
       context_or_null != nullptr ? context_or_null->external_ids()
                                  : std::span<const NodeId>());
   WalkDistributions out = SourceLevels(source, config.num_steps);
-  (void)LevelLoop::Run(CsrLevels{&graph, owner}, source, config, policy, 0,
+  (void)LevelLoop::Run(CsrLevels::In(graph, owner), source, config, policy, 0,
                        config.num_walkers, scratch, stats,
                        WalkOutput{.levels = &out.levels});
   return out;

@@ -1,6 +1,7 @@
 #include "net/remote_backend.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <span>
 #include <string>
@@ -26,25 +27,59 @@ bool IsTransportFailure(const Status& status) {
          status.IsDataLoss() || status.IsIoError();
 }
 
-PartitionStrategy ResolveStrategy(const Graph& graph, int num_workers,
-                                  const RemoteBackendOptions& options) {
-  switch (options.placement) {
-    case ShardingOptions::Placement::kHash:
-      return PartitionStrategy::kHash;
-    case ShardingOptions::Placement::kRange:
-      return PartitionStrategy::kRange;
-    case ShardingOptions::Placement::kAuto:
-      break;
+// The wire fields of `policy`'s program.
+void SetProgram(const SimRankPolicy& /*policy*/, WalkMsg* job) {
+  job->phase = static_cast<uint32_t>(WalkPhase::kSimRank);
+}
+void SetProgram(const PprPolicy& policy, WalkMsg* job) {
+  job->phase = static_cast<uint32_t>(WalkPhase::kPpr);
+  job->alpha = policy.alpha;
+}
+void SetProgram(const Node2VecPolicy& policy, WalkMsg* job) {
+  job->phase = static_cast<uint32_t>(WalkPhase::kNode2Vec);
+  job->return_p = policy.params.return_p;
+  job->in_out_q = policy.params.in_out_q;
+  job->max_trials = policy.params.max_trials;
+}
+
+// Why a decoded reply cannot answer `job`, or null when it can: the range
+// echo, the counts `Policy`'s program can produce, the step bound, and
+// every node id the merge would take. The payload CRC already passed, so
+// a violation is a worker bug, never a transport fault.
+template <typename Policy>
+const char* InvalidReply(const WalkMsg& job, const WalkResultMsg& result,
+                         const RangeWalk& reply, NodeId num_nodes) {
+  if (result.first != job.first || result.count != job.count) {
+    return "answered another walker range";
   }
-  // Same resolution as ShardPlan::Build: score both, ties go to hash —
-  // --workers=N and --shards=N must route walkers identically.
-  const PlacementScore hash = ShardPlan::Score(
-      graph, PartitionStrategy::kHash, num_workers, options.cost_model);
-  const PlacementScore range = ShardPlan::Score(
-      graph, PartitionStrategy::kRange, num_workers, options.cost_model);
-  return range.superstep_seconds < hash.superstep_seconds
-             ? PartitionStrategy::kRange
-             : PartitionStrategy::kHash;
+  if constexpr (Policy::kEmitsLevels) {
+    if (reply.levels.size() != job.num_steps || !reply.terminals.empty()) {
+      return "sent counts its walk program cannot produce";
+    }
+    size_t live = job.count;
+    for (const std::vector<NodeId>& level : reply.levels) {
+      if (level.size() > live) return "sent a level larger than the one before";
+      live = level.size();
+    }
+  } else {
+    if (!reply.levels.empty() || reply.terminals.size() > job.count) {
+      return "sent counts its walk program cannot produce";
+    }
+  }
+  if (result.steps > uint64_t{job.count} * job.num_steps) {
+    return "claimed more steps than count x T";
+  }
+  const auto out_of_range = [num_nodes](NodeId v) { return v >= num_nodes; };
+  for (const std::vector<NodeId>& level : reply.levels) {
+    if (std::any_of(level.begin(), level.end(), out_of_range)) {
+      return "sent a node id outside the graph";
+    }
+  }
+  if (std::any_of(reply.terminals.begin(), reply.terminals.end(),
+                  out_of_range)) {
+    return "sent a node id outside the graph";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -64,15 +99,13 @@ StatusOr<std::vector<RemoteWorkerAddress>> ParseWorkerList(
           "worker list entry '" + entry + "' is not host:port (spec: '" +
           spec + "')");
     }
-    unsigned long port = 0;  // NOLINT(runtime/int) — strtoul's type
-    try {
-      size_t used = 0;
-      port = std::stoul(entry.substr(colon + 1), &used);
-      if (used != entry.size() - colon - 1) port = 0;
-    } catch (...) {
-      port = 0;
-    }
-    if (port == 0 || port > 65535) {
+    // Unsigned from_chars takes ASCII digits only: no sign, no spaces.
+    const char* const digits_end = entry.data() + entry.size();
+    uint32_t port = 0;
+    const auto [parsed_end, error] =
+        std::from_chars(entry.data() + colon + 1, digits_end, port);
+    if (error != std::errc() || parsed_end != digits_end || port == 0 ||
+        port > 65535) {
       return Status::InvalidArgument("worker list entry '" + entry +
                                      "' has an invalid port");
     }
@@ -85,19 +118,15 @@ StatusOr<std::vector<RemoteWorkerAddress>> ParseWorkerList(
 
 RemoteWalkBackend::RemoteWalkBackend(const Graph& graph,
                                      uint64_t fingerprint,
-                                     RemoteBackendOptions options,
-                                     PartitionStrategy strategy)
+                                     RemoteBackendOptions options)
     // The workers key every draw from their own snapshots; the
     // coordinator draws nothing, so its policies need no permutation.
     : WalkFront(graph.num_nodes(), /*external_ids=*/{}),
       graph_(&graph),
       fingerprint_(fingerprint),
       options_(std::move(options)),
-      partitioner_(strategy, graph.num_nodes(),
-                   static_cast<int>(options_.workers.size())),
-      plan_hash_(NetPlanHash(strategy,
-                             static_cast<uint32_t>(options_.workers.size()),
-                             graph.num_nodes())),
+      requests_(options_.workers.size()),
+      replies_(options_.workers.size()),
       last_activity_(Clock::now()) {}
 
 StatusOr<std::shared_ptr<const RemoteWalkBackend>> RemoteWalkBackend::Connect(
@@ -113,23 +142,20 @@ StatusOr<std::shared_ptr<const RemoteWalkBackend>> RemoteWalkBackend::Connect(
   if (graph.num_nodes() == 0) {
     return Status::InvalidArgument("cannot distribute an empty graph");
   }
-  const PartitionStrategy strategy = ResolveStrategy(
-      graph, static_cast<int>(options.workers.size()), options);
-  std::shared_ptr<RemoteWalkBackend> backend(new RemoteWalkBackend(
-      graph, snapshot_fingerprint, options, strategy));
+  std::shared_ptr<RemoteWalkBackend> backend(
+      new RemoteWalkBackend(graph, snapshot_fingerprint, options));
   // Single-threaded here: no lock needed to populate the connections.
   backend->conns_.reserve(backend->options_.workers.size());
-  for (size_t shard = 0; shard < backend->options_.workers.size(); ++shard) {
-    CW_ASSIGN_OR_RETURN(Socket conn,
-                        backend->DialWorker(static_cast<int>(shard)));
+  for (size_t i = 0; i < backend->options_.workers.size(); ++i) {
+    CW_ASSIGN_OR_RETURN(Socket conn, backend->DialWorker(static_cast<int>(i)));
     backend->conns_.push_back(std::move(conn));
   }
   return std::shared_ptr<const RemoteWalkBackend>(std::move(backend));
 }
 
-StatusOr<Socket> RemoteWalkBackend::DialWorker(int shard) const {
+StatusOr<Socket> RemoteWalkBackend::DialWorker(int worker) const {
   const RemoteWorkerAddress& addr =
-      options_.workers[static_cast<size_t>(shard)];
+      options_.workers[static_cast<size_t>(worker)];
   const double timeout = options_.connect_timeout_seconds;
   StatusOr<Socket> conn = TcpConnect(addr.host, addr.port, timeout);
   if (!conn.ok()) {
@@ -138,11 +164,7 @@ StatusOr<Socket> RemoteWalkBackend::DialWorker(int shard) const {
   }
   HelloMsg hello;
   hello.protocol_version = kNetProtocolVersion;
-  hello.shard = static_cast<uint32_t>(shard);
-  hello.num_shards = static_cast<uint32_t>(options_.workers.size());
-  hello.strategy = static_cast<uint32_t>(partitioner_.strategy());
   hello.snapshot_fingerprint = fingerprint_;
-  hello.plan_hash = plan_hash_;
   hello.num_nodes = graph_->num_nodes();
   CW_RETURN_IF_ERROR(SendFrame(
       *conn, MsgType::kHello,
@@ -164,10 +186,7 @@ StatusOr<Socket> RemoteWalkBackend::DialWorker(int shard) const {
   std::string build_info;
   CW_RETURN_IF_ERROR(DecodeHello(reply.payload, &echo, &build_info));
   if (echo.protocol_version != hello.protocol_version ||
-      echo.shard != hello.shard || echo.num_shards != hello.num_shards ||
-      echo.strategy != hello.strategy ||
       echo.snapshot_fingerprint != hello.snapshot_fingerprint ||
-      echo.plan_hash != hello.plan_hash ||
       echo.num_nodes != hello.num_nodes) {
     return Status::Internal("worker " + addr.ToString() +
                             " echoed a different handshake than offered");
@@ -175,24 +194,24 @@ StatusOr<Socket> RemoteWalkBackend::DialWorker(int shard) const {
   return conn;
 }
 
-Status RemoteWalkBackend::ExchangeOne(int shard, const std::string& request,
+Status RemoteWalkBackend::ExchangeOne(int worker, const std::string& request,
                                       bool sent_ok, Frame* reply) const {
   const RemoteWorkerAddress& addr =
-      options_.workers[static_cast<size_t>(shard)];
+      options_.workers[static_cast<size_t>(worker)];
   const double timeout = options_.superstep_timeout_seconds;
-  Socket& conn = conns_[static_cast<size_t>(shard)];
+  Socket& conn = conns_[static_cast<size_t>(worker)];
   Status last = Status::Ok();
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0 || !sent_ok) {
       // Reconnect, re-handshake, resend the identical frame. The worker
       // is stateless and every draw is a pure function of the frame's
-      // fields, so the replayed superstep returns the identical bytes.
+      // fields, so the replayed job returns the identical bytes.
       if (attempt > 0 && options_.retry_backoff_seconds > 0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(
             options_.retry_backoff_seconds));
       }
       conn.Close();
-      StatusOr<Socket> fresh = DialWorker(shard);
+      StatusOr<Socket> fresh = DialWorker(worker);
       if (!fresh.ok()) {
         last = fresh.status();
         if (IsTransportFailure(last)) continue;
@@ -200,8 +219,7 @@ Status RemoteWalkBackend::ExchangeOne(int shard, const std::string& request,
       }
       conn = std::move(fresh).value();
       ++stats_.reconnects;
-      const Status sent = SendFrame(conn, MsgType::kSuperstep, request,
-                                    timeout);
+      const Status sent = SendFrame(conn, MsgType::kWalk, request, timeout);
       if (!sent.ok()) {
         last = sent;
         continue;
@@ -221,9 +239,9 @@ Status RemoteWalkBackend::ExchangeOne(int shard, const std::string& request,
       return Status(remote.code(),
                     "worker " + addr.ToString() + ": " + remote.message());
     }
-    if (got->type != MsgType::kResult) {
+    if (got->type != MsgType::kWalkResult) {
       return Status::Internal("worker " + addr.ToString() +
-                              " answered kSuperstep with frame type " +
+                              " answered kWalk with frame type " +
                               std::to_string(static_cast<int>(got->type)));
     }
     stats_.bytes_received += got->payload.size();
@@ -231,7 +249,7 @@ Status RemoteWalkBackend::ExchangeOne(int shard, const std::string& request,
     return Status::Ok();
   }
   return Status::Unavailable(
-      "worker " + addr.ToString() + " failed a superstep after " +
+      "worker " + addr.ToString() + " failed a walk job after " +
       std::to_string(options_.max_attempts) + " attempts; last error: " +
       last.ToString());
 }
@@ -251,8 +269,8 @@ void RemoteWalkBackend::SweepHeartbeats() const {
       if (!ack.ok()) {
         alive_check = ack.status();
       } else if (ack->type != MsgType::kHeartbeatAck) {
-        // A stale kResult / kError here means the connection is desynced,
-        // not alive — drop it like a dead one.
+        // A stale kWalkResult / kError here means the connection is
+        // desynced, not alive — drop it like a dead one.
         alive_check = Status::Internal("desynced heartbeat reply");
       }
     }
@@ -260,182 +278,95 @@ void RemoteWalkBackend::SweepHeartbeats() const {
   }
 }
 
-// The level-loop executor of one job (engine/walk_driver.h): one part per
-// worker. Advance is the coordinator's superstep — send every non-empty
-// bucket, then drain each reply into the level buffers — and the loop's
-// next bucketing by owner routes the survivors.
-class RemoteWalkBackend::Levels {
- public:
-  template <typename Policy>
-  Levels(const RemoteWalkBackend& backend, NodeId source,
-         const WalkConfig& config, const Policy& policy)
-      : backend_(&backend),
-        requests_(static_cast<size_t>(backend.num_workers())),
-        sent_(static_cast<size_t>(backend.num_workers()), 0) {
-    SetProgram(policy);
-    proto_.source = source;
-    proto_.num_walkers = config.num_walkers;
-    proto_.num_steps = config.num_steps;
-    proto_.seed = config.seed;
-    proto_.dangling = static_cast<uint32_t>(config.dangling);
+template <typename Policy>
+Status RemoteWalkBackend::Drain(int worker, const WalkMsg& job) const {
+  const size_t i = static_cast<size_t>(worker);
+  Frame reply;
+  CW_RETURN_IF_ERROR(ExchangeOne(worker, requests_[i], conns_[i].valid(),
+                                 &reply));
+  RangeWalk& range = replies_[i];
+  WalkResultMsg result;
+  CW_RETURN_IF_ERROR(DecodeWalkResult(reply.payload, &result, &range.levels,
+                                      &range.terminals));
+  if (const char* invalid =
+          InvalidReply<Policy>(job, result, range, graph_->num_nodes())) {
+    return Status::Internal("worker " + options_.workers[i].ToString() +
+                            " " + invalid);
   }
-
-  NodeId num_nodes() const { return backend_->graph_->num_nodes(); }
-  uint32_t num_parts() const {
-    return static_cast<uint32_t>(backend_->num_workers());
-  }
-  uint32_t PartOf(NodeId v) const {
-    return static_cast<uint32_t>(backend_->partitioner_.Owner(v));
-  }
-
-  template <typename Policy>
-  Status Advance(const Policy& /*policy*/, const WalkConfig& /*config*/,
-                 uint32_t t, const LevelFrontier& frontier,
-                 BufferSink<Policy::kEmitsLevels>& sink) const {
-    const RemoteWalkBackend& b = *backend_;
-    proto_.step = t;
-    // Send-all, then recv-all: every worker computes its batch while the
-    // coordinator is still draining the others' replies. Deadlock-free
-    // because a worker fully reads its request before replying. A failed
-    // send is not fatal here — the retry path resends.
-    active_.clear();
-    for (uint32_t shard = 0; shard < num_parts(); ++shard) {
-      const std::span<const WalkerRec> batch = frontier.Part(shard);
-      if (batch.empty()) continue;
-      active_.push_back(shard);
-      requests_[shard] = EncodeSuperstep(proto_, batch);
-      const Status st =
-          SendFrame(b.conns_[shard], MsgType::kSuperstep, requests_[shard],
-                    b.options_.superstep_timeout_seconds);
-      sent_[shard] = st.ok() ? 1 : 0;
-      if (st.ok()) b.stats_.bytes_sent += requests_[shard].size();
-      b.stats_.walkers_shipped += batch.size();
-    }
-    for (size_t drained = 0; drained < active_.size(); ++drained) {
-      const uint32_t shard = active_[drained];
-      const Status status = Drain(shard, t, frontier.Part(shard).size(), sink);
-      if (!status.ok()) {
-        // Unrecoverable: the loop aborts the job and the front records the
-        // error. The failing shard and every still-undrained shard may
-        // have a kSuperstep in flight whose reply was never matched;
-        // close those connections so the next job re-dials instead of
-        // reading a stale buffered kResult.
-        for (size_t rest = drained; rest < active_.size(); ++rest) {
-          b.conns_[active_[rest]].Close();
-        }
-        return status;
-      }
-    }
-    ++b.stats_.supersteps;
-    b.last_activity_ = Clock::now();
-    return Status::Ok();
-  }
-
- private:
-  void SetProgram(const SimRankPolicy& /*policy*/) {
-    proto_.phase = static_cast<uint32_t>(WalkPhase::kSimRank);
-  }
-  void SetProgram(const PprPolicy& policy) {
-    proto_.phase = static_cast<uint32_t>(WalkPhase::kPpr);
-    proto_.alpha = policy.alpha;
-  }
-  void SetProgram(const Node2VecPolicy& policy) {
-    proto_.phase = static_cast<uint32_t>(WalkPhase::kNode2Vec);
-    proto_.return_p = policy.params.return_p;
-    proto_.in_out_q = policy.params.in_out_q;
-    proto_.max_trials = policy.params.max_trials;
-  }
-
-  // Receives `shard`'s reply to its `batch`-walker superstep `t`, checks
-  // that it answers that batch, and appends it to the level buffers.
-  template <bool kEmitsLevels>
-  Status Drain(uint32_t shard, uint32_t t, size_t batch,
-               BufferSink<kEmitsLevels>& sink) const {
-    const RemoteWalkBackend& b = *backend_;
-    Frame reply;
-    CW_RETURN_IF_ERROR(
-        b.ExchangeOne(static_cast<int>(shard), requests_[shard],
-                      sent_[shard] != 0, &reply));
-    ResultMsg result;
-    survivors_.clear();
-    endpoints_.clear();
-    terminals_.clear();
-    CW_RETURN_IF_ERROR(DecodeResult(reply.payload, &result, &survivors_,
-                                    &endpoints_, &terminals_));
-    if (const char* invalid = InvalidReply(result, t, batch, kEmitsLevels)) {
-      return Status::Internal("worker " +
-                              b.options_.workers[shard].ToString() + " " +
-                              invalid + " at step " + std::to_string(t));
-    }
-    for (const WalkerRec& rec : survivors_) {
-      sink.survivors[sink.num_survivors++] = rec;
-      if (PartOf(rec.cur) != shard) ++sink.crossings;
-    }
-    if constexpr (kEmitsLevels) {
-      std::copy(endpoints_.begin(), endpoints_.end(),
-                sink.endpoints + sink.num_endpoints);
-      sink.num_endpoints += endpoints_.size();
-    } else {
-      std::copy(terminals_.begin(), terminals_.end(),
-                sink.terminals + sink.num_terminals);
-      sink.num_terminals += terminals_.size();
-    }
-    sink.steps += result.steps;
-    return Status::Ok();
-  }
-
-  // Why the decoded reply cannot answer a `batch`-walker superstep `t`,
-  // or null when it can: the step echo, the walker bookkeeping, the counts
-  // the program allows, and every node id the level buffers would take.
-  // The payload CRC already passed, so a violation is a worker bug, never
-  // a transport fault.
-  const char* InvalidReply(const ResultMsg& result, uint32_t t, size_t batch,
-                           bool emits_levels) const {
-    if (result.step != t) return "answered the wrong superstep";
-    if (survivors_.size() + terminals_.size() + result.dead != batch) {
-      return "broke the superstep bookkeeping invariant";
-    }
-    if (emits_levels ? endpoints_.size() != survivors_.size() ||
-                           !terminals_.empty()
-                     : !endpoints_.empty()) {
-      return "sent counts its walk program cannot produce";
-    }
-    const auto out_of_range = [n = num_nodes()](NodeId v) { return v >= n; };
-    for (const WalkerRec& rec : survivors_) {
-      if (out_of_range(rec.cur) ||
-          (rec.prev != kInvalidNode && out_of_range(rec.prev))) {
-        return "placed a survivor outside the graph";
-      }
-    }
-    if (std::any_of(endpoints_.begin(), endpoints_.end(), out_of_range) ||
-        std::any_of(terminals_.begin(), terminals_.end(), out_of_range)) {
-      return "sent a node id outside the graph";
-    }
-    return nullptr;
-  }
-
-  const RemoteWalkBackend* backend_;
-  mutable SuperstepMsg proto_;
-  mutable std::vector<std::string> requests_;
-  mutable std::vector<char> sent_;
-  mutable std::vector<uint32_t> active_;
-  mutable std::vector<WalkerRec> survivors_;
-  mutable std::vector<NodeId> endpoints_;
-  mutable std::vector<NodeId> terminals_;
-};
+  range.stats = WalkStats{.steps = result.steps};
+  return Status::Ok();
+}
 
 template <typename Policy>
 Status RemoteWalkBackend::Walk(NodeId source, const WalkConfig& config,
                                const Policy& policy, WalkStats* stats,
                                const WalkOutput& out) const {
-  const Levels levels(*this, source, config, policy);
+  // The only cancel point: a job in flight runs to its end.
+  if (config.cancel != nullptr && config.cancel->ShouldStop()) {
+    return Status::Ok();
+  }
+  const std::vector<WalkerRange> ranges = SplitWalkerRanges(
+      config.num_walkers, static_cast<uint32_t>(num_workers()));
+  // The first range is the largest.
+  if (!WalkResultFits(ranges.front().size(), config.num_steps)) {
+    return Status::InvalidArgument(
+        "remote walk of " + std::to_string(config.num_walkers) +
+        " walkers x " + std::to_string(config.num_steps) +
+        " steps over " + std::to_string(num_workers()) +
+        " workers: a worker's reply would exceed the " +
+        std::to_string(kNetMaxFramePayload) + "-byte frame cap");
+  }
+  WalkMsg job;
+  SetProgram(policy, &job);
+  job.source = source;
+  job.seed = config.seed;
+  job.num_walkers = config.num_walkers;
+  job.num_steps = config.num_steps;
+  job.dangling = static_cast<uint32_t>(config.dangling);
+
   // One job at a time over the shared connections: concurrency lives in
   // the workers. QueryService's dedup/cache layers sit in front of this
   // lock, so identical concurrent queries still collapse to one job.
   std::lock_guard<std::mutex> lock(mu_);
   SweepHeartbeats();
-  return LevelLoop::Run(levels, source, config, policy, 0,
-                        config.num_walkers, /*scratch=*/nullptr, stats, out);
+  // Send-all, then recv-all: every worker walks its range while the
+  // coordinator is still draining the others' replies. Deadlock-free
+  // because a worker fully reads its request before replying. A failed
+  // send is not fatal here: it closes the connection, and the drain's
+  // retry path redials and resends.
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    job.first = ranges[i].begin;
+    job.count = ranges[i].size();
+    requests_[i] = EncodeWalk(job);
+    if (conns_[i].valid()) {
+      if (SendFrame(conns_[i], MsgType::kWalk, requests_[i],
+                    options_.superstep_timeout_seconds)
+              .ok()) {
+        stats_.bytes_sent += requests_[i].size();
+      } else {
+        conns_[i].Close();
+      }
+    }
+    stats_.walkers_shipped += job.count;
+  }
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    job.first = ranges[i].begin;
+    job.count = ranges[i].size();
+    const Status status = Drain<Policy>(static_cast<int>(i), job);
+    if (!status.ok()) {
+      // Unrecoverable: the failing worker and every still-undrained one
+      // may hold a kWalk whose reply was never matched; close those
+      // connections so the next job re-dials instead of reading a stale
+      // buffered kWalkResult.
+      for (size_t rest = i; rest < ranges.size(); ++rest) conns_[rest].Close();
+      return status;
+    }
+  }
+  ++stats_.supersteps;
+  last_activity_ = Clock::now();
+  const std::span<const RangeWalk> replies(replies_.data(), ranges.size());
+  MergeRangeWalks<Policy>(replies, config, id_bits(), stats, out);
+  return Status::Ok();
 }
 
 template Status RemoteWalkBackend::Walk(NodeId, const WalkConfig&,
@@ -450,11 +381,11 @@ template Status RemoteWalkBackend::Walk(NodeId, const WalkConfig&,
 
 Status RemoteWalkBackend::Ping() const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t shard = 0; shard < conns_.size(); ++shard) {
-    const RemoteWorkerAddress& addr = options_.workers[shard];
-    Socket& conn = conns_[shard];
+  for (size_t i = 0; i < conns_.size(); ++i) {
+    const RemoteWorkerAddress& addr = options_.workers[i];
+    Socket& conn = conns_[i];
     if (!conn.valid()) {
-      StatusOr<Socket> fresh = DialWorker(static_cast<int>(shard));
+      StatusOr<Socket> fresh = DialWorker(static_cast<int>(i));
       if (!fresh.ok()) return fresh.status();
       conn = std::move(fresh).value();
       ++stats_.reconnects;

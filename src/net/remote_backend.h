@@ -1,33 +1,38 @@
-// RemoteWalkBackend — the coordinator half of cloudwalker-net-v1: a
-// WalkBackend that runs every walk phase as BSP supersteps across
-// socket-connected shard workers (net/shard_worker.h).
+// RemoteWalkBackend — the coordinator half of cloudwalker-net-v2: a
+// WalkBackend that runs every walk across socket-connected walk workers
+// (net/shard_worker.h), one round trip per walk.
 //
-// The backend is an executor of the shared level loop (engine/
-// walk_driver.h) with one part per worker: the coordinator holds all
-// walker state, and each level the loop buckets the live walkers by the
-// worker owning their node. The executor ships every non-empty bucket in
-// one kSuperstep frame, then drains the kResult replies into the level
-// buffers; the loop merges endpoint lists with the same order-independent
-// aggregation every executor uses, and its next bucketing routes the
-// survivors to their next owner. Workers are stateless, and each keys its
-// draws from its own mapped snapshot — on a locality-reordered artifact,
-// through that artifact's permutation; the handshake pins the fingerprint,
-// so coordinator and workers serve the same artifact and the wire carries
-// no key. Results are therefore bit-identical to the single-node and
-// in-process sharded backends at every worker count — and a worker death
-// mid-superstep is recovered by reconnecting and resending the identical
-// frame (deterministic replay), bounded by
-// RemoteBackendOptions::max_attempts.
+// Every worker maps the whole in-CSR — the paper's Broadcasting model
+// (DESIGN.md section 4) — so walkers never move between workers. A walk
+// splits its walker ids [0, R') into one contiguous range per worker
+// (engine/walk_driver.h's SplitWalkerRanges; fewer when R' < W, and a
+// worker without a range gets no frame), sends each range in one kWalk
+// frame, and drains the kWalkResult replies. Each worker runs the shared
+// level loop over its own mapped snapshot and keys its draws from it —
+// on a locality-reordered artifact, through that artifact's permutation;
+// the handshake pins the fingerprint, so coordinator and workers serve
+// the same artifact and the wire carries no key. The ranges' raw levels
+// merge with the same concatenate-then-aggregate step the parallel
+// executor uses (MergeRangeWalks), so results are bit-identical to the
+// single-node backend at every worker count and every R'. A worker death
+// mid-job is recovered by reconnecting and resending the identical frame
+// (deterministic replay), bounded by RemoteBackendOptions::max_attempts.
+//
+// Cancellation: a walk polls config.cancel once, before dispatch — a
+// stopped walk sends nothing and returns empty. A job in flight runs to
+// its end, bounded by superstep_timeout_seconds.
 //
 // Error model: walk methods return plain values (the WalkBackend seam),
 // so a job that exhausts its retry budget records its first error —
 // typically kUnavailable naming the worker — and returns a truncated
 // result. The facade drains it via TakeError() and surfaces the error
 // instead of the partial answer; QueryService never caches non-ok
-// responses, so no partial answer is ever cached. A reply that does not
-// answer its batch — wrong step, counts that disagree with the batch or
-// the program, or a node id outside the graph — is rejected the same way,
-// with kInternal, before any of it reaches the level buffers.
+// responses, so no partial answer is ever cached. A job whose worst-case
+// reply would not fit one frame is refused with kInvalidArgument before
+// anything is sent. A reply that does not answer its range — a wrong
+// range echo, level or terminal counts the program cannot produce, more
+// steps than count x T, or a node id outside the graph — is rejected with
+// kInternal, never retried, before any of it is merged.
 
 #ifndef CLOUDWALKER_NET_REMOTE_BACKEND_H_
 #define CLOUDWALKER_NET_REMOTE_BACKEND_H_
@@ -39,17 +44,16 @@
 #include <string>
 #include <vector>
 
-#include "cluster/partitioner.h"
 #include "common/status.h"
 #include "engine/walk_backend.h"
+#include "engine/walk_driver.h"
 #include "net/framing.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "shard/sharding.h"
 
 namespace cloudwalker {
 
-/// One worker endpoint; workers[i] serves shard i.
+/// One worker endpoint.
 struct RemoteWorkerAddress {
   std::string host;
   uint16_t port = 0;
@@ -59,24 +63,22 @@ struct RemoteWorkerAddress {
   }
 };
 
-/// Parses "host:port,host:port,..." (the CLI's --workers syntax).
+/// Parses "host:port,host:port,..." (the CLI's --workers syntax). A port
+/// is ASCII digits only, in [1, 65535].
 StatusOr<std::vector<RemoteWorkerAddress>> ParseWorkerList(
     const std::string& spec);
 
 /// Configuration of a remote backend.
 struct RemoteBackendOptions {
+  /// Workers; walker range i of a walk goes to workers[i].
   std::vector<RemoteWorkerAddress> workers;
-  /// Node -> worker placement. kAuto scores kHash vs kRange with the cost
-  /// model — the same resolution rule as the in-process ShardPlan::Build,
-  /// so `--workers=N` and `--shards=N` route walkers identically.
-  ShardingOptions::Placement placement = ShardingOptions::Placement::kAuto;
-  CostModel cost_model = CostModel::Default();
   /// Per-connection dial + handshake budget.
   double connect_timeout_seconds = 5.0;
-  /// Budget for one shard's superstep exchange (send + compute + recv).
+  /// Budget for one job's exchange with one worker (send + the whole
+  /// range's walk + recv).
   double superstep_timeout_seconds = 30.0;
-  /// Total attempts per shard per superstep (1 initial + retries). Each
-  /// retry reconnects, re-handshakes, and resends the identical frame.
+  /// Total attempts per worker per job (1 initial + retries). Each retry
+  /// reconnects, re-handshakes, and resends the identical frame.
   int max_attempts = 3;
   /// Pause before each retry.
   double retry_backoff_seconds = 0.05;
@@ -88,11 +90,11 @@ struct RemoteBackendOptions {
 
 /// Cumulative exchange telemetry (all jobs since Connect).
 struct RemoteExchangeStats {
-  uint64_t supersteps = 0;       // level barriers executed
-  uint64_t walkers_shipped = 0;  // WalkerRecs sent over the wire
+  uint64_t supersteps = 0;       // walk jobs: one round trip per walk
+  uint64_t walkers_shipped = 0;  // walkers assigned in kWalk frames
   uint64_t bytes_sent = 0;       // frame payload bytes, coordinator -> worker
   uint64_t bytes_received = 0;   // frame payload bytes, worker -> coordinator
-  uint64_t replays = 0;          // superstep frames resent after a failure
+  uint64_t replays = 0;          // kWalk frames resent after a failure
   uint64_t reconnects = 0;       // connections re-established
 };
 
@@ -103,9 +105,9 @@ struct RemoteExchangeStats {
 /// jobs (DESIGN.md section 13).
 class RemoteWalkBackend final : public WalkFront<RemoteWalkBackend> {
  public:
-  /// Resolves placement, dials every worker, and handshakes each one
-  /// (protocol version, `snapshot_fingerprint`, shard plan hash). Fails
-  /// fast with kUnavailable naming the first unreachable worker.
+  /// Dials every worker and handshakes each one (protocol version,
+  /// `snapshot_fingerprint`, node count). Fails fast with kUnavailable
+  /// naming the first unreachable worker.
   static StatusOr<std::shared_ptr<const RemoteWalkBackend>> Connect(
       const Graph& graph, uint64_t snapshot_fingerprint,
       const RemoteBackendOptions& options);
@@ -118,38 +120,41 @@ class RemoteWalkBackend final : public WalkFront<RemoteWalkBackend> {
   /// destructor — workers normally outlive coordinators.
   void ShutdownWorkers() const;
 
-  int num_workers() const { return partitioner_.num_workers(); }
-  PartitionStrategy strategy() const { return partitioner_.strategy(); }
-  uint64_t plan_hash() const { return plan_hash_; }
+  int num_workers() const { return static_cast<int>(options_.workers.size()); }
   RemoteExchangeStats exchange_stats() const;
 
  private:
   friend class WalkFront<RemoteWalkBackend>;
-  class Levels;  // the level-loop executor of one job
 
   RemoteWalkBackend(const Graph& graph, uint64_t fingerprint,
-                    RemoteBackendOptions options,
-                    PartitionStrategy strategy);
+                    RemoteBackendOptions options);
 
-  // Dials workers[shard] and runs the kHello exchange on the new
+  // Dials workers[worker] and runs the kHello exchange on the new
   // connection. Requires mu_.
-  StatusOr<Socket> DialWorker(int shard) const;
+  StatusOr<Socket> DialWorker(int worker) const;
 
-  // One shard's superstep exchange with bounded reconnect-and-replay.
-  // Requires mu_. `sent_ok` reports whether the initial in-pipeline send
-  // succeeded (a failed send skips straight to the retry path).
-  Status ExchangeOne(int shard, const std::string& request, bool sent_ok,
+  // One worker's job exchange with bounded reconnect-and-replay: receives
+  // the kWalkResult answering `request`, resending it over a fresh
+  // connection after a transport failure. Requires mu_. `sent_ok` reports
+  // whether the initial in-pipeline send succeeded (a failed send skips
+  // straight to the retry path).
+  Status ExchangeOne(int worker, const std::string& request, bool sent_ok,
                      Frame* reply) const;
 
   // Lazy death detection: after a quiet period longer than the heartbeat
   // interval, heartbeats every connection and drops the dead ones, so the
-  // first superstep reconnects eagerly instead of burning its timeout.
+  // first job reconnects eagerly instead of burning its timeout.
   // Requires mu_.
   void SweepHeartbeats() const;
 
-  // Runs one job through the level loop over the workers, under mu_. The
-  // front records a failure for TakeError, which has its own lock and so
-  // never waits on a running job.
+  // Receives, decodes and validates worker `worker`'s reply to `job` into
+  // replies_[worker]. Requires mu_.
+  template <typename Policy>
+  Status Drain(int worker, const WalkMsg& job) const;
+
+  // Runs one walk as one job per walker range, under mu_, and merges the
+  // replies. The front records a failure for TakeError, which has its own
+  // lock and so never waits on a running job.
   template <typename Policy>
   Status Walk(NodeId source, const WalkConfig& config, const Policy& policy,
               WalkStats* stats, const WalkOutput& out) const;
@@ -157,12 +162,14 @@ class RemoteWalkBackend final : public WalkFront<RemoteWalkBackend> {
   const Graph* graph_;
   uint64_t fingerprint_ = 0;
   RemoteBackendOptions options_;
-  Partitioner partitioner_;
-  uint64_t plan_hash_ = 0;
 
-  // Job / connection state, serialized by mu_.
+  // Job / connection state, serialized by mu_: per worker, the
+  // connection, the current job's request (kept for replay) and the reply
+  // buffers, whose capacity is reused across jobs.
   mutable std::mutex mu_;
   mutable std::vector<Socket> conns_;
+  mutable std::vector<std::string> requests_;
+  mutable std::vector<RangeWalk> replies_;
   mutable std::chrono::steady_clock::time_point last_activity_;
   mutable RemoteExchangeStats stats_;
 };

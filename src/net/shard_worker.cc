@@ -1,15 +1,13 @@
 #include "net/shard_worker.h"
 
 #include <cstdio>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cluster/partitioner.h"
 #include "common/version.h"
-#include "engine/walk_step.h"
+#include "engine/walk_driver.h"
 #include "net/framing.h"
 #include "net/wire.h"
 
@@ -23,95 +21,98 @@ constexpr double kFrameIoSeconds = 30.0;
 // Accept / readability poll slice between stop-flag checks.
 constexpr double kPollSliceSeconds = 0.1;
 
-// Row source over the snapshot's full in-CSR (engine/walk_step.h defines
-// the concept). A worker maps the whole in-adjacency, so rows index by
-// global node id directly; ownership only matters for the remote-row
-// telemetry of second-order In(prev) reads, which the partitioner answers
-// exactly like the in-process engine's slice lookup.
-struct SnapshotRows : CsrRows {
-  const Partitioner* partitioner = nullptr;
-  int shard = 0;
-  uint64_t* remote_rows = nullptr;
-
-  std::span<const NodeId> InRow(NodeId v) const {
-    if (partitioner->Owner(v) != shard) ++*remote_rows;
-    return CsrRows::InRow(v);
-  }
-};
-
-// Advances one resident batch one level under `policy` with the shared
-// level step, collecting the survivors, endpoints and terminals the
-// kResult frame carries. The wire carries no batch width, so the worker
-// uses the widest.
-template <typename Policy>
-void AdvanceBatch(const SnapshotRows& rows, const Policy& policy,
-                  const SuperstepMsg& msg, std::vector<WalkerRec>* walkers,
-                  ResultMsg* result, std::vector<NodeId>* endpoints,
-                  std::vector<NodeId>* terminals) {
-  std::vector<WalkerRec> survivors(walkers->size());
-  if constexpr (Policy::kEmitsLevels) endpoints->resize(walkers->size());
-  if constexpr (Policy::kMayRetire) terminals->resize(walkers->size());
-  BufferSink<Policy::kEmitsLevels> sink;
-  sink.survivors = survivors.data();
-  sink.endpoints = endpoints->data();
-  sink.terminals = terminals->data();
-  AdvanceLevel(rows, policy, msg.step,
-               static_cast<DanglingPolicy>(msg.dangling) ==
-                   DanglingPolicy::kSelfLoop,
-               std::span<const WalkerRec>(*walkers), kMaxWalkBatchWidth, sink);
-  survivors.resize(sink.num_survivors);
-  endpoints->resize(sink.num_endpoints);
-  terminals->resize(sink.num_terminals);
-  result->steps += sink.steps;
-  result->dead += static_cast<uint32_t>(walkers->size() - survivors.size() -
-                                        terminals->size());
-  *walkers = std::move(survivors);
-}
-
-// Sanity bounds on a decoded superstep. The payload CRC already passed,
-// so any violation is a coordinator bug — reported as kInternal, never
-// retried.
-Status ValidateSuperstep(const SuperstepMsg& msg,
-                         const std::vector<WalkerRec>& walkers,
-                         NodeId num_nodes) {
-  if (msg.step < 1 || msg.step > msg.num_steps) {
-    return Status::Internal("net: superstep " + std::to_string(msg.step) +
-                            " outside [1, " + std::to_string(msg.num_steps) +
-                            "]");
-  }
-  if (msg.source >= num_nodes) {
-    return Status::Internal("net: superstep source " +
-                            std::to_string(msg.source) + " out of range");
-  }
-  if (msg.dangling > 1) {
-    return Status::Internal("net: unknown dangling policy " +
-                            std::to_string(msg.dangling));
-  }
-  switch (static_cast<WalkPhase>(msg.phase)) {
+// Why `job` is not a walk this worker can run, or null when it is. The
+// payload CRC already passed, so any violation is a coordinator bug —
+// answered with kError, never retried. The reply bound also caps the
+// memory a job can make the worker allocate.
+const char* InvalidJob(const WalkMsg& job, NodeId num_nodes) {
+  switch (static_cast<WalkPhase>(job.phase)) {
     case WalkPhase::kSimRank:
       break;
     case WalkPhase::kPpr:
-      if (!(msg.alpha > 0.0) || !(msg.alpha < 1.0)) {
-        return Status::Internal("net: PPR alpha outside (0, 1)");
+      if (!(job.alpha > 0.0) || !(job.alpha < 1.0)) {
+        return "PPR alpha outside (0, 1)";
       }
       break;
     case WalkPhase::kNode2Vec:
-      if (!(msg.return_p > 0.0) || !(msg.in_out_q > 0.0) ||
-          msg.max_trials == 0) {
-        return Status::Internal("net: invalid node2vec parameters");
+      if (!(job.return_p > 0.0) || !(job.in_out_q > 0.0) ||
+          job.max_trials == 0) {
+        return "invalid node2vec parameters";
       }
       break;
     default:
-      return Status::Internal("net: unknown walk phase " +
-                              std::to_string(msg.phase));
+      return "unknown walk program";
   }
-  for (const WalkerRec& rec : walkers) {
-    if (rec.cur >= num_nodes ||
-        (rec.prev != kInvalidNode && rec.prev >= num_nodes)) {
-      return Status::Internal("net: walker positioned out of range");
-    }
+  if (job.dangling > 1) return "unknown dangling policy";
+  if (job.source >= num_nodes) return "source outside the graph";
+  if (job.num_steps == 0) return "walk of zero steps";
+  if (job.count == 0) return "empty walker range";
+  if (job.first > job.num_walkers || job.count > job.num_walkers - job.first) {
+    return "walker range outside [0, R')";
   }
-  return Status::Ok();
+  if (!WalkResultFits(job.count, job.num_steps)) {
+    return "reply of count x T node ids exceeds the frame cap";
+  }
+  return nullptr;
+}
+
+// Runs `job`'s walker range to the end with the shared level loop over
+// the mapped in-CSR and encodes the kWalkResult payload. A reordered
+// artifact keys the draws on the source's external id through its own
+// permutation — the coordinator's artifact too, since the handshake
+// pinned the fingerprint.
+template <typename Policy>
+std::string RunJob(const SnapshotView& snapshot, const WalkMsg& job,
+                   const WalkConfig& config, const Policy& policy,
+                   WalkScratch* scratch, RangeWalk* range) {
+  const CsrRows rows{snapshot.in_offsets().data(),
+                     snapshot.in_targets().data()};
+  const CsrLevels levels{rows, snapshot.num_nodes()};
+  // A mapped in-CSR cannot fail.
+  (void)LevelLoop::Run(levels, job.source, config, policy, job.first,
+                       job.count, scratch, &range->stats,
+                       range->Reset<Policy>(job.num_steps));
+  WalkResultMsg result;
+  result.first = job.first;
+  result.count = job.count;
+  result.steps = range->stats.steps;
+  return EncodeWalkResult(result, range->levels, range->terminals);
+}
+
+// Decodes, validates and runs one kWalk frame: the kWalkResult payload,
+// or the status a kError carries.
+StatusOr<std::string> ServeJob(const SnapshotView& snapshot,
+                               std::string_view payload, WalkScratch* scratch,
+                               RangeWalk* range) {
+  WalkMsg job;
+  CW_RETURN_IF_ERROR(DecodeWalk(payload, &job));
+  if (const char* invalid = InvalidJob(job, snapshot.num_nodes())) {
+    return Status::Internal(std::string("net: invalid walk job: ") + invalid);
+  }
+  WalkConfig config;
+  config.num_steps = job.num_steps;
+  config.num_walkers = job.num_walkers;
+  config.dangling = static_cast<DanglingPolicy>(job.dangling);
+  config.seed = job.seed;
+  const std::span<const NodeId> perm = snapshot.permutation();
+  switch (static_cast<WalkPhase>(job.phase)) {
+    case WalkPhase::kSimRank:
+      return RunJob(snapshot, job, config,
+                    SimRankPolicy(config, job.source, perm), scratch, range);
+    case WalkPhase::kPpr:
+      return RunJob(snapshot, job, config,
+                    PprPolicy(config, job.source, PprParams{job.alpha}, perm),
+                    scratch, range);
+    case WalkPhase::kNode2Vec:
+      return RunJob(snapshot, job, config,
+                    Node2VecPolicy(config, job.source,
+                                   Node2VecParams{job.return_p, job.in_out_q,
+                                                  job.max_trials},
+                                   perm),
+                    scratch, range);
+  }
+  // Unreachable: InvalidJob refused every other program.
+  return Status::Internal("net: unknown walk program");
 }
 
 }  // namespace
@@ -145,10 +146,12 @@ Status ShardWorker::Serve() {
 }
 
 bool ShardWorker::ServeConnection(Socket conn) {
-  // Per-connection handshake state: nothing but kHello is served until
-  // the coordinator's view of the world has been verified.
-  std::optional<Partitioner> partitioner;
-  int shard = 0;
+  // Per-connection state: nothing but kHello is served until the
+  // coordinator's view of the world has been verified. The scratch and
+  // the range buffers are reused across jobs, never carried between them.
+  bool greeted = false;
+  WalkScratch scratch;
+  RangeWalk range;
 
   while (!stop_.load(std::memory_order_relaxed)) {
     const Status ready = WaitReadable(conn, kPollSliceSeconds);
@@ -167,7 +170,7 @@ bool ShardWorker::ServeConnection(Socket conn) {
     if (options_.fail_once_after_frames >= 0 && !fault_fired_ &&
         served > static_cast<uint64_t>(options_.fail_once_after_frames)) {
       // Injected death: drop the connection without replying, exactly as
-      // a worker killed mid-superstep would.
+      // a worker killed mid-job would.
       fault_fired_ = true;
       if (options_.verbose) {
         std::fprintf(stderr, "[worker:%u] injected failure at frame %llu\n",
@@ -202,29 +205,6 @@ bool ShardWorker::ServeConnection(Socket conn) {
               std::to_string(hello.num_nodes) + ", snapshot has " +
               std::to_string(snapshot_->num_nodes()));
         }
-        if (status.ok() &&
-            (hello.num_shards == 0 || hello.shard >= hello.num_shards)) {
-          status = Status::FailedPrecondition(
-              "net: shard " + std::to_string(hello.shard) +
-              " outside plan of " + std::to_string(hello.num_shards) +
-              " shards");
-        }
-        if (status.ok() && hello.strategy > 1) {
-          status = Status::FailedPrecondition(
-              "net: unknown partition strategy " +
-              std::to_string(hello.strategy));
-        }
-        if (status.ok()) {
-          const uint64_t expect =
-              NetPlanHash(static_cast<PartitionStrategy>(hello.strategy),
-                          hello.num_shards, hello.num_nodes);
-          if (hello.plan_hash != expect) {
-            status = Status::FailedPrecondition(
-                "net: shard plan hash mismatch (coordinator " +
-                std::to_string(hello.plan_hash) + ", worker " +
-                std::to_string(expect) + ")");
-          }
-        }
         if (!status.ok()) {
           if (options_.verbose) {
             std::fprintf(stderr, "[worker:%u] handshake rejected: %s\n",
@@ -233,10 +213,7 @@ bool ShardWorker::ServeConnection(Socket conn) {
           SendErrorFrame(conn, status, kFrameIoSeconds);
           return true;
         }
-        partitioner.emplace(static_cast<PartitionStrategy>(hello.strategy),
-                            hello.num_nodes,
-                            static_cast<int>(hello.num_shards));
-        shard = static_cast<int>(hello.shard);
+        greeted = true;
         const std::string reply = EncodeHello(
             hello, BuildInfoString("cloudwalker_shard_worker"));
         if (!SendFrame(conn, MsgType::kHelloOk, reply, kFrameIoSeconds)
@@ -245,63 +222,20 @@ bool ShardWorker::ServeConnection(Socket conn) {
         }
         break;
       }
-      case MsgType::kSuperstep: {
-        if (!partitioner.has_value()) {
+      case MsgType::kWalk: {
+        if (!greeted) {
           SendErrorFrame(
-              conn,
-              Status::FailedPrecondition("net: superstep before handshake"),
+              conn, Status::FailedPrecondition("net: walk before handshake"),
               kFrameIoSeconds);
           return true;
         }
-        SuperstepMsg msg;
-        std::vector<WalkerRec> walkers;
-        Status status = DecodeSuperstep(frame->payload, &msg, &walkers);
-        if (status.ok()) {
-          status = ValidateSuperstep(msg, walkers, snapshot_->num_nodes());
-        }
-        if (!status.ok()) {
-          SendErrorFrame(conn, status, kFrameIoSeconds);
+        StatusOr<std::string> reply =
+            ServeJob(*snapshot_, frame->payload, &scratch, &range);
+        if (!reply.ok()) {
+          SendErrorFrame(conn, reply.status(), kFrameIoSeconds);
           return true;
         }
-        ResultMsg result;
-        result.step = msg.step;
-        const SnapshotRows rows{
-            {snapshot_->in_offsets().data(), snapshot_->in_targets().data()},
-            &partitioner.value(),
-            shard,
-            &result.remote_rows};
-        WalkConfig config;
-        config.seed = msg.seed;
-        // A reordered artifact keys the draws on the source's external id
-        // through its own permutation — the coordinator's artifact too,
-        // since the handshake pinned the fingerprint.
-        const std::span<const NodeId> perm = snapshot_->permutation();
-        std::vector<NodeId> endpoints;
-        std::vector<NodeId> terminals;
-        switch (static_cast<WalkPhase>(msg.phase)) {
-          case WalkPhase::kSimRank:
-            AdvanceBatch(rows, SimRankPolicy(config, msg.source, perm), msg,
-                         &walkers, &result, &endpoints, &terminals);
-            break;
-          case WalkPhase::kPpr:
-            AdvanceBatch(
-                rows,
-                PprPolicy(config, msg.source, PprParams{msg.alpha}, perm),
-                msg, &walkers, &result, &endpoints, &terminals);
-            break;
-          case WalkPhase::kNode2Vec:
-            AdvanceBatch(
-                rows,
-                Node2VecPolicy(config, msg.source,
-                               Node2VecParams{msg.return_p, msg.in_out_q,
-                                              msg.max_trials},
-                               perm),
-                msg, &walkers, &result, &endpoints, &terminals);
-            break;
-        }
-        const std::string reply =
-            EncodeResult(result, walkers, endpoints, terminals);
-        if (!SendFrame(conn, MsgType::kResult, reply, kFrameIoSeconds)
+        if (!SendFrame(conn, MsgType::kWalkResult, *reply, kFrameIoSeconds)
                  .ok()) {
           return true;
         }

@@ -1,21 +1,27 @@
-// ShardWorker — the serving half of cloudwalker-net-v1: one process (or
-// test thread) that owns a section-masked mmap of the snapshot and
-// advances walker batches one level per kSuperstep frame.
+// ShardWorker — the serving half of cloudwalker-net-v2: one process (or
+// test thread) that maps the snapshot's in-CSR and runs whole walks for
+// the walker ranges its coordinator assigns, one kWalk frame per range.
 //
-// Workers are completely stateless between frames: every kSuperstep
-// carries the full job spec plus the resident batch, and every draw is a
-// pure function of the spec's fields and the served artifact — whose
+// Every worker holds a full replica of the in-link graph — the paper's
+// Broadcasting model (DESIGN.md section 4) — so a walker never leaves the
+// worker that started it. A job runs the shared level loop
+// (engine/walk_driver.h) over the mapped in-CSR for walker ids
+// [first, first + count) and answers one kWalkResult with each level's
+// raw endpoints, or PPR's terminals. Workers are completely stateless
+// between frames: every kWalk carries the full job, and every draw is a
+// pure function of the job's fields and the served artifact — whose
 // permutation, on a locality-reordered snapshot, keys the draws on the
 // source's external id (engine/walk_step.h). The coordinator can
 // therefore kill, restart, and replay a worker at any frame boundary and
 // provably get the identical bytes back — the property the failure-path
 // tests (tests/net/) assert end to end.
 //
-// A worker validates its coordinator at handshake: protocol version,
-// snapshot fingerprint, node count, shard assignment, and the shard plan
-// hash must all match its own view, otherwise the kHello is rejected with
-// a kError frame naming the mismatch (satellite: version/compatibility
-// diagnostics).
+// A worker validates its coordinator at handshake — protocol version,
+// snapshot fingerprint and node count must match its own view, otherwise
+// the kHello is rejected with a kError frame naming the mismatch — and
+// validates every job before it allocates anything: an invalid program,
+// parameter, source, step count or range, or a job whose worst-case reply
+// would exceed the frame cap, is answered with kError.
 
 #ifndef CLOUDWALKER_NET_SHARD_WORKER_H_
 #define CLOUDWALKER_NET_SHARD_WORKER_H_
@@ -31,7 +37,7 @@
 
 namespace cloudwalker {
 
-/// Configuration of one shard worker.
+/// Configuration of one walk worker.
 struct ShardWorkerOptions {
   /// Snapshot artifact to serve (opened kSnapshotIn — a worker only ever
   /// walks in-links).
@@ -41,14 +47,14 @@ struct ShardWorkerOptions {
   uint16_t port = 0;
   /// Fault injection for the failure-path tests: after serving this many
   /// frames, drop the connection once (no reply, simulating a worker
-  /// killed mid-superstep). < 0 disables. Subsequent connections serve
+  /// killed mid-job). < 0 disables. Subsequent connections serve
   /// normally, so a retrying coordinator recovers by replay.
   int64_t fail_once_after_frames = -1;
   /// Log per-connection events to stderr.
   bool verbose = false;
 };
 
-/// A running shard worker: listener + snapshot, serving one coordinator
+/// A running walk worker: listener + snapshot, serving one coordinator
 /// connection at a time.
 class ShardWorker {
  public:

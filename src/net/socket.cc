@@ -56,7 +56,7 @@ Status SetNonBlocking(int fd) {
 }
 
 void SetNoDelay(int fd) {
-  // Superstep exchange is strictly request/response; Nagle only adds
+  // The job exchange is strictly request/response; Nagle only adds
   // latency. Best-effort — a failure just means slower frames.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

@@ -1,4 +1,4 @@
-// Minimal TCP plumbing for cloudwalker-net-v1: an RAII fd, listen /
+// Minimal TCP plumbing for cloudwalker-net: an RAII fd, listen /
 // accept / connect with deadlines, and send-all / recv-all loops driven
 // by poll(2). No external dependencies — plain POSIX sockets, kept in
 // non-blocking mode so every wait is a poll with an explicit deadline and

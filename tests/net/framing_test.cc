@@ -40,12 +40,12 @@ TEST(FramingTest, RoundTripsTypesAndPayloads) {
   SocketPair pair = Connect();
   const std::string payload = "walkers walking";
   ASSERT_TRUE(
-      SendFrame(pair.client, MsgType::kSuperstep, payload, 5.0).ok());
+      SendFrame(pair.client, MsgType::kWalk, payload, 5.0).ok());
   ASSERT_TRUE(SendFrame(pair.client, MsgType::kHeartbeat, "", 5.0).ok());
 
   auto first = RecvFrame(pair.server, 5.0);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->type, MsgType::kSuperstep);
+  EXPECT_EQ(first->type, MsgType::kWalk);
   EXPECT_EQ(first->payload, payload);
 
   auto second = RecvFrame(pair.server, 5.0);
@@ -57,7 +57,8 @@ TEST(FramingTest, RoundTripsTypesAndPayloads) {
 TEST(FramingTest, BinaryPayloadWithEmbeddedNulSurvives) {
   SocketPair pair = Connect();
   std::string payload("\x00\x01\xff\x00 raw", 8);
-  ASSERT_TRUE(SendFrame(pair.client, MsgType::kResult, payload, 5.0).ok());
+  ASSERT_TRUE(
+      SendFrame(pair.client, MsgType::kWalkResult, payload, 5.0).ok());
   auto got = RecvFrame(pair.server, 5.0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->payload, payload);
@@ -68,11 +69,12 @@ TEST(FramingTest, CorruptedPayloadByteIsDataLoss) {
   // Build a valid frame, flip one payload byte, ship the raw bytes.
   const std::string payload = "pristine payload";
   FrameHeader header;
-  header.type = static_cast<uint16_t>(MsgType::kResult);
+  header.type = static_cast<uint16_t>(MsgType::kWalkResult);
   header.payload_len = static_cast<uint32_t>(payload.size());
   // Rather than re-deriving the CRCs by hand, capture a genuine frame off
   // the wire first, then corrupt and resend it.
-  ASSERT_TRUE(SendFrame(pair.client, MsgType::kResult, payload, 5.0).ok());
+  ASSERT_TRUE(
+      SendFrame(pair.client, MsgType::kWalkResult, payload, 5.0).ok());
   std::string raw(sizeof(FrameHeader) + payload.size(), '\0');
   ASSERT_TRUE(RecvAll(pair.server, raw.data(), raw.size(), 5.0).ok());
 
@@ -130,11 +132,12 @@ TEST(FramingTest, OversizePayloadRejectedOnBothSides) {
   SocketPair pair = Connect();
   // Sender: refuses to build the frame at all.
   std::string payload;
-  const Status sent = SendFrame(pair.client, MsgType::kResult, payload, 5.0);
+  const Status sent =
+      SendFrame(pair.client, MsgType::kWalkResult, payload, 5.0);
   ASSERT_TRUE(sent.ok());  // empty is fine
   // Receiver: a header announcing an implausible length is corruption
   // (we forge one with a valid CRC by capturing a real header first).
-  ASSERT_TRUE(SendFrame(pair.client, MsgType::kResult, "x", 5.0).ok());
+  ASSERT_TRUE(SendFrame(pair.client, MsgType::kWalkResult, "x", 5.0).ok());
   (void)RecvFrame(pair.server, 5.0);  // drain the empty frame
   auto real = RecvFrame(pair.server, 5.0);
   ASSERT_TRUE(real.ok());

@@ -89,6 +89,9 @@ class WorkerFleet {
 
   uint64_t fingerprint() const { return workers_.front()->fingerprint(); }
   uint16_t port(size_t i) const { return workers_[i]->port(); }
+  uint64_t frames_served(size_t i) const {
+    return workers_[i]->frames_served();
+  }
   size_t size() const { return workers_.size(); }
   ShardWorker& worker(size_t i) { return *workers_[i]; }
 

@@ -671,10 +671,11 @@ void Usage() {
       "--shards=N on pair/source/ppr/n2v/serve runs the walk phases on\n"
       "the in-process sharded engine (N shard slices, BSP walker\n"
       "exchange); answers are bit-identical to single-node.\n"
-      "--workers=HOST:PORT,... routes the walk phases through\n"
-      "socket-connected cloudwalker_shard_worker processes serving the\n"
-      "same --snapshot (worker i owns shard i; exclusive with --shards\n"
-      "and --walk-threads); answers are bit-identical to single-node.\n"
+      "--workers=HOST:PORT,... runs the walk phases on socket-connected\n"
+      "cloudwalker_shard_worker processes serving the same --snapshot\n"
+      "(each walk's walkers split into one range per worker; exclusive\n"
+      "with --shards and --walk-threads); answers are bit-identical to\n"
+      "single-node.\n"
       "--walk-threads=N runs each query's walk phase on N worker threads\n"
       "(0 = hardware concurrency; with --shards it sizes the sharded\n"
       "engine's superstep pool instead); answers are bit-identical to\n"

@@ -1,14 +1,15 @@
-// cloudwalker_shard_worker — one cloudwalker-net-v1 shard worker process
+// cloudwalker_shard_worker — one cloudwalker-net-v2 walk worker process
 // (DESIGN.md section 13).
 //
 //   cloudwalker_shard_worker --snapshot=web.cwk [--listen=7001]
 //       [--port-file=PATH] [--verbose]
 //
 // The worker mmaps the snapshot's in-CSR (partition-aware open; the
-// out-CSR and diagonal are never touched), listens for a
-// coordinator, and advances walker batches one level per superstep frame.
-// Its shard assignment arrives in the handshake, so the same binary with
-// the same flags serves any shard of any plan over that snapshot.
+// out-CSR and diagonal are never touched), listens for a coordinator,
+// and runs each walk job it receives — a contiguous range of one walk's
+// walker ids — to the end in one kWalk / kWalkResult round trip. Every
+// worker holds the whole in-CSR, so the same binary with the same flags
+// serves any range of any walk over that snapshot.
 //
 // --listen=0 (the default) binds an ephemeral port; --port-file=PATH
 // atomically publishes the bound port (write temp, rename) so scripts and
@@ -74,7 +75,7 @@ void Usage() {
       "cloudwalker_shard_worker --snapshot=PATH [--listen=PORT]\n"
       "    [--port-file=PATH] [--verbose]\n"
       "\n"
-      "Serves one cloudwalker-net-v1 shard worker over a snapshot\n"
+      "Serves one cloudwalker-net-v2 walk worker over a snapshot\n"
       "artifact. --listen=0 (default) binds an ephemeral port;\n"
       "--port-file=PATH atomically publishes the bound port.\n"
       "--version prints build info and the wire-protocol version.\n";
