@@ -170,17 +170,13 @@ void SparseAccumulator::Add(uint32_t index, double value) {
   CW_DCHECK(index != kEmpty) << "index 0xffffffff is reserved";
   size_t i = Probe(index);
   if (keys_[i] == kEmpty) {
-    if ((size_ + 1) * 10 >= keys_.size() * 7) {  // load factor 0.7
+    if ((used_.size() + 1) * 10 >= keys_.size() * 7) {  // load factor 0.7
       Rehash(keys_.size() * 2);
       i = Probe(index);
-      if (keys_[i] == kEmpty) {
-        keys_[i] = index;
-        ++size_;
-      }
-    } else {
-      keys_[i] = index;
-      ++size_;
     }
+    keys_[i] = index;
+    values_[i] = 0.0;  // a sum from 0.0: an added -0.0 reads +0.0
+    used_.push_back(static_cast<uint32_t>(i));
   }
   values_[i] += value;
 }
@@ -191,9 +187,8 @@ double SparseAccumulator::Get(uint32_t index) const {
 }
 
 void SparseAccumulator::Clear() {
-  std::fill(keys_.begin(), keys_.end(), kEmpty);
-  std::fill(values_.begin(), values_.end(), 0.0);
-  size_ = 0;
+  for (const uint32_t slot : used_) keys_[slot] = kEmpty;
+  used_.clear();
 }
 
 void SparseAccumulator::Rehash(size_t new_capacity) {
@@ -202,17 +197,17 @@ void SparseAccumulator::Rehash(size_t new_capacity) {
   keys_.assign(new_capacity, kEmpty);
   values_.assign(new_capacity, 0.0);
   mask_ = new_capacity - 1;
-  for (size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == kEmpty) continue;
-    const size_t j = Probe(old_keys[i]);
-    keys_[j] = old_keys[i];
-    values_[j] = old_values[i];
+  for (uint32_t& slot : used_) {
+    const size_t j = Probe(old_keys[slot]);
+    keys_[j] = old_keys[slot];
+    values_[j] = old_values[slot];
+    slot = static_cast<uint32_t>(j);
   }
 }
 
 SparseVector SparseAccumulator::ToSortedVector() const {
   std::vector<SparseEntry> entries;
-  entries.reserve(size_);
+  entries.reserve(used_.size());
   uint32_t max_key = 0;
   ForEach([&entries, &max_key](uint32_t k, double v) {
     entries.push_back(SparseEntry{k, v});

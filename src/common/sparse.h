@@ -89,7 +89,10 @@ class SparseVector {
 /// Open-addressing hash accumulator for uint32 keys and double values.
 /// Linear probing, power-of-two capacity, tombstone-free (no deletion).
 /// ~2x faster than std::unordered_map for the walk-counting workload and
-/// reusable across batches via Clear().
+/// reusable across batches via Clear(). A list of the occupied slots makes
+/// Clear, ForEach and ToSortedVector cost O(entries), not O(capacity), so
+/// a table presized for the largest batch drains small ones cheaply.
+/// Each key's sum adds its values in call order.
 class SparseAccumulator {
  public:
   /// `expected` sizes the table to hold that many distinct keys without
@@ -103,7 +106,7 @@ class SparseAccumulator {
   double Get(uint32_t index) const;
 
   /// Number of distinct keys present.
-  size_t size() const { return size_; }
+  size_t size() const { return used_.size(); }
 
   /// Removes all entries but keeps the capacity.
   void Clear();
@@ -114,9 +117,7 @@ class SparseAccumulator {
   /// Invokes fn(index, value) for every entry, in unspecified order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmpty) fn(keys_[i], values_[i]);
-    }
+    for (const uint32_t slot : used_) fn(keys_[slot], values_[slot]);
   }
 
  private:
@@ -126,8 +127,8 @@ class SparseAccumulator {
   size_t Probe(uint32_t key) const;
 
   std::vector<uint32_t> keys_;
-  std::vector<double> values_;
-  size_t size_ = 0;
+  std::vector<double> values_;  // read at occupied slots only
+  std::vector<uint32_t> used_;  // occupied slots, in insertion order
   size_t mask_ = 0;
 };
 

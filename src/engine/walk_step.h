@@ -21,7 +21,7 @@
 // shards, workers, block schedules and node numberings.
 //
 // Row source concept (first order uses the first four, node2vec also
-// InRow):
+// InRow when q != 1):
 //   void Prefetch(NodeId v) const;          // the row's offset entry
 //   RowLocation Locate(NodeId v) const;     // flat offset + degree
 //   void PrefetchEdge(uint64_t edge) const; // the in-target `edge` names
@@ -152,7 +152,11 @@ struct PprPolicy {
 /// Second-order node2vec walks: the move from `cur` given `prev` is
 /// sampled by rejection against the uniform in-row pick, accepting a
 /// candidate with probability w(candidate) / w_max. Trial draws are
-/// CounterRandom(DeriveSeed(trial_base, walker << 32 | step), trial).
+/// CounterRandom(DeriveSeed(trial_base, walker << 32 | step), trial); a
+/// walker's first step is uniform on the canonical stream. A trial decides
+/// from its draw before it classifies the candidate, so In(prev) is read
+/// only for a draw between thr_near and thr_far — never when they are
+/// equal (q = 1, the default p = q = 1 included).
 struct Node2VecPolicy {
   static constexpr bool kMayRetire = false;
   static constexpr bool kSecondOrder = true;
@@ -192,34 +196,51 @@ struct Node2VecPolicy {
     return CounterRandom(key, WalkerStepCounter(w, t));
   }
 
-  /// The next node of walker `w` at step `t` from the row at `loc`
-  /// (degree >= 1), having come from `prev` (kInvalidNode on the first
-  /// step, which is uniform on the canonical stream).
+  /// Whether a trial can read In(prev) at all.
+  bool ReadsPrevRow() const { return thr_near != thr_far; }
+
+  /// The draw of walker `w`'s first candidate at step `t`: trial 0, or
+  /// the canonical move word on its first step (`prev` == kInvalidNode).
+  uint64_t FirstDraw(uint32_t w, uint32_t t, NodeId prev) const {
+    if (prev == kInvalidNode) return Draw(w, t);
+    return CounterRandom(DeriveSeed(trial_base, WalkerStepCounter(w, t)), 0);
+  }
+
+  /// Whether the trial that drew `raw` accepts `candidate` after `prev`.
   template <typename Rows>
-  NodeId Advance(const Rows& rows, const RowLocation& loc, uint32_t w,
-                 uint32_t t, NodeId prev) const {
-    if (prev == kInvalidNode) return PickTarget(rows, loc, Draw(w, t));
-    const uint64_t trial_key =
-        DeriveSeed(trial_base, WalkerStepCounter(w, t));
-    // In(prev) is sorted (by external id on a reordered snapshot), so a
-    // candidate classifies with one binary search; d == 0 wins.
-    const std::span<const NodeId> in_prev = rows.InRow(prev);
-    NodeId candidate = kInvalidNode;
-    for (uint32_t trial = 0; trial < params.max_trials; ++trial) {
-      const uint64_t raw = CounterRandom(trial_key, trial);
-      candidate = PickTarget(rows, loc, raw);
-      uint64_t threshold;
-      if (candidate == prev) {
-        threshold = thr_return;
-      } else if (InRowContains(in_prev, candidate, external_ids)) {
-        threshold = thr_near;
-      } else {
-        threshold = thr_far;
-      }
-      if ((raw & 0xffffffffull) < threshold) return candidate;
+  bool Accepts(const Rows& rows, NodeId prev, NodeId candidate,
+               uint64_t raw) const {
+    const uint64_t u = raw & 0xffffffffull;
+    if (candidate == prev) return u < thr_return;
+    if (u < std::min(thr_near, thr_far)) return true;
+    if (u >= std::max(thr_near, thr_far)) return false;
+    // In(prev) is sorted (by external id on a reordered snapshot), so the
+    // candidate classifies with one binary search.
+    return InRowContains(rows.InRow(prev), candidate, external_ids)
+               ? u < thr_near
+               : u < thr_far;
+  }
+
+  /// The next node of walker `w` at step `t` from `cur` (in-degree >= 1)
+  /// after `prev`, given the first candidate and the draw `raw` that
+  /// picked it (FirstDraw). On the first step, or when trial 0 accepts,
+  /// that is the candidate; otherwise trials 1.. draw until one accepts,
+  /// and when all `max_trials` reject the last candidate stands
+  /// (deterministic, and bounds the per-step work; see
+  /// Node2VecParams::max_trials).
+  template <typename Rows>
+  NodeId Resolve(const Rows& rows, NodeId cur, uint32_t w, uint32_t t,
+                 NodeId prev, NodeId candidate, uint64_t raw) const {
+    if (prev == kInvalidNode || Accepts(rows, prev, candidate, raw)) {
+      return candidate;
     }
-    // Trial cap exhausted: accept the last candidate (deterministic, and
-    // bounds the per-step work; see Node2VecParams::max_trials).
+    const RowLocation loc = rows.Locate(cur);
+    const uint64_t trial_key = DeriveSeed(trial_base, WalkerStepCounter(w, t));
+    for (uint32_t trial = 1; trial < params.max_trials; ++trial) {
+      raw = CounterRandom(trial_key, trial);
+      candidate = PickTarget(rows, loc, raw);
+      if (Accepts(rows, prev, candidate, raw)) break;
+    }
     return candidate;
   }
 };
@@ -227,19 +248,24 @@ struct Node2VecPolicy {
 /// Advances every walker of `walkers` one level (step `t`) under `policy`
 /// against `rows`, reporting each outcome to `sink`; the input records
 /// are not modified. Walkers go in blocks of `width` (clamped to
-/// [1, kMaxWalkBatchWidth]) whose first pass prefetches the offset entries
-/// of the rows the block will read. First-order policies then retire,
-/// draw and prefetch the picked in-targets, and read them in a third
-/// pass; node2vec advances one walker at a time through its rejection
-/// step. A walker at a dangling node parks (kSelfLoop; node2vec's `prev`
-/// becomes its own node) or dies. `rows` and `policy` are taken by value so
-/// their pointers and keys stay in registers across the sink's stores.
+/// [1, kMaxWalkBatchWidth]), each in three passes: prefetch the offset
+/// entries of the rows the block will read (node2vec's `prev` rows too,
+/// when a trial can read them); retire, locate the row, draw (node2vec:
+/// the first candidate) and prefetch the picked in-target; read the
+/// target — node2vec then resolves it, and only a walker whose first
+/// trial rejects draws more. A walker at a dangling node parks (kSelfLoop;
+/// node2vec's `prev` becomes its own node) or dies. `rows` and `policy`
+/// are taken by value so their pointers and keys stay in registers across
+/// the sink's stores.
 template <typename Rows, typename Policy, typename Sink>
 inline void AdvanceLevel(const Rows rows, const Policy policy, uint32_t t,
                          bool self_loop, std::span<const WalkerRec> walkers,
                          uint32_t width, Sink& sink) {
   width = std::clamp(width, 1u, kMaxWalkBatchWidth);
+  bool prefetch_prev = false;
+  if constexpr (Policy::kSecondOrder) prefetch_prev = policy.ReadsPrevRow();
   uint64_t pending_edge[kMaxWalkBatchWidth];
+  uint64_t pending_raw[kMaxWalkBatchWidth];  // node2vec's first draws
   uint32_t pending_index[kMaxWalkBatchWidth];
   for (size_t b0 = 0; b0 < walkers.size(); b0 += width) {
     const WalkerRec* const block = walkers.data() + b0;
@@ -247,58 +273,52 @@ inline void AdvanceLevel(const Rows rows, const Policy policy, uint32_t t,
         static_cast<uint32_t>(std::min<size_t>(width, walkers.size() - b0));
     for (uint32_t i = 0; i < n; ++i) {
       rows.Prefetch(block[i].cur);
-      if constexpr (Policy::kSecondOrder) {
-        if (block[i].prev != kInvalidNode) rows.Prefetch(block[i].prev);
+      if (prefetch_prev && block[i].prev != kInvalidNode) {
+        rows.Prefetch(block[i].prev);
       }
     }
-    if constexpr (Policy::kSecondOrder) {
-      for (uint32_t i = 0; i < n; ++i) {
-        const WalkerRec& rec = block[i];
-        const NodeId v = rec.cur;
-        if constexpr (Policy::kMayRetire) {
-          if (policy.Retire(rec.walker, t)) {
-            sink.Retired(v);
-            continue;
-          }
-        }
-        const RowLocation loc = rows.Locate(v);
-        sink.Step();
-        if (loc.degree == 0) {
-          if (self_loop) sink.Moved(WalkerRec{rec.walker, v, v}, v);
+    uint32_t pending = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const WalkerRec& rec = block[i];
+      if constexpr (Policy::kMayRetire) {
+        if (policy.Retire(rec.walker, t)) {
+          sink.Retired(rec.cur);
           continue;
         }
-        const NodeId next = policy.Advance(rows, loc, rec.walker, t, rec.prev);
-        sink.Moved(WalkerRec{rec.walker, next, v}, v);
       }
-    } else {
-      uint32_t pending = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const WalkerRec& rec = block[i];
-        if constexpr (Policy::kMayRetire) {
-          if (policy.Retire(rec.walker, t)) {
-            sink.Retired(rec.cur);
-            continue;
-          }
-        }
-        const RowLocation loc = rows.Locate(rec.cur);
-        if (loc.degree == 0) {
-          sink.Step();
-          if (self_loop) sink.Moved(rec, rec.cur);
-          continue;
-        }
-        const uint64_t edge =
-            loc.offset + PickSlot(policy.Draw(rec.walker, t), loc.degree);
-        rows.PrefetchEdge(edge);
-        pending_edge[pending] = edge;
-        pending_index[pending] = i;
-        ++pending;
-      }
-      for (uint32_t j = 0; j < pending; ++j) {
-        const WalkerRec& rec = block[pending_index[j]];
-        const NodeId next = rows.Target(pending_edge[j]);
+      const RowLocation loc = rows.Locate(rec.cur);
+      if (loc.degree == 0) {
         sink.Step();
-        sink.Moved(WalkerRec{rec.walker, next, rec.prev}, rec.cur);
+        if (self_loop) {
+          const NodeId prev = Policy::kSecondOrder ? rec.cur : rec.prev;
+          sink.Moved(WalkerRec{rec.walker, rec.cur, prev}, rec.cur);
+        }
+        continue;
       }
+      uint64_t raw = 0;
+      if constexpr (Policy::kSecondOrder) {
+        raw = policy.FirstDraw(rec.walker, t, rec.prev);
+        pending_raw[pending] = raw;
+      } else {
+        raw = policy.Draw(rec.walker, t);
+      }
+      const uint64_t edge = loc.offset + PickSlot(raw, loc.degree);
+      rows.PrefetchEdge(edge);
+      pending_edge[pending] = edge;
+      pending_index[pending] = i;
+      ++pending;
+    }
+    for (uint32_t j = 0; j < pending; ++j) {
+      const WalkerRec& rec = block[pending_index[j]];
+      NodeId next = rows.Target(pending_edge[j]);
+      NodeId prev = rec.prev;
+      if constexpr (Policy::kSecondOrder) {
+        next = policy.Resolve(rows, rec.cur, rec.walker, t, rec.prev, next,
+                              pending_raw[j]);
+        prev = rec.cur;
+      }
+      sink.Step();
+      sink.Moved(WalkerRec{rec.walker, next, prev}, rec.cur);
     }
   }
 }

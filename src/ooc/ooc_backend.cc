@@ -29,6 +29,7 @@ struct LeasedRows {
   }
   NodeId Target(uint64_t edge) const { return targets[edge - base]; }
   std::span<const NodeId> InRow(NodeId v) const {
+    CW_DCHECK(prev_targets != nullptr) << "In(prev) read without its lease";
     return {prev_targets + (offsets[v] - prev_base),
             static_cast<size_t>(offsets[v + 1] - offsets[v])};
   }
@@ -38,8 +39,9 @@ struct LeasedRows {
 // walk_driver.h): one part per block. The loop counting-sorts the live
 // frontier by the block of each walker's node, so every bucket is a
 // contiguous span that advances against one lease, and each touched block
-// is leased once per level (node2vec sub-buckets a span by the previous
-// hop's block and holds at most two leases). Per-job state.
+// is leased once per level (node2vec, when a trial can read In(prev),
+// sub-buckets a span by the previous hop's block and holds at most two
+// leases). Per-job state.
 class BlockLevels {
  public:
   BlockLevels(BlockCache& cache, const PagedSnapshot& snap)
@@ -65,7 +67,9 @@ class BlockLevels {
       CW_ASSIGN_OR_RETURN(BlockCache::Lease lease, cache_->Acquire(b));
       rows.targets = lease.targets();
       rows.base = lease.base();
-      if constexpr (!Policy::kSecondOrder) {
+      bool by_prev = false;
+      if constexpr (Policy::kSecondOrder) by_prev = policy.ReadsPrevRow();
+      if (!by_prev) {
         AdvanceLevel(rows, policy, t, self_loop, bucket, config.batch_width,
                      sink);
       } else {
@@ -126,7 +130,7 @@ OutOfCoreWalkBackend::Create(std::shared_ptr<const PagedSnapshot> snapshot,
   if (snapshot == nullptr) {
     return Status::InvalidArgument("out-of-core backend needs a snapshot");
   }
-  // One walk can pin two blocks at once (second-order walks), so the
+  // One walk can pin two blocks at once (node2vec with q != 1), so the
   // budget must admit two of the largest block — otherwise the cache would
   // have to overflow-admit on every level.
   const uint64_t min_budget = 2 * snapshot->max_block_bytes();

@@ -6,8 +6,9 @@
 // the live frontier by the block each walker's node lives in, and each
 // bucket drains against exactly one pinned block lease — so a block is
 // paged in once per level it is touched, no matter how many walkers sit in
-// it (the randgraph walker-block model). Second-order walks sub-bucket by
-// the previous hop's block and hold at most two pins.
+// it (the randgraph walker-block model). node2vec walks whose trials can
+// read In(prev) (q != 1) sub-bucket by the previous hop's block and hold
+// at most two pins.
 //
 // Bit identity with the in-memory kernel is inherited, not re-proven: each
 // bucket advances through the level step every executor shares
@@ -35,8 +36,8 @@ namespace cloudwalker {
 /// Knobs of an out-of-core open.
 struct OutOfCoreOptions {
   /// Cap on resident paged bytes (the block cache budget). Must admit two
-  /// blocks — a second-order walk pins the current and previous hop's
-  /// blocks simultaneously. Concurrent walks can each pin two, so W of
+  /// blocks — a node2vec walk with q != 1 pins the current and previous
+  /// hop's blocks simultaneously. Concurrent walks can each pin two, so W of
   /// them need 2 * W blocks to never overflow (ooc/block_cache.h).
   /// Default 64 MiB.
   uint64_t budget_bytes = 64ull << 20;

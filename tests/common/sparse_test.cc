@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/random.h"
@@ -233,6 +235,79 @@ TEST(SparseAccumulatorTest, ToSortedVectorMatchesStdSortAfterRehash) {
   SparseAccumulator acc(2);  // 16 slots: 5000 keys rehash nine times
   FillDistinct(acc, 5000, 0xfffffffeu, rng);
   ExpectDrainMatchesStdSort(acc);
+}
+
+// Terms whose sum's bits depend on their order: from the left,
+// 1e16 + 1 + 1 - 1e16 is 0 (each 1 rounds away) where 1 + 1 first would
+// leave 2, and 0.0 + -0.0 is +0.0, not -0.0.
+std::vector<double> OrderSensitiveTerms(uint32_t key, Xoshiro256& rng) {
+  if (key % 5 == 0) return {-0.0};
+  return {1e16, 1.0, 1.0, -1e16, rng.NextDouble()};
+}
+
+// Adds each key's terms, the keys interleaved at random but every key's
+// terms in order, and expects every key to hold exactly — bit for bit —
+// its terms summed from 0.0 in call order, and no other key to exist.
+void ExpectCallOrderSums(SparseAccumulator& acc,
+                         const std::vector<uint32_t>& keys, Xoshiro256& rng) {
+  std::vector<std::vector<double>> terms;
+  std::vector<size_t> next(keys.size(), 0);
+  std::vector<size_t> open;  // keys with terms left
+  for (size_t i = 0; i < keys.size(); ++i) {
+    terms.push_back(OrderSensitiveTerms(keys[i], rng));
+    open.push_back(i);
+  }
+  std::map<uint32_t, double> want;
+  while (!open.empty()) {
+    const size_t pick = rng.UniformInt(open.size());
+    const size_t i = open[pick];
+    const double term = terms[i][next[i]++];
+    acc.Add(keys[i], term);
+    want[keys[i]] += term;
+    if (next[i] == terms[i].size()) {
+      open[pick] = open.back();
+      open.pop_back();
+    }
+  }
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const SparseVector got = acc.ToSortedVector();
+  ASSERT_EQ(got.size(), want.size());
+  size_t e = 0;
+  for (const auto& [key, sum] : want) {
+    EXPECT_EQ(got[e].index, key);
+    EXPECT_EQ(bits(got[e].value), bits(sum)) << "key " << key;
+    EXPECT_EQ(bits(acc.Get(key)), bits(sum)) << "key " << key;
+    ++e;
+  }
+  size_t visited = 0;
+  acc.ForEach([&](uint32_t key, double value) {
+    ++visited;
+    ASSERT_EQ(want.count(key), 1u) << "key " << key;
+    EXPECT_EQ(bits(value), bits(want[key])) << "key " << key;
+  });
+  EXPECT_EQ(visited, want.size());
+}
+
+TEST(SparseAccumulatorTest, ReuseKeepsEachKeysSumInCallOrder) {
+  Xoshiro256 rng(41);
+  SparseAccumulator acc(2);  // 16 slots: rehashes land mid-sequence
+  std::vector<uint32_t> keys;
+  for (uint32_t i = 0; i < 600; ++i) keys.push_back(i * 7919u);
+  ExpectCallOrderSums(acc, keys, rng);
+
+  acc.Clear();
+  EXPECT_EQ(acc.size(), 0u);
+  EXPECT_TRUE(acc.ToSortedVector().empty());
+  EXPECT_EQ(acc.Get(keys[1]), 0.0);
+  size_t visited = 0;
+  acc.ForEach([&visited](uint32_t, double) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+
+  // The grown table is reused: half the keys return and half are new, so
+  // a value left behind at a cleared slot would show in a sum.
+  std::vector<uint32_t> reused(keys.begin(), keys.begin() + 300);
+  for (uint32_t i = 0; i < 300; ++i) reused.push_back(5000000u + i);
+  ExpectCallOrderSums(acc, reused, rng);
 }
 
 TEST(SparseAccumulatorTest, ForEachVisitsEveryEntryOnce) {

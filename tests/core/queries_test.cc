@@ -470,18 +470,6 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   EXPECT_EQ(ppr_stats.walk_steps, 14717u);
   EXPECT_EQ(ppr_stats.walk_crossings, 9057u);
 
-  QueryOptions n2v;
-  n2v.num_walkers = 500;
-  n2v.seed = 13;
-  n2v.n2v_return_p = 0.5;
-  n2v.n2v_in_out_q = 2.0;
-  QueryStats n2v_stats;
-  EXPECT_EQ(HashSparse(Node2VecVisitQuery(g, *idx, 42, n2v, &n2v_stats,
-                                          &owner)),
-            0xa8c0f9a066e6422full);
-  EXPECT_EQ(n2v_stats.walk_steps, 4615u);
-  EXPECT_EQ(n2v_stats.walk_crossings, 3099u);
-
   // Walkers parked at dangling nodes (kSelfLoop), first and second order.
   const auto hash_levels = [](const WalkDistributions& d) {
     uint64_t h = 0xcbf29ce484222325ull;
@@ -492,21 +480,57 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   parked.num_walkers = 1000;
   parked.seed = 19;
   parked.dangling = DanglingPolicy::kSelfLoop;
-  Node2VecParams biased;
-  biased.return_p = 0.5;
-  biased.in_out_q = 2.0;
   WalkStats simrank_parked;
   EXPECT_EQ(hash_levels(SimulateWalkDistributions(g, 42, parked, nullptr,
                                                   &owner, &simrank_parked)),
             0x29f9db81b10b2813ull);
   EXPECT_EQ(simrank_parked.steps, 10000u);
   EXPECT_EQ(simrank_parked.partition_crossings, 6126u);
-  WalkStats n2v_parked;
-  EXPECT_EQ(hash_levels(SimulateNode2VecVisits(g, nullptr, 42, parked, biased,
-                                               nullptr, &owner, &n2v_parked)),
-            0xf970ffd77f50ad3bull);
-  EXPECT_EQ(n2v_parked.steps, 10000u);
-  EXPECT_EQ(n2v_parked.partition_crossings, 6204u);
+
+  // node2vec, as a query and parked: biased (In(prev) decides some
+  // trials), the served default p = q = 1 (every trial accepts) and
+  // q = 1 (only a return to prev is weighed apart).
+  struct Node2VecExpected {
+    double p;
+    double q;
+    uint64_t hash;
+    uint64_t walk_steps;
+    uint64_t walk_crossings;
+    uint64_t parked_hash;
+    uint64_t parked_crossings;
+  };
+  const Node2VecExpected n2v_expected[] = {
+      {0.5, 2.0, 0xa8c0f9a066e6422full, 4615, 3099, 0xf970ffd77f50ad3bull,
+       6204},
+      {1.0, 1.0, 0xb74ac7d17d470182ull, 4694, 3176, 0xaeceee5ee67891eaull,
+       6219},
+      {2.0, 1.0, 0x9541a404cb19e2caull, 4694, 3176, 0x9d93f2e4c11f2b59ull,
+       6219},
+  };
+  for (const Node2VecExpected& want : n2v_expected) {
+    SCOPED_TRACE(testing::Message() << "p " << want.p << " q " << want.q);
+    QueryOptions n2v;
+    n2v.num_walkers = 500;
+    n2v.seed = 13;
+    n2v.n2v_return_p = want.p;
+    n2v.n2v_in_out_q = want.q;
+    QueryStats n2v_stats;
+    EXPECT_EQ(HashSparse(Node2VecVisitQuery(g, *idx, 42, n2v, &n2v_stats,
+                                            &owner)),
+              want.hash);
+    EXPECT_EQ(n2v_stats.walk_steps, want.walk_steps);
+    EXPECT_EQ(n2v_stats.walk_crossings, want.walk_crossings);
+    Node2VecParams params;
+    params.return_p = want.p;
+    params.in_out_q = want.q;
+    WalkStats n2v_parked;
+    EXPECT_EQ(hash_levels(SimulateNode2VecVisits(g, nullptr, 42, parked,
+                                                 params, nullptr, &owner,
+                                                 &n2v_parked)),
+              want.parked_hash);
+    EXPECT_EQ(n2v_parked.steps, 10000u);
+    EXPECT_EQ(n2v_parked.partition_crossings, want.parked_crossings);
+  }
 
   const IndexRows rows = BuildIndexRows(g, io, /*pool=*/nullptr);
   ASSERT_EQ(rows.rows.size(), g.num_nodes());

@@ -1,10 +1,12 @@
 // The level step every executor shares (engine/walk_step.h), checked
 // against a scalar reference written here: one walker at a time, straight
-// from the policy's Draw / Retire / Advance and PickSlot. AdvanceLevel's
-// prefetch pipeline may visit walkers in any order, so the test compares
-// multisets — survivor records, their previous nodes, endpoints,
-// terminals — and the step count, over shuffled batches at several block
-// widths, for every program under both dangling policies.
+// from the policy's Draw / Retire and PickSlot, and for node2vec from its
+// own copy of the rejection rule, which classifies every candidate before
+// it looks at the draw. AdvanceLevel's prefetch pipeline may visit walkers
+// in any order, so the test compares multisets — survivor records, their
+// previous nodes, endpoints, terminals — and the step count, over shuffled
+// batches at several block widths, for every program under both dangling
+// policies.
 
 #include "engine/walk_step.h"
 
@@ -14,11 +16,14 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "engine/walk_program.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "ooc/reorder.h"
@@ -51,12 +56,47 @@ struct RecordingSink {
   void Retired(NodeId v) { out->terminals.push_back(v); }
 };
 
+// node2vec's move of walker `w` at step `t` from `cur` (in-degree >= 1)
+// after `prev`, from the rule itself (DESIGN.md section 10.3): the first
+// step is uniform on the canonical stream `key`; after it, trial k draws
+// from the trial channel, weighs its candidate 1/p (prev), 1 (in In(prev),
+// found by a linear scan) or 1/q (otherwise), and accepts with probability
+// weight / w_max; the last candidate stands when every trial rejects.
+NodeId ReferenceNode2VecMove(const Graph& g, const Node2VecParams& params,
+                             uint64_t key, uint32_t w, uint32_t t,
+                             NodeId cur, NodeId prev) {
+  const uint32_t deg = g.InDegree(cur);
+  const uint64_t counter = WalkerStepCounter(w, t);
+  if (prev == kInvalidNode) {
+    return g.InNeighbor(cur, PickSlot(CounterRandom(key, counter), deg));
+  }
+  const double w_return = 1.0 / params.return_p;
+  const double w_far = 1.0 / params.in_out_q;
+  const double w_max = std::max({1.0, w_return, w_far});
+  const uint64_t trial_key =
+      DeriveSeed(DeriveSeed(key, kNode2VecTrialChannel), counter);
+  const std::span<const NodeId> in_prev = g.InNeighbors(prev);
+  NodeId candidate = kInvalidNode;
+  for (uint32_t trial = 0; trial < params.max_trials; ++trial) {
+    const uint64_t raw = CounterRandom(trial_key, trial);
+    candidate = g.InNeighbor(cur, PickSlot(raw, deg));
+    double weight = w_far;
+    if (candidate == prev) {
+      weight = w_return;
+    } else if (std::find(in_prev.begin(), in_prev.end(), candidate) !=
+               in_prev.end()) {
+      weight = 1.0;
+    }
+    if ((raw & 0xffffffffull) < AcceptThreshold(weight / w_max)) break;
+  }
+  return candidate;
+}
+
 // The scalar reference: one walker at a time.
 template <typename Policy>
 LevelOutcome ReferenceLevel(const Graph& g, const Policy& policy, uint32_t t,
                             bool self_loop,
                             const std::vector<WalkerRec>& walkers) {
-  const CsrRows rows = CsrRows::In(g);
   LevelOutcome out;
   for (const WalkerRec& rec : walkers) {
     if constexpr (Policy::kMayRetire) {
@@ -75,8 +115,8 @@ LevelOutcome ReferenceLevel(const Graph& g, const Policy& policy, uint32_t t,
       if (!self_loop) continue;
       next = rec.cur;
     } else if constexpr (Policy::kSecondOrder) {
-      next = policy.Advance(rows, rows.Locate(rec.cur), rec.walker, t,
-                            rec.prev);
+      next = ReferenceNode2VecMove(g, policy.params, policy.key, rec.walker,
+                                   t, rec.cur, rec.prev);
     } else {
       next = g.InNeighbor(rec.cur, PickSlot(policy.Draw(rec.walker, t), deg));
     }
@@ -200,12 +240,71 @@ TEST_P(WalkStepTest, PprMatchesScalarReference) {
                                  GetParam(), Name("ppr"));
 }
 
-TEST_P(WalkStepTest, Node2VecMatchesScalarReference) {
+// node2vec settings: the served default p = q = 1, q = 1 with p on
+// either side (In(prev) never decides), biased both ways, and a cap of
+// one trial.
+struct Node2VecSetting {
+  double p;
+  double q;
+  uint32_t max_trials;
+};
+constexpr Node2VecSetting kNode2VecGrid[] = {
+    {1.0, 1.0, 64}, {2.0, 1.0, 64},  {0.5, 1.0, 64},
+    {0.5, 2.0, 64}, {4.0, 0.25, 64}, {0.5, 2.0, 1},
+};
+
+Node2VecParams ParamsOf(const Node2VecSetting& setting) {
   Node2VecParams params;
-  params.return_p = 0.5;
-  params.in_out_q = 2.0;
-  ExpectPipelineMatchesReference(*graph_, Node2VecPolicy(Config(), 3, params),
-                                 GetParam(), Name("node2vec"));
+  params.return_p = setting.p;
+  params.in_out_q = setting.q;
+  params.max_trials = setting.max_trials;
+  return params;
+}
+
+std::string NameOf(const Node2VecSetting& setting) {
+  return " p=" + std::to_string(setting.p) +
+         " q=" + std::to_string(setting.q) +
+         " max_trials=" + std::to_string(setting.max_trials);
+}
+
+TEST_P(WalkStepTest, Node2VecMatchesScalarReference) {
+  for (const Node2VecSetting& setting : kNode2VecGrid) {
+    ExpectPipelineMatchesReference(
+        *graph_, Node2VecPolicy(Config(), 3, ParamsOf(setting)), GetParam(),
+        Name("node2vec") + NameOf(setting));
+  }
+}
+
+// A resident in-CSR that counts the In(prev) rows the step reads.
+struct CountingRows : CsrRows {
+  uint64_t* in_rows = nullptr;
+
+  std::span<const NodeId> InRow(NodeId v) const {
+    ++*in_rows;
+    return CsrRows::InRow(v);
+  }
+};
+
+TEST_P(WalkStepTest, Node2VecReadsInPrevOnlyWhenNearAndFarDiffer) {
+  // With q = 1 an in-neighbor of prev weighs what any other candidate
+  // does, so no trial may pay for the membership search.
+  const std::vector<WalkerRec> batch = ShuffledBatch(*graph_, 43);
+  for (const Node2VecSetting& setting : kNode2VecGrid) {
+    const Node2VecPolicy policy(Config(), 3, ParamsOf(setting));
+    EXPECT_EQ(policy.ReadsPrevRow(), setting.q != 1.0) << NameOf(setting);
+    uint64_t in_rows = 0;
+    LevelOutcome out;
+    RecordingSink sink{&out};
+    AdvanceLevel(CountingRows{CsrRows::In(*graph_), &in_rows}, policy,
+                 /*t=*/2, GetParam() == DanglingPolicy::kSelfLoop,
+                 std::span<const WalkerRec>(batch), 256, sink);
+    ASSERT_GT(out.steps, 0u);
+    if (setting.q == 1.0) {
+      EXPECT_EQ(in_rows, 0u) << NameOf(setting);
+    } else {
+      EXPECT_GT(in_rows, 0u) << NameOf(setting);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothDanglingPolicies, WalkStepTest,

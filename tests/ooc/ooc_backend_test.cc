@@ -142,11 +142,21 @@ TEST_F(OocBackendTest, PersonalizedPageRankTopKBitIdentical) {
 }
 
 TEST_F(OocBackendTest, Node2VecTopKBitIdentical) {
-  for (const NodeId q : {NodeId{2}, NodeId{350}}) {
-    auto a = mem().Node2VecTopK(q, 10);
-    auto b = ooc().Node2VecTopK(q, 10);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "q=" << q;
+  // The default p = q = 1 and q = 1 never read In(prev), so the scheduler
+  // skips the previous hop's lease for them; the biased setting takes it.
+  QueryOptions q_one;
+  q_one.n2v_return_p = 2.0;
+  QueryOptions biased;
+  biased.n2v_return_p = 0.5;
+  biased.n2v_in_out_q = 2.0;
+  for (const QueryOptions& options : {QueryOptions{}, q_one, biased}) {
+    for (const NodeId q : {NodeId{2}, NodeId{350}}) {
+      auto a = mem().Node2VecTopK(q, 10, options);
+      auto b = ooc().Node2VecTopK(q, 10, options);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(*a, *b) << "source " << q << " p " << options.n2v_return_p
+                        << " q " << options.n2v_in_out_q;
+    }
   }
 }
 

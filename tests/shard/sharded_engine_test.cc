@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -124,21 +125,37 @@ TEST(ShardedEngineTest, Node2VecLevelsMatchSingleNodeAcrossMatrix) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/11);
   WalkConfig cfg = TestConfig();
   cfg.num_walkers = 200;
-  Node2VecParams params;
-  params.return_p = 0.5;
-  params.in_out_q = 2.0;
-  for (const NodeId source : {1u, 120u, 299u}) {
-    const WalkDistributions single =
-        SimulateNode2VecVisits(g, nullptr, source, cfg, params);
-    for (const int shards : kShardCounts) {
-      const auto engine = MakeEngine(g, shards);
-      const WalkDistributions sharded =
-          engine->Node2VecLevels(source, cfg, params, nullptr);
-      ExpectSameDistributions(single, sharded,
-                              "source " + std::to_string(source) +
-                                  " shards " + std::to_string(shards));
+  // Biased, the default p = q = 1, and q = 1: only the biased walk reads
+  // In(prev), so only it fetches rows from other shards.
+  const std::pair<double, double> settings[] = {
+      {0.5, 2.0}, {1.0, 1.0}, {2.0, 1.0}};
+  uint64_t biased_fetches = 0;
+  for (const auto& [p, q] : settings) {
+    Node2VecParams params;
+    params.return_p = p;
+    params.in_out_q = q;
+    for (const NodeId source : {1u, 120u, 299u}) {
+      const WalkDistributions single =
+          SimulateNode2VecVisits(g, nullptr, source, cfg, params);
+      for (const int shards : kShardCounts) {
+        const auto engine = MakeEngine(g, shards);
+        const WalkDistributions sharded =
+            engine->Node2VecLevels(source, cfg, params, nullptr);
+        const std::string what =
+            "p " + std::to_string(p) + " q " + std::to_string(q) +
+            " source " + std::to_string(source) + " shards " +
+            std::to_string(shards);
+        ExpectSameDistributions(single, sharded, what);
+        const uint64_t fetches = engine->exchange_stats().remote_row_fetches;
+        if (q == 1.0) {
+          EXPECT_EQ(fetches, 0u) << what;
+        } else {
+          biased_fetches += fetches;
+        }
+      }
     }
   }
+  EXPECT_GT(biased_fetches, 0u);
 }
 
 TEST(ShardedEngineTest, SelfLoopDanglingPolicyMatchesSingleNode) {
