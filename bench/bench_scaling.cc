@@ -254,9 +254,10 @@ int main() {
 
   // --- Serve QPS vs walk_threads (context rows). -------------------------
   ThreadPool build_pool;
-  auto cw = CloudWalker::Build(&graph, bench::PaperIndexingOptions(),
-                               &build_pool);
-  CW_CHECK_OK(cw.status());
+  auto built = CloudWalker::Build(&graph, bench::PaperIndexingOptions(),
+                                  &build_pool);
+  CW_CHECK_OK(built.status());
+  const auto cw = std::make_shared<const CloudWalker>(std::move(built).value());
   QueryOptions q = bench::PaperQueryOptions();
   q.num_walkers = 1000;
   std::vector<QueryRequest> requests;
@@ -271,7 +272,7 @@ int main() {
     ServeOptions options;
     options.query = q;
     options.walk_threads = walk_threads;
-    QueryService service(&*cw, options, &serve_pool);
+    QueryService service(cw, options, &serve_pool);
     service.ResetStats();
     service.ExecuteBatch(requests);
     const double qps = service.Stats().qps;

@@ -17,6 +17,7 @@
 // CW_BENCH_SCALE / CW_BENCH_QUICK like every other bench.
 
 #include <iostream>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -87,12 +88,13 @@ int main() {
             << "; serving R'=1000 (reduced from the paper's 10000 for "
                "interactive latencies)\n\n";
 
-  auto cw = CloudWalker::Build(&ds.graph, bench::PaperIndexingOptions(),
-                               &build_pool);
-  if (!cw.ok()) {
-    std::cout << "indexing failed: " << cw.status().ToString() << "\n";
+  auto built = CloudWalker::Build(&ds.graph, bench::PaperIndexingOptions(),
+                                  &build_pool);
+  if (!built.ok()) {
+    std::cout << "indexing failed: " << built.status().ToString() << "\n";
     return 1;
   }
+  const auto cw = std::make_shared<const CloudWalker>(std::move(built).value());
 
   const uint64_t num_requests =
       std::max<uint64_t>(200, static_cast<uint64_t>(4000 * bench::BenchScale()));
@@ -107,7 +109,7 @@ int main() {
       ThreadPool pool(threads);
       ServeOptions options;
       options.query = ServeQueryOptions();
-      QueryService service(&*cw, options, &pool);
+      QueryService service(cw, options, &pool);
       RunOnce(service, mixed);  // cold pass warms the cache
       const ServeStats s = RunOnce(service, mixed).stats;
       t.AddRow({std::to_string(threads), FormatDouble(s.qps, 1),
@@ -131,12 +133,12 @@ int main() {
     ServeOptions off;
     off.query = ServeQueryOptions();
     off.cache_capacity = 0;
-    QueryService service_off(&*cw, off, &pool);
+    QueryService service_off(cw, off, &pool);
     const ServeStats no_cache = RunOnce(service_off, topk_stream).stats;
 
     ServeOptions on;
     on.query = ServeQueryOptions();
-    QueryService service_on(&*cw, on, &pool);
+    QueryService service_on(cw, on, &pool);
     const ServeStats cold = RunOnce(service_on, topk_stream).stats;
     const ServeStats warm = RunOnce(service_on, topk_stream).stats;
 
@@ -187,7 +189,7 @@ int main() {
       options.query = ServeQueryOptions();
       options.cache_capacity = 0;
       options.dedup_in_flight = dedup;
-      QueryService service(&*cw, options, &pool);
+      QueryService service(cw, options, &pool);
       const ServeStats s = RunOnce(service, hot).stats;
       t.AddRow({dedup ? "on" : "off", FormatDouble(s.qps, 1),
                 HumanCount(s.computed), HumanCount(s.dedup_shared)});
@@ -220,7 +222,7 @@ int main() {
       ServeOptions options;
       options.query = ServeQueryOptions();
       options.max_queue_depth = 0;  // unbounded
-      QueryService service(&*cw, options, &pool);
+      QueryService service(cw, options, &pool);
       std::vector<QueryFuture> futures;
       futures.reserve(mixed.size());
       WallTimer submit_timer;
@@ -262,7 +264,7 @@ int main() {
       options.query = ServeQueryOptions();
       options.cache_capacity = 0;  // every request pays a kernel
       options.max_queue_depth = 32;
-      QueryService service(&*cw, options, &pool);
+      QueryService service(cw, options, &pool);
       std::vector<QueryFuture> futures;
       futures.reserve(mixed.size());
       for (const QueryRequest& r : mixed) {

@@ -1,5 +1,5 @@
 // Quickstart: build a graph, index it with CloudWalker, run the three
-// query types, and persist/reload the index.
+// query types, and persist the engine as a snapshot and reopen it.
 //
 //   ./quickstart            # uses a generated power-law graph
 //   ./quickstart edges.txt  # or load your own "from to" edge list
@@ -64,13 +64,13 @@ int main(int argc, char** argv) {
               << FormatDouble(sn.score, 4) << "\n";
   }
 
-  // --- 4. Persist the index for instant reuse. ----------------------------
-  const std::string path = "/tmp/quickstart.cwidx";
-  if (cw->SaveIndex(path).ok()) {
-    auto reloaded = DiagonalIndex::Load(path);
-    auto cw2 = CloudWalker::FromIndex(&graph, std::move(reloaded).value());
-    std::cout << "index saved to " << path << " and reloaded; s(1, 2) = "
-              << FormatDouble(cw2->SinglePair(1, 2, query_options).value(), 4)
+  // --- 4. Persist a snapshot for instant reuse. --------------------------
+  const std::string path = "/tmp/quickstart.cwk";
+  if (cw->WriteSnapshot(path).ok()) {
+    auto cw2 = CloudWalker::Open(path);  // mmap: no rebuild, no graph reload
+    std::cout << "snapshot written to " << path << " and reopened; s(1, 2) = "
+              << FormatDouble(
+                     (*cw2)->SinglePair(1, 2, query_options).value(), 4)
               << " (identical)\n";
   }
   return 0;

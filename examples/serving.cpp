@@ -127,7 +127,8 @@ int main() {
   }
 
   // --- 4. Served answers are bit-identical to direct kernel calls. -------
-  const QueryResponse again = service.SourceTopK(1, 5);
+  const QueryResponse again =
+      service.Execute(QueryRequest::SourceTopK(1, 5));
   auto direct = (*cw)->SingleSourceTopK(1, 5, options.query);
   const bool identical =
       direct.ok() && again.ok() && *again.topk() == *direct;

@@ -63,26 +63,17 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Build(
       new CloudWalker(std::move(built)));
 }
 
-StatusOr<CloudWalker> CloudWalker::FromIndex(const Graph* graph,
-                                             DiagonalIndex index) {
-  if (graph == nullptr) {
-    return Status::InvalidArgument("graph must not be null");
-  }
-  if (index.num_nodes() != graph->num_nodes()) {
-    return Status::FailedPrecondition(
-        "index covers " + std::to_string(index.num_nodes()) +
-        " nodes but the graph has " + std::to_string(graph->num_nodes()));
-  }
-  IndexingOptions options;
-  options.params = index.params();
-  return CloudWalker(graph, std::move(index), IndexingStats{}, options);
-}
-
 StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::FromIndex(
     Graph&& graph, DiagonalIndex index) {
+  if (index.num_nodes() != graph.num_nodes()) {
+    return Status::FailedPrecondition(
+        "index covers " + std::to_string(index.num_nodes()) +
+        " nodes but the graph has " + std::to_string(graph.num_nodes()));
+  }
   auto owned = std::make_shared<const Graph>(std::move(graph));
-  CW_ASSIGN_OR_RETURN(CloudWalker built,
-                      FromIndex(owned.get(), std::move(index)));
+  IndexingOptions options;
+  options.params = index.params();
+  CloudWalker built(owned.get(), std::move(index), IndexingStats{}, options);
   built.owned_graph_ = std::move(owned);
   return std::shared_ptr<const CloudWalker>(
       new CloudWalker(std::move(built)));

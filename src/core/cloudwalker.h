@@ -125,14 +125,11 @@ class CloudWalker {
   Status WriteReorderedSnapshot(const std::string& path,
                                 ReorderKind kind) const;
 
-  /// Wraps a previously built (e.g. loaded) index for `graph`. Fails when
-  /// the index and graph disagree on the node count.
-  static StatusOr<CloudWalker> FromIndex(const Graph* graph,
-                                         DiagonalIndex index);
-
-  /// Owning FromIndex: the returned instance keeps `graph` alive. The
-  /// incremental-maintenance path uses this to wrap a refreshed
-  /// (graph, index) pair for publication without re-estimating rows.
+  /// Wraps a previously built index for `graph`; the returned instance
+  /// keeps `graph` alive. Fails when the index and graph disagree on the
+  /// node count. The incremental-maintenance path uses this to wrap a
+  /// refreshed (graph, index) pair for publication without re-estimating
+  /// rows.
   static StatusOr<std::shared_ptr<const CloudWalker>> FromIndex(
       Graph&& graph, DiagonalIndex index);
 
@@ -264,9 +261,6 @@ class CloudWalker {
   /// or OutOfCore(), or null when queries run the single-node backend over
   /// graph() and walk_context().
   const WalkBackend* walk_backend() const { return walk_backend_.get(); }
-
-  /// Persists the index; reload with DiagonalIndex::Load + FromIndex.
-  Status SaveIndex(const std::string& path) const { return index_.Save(path); }
 
  private:
   CloudWalker(const Graph* graph, DiagonalIndex index, IndexingStats stats,

@@ -1,16 +1,15 @@
 // DiagonalIndex: the offline artifact of CloudWalker — diag(D) of the
 // SimRank linearization S = sum_t c^t (P^T)^t D P^t, together with the
-// SimRank parameters it was estimated under. Persistable.
+// SimRank parameters it was estimated under. It persists inside a snapshot
+// (snapshot/snapshot.h), beside the graph it was estimated for.
 
 #ifndef CLOUDWALKER_CORE_DIAGONAL_H_
 #define CLOUDWALKER_CORE_DIAGONAL_H_
 
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "core/options.h"
 #include "graph/graph.h"
 
@@ -64,12 +63,6 @@ class DiagonalIndex {
 
   /// The full diagonal.
   std::span<const double> diagonal() const { return diagonal_v_; }
-
-  /// Writes the index to `path` (binary, versioned).
-  Status Save(const std::string& path) const;
-
-  /// Reads an index written by Save.
-  static StatusOr<DiagonalIndex> Load(const std::string& path);
 
  private:
   void CopyFrom(const DiagonalIndex& other) {

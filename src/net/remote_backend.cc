@@ -16,8 +16,6 @@
 namespace cloudwalker {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 // Failures worth a reconnect-and-replay: the worker (or the wire) went
 // away or garbled. Protocol-level rejections (kError frames, decode
 // failures) are deterministic — replaying the same frame reproduces them,
@@ -126,8 +124,7 @@ RemoteWalkBackend::RemoteWalkBackend(const Graph& graph,
       fingerprint_(fingerprint),
       options_(std::move(options)),
       requests_(options_.workers.size()),
-      replies_(options_.workers.size()),
-      last_activity_(Clock::now()) {}
+      replies_(options_.workers.size()) {}
 
 StatusOr<std::shared_ptr<const RemoteWalkBackend>> RemoteWalkBackend::Connect(
     const Graph& graph, uint64_t snapshot_fingerprint,
@@ -254,30 +251,6 @@ Status RemoteWalkBackend::ExchangeOne(int worker, const std::string& request,
       last.ToString());
 }
 
-void RemoteWalkBackend::SweepHeartbeats() const {
-  if (options_.heartbeat_interval_seconds <= 0 ||
-      std::chrono::duration<double>(Clock::now() - last_activity_).count() <=
-          options_.heartbeat_interval_seconds) {
-    return;
-  }
-  for (Socket& conn : conns_) {
-    if (!conn.valid()) continue;
-    Status alive_check = SendFrame(conn, MsgType::kHeartbeat, {},
-                                   options_.connect_timeout_seconds);
-    if (alive_check.ok()) {
-      StatusOr<Frame> ack = RecvFrame(conn, options_.connect_timeout_seconds);
-      if (!ack.ok()) {
-        alive_check = ack.status();
-      } else if (ack->type != MsgType::kHeartbeatAck) {
-        // A stale kWalkResult / kError here means the connection is
-        // desynced, not alive — drop it like a dead one.
-        alive_check = Status::Internal("desynced heartbeat reply");
-      }
-    }
-    if (!alive_check.ok()) conn.Close();  // redialed on first use
-  }
-}
-
 template <typename Policy>
 Status RemoteWalkBackend::Drain(int worker, const WalkMsg& job) const {
   const size_t i = static_cast<size_t>(worker);
@@ -328,7 +301,6 @@ Status RemoteWalkBackend::Walk(NodeId source, const WalkConfig& config,
   // the workers. QueryService's dedup/cache layers sit in front of this
   // lock, so identical concurrent queries still collapse to one job.
   std::lock_guard<std::mutex> lock(mu_);
-  SweepHeartbeats();
   // Send-all, then recv-all: every worker walks its range while the
   // coordinator is still draining the others' replies. Deadlock-free
   // because a worker fully reads its request before replying. A failed
@@ -363,7 +335,6 @@ Status RemoteWalkBackend::Walk(NodeId source, const WalkConfig& config,
     }
   }
   ++stats_.supersteps;
-  last_activity_ = Clock::now();
   const std::span<const RangeWalk> replies(replies_.data(), ranges.size());
   MergeRangeWalks<Policy>(replies, config, id_bits(), stats, out);
   return Status::Ok();
@@ -409,7 +380,6 @@ Status RemoteWalkBackend::Ping() const {
                               std::to_string(static_cast<int>(ack->type)));
     }
   }
-  last_activity_ = Clock::now();
   return Status::Ok();
 }
 

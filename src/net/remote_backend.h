@@ -37,7 +37,6 @@
 #ifndef CLOUDWALKER_NET_REMOTE_BACKEND_H_
 #define CLOUDWALKER_NET_REMOTE_BACKEND_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -82,10 +81,6 @@ struct RemoteBackendOptions {
   int max_attempts = 3;
   /// Pause before each retry.
   double retry_backoff_seconds = 0.05;
-  /// When > 0, a job that starts after this long of inactivity first
-  /// sweeps heartbeats and proactively drops dead connections (they
-  /// reconnect on first use). 0 disables; Ping() is always available.
-  double heartbeat_interval_seconds = 0.0;
 };
 
 /// Cumulative exchange telemetry (all jobs since Connect).
@@ -141,12 +136,6 @@ class RemoteWalkBackend final : public WalkFront<RemoteWalkBackend> {
   Status ExchangeOne(int worker, const std::string& request, bool sent_ok,
                      Frame* reply) const;
 
-  // Lazy death detection: after a quiet period longer than the heartbeat
-  // interval, heartbeats every connection and drops the dead ones, so the
-  // first job reconnects eagerly instead of burning its timeout.
-  // Requires mu_.
-  void SweepHeartbeats() const;
-
   // Receives, decodes and validates worker `worker`'s reply to `job` into
   // replies_[worker]. Requires mu_.
   template <typename Policy>
@@ -170,7 +159,6 @@ class RemoteWalkBackend final : public WalkFront<RemoteWalkBackend> {
   mutable std::vector<Socket> conns_;
   mutable std::vector<std::string> requests_;
   mutable std::vector<RangeWalk> replies_;
-  mutable std::chrono::steady_clock::time_point last_activity_;
   mutable RemoteExchangeStats stats_;
 };
 

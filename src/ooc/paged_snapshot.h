@@ -10,12 +10,15 @@
 // address-space cap (setrlimit(RLIMIT_AS)) genuinely bounds the process
 // and the cache's byte budget is the real residency ceiling.
 //
-// Integrity: the header + directory CRC is verified, every *resident*
-// section is CRC-checked as it loads, and the paged section is covered at
-// block granularity by the per-block CRCs in the block index, verified on
-// every page-in. (The whole-file padding sweep is SnapshotView's job; a
-// paged open never reads the bytes between sections, nor a version 1
-// file's alias-arena sections.)
+// Integrity: the header and directory go through the same reader as
+// SnapshotView's (snapshot/format.h), and every *resident* section is
+// CRC-checked as it loads and then structurally checked by the same
+// per-section checks, so both opens fail a damaged file alike. The paged
+// section is covered at block granularity by the per-block CRCs in the
+// block index, verified on every page-in together with the id range.
+// (The whole-file padding sweep is SnapshotView's job; a paged open never
+// reads the bytes between sections, nor a version 1 file's alias-arena
+// sections.)
 //
 // Artifacts without a kBlockIndex section fall back to whole-file
 // residency: the in-targets are loaded, CRC-checked, and a block layout is
@@ -47,7 +50,7 @@ class PagedSnapshot {
   /// Opens `path`, validates the header/directory and every resident
   /// section, and decodes (or, without a block index, synthesizes) the
   /// block layout. A version 1 reordered file fails like
-  /// SnapshotView::Open (RefuseV1Reordered).
+  /// SnapshotView::Open (kFailedPrecondition).
   static StatusOr<std::shared_ptr<const PagedSnapshot>> Open(
       const std::string& path);
 
@@ -107,6 +110,8 @@ class PagedSnapshot {
  private:
   PagedSnapshot() = default;
   Status Load(const std::string& path);
+  // Reads [offset, offset + length) of the file into `dst`. Thread-safe.
+  Status ReadRange(uint64_t offset, uint64_t length, void* dst) const;
 
   std::string path_;
   int fd_ = -1;

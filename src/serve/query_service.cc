@@ -115,14 +115,6 @@ QueryService::QueryService(std::shared_ptr<const CloudWalker> cloudwalker,
   interned_options_.push_back(options_.query);  // id 0 = service defaults
 }
 
-QueryService::QueryService(const CloudWalker* cloudwalker,
-                           const ServeOptions& options, ThreadPool* pool)
-    : QueryService(
-          // Non-owning alias: the borrowed facade must outlive the service.
-          std::shared_ptr<const CloudWalker>(cloudwalker,
-                                             [](const CloudWalker*) {}),
-          options, pool) {}
-
 StatusOr<uint64_t> QueryService::Publish(
     std::shared_ptr<const CloudWalker> walker) {
   return registry_.PublishNext(
@@ -435,14 +427,6 @@ void QueryService::Publish(const std::shared_ptr<State>& state,
 
 QueryResponse QueryService::Execute(const QueryRequest& request) {
   return SubmitInternal(request, /*block_on_full=*/true).Wait();
-}
-
-QueryResponse QueryService::Pair(NodeId i, NodeId j) {
-  return Execute(QueryRequest::Pair(i, j));
-}
-
-QueryResponse QueryService::SourceTopK(NodeId source, uint32_t k) {
-  return Execute(QueryRequest::SourceTopK(source, k));
 }
 
 std::vector<QueryResponse> QueryService::ExecuteBatch(

@@ -55,10 +55,9 @@
 // response is bit-identical to the equivalent direct CloudWalker call,
 // regardless of thread count, cache state, or request interleaving.
 //
-// Legacy blocking API: Execute / Pair / SourceTopK / ExecuteBatch are
-// thin shims over Submit(...).Wait() (with backpressure instead of
-// rejection, so a replayed batch always completes), preserved for callers
-// that predate the async core.
+// Blocking API: Execute / ExecuteBatch are thin shims over
+// Submit(...).Wait(), with backpressure instead of rejection, so a
+// replayed batch always completes.
 
 #ifndef CLOUDWALKER_SERVE_QUERY_SERVICE_H_
 #define CLOUDWALKER_SERVE_QUERY_SERVICE_H_
@@ -171,11 +170,6 @@ class QueryService {
   QueryService(std::shared_ptr<const CloudWalker> cloudwalker,
                const ServeOptions& options = {}, ThreadPool* pool = nullptr);
 
-  /// Legacy borrowing constructor: `cloudwalker` must outlive the service
-  /// (and stays version 1 unless a successor is published).
-  QueryService(const CloudWalker* cloudwalker,
-               const ServeOptions& options = {}, ThreadPool* pool = nullptr);
-
   /// Atomically publishes `walker` as the new current version (label =
   /// previous max + 1) and returns its epoch. In-flight requests finish on
   /// the version they pinned at admission; every request admitted after
@@ -211,10 +205,6 @@ class QueryService {
   /// Blocking shim: Submit + Wait, with backpressure (waits for queue
   /// space instead of rejecting).
   QueryResponse Execute(const QueryRequest& request);
-
-  /// Legacy blocking shims over Execute().
-  QueryResponse Pair(NodeId i, NodeId j);
-  QueryResponse SourceTopK(NodeId source, uint32_t k);
 
   /// Executes a mixed batch on the pool (one request per work unit, so
   /// identical concurrent sources can dedup); responses align with

@@ -1,14 +1,14 @@
 #include "snapshot/snapshot.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/crc32.h"
-#include "common/random.h"
 #include "common/serialize.h"
+#include "snapshot/format.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CW_SNAPSHOT_HAS_MMAP 1
@@ -21,108 +21,11 @@
 namespace cloudwalker {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'W', 'S', 'N', 'A', 'P', '1', '\0'};
-constexpr uint32_t kFormatVersion = 2;
-constexpr uint32_t kEndianStamp = 0x01020304u;
-constexpr uint64_t kHeaderBytes = 64;
-constexpr uint64_t kDirEntryBytes = 32;
-constexpr uint64_t kSectionAlign = 64;
-constexpr uint32_t kNumSections = 6;       // required: ids 1-4, 7, 8
-constexpr uint32_t kNumKnownSections = 10;  // highest known section id
-
-struct DirEntry {
-  uint32_t id = 0;
-  uint32_t elem_size = 0;
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  uint32_t crc = 0;
-  uint32_t reserved = 0;
-};
-static_assert(sizeof(DirEntry) == kDirEntryBytes);
-
-const char* SectionName(uint32_t id) {
-  switch (static_cast<SnapshotSection>(id)) {
-    case SnapshotSection::kOutOffsets:
-      return "out_offsets";
-    case SnapshotSection::kOutTargets:
-      return "out_targets";
-    case SnapshotSection::kInOffsets:
-      return "in_offsets";
-    case SnapshotSection::kInTargets:
-      return "in_targets";
-    case SnapshotSection::kV1ArenaOffsets:
-      return "arena_offsets";
-    case SnapshotSection::kV1ArenaSlots:
-      return "arena_slots";
-    case SnapshotSection::kDiagonal:
-      return "diagonal";
-    case SnapshotSection::kMeta:
-      return "meta";
-    case SnapshotSection::kBlockIndex:
-      return "block_index";
-    case SnapshotSection::kPermutation:
-      return "permutation";
-  }
-  return "unknown";
-}
-
 void PadTo(BinaryWriter* w, uint64_t alignment) {
-  static const char kZeros[kSectionAlign] = {};
+  static const char kZeros[kSnapshotSectionAlign] = {};
   const uint64_t rem = w->buffer().size() % alignment;
   if (rem != 0) w->WriteBytes(kZeros, alignment - rem);
 }
-
-std::string EncodeMetadata(const SimRankParams& params,
-                           const SnapshotMetadata& m) {
-  BinaryWriter w;
-  w.Write(params.decay);
-  w.Write(params.num_steps);
-  w.Write(m.num_walkers);
-  w.Write(m.jacobi_iterations);
-  w.Write(m.seed);
-  w.Write(m.row_mode);
-  w.Write(m.dangling);
-  w.Write(m.initial_diagonal);
-  w.Write(m.query_options_fingerprint);
-  w.Write(m.walk_steps);
-  w.Write(m.build_seconds);
-  w.WriteString(m.builder);
-  return w.buffer();
-}
-
-Status DecodeMetadata(const std::string& bytes, SimRankParams* params,
-                      SnapshotMetadata* m) {
-  BinaryReader r(bytes);
-  CW_RETURN_IF_ERROR(r.Read(&params->decay));
-  CW_RETURN_IF_ERROR(r.Read(&params->num_steps));
-  CW_RETURN_IF_ERROR(r.Read(&m->num_walkers));
-  CW_RETURN_IF_ERROR(r.Read(&m->jacobi_iterations));
-  CW_RETURN_IF_ERROR(r.Read(&m->seed));
-  CW_RETURN_IF_ERROR(r.Read(&m->row_mode));
-  CW_RETURN_IF_ERROR(r.Read(&m->dangling));
-  CW_RETURN_IF_ERROR(r.Read(&m->initial_diagonal));
-  CW_RETURN_IF_ERROR(r.Read(&m->query_options_fingerprint));
-  CW_RETURN_IF_ERROR(r.Read(&m->walk_steps));
-  CW_RETURN_IF_ERROR(r.Read(&m->build_seconds));
-  CW_RETURN_IF_ERROR(r.ReadString(&m->builder));
-  return Status::Ok();
-}
-
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::DataLoss("snapshot " + path + ": " + what);
-}
-
-}  // namespace
-
-Status RefuseV1Reordered(const std::string& path) {
-  return Status::FailedPrecondition(
-      "snapshot " + path +
-      " is a version 1 locality-reordered artifact: its in-rows are in "
-      "internal-id order, which walks on the in-CSR cannot use; rebuild it "
-      "with `cloudwalker_cli index --reorder=...`");
-}
-
-namespace {
 
 // The SnapshotSections group a payload section belongs to. 0 means the
 // section (metadata, extensions, version 1's arena) is CRC-checked under
@@ -240,7 +143,7 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
     }
   }
 
-  const std::string meta_bytes = EncodeMetadata(index.params(), metadata);
+  const std::string meta_bytes = EncodeSnapshotMeta(index.params(), metadata);
 
   struct Payload {
     SnapshotSection id;
@@ -278,11 +181,13 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
   const uint32_t num_sections = static_cast<uint32_t>(payloads.size());
 
   // Lay out the payloads after the header + directory, 64-byte aligned.
-  uint64_t cursor = kHeaderBytes + uint64_t{num_sections} * kDirEntryBytes;
+  uint64_t cursor =
+      kSnapshotHeaderBytes + uint64_t{num_sections} * kSnapshotEntryBytes;
   BinaryWriter dir;
   for (const Payload& p : payloads) {
-    cursor = (cursor + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-    DirEntry e;
+    cursor = (cursor + kSnapshotSectionAlign - 1) / kSnapshotSectionAlign *
+             kSnapshotSectionAlign;
+    SectionEntry e;
     e.id = static_cast<uint32_t>(p.id);
     e.elem_size = p.elem_size;
     e.offset = cursor;
@@ -296,15 +201,15 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
   // The header CRC covers the whole header (with the CRC field itself
   // zeroed) plus the directory, so any stray flip in either is caught.
   BinaryWriter header;
-  header.WriteBytes(kMagic, sizeof(kMagic));
-  header.Write(kFormatVersion);
-  header.Write(kEndianStamp);
+  header.WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  header.Write(kSnapshotFormatVersion);
+  header.Write(kSnapshotEndianStamp);
   header.Write(num_sections);
   header.Write<uint32_t>(0);  // CRC placeholder
   header.Write(file_size);
   header.Write(n);
   header.Write(m);
-  PadTo(&header, kHeaderBytes);
+  PadTo(&header, kSnapshotHeaderBytes);
   const uint32_t header_crc =
       Crc32(dir.buffer().data(), dir.buffer().size(),
             Crc32(header.buffer().data(), header.buffer().size()));
@@ -332,14 +237,14 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
     disk_crc = Crc32(data, size, disk_crc);
     return std::fwrite(data, 1, size, f) == size;
   };
-  static const char kPadZeros[kSectionAlign] = {};
+  static const char kPadZeros[kSnapshotSectionAlign] = {};
   uint64_t written = header_bytes.size() + dir.buffer().size();
   bool ok = put(header_bytes.data(), header_bytes.size()) &&
             put(dir.buffer().data(), dir.buffer().size());
   for (const Payload& p : payloads) {
     if (!ok) break;
-    const uint64_t rem = written % kSectionAlign;
-    const uint64_t pad = rem == 0 ? 0 : kSectionAlign - rem;
+    const uint64_t rem = written % kSnapshotSectionAlign;
+    const uint64_t pad = rem == 0 ? 0 : kSnapshotSectionAlign - rem;
     ok = put(kPadZeros, pad) && put(p.data, p.length);
     written += pad + p.length;
   }
@@ -416,272 +321,83 @@ StatusOr<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
 
 Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   sections_ = sections;
-  const auto selected = [sections](uint32_t id) {
-    const uint32_t group = SectionGroup(id);
-    return group == 0 || (sections & group) != 0;
-  };
-  if (size_ < kHeaderBytes) {
-    return Corrupt(path, "truncated header (" + std::to_string(size_) +
-                             " bytes, need " + std::to_string(kHeaderBytes) +
-                             ")");
-  }
   if (reinterpret_cast<uintptr_t>(data_) % alignof(uint64_t) != 0) {
     return Status::Internal("snapshot buffer is not 8-byte aligned");
   }
-  if (std::memcmp(data_, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a cloudwalker snapshot: " + path);
-  }
-  uint32_t version = 0, endian = 0, num_sections = 0, dir_crc = 0;
-  uint64_t file_size = 0, n64 = 0, m64 = 0;
-  std::memcpy(&version, data_ + 8, 4);
-  std::memcpy(&endian, data_ + 12, 4);
-  std::memcpy(&num_sections, data_ + 16, 4);
-  std::memcpy(&dir_crc, data_ + 20, 4);
-  std::memcpy(&file_size, data_ + 24, 8);
-  std::memcpy(&n64, data_ + 32, 8);
-  std::memcpy(&m64, data_ + 40, 8);
-  if (version != 1 && version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version) + " in " + path);
-  }
-  if (endian != kEndianStamp) {
-    return Status::InvalidArgument(
-        "snapshot " + path +
-        " was written on a machine with a different byte order");
-  }
-  if (num_sections < kNumSections || num_sections > 64) {
-    return Corrupt(
-        path, "implausible section count " + std::to_string(num_sections));
-  }
-  const uint64_t dir_bytes = uint64_t{num_sections} * kDirEntryBytes;
-  if (kHeaderBytes + dir_bytes > size_) {
-    return Corrupt(path, "truncated directory");
-  }
-  {
-    char header_copy[kHeaderBytes];
-    std::memcpy(header_copy, data_, kHeaderBytes);
-    std::memset(header_copy + 20, 0, 4);  // the CRC field covers itself as 0
-    const uint32_t actual =
-        Crc32(data_ + kHeaderBytes, dir_bytes,
-              Crc32(header_copy, kHeaderBytes));
-    if (actual != dir_crc) {
-      return Corrupt(path, "header/directory checksum mismatch");
-    }
-    // The artifact's identity: the verified header+directory CRC already
-    // covers every section checksum, so any byte-level change anywhere in
-    // the file moves it. Mixed with the size for a full 64-bit tag.
-    fingerprint_ = DeriveSeed(actual, size_);
-  }
-  if (file_size != size_) {
-    return Corrupt(path, "file is " + std::to_string(size_) +
-                             " bytes but the header records " +
-                             std::to_string(file_size));
-  }
-  if (n64 >= kInvalidNode) {
-    return Corrupt(path, "node count exceeds the 32-bit id space");
-  }
-  const uint64_t n = n64;
-  const uint64_t m = m64;
+  CW_ASSIGN_OR_RETURN(
+      const SnapshotLayout layout,
+      ReadSnapshotLayout(path, size_,
+                         [this](uint64_t offset, uint64_t length, void* dst) {
+                           std::memcpy(dst, data_ + offset, length);
+                           return Status::Ok();
+                         }));
+  fingerprint_ = layout.fingerprint();
+  const uint64_t n = layout.num_nodes;
+  const uint64_t m = layout.num_edges;
 
-  // Walk the directory: bounds, alignment, element sizing, payload CRC.
-  const DirEntry* entries =
-      reinterpret_cast<const DirEntry*>(data_ + kHeaderBytes);
-  const DirEntry* found[kNumKnownSections] = {};
-  for (uint32_t i = 0; i < num_sections; ++i) {
-    const DirEntry& e = entries[i];
-    if (e.offset % kSectionAlign != 0 || e.offset > size_ ||
-        e.length > size_ - e.offset) {
-      return Corrupt(path, std::string("section ") + SectionName(e.id) +
-                               " lies outside the file");
-    }
-    if (e.elem_size == 0 || e.length % e.elem_size != 0) {
-      return Corrupt(path, std::string("section ") + SectionName(e.id) +
-                               " has a malformed element size");
-    }
-    // The payload CRC pass is the expensive part of Open; a masked open
-    // skips it for the sections it will never read (their checksums stay
-    // pinned by the verified directory CRC above).
-    if (selected(e.id) && Crc32(data_ + e.offset, e.length) != e.crc) {
-      return Corrupt(path, std::string("checksum mismatch in section ") +
-                               SectionName(e.id));
-    }
-    const uint32_t id = e.id;
-    if (id >= 1 && id <= kNumKnownSections && found[id - 1] == nullptr) {
-      found[id - 1] = &e;
+  // The payload CRC pass is the expensive part of Open; a masked open
+  // skips it for the sections it will never read (their checksums stay
+  // pinned by the verified directory CRC).
+  for (const SectionEntry& e : layout.entries) {
+    const uint32_t group = SectionGroup(e.id);
+    if (group == 0 || (sections & group) != 0) {
+      CW_RETURN_IF_ERROR(CheckSectionCrc(path, e, data_ + e.offset));
     }
   }
-  // Tamper-evidence for the bytes no section CRC covers: sections must not
-  // overlap, and every gap (alignment padding) must be zero, so a single
-  // flipped byte anywhere in the file is detectable.
-  {
-    std::vector<std::pair<uint64_t, uint64_t>> extents;
-    extents.reserve(num_sections + 1);
-    extents.emplace_back(0, kHeaderBytes + dir_bytes);
-    for (uint32_t i = 0; i < num_sections; ++i) {
-      extents.emplace_back(entries[i].offset,
-                           entries[i].offset + entries[i].length);
-    }
-    std::sort(extents.begin(), extents.end());
-    uint64_t cursor = 0;
-    for (const auto& [begin, end] : extents) {
-      if (begin < cursor) {
-        return Corrupt(path, "overlapping sections");
-      }
-      for (uint64_t b = cursor; b < begin; ++b) {
-        if (data_[b] != 0) {
-          return Corrupt(path, "nonzero padding between sections");
-        }
-      }
-      cursor = end;
-    }
-    for (uint64_t b = cursor; b < size_; ++b) {
-      if (data_[b] != 0) {
-        return Corrupt(path, "nonzero trailing bytes");
-      }
-    }
-  }
+  CW_RETURN_IF_ERROR(CheckPadding(path, layout, data_));
 
-  struct Expected {
-    SnapshotSection id;
-    uint32_t elem_size;
-    uint64_t count;  // expected element count; meta is free-length
+  const auto span_of = [&](SnapshotSection id, auto* out, uint64_t count) {
+    using T = typename std::remove_reference_t<decltype(*out)>::element_type;
+    *out = {reinterpret_cast<const T*>(data_ + layout.Find(id)->offset),
+            count};
   };
-  const Expected expect[kNumSections] = {
-      {SnapshotSection::kOutOffsets, sizeof(uint64_t), n + 1},
-      {SnapshotSection::kOutTargets, sizeof(NodeId), m},
-      {SnapshotSection::kInOffsets, sizeof(uint64_t), n + 1},
-      {SnapshotSection::kInTargets, sizeof(NodeId), m},
-      {SnapshotSection::kDiagonal, sizeof(double), n},
-      {SnapshotSection::kMeta, 1, 0},
-  };
-  for (const Expected& x : expect) {
-    const DirEntry* e = found[static_cast<uint32_t>(x.id) - 1];
-    if (e == nullptr) {
-      return Corrupt(path, std::string("missing section ") +
-                               SectionName(static_cast<uint32_t>(x.id)));
-    }
-    if (e->elem_size != x.elem_size ||
-        (x.id != SnapshotSection::kMeta &&
-         e->length != x.count * x.elem_size)) {
-      return Corrupt(path, std::string("section ") +
-                               SectionName(static_cast<uint32_t>(x.id)) +
-                               " disagrees with the header's node/edge "
-                               "counts");
-    }
-  }
-
-  const auto section_ptr = [this](const DirEntry* e) {
-    return data_ + e->offset;
-  };
-  const DirEntry* e_out_off =
-      found[static_cast<uint32_t>(SnapshotSection::kOutOffsets) - 1];
-  const DirEntry* e_out_tgt =
-      found[static_cast<uint32_t>(SnapshotSection::kOutTargets) - 1];
-  const DirEntry* e_in_off =
-      found[static_cast<uint32_t>(SnapshotSection::kInOffsets) - 1];
-  const DirEntry* e_in_tgt =
-      found[static_cast<uint32_t>(SnapshotSection::kInTargets) - 1];
-  const DirEntry* e_diag =
-      found[static_cast<uint32_t>(SnapshotSection::kDiagonal) - 1];
-  const DirEntry* e_meta =
-      found[static_cast<uint32_t>(SnapshotSection::kMeta) - 1];
-
   if ((sections & kSnapshotOut) != 0) {
-    out_offsets_ = {
-        reinterpret_cast<const uint64_t*>(section_ptr(e_out_off)), n + 1};
-    out_targets_ = {reinterpret_cast<const NodeId*>(section_ptr(e_out_tgt)),
-                    m};
+    span_of(SnapshotSection::kOutOffsets, &out_offsets_, n + 1);
+    span_of(SnapshotSection::kOutTargets, &out_targets_, m);
   }
   if ((sections & kSnapshotIn) != 0) {
-    in_offsets_ = {reinterpret_cast<const uint64_t*>(section_ptr(e_in_off)),
-                   n + 1};
-    in_targets_ = {reinterpret_cast<const NodeId*>(section_ptr(e_in_tgt)),
-                   m};
+    span_of(SnapshotSection::kInOffsets, &in_offsets_, n + 1);
+    span_of(SnapshotSection::kInTargets, &in_targets_, m);
   }
   if ((sections & kSnapshotDiagonal) != 0) {
-    diagonal_ = {reinterpret_cast<const double*>(section_ptr(e_diag)), n};
+    span_of(SnapshotSection::kDiagonal, &diagonal_, n);
   }
 
   // Structural invariants the zero-copy views rely on: the kernels index
   // with these values unchecked, so a file that passes here can never
   // send a walker out of bounds. Each check runs only for the groups this
   // open selected — an unselected group hands out no spans.
-  const auto offsets_ok = [&](std::span<const uint64_t> off) {
-    if (off.front() != 0 || off.back() != m) return false;
-    for (uint64_t v = 0; v < n; ++v) {
-      if (off[v] > off[v + 1]) return false;
-    }
-    return true;
-  };
-  if (((sections & kSnapshotOut) != 0 && !offsets_ok(out_offsets_)) ||
-      ((sections & kSnapshotIn) != 0 && !offsets_ok(in_offsets_))) {
-    return Corrupt(path, "CSR offsets are not monotone over [0, num_edges]");
+  if ((sections & kSnapshotOut) != 0) {
+    CW_RETURN_IF_ERROR(CheckCsrOffsets(path, out_offsets_, m));
   }
-  const auto targets_ok = [n, m](std::span<const NodeId> targets) {
-    for (uint64_t i = 0; i < m; ++i) {
-      if (targets[i] >= n) return false;
-    }
-    return true;
-  };
-  if (((sections & kSnapshotOut) != 0 && !targets_ok(out_targets_)) ||
-      ((sections & kSnapshotIn) != 0 && !targets_ok(in_targets_))) {
-    return Corrupt(path, "edge target out of node range");
+  if ((sections & kSnapshotIn) != 0) {
+    CW_RETURN_IF_ERROR(CheckCsrOffsets(path, in_offsets_, m));
+  }
+  if ((sections & kSnapshotOut) != 0) {
+    CW_RETURN_IF_ERROR(CheckTargets(path, out_targets_, n));
+  }
+  if ((sections & kSnapshotIn) != 0) {
+    CW_RETURN_IF_ERROR(CheckTargets(path, in_targets_, n));
   }
 
   // Optional extension sections (ids 9/10). The CRC pass above already
   // pinned their bytes (group 0 — always checked), so a failure here means
   // a malformed writer, not bit rot; it is still corruption to the caller.
-  if (const DirEntry* e_blocks =
-          found[static_cast<uint32_t>(SnapshotSection::kBlockIndex) - 1]) {
-    if (e_blocks->elem_size != 1) {
-      return Corrupt(path, "block index has a malformed element size");
-    }
-    std::string block_bytes(section_ptr(e_blocks), e_blocks->length);
-    uint64_t target = 0;
-    const Status decoded = DecodeBlockIndex(block_bytes, n, m, &blocks_,
-                                            &target);
-    if (!decoded.ok()) {
-      return Corrupt(path,
-                     "undecodable block index (" + decoded.ToString() + ")");
-    }
-    block_target_bytes_ = target;
-    if ((sections & kSnapshotIn) != 0) {
-      // The blocks must cut the in-CSR at exactly the rows they claim —
-      // the block cache preads [edge_begin, edge_end) for nodes
-      // [node_begin, node_end) without consulting in_offsets again.
-      for (const BlockExtent& b : blocks_) {
-        if (in_offsets_[b.node_begin] != b.edge_begin ||
-            in_offsets_[b.node_end] != b.edge_end) {
-          return Corrupt(path, "block index disagrees with the in-CSR");
-        }
-      }
-    }
+  const auto bytes_of = [this](const SectionEntry* e) {
+    return std::string(data_ + e->offset, e->length);
+  };
+  if (const SectionEntry* e = layout.Find(SnapshotSection::kBlockIndex)) {
+    CW_RETURN_IF_ERROR(DecodeSnapshotBlocks(path, bytes_of(e), layout,
+                                            in_offsets_, &blocks_,
+                                            &block_target_bytes_));
   }
-  if (const DirEntry* e_perm =
-          found[static_cast<uint32_t>(SnapshotSection::kPermutation) - 1]) {
-    if (e_perm->elem_size != sizeof(NodeId) ||
-        e_perm->length != n * sizeof(NodeId)) {
-      return Corrupt(path, "permutation disagrees with the node count");
-    }
-    permutation_ = {reinterpret_cast<const NodeId*>(section_ptr(e_perm)), n};
-    std::vector<uint8_t> seen(n, 0);
-    for (const NodeId ext : permutation_) {
-      if (ext >= n || seen[ext]) {
-        return Corrupt(path, "permutation is not a bijection");
-      }
-      seen[ext] = 1;
-    }
-    if (version == 1) return RefuseV1Reordered(path);
+  if (layout.Find(SnapshotSection::kPermutation) != nullptr) {
+    span_of(SnapshotSection::kPermutation, &permutation_, n);
+    CW_RETURN_IF_ERROR(CheckPermutation(path, permutation_, layout));
   }
-
-  std::string meta_bytes(section_ptr(e_meta), e_meta->length);
-  const Status meta_ok = DecodeMetadata(meta_bytes, &params_, &metadata_);
-  if (!meta_ok.ok()) {
-    return Corrupt(path, "undecodable metadata (" + meta_ok.ToString() + ")");
-  }
-  if (!params_.Validate().ok()) {
-    return Corrupt(path, "metadata carries invalid SimRank parameters");
-  }
+  CW_RETURN_IF_ERROR(
+      DecodeSnapshotMeta(path, bytes_of(layout.Find(SnapshotSection::kMeta)),
+                         &params_, &metadata_));
 
 #if CW_SNAPSHOT_HAS_MMAP
   // Serving hint: queries hit the CSR arrays in walker order — effectively
@@ -692,7 +408,7 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
     for (const SnapshotSection id :
          {SnapshotSection::kOutOffsets, SnapshotSection::kOutTargets,
           SnapshotSection::kInOffsets, SnapshotSection::kInTargets}) {
-      const DirEntry* e = found[static_cast<uint32_t>(id) - 1];
+      const SectionEntry* e = layout.Find(id);
       MadviseRange(data_, e->offset, e->length, MADV_RANDOM);
     }
   }
@@ -708,43 +424,23 @@ StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
   CW_RETURN_IF_ERROR(BinaryReader::LoadFile(path, &bytes));
   const char* data = bytes.data();
   const uint64_t size = bytes.size();
-  if (size < kHeaderBytes) {
-    return Corrupt(path, "truncated header (" + std::to_string(size) +
-                             " bytes, need " + std::to_string(kHeaderBytes) +
-                             ")");
-  }
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a cloudwalker snapshot: " + path);
-  }
+  CW_ASSIGN_OR_RETURN(
+      const SnapshotLayout layout,
+      DecodeSnapshotLayout(path, size,
+                           [data](uint64_t offset, uint64_t length,
+                                  void* dst) {
+                             std::memcpy(dst, data + offset, length);
+                             return Status::Ok();
+                           }));
   SnapshotInfo info;
-  uint32_t endian = 0, dir_crc = 0;
-  std::memcpy(&info.format_version, data + 8, 4);
-  std::memcpy(&endian, data + 12, 4);
-  std::memcpy(&info.num_sections, data + 16, 4);
-  std::memcpy(&dir_crc, data + 20, 4);
-  std::memcpy(&info.num_nodes, data + 32, 8);
-  std::memcpy(&info.num_edges, data + 40, 8);
+  info.format_version = layout.version;
+  info.num_sections = static_cast<uint32_t>(layout.entries.size());
   info.file_bytes = size;
-  if (endian != kEndianStamp) {
-    return Status::InvalidArgument(
-        "snapshot " + path +
-        " was written on a machine with a different byte order");
-  }
-  const uint64_t dir_bytes = uint64_t{info.num_sections} * kDirEntryBytes;
-  if (dir_bytes > size - kHeaderBytes) {
-    return Corrupt(path, "truncated directory");
-  }
-  {
-    char header_copy[kHeaderBytes];
-    std::memcpy(header_copy, data, kHeaderBytes);
-    std::memset(header_copy + 20, 0, 4);
-    info.header_crc_ok = Crc32(data + kHeaderBytes, dir_bytes,
-                               Crc32(header_copy, kHeaderBytes)) == dir_crc;
-  }
-  info.sections.reserve(info.num_sections);
-  for (uint32_t i = 0; i < info.num_sections; ++i) {
-    DirEntry e;
-    std::memcpy(&e, data + kHeaderBytes + i * kDirEntryBytes, sizeof(e));
+  info.num_nodes = layout.num_nodes;
+  info.num_edges = layout.num_edges;
+  info.header_crc_ok = layout.actual_crc == layout.stored_crc;
+  info.sections.reserve(layout.entries.size());
+  for (const SectionEntry& e : layout.entries) {
     SnapshotSectionInfo s;
     s.id = e.id;
     s.name = SectionName(e.id);

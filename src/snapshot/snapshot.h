@@ -39,6 +39,12 @@
 // structural invariants the zero-copy views rely on (monotone offsets,
 // in-range targets) are verified before a span is ever handed out.
 //
+// This layout is known to snapshot/ alone. snapshot/format.h holds its
+// one reader of the header and directory and one checker per section
+// kind; SnapshotView runs them over its mapping, the out-of-core
+// PagedSnapshot (ooc/paged_snapshot.h) over pread, so the two opens fail
+// a damaged file with the same code and message.
+//
 // Version 1 files stay readable. They carry two more sections (ids 5 and
 // 6, a per-edge alias arena that duplicated the in-CSR); a reader
 // CRC-checks them like any other section and otherwise ignores them. A
@@ -84,8 +90,9 @@ enum class SnapshotSection : uint32_t {
 /// Bitmask over the payload groups of a snapshot, for partition-aware
 /// opens: a shard worker that only ever advances walkers along in-links
 /// loads kSnapshotIn and skips the integrity pass (CRC + structural
-/// sweep) over the out-CSR and diagonal sections it never touches. The header, directory, and metadata are always validated, and
-/// the directory CRC still covers every section checksum, so a masked open
+/// sweep) over the out-CSR and diagonal sections it never touches. The
+/// header, directory, and metadata are always validated, and the
+/// directory CRC still covers every section checksum, so a masked open
 /// loses no tamper evidence for the bytes it actually reads. Spans of
 /// unselected groups come back empty.
 enum SnapshotSections : uint32_t {
@@ -275,11 +282,6 @@ struct SnapshotInfo {
 /// Reads and decodes `path`'s header and section directory (see
 /// SnapshotInfo).
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path);
-
-/// The kFailedPrecondition both snapshot readers (SnapshotView and the
-/// out-of-core PagedSnapshot) return for a version 1 file that carries a
-/// kPermutation section.
-Status RefuseV1Reordered(const std::string& path);
 
 /// Test hook: when set, every madvise the snapshot layer issues reports
 /// failure. Open and Write must still succeed — the hints are

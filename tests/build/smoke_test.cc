@@ -45,29 +45,27 @@ TEST_F(SmokeTest, BuildAndQueryEndToEnd) {
   }
 }
 
-TEST_F(SmokeTest, SaveIndexFromIndexRoundTrip) {
+TEST_F(SmokeTest, WriteSnapshotOpenRoundTrip) {
   auto built = CloudWalker::Build(&graph_);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-  const std::string path =
-      ::testing::TempDir() + "/smoke_test_index.cwidx";
-  ASSERT_TRUE(built->SaveIndex(path).ok());
+  const std::string path = ::testing::TempDir() + "/smoke_test.cwk";
+  ASSERT_TRUE(built->WriteSnapshot(path).ok());
 
-  auto index = DiagonalIndex::Load(path);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  auto reloaded = CloudWalker::FromIndex(&graph_, std::move(index).value());
+  auto reloaded = CloudWalker::Open(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 
-  ASSERT_EQ(reloaded->index().num_nodes(), built->index().num_nodes());
+  ASSERT_EQ((*reloaded)->index().num_nodes(), built->index().num_nodes());
   for (NodeId k = 0; k < graph_.num_nodes(); ++k) {
-    EXPECT_DOUBLE_EQ(reloaded->index()[k], built->index()[k]) << "k=" << k;
+    EXPECT_DOUBLE_EQ((*reloaded)->index()[k], built->index()[k])
+        << "k=" << k;
   }
 
   // Identical index + identical query seed: the estimates must agree.
   QueryOptions q;
   q.seed = 12345;
   auto a = built->SinglePair(4, 9, q);
-  auto b = reloaded->SinglePair(4, 9, q);
+  auto b = (*reloaded)->SinglePair(4, 9, q);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a.value(), b.value());
 

@@ -2,18 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <variant>
 
 #include "graph/generators.h"
 
 namespace cloudwalker {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 IndexingOptions FastIndex() {
   IndexingOptions o;
@@ -147,35 +141,10 @@ TEST(CloudWalkerTest, AllPairsCoversEverySource) {
   EXPECT_EQ(all->size(), g.num_nodes());
 }
 
-TEST(CloudWalkerTest, SaveAndReloadIndex) {
-  const Graph g = GenerateRmat(50, 300, 8);
-  auto cw = CloudWalker::Build(&g, FastIndex());
-  ASSERT_TRUE(cw.ok());
-  const std::string path = TempPath("cw_facade_index.idx");
-  ASSERT_TRUE(cw->SaveIndex(path).ok());
-
-  auto loaded = DiagonalIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  auto cw2 = CloudWalker::FromIndex(&g, std::move(loaded).value());
-  ASSERT_TRUE(cw2.ok());
-  // Identical index + identical seeds -> identical query answers.
-  auto a = cw->SinglePair(1, 2, FastQuery());
-  auto b = cw2->SinglePair(1, 2, FastQuery());
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_DOUBLE_EQ(a.value(), b.value());
-  std::remove(path.c_str());
-}
-
 TEST(CloudWalkerTest, FromIndexRejectsMismatchedSizes) {
-  const Graph g = GenerateCycle(10);
   DiagonalIndex idx(SimRankParams{}, std::vector<double>(5, 0.4));
-  auto cw = CloudWalker::FromIndex(&g, std::move(idx));
+  auto cw = CloudWalker::FromIndex(GenerateCycle(10), std::move(idx));
   EXPECT_EQ(cw.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(CloudWalkerTest, FromIndexRejectsNullGraph) {
-  DiagonalIndex idx(SimRankParams{}, std::vector<double>(5, 0.4));
-  EXPECT_FALSE(CloudWalker::FromIndex(nullptr, std::move(idx)).ok());
 }
 
 TEST(CloudWalkerTest, QueriesAreThreadSafe) {

@@ -2,15 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 namespace cloudwalker {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(DiagonalIndexTest, EmptyByDefault) {
   DiagonalIndex idx;
@@ -26,43 +19,6 @@ TEST(DiagonalIndexTest, WrapsDiagonal) {
   EXPECT_DOUBLE_EQ(idx[1], 0.5);
   EXPECT_DOUBLE_EQ(idx.params().decay, 0.7);
   EXPECT_EQ(idx.params().num_steps, 5u);
-}
-
-TEST(DiagonalIndexTest, SaveLoadRoundTrip) {
-  SimRankParams params;
-  params.decay = 0.6;
-  params.num_steps = 10;
-  DiagonalIndex idx(params, {0.1, 0.2, 0.3, 0.4});
-  const std::string path = TempPath("cw_diag_roundtrip.idx");
-  ASSERT_TRUE(idx.Save(path).ok());
-  auto loaded = DiagonalIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_nodes(), 4u);
-  EXPECT_EQ(loaded->params(), params);
-  for (NodeId v = 0; v < 4; ++v) {
-    EXPECT_DOUBLE_EQ((*loaded)[v], idx[v]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DiagonalIndexTest, LoadMissingFileFails) {
-  auto loaded = DiagonalIndex::Load("/nonexistent/index.idx");
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-TEST(DiagonalIndexTest, LoadRejectsWrongMagic) {
-  const std::string path = TempPath("cw_diag_bad.idx");
-  FILE* f = fopen(path.c_str(), "wb");
-  fputs("not an index file at all................", f);
-  fclose(f);
-  auto loaded = DiagonalIndex::Load(path);
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(DiagonalIndexTest, SaveToBadPathFails) {
-  DiagonalIndex idx(SimRankParams{}, {0.5});
-  EXPECT_EQ(idx.Save("/nonexistent/dir/x.idx").code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // End-to-end pipelines crossing module boundaries: generate -> persist ->
-// index -> persist -> query, local and distributed, all baselines together.
+// index -> snapshot -> query, local and distributed, all baselines
+// together.
 
 #include <gtest/gtest.h>
 
@@ -40,12 +41,10 @@ TEST(IntegrationTest, GenerateSaveLoadIndexQueryPipeline) {
   auto cw = CloudWalker::Build(&graph, io, &pool);
   ASSERT_TRUE(cw.ok());
 
-  // 3. Persist the index and reload it into a fresh facade.
-  const std::string index_path = TempPath("cw_e2e.idx");
-  ASSERT_TRUE(cw->SaveIndex(index_path).ok());
-  auto reloaded_index = DiagonalIndex::Load(index_path);
-  ASSERT_TRUE(reloaded_index.ok());
-  auto cw2 = CloudWalker::FromIndex(&graph, std::move(reloaded_index).value());
+  // 3. Persist the engine as a snapshot and reopen it into a fresh facade.
+  const std::string snapshot_path = TempPath("cw_e2e.cwk");
+  ASSERT_TRUE(cw->WriteSnapshot(snapshot_path).ok());
+  auto cw2 = CloudWalker::Open(snapshot_path);
   ASSERT_TRUE(cw2.ok());
 
   // 4. Queries agree across the save/load boundary.
@@ -54,13 +53,13 @@ TEST(IntegrationTest, GenerateSaveLoadIndexQueryPipeline) {
   for (NodeId i : {0u, 10u, 100u}) {
     for (NodeId j : {5u, 50u, 250u}) {
       auto a = cw->SinglePair(i, j, qo);
-      auto b = cw2->SinglePair(i, j, qo);
+      auto b = (*cw2)->SinglePair(i, j, qo);
       ASSERT_TRUE(a.ok() && b.ok());
       EXPECT_DOUBLE_EQ(a.value(), b.value());
     }
   }
   std::remove(graph_path.c_str());
-  std::remove(index_path.c_str());
+  std::remove(snapshot_path.c_str());
 }
 
 TEST(IntegrationTest, DistributedIndexFeedsLocalQueries) {
@@ -73,11 +72,11 @@ TEST(IntegrationTest, DistributedIndexFeedsLocalQueries) {
                                     &pool);
   ASSERT_TRUE(dist.ok());
   ASSERT_TRUE(dist->cost.feasible);
-  auto cw = CloudWalker::FromIndex(&graph, std::move(dist->index));
+  auto cw = CloudWalker::FromIndex(Graph(graph), std::move(dist->index));
   ASSERT_TRUE(cw.ok());
   QueryOptions qo;
   qo.num_walkers = 1000;
-  auto top = cw->SingleSourceTopK(3, 10, qo);
+  auto top = (*cw)->SingleSourceTopK(3, 10, qo);
   ASSERT_TRUE(top.ok());
   EXPECT_LE(top->size(), 10u);
 }

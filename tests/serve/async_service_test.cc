@@ -59,12 +59,11 @@ class AsyncServiceTest : public ::testing::Test {
     ThreadPool pool(4);
     auto cw = CloudWalker::Build(graph_, o, &pool);
     ASSERT_TRUE(cw.ok());
-    cloudwalker_ = new CloudWalker(std::move(cw).value());
+    cloudwalker_ = std::make_shared<const CloudWalker>(std::move(cw).value());
   }
   static void TearDownTestSuite() {
-    delete cloudwalker_;
+    cloudwalker_.reset();
     delete graph_;
-    cloudwalker_ = nullptr;
     graph_ = nullptr;
   }
 
@@ -76,11 +75,11 @@ class AsyncServiceTest : public ::testing::Test {
   }
 
   static Graph* graph_;
-  static CloudWalker* cloudwalker_;
+  static std::shared_ptr<const CloudWalker> cloudwalker_;
 };
 
 Graph* AsyncServiceTest::graph_ = nullptr;
-CloudWalker* AsyncServiceTest::cloudwalker_ = nullptr;
+std::shared_ptr<const CloudWalker> AsyncServiceTest::cloudwalker_;
 
 // --- Submit/Wait bit-identity: all four kinds round-trip. ----------------
 

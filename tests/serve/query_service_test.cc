@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,12 +27,11 @@ class QueryServiceTest : public ::testing::Test {
     ThreadPool pool(4);
     auto cw = CloudWalker::Build(graph_, o, &pool);
     ASSERT_TRUE(cw.ok());
-    cloudwalker_ = new CloudWalker(std::move(cw).value());
+    cloudwalker_ = std::make_shared<const CloudWalker>(std::move(cw).value());
   }
   static void TearDownTestSuite() {
-    delete cloudwalker_;
+    cloudwalker_.reset();
     delete graph_;
-    cloudwalker_ = nullptr;
     graph_ = nullptr;
   }
 
@@ -44,17 +44,17 @@ class QueryServiceTest : public ::testing::Test {
   }
 
   static Graph* graph_;
-  static CloudWalker* cloudwalker_;
+  static std::shared_ptr<const CloudWalker> cloudwalker_;
 };
 
 Graph* QueryServiceTest::graph_ = nullptr;
-CloudWalker* QueryServiceTest::cloudwalker_ = nullptr;
+std::shared_ptr<const CloudWalker> QueryServiceTest::cloudwalker_;
 
 TEST_F(QueryServiceTest, PairBitIdenticalToDirectCall) {
   QueryService service(cloudwalker_, Options());
   for (auto [i, j] : std::vector<std::pair<NodeId, NodeId>>{
            {0, 1}, {5, 77}, {33, 33}, {149, 2}}) {
-    const QueryResponse r = service.Pair(i, j);
+    const QueryResponse r = service.Execute(QueryRequest::Pair(i, j));
     ASSERT_TRUE(r.status.ok());
     const auto direct = cloudwalker_->SinglePair(i, j, Options().query);
     ASSERT_TRUE(direct.ok());
@@ -65,7 +65,8 @@ TEST_F(QueryServiceTest, PairBitIdenticalToDirectCall) {
 TEST_F(QueryServiceTest, TopKBitIdenticalToDirectCall) {
   QueryService service(cloudwalker_, Options());
   for (NodeId source : {0u, 7u, 42u, 149u}) {
-    const QueryResponse r = service.SourceTopK(source, 8);
+    const QueryResponse r =
+        service.Execute(QueryRequest::SourceTopK(source, 8));
     ASSERT_TRUE(r.status.ok());
     const auto direct =
         cloudwalker_->SingleSourceTopK(source, 8, Options().query);
@@ -80,14 +81,17 @@ TEST_F(QueryServiceTest, TopKBitIdenticalToDirectCall) {
 
 TEST_F(QueryServiceTest, CacheHitReturnsTheSharedResult) {
   QueryService service(cloudwalker_, Options());
-  const QueryResponse first = service.SourceTopK(3, 5);
+  const QueryResponse first =
+      service.Execute(QueryRequest::SourceTopK(3, 5));
   ASSERT_TRUE(first.status.ok());
   EXPECT_FALSE(first.cache_hit);
-  const QueryResponse second = service.SourceTopK(3, 5);
+  const QueryResponse second =
+      service.Execute(QueryRequest::SourceTopK(3, 5));
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.topk(), first.topk());  // same object, fanned out
   // A different k is a different cache entry.
-  const QueryResponse other_k = service.SourceTopK(3, 6);
+  const QueryResponse other_k =
+      service.Execute(QueryRequest::SourceTopK(3, 6));
   EXPECT_FALSE(other_k.cache_hit);
   const ServeStats s = service.Stats();
   EXPECT_EQ(s.cache_hits, 1u);
@@ -99,8 +103,8 @@ TEST_F(QueryServiceTest, CacheDisabledRecomputesEveryRequest) {
   ServeOptions options = Options();
   options.cache_capacity = 0;
   QueryService service(cloudwalker_, options);
-  const QueryResponse a = service.SourceTopK(3, 5);
-  const QueryResponse b = service.SourceTopK(3, 5);
+  const QueryResponse a = service.Execute(QueryRequest::SourceTopK(3, 5));
+  const QueryResponse b = service.Execute(QueryRequest::SourceTopK(3, 5));
   EXPECT_FALSE(b.cache_hit);
   EXPECT_EQ(service.Stats().computed, 2u);
   // Recomputation is still deterministic.
@@ -177,9 +181,11 @@ TEST_F(QueryServiceTest, DedupDisabledComputesEveryRequest) {
 
 TEST_F(QueryServiceTest, StatsCountersAndLatencies) {
   QueryService service(cloudwalker_, Options());
-  service.Pair(0, 1);
-  service.Pair(1, 2);
-  for (NodeId source : {4u, 4u, 4u, 8u, 8u}) service.SourceTopK(source, 5);
+  service.Execute(QueryRequest::Pair(0, 1));
+  service.Execute(QueryRequest::Pair(1, 2));
+  for (NodeId source : {4u, 4u, 4u, 8u, 8u}) {
+    service.Execute(QueryRequest::SourceTopK(source, 5));
+  }
   const ServeStats s = service.Stats();
   EXPECT_EQ(s.pair_queries, 2u);
   EXPECT_EQ(s.topk_queries, 5u);
@@ -199,14 +205,14 @@ TEST_F(QueryServiceTest, StatsCountersAndLatencies) {
 
 TEST_F(QueryServiceTest, ResetStatsZeroesTheWindow) {
   QueryService service(cloudwalker_, Options());
-  service.SourceTopK(2, 5);
+  service.Execute(QueryRequest::SourceTopK(2, 5));
   service.ResetStats();
   ServeStats s = service.Stats();
   EXPECT_EQ(s.total_queries(), 0u);
   EXPECT_EQ(s.cache_misses, 0u);
   EXPECT_EQ(s.p99_ms, 0.0);
   // The cache itself survives the reset: the replay is a hit.
-  const QueryResponse r = service.SourceTopK(2, 5);
+  const QueryResponse r = service.Execute(QueryRequest::SourceTopK(2, 5));
   EXPECT_TRUE(r.cache_hit);
   EXPECT_EQ(service.Stats().cache_hits, 1u);
 }
@@ -296,10 +302,11 @@ TEST_F(QueryServiceTest, ProgramKindsSubmitAsyncAndDedup) {
 
 TEST_F(QueryServiceTest, OutOfRangeRequestsReportErrors) {
   QueryService service(cloudwalker_, Options());
-  const QueryResponse pair = service.Pair(0, 100000);
+  const QueryResponse pair = service.Execute(QueryRequest::Pair(0, 100000));
   EXPECT_FALSE(pair.status.ok());
   EXPECT_TRUE(pair.status.IsOutOfRange());
-  const QueryResponse topk = service.SourceTopK(100000, 5);
+  const QueryResponse topk =
+      service.Execute(QueryRequest::SourceTopK(100000, 5));
   EXPECT_FALSE(topk.status.ok());
   // A failed request never carries a payload.
   EXPECT_TRUE(std::holds_alternative<std::monostate>(topk.payload));

@@ -3,24 +3,34 @@
 // The contract under test: a snapshot written by CloudWalker::WriteSnapshot
 // and reopened via the mmap-backed CloudWalker::Open answers every query
 // kind bit-identically to the instance that wrote it — and any corruption
-// of the file (truncation, flipped bytes, wrong magic/version/endianness)
-// is rejected with a clean kDataLoss / kInvalidArgument before a kernel
-// ever touches a byte. Version 1 artifacts written by an older CLI (the
-// fixtures under testdata/) stay readable, except reordered ones.
+// of the file (truncation, flipped bytes, wrong magic/version/endianness,
+// structural damage behind re-stamped checksums) is rejected with a clean
+// kDataLoss / kInvalidArgument before a kernel ever touches a byte. The
+// corruption cases run against both opens, mmap and out-of-core, which
+// share one reader of the header, the directory and each section kind.
+// The out-of-core open never reads the padding and checks the paged
+// in-targets per block at page-in, so a flip there may open; every query
+// must then answer bit-identically or fail with kDataLoss. Version 1
+// artifacts written by an older CLI (the fixtures under testdata/) stay
+// readable, except reordered ones.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/cloudwalker.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "ooc/ooc_backend.h"
 #include "ooc/paged_snapshot.h"
+#include "serve/query_service.h"
 #include "snapshot/snapshot.h"
 
 namespace cloudwalker {
@@ -50,6 +60,107 @@ uint32_t NumSections(const std::string& bytes) {
   uint32_t n = 0;
   std::memcpy(&n, bytes.data() + 16, sizeof(n));
   return n;
+}
+
+template <typename T>
+T Peek(const std::string& bytes, uint64_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void Poke(std::string* bytes, uint64_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+// Recomputes every in-file section CRC, then the header + directory CRC,
+// so an edit gets past the checksums to the checks behind them. A file cut
+// short of its directory is left as it is.
+void Restamp(std::string* bytes) {
+  if (bytes->size() < 64) return;
+  const uint64_t directory_end = 64 + 32 * uint64_t{NumSections(*bytes)};
+  if (bytes->size() < directory_end) return;
+  for (uint64_t entry = 64; entry < directory_end; entry += 32) {
+    const uint64_t offset = Peek<uint64_t>(*bytes, entry + 8);
+    const uint64_t length = Peek<uint64_t>(*bytes, entry + 16);
+    if (offset <= bytes->size() && length <= bytes->size() - offset) {
+      Poke<uint32_t>(bytes, entry + 24,
+                     Crc32(bytes->data() + offset, length));
+    }
+  }
+  Poke<uint32_t>(bytes, 20, 0);
+  Poke<uint32_t>(bytes, 20, Crc32(bytes->data(), directory_end));
+}
+
+// The two opens every corruption case runs against.
+struct Opener {
+  const char* name;
+  bool paged;  // reads neither the padding nor the in-targets at open
+  StatusOr<std::shared_ptr<const CloudWalker>> (*open)(const std::string&);
+};
+
+const Opener kOpeners[] = {
+    {"mmap", false,
+     [](const std::string& path) { return CloudWalker::Open(path); }},
+    {"out-of-core", true,
+     [](const std::string& path) { return CloudWalker::OutOfCore(path); }},
+};
+
+// Every query kind through Execute, so two engines can be compared whole.
+std::vector<QueryResponse> AskAllKinds(const CloudWalker& cw) {
+  QueryOptions q;
+  q.num_walkers = 200;
+  std::vector<QueryResponse> out;
+  for (const NodeId node : {NodeId{0}, NodeId{5}, NodeId{123}, NodeId{299}}) {
+    out.push_back(cw.Execute(QueryRequest::Pair(node, 42).WithOptions(q)));
+    out.push_back(cw.Execute(QueryRequest::SingleSource(node).WithOptions(q)));
+    out.push_back(
+        cw.Execute(QueryRequest::SourceTopK(node, 10).WithOptions(q)));
+    out.push_back(cw.Execute(
+        QueryRequest::PersonalizedPageRank(node, 10).WithOptions(q)));
+    out.push_back(
+        cw.Execute(QueryRequest::Node2Vec(node, 10).WithOptions(q)));
+  }
+  QueryOptions cheap = q;
+  cheap.num_walkers = 20;
+  out.push_back(cw.Execute(QueryRequest::AllPairsTopK(3).WithOptions(cheap)));
+  return out;
+}
+
+// Each answer in `b` equals its counterpart in `a`, or — when
+// `data_loss_allowed` — fails with kDataLoss.
+void ExpectSameAnswers(const std::vector<QueryResponse>& a,
+                       const std::vector<QueryResponse>& b,
+                       const std::string& what,
+                       bool data_loss_allowed = false) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(a[i].ok()) << what << " request " << i;
+    if (data_loss_allowed && b[i].status.IsDataLoss()) continue;
+    ASSERT_TRUE(b[i].ok()) << what << " request " << i << ": "
+                           << b[i].status.ToString();
+    ASSERT_EQ(a[i].kind, b[i].kind);
+    switch (a[i].kind) {
+      case QueryKind::kPair:
+        EXPECT_EQ(a[i].score(), b[i].score()) << what << " request " << i;
+        break;
+      case QueryKind::kSingleSource: {
+        const SparseVector& x = *a[i].scores();
+        const SparseVector& y = *b[i].scores();
+        ASSERT_EQ(x.size(), y.size()) << what << " request " << i;
+        for (size_t e = 0; e < x.size(); ++e) {
+          EXPECT_EQ(x[e], y[e]) << what << " request " << i;
+        }
+        break;
+      }
+      case QueryKind::kAllPairsTopK:
+        EXPECT_EQ(*a[i].all_pairs(), *b[i].all_pairs()) << what;
+        break;
+      default:
+        EXPECT_EQ(*a[i].topk(), *b[i].topk()) << what << " request " << i;
+    }
+  }
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -163,27 +274,29 @@ TEST_F(SnapshotTest, RejectsWrongMagicVersionAndEndianness) {
   const std::string original = ReadFile(path());
   const std::string mutant = TempPath("mutant.cwk");
 
-  std::string bad = original;
-  bad[0] = 'X';  // magic
-  WriteFile(mutant, bad);
-  auto r1 = CloudWalker::Open(mutant);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_TRUE(r1.status().IsInvalidArgument()) << r1.status().ToString();
+  for (const Opener& open : kOpeners) {
+    SCOPED_TRACE(open.name);
+    std::string bad = original;
+    bad[0] = 'X';  // magic
+    WriteFile(mutant, bad);
+    auto r1 = open.open(mutant);
+    EXPECT_FALSE(r1.ok());
+    EXPECT_TRUE(r1.status().IsInvalidArgument()) << r1.status().ToString();
 
-  bad = original;
-  bad[8] = 99;  // format version
-  WriteFile(mutant, bad);
-  auto r2 = CloudWalker::Open(mutant);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_TRUE(r2.status().IsInvalidArgument()) << r2.status().ToString();
+    bad = original;
+    bad[8] = 99;  // format version
+    WriteFile(mutant, bad);
+    auto r2 = open.open(mutant);
+    EXPECT_FALSE(r2.ok());
+    EXPECT_TRUE(r2.status().IsInvalidArgument()) << r2.status().ToString();
 
-  bad = original;
-  std::swap(bad[12], bad[15]);  // endianness stamp, byte-swapped
-  WriteFile(mutant, bad);
-  auto r3 = CloudWalker::Open(mutant);
-  ASSERT_FALSE(r3.ok());
-  EXPECT_TRUE(r3.status().IsInvalidArgument()) << r3.status().ToString();
-
+    bad = original;
+    std::swap(bad[12], bad[15]);  // endianness stamp, byte-swapped
+    WriteFile(mutant, bad);
+    auto r3 = open.open(mutant);
+    EXPECT_FALSE(r3.ok());
+    EXPECT_TRUE(r3.status().IsInvalidArgument()) << r3.status().ToString();
+  }
   std::remove(mutant.c_str());
 }
 
@@ -194,10 +307,14 @@ TEST_F(SnapshotTest, RejectsTruncation) {
        {size_t{0}, size_t{9}, size_t{63}, size_t{64}, size_t{200},
         original.size() / 2, original.size() - 1}) {
     WriteFile(mutant, original.substr(0, keep));
-    auto r = CloudWalker::Open(mutant);
-    ASSERT_FALSE(r.ok()) << "truncated to " << keep << " bytes";
-    EXPECT_TRUE(r.status().IsDataLoss() || r.status().IsInvalidArgument())
-        << "truncated to " << keep << ": " << r.status().ToString();
+    for (const Opener& open : kOpeners) {
+      auto r = open.open(mutant);
+      EXPECT_FALSE(r.ok()) << open.name << ": truncated to " << keep
+                           << " bytes";
+      EXPECT_TRUE(r.status().IsDataLoss() || r.status().IsInvalidArgument())
+          << open.name << ": truncated to " << keep << ": "
+          << r.status().ToString();
+    }
   }
   std::remove(mutant.c_str());
 }
@@ -207,10 +324,27 @@ TEST_F(SnapshotTest, RejectsEveryFlippedByte) {
   // header and directory densely and the payload sections sparsely. Every
   // mutant must fail cleanly — kDataLoss for payload/directory damage,
   // kInvalidArgument when the flip lands in magic/version/endianness —
-  // and none may crash or yield a working instance.
+  // and none may crash or yield a working instance. The exception is the
+  // out-of-core open of a flip in the padding or the paged in-targets,
+  // which it does not read at open: every query kind then answers
+  // bit-identically to the undamaged file, or fails with kDataLoss.
   const std::string original = ReadFile(path());
   const std::string mutant = TempPath("flipped.cwk");
   const size_t directory_end = 64 + 32 * size_t{NumSections(original)};
+  auto info = InspectSnapshot(path());
+  ASSERT_TRUE(info.ok());
+  const auto unread_by_paged_open = [&](size_t off) {
+    for (const SnapshotSectionInfo& s : info->sections) {
+      if (off >= s.offset && off < s.offset + s.length) {
+        return s.id == static_cast<uint32_t>(SnapshotSection::kInTargets);
+      }
+    }
+    return off >= directory_end;  // padding
+  };
+  auto undamaged = CloudWalker::OutOfCore(path());
+  ASSERT_TRUE(undamaged.ok());
+  const std::vector<QueryResponse> reference = AskAllKinds(**undamaged);
+
   std::vector<size_t> offsets;
   for (size_t o = 0; o < std::min(original.size(), directory_end); ++o) {
     offsets.push_back(o);  // header + directory, every byte
@@ -220,15 +354,37 @@ TEST_F(SnapshotTest, RejectsEveryFlippedByte) {
   }
   offsets.push_back(original.size() - 1);
 
+  size_t paged_opens = 0;
   for (const size_t off : offsets) {
     std::string bad = original;
     bad[off] = static_cast<char>(bad[off] ^ 0x40);
     WriteFile(mutant, bad);
-    auto r = CloudWalker::Open(mutant);
-    ASSERT_FALSE(r.ok()) << "flip at offset " << off << " went undetected";
-    EXPECT_TRUE(r.status().IsDataLoss() || r.status().IsInvalidArgument())
-        << "flip at " << off << ": " << r.status().ToString();
+    std::vector<Status> failures;
+    for (const Opener& open : kOpeners) {
+      auto r = open.open(mutant);
+      if (r.ok() && open.paged && unread_by_paged_open(off)) {
+        ++paged_opens;
+        ExpectSameAnswers(reference, AskAllKinds(**r),
+                          "flip at " + std::to_string(off),
+                          /*data_loss_allowed=*/true);
+        continue;
+      }
+      EXPECT_FALSE(r.ok()) << open.name << ": flip at offset " << off
+                           << " went undetected";
+      EXPECT_TRUE(r.status().IsDataLoss() || r.status().IsInvalidArgument())
+          << open.name << ": flip at " << off << ": "
+          << r.status().ToString();
+      failures.push_back(r.status());
+    }
+    if (off < directory_end) {
+      // Header and directory damage fails in the shared reader, so both
+      // opens report it with the same code and message.
+      EXPECT_EQ(failures[0].code(), failures[1].code()) << "flip at " << off;
+      EXPECT_EQ(failures[0].message(), failures[1].message())
+          << "flip at " << off;
+    }
   }
+  EXPECT_GT(paged_opens, 0u) << "the sweep never reached the in-targets";
   std::remove(mutant.c_str());
 }
 
@@ -246,10 +402,222 @@ TEST_F(SnapshotTest, RejectsFlippedCrcField) {
     const size_t off = 64 + 32 * static_cast<size_t>(section) + 24;
     bad[off] = static_cast<char>(bad[off] ^ 0x01);
     WriteFile(mutant, bad);
-    auto r = CloudWalker::Open(mutant);
-    ASSERT_FALSE(r.ok()) << "section " << section;
-    EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
+    for (const Opener& open : kOpeners) {
+      auto r = open.open(mutant);
+      EXPECT_FALSE(r.ok()) << open.name << ": section " << section;
+      EXPECT_TRUE(r.status().IsDataLoss())
+          << open.name << ": " << r.status().ToString();
+    }
   }
+  std::remove(mutant.c_str());
+}
+
+TEST_F(SnapshotTest, StructuralDamageFailsBothOpensAlike) {
+  // Damage behind re-stamped checksums, as a faulty writer would leave it:
+  // each edit trips one check of the shared reader, which both opens run,
+  // so both fail with the same status code and the same message. The base
+  // artifact carries every section kind: several blocks and a
+  // permutation (the identity).
+  const Graph& g = built().graph();
+  const uint64_t n = g.num_nodes();
+  std::vector<NodeId> identity(n);
+  std::iota(identity.begin(), identity.end(), NodeId{0});
+  SnapshotWriteOptions write_options;
+  write_options.block_bytes = 2048;
+  write_options.permutation = identity;
+  const std::string base = TempPath("structural.cwk");
+  ASSERT_TRUE(SnapshotWriter::Write(base, g, built().index(),
+                                    SnapshotMetadata{}, write_options)
+                  .ok());
+  for (const Opener& open : kOpeners) {
+    ASSERT_TRUE(open.open(base).ok()) << open.name;
+  }
+  const std::string original = ReadFile(base);
+  auto info = InspectSnapshot(base);
+  ASSERT_TRUE(info.ok());
+  const auto entry = [&](SnapshotSection id) -> uint64_t {
+    for (size_t i = 0; i < info->sections.size(); ++i) {
+      if (info->sections[i].id == static_cast<uint32_t>(id)) {
+        return 64 + 32 * i;
+      }
+    }
+    ADD_FAILURE() << "no section " << static_cast<uint32_t>(id);
+    return 64;
+  };
+  const auto payload = [&](SnapshotSection id) {
+    return Peek<uint64_t>(original, entry(id) + 8);
+  };
+  // A block boundary whose row is non-empty: moving it by one edge keeps
+  // the offsets monotone but cuts the rows where the index does not.
+  const std::vector<BlockExtent> blocks =
+      BuildBlockLayout(g.InOffsets(), g.InTargets(), 2048);
+  ASSERT_GT(blocks.size(), 2u);
+  NodeId boundary = 0;
+  for (size_t b = 1; b < blocks.size() && boundary == 0; ++b) {
+    const NodeId v = blocks[b].node_begin;
+    if (g.InOffsets()[v] < g.InOffsets()[v + 1]) boundary = v;
+  }
+  ASSERT_NE(boundary, 0u);
+
+  using SS = SnapshotSection;
+  struct Mutant {
+    const char* name;
+    std::function<void(std::string*)> edit;
+    StatusCode code;
+    const char* message;
+  };
+  const Mutant mutants[] = {
+      {"truncated header", [](std::string* b) { b->resize(40); },
+       StatusCode::kDataLoss, "truncated header (40 bytes, need 64)"},
+      {"truncated directory", [](std::string* b) { b->resize(64 + 32 * 3); },
+       StatusCode::kDataLoss, "truncated directory"},
+      {"version", [](std::string* b) { Poke<uint32_t>(b, 8, 3); },
+       StatusCode::kInvalidArgument, "unsupported snapshot version 3"},
+      {"section count", [](std::string* b) { Poke<uint32_t>(b, 16, 5); },
+       StatusCode::kDataLoss, "implausible section count 5"},
+      {"recorded size",
+       [](std::string* b) { Poke<uint64_t>(b, 24, b->size() + 64); },
+       StatusCode::kDataLoss, "bytes but the header records"},
+      {"node count",
+       [](std::string* b) { Poke<uint64_t>(b, 32, uint64_t{1} << 32); },
+       StatusCode::kDataLoss, "node count exceeds the 32-bit id space"},
+      {"misaligned section",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, entry(SS::kDiagonal) + 8,
+                        payload(SS::kDiagonal) + 8);
+       },
+       StatusCode::kDataLoss, "section diagonal lies outside the file"},
+      {"section past the end",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, entry(SS::kDiagonal) + 16, b->size());
+       },
+       StatusCode::kDataLoss, "section diagonal lies outside the file"},
+      {"element size",
+       [&](std::string* b) { Poke<uint32_t>(b, entry(SS::kMeta) + 4, 0); },
+       StatusCode::kDataLoss, "section meta has a malformed element size"},
+      {"missing section",
+       [&](std::string* b) { Poke<uint32_t>(b, entry(SS::kDiagonal), 11); },
+       StatusCode::kDataLoss, "missing section diagonal"},
+      {"section count mismatch",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, entry(SS::kDiagonal) + 16, (n - 1) * 8);
+       },
+       StatusCode::kDataLoss,
+       "section diagonal disagrees with the header's node/edge counts"},
+      {"optional section element size",
+       [&](std::string* b) {
+         Poke<uint32_t>(b, entry(SS::kPermutation) + 4, 2);
+       },
+       StatusCode::kDataLoss,
+       "section permutation disagrees with the header's node/edge counts"},
+      {"offsets not monotone",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, payload(SS::kOutOffsets) + 8,
+                        g.num_edges() + 1);
+       },
+       StatusCode::kDataLoss, "CSR offsets are not monotone"},
+      {"in-offsets not monotone",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, payload(SS::kInOffsets) + 8, g.num_edges() + 1);
+       },
+       StatusCode::kDataLoss, "CSR offsets are not monotone"},
+      {"target out of range",
+       [&](std::string* b) {
+         Poke<NodeId>(b, payload(SS::kOutTargets), static_cast<NodeId>(n));
+       },
+       StatusCode::kDataLoss, "edge target out of node range"},
+      {"invalid parameters",
+       [&](std::string* b) { Poke<double>(b, payload(SS::kMeta), 2.0); },
+       StatusCode::kDataLoss, "metadata carries invalid SimRank parameters"},
+      {"undecodable metadata",
+       [&](std::string* b) {
+         // The builder string's length prefix ends the empty-builder meta.
+         const uint64_t meta_end =
+             payload(SS::kMeta) +
+             Peek<uint64_t>(original, entry(SS::kMeta) + 16);
+         Poke<uint64_t>(b, meta_end - 8, uint64_t{1} << 40);
+       },
+       StatusCode::kDataLoss, "undecodable metadata"},
+      {"permutation not a bijection",
+       [&](std::string* b) {
+         Poke<NodeId>(b, payload(SS::kPermutation) + sizeof(NodeId), 0);
+       },
+       StatusCode::kDataLoss, "permutation is not a bijection"},
+      {"undecodable block index",
+       [&](std::string* b) {
+         Poke<uint32_t>(b, payload(SS::kBlockIndex), 0xffff);
+       },
+       StatusCode::kDataLoss, "undecodable block index"},
+      {"block index cut elsewhere",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, payload(SS::kInOffsets) + 8 * uint64_t{boundary},
+                        g.InOffsets()[boundary] + 1);
+       },
+       StatusCode::kDataLoss, "block index disagrees with the in-CSR"},
+  };
+  const std::string mutant = TempPath("structural_mutant.cwk");
+  for (const Mutant& m : mutants) {
+    SCOPED_TRACE(m.name);
+    std::string bad = original;
+    m.edit(&bad);
+    Restamp(&bad);
+    WriteFile(mutant, bad);
+    std::vector<Status> failures;
+    for (const Opener& open : kOpeners) {
+      auto r = open.open(mutant);
+      EXPECT_FALSE(r.ok()) << open.name << " opened it";
+      EXPECT_EQ(r.status().code(), m.code)
+          << open.name << ": " << r.status().ToString();
+      EXPECT_NE(r.status().message().find(m.message), std::string::npos)
+          << open.name << ": " << r.status().ToString();
+      failures.push_back(r.status());
+    }
+    EXPECT_EQ(failures[0].message(), failures[1].message());
+  }
+  std::remove(mutant.c_str());
+  std::remove(base.c_str());
+}
+
+TEST_F(SnapshotTest, PagedInTargetsFlipFailsItsQueryAndIsNeverCached) {
+  // The out-of-core open leaves the in-targets to the per-block CRCs, so
+  // a flipped in-target opens; the first query that pages its block fails
+  // with kDataLoss, and the serving layer never caches that failure.
+  const Graph& g = built().graph();
+  const uint64_t edge = g.num_edges() / 2;
+  NodeId source = 0;
+  while (g.InOffsets()[source + 1] <= edge) ++source;
+  auto info = InspectSnapshot(path());
+  ASSERT_TRUE(info.ok());
+  uint64_t in_targets = 0;
+  for (const SnapshotSectionInfo& s : info->sections) {
+    if (s.id == static_cast<uint32_t>(SnapshotSection::kInTargets)) {
+      in_targets = s.offset;
+    }
+  }
+  ASSERT_NE(in_targets, 0u);
+  std::string bad = ReadFile(path());
+  bad[in_targets + edge * sizeof(NodeId)] ^= 0x01;
+  const std::string mutant = TempPath("in_target_flip.cwk");
+  WriteFile(mutant, bad);
+
+  EXPECT_TRUE(CloudWalker::Open(mutant).status().IsDataLoss());
+  auto paged = CloudWalker::OutOfCore(mutant);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const QueryRequest request = QueryRequest::SourceTopK(source, 10);
+  const QueryResponse direct = (*paged)->Execute(request);
+  EXPECT_TRUE(direct.status.IsDataLoss()) << direct.status.ToString();
+  EXPECT_NE(direct.status.message().find("checksum mismatch in block"),
+            std::string::npos)
+      << direct.status.ToString();
+
+  QueryService service(*paged);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const QueryResponse served = service.Submit(request).Wait();
+    EXPECT_TRUE(served.status.IsDataLoss())
+        << "attempt " << attempt << ": " << served.status.ToString();
+    EXPECT_FALSE(served.cache_hit) << "attempt " << attempt;
+  }
+  EXPECT_EQ(service.Stats().cache_hits, 0u);
   std::remove(mutant.c_str());
 }
 
@@ -336,9 +704,12 @@ TEST_F(SnapshotTest, InspectReportsDirectoryAndFlagsDamage) {
 }
 
 TEST_F(SnapshotTest, MissingFileIsIoError) {
-  auto r = CloudWalker::Open(TempPath("does-not-exist.cwk"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsIoError()) << r.status().ToString();
+  for (const Opener& open : kOpeners) {
+    auto r = open.open(TempPath("does-not-exist.cwk"));
+    EXPECT_FALSE(r.ok()) << open.name;
+    EXPECT_TRUE(r.status().IsIoError())
+        << open.name << ": " << r.status().ToString();
+  }
 }
 
 TEST(SnapshotWriterTest, RejectsMismatchedInputs) {
@@ -380,56 +751,6 @@ TEST(SnapshotWriterTest, RejectsMismatchedInputs) {
 
 std::string Fixture(const std::string& name) {
   return std::string(CLOUDWALKER_TESTDATA_DIR) + "/" + name;
-}
-
-// Every query kind through Execute, so two engines can be compared whole.
-std::vector<QueryResponse> AskAllKinds(const CloudWalker& cw) {
-  QueryOptions q;
-  q.num_walkers = 200;
-  std::vector<QueryResponse> out;
-  for (const NodeId node : {NodeId{0}, NodeId{5}, NodeId{123}, NodeId{299}}) {
-    out.push_back(cw.Execute(QueryRequest::Pair(node, 42).WithOptions(q)));
-    out.push_back(cw.Execute(QueryRequest::SingleSource(node).WithOptions(q)));
-    out.push_back(
-        cw.Execute(QueryRequest::SourceTopK(node, 10).WithOptions(q)));
-    out.push_back(cw.Execute(
-        QueryRequest::PersonalizedPageRank(node, 10).WithOptions(q)));
-    out.push_back(
-        cw.Execute(QueryRequest::Node2Vec(node, 10).WithOptions(q)));
-  }
-  QueryOptions cheap = q;
-  cheap.num_walkers = 20;
-  out.push_back(cw.Execute(QueryRequest::AllPairsTopK(3).WithOptions(cheap)));
-  return out;
-}
-
-void ExpectSameAnswers(const std::vector<QueryResponse>& a,
-                       const std::vector<QueryResponse>& b,
-                       const std::string& what) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].ok() && b[i].ok()) << what << " request " << i;
-    ASSERT_EQ(a[i].kind, b[i].kind);
-    switch (a[i].kind) {
-      case QueryKind::kPair:
-        EXPECT_EQ(a[i].score(), b[i].score()) << what << " request " << i;
-        break;
-      case QueryKind::kSingleSource: {
-        const SparseVector& x = *a[i].scores();
-        const SparseVector& y = *b[i].scores();
-        ASSERT_EQ(x.size(), y.size()) << what << " request " << i;
-        for (size_t e = 0; e < x.size(); ++e) {
-          EXPECT_EQ(x[e], y[e]) << what << " request " << i;
-        }
-        break;
-      }
-      case QueryKind::kAllPairsTopK:
-        EXPECT_EQ(*a[i].all_pairs(), *b[i].all_pairs()) << what;
-        break;
-      default:
-        EXPECT_EQ(*a[i].topk(), *b[i].topk()) << what << " request " << i;
-    }
-  }
 }
 
 TEST(SnapshotV1Test, PlainFixtureAnswersLikeItsVersion2Rewrite) {
@@ -493,14 +814,14 @@ TEST(SnapshotV1Test, ReorderedFixtureIsRefused) {
   // cannot use: both open paths refuse it and say how to rebuild.
   const std::string v1 = Fixture("v1_reordered_bfs.cwk");
   auto mmap_open = CloudWalker::Open(v1);
-  ASSERT_FALSE(mmap_open.ok());
+  EXPECT_FALSE(mmap_open.ok());
   EXPECT_TRUE(mmap_open.status().IsFailedPrecondition())
       << mmap_open.status().ToString();
   EXPECT_NE(mmap_open.status().message().find("index --reorder"),
             std::string::npos)
       << mmap_open.status().ToString();
   auto ooc_open = CloudWalker::OutOfCore(v1);
-  ASSERT_FALSE(ooc_open.ok());
+  EXPECT_FALSE(ooc_open.ok());
   EXPECT_TRUE(ooc_open.status().IsFailedPrecondition())
       << ooc_open.status().ToString();
 }

@@ -4,8 +4,8 @@
 //       --edges=1500000 --seed=1 --out=web.graph
 //   cloudwalker stats    --graph=web.graph
 //   cloudwalker index    --graph=web.graph --snapshot-out=web.cwk
-//       [--out=web.cwidx] [--walkers=100] [--steps=10] [--decay=0.6]
-//       [--iterations=3] [--regenerate]
+//       [--walkers=100] [--steps=10] [--decay=0.6] [--iterations=3]
+//       [--regenerate]
 //   cloudwalker pair     --snapshot=web.cwk --i=1 --j=2
 //   cloudwalker source   --snapshot=web.cwk --node=1 [--topk=10]
 //   cloudwalker ppr      --snapshot=web.cwk --node=1 [--topk=10]
@@ -17,11 +17,11 @@
 //        --ppr-frac=0.1 --n2v-frac=0.1]
 //       [--deadline-ms=50] [--max-queue=4096]
 //
-// The query commands take either a --snapshot=PATH (a cloudwalker-snap
-// artifact written by `index --snapshot-out`, mmap-opened in milliseconds)
-// or the legacy --graph=PATH --index=PATH pair (graph reload at startup). `serve --reload-on=sighup` re-opens the snapshot
-// and hot-swaps it into the running service when the process receives
-// SIGHUP — the operator's zero-downtime reload.
+// The query commands take --snapshot=PATH, a cloudwalker-snap artifact
+// written by `index --snapshot-out` and mmap-opened in milliseconds.
+// `serve --reload-on=sighup` re-opens the snapshot and hot-swaps it into
+// the running service when the process receives SIGHUP — the operator's
+// zero-downtime reload.
 //
 // Graphs are loaded from the binary graph format (SaveGraphBinary) or,
 // when the path ends in .txt, from a whitespace edge list. `--threads=N`
@@ -174,10 +174,9 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
 int CmdIndex(const std::map<std::string, std::string>& flags) {
   auto graph = LoadGraph(GetFlag(flags, "graph"));
   if (!graph.ok()) return Fail(graph.status().ToString());
-  const std::string out = GetFlag(flags, "out");
   const std::string snapshot_out = GetFlag(flags, "snapshot-out");
-  if (out.empty() && snapshot_out.empty()) {
-    return Fail("index requires --out=PATH and/or --snapshot-out=PATH");
+  if (snapshot_out.empty()) {
+    return Fail("index requires --snapshot-out=PATH");
   }
 
   IndexingOptions o;
@@ -201,24 +200,17 @@ int CmdIndex(const std::map<std::string, std::string>& flags) {
             << HumanCount(stats.walk_steps) << " walk steps, "
             << HumanSeconds(stats.walk_seconds + stats.solve_seconds)
             << ")";
-  if (!out.empty()) {
-    const Status s = cw->SaveIndex(out);
-    if (!s.ok()) return Fail(s.ToString());
-    std::cout << "; wrote index " << out;
-  }
-  if (!snapshot_out.empty()) {
-    // --reorder=degree|bfs renumbers the graph for walk locality before
-    // writing (the permutation rides in the snapshot; queries against the
-    // reopened artifact still speak the original ids).
-    const std::string reorder = GetFlag(flags, "reorder", "none");
-    auto kind = ParseReorderKind(reorder);
-    if (!kind.ok()) return Fail(kind.status().ToString());
-    const Status s = cw->WriteReorderedSnapshot(snapshot_out, *kind);
-    if (!s.ok()) return Fail(s.ToString());
-    std::cout << "; wrote snapshot " << snapshot_out;
-    if (*kind != ReorderKind::kNone) {
-      std::cout << " (locality reorder: " << reorder << ")";
-    }
+  // --reorder=degree|bfs renumbers the graph for walk locality before
+  // writing (the permutation rides in the snapshot; queries against the
+  // reopened artifact still speak the original ids).
+  const std::string reorder = GetFlag(flags, "reorder", "none");
+  auto kind = ParseReorderKind(reorder);
+  if (!kind.ok()) return Fail(kind.status().ToString());
+  const Status s = cw->WriteReorderedSnapshot(snapshot_out, *kind);
+  if (!s.ok()) return Fail(s.ToString());
+  std::cout << "; wrote snapshot " << snapshot_out;
+  if (*kind != ReorderKind::kNone) {
+    std::cout << " (locality reorder: " << reorder << ")";
   }
   std::cout << "\n";
   return 0;
@@ -264,22 +256,20 @@ StatusOr<std::shared_ptr<const CloudWalker>> MaybeWrapEngine(
   return engine;
 }
 
-// The query commands' engine source: an mmap-opened snapshot artifact
-// (--snapshot), or the legacy --graph + --index pair (owned by the
-// returned facade either way), optionally wrapped by --shards=N /
-// --walk-threads=N.
+// The query commands' engine: the --snapshot artifact, mmap-opened and
+// optionally wrapped by --shards=N / --walk-threads=N / --workers, or
+// opened out of core under --ooc-budget-mb=N. `serve --reload-on=sighup`
+// calls it again, so a reload serves through the same engine shape.
 StatusOr<std::shared_ptr<const CloudWalker>> LoadEngine(
     const std::map<std::string, std::string>& flags) {
   const std::string snapshot = GetFlag(flags, "snapshot");
+  if (snapshot.empty()) {
+    return Status::InvalidArgument("pass --snapshot=PATH");
+  }
   if (!GetFlag(flags, "ooc-budget-mb").empty()) {
     // --ooc-budget-mb=N: demand-paged open under a hard block-cache
     // budget (DESIGN.md section 14). Exclusive with the other walk
     // backends — an out-of-core engine carries its own scheduler.
-    if (snapshot.empty()) {
-      return Status::InvalidArgument(
-          "--ooc-budget-mb requires --snapshot=PATH (the out-of-core "
-          "engine pages a snapshot artifact)");
-    }
     if (!GetFlag(flags, "shards").empty() ||
         !GetFlag(flags, "walk-threads").empty() ||
         !GetFlag(flags, "workers").empty()) {
@@ -291,20 +281,8 @@ StatusOr<std::shared_ptr<const CloudWalker>> LoadEngine(
     options.budget_bytes = ParseU64(flags, "ooc-budget-mb", "64") << 20;
     return CloudWalker::OutOfCore(snapshot, options);
   }
-  if (!snapshot.empty()) {
-    CW_ASSIGN_OR_RETURN(auto opened, CloudWalker::Open(snapshot));
-    return MaybeWrapEngine(std::move(opened), flags);
-  }
-  if (GetFlag(flags, "graph").empty() || GetFlag(flags, "index").empty()) {
-    return Status::InvalidArgument(
-        "pass --snapshot=PATH, or --graph=PATH with --index=PATH");
-  }
-  CW_ASSIGN_OR_RETURN(Graph graph, LoadGraph(GetFlag(flags, "graph")));
-  CW_ASSIGN_OR_RETURN(DiagonalIndex index,
-                      DiagonalIndex::Load(GetFlag(flags, "index")));
-  CW_ASSIGN_OR_RETURN(
-      auto built, CloudWalker::FromIndex(std::move(graph), std::move(index)));
-  return MaybeWrapEngine(std::move(built), flags);
+  CW_ASSIGN_OR_RETURN(auto opened, CloudWalker::Open(snapshot));
+  return MaybeWrapEngine(std::move(opened), flags);
 }
 
 QueryOptions QueryFlags(const std::map<std::string, std::string>& flags) {
@@ -341,43 +319,20 @@ int CmdPair(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdSource(const std::map<std::string, std::string>& flags) {
+// source, ppr and n2v: the top-k answer of one request kind around
+// --node.
+int CmdTopK(const std::map<std::string, std::string>& flags,
+            QueryKind kind) {
   auto cw = LoadEngine(flags);
   if (!cw.ok()) return Fail(cw.status().ToString());
-  const NodeId q =
-      static_cast<NodeId>(ParseU64(flags, "node", "0"));
-  const size_t k = ParseU64(flags, "topk", "10");
-  auto top = (*cw)->SingleSourceTopK(q, k, QueryFlags(flags));
-  if (!top.ok()) return Fail(top.status().ToString());
-  for (const ScoredNode& sn : *top) {
-    std::cout << sn.node << "\t" << FormatDouble(sn.score, 6) << "\n";
-  }
-  return 0;
-}
-
-int CmdPpr(const std::map<std::string, std::string>& flags) {
-  auto cw = LoadEngine(flags);
-  if (!cw.ok()) return Fail(cw.status().ToString());
-  const NodeId q =
-      static_cast<NodeId>(ParseU64(flags, "node", "0"));
-  const size_t k = ParseU64(flags, "topk", "10");
-  auto top = (*cw)->PersonalizedPageRankTopK(q, k, QueryFlags(flags));
-  if (!top.ok()) return Fail(top.status().ToString());
-  for (const ScoredNode& sn : *top) {
-    std::cout << sn.node << "\t" << FormatDouble(sn.score, 6) << "\n";
-  }
-  return 0;
-}
-
-int CmdN2v(const std::map<std::string, std::string>& flags) {
-  auto cw = LoadEngine(flags);
-  if (!cw.ok()) return Fail(cw.status().ToString());
-  const NodeId q =
-      static_cast<NodeId>(ParseU64(flags, "node", "0"));
-  const size_t k = ParseU64(flags, "topk", "10");
-  auto top = (*cw)->Node2VecTopK(q, k, QueryFlags(flags));
-  if (!top.ok()) return Fail(top.status().ToString());
-  for (const ScoredNode& sn : *top) {
+  QueryRequest request;
+  request.kind = kind;
+  request.a = static_cast<NodeId>(ParseU64(flags, "node", "0"));
+  request.k = static_cast<uint32_t>(ParseU64(flags, "topk", "10"));
+  const QueryResponse r =
+      (*cw)->Execute(request.WithOptions(QueryFlags(flags)));
+  if (!r.ok()) return Fail(r.status.ToString());
+  for (const ScoredNode& sn : *r.topk()) {
     std::cout << sn.node << "\t" << FormatDouble(sn.score, 6) << "\n";
   }
   return 0;
@@ -483,14 +438,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   options.cache_shards = std::stoi(GetFlag(flags, "cache-shards", "8"));
   options.dedup_in_flight = GetFlag(flags, "no-dedup") != "true";
   options.max_queue_depth = ParseU64(flags, "max-queue", "4096");
-  // LoadEngine already applied --walk-threads to the initial engine; the
-  // service-level option covers engines published later (e.g. by an
-  // operator over the registry) and passes already-wrapped ones through.
-  options.walk_threads = std::stoi(GetFlag(flags, "walk-threads", "0"));
-  // LoadEngine also applied --ooc-budget-mb (and enforced exclusivity);
-  // keeping it here makes the SIGHUP reload reproduce the same
-  // out-of-core shape.
-  const uint64_t ooc_budget_mb = ParseU64(flags, "ooc-budget-mb", "0");
   options.query = QueryFlags(flags);
 
   // Optional per-request deadline, applied uniformly to the stream.
@@ -509,9 +456,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     if (reload_on != "sighup" && reload_on != "SIGHUP") {
       return Fail("unknown --reload-on (sighup)");
     }
-    if (snapshot_path.empty()) {
-      return Fail("--reload-on=sighup requires --snapshot=PATH to reload");
-    }
     std::signal(SIGHUP, OnSighup);
   }
 
@@ -525,19 +469,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     reload_watcher = std::thread([&] {
       while (!replay_done.load(std::memory_order_relaxed)) {
         if (g_sighup.exchange(false, std::memory_order_relaxed)) {
-          // Re-apply --shards / --walk-threads / --ooc-budget-mb so a
-          // reload serves through the same engine shape the process
-          // started with.
-          auto reopened =
-              [&]() -> StatusOr<std::shared_ptr<const CloudWalker>> {
-            if (ooc_budget_mb > 0) {
-              OutOfCoreOptions ooc;
-              ooc.budget_bytes = ooc_budget_mb << 20;
-              return CloudWalker::OutOfCore(snapshot_path, ooc);
-            }
-            CW_ASSIGN_OR_RETURN(auto mem, CloudWalker::Open(snapshot_path));
-            return MaybeWrapEngine(std::move(mem), flags);
-          }();
+          auto reopened = LoadEngine(flags);
           if (!reopened.ok()) {
             std::cerr << "reload failed: " << reopened.status().ToString()
                       << "\n";
@@ -611,9 +543,8 @@ void Usage() {
       "  stats     Print degree/memory statistics of a graph.\n"
       "            --graph=PATH (required)\n"
       "  index     Run offline indexing (estimate diag(D)) and persist.\n"
-      "            --graph=PATH plus --snapshot-out=PATH (full snapshot,\n"
-      "            mmap-loadable with --snapshot below) and/or --out=PATH\n"
-      "            (diagonal-only index); --walkers=R (100),\n"
+      "            --graph=PATH plus --snapshot-out=PATH (the snapshot,\n"
+      "            mmap-loadable with --snapshot below); --walkers=R (100),\n"
       "            --steps=T (10), --decay=c (0.6), --iterations=L (3),\n"
       "            --seed=S (1), --regenerate (row regeneration mode),\n"
       "            --reorder=none|degree|bfs (none) renumbers the graph\n"
@@ -625,30 +556,30 @@ void Usage() {
       "            index and permutation presence.\n"
       "            snapshot-info FILE (or --snapshot=PATH)\n"
       "  pair      MCSP: estimate s(i, j).\n"
-      "            --snapshot=PATH or --graph=PATH --index=PATH;\n"
+      "            --snapshot=PATH;\n"
       "            --i=A --j=B (0), --walkers=R' (10000), --seed=S (97),\n"
       "            --exact-push, --shards=N, --walk-threads=N,\n"
       "            --ooc-budget-mb=N\n"
       "  source    MCSS: the k nodes most similar to one node.\n"
-      "            --snapshot=PATH or --graph=PATH --index=PATH;\n"
+      "            --snapshot=PATH;\n"
       "            --node=Q (0), --topk=K (10), --walkers=R' (10000),\n"
       "            --seed=S (97), --exact-push, --shards=N,\n"
       "            --walk-threads=N, --ooc-budget-mb=N\n"
       "  ppr       Personalized PageRank: top-k by teleport-walk endpoint\n"
       "            frequency around one node.\n"
-      "            --snapshot=PATH or --graph=PATH --index=PATH;\n"
+      "            --snapshot=PATH;\n"
       "            --node=Q (0), --topk=K (10), --alpha=A (0.85),\n"
       "            --walkers=R' (10000), --seed=S (97), --shards=N,\n"
       "            --walk-threads=N, --ooc-budget-mb=N\n"
       "  n2v       node2vec: top-k by second-order biased-walk visit\n"
       "            frequency around one node.\n"
-      "            --snapshot=PATH or --graph=PATH --index=PATH;\n"
+      "            --snapshot=PATH;\n"
       "            --node=Q (0), --topk=K (10), --p=P (1), --q=Q (1),\n"
       "            --walkers=R' (10000), --seed=S (97), --shards=N,\n"
       "            --walk-threads=N, --ooc-budget-mb=N\n"
       "  serve     Replay a request workload through the concurrent\n"
       "            QueryService and report QPS / latency / cache stats.\n"
-      "            --snapshot=PATH or --graph=PATH --index=PATH;\n"
+      "            --snapshot=PATH;\n"
       "            --reload-on=sighup re-opens --snapshot and hot-swaps\n"
       "            it into the running service on SIGHUP;\n"
       "            workload: --workload=PATH to replay a file, else\n"
@@ -729,9 +660,9 @@ int main(int argc, char** argv) {
       return CmdSnapshotInfo(path);
     }
     if (cmd == "pair") return CmdPair(flags);
-    if (cmd == "source") return CmdSource(flags);
-    if (cmd == "ppr") return CmdPpr(flags);
-    if (cmd == "n2v") return CmdN2v(flags);
+    if (cmd == "source") return CmdTopK(flags, QueryKind::kSourceTopK);
+    if (cmd == "ppr") return CmdTopK(flags, QueryKind::kPersonalizedPageRank);
+    if (cmd == "n2v") return CmdTopK(flags, QueryKind::kNode2Vec);
     if (cmd == "serve") return CmdServe(flags);
   } catch (const std::invalid_argument& e) {
     return Fail(std::string("invalid flag value (") + e.what() +
