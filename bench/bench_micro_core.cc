@@ -32,7 +32,7 @@ void BM_BuildIndexRow(benchmark::State& state) {
   IndexingOptions o;
   o.num_walkers = static_cast<uint32_t>(state.range(0));
   WalkScratch scratch_walk(o.num_walkers);
-  SparseAccumulator scratch_row(o.num_walkers * 11);
+  IndexRowScratch scratch_row;
   NodeId k = 0;
   for (auto _ : state) {
     const SparseVector row =

@@ -5,9 +5,11 @@
 // that boots by CloudWalker::Open() pays one integrity pass over the file
 // instead of re-running the Monte-Carlo index build, so restarts take
 // milliseconds-to-seconds where cold builds take minutes at production
-// scale. The headline ratio (open speedup vs cold build, >= 10x) is
-// CI-gated via BENCH_SNAPSHOT.json / tools/check_bench.py — and the same
-// ratio is also measured inside bench_micro_engine (Table 4) against
+// scale. The table prints both sides and their ratio, but the gate reads
+// the open alone: its worst milliseconds per artifact MB across the
+// sizes, CI-gated via BENCH_SNAPSHOT.json / tools/check_bench.py (a ratio
+// over the build would move whenever the indexer does). The same metric
+// is also measured inside bench_micro_engine (Table 3) against
 // BENCH_ENGINE.json, so the gate holds wherever the perf-smoke job looks.
 //
 //   CW_BENCH_QUICK=1 ./bench_snapshot_load          # small sizes, CI
@@ -47,7 +49,7 @@ int main() {
 
   TablePrinter t({"|V|", "|E|", "cold build", "write", "mmap open",
                   "reopen", "speedup", "file"});
-  double worst_speedup = -1.0;
+  double worst_open_ms_per_mb = 0.0;
   double largest_open_seconds = 0.0;
   double largest_build_seconds = 0.0;
   double largest_bytes_per_edge = 0.0;
@@ -57,9 +59,10 @@ int main() {
                                         "bench-snapshot-load-tmp.cwk");
     CW_CHECK_OK(r.status());
     const double speedup = r->build_seconds / r->open_seconds;
-    if (worst_speedup < 0.0 || speedup < worst_speedup) {
-      worst_speedup = speedup;
-    }
+    worst_open_ms_per_mb =
+        std::max(worst_open_ms_per_mb,
+                 r->open_seconds * 1e3 / (static_cast<double>(r->file_bytes) /
+                                          1e6));
     largest_open_seconds = r->open_seconds;
     largest_build_seconds = r->build_seconds;
     largest_bytes_per_edge = static_cast<double>(r->file_bytes) /
@@ -77,10 +80,9 @@ int main() {
             << options.jacobi_iterations << ", "
             << pool.num_threads() << " threads):\n";
   t.RenderText(std::cout);
-  std::cout << "worst-case open speedup: " << FormatDouble(worst_speedup, 1)
-            << "x (target >= 10x) — "
-            << (worst_speedup >= 10.0 ? "PASS" : "FAIL")
-            << "; answers bit-identical after reopen: "
+  std::cout << "worst-case mmap open: "
+            << FormatDouble(worst_open_ms_per_mb, 2)
+            << " ms per artifact MB; answers bit-identical after reopen: "
             << (all_identical ? "PASS" : "FAIL") << "\n";
 
   report.AddContextNumber("hardware_threads",
@@ -90,8 +92,12 @@ int main() {
                     "s", /*higher_is_better=*/false, false, -1.0});
   report.AddMetric({"snapshot_open_seconds", largest_open_seconds, "s",
                     /*higher_is_better=*/false, false, -1.0});
-  report.AddMetric({"snapshot_open_speedup_vs_build", worst_speedup, "x",
-                    true, /*gate=*/true, /*min=*/10.0});
+  // An absolute time moves with the host (its baseline names one), so
+  // its tolerance is wider than the ratios': a second pass over the file
+  // still doubles it.
+  report.AddMetric({"snapshot_open_ms_per_mb", worst_open_ms_per_mb,
+                    "ms/MB", /*higher_is_better=*/false, /*gate=*/true,
+                    -1.0, /*max_regression=*/0.5});
   report.AddMetric({"snapshot_file_bytes_per_edge", largest_bytes_per_edge,
                     "B", /*higher_is_better=*/false, /*gate=*/true, -1.0});
   report.AddMetric({"snapshot_roundtrip_identical",

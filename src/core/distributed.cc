@@ -82,7 +82,7 @@ StatusOr<DistributedIndexResult> DistributedBuildIndex(
           NodeId begin = 0, end = 0;
           part.OwnedRange(worker, &begin, &end);
           WalkScratch scratch_walk(options.num_walkers);
-          SparseAccumulator scratch_row(options.num_walkers * (t_steps + 1));
+          IndexRowScratch scratch_row;
           uint64_t steps = 0, nnz = 0;
           for (NodeId k = begin; k < end; ++k) {
             rows[k] = BuildIndexRow(graph, k, options, &scratch_walk,

@@ -81,8 +81,7 @@ StatusOr<IncrementalIndexer::State> IncrementalIndexer::ApplyUpdates(
   ParallelFor(pool, 0, dirty.size(), /*grain=*/0,
               [&](uint64_t begin, uint64_t end) {
                 WalkScratch scratch_walk(options_.num_walkers);
-                SparseAccumulator scratch_row(
-                    options_.num_walkers * (options_.params.num_steps + 1));
+                IndexRowScratch scratch_row;
                 for (uint64_t i = begin; i < end; ++i) {
                   state.rows[dirty[i]] =
                       BuildIndexRow(updated_graph, dirty[i], options_,

@@ -5,8 +5,11 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "common/timer.h"
 #include "engine/walk.h"
+#include "engine/walk_driver.h"
+#include "engine/walk_step.h"
 
 namespace cloudwalker {
 namespace {
@@ -41,25 +44,80 @@ SparseVector RowFromWalkDistributions(const WalkDistributions& dists,
 SparseVector BuildIndexRow(const Graph& graph, NodeId k,
                            const IndexingOptions& options,
                            WalkScratch* scratch_walk,
-                           SparseAccumulator* scratch_row, uint64_t* steps) {
+                           IndexRowScratch* scratch_row, uint64_t* steps) {
+  using Record = IndexRowScratch::Record;
+  IndexRowScratch local;
+  IndexRowScratch& s = scratch_row != nullptr ? *scratch_row : local;
+  const WalkConfig config = WalkConfigFromIndexing(options);
+  const uint32_t num_steps = config.num_steps;
+  for (std::vector<NodeId>& level : s.raw_levels) level.clear();
+  s.raw_levels.resize(num_steps);
   WalkStats walk_stats;
-  const WalkDistributions dists = SimulateWalkDistributions(
-      graph, k, WalkConfigFromIndexing(options), scratch_walk,
-      /*owner=*/nullptr, &walk_stats);
+  (void)LevelLoop::Run(CsrLevels::In(graph), k, config,
+                       SimRankPolicy(config, k), 0, config.num_walkers,
+                       scratch_walk, &walk_stats,
+                       WalkOutput{.raw_levels = &s.raw_levels});
   if (steps != nullptr) *steps += walk_stats.steps;
-  return RowFromWalkDistributions(dists, options.params.decay, scratch_row);
+
+  // e_k as level 0, then every level's endpoints in level order: the
+  // stable sort by node leaves each node's records in level order.
+  s.records.clear();
+  s.records.push_back(Record{k, 0});
+  for (uint32_t t = 1; t <= num_steps; ++t) {
+    for (const NodeId v : s.raw_levels[t - 1]) {
+      s.records.push_back(Record{v, t});
+    }
+  }
+  const uint32_t n = static_cast<uint32_t>(s.records.size());
+  const Record* sorted =
+      SortByKey(s.records.data(), n, NodeIdBits(graph.num_nodes()),
+                s.sort_buffer, [](const Record& r) { return r.node; });
+
+  // RowFromWalkDistributions's arithmetic in its order: a (node, level t)
+  // run of length r is the level's value r / R (1 for e_k at level 0, as
+  // AggregateSortedRuns and SourceLevels compute it) and adds
+  // c^t * value * value, c^t the same running product of decay, to its
+  // node's sum from 0.0.
+  const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
+  std::vector<double> decay_pow(num_steps + 1);
+  decay_pow[0] = 1.0;
+  for (uint32_t t = 1; t <= num_steps; ++t) {
+    decay_pow[t] = decay_pow[t - 1] * options.params.decay;
+  }
+  uint32_t distinct = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    distinct += i == 0 || sorted[i].node != sorted[i - 1].node;
+  }
+  std::vector<SparseEntry> entries;
+  entries.reserve(distinct);  // exact: kStoreRows keeps every row
+  for (uint32_t i = 0; i < n;) {
+    const NodeId node = sorted[i].node;
+    double sum = 0.0;
+    while (i < n && sorted[i].node == node) {
+      const uint32_t t = sorted[i].level;
+      uint32_t end = i + 1;
+      while (end < n && sorted[end].node == node && sorted[end].level == t) {
+        ++end;
+      }
+      const double value =
+          t == 0 ? 1.0 : static_cast<double>(end - i) * inv_r;
+      sum += decay_pow[t] * value * value;
+      i = end;
+    }
+    entries.push_back(SparseEntry{node, sum});
+  }
+  return SparseVector::FromSorted(std::move(entries));
 }
 
 namespace {
 
-/// Per-chunk indexing state: padded walk scratch plus the row accumulator,
+/// Per-chunk indexing state: padded walk scratch plus the row scratch,
 /// grouped so parallel row builders share no cache lines.
 struct alignas(kCacheLineBytes) IndexWorkerState {
   explicit IndexWorkerState(const IndexingOptions& options)
-      : walk(options.num_walkers),
-        row(options.num_walkers * (options.params.num_steps + 1)) {}
+      : walk(options.num_walkers) {}
   WalkScratch walk;  // alignas(kCacheLineBytes) itself
-  SparseAccumulator row;
+  IndexRowScratch row;
 };
 
 }  // namespace

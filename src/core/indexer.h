@@ -29,21 +29,38 @@ struct IndexingStats {
 };
 
 /// Folds walk distributions into the sparse row
-/// a_k[j] = sum_t c^t û_{k,t}[j]^2. Exposed for the distributed engines,
-/// which need custom walk accounting.
+/// a_k[j] = sum_t c^t û_{k,t}[j]^2: each j sums its levels' terms from 0.0
+/// in level order. Serves distributions that are not walks from k — LIN's
+/// exact ones, the RDD stage's owner-accounted walks — and is the
+/// reference BuildIndexRow matches bit for bit.
 SparseVector RowFromWalkDistributions(const WalkDistributions& dists,
                                       double decay,
                                       SparseAccumulator* scratch_row =
                                           nullptr);
 
+/// Reusable buffers of BuildIndexRow, one per worker (never shared): the
+/// walk's raw endpoint levels, the level-tagged endpoint records and their
+/// radix-sort partner.
+struct IndexRowScratch {
+  struct Record {
+    NodeId node;
+    uint32_t level;
+  };
+  std::vector<std::vector<NodeId>> raw_levels;
+  std::vector<Record> records;
+  std::vector<Record> sort_buffer;
+};
+
 /// Estimates the sparse row a_k for one node with R walkers. Row entries:
-/// a_k[j] = sum_t c^t û_{k,t}[j]^2, at most R(T+1)+1 non-zeros.
+/// a_k[j] = sum_t c^t û_{k,t}[j]^2, at most R*T+1 non-zeros — bit for bit
+/// RowFromWalkDistributions(SimulateWalkDistributions(k)), from one sort
+/// of the walks' level-tagged endpoints (DESIGN.md section 3).
 /// `scratch_*` (optional) avoid per-call allocation; `steps` (optional)
 /// accumulates the number of walk steps taken.
 SparseVector BuildIndexRow(const Graph& graph, NodeId k,
                            const IndexingOptions& options,
                            WalkScratch* scratch_walk = nullptr,
-                           SparseAccumulator* scratch_row = nullptr,
+                           IndexRowScratch* scratch_row = nullptr,
                            uint64_t* steps = nullptr);
 
 /// All rows of A, estimated in parallel. rows[k] is BuildIndexRow(k).

@@ -56,8 +56,9 @@ inline uint32_t NodeIdBits(NodeId num_nodes) {
 /// Where a walk's output goes. A level policy fills exactly one of
 /// `levels` (aggregated levels 1..T, sized by the caller) and `raw_levels`
 /// (level t's unsorted endpoint multiset at index t - 1, T entries sized
-/// by the caller, for a cross-range merge); a retiring policy appends its
-/// terminals, survivors included, to `terminals`.
+/// by the caller, for a cross-range merge or the indexer's one sort per
+/// row); a retiring policy appends its terminals, survivors included, to
+/// `terminals`.
 struct WalkOutput {
   std::vector<SparseVector>* levels = nullptr;
   std::vector<std::vector<NodeId>>* raw_levels = nullptr;

@@ -36,6 +36,20 @@ Status DecodeMetadata(const std::string& bytes, SimRankParams* params,
   return Status::Ok();
 }
 
+// The header-plus-directory extent and every section's [begin, end),
+// sorted. Entries must lie inside the file (no end overflows).
+std::vector<std::pair<uint64_t, uint64_t>> SortedExtents(
+    const SnapshotLayout& layout) {
+  std::vector<std::pair<uint64_t, uint64_t>> extents;
+  extents.reserve(layout.entries.size() + 1);
+  extents.emplace_back(0, layout.directory_end());
+  for (const SectionEntry& e : layout.entries) {
+    extents.emplace_back(e.offset, e.offset + e.length);
+  }
+  std::sort(extents.begin(), extents.end());
+  return extents;
+}
+
 // What the header's node and edge counts say about a known section.
 struct Expected {
   SnapshotSection id;
@@ -170,6 +184,11 @@ StatusOr<SnapshotLayout> ReadSnapshotLayout(const std::string& path,
                                " has a malformed element size");
     }
   }
+  uint64_t covered = 0;
+  for (const auto& [begin, end] : SortedExtents(layout)) {
+    if (begin < covered) return Corrupt(path, "overlapping sections");
+    covered = end;
+  }
   const Expected expect[] = {
       {SnapshotSection::kOutOffsets, true, sizeof(uint64_t), true, n + 1},
       {SnapshotSection::kOutTargets, true, sizeof(NodeId), true, m},
@@ -208,16 +227,8 @@ Status CheckSectionCrc(const std::string& path, const SectionEntry& entry,
 
 Status CheckPadding(const std::string& path, const SnapshotLayout& layout,
                     const char* file) {
-  std::vector<std::pair<uint64_t, uint64_t>> extents;
-  extents.reserve(layout.entries.size() + 1);
-  extents.emplace_back(0, layout.directory_end());
-  for (const SectionEntry& e : layout.entries) {
-    extents.emplace_back(e.offset, e.offset + e.length);
-  }
-  std::sort(extents.begin(), extents.end());
   uint64_t cursor = 0;
-  for (const auto& [begin, end] : extents) {
-    if (begin < cursor) return Corrupt(path, "overlapping sections");
+  for (const auto& [begin, end] : SortedExtents(layout)) {
     for (uint64_t b = cursor; b < begin; ++b) {
       if (file[b] != 0) {
         return Corrupt(path, "nonzero padding between sections");

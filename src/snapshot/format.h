@@ -82,7 +82,8 @@ StatusOr<SnapshotLayout> DecodeSnapshotLayout(const std::string& path,
 /// Every header and directory check of an open: the version (kInvalid-
 /// Argument), the section count, the header + directory CRC, the recorded
 /// file size, the 32-bit node bound, each entry's bounds, alignment and
-/// element size, and the section table — every required section present,
+/// element size, no two of the header + directory and the sections
+/// overlapping, and the section table — every required section present,
 /// each known section sized for the header's node and edge counts
 /// (kDataLoss).
 StatusOr<SnapshotLayout> ReadSnapshotLayout(const std::string& path,
@@ -96,9 +97,10 @@ StatusOr<SnapshotLayout> ReadSnapshotLayout(const std::string& path,
 Status CheckSectionCrc(const std::string& path, const SectionEntry& entry,
                        const void* payload);
 
-/// No two sections overlap, and every byte of `file` (the whole
-/// layout.file_size bytes) that neither the header, the directory nor a
-/// section covers is zero, so a flipped byte anywhere is detectable.
+/// Every byte of `file` (the whole layout.file_size bytes) that neither
+/// the header, the directory nor a section covers is zero, so a flipped
+/// byte anywhere is detectable. `layout` comes from ReadSnapshotLayout,
+/// so its sections are disjoint.
 Status CheckPadding(const std::string& path, const SnapshotLayout& layout,
                     const char* file);
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "baselines/exact_simrank.h"
+#include "engine/walk.h"
 #include "graph/generators.h"
 
 namespace cloudwalker {
@@ -53,6 +55,61 @@ TEST(BuildIndexRowTest, StepsAccumulated) {
   uint64_t steps = 0;
   BuildIndexRow(g, 0, o, nullptr, nullptr, &steps);
   EXPECT_EQ(steps, 32u);
+}
+
+// BuildIndexRow sorts a row's level-tagged endpoints once; the reference
+// aggregates each level first and then folds the levels with
+// RowFromWalkDistributions. Every row must match it bit for bit and come
+// out exactly sized.
+void ExpectRowsMatchReference(const Graph& g, const IndexingOptions& o) {
+  WalkConfig cfg;
+  cfg.num_steps = o.params.num_steps;
+  cfg.num_walkers = o.num_walkers;
+  cfg.dangling = o.dangling;
+  cfg.seed = o.seed;
+  WalkScratch walk(o.num_walkers);
+  IndexRowScratch row;
+  for (NodeId k = 0; k < g.num_nodes(); ++k) {
+    const SparseVector want = RowFromWalkDistributions(
+        SimulateWalkDistributions(g, k, cfg), o.params.decay);
+    const SparseVector got = BuildIndexRow(g, k, o, &walk, &row);
+    ASSERT_EQ(got.size(), want.size()) << "row " << k;
+    EXPECT_EQ(got.entries().capacity(), got.size()) << "row " << k;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].index, want[i].index) << "row " << k << " entry " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].value),
+                std::bit_cast<uint64_t>(want[i].value))
+          << "row " << k << " entry " << i;
+    }
+  }
+}
+
+TEST(BuildIndexRowTest, MatchesPerLevelReferenceBitForBit) {
+  const Graph g = GenerateRmat(300, 2400, 6);
+  for (const DanglingPolicy dangling :
+       {DanglingPolicy::kDie, DanglingPolicy::kSelfLoop}) {
+    for (const uint32_t walkers : {1u, 3u, 100u}) {
+      for (const uint32_t steps : {1u, 10u, 40u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "dangling " << static_cast<int>(dangling) << " R "
+                     << walkers << " T " << steps);
+        IndexingOptions o = SmallOptions();
+        o.dangling = dangling;
+        o.num_walkers = walkers;
+        o.params.num_steps = steps;
+        ExpectRowsMatchReference(g, o);
+      }
+    }
+  }
+}
+
+TEST(BuildIndexRowTest, MatchesReferenceWhenTheTopIdNeedsItsOwnBit) {
+  // 2^11 + 1 nodes: the largest id alone sets bit 11, so the sort's top
+  // digit is nearly empty.
+  const Graph g = GenerateRmat((1u << 11) + 1, 20000, 7);
+  IndexingOptions o = SmallOptions();
+  o.num_walkers = 100;
+  ExpectRowsMatchReference(g, o);
 }
 
 TEST(BuildIndexRowsTest, OneRowPerNode) {

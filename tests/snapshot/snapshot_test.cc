@@ -492,6 +492,12 @@ TEST_F(SnapshotTest, StructuralDamageFailsBothOpensAlike) {
          Poke<uint64_t>(b, entry(SS::kDiagonal) + 16, b->size());
        },
        StatusCode::kDataLoss, "section diagonal lies outside the file"},
+      {"overlapping sections",
+       [&](std::string* b) {
+         Poke<uint64_t>(b, entry(SS::kDiagonal) + 8,
+                        payload(SS::kOutTargets));
+       },
+       StatusCode::kDataLoss, "overlapping sections"},
       {"element size",
        [&](std::string* b) { Poke<uint32_t>(b, entry(SS::kMeta) + 4, 0); },
        StatusCode::kDataLoss, "section meta has a malformed element size"},
