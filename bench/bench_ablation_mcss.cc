@@ -1,18 +1,25 @@
 // Ablations for the design choices called out in DESIGN.md section 5:
 //   1. MCSS push strategy (sampled vs exact, fanout sweep): accuracy/time.
+//   1b. MCSP estimator at equal walk cost.
+//   1c. MCSS accuracy/latency frontier against exact SimRank.
 //   2. Row storage vs regeneration: memory/time trade-off.
 //   3. Dangling-node policy sensitivity.
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <vector>
 
+#include "baselines/exact_simrank.h"
 #include "bench_common.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "common/table.h"
 #include "common/timer.h"
 #include "core/indexer.h"
 #include "core/queries.h"
 #include "eval/dense.h"
+#include "eval/metrics.h"
 #include "graph/generators.h"
 
 using namespace cloudwalker;
@@ -111,6 +118,75 @@ int main() {
               HumanSeconds(pair_secs)});
     std::cout << "Ablation 1b — MCSP estimator (equal walk cost, R'=10000):"
               << "\n";
+    t.RenderText(std::cout);
+    std::cout << "\n";
+  }
+
+  // --- Ablation 1c: MCSS accuracy/latency frontier (DESIGN.md 5.1). ------
+  // Each push setting against exact SimRank on its own R-MAT graph at the
+  // serving R' = 1000: precision@10 and mean |error| over 40 sources with
+  // in-links, milliseconds per query with the walk included, and push ops
+  // per query. Reported only; no setting is gated or made the default here.
+  {
+    const bool quick = bench::BenchScale() <= 0.05;
+    const NodeId n = quick ? 2000 : 5000;
+    const Graph g = GenerateRmat(n, quick ? 20000 : 75000, /*seed=*/5);
+    auto exact = ExactSimRank::Compute(g, {}, &pool);
+    auto gidx = BuildDiagonalIndex(g, bench::PaperIndexingOptions(), &pool);
+    if (!exact.ok() || !gidx.ok()) {
+      std::cout << "ablation 1c setup failed\n";
+      return 1;
+    }
+    std::vector<NodeId> sources;
+    Xoshiro256 pick(29);
+    while (sources.size() < 40) {
+      const NodeId s = pick.UniformInt32(n);
+      if (g.InDegree(s) > 0 &&
+          std::find(sources.begin(), sources.end(), s) == sources.end()) {
+        sources.push_back(s);
+      }
+    }
+    struct Setting {
+      const char* name;
+      PushStrategy push;
+      double prune;
+    };
+    const Setting settings[] = {
+        {"sampled, fanout 1 (default)", PushStrategy::kSampled, 0.0},
+        {"exact", PushStrategy::kExact, 0.0},
+        {"exact, pruned at 1e-3", PushStrategy::kExact, 1e-3},
+        {"exact, pruned at 3e-3", PushStrategy::kExact, 3e-3},
+    };
+    TablePrinter t({"push", "precision@10", "mean |err|", "ms/query (p50)",
+                    "push ops/query"});
+    for (const Setting& setting : settings) {
+      QueryOptions qo = bench::PaperQueryOptions();
+      qo.num_walkers = 1000;
+      qo.push = setting.push;
+      qo.prune_threshold = setting.prune;
+      double precision = 0.0, error = 0.0;
+      std::vector<double> ms;
+      QueryStats stats;
+      for (const NodeId s : sources) {
+        WallTimer timer;
+        const SparseVector est = SingleSourceQuery(g, *gidx, s, qo, &stats);
+        ms.push_back(timer.Seconds() * 1e3);
+        const std::vector<double> dense = ToDense(est, n);
+        const std::vector<double> truth = exact->Row(s);
+        precision += PrecisionAtK(TopKIndices(dense, 10, s),
+                                  TopKIndices(truth, 10, s), 10);
+        error += ComputeErrorStats(dense, truth)->mean_abs;
+      }
+      std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+      const double count = static_cast<double>(sources.size());
+      t.AddRow({setting.name, FormatDouble(precision / count, 3),
+                FormatDouble(error / count, 6),
+                FormatDouble(ms[ms.size() / 2], 3),
+                HumanCount(stats.push_ops / sources.size())});
+    }
+    std::cout << "Ablation 1c — MCSS against exact SimRank (R-MAT, |V|="
+              << HumanCount(n) << " |E|=" << HumanCount(g.num_edges())
+              << ", R'=1000, " << sources.size() << " sources):\n";
     t.RenderText(std::cout);
     std::cout << "\n";
   }

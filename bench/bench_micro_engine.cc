@@ -5,10 +5,10 @@
 //             scalar kernel vs the batched kernel's prefetch pipeline over
 //             the in-CSR. The batched/legacy speedup is the repo's tracked
 //             perf number (gated >= 2x).
-//   Table 2 — false-sharing check: per-worker counters packed into one
-//             cache line vs padded WalkWorkerState-style slots, the two
-//             layouts alternating over five trials (gated on the ratio of
-//             their medians).
+//   Table 2 — per-worker counter layout: counters packed into one cache
+//             line vs padded WalkWorkerState-style slots, the two layouts
+//             alternating over five trials (the ratio of their medians is
+//             reported, not gated).
 //   Table 3 — snapshot cold build vs mmap open (gated on the open's
 //             milliseconds per artifact MB).
 //
@@ -359,14 +359,15 @@ int main() {
   report.AddMetric({"walk_determinism_ok", determinism_ok ? 1.0 : 0.0, "bool",
                     true, /*gate=*/true, /*min=*/1.0});
 
-  // --- Table 2: false-sharing check. -------------------------------------
+  // --- Table 2: per-worker counter layout. -------------------------------
   // Adjacent workers' counters packed into one cache line vs spread across
-  // padded WalkWorkerState-style slots. The padded layout must never lose;
-  // on multi-core hosts it wins big. Gated so a future layout change that
-  // reintroduces sharing (dropping the alignas) shows up as a regression.
-  // The layouts alternate over several trials and the gate reads the
-  // ratio of their medians: one run of each leaves the ratio to host
-  // noise.
+  // padded WalkWorkerState-style slots, the layouts alternating over
+  // several trials. Reported, not gated: the loop times raw counters in a
+  // scratch buffer, no engine type, so it cannot see a layout regression,
+  // and on a shared virtualised host the two layouts often time alike.
+  // The padding itself is static-asserted on every per-worker type
+  // (WalkScratch, WalkWorkerState, RangeWalk, IndexWorkerState, the
+  // sharded engine's Region).
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   if (hw >= 2) {
     const int threads = std::min(4, hw);
@@ -403,11 +404,9 @@ int main() {
               << " trials):\n";
     t.RenderText(std::cout);
     std::cout << "padded/packed (ratio of medians): "
-              << FormatDouble(padded_over_packed, 2)
-              << "x (must be >= 0.9) — "
-              << (padded_over_packed >= 0.9 ? "PASS" : "FAIL") << "\n\n";
+              << FormatDouble(padded_over_packed, 2) << "x (reported)\n\n";
     report.AddMetric({"false_sharing_padded_over_packed", padded_over_packed,
-                      "x", true, /*gate=*/true, /*min=*/0.9});
+                      "x", true, /*gate=*/false});
   } else {
     // No metric: a value never measured must not enter a baseline.
     std::cout << "Table 2 — skipped (single hardware thread; padded layout "

@@ -119,6 +119,7 @@ struct alignas(kCacheLineBytes) IndexWorkerState {
   WalkScratch walk;  // alignas(kCacheLineBytes) itself
   IndexRowScratch row;
 };
+static_assert(alignof(IndexWorkerState) >= kCacheLineBytes);
 
 }  // namespace
 

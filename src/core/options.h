@@ -61,10 +61,11 @@ struct IndexingOptions {
   Status Validate() const;
 };
 
-/// Strategy for the (P^T)^t push inside single-source queries.
+/// Strategy for the P^T pushes of the single-source combine, one per level
+/// of its Horner recurrence (DESIGN.md section 5.1).
 enum class PushStrategy {
-  /// One weighted sample per non-zero per step: O(T^2 R') total, the
-  /// paper-shaped constant-cost estimator.
+  /// push_fanout weighted samples per non-zero of the pushed vector: an
+  /// unbiased estimate whose cost does not grow with graph density.
   kSampled = 0,
   /// Exact sparse propagation with optional epsilon pruning: cost grows
   /// with graph density; higher accuracy. Ablation mode.
@@ -83,8 +84,9 @@ struct QueryOptions {
   /// kSampled: weighted samples drawn per non-zero per step (>= 1).
   /// Larger values reduce variance at proportional cost.
   uint32_t push_fanout = 1;
-  /// kExact: entries with |mass| below this are dropped each step
-  /// (0 disables pruning).
+  /// kExact: entries of the pushed vector x_{t+1} — the merged mass of
+  /// every level above t — with |mass| below this are dropped before each
+  /// push (0 disables pruning).
   double prune_threshold = 0.0;
   /// Behaviour at dangling nodes (must match the index to be meaningful).
   DanglingPolicy dangling = DanglingPolicy::kDie;

@@ -211,53 +211,58 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
   WalkStats wq;
   const WalkDistributions dists = backend->SimRankLevels(q, cfg, &wq);
 
-  const std::span<const double> diag = index.diagonal();
-  Xoshiro256 rng =
-      Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
-
-  SparseAccumulator result(options.num_walkers * 4);
-  SparseAccumulator ping(options.num_walkers * 2);
-  SparseAccumulator pong(options.num_walkers * 2);
-
-  double ct = 1.0;
-  for (size_t t = 0; t < dists.levels.size(); ++t) {
-    if (Stopped(cancel)) break;  // caller discards the truncated vector
-    // z_t = c^t * D * û_{q,t}, then pushed forward t steps through P^T.
-    std::vector<SparseEntry> z_entries;
-    z_entries.reserve(dists.levels[t].size());
-    for (const SparseEntry& e : dists.levels[t]) {
-      const double v = ct * diag[e.index] * e.value;
-      if (v != 0.0) z_entries.push_back(SparseEntry{e.index, v});
-    }
-    SparseVector z = SparseVector::FromSorted(std::move(z_entries));
-    if (t == 0) {
-      for (const SparseEntry& e : z) result.Add(e.index, e.value);
-    }
-    for (size_t step = 0; step < t && !z.empty(); ++step) {
-      SparseAccumulator& out = (step % 2 == 0) ? ping : pong;
-      if (options.push == PushStrategy::kSampled) {
-        SampledPushStep(graph, z, options.push_fanout, rng, out, stats,
-                        owner);
-      } else {
-        ExactPushStep(graph, z, options.prune_threshold, out, stats, owner);
-      }
-      if (step + 1 < t) {
-        z = out.ToSortedVector();
-      } else {
-        // The level's last push adds straight into the result: a node
-        // occurs once per level, so its sum over levels still adds up
-        // in level order.
-        out.ForEach([&result](uint32_t k, double v) { result.Add(k, v); });
-      }
-    }
-    ct *= index.params().decay;
-  }
-
   if (stats != nullptr) {
     stats->walk_steps += wq.steps;
     stats->walk_crossings += wq.partition_crossings;
   }
-  return result.ToSortedVector();
+
+  // Levels past the last live walker are empty; the recurrence starts at
+  // the highest non-empty one. Level 0 holds q unless the backend
+  // returned no walk at all.
+  size_t top = dists.levels.size();
+  while (top > 0 && dists.levels[top - 1].empty()) --top;
+  if (top == 0) return SparseVector();
+  std::vector<double> ct(top);  // c^t, the running product
+  size_t widest = 0;            // entries of the largest level
+  for (size_t t = 0; t < top; ++t) {
+    ct[t] = t == 0 ? 1.0 : ct[t - 1] * index.params().decay;
+    widest = std::max(widest, dists.levels[t].size());
+  }
+  // Calls add(k, z_t[k]) for the non-zeros of z_t = c^t D û_{q,t}, in
+  // index order.
+  const std::span<const double> diag = index.diagonal();
+  const auto for_each_z = [&](size_t t, auto&& add) {
+    for (const SparseEntry& e : dists.levels[t]) {
+      const double v = ct[t] * diag[e.index] * e.value;
+      if (v != 0.0) add(e.index, v);
+    }
+  };
+
+  // Horner form of sum_t (P^T)^t z_t: x_top = z_top, x_t = z_t + P^T
+  // x_{t+1}, and the answer is x_0 — one push and one drain per level.
+  std::vector<SparseEntry> x_top;
+  x_top.reserve(dists.levels[top - 1].size());
+  for_each_z(top - 1, [&x_top](NodeId k, double v) {
+    x_top.push_back(SparseEntry{k, v});
+  });
+  SparseVector x = SparseVector::FromSorted(std::move(x_top));
+  Xoshiro256 rng =
+      Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
+  // x_0, the largest iterate, holds about twice the largest level's
+  // entries on R-MAT graphs at fanout 1, so a table sized for four times
+  // that level stays about a quarter full; the exact push grows it.
+  SparseAccumulator acc(4 * widest);
+  for (size_t t = top - 1; t-- > 0;) {
+    if (Stopped(cancel)) break;  // caller discards the truncated vector
+    if (options.push == PushStrategy::kSampled) {
+      SampledPushStep(graph, x, options.push_fanout, rng, acc, stats, owner);
+    } else {
+      ExactPushStep(graph, x, options.prune_threshold, acc, stats, owner);
+    }
+    for_each_z(t, [&acc](NodeId k, double v) { acc.Add(k, v); });
+    x = acc.ToSortedVector();
+  }
+  return x;
 }
 
 SparseVector PersonalizedPageRankQuery(const Graph& graph,

@@ -1,6 +1,7 @@
 // Online Monte-Carlo query kernels:
 //   MCSP — single-pair  s(i, j), O(T R')
-//   MCSS — single-source s(q, *), O(T^2 R') with the sampled push
+//   MCSS — single-source s(q, *), T push steps in Horner form; at fanout 1
+//          a step draws once per entry of the pushed vector
 //   MCAP — all-pairs via repeated MCSS, streamed as per-source top-k
 //
 // All kernels consume a DiagonalIndex built by core/indexer.h and estimate
@@ -78,6 +79,11 @@ double SinglePairQueryPaired(const Graph& graph, const DiagonalIndex& index,
 /// MCSS: single-source SimRank estimates s(q, v) for all v, as a sparse
 /// vector (absent nodes estimate to 0). The self-entry holds the diagonal
 /// *estimate* (close to 1 when the index converged), not a hard-coded 1.
+///
+/// Combines the walk's levels z_t = c^t D û_{q,t} in Horner form:
+/// x_top = z_top, x_t = z_t + P^T x_{t+1}, answer x_0, with top the
+/// highest non-empty level — one push of options.push per level
+/// (DESIGN.md section 5.1).
 SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
                                NodeId q, const QueryOptions& options,
                                QueryStats* stats = nullptr,
@@ -131,8 +137,9 @@ SparseVector Node2VecVisitQuery(const Graph& graph,
                                 const WalkBackend* backend = nullptr);
 
 /// MCAP: runs MCSS from every node (parallel across sources) and keeps the
-/// top-k similar nodes per source. O(n T^2 R') — the n x n result is never
-/// materialized. `total_walk_steps` (optional) accumulates walk counters.
+/// top-k similar nodes per source: n single-source queries, and the n x n
+/// result is never materialized. `total_walk_steps` (optional)
+/// accumulates walk counters.
 std::vector<std::vector<ScoredNode>> AllPairsTopK(
     const Graph& graph, const DiagonalIndex& index,
     const QueryOptions& options, size_t k, ThreadPool* pool,

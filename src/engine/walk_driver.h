@@ -286,6 +286,7 @@ struct alignas(kCacheLineBytes) RangeWalk {
     return out;
   }
 };
+static_assert(alignof(RangeWalk) >= kCacheLineBytes);
 
 /// Merges the ranges of one walk into `out` — for each level, the
 /// ranges' endpoints concatenated and aggregated once; a retiring

@@ -73,6 +73,7 @@ class ShardedWalkEngine::Levels {
       BufferSink<Policy::kEmitsLevels> sink;
       uint64_t remote_rows = 0;
     };
+    static_assert(alignof(Region) >= kCacheLineBytes);
     std::vector<Region> regions(num_parts());
     ParallelFor(
         engine_->pool_.get(), 0, regions.size(), /*grain=*/1,

@@ -1,0 +1,136 @@
+// Test-only reference: the nested MCSS combine that SingleSourceQuery's
+// Horner recurrence (src/core/queries.cc) replaced. Each level's
+// z_t = c^t D û_{q,t} is pushed through P^T t times on its own, and the
+// level chains are summed in level order: T(T+1)/2 pushes per query.
+//
+// Its draws come one at a time from the stream SingleSourceQuery keys,
+// (DeriveSeed(seed, "MCSS"), q), level 1's chain first, so it reproduces
+// the answers and counters of the nested form bit for bit. For the exact
+// push the two forms differ only in how the sums associate.
+
+#ifndef CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_
+#define CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_
+
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "common/sparse.h"
+#include "core/diagonal.h"
+#include "core/options.h"
+#include "core/queries.h"
+#include "engine/walk.h"
+#include "graph/graph.h"
+
+namespace cloudwalker {
+namespace mcss_reference {
+
+/// The walk SingleSourceQuery runs for (q, options) on `index`.
+inline WalkDistributions QueryWalks(const Graph& graph,
+                                    const DiagonalIndex& index, NodeId q,
+                                    const QueryOptions& options,
+                                    WalkStats* stats = nullptr) {
+  WalkConfig cfg;
+  cfg.num_steps = index.params().num_steps;
+  cfg.num_walkers = options.num_walkers;
+  cfg.dangling = options.dangling;
+  cfg.seed = options.seed;
+  return SimulateWalkDistributions(graph, q, cfg, nullptr, nullptr, stats);
+}
+
+inline void CountPush(NodeId from, NodeId to, QueryStats* stats,
+                      const NodeOwnerFn* owner) {
+  if (stats == nullptr) return;
+  ++stats->push_ops;
+  if (owner != nullptr && (*owner)(from) != (*owner)(to)) {
+    ++stats->push_crossings;
+  }
+}
+
+/// One sampled push step, one draw at a time: mass at k moves to `fanout`
+/// uniformly drawn out-neighbors v, weighted |Out(k)| / (fanout |In(v)|).
+inline void SampledPush(const Graph& graph, const SparseVector& z,
+                        uint32_t fanout, Xoshiro256& rng,
+                        SparseAccumulator& out, QueryStats* stats,
+                        const NodeOwnerFn* owner) {
+  out.Clear();
+  for (const SparseEntry& e : z) {
+    const std::span<const NodeId> outs = graph.OutNeighbors(e.index);
+    const uint32_t out_deg = static_cast<uint32_t>(outs.size());
+    if (out_deg == 0) continue;
+    const double s = e.value * static_cast<double>(out_deg) /
+                     static_cast<double>(fanout);
+    for (uint32_t f = 0; f < fanout; ++f) {
+      const NodeId v = outs[rng.UniformInt32(out_deg)];
+      out.Add(v, s / static_cast<double>(graph.InDegree(v)));
+      CountPush(e.index, v, stats, owner);
+    }
+  }
+}
+
+/// One exact push step, dropping entries of z below `prune_threshold`.
+inline void ExactPush(const Graph& graph, const SparseVector& z,
+                      double prune_threshold, SparseAccumulator& out,
+                      QueryStats* stats, const NodeOwnerFn* owner) {
+  out.Clear();
+  for (const SparseEntry& e : z) {
+    if (prune_threshold > 0.0 && std::abs(e.value) < prune_threshold) {
+      continue;
+    }
+    for (const NodeId v : graph.OutNeighbors(e.index)) {
+      out.Add(v, e.value / static_cast<double>(graph.InDegree(v)));
+      CountPush(e.index, v, stats, owner);
+    }
+  }
+}
+
+/// The nested combine over the walk `dists` of q: s(q, ·) =
+/// sum_t (P^T)^t z_t, each level's chain pushed on its own.
+inline SparseVector NestedSingleSource(const Graph& graph,
+                                       const DiagonalIndex& index, NodeId q,
+                                       const QueryOptions& options,
+                                       const WalkDistributions& dists,
+                                       QueryStats* stats = nullptr,
+                                       const NodeOwnerFn* owner = nullptr) {
+  const std::span<const double> diag = index.diagonal();
+  Xoshiro256 rng =
+      Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
+  SparseAccumulator result(options.num_walkers * 4);
+  SparseAccumulator ping(options.num_walkers * 2);
+  SparseAccumulator pong(options.num_walkers * 2);
+  double ct = 1.0;
+  for (size_t t = 0; t < dists.levels.size(); ++t) {
+    std::vector<SparseEntry> z_entries;
+    for (const SparseEntry& e : dists.levels[t]) {
+      const double v = ct * diag[e.index] * e.value;
+      if (v != 0.0) z_entries.push_back(SparseEntry{e.index, v});
+    }
+    SparseVector z = SparseVector::FromSorted(std::move(z_entries));
+    if (t == 0) {
+      for (const SparseEntry& e : z) result.Add(e.index, e.value);
+    }
+    for (size_t step = 0; step < t && !z.empty(); ++step) {
+      SparseAccumulator& out = (step % 2 == 0) ? ping : pong;
+      if (options.push == PushStrategy::kSampled) {
+        SampledPush(graph, z, options.push_fanout, rng, out, stats, owner);
+      } else {
+        ExactPush(graph, z, options.prune_threshold, out, stats, owner);
+      }
+      if (step + 1 < t) {
+        z = out.ToSortedVector();
+      } else {
+        out.ForEach([&result](uint32_t k, double v) { result.Add(k, v); });
+      }
+    }
+    ct *= index.params().decay;
+  }
+  return result.ToSortedVector();
+}
+
+}  // namespace mcss_reference
+}  // namespace cloudwalker
+
+#endif  // CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_

@@ -12,6 +12,7 @@
 #include "core/indexer.h"
 #include "engine/walk_program.h"
 #include "graph/generators.h"
+#include "mcss_reference.h"
 
 namespace cloudwalker {
 namespace {
@@ -400,49 +401,70 @@ uint64_t HashSparse(const SparseVector& v, uint64_t h = 0xcbf29ce484222325ull) {
   return h;
 }
 
+// The golden tests' graph, index, partition owner and MCSS sources.
+Graph GoldenGraph() { return GenerateRmat(3000, 24000, /*seed=*/21); }
+
+IndexingOptions GoldenIndexing() {
+  IndexingOptions io;
+  io.num_walkers = 100;
+  io.jacobi_iterations = 3;
+  io.seed = 5;
+  return io;
+}
+
+int GoldenOwner(NodeId v) { return static_cast<int>(v % 3); }
+
+constexpr NodeId kGoldenSources[] = {0, 1, 7, 42, 199, 1024, 2047, 2999};
+
+// One pinned MCSS run over kGoldenSources at R' = 1000, seed 11.
+struct McssGolden {
+  uint32_t fanout;
+  uint64_t hash;
+  uint64_t push_ops;
+  uint64_t push_crossings;
+  uint64_t walk_steps;
+  uint64_t walk_crossings;
+};
+
+QueryOptions GoldenMcssOptions(uint32_t fanout) {
+  QueryOptions q;
+  q.num_walkers = 1000;
+  q.seed = 11;
+  q.push_fanout = fanout;
+  return q;
+}
+
 // Pins the single-source (MCSS), PPR, node2vec and index-row answers bit
 // for bit on a fixed R-MAT graph, the walk step and crossing counts of
 // the query runs, and one first- and one second-order walk that parks at
 // dangling nodes (kSelfLoop). A change to any draw, to the order of the
 // draws, to what counts as a step, or to the order in which one node's
 // contributions are summed moves these values; a pure speedup of the
-// walk, the push or the drains must not. Fanout 3 puts push-batch
-// boundaries inside one entry's draws. The constants assume IEEE-754
-// doubles without FMA contraction, as on x86-64.
+// walk, the push or the drains must not. The MCSS rows pin the Horner
+// combine, one push per level: its draws differ from the nested form's
+// one chain per level, whose values NestedReferenceReproducesTheReplacedForm
+// keeps pinned. Fanout 3 puts push-batch boundaries inside one entry's
+// draws. The constants assume IEEE-754 doubles without FMA contraction, as
+// on x86-64.
 TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
 #if !defined(__x86_64__)
   GTEST_SKIP() << "golden constants are recorded for x86-64";
 #endif
-  const Graph g = GenerateRmat(3000, 24000, /*seed=*/21);
-  IndexingOptions io;
-  io.num_walkers = 100;
-  io.jacobi_iterations = 3;
-  io.seed = 5;
+  const Graph g = GoldenGraph();
+  const IndexingOptions io = GoldenIndexing();
   auto idx = BuildDiagonalIndex(g, io, /*pool=*/nullptr);
   ASSERT_TRUE(idx.ok());
 
-  const NodeOwnerFn owner = [](NodeId v) { return static_cast<int>(v % 3); };
-  const NodeId sources[] = {0, 1, 7, 42, 199, 1024, 2047, 2999};
-  struct Expected {
-    uint32_t fanout;
-    uint64_t hash;
-    uint64_t push_ops;
-    uint64_t push_crossings;
-    uint64_t walk_steps;
-    uint64_t walk_crossings;
+  const NodeOwnerFn owner = GoldenOwner;
+  const McssGolden expected[] = {
+      {1, 0x418d2b296d042e1cull, 34080, 22787, 57344, 36594},
+      {3, 0xab98d76d5c57a867ull, 145320, 97389, 57344, 36594},
   };
-  const Expected expected[] = {
-      {1, 0x7ccb16ec82777a46ull, 69516, 46745, 57344, 36594},
-      {3, 0x57f20cbbdff2116bull, 567945, 381023, 57344, 36594},
-  };
-  for (const Expected& want : expected) {
-    QueryOptions q;
-    q.num_walkers = 1000;
-    q.seed = 11;
-    q.push_fanout = want.fanout;
+  for (const McssGolden& want : expected) {
+    const QueryOptions q = GoldenMcssOptions(want.fanout);
     uint64_t h = 0xcbf29ce484222325ull;
     QueryStats stats;
-    for (const NodeId s : sources) {
+    for (const NodeId s : kGoldenSources) {
       h = HashSparse(SingleSourceQuery(g, *idx, s, q, &stats, &owner), h);
     }
     EXPECT_EQ(h, want.hash) << "fanout " << want.fanout;
@@ -461,7 +483,7 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   ppr.ppr_alpha = 0.7;
   uint64_t ppr_hash = 0xcbf29ce484222325ull;
   QueryStats ppr_stats;
-  for (const NodeId s : sources) {
+  for (const NodeId s : kGoldenSources) {
     ppr_hash = HashSparse(
         PersonalizedPageRankQuery(g, *idx, s, ppr, &ppr_stats, &owner),
         ppr_hash);
@@ -535,6 +557,113 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   const IndexRows rows = BuildIndexRows(g, io, /*pool=*/nullptr);
   ASSERT_EQ(rows.rows.size(), g.num_nodes());
   EXPECT_EQ(HashSparse(rows.rows[42]), 0x8b680ff79267caf4ull);
+}
+
+// The nested reference (mcss_reference.h) over the golden walks gives the
+// values the nested combine was pinned at before the Horner form replaced
+// it, so the comparisons below test against that form and no other.
+TEST(QueriesGoldenTest, NestedReferenceReproducesTheReplacedForm) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden constants are recorded for x86-64";
+#endif
+  const Graph g = GoldenGraph();
+  auto idx = BuildDiagonalIndex(g, GoldenIndexing(), /*pool=*/nullptr);
+  ASSERT_TRUE(idx.ok());
+  const NodeOwnerFn owner = GoldenOwner;
+  const McssGolden nested[] = {
+      {1, 0x7ccb16ec82777a46ull, 69516, 46745, 57344, 36594},
+      {3, 0x57f20cbbdff2116bull, 567945, 381023, 57344, 36594},
+  };
+  for (const McssGolden& want : nested) {
+    const QueryOptions q = GoldenMcssOptions(want.fanout);
+    uint64_t h = 0xcbf29ce484222325ull;
+    QueryStats stats;
+    WalkStats walk;
+    for (const NodeId s : kGoldenSources) {
+      const WalkDistributions dists =
+          mcss_reference::QueryWalks(g, *idx, s, q, &walk);
+      h = HashSparse(mcss_reference::NestedSingleSource(g, *idx, s, q, dists,
+                                                        &stats, &owner),
+                     h);
+    }
+    EXPECT_EQ(h, want.hash) << "fanout " << want.fanout;
+    EXPECT_EQ(stats.push_ops, want.push_ops) << "fanout " << want.fanout;
+    EXPECT_EQ(stats.push_crossings, want.push_crossings)
+        << "fanout " << want.fanout;
+    EXPECT_EQ(walk.steps, want.walk_steps) << "fanout " << want.fanout;
+  }
+}
+
+// An R-MAT graph with a tail n -> n+1 -> n+2 -> n+3 hanging off it: n has
+// in-degree 0, and under kDie every walker from n+3 dies entering level 4.
+Graph RmatWithTail() {
+  const Graph rmat = GenerateRmat(200, 1400, /*seed=*/9);
+  const NodeId n = rmat.num_nodes();
+  GraphBuilder b(n + 4);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : rmat.OutNeighbors(u)) b.AddEdge(u, v);
+  }
+  b.AddEdge(n, n + 1);
+  b.AddEdge(n + 1, n + 2);
+  b.AddEdge(n + 2, n + 3);
+  b.AddEdge(n + 1, 5);
+  b.AddEdge(n + 3, 17);
+  return std::move(b.Build()).value();
+}
+
+// With the exact push the Horner recurrence only reassociates the nested
+// form's sums, and it pushes each level's mass once: x_{t+1}'s support is
+// the union of the chains' supports at that depth (masses are
+// non-negative), so it never makes more push ops.
+TEST(QueriesHornerTest, ExactPushMatchesNestedReference) {
+  const Graph g = RmatWithTail();
+  const NodeId root = g.num_nodes() - 4;  // in-degree 0
+  const NodeId tail = g.num_nodes() - 1;  // walkers die after 3 steps
+  ASSERT_EQ(g.InDegree(root), 0u);
+  const std::vector<NodeId> sources = {0, 1, 7, 42, 150, root, tail};
+  for (const uint32_t steps : {1u, 2u, 10u}) {
+    for (const DanglingPolicy dangling :
+         {DanglingPolicy::kDie, DanglingPolicy::kSelfLoop}) {
+      IndexingOptions io;
+      io.params.num_steps = steps;
+      io.num_walkers = 100;
+      io.dangling = dangling;
+      auto idx = BuildDiagonalIndex(g, io, /*pool=*/nullptr);
+      ASSERT_TRUE(idx.ok());
+      QueryOptions q;
+      q.num_walkers = 500;
+      q.seed = 3;
+      q.push = PushStrategy::kExact;
+      q.dangling = dangling;
+      for (const NodeId s : sources) {
+        SCOPED_TRACE(testing::Message()
+                     << "T " << steps << " selfloop "
+                     << (dangling == DanglingPolicy::kSelfLoop) << " source "
+                     << s);
+        const WalkDistributions dists =
+            mcss_reference::QueryWalks(g, *idx, s, q);
+        if (s == tail && steps == 10 && dangling == DanglingPolicy::kDie) {
+          ASSERT_FALSE(dists.levels[3].empty());
+          ASSERT_TRUE(dists.levels[4].empty());
+        }
+        QueryStats horner_stats, nested_stats;
+        const SparseVector horner =
+            SingleSourceQuery(g, *idx, s, q, &horner_stats);
+        const SparseVector nested = mcss_reference::NestedSingleSource(
+            g, *idx, s, q, dists, &nested_stats);
+        ASSERT_FALSE(nested.empty());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          EXPECT_NEAR(horner.Get(v), nested.Get(v), 1e-12) << "node " << v;
+        }
+        EXPECT_LE(horner_stats.push_ops, nested_stats.push_ops);
+        if (s == root && dangling == DanglingPolicy::kDie) {
+          // Level 0 alone: z_0 = D e_root, no push.
+          EXPECT_EQ(horner.size(), 1u);
+          EXPECT_EQ(horner_stats.push_ops, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(AllPairsTest, ReturnsTopKPerSource) {

@@ -206,9 +206,11 @@ TEST_F(ReorderRoundTripTest, WalkQueriesIdenticalForExternalIds) {
 }
 
 TEST_F(ReorderRoundTripTest, ExactPushSingleSourceIdentical) {
-  // The exact-push combine reassociates float sums only; on this fixture
-  // the sums come out bit-equal (verified) — assert exact equality so any
-  // future reorder change that moves more than association shows up.
+  // The exact-push combine reassociates float sums only: the renumbering
+  // changes the order in which a node's contributions add up, so on this
+  // fixture some values differ in their last bits. Indices must match
+  // exactly and values to rounding, so any reorder change that moves more
+  // than association shows up.
   QueryOptions options;
   options.push = PushStrategy::kExact;
   for (const NodeId q : {NodeId{3}, NodeId{222}}) {
