@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <iterator>
 #include <vector>
 
 #include "baselines/exact_simrank.h"
@@ -23,6 +24,25 @@
 #include "graph/generators.h"
 
 using namespace cloudwalker;
+
+namespace {
+
+// `count` distinct nodes with in-links, drawn uniformly under `seed`.
+std::vector<NodeId> SourcesWithInLinks(const Graph& g, size_t count,
+                                       uint64_t seed) {
+  std::vector<NodeId> sources;
+  Xoshiro256 pick(seed);
+  while (sources.size() < count) {
+    const NodeId s = pick.UniformInt32(g.num_nodes());
+    if (g.InDegree(s) > 0 &&
+        std::find(sources.begin(), sources.end(), s) == sources.end()) {
+      sources.push_back(s);
+    }
+  }
+  return sources;
+}
+
+}  // namespace
 
 int main() {
   bench::PrintHeader("bench_ablation_mcss",
@@ -43,38 +63,62 @@ int main() {
   }
 
   // --- Ablation 1: push strategy. Reference = exact push (no pruning). ---
+  // Each fanout's mean |error| against the exact push over the same walks,
+  // averaged over 40 sources with in-links and 4 walk seeds: one source
+  // and one draw cannot show the error falling as the fanout grows.
   {
-    const NodeId q = 1;
-    QueryOptions ref_opts = bench::PaperQueryOptions();
-    ref_opts.push = PushStrategy::kExact;
-    WallTimer ref_timer;
-    const SparseVector ref = SingleSourceQuery(ds.graph, *idx, q, ref_opts);
-    const double ref_secs = ref_timer.Seconds();
-    const std::vector<double> ref_dense =
-        ToDense(ref, ds.graph.num_nodes());
-
-    TablePrinter t({"strategy", "MCSS time", "mean |err| vs exact push",
-                    "push ops"});
-    t.AddRow({"exact push (ref)", HumanSeconds(ref_secs), "0", "-"});
-    for (uint32_t fanout : {1u, 2u, 4u, 8u}) {
-      QueryOptions qo = bench::PaperQueryOptions();
-      qo.push = PushStrategy::kSampled;
-      qo.push_fanout = fanout;
-      QueryStats stats;
-      WallTimer timer;
-      const SparseVector s =
-          SingleSourceQuery(ds.graph, *idx, q, qo, &stats);
-      const double secs = timer.Seconds();
-      double err = 0.0;
-      for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
-        err += std::fabs(s.Get(v) - ref_dense[v]);
+    const std::vector<NodeId> sources =
+        SourcesWithInLinks(ds.graph, 40, /*seed=*/29);
+    const uint64_t walk_seeds[] = {1, 2, 3, 4};
+    const uint32_t fanouts[] = {1, 2, 4, 8};
+    constexpr size_t kSettings = std::size(fanouts) + 1;  // exact push last
+    std::vector<std::vector<double>> ms(kSettings);
+    std::vector<double> error(kSettings, 0.0);
+    std::vector<uint64_t> push_ops(kSettings, 0);
+    for (const uint64_t walk_seed : walk_seeds) {
+      for (const NodeId q : sources) {
+        QueryOptions ref_opts = bench::PaperQueryOptions();
+        ref_opts.push = PushStrategy::kExact;
+        ref_opts.seed = walk_seed;
+        WallTimer ref_timer;
+        const SparseVector ref = SingleSourceQuery(ds.graph, *idx, q, ref_opts);
+        ms[kSettings - 1].push_back(ref_timer.Seconds() * 1e3);
+        const std::vector<double> ref_dense =
+            ToDense(ref, ds.graph.num_nodes());
+        for (size_t f = 0; f < std::size(fanouts); ++f) {
+          QueryOptions qo = ref_opts;
+          qo.push = PushStrategy::kSampled;
+          qo.push_fanout = fanouts[f];
+          QueryStats stats;
+          WallTimer timer;
+          const SparseVector s =
+              SingleSourceQuery(ds.graph, *idx, q, qo, &stats);
+          ms[f].push_back(timer.Seconds() * 1e3);
+          push_ops[f] += stats.push_ops;
+          double err = 0.0;
+          for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
+            err += std::fabs(s.Get(v) - ref_dense[v]);
+          }
+          error[f] += err / ds.graph.num_nodes();
+        }
       }
-      t.AddRow({"sampled, fanout=" + std::to_string(fanout),
-                HumanSeconds(secs),
-                FormatDouble(err / ds.graph.num_nodes(), 6),
-                HumanCount(stats.push_ops)});
     }
-    std::cout << "Ablation 1 — MCSS push strategy:\n";
+    const double queries =
+        static_cast<double>(sources.size() * std::size(walk_seeds));
+    auto p50 = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return FormatDouble(v[v.size() / 2], 3);
+    };
+    TablePrinter t({"strategy", "ms/query (p50)", "mean |err| vs exact push",
+                    "push ops/query"});
+    t.AddRow({"exact push (ref)", p50(ms[kSettings - 1]), "0", "-"});
+    for (size_t f = 0; f < std::size(fanouts); ++f) {
+      t.AddRow({"sampled, fanout=" + std::to_string(fanouts[f]), p50(ms[f]),
+                FormatDouble(error[f] / queries, 6),
+                HumanCount(static_cast<uint64_t>(push_ops[f] / queries))});
+    }
+    std::cout << "Ablation 1 — MCSS push strategy (" << sources.size()
+              << " sources x " << std::size(walk_seeds) << " walk seeds):\n";
     t.RenderText(std::cout);
     std::cout << "\n";
   }
@@ -137,15 +181,7 @@ int main() {
       std::cout << "ablation 1c setup failed\n";
       return 1;
     }
-    std::vector<NodeId> sources;
-    Xoshiro256 pick(29);
-    while (sources.size() < 40) {
-      const NodeId s = pick.UniformInt32(n);
-      if (g.InDegree(s) > 0 &&
-          std::find(sources.begin(), sources.end(), s) == sources.end()) {
-        sources.push_back(s);
-      }
-    }
+    const std::vector<NodeId> sources = SourcesWithInLinks(g, 40, /*seed=*/29);
     struct Setting {
       const char* name;
       PushStrategy push;

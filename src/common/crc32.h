@@ -1,7 +1,10 @@
 // CRC-32 (IEEE 802.3 polynomial, the zlib/gzip checksum) for integrity
-// stamping of persisted artifacts — every payload section of the snapshot
-// format (DESIGN.md section 9) carries one. Table-driven, ~1 byte/cycle;
-// plenty for load-time verification of multi-megabyte sections.
+// stamping: every payload section of the snapshot format (DESIGN.md
+// section 9), every out-of-core block extent (section 14.2) and every net
+// frame (section 13.1) carries one. Slicing-by-16 (Kounavis & Berry, ISCC
+// 2005): sixteen table lookups per 16 input bytes, portable C++ with no
+// alignment, byte-order or ISA assumption. About 2.2 GB/s (0.45 ms per
+// MB) on a 4-vCPU Xeon KVM guest with GCC 12 at -O3.
 
 #ifndef CLOUDWALKER_COMMON_CRC32_H_
 #define CLOUDWALKER_COMMON_CRC32_H_

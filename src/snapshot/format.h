@@ -108,7 +108,8 @@ Status CheckPadding(const std::string& path, const SnapshotLayout& layout,
 Status CheckCsrOffsets(const std::string& path,
                        std::span<const uint64_t> offsets, uint64_t num_edges);
 
-/// Every edge target names a node below `num_nodes`.
+/// Every edge target names a node below `num_nodes`, which is below
+/// kInvalidNode (ReadSnapshotLayout refuses larger counts).
 Status CheckTargets(const std::string& path, std::span<const NodeId> targets,
                     uint64_t num_nodes);
 

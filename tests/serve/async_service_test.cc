@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <variant>
@@ -255,15 +256,21 @@ TEST_F(AsyncServiceTest, OverloadRejectsWithResourceExhausted) {
 TEST_F(AsyncServiceTest, FollowerDeadlineHonoredWhileDedupWaiting) {
   ThreadPool pool(2);
   ServeOptions options = Options();
-  options.cache_capacity = 0;          // dedup path, not cache
-  options.query.num_walkers = 200000;  // slow leader (hundreds of ms)
+  options.cache_capacity = 0;  // dedup path, not cache
+  // The leader walks for well over 100 ms; the follower gives up within
+  // its 5 ms deadline plus one 5 ms poll tick of joining.
+  options.query.num_walkers = 1000000;
   QueryService service(cloudwalker_, options, &pool);
 
   QueryFuture leader = service.Submit(QueryRequest::SourceTopK(8, 4));
-  // Give the leader a moment to start (either way the assertion below
+  // The pool runs tasks in submission order, so once this marker runs the
+  // leader has left the queue for the other worker: the follower joins a
+  // running leader instead of racing it. (Either way the assertion below
   // holds: a follower that instead becomes a second leader has its own
-  // kernel stopped by the same token).
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // kernel stopped by the same token.)
+  std::promise<void> leader_dequeued;
+  pool.Submit([&leader_dequeued] { leader_dequeued.set_value(); });
+  leader_dequeued.get_future().wait();
   QueryFuture follower = service.Submit(
       QueryRequest::SourceTopK(8, 4).WithTimeout(/*sec=*/5e-3));
   const QueryResponse fast = follower.Wait();

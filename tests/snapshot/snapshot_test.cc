@@ -532,6 +532,15 @@ TEST_F(SnapshotTest, StructuralDamageFailsBothOpensAlike) {
          Poke<NodeId>(b, payload(SS::kOutTargets), static_cast<NodeId>(n));
        },
        StatusCode::kDataLoss, "edge target out of node range"},
+      {"last target at the largest id",
+       [&](std::string* b) {
+         // The span's tail, with the high bit set: a signed compare in
+         // the vectorized check would pass it.
+         const uint64_t last =
+             payload(SS::kOutTargets) + (g.num_edges() - 1) * sizeof(NodeId);
+         Poke<NodeId>(b, last, ~NodeId{0});
+       },
+       StatusCode::kDataLoss, "edge target out of node range"},
       {"invalid parameters",
        [&](std::string* b) { Poke<double>(b, payload(SS::kMeta), 2.0); },
        StatusCode::kDataLoss, "metadata carries invalid SimRank parameters"},
