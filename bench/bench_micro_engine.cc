@@ -11,6 +11,9 @@
 //             reported, not gated).
 //   Table 3 — snapshot cold build vs mmap open (gated on the open's
 //             milliseconds per artifact MB).
+//   Table 4 — the online combine phase alone: top-k, node2vec and pair
+//             queries over walks recorded once and replayed, on a graph
+//             of the serving benchmark's shape (reported, not gated).
 //
 // Self-timed (no Google Benchmark dependency) so it runs everywhere,
 // honors CW_BENCH_SCALE / CW_BENCH_QUICK, and emits machine-readable
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -29,7 +33,9 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "common/timer.h"
+#include "core/queries.h"
 #include "engine/walk.h"
+#include "engine/walk_backend.h"
 #include "engine/walk_program.h"
 #include "graph/generators.h"
 
@@ -201,6 +207,127 @@ double CounterThroughput(int threads, uint64_t rounds, size_t stride_bytes,
   for (auto& t : workers) t.join();
   const double seconds = timer.Seconds();
   return static_cast<double>(rounds) * threads / seconds;
+}
+
+// Hands back walk outputs recorded earlier, in call order, so the query
+// kernels run their combine phase without walking.
+class ReplayBackend final : public WalkBackend {
+ public:
+  WalkDistributions SimRankLevels(NodeId, const WalkConfig&,
+                                  WalkStats*) const override {
+    return Pop();
+  }
+  SparseVector PprEndpoints(NodeId, const WalkConfig&, const PprParams&,
+                            WalkStats*) const override {
+    CW_CHECK(false) << "Table 4 replays no PPR walk";
+    return SparseVector();
+  }
+  WalkDistributions Node2VecLevels(NodeId, const WalkConfig&,
+                                   const Node2VecParams&,
+                                   WalkStats*) const override {
+    return Pop();
+  }
+
+  void Record(WalkDistributions d) { queue_.push_back(std::move(d)); }
+
+ private:
+  WalkDistributions Pop() const {
+    CW_CHECK(!queue_.empty());
+    WalkDistributions front = std::move(queue_.front());
+    queue_.pop_front();
+    return front;
+  }
+
+  mutable std::deque<WalkDistributions> queue_;
+};
+
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+struct CombineTiming {
+  size_t samples = 0;  // timed calls per query kind
+  double topk_ms = 0.0, n2v_ms = 0.0, pair_ms = 0.0;  // medians
+  double push_ops_per_topk = 0.0;
+};
+
+// The combine phase of the top-k (SingleSourceQuery), node2vec and pair
+// queries, each call timed alone over walks recorded once from
+// `num_sources` scattered sources with in-links and replayed `reps`
+// times; top-k and node2vec include the top-10 extraction, as a served
+// request does. Pair i joins sources i and i + 1. The combine's work
+// does not depend on the diagonal's values (none is zero), so a constant
+// 1 - c stands in for a built index.
+CombineTiming MeasureCombine(const Graph& graph, uint32_t num_sources,
+                             int reps) {
+  const SimRankParams params;
+  const DiagonalIndex index(
+      params, std::vector<double>(graph.num_nodes(), 1.0 - params.decay));
+  QueryOptions options;
+  options.num_walkers = 1000;  // the serving layer's R'
+  WalkConfig cfg;
+  cfg.num_steps = params.num_steps;
+  cfg.num_walkers = options.num_walkers;
+  cfg.dangling = options.dangling;
+  cfg.seed = options.seed;
+  const LocalWalkBackend local(graph, nullptr);
+  std::vector<NodeId> live;  // as bench/e2e draws sources: in-links only
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    if (graph.InDegree(v) > 0) live.push_back(v);
+  }
+  std::vector<NodeId> sources;
+  std::vector<WalkDistributions> simrank, n2v;
+  for (uint32_t i = 0; i < num_sources; ++i) {
+    const NodeId q =
+        live[ScatterSource(i, static_cast<NodeId>(live.size()))];
+    sources.push_back(q);
+    simrank.push_back(local.SimRankLevels(q, cfg, nullptr));
+    n2v.push_back(local.Node2VecLevels(q, cfg, Node2VecParams{}, nullptr));
+  }
+
+  constexpr size_t kTopK = 10;
+  std::vector<double> topk_ms, n2v_ms, pair_ms;
+  uint64_t push_ops = 0;
+  ReplayBackend replay;
+  WallTimer timer;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (uint32_t i = 0; i < num_sources; ++i) {
+      const NodeId q = sources[i];
+      const uint32_t i2 = (i + 1) % num_sources;
+      CW_CHECK(sources[i2] != q);  // a self pair walks nothing
+      QueryStats stats;
+      replay.Record(simrank[i]);
+      timer.Restart();
+      TopKFromSparse(SingleSourceQuery(graph, index, q, options, &stats,
+                                       nullptr, nullptr, nullptr, &replay),
+                     q, kTopK);
+      topk_ms.push_back(timer.Millis());
+      push_ops += stats.push_ops;
+
+      replay.Record(n2v[i]);
+      timer.Restart();
+      TopKFromSparse(Node2VecVisitQuery(graph, index, q, options, nullptr,
+                                        nullptr, nullptr, nullptr, &replay),
+                     q, kTopK);
+      n2v_ms.push_back(timer.Millis());
+
+      replay.Record(simrank[i]);
+      replay.Record(simrank[i2]);
+      timer.Restart();
+      SinglePairQuery(graph, index, q, sources[i2], options, nullptr, nullptr,
+                      nullptr, nullptr, &replay);
+      pair_ms.push_back(timer.Millis());
+    }
+  }
+  CombineTiming out;
+  out.samples = topk_ms.size();
+  out.topk_ms = Median(std::move(topk_ms));
+  out.n2v_ms = Median(std::move(n2v_ms));
+  out.pair_ms = Median(std::move(pair_ms));
+  out.push_ops_per_topk =
+      static_cast<double>(push_ops) / static_cast<double>(out.samples);
+  return out;
 }
 
 }  // namespace
@@ -391,13 +518,9 @@ int main() {
                 FormatDouble(padded.back() / 1e6, 1),
                 FormatDouble(padded.back() / packed.back(), 2)});
     }
-    const auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    const double padded_over_packed = median(padded) / median(packed);
-    t.AddRow({"median", FormatDouble(median(packed) / 1e6, 1),
-              FormatDouble(median(padded) / 1e6, 1),
+    const double padded_over_packed = Median(padded) / Median(packed);
+    t.AddRow({"median", FormatDouble(Median(packed) / 1e6, 1),
+              FormatDouble(Median(padded) / 1e6, 1),
               FormatDouble(padded_over_packed, 2)});
     std::cout << "Table 2 — per-worker counter layout (" << threads
               << " threads, layouts alternating over " << kTrials
@@ -467,6 +590,39 @@ int main() {
     report.AddMetric({"snapshot_roundtrip_identical",
                       snap->identical ? 1.0 : 0.0, "bool", true,
                       /*gate=*/true, /*min=*/1.0});
+  }
+
+  // --- Table 4: the online combine phase alone. -------------------------
+  // What a served query does after its walk (DESIGN.md section 5): the
+  // Horner push and merge of a top-k query, node2vec's visit sum, and a
+  // pair's level-by-level intersection. Replaying recorded walks times
+  // the combine on its own and repeatably, on a graph of the serving
+  // benchmark's shape (bench/e2e: 200k nodes, 3M edges). Reported, not
+  // gated: absolute times move with the host.
+  {
+    const Graph serving = GenerateRmat(200'000, 3'000'000, /*seed=*/1);
+    const uint32_t num_sources = quick ? 200 : 1000;
+    constexpr int kReps = 3;
+    const CombineTiming c = MeasureCombine(serving, num_sources, kReps);
+    TablePrinter t({"query", "combine p50 ms"});
+    t.AddRow({"top-k (sampled push)", FormatDouble(c.topk_ms, 3)});
+    t.AddRow({"node2vec visits", FormatDouble(c.n2v_ms, 3)});
+    t.AddRow({"pair", FormatDouble(c.pair_ms, 3)});
+    std::cout << "Table 4 — combine phase over replayed walks (|V|="
+              << HumanCount(serving.num_nodes()) << ", |E|="
+              << HumanCount(serving.num_edges()) << ", R'=1000, "
+              << num_sources << " sources x " << kReps << " reps):\n";
+    t.RenderText(std::cout);
+    std::cout << "push ops per top-k: "
+              << FormatDouble(c.push_ops_per_topk, 1) << "\n\n";
+    report.AddMetric({"combine_topk_p50_ms", c.topk_ms, "ms",
+                      /*higher_is_better=*/false, false, -1.0});
+    report.AddMetric({"combine_n2v_p50_ms", c.n2v_ms, "ms",
+                      /*higher_is_better=*/false, false, -1.0});
+    report.AddMetric({"combine_pair_p50_ms", c.pair_ms, "ms",
+                      /*higher_is_better=*/false, false, -1.0});
+    report.AddMetric({"combine_push_ops_per_topk", c.push_ops_per_topk,
+                      "count", /*higher_is_better=*/false, false, -1.0});
   }
 
   const bool ok = report.FloorsPass();

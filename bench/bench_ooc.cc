@@ -182,9 +182,10 @@ int main() {
   const std::string plain_path = "bench-ooc-plain.cwk";
   const std::string reorder_path = "bench-ooc-reordered.cwk";
 
-  std::cout << "building R-MAT |V|=" << HumanCount(n) << " |E|=" << HumanCount(m)
-            << " and indexing (R=" << options.num_walkers << ", T="
-            << options.params.num_steps << ")...\n";
+  std::cout << "building R-MAT |V|=" << HumanCount(n)
+            << " |E|=" << HumanCount(m)
+            << " and indexing (R=" << options.num_walkers
+            << ", T=" << options.params.num_steps << ")...\n";
   Graph graph = GenerateRmat(n, m, /*seed=*/7, {}, &pool);
   auto built = CloudWalker::Build(std::move(graph), options, &pool);
   CW_CHECK_OK(built.status());
@@ -242,9 +243,9 @@ int main() {
   const bool genuinely_paged =
       counters.misses > 0 && counters.evictions > 0 &&
       after_identity.misses > 0;
-  const double hit_rate =
-      static_cast<double>(counters.hits) /
-      static_cast<double>(std::max<uint64_t>(1, counters.hits + counters.misses));
+  const uint64_t lookups = counters.hits + counters.misses;
+  const double hit_rate = static_cast<double>(counters.hits) /
+                          static_cast<double>(std::max<uint64_t>(1, lookups));
 
   // --- locality reorder: best of degree / bfs, measured in memory ---
   double best_reorder_speedup = 0.0;

@@ -96,8 +96,8 @@ int main() {
   }
   const auto cw = std::make_shared<const CloudWalker>(std::move(built).value());
 
-  const uint64_t num_requests =
-      std::max<uint64_t>(200, static_cast<uint64_t>(4000 * bench::BenchScale()));
+  const uint64_t num_requests = std::max<uint64_t>(
+      200, static_cast<uint64_t>(4000 * bench::BenchScale()));
 
   // --- Table 1: QPS vs worker threads (mixed stream, warm cache). --------
   {

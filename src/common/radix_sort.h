@@ -1,6 +1,7 @@
 // The one sort behind every sorted drain: the walk kernel's per-level
 // endpoint aggregation, the sharded / threaded / socket / out-of-core
-// endpoint merges (AggregateEndpointNodes), SparseAccumulator's
+// endpoint merges (AggregateEndpointNodes), SumByIndex's record fold
+// (the sampled MCSS push, node2vec's visit sum), SparseAccumulator's
 // ToSortedVector, and the indexer's one sort per row (DESIGN.md
 // section 8).
 

@@ -8,28 +8,6 @@
 
 namespace cloudwalker {
 
-SparseVector SparseVector::FromUnsorted(std::vector<SparseEntry> entries) {
-  std::sort(entries.begin(), entries.end(),
-            [](const SparseEntry& a, const SparseEntry& b) {
-              return a.index < b.index;
-            });
-  // Merge duplicates in place.
-  size_t out = 0;
-  for (size_t i = 0; i < entries.size();) {
-    uint32_t idx = entries[i].index;
-    double sum = 0.0;
-    while (i < entries.size() && entries[i].index == idx) {
-      sum += entries[i].value;
-      ++i;
-    }
-    entries[out++] = SparseEntry{idx, sum};
-  }
-  entries.resize(out);
-  SparseVector v;
-  v.entries_ = std::move(entries);
-  return v;
-}
-
 SparseVector SparseVector::FromSorted(std::vector<SparseEntry> entries) {
 #ifndef NDEBUG
   for (size_t i = 1; i < entries.size(); ++i) {
@@ -100,18 +78,37 @@ double SparseVector::Dot(const SparseVector& a, const SparseVector& b) {
 
 double SparseVector::DotWeighted(const SparseVector& a, const SparseVector& b,
                                  std::span<const double> diag) {
+  // The merge runs branch-free, a chunk at a time: each step records its
+  // position pair, keeps it only when the two indices match, and advances
+  // the side holding the smaller index (both on a match). A chunk takes
+  // no more steps than the shorter remainder, so neither side runs out
+  // inside it. The kept matches are then summed in index order, the order
+  // a branching merge meets them in.
+  constexpr size_t kChunk = 128;
+  uint32_t match_a[kChunk];
+  uint32_t match_b[kChunk];
+  const SparseEntry* const ea = a.entries_.data();
+  const SparseEntry* const eb = b.entries_.data();
+  const size_t na = a.size();
+  const size_t nb = b.size();
   double s = 0.0;
   size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].index < b[j].index) {
-      ++i;
-    } else if (a[i].index > b[j].index) {
-      ++j;
-    } else {
-      CW_DCHECK(a[i].index < diag.size());
-      s += a[i].value * b[j].value * diag[a[i].index];
-      ++i;
-      ++j;
+  while (i < na && j < nb) {
+    const size_t steps = std::min({kChunk, na - i, nb - j});
+    size_t m = 0;
+    for (size_t step = 0; step < steps; ++step) {
+      const uint32_t ka = ea[i].index;
+      const uint32_t kb = eb[j].index;
+      match_a[m] = static_cast<uint32_t>(i);
+      match_b[m] = static_cast<uint32_t>(j);
+      m += ka == kb;
+      i += ka <= kb;
+      j += kb <= ka;
+    }
+    for (size_t k = 0; k < m; ++k) {
+      const SparseEntry& x = ea[match_a[k]];
+      CW_DCHECK(x.index < diag.size());
+      s += x.value * eb[match_b[k]].value * diag[x.index];
     }
   }
   return s;
@@ -135,6 +132,27 @@ SparseVector SparseVector::Axpy(const SparseVector& a, double alpha,
     }
   }
   return SparseVector::FromSorted(std::move(out));
+}
+
+SparseVector SumByIndex(std::vector<SparseEntry>& records, uint32_t key_bits,
+                        std::vector<SparseEntry>& sort_buffer) {
+  const uint32_t n = static_cast<uint32_t>(records.size());
+  const SparseEntry* const sorted =
+      SortByKey(records.data(), n, key_bits, sort_buffer,
+                [](const SparseEntry& e) { return e.index; });
+  uint32_t distinct = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    distinct += i == 0 || sorted[i].index != sorted[i - 1].index;
+  }
+  std::vector<SparseEntry> entries;
+  entries.reserve(distinct);
+  for (uint32_t i = 0; i < n;) {
+    const uint32_t index = sorted[i].index;
+    double sum = 0.0;  // as the accumulator's slot starts
+    for (; i < n && sorted[i].index == index; ++i) sum += sorted[i].value;
+    entries.push_back(SparseEntry{index, sum});
+  }
+  return SparseVector::FromSorted(std::move(entries));
 }
 
 namespace {

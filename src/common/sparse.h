@@ -1,9 +1,11 @@
 // Sparse vector primitives used throughout the walk and indexing kernels.
 //
 // SparseVector   — immutable-ish sorted (index, value) array with vector ops.
-// SparseAccumulator — open-addressing uint32 -> double map tuned for the
-//                     "scatter many small contributions, then drain" pattern
-//                     of Monte-Carlo walk aggregation.
+// SumByIndex     — folds appended (index, value) records into a SparseVector
+//                  with one stable sort and a run-length sum.
+// SparseAccumulator — open-addressing uint32 -> double map for producers
+//                     that emit many records per distinct key and merge
+//                     them in place.
 
 #ifndef CLOUDWALKER_COMMON_SPARSE_H_
 #define CLOUDWALKER_COMMON_SPARSE_H_
@@ -29,9 +31,6 @@ struct SparseEntry {
 class SparseVector {
  public:
   SparseVector() = default;
-
-  /// Takes entries in any order (duplicates allowed); sorts and merges.
-  static SparseVector FromUnsorted(std::vector<SparseEntry> entries);
 
   /// Wraps entries that are already sorted by index with no duplicates.
   /// CW_DCHECKs the precondition in debug builds.
@@ -72,6 +71,8 @@ class SparseVector {
 
   /// Dot product with a per-index diagonal weight:
   /// sum_k a[k] * b[k] * diag[k]. `diag` is dense, indexed by entry index.
+  /// A branch-free merge finds the common indices; their terms are then
+  /// summed from 0.0 in index order.
   static double DotWeighted(const SparseVector& a, const SparseVector& b,
                             std::span<const double> diag);
 
@@ -86,13 +87,28 @@ class SparseVector {
   std::vector<SparseEntry> entries_;
 };
 
+/// Sums `records` by index into a sorted SparseVector, exactly as a
+/// SparseAccumulator fed the same records in the same order would: one
+/// stable SortByKey (common/radix_sort.h) orders the records by index,
+/// keeping each index's records in input order, and each run of one
+/// index is summed from 0.0 in that order (so a lone -0.0 reads +0.0).
+/// Every index must be below 2^key_bits. Leaves `records` in unspecified
+/// order; `sort_buffer` is the sort's scratch, grown as needed and kept
+/// for reuse. Cheaper than the accumulator when records barely repeat
+/// their keys, as a sampled push's or a visit sum's do.
+SparseVector SumByIndex(std::vector<SparseEntry>& records, uint32_t key_bits,
+                        std::vector<SparseEntry>& sort_buffer);
+
 /// Open-addressing hash accumulator for uint32 keys and double values.
 /// Linear probing, power-of-two capacity, tombstone-free (no deletion).
 /// ~2x faster than std::unordered_map for the walk-counting workload and
 /// reusable across batches via Clear(). A list of the occupied slots makes
 /// Clear, ForEach and ToSortedVector cost O(entries), not O(capacity), so
 /// a table presized for the largest batch drains small ones cheaply.
-/// Each key's sum adds its values in call order.
+/// Each key's sum adds its values in call order. It merges records in
+/// place, so it suits producers that emit many records per key, such as
+/// the exact push (Σ|Out(k)| records per level); where keys barely
+/// repeat, SumByIndex's one sort is cheaper.
 class SparseAccumulator {
  public:
   /// `expected` sizes the table to hold that many distinct keys without

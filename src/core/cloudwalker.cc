@@ -100,7 +100,8 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Shard(
   // contract: the external graph must outlive the sharded instance too.)
   CloudWalker sharded(*base);
   sharded.walk_backend_ = std::move(engine);
-  return std::shared_ptr<const CloudWalker>(new CloudWalker(std::move(sharded)));
+  return std::shared_ptr<const CloudWalker>(
+      new CloudWalker(std::move(sharded)));
 }
 
 StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Parallelize(

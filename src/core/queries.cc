@@ -34,17 +34,18 @@ bool Stopped(const CancelToken* cancel) {
 constexpr uint32_t kPushBatch = 64;
 
 /// One sampled forward-push step: an unbiased one-sample estimate of
-/// z' = P^T z. Mass at node k moves to `fanout` sampled out-neighbors v,
-/// reweighted by |Out(k)| / (fanout * |In(v)|). Runs as the walk
-/// kernel's three-pass prefetch pipeline over batches of kPushBatch
-/// draws (DESIGN.md section 5.1): draw the out-edge slots and prefetch
-/// their targets; read the targets and prefetch their in-offsets; add.
-/// The draws and each node's additions keep the one-at-a-time order, so
-/// the result does not depend on the batching.
+/// z' = P^T z, as records for SumByIndex. Mass at node k moves to
+/// `fanout` sampled out-neighbors v, reweighted by
+/// |Out(k)| / (fanout * |In(v)|). Runs as the walk kernel's three-pass
+/// prefetch pipeline over batches of kPushBatch draws (DESIGN.md section
+/// 5.1): draw the out-edge slots and prefetch their targets; read the
+/// targets and prefetch their in-offsets; append. `out` receives one
+/// record per draw, in draw order, which does not depend on the batching.
 void SampledPushStep(const Graph& graph, const SparseVector& z,
-                     uint32_t fanout, Xoshiro256& rng, SparseAccumulator& out,
-                     QueryStats* stats, const NodeOwnerFn* owner) {
-  out.Clear();
+                     uint32_t fanout, Xoshiro256& rng,
+                     std::vector<SparseEntry>& out, QueryStats* stats,
+                     const NodeOwnerFn* owner) {
+  out.clear();
   const uint64_t* const out_offsets = graph.OutOffsets().data();
   const NodeId* const out_targets = graph.OutTargets().data();
   const uint64_t* const in_offsets = graph.InOffsets().data();
@@ -83,13 +84,13 @@ void SampledPushStep(const Graph& graph, const SparseVector& z,
       to[j] = out_targets[slot[j]];
       PrefetchRead(in_offsets + to[j]);
     }
-    // Pass 3: add, in draw order.
+    // Pass 3: append, in draw order.
     for (uint32_t j = 0; j < n; ++j) {
       const NodeId v = to[j];
       const uint32_t in_deg =
           static_cast<uint32_t>(in_offsets[v + 1] - in_offsets[v]);
       CW_DCHECK(in_deg > 0);  // v has at least the edge k -> v
-      out.Add(v, scale[j] / static_cast<double>(in_deg));
+      out.push_back(SparseEntry{v, scale[j] / static_cast<double>(in_deg)});
       if (stats != nullptr) {
         ++stats->push_ops;
         if (owner != nullptr && (*owner)(from[j]) != (*owner)(v)) {
@@ -239,7 +240,7 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
   };
 
   // Horner form of sum_t (P^T)^t z_t: x_top = z_top, x_t = z_t + P^T
-  // x_{t+1}, and the answer is x_0 — one push and one drain per level.
+  // x_{t+1}, and the answer is x_0 — one push and one merge per level.
   std::vector<SparseEntry> x_top;
   x_top.reserve(dists.levels[top - 1].size());
   for_each_z(top - 1, [&x_top](NodeId k, double v) {
@@ -248,19 +249,31 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
   SparseVector x = SparseVector::FromSorted(std::move(x_top));
   Xoshiro256 rng =
       Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
-  // x_0, the largest iterate, holds about twice the largest level's
-  // entries on R-MAT graphs at fanout 1, so a table sized for four times
-  // that level stays about a quarter full; the exact push grows it.
-  SparseAccumulator acc(4 * widest);
+  // The sampled push makes about 1.3 records per distinct node, which
+  // SumByIndex folds with one stable sort: the push's records in draw
+  // order, then z_t's. The exact push makes sum_k |Out(k)| records per
+  // level, which the accumulator merges in place; x_0, the largest
+  // iterate, holds about twice the largest level's entries on R-MAT
+  // graphs, so a table sized for four times that level starts about a
+  // quarter full, and the exact push grows it.
+  const bool sampled = options.push == PushStrategy::kSampled;
+  const uint32_t id_bits = NodeIdBits(graph.num_nodes());
+  std::vector<SparseEntry> records, sort_buffer;
+  SparseAccumulator acc(sampled ? 0 : 4 * widest);
   for (size_t t = top - 1; t-- > 0;) {
     if (Stopped(cancel)) break;  // caller discards the truncated vector
-    if (options.push == PushStrategy::kSampled) {
-      SampledPushStep(graph, x, options.push_fanout, rng, acc, stats, owner);
+    if (sampled) {
+      SampledPushStep(graph, x, options.push_fanout, rng, records, stats,
+                      owner);
+      for_each_z(t, [&records](NodeId k, double v) {
+        records.push_back(SparseEntry{k, v});
+      });
+      x = SumByIndex(records, id_bits, sort_buffer);
     } else {
       ExactPushStep(graph, x, options.prune_threshold, acc, stats, owner);
+      for_each_z(t, [&acc](NodeId k, double v) { acc.Add(k, v); });
+      x = acc.ToSortedVector();
     }
-    for_each_z(t, [&acc](NodeId k, double v) { acc.Add(k, v); });
-    x = acc.ToSortedVector();
   }
   return x;
 }
@@ -313,16 +326,21 @@ SparseVector Node2VecVisitQuery(const Graph& graph, const DiagonalIndex& index,
   if (Stopped(cancel)) return SparseVector();  // caller discards
 
   // Average the per-level visit frequencies over steps 1..T (level 0 is
-  // the source itself and would trivially dominate its own ranking).
-  const uint32_t t_steps = cfg.num_steps;
-  SparseAccumulator acc(options.num_walkers * 2);
-  const double inv_t = 1.0 / static_cast<double>(t_steps);
+  // the source itself and would trivially dominate its own ranking): one
+  // record per visited (node, level), in level order, summed by node.
+  const double inv_t = 1.0 / static_cast<double>(cfg.num_steps);
+  size_t visits = 0;
+  for (size_t t = 1; t < dists.levels.size(); ++t) {
+    visits += dists.levels[t].size();
+  }
+  std::vector<SparseEntry> records, sort_buffer;
+  records.reserve(visits);
   for (size_t t = 1; t < dists.levels.size(); ++t) {
     for (const SparseEntry& e : dists.levels[t]) {
-      acc.Add(e.index, e.value * inv_t);
+      records.push_back(SparseEntry{e.index, e.value * inv_t});
     }
   }
-  return acc.ToSortedVector();
+  return SumByIndex(records, NodeIdBits(graph.num_nodes()), sort_buffer);
 }
 
 std::vector<ScoredNode> TopKFromSparse(const SparseVector& scores,

@@ -1,7 +1,9 @@
 // Online Monte-Carlo query kernels:
-//   MCSP — single-pair  s(i, j), O(T R')
+//   MCSP — single-pair  s(i, j), O(T R'): a branch-free merge of the two
+//          walk clouds per level
 //   MCSS — single-source s(q, *), T push steps in Horner form; at fanout 1
-//          a step draws once per entry of the pushed vector
+//          a step draws once per entry of the pushed vector, and its
+//          records fold into the next iterate through one stable sort
 //   MCAP — all-pairs via repeated MCSS, streamed as per-source top-k
 //
 // All kernels consume a DiagonalIndex built by core/indexer.h and estimate
@@ -41,8 +43,9 @@ struct QueryStats {
 /// so the result is exactly symmetric in (i, j). Returns 1 for i == j.
 ///
 /// This is the empirical-distribution estimator: the two R'-walker clouds
-/// are intersected level by level, giving R'^2 effective walker pairings
-/// per level at O(T R') cost.
+/// are intersected level by level (SparseVector::DotWeighted, a
+/// branch-free merge), giving R'^2 effective walker pairings per level at
+/// O(T R') cost.
 ///
 /// `context` (optional, here and in the other walk-running kernels)
 /// carries the in-row order of a locality-reordered snapshot to the walk
@@ -83,7 +86,9 @@ double SinglePairQueryPaired(const Graph& graph, const DiagonalIndex& index,
 /// Combines the walk's levels z_t = c^t D û_{q,t} in Horner form:
 /// x_top = z_top, x_t = z_t + P^T x_{t+1}, answer x_0, with top the
 /// highest non-empty level — one push of options.push per level
-/// (DESIGN.md section 5.1).
+/// (DESIGN.md section 5.1). The sampled push's records and z_t's fold into
+/// x_t through SumByIndex's one stable sort; the exact push merges in a
+/// SparseAccumulator. Both sum each node's terms in the same order.
 SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
                                NodeId q, const QueryOptions& options,
                                QueryStats* stats = nullptr,
@@ -126,7 +131,8 @@ SparseVector PersonalizedPageRankQuery(const Graph& graph,
 /// options.n2v_in_out_q; engine/walk_program.h) and scores each node by
 /// its average visit frequency over steps 1..T,
 ///   score(v) = (1/T) sum_{t=1..T} û_t(v),
-/// a number in [0, 1] (1 = every walker sits on v at every step).
+/// a number in [0, 1] (1 = every walker sits on v at every step), summed
+/// in level order through SumByIndex.
 SparseVector Node2VecVisitQuery(const Graph& graph,
                                 const DiagonalIndex& index, NodeId q,
                                 const QueryOptions& options,

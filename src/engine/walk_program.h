@@ -32,9 +32,9 @@ namespace cloudwalker {
 /// draw beyond the canonical move stream derives its own channel key as
 /// DeriveSeed(DeriveSeed(config.seed, key node), channel) so no two
 /// programs — and no two draw purposes within one step — ever consume the
-/// same counter stream.
-inline constexpr uint64_t kPprStopChannel = 0x7070722d73746f70ull;   // "ppr-stop"
-inline constexpr uint64_t kNode2VecTrialChannel = 0x6e32762d7472ull;  // "n2v-tr"
+/// same counter stream. The tags spell "ppr-stop" and "n2v-tr" in ASCII.
+inline constexpr uint64_t kPprStopChannel = 0x7070722d73746f70ull;
+inline constexpr uint64_t kNode2VecTrialChannel = 0x6e32762d7472ull;
 
 /// Acceptance threshold against the low 32 bits of a counter draw:
 /// accept iff (raw & 0xffffffff) < AcceptThreshold(prob). prob == 1 maps

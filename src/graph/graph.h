@@ -23,11 +23,11 @@ inline constexpr NodeId kInvalidNode = 0xffffffffu;
 
 /// Immutable CSR digraph. Construct with GraphBuilder, the generators in
 /// graph/generators.h, FromCsr, or — zero-copy over external flat arrays
-/// such as an mmapped snapshot — FromCsrViews. Accessors read through internal spans,
-/// so the same kernel code walks a heap-built graph and a snapshot view
-/// identically (DESIGN.md section 9). Copying always materializes into
-/// owned storage (a copy never dangles when the external memory goes
-/// away); moves are cheap and preserve the storage mode.
+/// such as an mmapped snapshot — FromCsrViews. Accessors read through
+/// internal spans, so the same kernel code walks a heap-built graph and a
+/// snapshot view identically (DESIGN.md section 9). Copying always
+/// materializes into owned storage (a copy never dangles when the external
+/// memory goes away); moves are cheap and preserve the storage mode.
 class Graph {
  public:
   /// An empty graph with zero nodes.

@@ -67,7 +67,9 @@ StatusOr<std::vector<QueryRequest>> GenerateWorkload(
   Xoshiro256 node_rng = Xoshiro256::Derive(spec.seed, /*stream=*/1);
   Xoshiro256 type_rng = Xoshiro256::Derive(spec.seed, /*stream=*/2);
   std::optional<ZipfSampler> zipf;  // the O(n) CDF only when actually used
-  if (spec.skew == WorkloadSkew::kZipf) zipf.emplace(num_nodes, spec.zipf_theta);
+  if (spec.skew == WorkloadSkew::kZipf) {
+    zipf.emplace(num_nodes, spec.zipf_theta);
+  }
   const auto draw_node = [&]() -> NodeId {
     return zipf.has_value()
                ? zipf->Sample(node_rng)

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
+#include "common/radix_sort.h"
 #include "common/random.h"
 
 namespace cloudwalker {
@@ -19,23 +22,6 @@ TEST(SparseVectorTest, EmptyByDefault) {
   EXPECT_EQ(v.size(), 0u);
   EXPECT_EQ(v.Sum(), 0.0);
   EXPECT_EQ(v.Get(3), 0.0);
-}
-
-TEST(SparseVectorTest, FromUnsortedSortsByIndex) {
-  SparseVector v = SparseVector::FromUnsorted(
-      {{5, 1.0}, {1, 2.0}, {3, 3.0}});
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0].index, 1u);
-  EXPECT_EQ(v[1].index, 3u);
-  EXPECT_EQ(v[2].index, 5u);
-}
-
-TEST(SparseVectorTest, FromUnsortedMergesDuplicates) {
-  SparseVector v = SparseVector::FromUnsorted(
-      {{2, 1.0}, {2, 2.5}, {1, 1.0}, {2, 0.5}});
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v.Get(2), 4.0);
-  EXPECT_DOUBLE_EQ(v.Get(1), 1.0);
 }
 
 TEST(SparseVectorTest, GetMissingIsZero) {
@@ -343,6 +329,234 @@ TEST(SparseAccumulatorTest, NegativeValuesSupported) {
   acc.Add(2, 5.0);
   acc.Add(2, -3.0);
   EXPECT_DOUBLE_EQ(acc.Get(2), 2.0);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Expects `got` to hold exactly `want`'s indices and value bits.
+void ExpectSameBits(const SparseVector& got, const SparseVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].index, want[i].index) << "entry " << i;
+    ASSERT_EQ(Bits(got[i].value), Bits(want[i].value))
+        << "entry " << i << " index " << want[i].index;
+  }
+}
+
+// A term whose sums with its neighbours round differently in a different
+// order: mixed signs over sixteen decades.
+double MixedTerm(Xoshiro256& rng) {
+  const double magnitude = std::pow(10.0, rng.UniformInt32(17)) * 1e-8;
+  return (rng.NextDouble() - 0.5) * magnitude;
+}
+
+// `n` records over keys drawn below 2^key_bits, the largest such key
+// always among them, each key repeated 1-4 times, interleaved at random.
+std::vector<SparseEntry> RepeatedRecords(uint32_t n, uint32_t key_bits,
+                                         Xoshiro256& rng) {
+  const uint64_t limit = uint64_t{1} << key_bits;
+  // 0xffffffff is the accumulator's reserved key.
+  const uint32_t max_key = static_cast<uint32_t>(
+      std::min<uint64_t>(limit - 1, 0xfffffffeu));
+  std::vector<SparseEntry> records;
+  std::set<uint32_t> used;
+  while (records.size() < n) {
+    const uint32_t key =
+        used.empty() ? max_key
+                     : static_cast<uint32_t>(rng.UniformInt(max_key + 1ull));
+    if (!used.insert(key).second) continue;
+    const uint32_t repeats = 1 + rng.UniformInt32(4);
+    for (uint32_t r = 0; r < repeats && records.size() < n; ++r) {
+      records.push_back(SparseEntry{key, MixedTerm(rng)});
+    }
+  }
+  for (uint32_t i = n; i > 1; --i) {
+    std::swap(records[i - 1], records[rng.UniformInt32(i)]);
+  }
+  return records;
+}
+
+// SumByIndex must give, bit for bit, what the accumulator gives for the
+// same records in the same order.
+void ExpectSumMatchesAccumulator(const std::vector<SparseEntry>& records,
+                                 uint32_t key_bits,
+                                 std::vector<SparseEntry>& sort_buffer) {
+  SparseAccumulator acc;
+  for (const SparseEntry& r : records) acc.Add(r.index, r.value);
+  std::vector<SparseEntry> copy = records;
+  ExpectSameBits(SumByIndex(copy, key_bits, sort_buffer),
+                 acc.ToSortedVector());
+}
+
+TEST(SumByIndexTest, SortsByIndex) {
+  std::vector<SparseEntry> records = {{5, 1.0}, {1, 2.0}, {3, 3.0}};
+  std::vector<SparseEntry> sort_buffer;
+  const SparseVector v = SumByIndex(records, 3, sort_buffer);
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_EQ(v[0].index, 1u);
+  EXPECT_EQ(v[1].index, 3u);
+  EXPECT_EQ(v[2].index, 5u);
+}
+
+TEST(SumByIndexTest, MergesDuplicates) {
+  std::vector<SparseEntry> records = {{2, 1.0}, {2, 2.5}, {1, 1.0}, {2, 0.5}};
+  std::vector<SparseEntry> sort_buffer;
+  const SparseVector v = SumByIndex(records, 2, sort_buffer);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_DOUBLE_EQ(v.Get(2), 4.0);
+  EXPECT_DOUBLE_EQ(v.Get(1), 1.0);
+}
+
+TEST(SumByIndexTest, MatchesAccumulatorBitForBit) {
+  Xoshiro256 rng(43);
+  std::vector<SparseEntry> sort_buffer;  // reused across every call
+  // One, two and three radix digits; 32 bits puts keys on the top bit.
+  for (const uint32_t key_bits : {11u, 18u, 32u}) {
+    for (const uint32_t n : {0u, 1u, 63u, 64u, 65u, 5000u}) {
+      SCOPED_TRACE(testing::Message() << "key_bits " << key_bits << " n "
+                                      << n);
+      ExpectSumMatchesAccumulator(RepeatedRecords(n, key_bits, rng),
+                                  key_bits, sort_buffer);
+    }
+  }
+}
+
+// The accumulator sums from 0.0, so a key whose only term is -0.0 reads
+// +0.0; a sum seeded with its first term would keep -0.0.
+TEST(SumByIndexTest, LoneNegativeZeroReadsPositiveZero) {
+  std::vector<SparseEntry> sort_buffer;
+  std::vector<SparseEntry> records = {{5, 1.0}, {3, -0.0}, {5, -0.0}};
+  ExpectSumMatchesAccumulator(records, 3, sort_buffer);
+  const SparseVector got = SumByIndex(records, 3, sort_buffer);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].index, 3u);
+  EXPECT_EQ(Bits(got[0].value), Bits(0.0));
+  EXPECT_EQ(Bits(got[1].value), Bits(1.0));
+}
+
+// Each key's terms keep their input order through the sort: from the left
+// 1e16 + 1 + 1 - 1e16 is 0, where any order that adds the 1s together
+// first leaves 2.
+TEST(SumByIndexTest, EachKeySumsInInputOrder) {
+  Xoshiro256 rng(53);
+  for (const uint32_t keys : {10u, 2000u}) {  // insertion sort, radix
+    std::vector<SparseEntry> records;
+    for (uint32_t k = 0; k < keys; ++k) {
+      for (const double v : {1e16, 1.0, 1.0, -1e16}) {
+        records.push_back(SparseEntry{k * 3, v});
+      }
+    }
+    // Shuffle the keys apart while each key's terms keep their order.
+    std::vector<SparseEntry> interleaved;
+    std::vector<size_t> next(keys, 0);
+    std::vector<uint32_t> open(keys);
+    for (uint32_t k = 0; k < keys; ++k) open[k] = k;
+    while (!open.empty()) {
+      const uint32_t pick = rng.UniformInt32(open.size());
+      const uint32_t k = open[pick];
+      interleaved.push_back(records[4 * k + next[k]++]);
+      if (next[k] == 4) {
+        open[pick] = open.back();
+        open.pop_back();
+      }
+    }
+    std::vector<SparseEntry> sort_buffer;
+    ExpectSumMatchesAccumulator(interleaved, KeyBits(3 * keys), sort_buffer);
+    const SparseVector got = SumByIndex(interleaved, KeyBits(3 * keys),
+                                        sort_buffer);
+    ASSERT_EQ(got.size(), keys);
+    for (const SparseEntry& e : got) {
+      ASSERT_EQ(Bits(e.value), Bits(0.0)) << "key " << e.index;
+    }
+  }
+}
+
+// The merge DotWeighted ran before it went branch-free: the reference for
+// which matches it finds and the order it sums them in.
+double BranchyDotWeighted(const SparseVector& a, const SparseVector& b,
+                          const std::vector<double>& diag) {
+  double s = 0.0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].index < b[j].index) {
+      ++i;
+    } else if (a[i].index > b[j].index) {
+      ++j;
+    } else {
+      s += a[i].value * b[j].value * diag[a[i].index];
+      ++i;
+      ++j;
+    }
+  }
+  return s;
+}
+
+// `n` distinct sorted indices below `universe`, with mixed-sign values.
+SparseVector RandomSparse(uint32_t n, uint32_t universe, Xoshiro256& rng) {
+  std::map<uint32_t, double> entries;
+  while (entries.size() < n) {
+    entries[rng.UniformInt32(universe)] = MixedTerm(rng);
+  }
+  std::vector<SparseEntry> out;
+  for (const auto& [index, value] : entries) {
+    out.push_back(SparseEntry{index, value});
+  }
+  return SparseVector::FromSorted(std::move(out));
+}
+
+void ExpectDotMatchesBranchy(const SparseVector& a, const SparseVector& b,
+                             const std::vector<double>& diag) {
+  EXPECT_EQ(Bits(SparseVector::DotWeighted(a, b, diag)),
+            Bits(BranchyDotWeighted(a, b, diag)));
+  EXPECT_EQ(Bits(SparseVector::DotWeighted(b, a, diag)),
+            Bits(BranchyDotWeighted(b, a, diag)));
+}
+
+TEST(DotWeightedTest, MatchesBranchyMergeBitForBit) {
+  Xoshiro256 rng(59);
+  constexpr uint32_t kUniverse = 4096;
+  std::vector<double> diag(kUniverse);
+  for (double& d : diag) d = 0.4 + 0.6 * rng.NextDouble();
+  const SparseVector empty;
+
+  // Disjoint: even against odd indices, so every step misses.
+  std::vector<SparseEntry> even, odd;
+  for (uint32_t k = 0; k < 1000; ++k) {
+    even.push_back(SparseEntry{2 * k, MixedTerm(rng)});
+    odd.push_back(SparseEntry{2 * k + 1, MixedTerm(rng)});
+  }
+  const SparseVector a = SparseVector::FromSorted(even);
+  const SparseVector b = SparseVector::FromSorted(odd);
+  ExpectDotMatchesBranchy(a, b, diag);
+  EXPECT_EQ(Bits(SparseVector::DotWeighted(a, b, diag)), Bits(0.0));
+
+  // Identical: every step matches.
+  ExpectDotMatchesBranchy(a, a, diag);
+  ExpectDotMatchesBranchy(b, b, diag);
+
+  // One side empty.
+  ExpectDotMatchesBranchy(a, empty, diag);
+  ExpectDotMatchesBranchy(empty, empty, diag);
+  EXPECT_EQ(Bits(SparseVector::DotWeighted(empty, a, diag)), Bits(0.0));
+
+  // Unequal tails: a short side that ends early, late or in the middle,
+  // against a long one.
+  for (const uint32_t shift : {0u, 2000u, 3500u}) {
+    std::vector<SparseEntry> tail;
+    for (uint32_t k = 0; k < 40; ++k) {
+      tail.push_back(SparseEntry{shift + 3 * k, MixedTerm(rng)});
+    }
+    ExpectDotMatchesBranchy(SparseVector::FromSorted(tail), a, diag);
+  }
+
+  // Random partial overlaps of many sizes, across the chunk boundary.
+  for (const uint32_t na : {1u, 7u, 127u, 128u, 129u, 1000u, 3000u}) {
+    for (const uint32_t nb : {1u, 200u, 1500u}) {
+      SCOPED_TRACE(testing::Message() << "na " << na << " nb " << nb);
+      ExpectDotMatchesBranchy(RandomSparse(na, kUniverse, rng),
+                              RandomSparse(nb, kUniverse, rng), diag);
+    }
+  }
 }
 
 // Property sweep: accumulator agrees with a dense reference across sizes.

@@ -434,18 +434,18 @@ QueryOptions GoldenMcssOptions(uint32_t fanout) {
   return q;
 }
 
-// Pins the single-source (MCSS), PPR, node2vec and index-row answers bit
-// for bit on a fixed R-MAT graph, the walk step and crossing counts of
-// the query runs, and one first- and one second-order walk that parks at
-// dangling nodes (kSelfLoop). A change to any draw, to the order of the
-// draws, to what counts as a step, or to the order in which one node's
-// contributions are summed moves these values; a pure speedup of the
-// walk, the push or the drains must not. The MCSS rows pin the Horner
-// combine, one push per level: its draws differ from the nested form's
-// one chain per level, whose values NestedReferenceReproducesTheReplacedForm
-// keeps pinned. Fanout 3 puts push-batch boundaries inside one entry's
-// draws. The constants assume IEEE-754 doubles without FMA contraction, as
-// on x86-64.
+// Pins the single-source (MCSS), single-pair (MCSP), PPR, node2vec and
+// index-row answers bit for bit on a fixed R-MAT graph, the walk step and
+// crossing counts of the query runs, and one first- and one second-order
+// walk that parks at dangling nodes (kSelfLoop). A change to any draw, to
+// the order of the draws, to what counts as a step, or to the order in
+// which one node's contributions are summed moves these values; a pure
+// speedup of the walk, the push or the drains must not. The MCSS rows
+// pin the Horner combine, one push per level: its draws differ from the
+// nested form's one chain per level, whose values
+// NestedReferenceReproducesTheReplacedForm keeps pinned. Fanout 3 puts
+// push-batch boundaries inside one entry's draws. The constants assume
+// IEEE-754 doubles without FMA contraction, as on x86-64.
 TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
 #if !defined(__x86_64__)
   GTEST_SKIP() << "golden constants are recorded for x86-64";
@@ -553,6 +553,21 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
     EXPECT_EQ(n2v_parked.steps, 10000u);
     EXPECT_EQ(n2v_parked.partition_crossings, want.parked_crossings);
   }
+
+  // MCSP over consecutive pairs of kGoldenSources: the score bits, keyed
+  // by the pair's ordinal, hashed as one vector. The last two pairs never
+  // meet and score +0.0.
+  std::vector<SparseEntry> pair_scores;
+  QueryStats pair_stats;
+  for (uint32_t s = 0; s + 1 < std::size(kGoldenSources); ++s) {
+    pair_scores.push_back(SparseEntry{
+        s, SinglePairQuery(g, *idx, kGoldenSources[s], kGoldenSources[s + 1],
+                           GoldenMcssOptions(1), &pair_stats, &owner)});
+  }
+  EXPECT_EQ(HashSparse(SparseVector::FromSorted(std::move(pair_scores))),
+            0xece59d51165d7a89ull);
+  EXPECT_EQ(pair_stats.walk_steps, 104563u);
+  EXPECT_EQ(pair_stats.walk_crossings, 67116u);
 
   const IndexRows rows = BuildIndexRows(g, io, /*pool=*/nullptr);
   ASSERT_EQ(rows.rows.size(), g.num_nodes());

@@ -74,7 +74,8 @@ std::shared_ptr<const PagedSnapshot>* BlockCacheTest::paged_ = nullptr;
 std::string* BlockCacheTest::path_ = nullptr;
 
 TEST_F(BlockCacheTest, CreateRejectsBudgetBelowLargestBlock) {
-  auto cache = BlockCache::Create(snapshot(), snapshot()->max_block_bytes() - 1);
+  auto cache =
+      BlockCache::Create(snapshot(), snapshot()->max_block_bytes() - 1);
   ASSERT_FALSE(cache.ok());
   EXPECT_TRUE(cache.status().IsInvalidArgument()) << cache.status().ToString();
   auto ok = BlockCache::Create(snapshot(), snapshot()->max_block_bytes());

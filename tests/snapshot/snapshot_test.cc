@@ -209,7 +209,8 @@ TEST_F(SnapshotTest, OpenIsZeroCopy) {
   // Build metadata survived the trip.
   EXPECT_EQ(cw.indexing_options().num_walkers, 20u);
   EXPECT_EQ(cw.indexing_options().params.num_steps, 5u);
-  EXPECT_EQ(cw.indexing_stats().walk_steps, built().indexing_stats().walk_steps);
+  EXPECT_EQ(cw.indexing_stats().walk_steps,
+            built().indexing_stats().walk_steps);
   EXPECT_EQ(cw.snapshot()->metadata().query_options_fingerprint,
             QueryOptionsFingerprint(QueryOptions{}));
 }
