@@ -49,8 +49,23 @@ using namespace cloudwalker;
 
 namespace {
 
+// True when both responses are OK and carry equal answers.
+bool SameAnswer(const QueryResponse& a, const QueryResponse& b) {
+  if (!a.ok() || !b.ok() || a.kind != b.kind) return false;
+  switch (a.kind) {
+    case QueryKind::kPair:
+      return a.score() == b.score();
+    case QueryKind::kSingleSource:
+      return a.scores()->entries() == b.scores()->entries();
+    case QueryKind::kAllPairsTopK:
+      return *a.all_pairs() == *b.all_pairs();
+    default:
+      return *a.topk() == *b.topk();
+  }
+}
+
 // Five of the six QueryKinds, probe-sized, compared for exact equality on
-// the headline artifact. AllPairs is covered separately on a small
+// the headline artifact. kAllPairsTopK is covered separately on a small
 // artifact — through the paged backend it re-pages the file once per
 // source, so running it across the headline graph measures disk bandwidth,
 // not identity.
@@ -60,33 +75,22 @@ bool BitIdenticalAcrossPointKinds(const CloudWalker& mem,
   probe.num_walkers = 20;
   bool ok = true;
   for (const NodeId q : {NodeId{1}, n / 2, n - 2}) {
-    auto pair_a = mem.SinglePair(q, (q * 7 + 3) % n, probe);
-    auto pair_b = ooc.SinglePair(q, (q * 7 + 3) % n, probe);
-    ok = ok && pair_a.ok() && pair_b.ok() && *pair_a == *pair_b;
-    auto src_a = mem.SingleSource(q, probe);
-    auto src_b = ooc.SingleSource(q, probe);
-    ok = ok && src_a.ok() && src_b.ok() &&
-         src_a->entries().size() == src_b->entries().size();
-    if (ok) {
-      for (size_t e = 0; e < src_a->entries().size(); ++e) {
-        ok = ok && src_a->entries()[e].index == src_b->entries()[e].index &&
-             src_a->entries()[e].value == src_b->entries()[e].value;
-      }
+    const QueryRequest requests[] = {
+        QueryRequest::Pair(q, (q * 7 + 3) % n),
+        QueryRequest::SingleSource(q),
+        QueryRequest::SourceTopK(q, 10),
+        QueryRequest::PersonalizedPageRank(q, 10),
+        QueryRequest::Node2Vec(q, 10),
+    };
+    for (const QueryRequest& request : requests) {
+      const QueryRequest probed = request.WithOptions(probe);
+      ok = ok && SameAnswer(mem.Execute(probed), ooc.Execute(probed));
     }
-    auto topk_a = mem.SingleSourceTopK(q, 10, probe);
-    auto topk_b = ooc.SingleSourceTopK(q, 10, probe);
-    ok = ok && topk_a.ok() && topk_b.ok() && *topk_a == *topk_b;
-    auto ppr_a = mem.PersonalizedPageRankTopK(q, 10, probe);
-    auto ppr_b = ooc.PersonalizedPageRankTopK(q, 10, probe);
-    ok = ok && ppr_a.ok() && ppr_b.ok() && *ppr_a == *ppr_b;
-    auto n2v_a = mem.Node2VecTopK(q, 10, probe);
-    auto n2v_b = ooc.Node2VecTopK(q, 10, probe);
-    ok = ok && n2v_a.ok() && n2v_b.ok() && *n2v_a == *n2v_b;
   }
   return ok;
 }
 
-// AllPairs identity on a dedicated small artifact that still genuinely
+// kAllPairsTopK identity on a dedicated small artifact that still genuinely
 // pages (16 KiB blocks, 50% budget).
 bool AllPairsIdenticalOnSmallArtifact(ThreadPool* pool) {
   const std::string path = "bench-ooc-allpairs.cwk";
@@ -111,12 +115,13 @@ bool AllPairsIdenticalOnSmallArtifact(ThreadPool* pool) {
   CW_CHECK_OK(ooc.status());
   QueryOptions probe;
   probe.num_walkers = 20;
-  auto all_a = (*mem)->AllPairs(3, probe, pool);
-  auto all_b = (*ooc)->AllPairs(3, probe, pool);
+  const QueryRequest all = QueryRequest::AllPairsTopK(3).WithOptions(probe);
+  const QueryResponse all_a = (*mem)->Execute(all, pool);
+  const QueryResponse all_b = (*ooc)->Execute(all, pool);
   const BlockCacheCounters counters = (*ooc)->ooc_backend()->cache_counters();
   std::remove(path.c_str());
-  return all_a.ok() && all_b.ok() && *all_a == *all_b &&
-         counters.misses > 0 && counters.evictions > 0;
+  return SameAnswer(all_a, all_b) && counters.misses > 0 &&
+         counters.evictions > 0;
 }
 
 // One throughput batch: Q single-source queries at the paper's R'.
@@ -125,8 +130,8 @@ double OneBatchSeconds(const CloudWalker& engine,
                        const QueryOptions& options) {
   WallTimer timer;
   for (const NodeId q : sources) {
-    auto r = engine.SingleSource(q, options);
-    CW_CHECK_OK(r.status());
+    const QueryRequest request = QueryRequest::SingleSource(q);
+    CW_CHECK_OK(engine.Execute(request.WithOptions(options)).status);
   }
   return timer.Seconds();
 }
@@ -259,9 +264,10 @@ int main() {
     CW_CHECK_OK(reordered.status());
     // External ids keep answering identically (endpoint kinds are exact).
     for (const NodeId q : {NodeId{17}, n / 3}) {
-      auto a = (*mem)->PersonalizedPageRankTopK(q, 10);
-      auto b = (*reordered)->PersonalizedPageRankTopK(q, 10);
-      reorder_identical = reorder_identical && a.ok() && b.ok() && *a == *b;
+      const QueryRequest ppr = QueryRequest::PersonalizedPageRank(q, 10);
+      const bool same =
+          SameAnswer((*mem)->Execute(ppr), (*reordered)->Execute(ppr));
+      reorder_identical = reorder_identical && same;
     }
     // Interleave original-vs-reordered passes and take the min of each:
     // the batch is short enough that host-wide drift between two
@@ -327,8 +333,9 @@ int main() {
       if (setrlimit(RLIMIT_AS, &lim) == 0) {
         auto capped = CloudWalker::OutOfCore(plain_path, ooc_options);
         if (capped.ok()) {
-          auto r = (*capped)->SingleSource(sources.front(), query_options);
-          ran_under_rlimit = r.ok();
+          const auto request = QueryRequest::SingleSource(sources.front());
+          ran_under_rlimit =
+              (*capped)->Execute(request.WithOptions(query_options)).ok();
         }
         lim.rlim_cur = RLIM_INFINITY;
         setrlimit(RLIMIT_AS, &lim);  // restore for teardown

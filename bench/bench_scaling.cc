@@ -6,8 +6,9 @@
 //   1. Walk-phase throughput of ParallelWalkExecutor at 1/2/4/8 threads
 //      vs the single-threaded kernel (SimRank + PPR workload, same shape
 //      as bench_shard).
-//   2. Serving QPS of QueryService with ServeOptions::walk_threads at
-//      1 and 4 on a distinct-source top-k stream (context rows).
+//   2. Serving QPS of QueryService over an engine wrapped by
+//      CloudWalker::Parallelize at 1 (unwrapped) and 4 walk threads on a
+//      distinct-source top-k stream (context rows).
 //   3. SIMD-vs-scalar speedup of the sorted-run aggregation kernel —
 //      emitted (and gated, floor 1.3x) only on hosts where
 //      simd::HaveAvx2() is true; the baseline marks it optional so
@@ -271,8 +272,15 @@ int main() {
     ThreadPool serve_pool(1);  // isolate walk_threads from request fan-out
     ServeOptions options;
     options.query = q;
-    options.walk_threads = walk_threads;
-    QueryService service(cw, options, &serve_pool);
+    std::shared_ptr<const CloudWalker> engine = cw;
+    if (walk_threads > 1) {
+      ParallelWalkOptions parallel_options;
+      parallel_options.num_threads = walk_threads;
+      auto parallel = CloudWalker::Parallelize(cw, parallel_options);
+      CW_CHECK_OK(parallel.status());
+      engine = *parallel;
+    }
+    QueryService service(engine, options, &serve_pool);
     service.ResetStats();
     service.ExecuteBatch(requests);
     const double qps = service.Stats().qps;

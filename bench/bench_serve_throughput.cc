@@ -238,10 +238,11 @@ int main() {
       for (size_t i = 0; i < mixed.size(); i += 97) {
         const QueryRequest& req = mixed[i];
         if (req.kind != QueryKind::kSourceTopK) continue;
-        auto direct =
-            cw->SingleSourceTopK(req.a, req.k, service.options().query);
+        const QueryRequest probe = QueryRequest::SourceTopK(req.a, req.k);
+        const QueryResponse direct =
+            cw->Execute(probe.WithOptions(service.options().query));
         if (!direct.ok() || !responses[i].ok() ||
-            *responses[i].topk() != *direct) {
+            *responses[i].topk() != *direct.topk()) {
           async_ok = false;
         }
       }

@@ -113,11 +113,12 @@ int main() {
                       "error: " + cw.status().ToString()});
       } else {
         const double prep_s = prep.Seconds();
+        const QueryOptions q = bench::PaperQueryOptions();
         WallTimer spt;
-        (void)cw->SinglePair(i, j, bench::PaperQueryOptions());
+        (void)cw->Execute(QueryRequest::Pair(i, j).WithOptions(q));
         const double sp_s = spt.Seconds();
         WallTimer sst;
-        (void)cw->SingleSource(i, bench::PaperQueryOptions());
+        (void)cw->Execute(QueryRequest::SingleSource(i).WithOptions(q));
         const double ss_s = sst.Seconds();
         table.AddRow({ds.name, "CloudWalker", HumanSeconds(prep_s),
                       HumanSeconds(sp_s), HumanSeconds(ss_s)});

@@ -100,9 +100,10 @@ int main() {
   std::vector<double> risk(kUsers, 0.0);
   const size_t seeds = std::min<size_t>(net.churned.size(), 50);
   for (size_t s = 0; s < seeds; ++s) {
-    auto scores = cw->SingleSource(net.churned[s], qo);
+    const QueryResponse scores =
+        cw->Execute(QueryRequest::SingleSource(net.churned[s]).WithOptions(qo));
     if (!scores.ok()) continue;
-    for (const SparseEntry& e : *scores) {
+    for (const SparseEntry& e : *scores.scores()) {
       risk[e.index] += e.value / static_cast<double>(seeds);
     }
   }

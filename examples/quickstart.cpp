@@ -53,13 +53,15 @@ int main(int argc, char** argv) {
   QueryOptions query_options;  // paper default R' = 10,000
 
   // Single-pair: how similar are nodes 1 and 2?
-  auto pair = cw->SinglePair(1, 2, query_options);
-  std::cout << "s(1, 2) = " << FormatDouble(pair.value(), 4) << "\n";
+  const QueryRequest pair = QueryRequest::Pair(1, 2).WithOptions(query_options);
+  std::cout << "s(1, 2) = " << FormatDouble(cw->Execute(pair).score(), 4)
+            << "\n";
 
   // Single-source: the ten nodes most similar to node 1.
-  auto top = cw->SingleSourceTopK(1, 10, query_options);
+  const QueryResponse top =
+      cw->Execute(QueryRequest::SourceTopK(1, 10).WithOptions(query_options));
   std::cout << "top-10 most similar to node 1:\n";
-  for (const ScoredNode& sn : top.value()) {
+  for (const ScoredNode& sn : *top.topk()) {
     std::cout << "  node " << sn.node << "  s = "
               << FormatDouble(sn.score, 4) << "\n";
   }
@@ -69,8 +71,7 @@ int main(int argc, char** argv) {
   if (cw->WriteSnapshot(path).ok()) {
     auto cw2 = CloudWalker::Open(path);  // mmap: no rebuild, no graph reload
     std::cout << "snapshot written to " << path << " and reopened; s(1, 2) = "
-              << FormatDouble(
-                     (*cw2)->SinglePair(1, 2, query_options).value(), 4)
+              << FormatDouble((*cw2)->Execute(pair).score(), 4)
               << " (identical)\n";
   }
   return 0;

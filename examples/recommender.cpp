@@ -76,10 +76,11 @@ int main() {
 
   // --- Similar items: SimRank vs plain co-purchase (co-citation). --------
   const NodeId probe_item = ItemNode(0);  // genre-0 item
-  auto similar_items = cw->SingleSourceTopK(probe_item, 8, qo);
+  const QueryResponse similar_items =
+      cw->Execute(QueryRequest::SourceTopK(probe_item, 8).WithOptions(qo));
   std::cout << "\nitems similar to item 0 (genre 0) by SimRank:\n";
   int simrank_in_genre = 0;
-  for (const ScoredNode& sn : similar_items.value()) {
+  for (const ScoredNode& sn : *similar_items.topk()) {
     if (sn.node < kNumUsers) continue;  // skip user nodes
     const NodeId item = sn.node - kNumUsers;
     const int genre = static_cast<int>(item / (kNumItems / kGenres));
@@ -99,9 +100,10 @@ int main() {
   const NodeId user = 123;  // genre 123 % 5 = 3
   std::cout << "\nrecommendations for user " << user << " (genre "
             << Genre(user) << "): users most similar to them:\n";
-  auto similar_users = cw->SingleSourceTopK(user, 5, qo);
+  const QueryResponse similar_users =
+      cw->Execute(QueryRequest::SourceTopK(user, 5).WithOptions(qo));
   int same_genre = 0;
-  for (const ScoredNode& sn : similar_users.value()) {
+  for (const ScoredNode& sn : *similar_users.topk()) {
     if (sn.node >= kNumUsers) continue;
     std::cout << "  user " << sn.node << " (genre " << Genre(sn.node)
               << ")  s = " << FormatDouble(sn.score, 4) << "\n";

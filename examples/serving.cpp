@@ -127,12 +127,13 @@ int main() {
   }
 
   // --- 4. Served answers are bit-identical to direct kernel calls. -------
-  const QueryResponse again =
-      service.Execute(QueryRequest::SourceTopK(1, 5));
-  auto direct = (*cw)->SingleSourceTopK(1, 5, options.query);
+  const QueryRequest request = QueryRequest::SourceTopK(1, 5);
+  const QueryResponse again = service.Execute(request);
+  const QueryResponse direct =
+      (*cw)->Execute(request.WithOptions(options.query));
   const bool identical =
-      direct.ok() && again.ok() && *again.topk() == *direct;
-  std::cout << "\nserved result identical to direct SingleSourceTopK: "
+      direct.ok() && again.ok() && *again.topk() == *direct.topk();
+  std::cout << "\nserved result identical to direct CloudWalker::Execute: "
             << (identical ? "yes" : "NO — bug!") << " (cache hit: "
             << (again.cache_hit ? "yes" : "no") << ")\n";
   if (!identical) return 1;
@@ -168,10 +169,12 @@ int main() {
   const std::vector<QueryResponse> pre = WhenAll(pre_swap);
   const std::vector<QueryResponse> post = WhenAll(post_swap);
   for (NodeId s = 0; s < 32; ++s) {
-    auto d1 = (*cw)->SingleSourceTopK(s, 5, options.query);
-    auto d2 = (*v2)->SingleSourceTopK(s, 5, options.query);
-    if (!pre[s].ok() || !d1.ok() || *pre[s].topk() != *d1) ++mixed;
-    if (!post[s].ok() || !d2.ok() || *post[s].topk() != *d2) ++mixed;
+    const QueryRequest probe =
+        QueryRequest::SourceTopK(s, 5).WithOptions(options.query);
+    const QueryResponse d1 = (*cw)->Execute(probe);
+    const QueryResponse d2 = (*v2)->Execute(probe);
+    if (!pre[s].ok() || !d1.ok() || *pre[s].topk() != *d1.topk()) ++mixed;
+    if (!post[s].ok() || !d2.ok() || *post[s].topk() != *d2.topk()) ++mixed;
   }
   std::cout << "\nhot swap: published v"
             << service.Stats().snapshot_version << " (epoch " << *epoch

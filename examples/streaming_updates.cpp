@@ -113,10 +113,11 @@ int main() {
       std::cerr << epoch.status().ToString() << "\n";
       return 1;
     }
-    const QueryResponse served =
-        service.Execute(QueryRequest::SourceTopK(probe, 5));
-    auto direct = (*fresh)->SingleSourceTopK(probe, 5, serve_options.query);
-    if (!served.ok() || !direct.ok() || *served.topk() != *direct) {
+    const QueryRequest request = QueryRequest::SourceTopK(probe, 5);
+    const QueryResponse served = service.Execute(request);
+    const QueryResponse direct =
+        (*fresh)->Execute(request.WithOptions(serve_options.query));
+    if (!served.ok() || !direct.ok() || *served.topk() != *direct.topk()) {
       std::cerr << "served answer diverged from the published engine\n";
       return 1;
     }

@@ -45,9 +45,10 @@ int main() {
   // the sampled push's weight variance around heavy hubs.
   qo.push = PushStrategy::kExact;
   qo.prune_threshold = 1e-5;
-  auto related = cw->SingleSourceTopK(query, 10, qo);
+  const TopKPtr related =
+      cw->Execute(QueryRequest::SourceTopK(query, 10).WithOptions(qo)).topk();
   std::cout << "related pages by SimRank:\n";
-  for (const ScoredNode& sn : related.value()) {
+  for (const ScoredNode& sn : *related) {
     std::cout << "  page " << sn.node << "  s = "
               << FormatDouble(sn.score, 4) << "  (co-citation "
               << FormatDouble(CoCitation(web, query, sn.node), 4) << ")\n";
@@ -56,7 +57,7 @@ int main() {
   // How much do the two measures agree on this query?
   const std::vector<double> cocite = CoCitationSingleSource(web, query);
   std::vector<NodeId> simrank_ids;
-  for (const ScoredNode& sn : related.value()) {
+  for (const ScoredNode& sn : *related) {
     simrank_ids.push_back(sn.node);
   }
   const double overlap =

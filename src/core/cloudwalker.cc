@@ -18,6 +18,24 @@ namespace {
 
 double Clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
+// kSingleSource's answer: `raw` clamped to [0, 1], with s(q, q) pinned to
+// exactly 1 (and inserted when no walk reached it).
+SparseVector ClampPinningSelf(const SparseVector& raw, NodeId q) {
+  std::vector<SparseEntry> entries;
+  entries.reserve(raw.size() + 1);
+  bool pinned = false;
+  for (const SparseEntry& e : raw) {
+    if (!pinned && e.index >= q) {
+      entries.push_back(SparseEntry{q, 1.0});
+      pinned = true;
+      if (e.index == q) continue;
+    }
+    entries.push_back(SparseEntry{e.index, Clamp01(e.value)});
+  }
+  if (!pinned) entries.push_back(SparseEntry{q, 1.0});
+  return SparseVector::FromSorted(std::move(entries));
+}
+
 // Reconstructs the build-time knobs a snapshot's metadata block records
 // (shared by the in-memory and out-of-core open paths).
 IndexingOptions OptionsFromMetadata(const SimRankParams& params,
@@ -295,148 +313,6 @@ Status CloudWalker::WriteReorderedSnapshot(const std::string& path,
                                BuildSnapshotMetadata(), write_options);
 }
 
-Status CloudWalker::TakeBackendError() const {
-  return walk_backend_ != nullptr ? walk_backend_->TakeError()
-                                  : Status::Ok();
-}
-
-Status CloudWalker::ValidateQuery(NodeId node,
-                                  const QueryOptions& options) const {
-  CW_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  if (node >= graph_->num_nodes()) {
-    return Status::OutOfRange("node " + std::to_string(node) +
-                              " out of range (graph has " +
-                              std::to_string(graph_->num_nodes()) + " nodes)");
-  }
-  return Status::Ok();
-}
-
-StatusOr<double> CloudWalker::PairScore(NodeId i, NodeId j,
-                                        const QueryOptions& options,
-                                        QueryStats* stats,
-                                        const CancelToken* cancel) const {
-  const double raw = SinglePairQuery(*graph_, index_, ToInternal(i),
-                                     ToInternal(j), options, stats,
-                                     /*owner=*/nullptr, walk_context_.get(),
-                                     cancel, walk_backend_.get());
-  // Drain the backend error even when cancelled, so a stale failure never
-  // leaks into the next query; cancellation takes reporting precedence.
-  const Status backend = TakeBackendError();
-  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
-  if (!backend.ok()) return backend;
-  return Clamp01(raw);
-}
-
-StatusOr<SparseVector> CloudWalker::SourceVector(
-    NodeId q, const QueryOptions& options, QueryStats* stats,
-    const CancelToken* cancel) const {
-  SparseVector internal =
-      SingleSourceQuery(*graph_, index_, ToInternal(q), options, stats,
-                        /*owner=*/nullptr, walk_context_.get(), cancel,
-                        walk_backend_.get());
-  const Status backend = TakeBackendError();
-  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
-  if (!backend.ok()) return backend;
-  const SparseVector raw = TranslateSparse(std::move(internal));
-  std::vector<SparseEntry> entries;
-  entries.reserve(raw.size() + 1);
-  bool saw_self = false;
-  for (const SparseEntry& e : raw) {
-    if (e.index == q) {
-      entries.push_back(SparseEntry{q, 1.0});
-      saw_self = true;
-    } else {
-      entries.push_back(SparseEntry{e.index, Clamp01(e.value)});
-    }
-  }
-  SparseVector out = SparseVector::FromSorted(std::move(entries));
-  if (!saw_self) {
-    out = SparseVector::Axpy(out, 1.0,
-                             SparseVector::FromSorted({SparseEntry{q, 1.0}}));
-  }
-  return out;
-}
-
-StatusOr<std::vector<ScoredNode>> CloudWalker::SourceTopK(
-    NodeId q, size_t k, const QueryOptions& options, QueryStats* stats,
-    const CancelToken* cancel) const {
-  SparseVector internal =
-      SingleSourceQuery(*graph_, index_, ToInternal(q), options, stats,
-                        /*owner=*/nullptr, walk_context_.get(), cancel,
-                        walk_backend_.get());
-  const Status backend = TakeBackendError();
-  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
-  if (!backend.ok()) return backend;
-  const SparseVector raw = TranslateSparse(std::move(internal));
-  std::vector<ScoredNode> top = TopKFromSparse(raw, /*exclude=*/q, k);
-  for (ScoredNode& s : top) s.score = Clamp01(s.score);
-  return top;
-}
-
-StatusOr<std::vector<std::vector<ScoredNode>>> CloudWalker::AllPairsInternal(
-    size_t k, const QueryOptions& options, ThreadPool* pool,
-    QueryStats* stats, const CancelToken* cancel) const {
-  uint64_t walk_steps = 0;
-  auto result = AllPairsTopK(*graph_, index_, options, k, pool, &walk_steps,
-                             walk_context_.get(), cancel,
-                             walk_backend_.get());
-  const Status backend = TakeBackendError();
-  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
-  if (!backend.ok()) return backend;
-  if (stats != nullptr) stats->walk_steps += walk_steps;
-  for (auto& per_source : result) {
-    for (ScoredNode& s : per_source) s.score = Clamp01(s.score);
-  }
-  if (!int_to_ext_.empty()) {
-    // Re-index sources and scored nodes into external id space, restoring
-    // the (score desc, id asc) contract on the translated ids. Score ties
-    // at the k boundary were decided on internal ids inside the kernel.
-    std::vector<std::vector<ScoredNode>> external(result.size());
-    for (size_t u = 0; u < result.size(); ++u) {
-      std::vector<ScoredNode>& list = result[u];
-      for (ScoredNode& s : list) s.node = int_to_ext_[s.node];
-      std::sort(list.begin(), list.end(),
-                [](const ScoredNode& a, const ScoredNode& b) {
-                  return a.score != b.score ? a.score > b.score
-                                            : a.node < b.node;
-                });
-      external[int_to_ext_[u]] = std::move(list);
-    }
-    result = std::move(external);
-  }
-  return result;
-}
-
-StatusOr<std::vector<ScoredNode>> CloudWalker::PprTopK(
-    NodeId q, size_t k, const QueryOptions& options, QueryStats* stats,
-    const CancelToken* cancel) const {
-  SparseVector endpoints =
-      PersonalizedPageRankQuery(*graph_, index_, ToInternal(q), options,
-                                stats, /*owner=*/nullptr,
-                                walk_context_.get(), cancel,
-                                walk_backend_.get());
-  const Status backend = TakeBackendError();
-  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
-  if (!backend.ok()) return backend;
-  // Endpoint frequencies are already in [0, 1]; no clamping needed.
-  return TopKFromSparse(TranslateSparse(std::move(endpoints)),
-                        /*exclude=*/q, k);
-}
-
-StatusOr<std::vector<ScoredNode>> CloudWalker::N2vTopK(
-    NodeId q, size_t k, const QueryOptions& options, QueryStats* stats,
-    const CancelToken* cancel) const {
-  SparseVector visits =
-      Node2VecVisitQuery(*graph_, index_, ToInternal(q), options, stats,
-                         /*owner=*/nullptr, walk_context_.get(), cancel,
-                         walk_backend_.get());
-  const Status backend = TakeBackendError();
-  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
-  if (!backend.ok()) return backend;
-  return TopKFromSparse(TranslateSparse(std::move(visits)),
-                        /*exclude=*/q, k);
-}
-
 QueryResponse CloudWalker::Execute(const QueryRequest& request,
                                    ThreadPool* pool,
                                    const CancelToken* cancel) const {
@@ -444,7 +320,6 @@ QueryResponse CloudWalker::Execute(const QueryRequest& request,
   QueryResponse response;
   response.kind = request.kind;
   const QueryOptions base;  // the facade's defaults (paper parameters)
-  const QueryOptions& options = request.EffectiveOptions(base);
 
   // A local token carries the request's own deadline when the caller did
   // not supply one (the serving layer arms its token at admission).
@@ -459,114 +334,106 @@ QueryResponse CloudWalker::Execute(const QueryRequest& request,
     response.status = cancel->ToStatus();  // expired before any work
   }
   if (response.status.ok()) {
-    switch (request.kind) {
-      case QueryKind::kPair: {
-        auto score = PairScore(request.a, request.b, options,
-                               &response.stats, cancel);
-        if (score.ok()) {
-          response.payload = *score;
-        } else {
-          response.status = score.status();
-        }
-        break;
-      }
-      case QueryKind::kSingleSource: {
-        auto scores =
-            SourceVector(request.a, options, &response.stats, cancel);
-        if (scores.ok()) {
-          response.payload = std::make_shared<const SparseVector>(
-              std::move(scores).value());
-        } else {
-          response.status = scores.status();
-        }
-        break;
-      }
-      case QueryKind::kSourceTopK: {
-        auto top = SourceTopK(request.a, request.k, options, &response.stats,
-                              cancel);
-        if (top.ok()) {
-          response.payload =
-              std::make_shared<const TopKResult>(std::move(top).value());
-        } else {
-          response.status = top.status();
-        }
-        break;
-      }
-      case QueryKind::kAllPairsTopK: {
-        auto all = AllPairsInternal(request.k, options, pool,
-                                    &response.stats, cancel);
-        if (all.ok()) {
-          response.payload =
-              std::make_shared<const AllPairsResult>(std::move(all).value());
-        } else {
-          response.status = all.status();
-        }
-        break;
-      }
-      case QueryKind::kPersonalizedPageRank: {
-        auto top = PprTopK(request.a, request.k, options, &response.stats,
-                           cancel);
-        if (top.ok()) {
-          response.payload =
-              std::make_shared<const TopKResult>(std::move(top).value());
-        } else {
-          response.status = top.status();
-        }
-        break;
-      }
-      case QueryKind::kNode2Vec: {
-        auto top = N2vTopK(request.a, request.k, options, &response.stats,
-                           cancel);
-        if (top.ok()) {
-          response.payload =
-              std::make_shared<const TopKResult>(std::move(top).value());
-        } else {
-          response.status = top.status();
-        }
-        break;
-      }
-    }
+    response.status = Answer(request, request.EffectiveOptions(base), pool,
+                             cancel, &response);
   }
   response.latency_seconds = timer.Seconds();
   return response;
 }
 
-StatusOr<double> CloudWalker::SinglePair(NodeId i, NodeId j,
-                                         const QueryOptions& options) const {
-  CW_RETURN_IF_ERROR(ValidateQuery(i, options));
-  CW_RETURN_IF_ERROR(ValidateQuery(j, options));
-  return PairScore(i, j, options, /*stats=*/nullptr, /*cancel=*/nullptr);
-}
+Status CloudWalker::Answer(const QueryRequest& request,
+                           const QueryOptions& options, ThreadPool* pool,
+                           const CancelToken* cancel,
+                           QueryResponse* response) const {
+  const WalkContext* context = walk_context_.get();
+  const WalkBackend* backend = walk_backend_.get();
+  QueryStats* stats = &response->stats;
+  // The per-source kernels share one signature.
+  const auto source_kernel = [&](auto kernel) {
+    return kernel(*graph_, index_, ToInternal(request.a), options, stats,
+                  /*owner=*/nullptr, context, cancel, backend);
+  };
+  double pair = 0.0;
+  SparseVector scores;  // internal ids until translated below
+  AllPairsResult all;
+  uint64_t all_pairs_steps = 0;
+  switch (request.kind) {
+    case QueryKind::kPair:
+      pair = SinglePairQuery(*graph_, index_, ToInternal(request.a),
+                             ToInternal(request.b), options, stats,
+                             /*owner=*/nullptr, context, cancel, backend);
+      break;
+    case QueryKind::kSingleSource:
+    case QueryKind::kSourceTopK:
+      scores = source_kernel(SingleSourceQuery);
+      break;
+    case QueryKind::kPersonalizedPageRank:
+      scores = source_kernel(PersonalizedPageRankQuery);
+      break;
+    case QueryKind::kNode2Vec:
+      scores = source_kernel(Node2VecVisitQuery);
+      break;
+    case QueryKind::kAllPairsTopK:
+      all = AllPairsTopK(*graph_, index_, options, request.k, pool,
+                         &all_pairs_steps, context, cancel, backend);
+      break;
+  }
+  // Drain the backend error even when cancelled, so a stale failure never
+  // leaks into the next query; cancellation takes reporting precedence.
+  const Status drained =
+      backend != nullptr ? backend->TakeError() : Status::Ok();
+  if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
+  CW_RETURN_IF_ERROR(drained);
+  stats->walk_steps += all_pairs_steps;
 
-StatusOr<SparseVector> CloudWalker::SingleSource(
-    NodeId q, const QueryOptions& options) const {
-  CW_RETURN_IF_ERROR(ValidateQuery(q, options));
-  return SourceVector(q, options, /*stats=*/nullptr, /*cancel=*/nullptr);
-}
-
-StatusOr<std::vector<ScoredNode>> CloudWalker::SingleSourceTopK(
-    NodeId q, size_t k, const QueryOptions& options) const {
-  CW_RETURN_IF_ERROR(ValidateQuery(q, options));
-  return SourceTopK(q, k, options, /*stats=*/nullptr, /*cancel=*/nullptr);
-}
-
-StatusOr<std::vector<std::vector<ScoredNode>>> CloudWalker::AllPairs(
-    size_t k, const QueryOptions& options, ThreadPool* pool) const {
-  CW_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  return AllPairsInternal(k, options, pool, /*stats=*/nullptr,
-                          /*cancel=*/nullptr);
-}
-
-StatusOr<std::vector<ScoredNode>> CloudWalker::PersonalizedPageRankTopK(
-    NodeId q, size_t k, const QueryOptions& options) const {
-  CW_RETURN_IF_ERROR(ValidateQuery(q, options));
-  return PprTopK(q, k, options, /*stats=*/nullptr, /*cancel=*/nullptr);
-}
-
-StatusOr<std::vector<ScoredNode>> CloudWalker::Node2VecTopK(
-    NodeId q, size_t k, const QueryOptions& options) const {
-  CW_RETURN_IF_ERROR(ValidateQuery(q, options));
-  return N2vTopK(q, k, options, /*stats=*/nullptr, /*cancel=*/nullptr);
+  // Sparse answers move to external ids before top-k, so score ties break
+  // on external ids. SimRank estimates are clamped to [0, 1]; walk-program
+  // scores are frequencies there already.
+  scores = TranslateSparse(std::move(scores));
+  const auto clamp_scores = [](TopKResult& top) {
+    for (ScoredNode& s : top) s.score = Clamp01(s.score);
+  };
+  switch (request.kind) {
+    case QueryKind::kPair:
+      response->payload = Clamp01(pair);
+      break;
+    case QueryKind::kSingleSource:
+      response->payload = std::make_shared<const SparseVector>(
+          ClampPinningSelf(scores, request.a));
+      break;
+    case QueryKind::kSourceTopK:
+    case QueryKind::kPersonalizedPageRank:
+    case QueryKind::kNode2Vec: {
+      TopKResult top = TopKFromSparse(scores, /*exclude=*/request.a, request.k);
+      if (request.kind == QueryKind::kSourceTopK) clamp_scores(top);
+      response->payload = std::make_shared<const TopKResult>(std::move(top));
+      break;
+    }
+    case QueryKind::kAllPairsTopK:
+      for (TopKResult& top : all) clamp_scores(top);
+      if (!int_to_ext_.empty()) {
+        // Re-index sources and scored nodes into external id space,
+        // restoring the (score desc, id asc) contract on the translated
+        // ids. Score ties at the k boundary were decided on internal ids
+        // inside the kernel.
+        AllPairsResult external(all.size());
+        for (size_t u = 0; u < all.size(); ++u) {
+          TopKResult& top = all[u];
+          for (ScoredNode& s : top) s.node = int_to_ext_[s.node];
+          std::sort(top.begin(), top.end(),
+                    [](const ScoredNode& a, const ScoredNode& b) {
+                      return a.score != b.score ? a.score > b.score
+                                                : a.node < b.node;
+                    });
+          external[int_to_ext_[u]] = std::move(top);
+        }
+        all = std::move(external);
+      }
+      response->payload =
+          std::make_shared<const AllPairsResult>(std::move(all));
+      break;
+  }
+  return Status::Ok();
 }
 
 }  // namespace cloudwalker

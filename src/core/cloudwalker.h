@@ -6,21 +6,17 @@
 //   ThreadPool pool;
 //   auto cw = CloudWalker::Build(&graph, IndexingOptions{}, &pool);
 //   CW_CHECK_OK(cw.status());
-//   // Unified entry point: one typed request, one typed response.
+//   // One typed request in, one typed response out.
 //   QueryResponse r = cw->Execute(QueryRequest::Pair(12, 34));
 //   double s = r.score();
 //   auto similar =
 //       cw->Execute(QueryRequest::SourceTopK(12, 10)).topk();
-//   // Legacy blocking methods remain and answer bit-identically:
-//   double s2 = cw->SinglePair(12, 34).value();  // == s
 //
-// Execute() covers every query kind (DESIGN.md section 6.1) — the four
-// SimRank shapes plus the walk-program kinds kPersonalizedPageRank and
-// kNode2Vec (DESIGN.md section 10) — honors
-// per-request QueryOptions overrides and deadlines, and fills execution
-// metadata (QueryStats, latency). The per-kind methods and Execute()
-// funnel into the same internal helpers, so their answers are
-// bit-identical by construction.
+// Execute() is the only query entry point (DESIGN.md section 6.1). It
+// covers every query kind — the four SimRank shapes plus the walk-program
+// kinds kPersonalizedPageRank and kNode2Vec (DESIGN.md section 10) —
+// honors per-request QueryOptions overrides and deadlines, and fills
+// execution metadata (QueryStats, latency).
 //
 // The facade owns the DiagonalIndex but only observes the graph; the graph
 // must outlive the CloudWalker instance.
@@ -59,8 +55,8 @@ struct OutOfCoreOptions;
 struct SnapshotMetadata;
 enum class ReorderKind : uint32_t;
 
-/// An indexed graph ready to answer SimRank queries. Query methods are
-/// const and thread-safe (independent RNG streams per call).
+/// An indexed graph ready to answer SimRank queries through Execute(),
+/// which is const and thread-safe (independent RNG streams per call).
 ///
 /// Lifecycle (DESIGN.md section 9): the expensive offline work — index
 /// estimation — happens once, in Build(); the result can be persisted with
@@ -153,7 +149,7 @@ class CloudWalker {
   /// bit-identical to `base` at every thread count (the counter RNG keys
   /// on global walker ids, never threads), so a parallel instance can
   /// transparently replace the single-threaded one anywhere — including
-  /// behind QueryService (ServeOptions::walk_threads wires this up). The
+  /// behind QueryService (wrap before constructing or publishing). The
   /// returned instance shares base's graph / index / snapshot.
   static StatusOr<std::shared_ptr<const CloudWalker>> Parallelize(
       const std::shared_ptr<const CloudWalker>& base,
@@ -176,48 +172,21 @@ class CloudWalker {
       const std::shared_ptr<const CloudWalker>& base,
       const RemoteBackendOptions& options);
 
-  /// The unified entry point: dispatches any QueryRequest kind, applying
-  /// the request's per-request options (default QueryOptions{} otherwise)
-  /// and arming its deadline on an internal CancelToken. `pool`
+  /// The query entry point: answers any QueryRequest kind (core/request.h),
+  /// applying the request's per-request options (default QueryOptions{}
+  /// otherwise) and arming its deadline on an internal CancelToken. `pool`
   /// parallelizes kAllPairsTopK only. `cancel` (borrowed, optional) takes
   /// precedence over the request's own deadline — the serving layer
-  /// passes its admission-armed token here. A stopped request reports
-  /// kDeadlineExceeded / kCancelled with an empty payload.
+  /// passes its admission-armed token here. A request that fails
+  /// ValidateQueryRequest() or is stopped reports its error
+  /// (kDeadlineExceeded / kCancelled when stopped) with an empty payload.
+  /// SimRank scores are clamped to [0, 1] and s(a, a) is exactly 1 (a
+  /// kPair with a == b, kSingleSource's self entry); the top-k kinds
+  /// exclude the source. kPersonalizedPageRank and kNode2Vec rank by walk
+  /// frequencies (options.ppr_alpha, n2v_return_p / n2v_in_out_q).
   QueryResponse Execute(const QueryRequest& request,
                         ThreadPool* pool = nullptr,
                         const CancelToken* cancel = nullptr) const;
-
-  /// MCSP: SimRank estimate for (i, j), clamped to [0, 1]; exact 1 for
-  /// i == j. Fails on out-of-range nodes or invalid options.
-  StatusOr<double> SinglePair(NodeId i, NodeId j,
-                              const QueryOptions& options = {}) const;
-
-  /// MCSS: estimates s(q, v) for every v, returned sparse and clamped to
-  /// [0, 1] with the self-similarity entry pinned to exactly 1.
-  StatusOr<SparseVector> SingleSource(NodeId q,
-                                      const QueryOptions& options = {}) const;
-
-  /// The k nodes most similar to q (self excluded), by MCSS.
-  StatusOr<std::vector<ScoredNode>> SingleSourceTopK(
-      NodeId q, size_t k, const QueryOptions& options = {}) const;
-
-  /// MCAP: per-source top-k over all sources (parallel via `pool`).
-  StatusOr<std::vector<std::vector<ScoredNode>>> AllPairs(
-      size_t k, const QueryOptions& options = {},
-      ThreadPool* pool = nullptr) const;
-
-  /// Personalized PageRank: the k nodes with the highest teleport-walk
-  /// endpoint frequency around q (self excluded); options.ppr_alpha is the
-  /// continuation probability. Walk-program kind — scores are frequencies,
-  /// not SimRank values.
-  StatusOr<std::vector<ScoredNode>> PersonalizedPageRankTopK(
-      NodeId q, size_t k, const QueryOptions& options = {}) const;
-
-  /// node2vec: the k nodes with the highest average visit frequency over
-  /// second-order biased walks from q (self excluded);
-  /// options.n2v_return_p / options.n2v_in_out_q are the p / q biases.
-  StatusOr<std::vector<ScoredNode>> Node2VecTopK(
-      NodeId q, size_t k, const QueryOptions& options = {}) const;
 
   /// The offline index.
   const DiagonalIndex& index() const { return index_; }
@@ -278,28 +247,27 @@ class CloudWalker {
         indexing_options_(options),
         walk_context_(std::move(context)) {}
 
-  Status ValidateQuery(NodeId node, const QueryOptions& options) const;
-
-  // Drains the walk backend's first job-fatal error (remote backends can
-  // fail mid-job; see WalkBackend::TakeError). Ok for local backends.
-  Status TakeBackendError() const;
+  // Execute() past validation: runs the kind's kernel, drains the walk
+  // backend's first job-fatal error (remote backends can fail mid-job; see
+  // WalkBackend::TakeError) and post-processes the answer into
+  // response->payload. A stopped run returns the token's error status and
+  // leaves the payload empty.
+  Status Answer(const QueryRequest& request, const QueryOptions& options,
+                ThreadPool* pool, const CancelToken* cancel,
+                QueryResponse* response) const;
 
   // The build-metadata block WriteSnapshot stamps (shared with
   // WriteReorderedSnapshot).
   SnapshotMetadata BuildSnapshotMetadata() const;
 
-  // External/internal id translation of a reordered snapshot; both are
-  // the identity when int_to_ext_ is empty. Every public API takes and
-  // returns external ids; the kernels below run on internal ids.
+  // External -> internal id translation of a reordered snapshot (the
+  // identity when int_to_ext_ is empty). Every public API takes and
+  // returns external ids; the kernels run on internal ids.
   NodeId ToInternal(NodeId external) const {
     return ext_to_int_.empty() ? external : ext_to_int_[external];
   }
-  NodeId ToExternal(NodeId internal) const {
-    return int_to_ext_.empty() ? internal : int_to_ext_[internal];
-  }
   // Re-indexes a kernel-produced sparse vector into external id space
-  // (sorted; pass-through when not reordered). Helpers translate *before*
-  // top-k extraction so score ties break on external ids.
+  // (sorted; pass-through when not reordered).
   SparseVector TranslateSparse(SparseVector raw) const;
 
   // Installs the id-translation state for a reordered snapshot (a no-op
@@ -308,30 +276,6 @@ class CloudWalker {
   // external ids on their own, through the permutation every backend
   // reads from its copy of the artifact.
   void InstallPermutation(std::span<const NodeId> perm);
-
-  // The shared kernels behind both the per-kind methods and Execute().
-  // All assume validated inputs; `stats` / `cancel` may be null. A stopped
-  // run returns the token's error status instead of a value.
-  StatusOr<double> PairScore(NodeId i, NodeId j, const QueryOptions& options,
-                             QueryStats* stats,
-                             const CancelToken* cancel) const;
-  StatusOr<SparseVector> SourceVector(NodeId q, const QueryOptions& options,
-                                      QueryStats* stats,
-                                      const CancelToken* cancel) const;
-  StatusOr<std::vector<ScoredNode>> SourceTopK(
-      NodeId q, size_t k, const QueryOptions& options, QueryStats* stats,
-      const CancelToken* cancel) const;
-  StatusOr<std::vector<std::vector<ScoredNode>>> AllPairsInternal(
-      size_t k, const QueryOptions& options, ThreadPool* pool,
-      QueryStats* stats, const CancelToken* cancel) const;
-  StatusOr<std::vector<ScoredNode>> PprTopK(NodeId q, size_t k,
-                                            const QueryOptions& options,
-                                            QueryStats* stats,
-                                            const CancelToken* cancel) const;
-  StatusOr<std::vector<ScoredNode>> N2vTopK(NodeId q, size_t k,
-                                            const QueryOptions& options,
-                                            QueryStats* stats,
-                                            const CancelToken* cancel) const;
 
   const Graph* graph_;
   DiagonalIndex index_;

@@ -77,7 +77,7 @@ struct QueryOptions {
   /// R' — Monte-Carlo walkers per query source.
   uint32_t num_walkers = 10000;
   /// Seed for query-time randomness (streams derived per source node, so
-  /// SinglePair(i, j) == SinglePair(j, i) exactly).
+  /// QueryRequest::Pair(i, j) and Pair(j, i) answer exactly alike).
   uint64_t seed = 97;
   /// Single-source push strategy.
   PushStrategy push = PushStrategy::kSampled;

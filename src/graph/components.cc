@@ -1,51 +1,10 @@
 #include "graph/components.h"
 
-#include <algorithm>
 #include <deque>
 
 #include "common/logging.h"
 
 namespace cloudwalker {
-
-uint32_t ComponentInfo::LargestComponent() const {
-  uint32_t best = 0;
-  for (uint32_t c = 1; c < num_components; ++c) {
-    if (sizes[c] > sizes[best]) best = c;
-  }
-  return best;
-}
-
-ComponentInfo ComputeWeakComponents(const Graph& graph) {
-  ComponentInfo info;
-  const NodeId n = graph.num_nodes();
-  info.component.assign(n, 0xffffffffu);
-  std::deque<NodeId> frontier;
-  for (NodeId root = 0; root < n; ++root) {
-    if (info.component[root] != 0xffffffffu) continue;
-    const uint32_t label = info.num_components++;
-    info.sizes.push_back(0);
-    info.component[root] = label;
-    frontier.push_back(root);
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop_front();
-      ++info.sizes[label];
-      for (const NodeId u : graph.OutNeighbors(v)) {
-        if (info.component[u] == 0xffffffffu) {
-          info.component[u] = label;
-          frontier.push_back(u);
-        }
-      }
-      for (const NodeId u : graph.InNeighbors(v)) {
-        if (info.component[u] == 0xffffffffu) {
-          info.component[u] = label;
-          frontier.push_back(u);
-        }
-      }
-    }
-  }
-  return info;
-}
 
 std::vector<BfsVisit> BfsReachable(const Graph& graph, NodeId source,
                                    Direction direction, uint32_t max_hops) {
@@ -71,52 +30,6 @@ std::vector<BfsVisit> BfsReachable(const Graph& graph, NodeId source,
     }
   }
   return order;
-}
-
-StatusOr<Graph> InducedSubgraph(const Graph& graph,
-                                const std::vector<NodeId>& nodes,
-                                std::vector<NodeId>* old_to_new) {
-  std::vector<NodeId> keep(nodes);
-  std::sort(keep.begin(), keep.end());
-  keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
-  for (const NodeId v : keep) {
-    if (v >= graph.num_nodes()) {
-      return Status::InvalidArgument("subgraph node " + std::to_string(v) +
-                                     " out of range");
-    }
-  }
-  std::vector<NodeId> mapping(graph.num_nodes(), kInvalidNode);
-  for (NodeId i = 0; i < keep.size(); ++i) mapping[keep[i]] = i;
-
-  GraphBuilder builder(static_cast<NodeId>(keep.size()));
-  for (const NodeId v : keep) {
-    for (const NodeId t : graph.OutNeighbors(v)) {
-      if (mapping[t] != kInvalidNode) {
-        builder.AddEdge(mapping[v], mapping[t]);
-      }
-    }
-  }
-  if (old_to_new != nullptr) *old_to_new = std::move(mapping);
-  // The source graph is already clean; keep its edges verbatim.
-  GraphBuildOptions options;
-  options.dedup = false;
-  options.remove_self_loops = false;
-  return builder.Build(options);
-}
-
-Graph LargestComponentSubgraph(const Graph& graph,
-                               std::vector<NodeId>* old_to_new) {
-  const ComponentInfo info = ComputeWeakComponents(graph);
-  if (info.num_components == 0) return Graph();
-  const uint32_t target = info.LargestComponent();
-  std::vector<NodeId> nodes;
-  nodes.reserve(info.sizes[target]);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (info.component[v] == target) nodes.push_back(v);
-  }
-  auto sub = InducedSubgraph(graph, nodes, old_to_new);
-  CW_CHECK(sub.ok()) << sub.status().ToString();
-  return std::move(sub).value();
 }
 
 }  // namespace cloudwalker

@@ -1,6 +1,6 @@
-// Connectivity utilities: weakly connected components, BFS reachability,
-// and subgraph extraction with node relabeling. Used for dataset hygiene
-// (SimRank mass cannot cross weak components) and by the examples.
+// Connectivity utilities: BFS reachability along out- or in-edges. Used by
+// incremental index maintenance (core/incremental.cc) to bound the nodes
+// an edge insertion can disturb.
 
 #ifndef CLOUDWALKER_GRAPH_COMPONENTS_H_
 #define CLOUDWALKER_GRAPH_COMPONENTS_H_
@@ -8,26 +8,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
-
-/// Weakly-connected-component labelling.
-struct ComponentInfo {
-  /// component[v] in [0, num_components); components are numbered by the
-  /// smallest node id they contain, in increasing order.
-  std::vector<uint32_t> component;
-  uint32_t num_components = 0;
-  /// Nodes per component.
-  std::vector<uint64_t> sizes;
-
-  /// Id of the largest component (ties broken by lower id).
-  uint32_t LargestComponent() const;
-};
-
-/// Computes weakly connected components (edges treated as undirected).
-ComponentInfo ComputeWeakComponents(const Graph& graph);
 
 /// Nodes reachable from `source` following edges in the given direction
 /// within at most `max_hops` steps (kForward = out-edges). The source is
@@ -40,19 +23,6 @@ struct BfsVisit {
 std::vector<BfsVisit> BfsReachable(const Graph& graph, NodeId source,
                                    Direction direction,
                                    uint32_t max_hops = 0xffffffffu);
-
-/// Extracts the subgraph induced by `nodes` (deduplicated), relabelling
-/// them 0..k-1 in ascending original-id order. `old_to_new` (optional)
-/// receives the mapping (kInvalidNode for dropped nodes).
-/// Fails if `nodes` contains an out-of-range id.
-StatusOr<Graph> InducedSubgraph(const Graph& graph,
-                                const std::vector<NodeId>& nodes,
-                                std::vector<NodeId>* old_to_new = nullptr);
-
-/// Convenience: the induced subgraph of the largest weak component,
-/// with `old_to_new` as in InducedSubgraph.
-Graph LargestComponentSubgraph(const Graph& graph,
-                               std::vector<NodeId>* old_to_new = nullptr);
 
 }  // namespace cloudwalker
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "engine/parallel_walk.h"
 
 namespace cloudwalker {
 namespace {
@@ -75,39 +74,11 @@ std::vector<QueryResponse> WhenAll(const std::vector<QueryFuture>& futures) {
   return responses;
 }
 
-namespace {
-
-// ServeOptions::walk_threads > 1: re-back the engine with the parallel
-// walk executor unless it already routes walks through a backend of its
-// own (a sharded or pre-parallelized instance — wrapping again would stack
-// pools without stacking work). Bit-identical answers by construction, so
-// publishing the wrapper instead of the original changes nothing about
-// cache keys, dedup, or epochs. A wrap failure (e.g. an empty graph)
-// serves the original engine unmodified.
-std::shared_ptr<const CloudWalker> MaybeParallelize(
-    std::shared_ptr<const CloudWalker> walker, int walk_threads) {
-  if (walk_threads <= 1 || walker == nullptr ||
-      walker->walk_backend() != nullptr) {
-    return walker;
-  }
-  ParallelWalkOptions parallel_options;
-  parallel_options.num_threads = walk_threads;
-  StatusOr<std::shared_ptr<const CloudWalker>> parallel =
-      CloudWalker::Parallelize(walker, parallel_options);
-  if (!parallel.ok()) return walker;
-  return std::move(parallel).value();
-}
-
-}  // namespace
-
 QueryService::QueryService(std::shared_ptr<const CloudWalker> cloudwalker,
                            const ServeOptions& options, ThreadPool* pool)
     : options_(options), pool_(pool) {
   CW_CHECK(cloudwalker != nullptr);
-  CW_CHECK(registry_
-               .Publish(1, MaybeParallelize(std::move(cloudwalker),
-                                            options_.walk_threads))
-               .ok());
+  CW_CHECK(registry_.Publish(1, std::move(cloudwalker)).ok());
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<ShardedLruCache>(options_.cache_capacity,
                                                options_.cache_shards);
@@ -117,8 +88,7 @@ QueryService::QueryService(std::shared_ptr<const CloudWalker> cloudwalker,
 
 StatusOr<uint64_t> QueryService::Publish(
     std::shared_ptr<const CloudWalker> walker) {
-  return registry_.PublishNext(
-      MaybeParallelize(std::move(walker), options_.walk_threads));
+  return registry_.PublishNext(std::move(walker));
 }
 
 QueryService::~QueryService() {

@@ -148,13 +148,6 @@ struct ServeOptions {
   /// Submit() rejects with kResourceExhausted beyond this; the blocking
   /// shims apply backpressure instead. 0 = unbounded.
   size_t max_queue_depth = 4096;
-  /// Walk-phase threads per query (engine/parallel_walk.h, DESIGN.md
-  /// section 12): > 1 re-backs every published engine that has no walk
-  /// backend of its own with a CloudWalker::Parallelize wrapper of that
-  /// many threads — bit-identical answers, so cache keys and dedup are
-  /// unaffected. 0 or 1 serves walks single-threaded; engines already
-  /// carrying a backend (e.g. sharded ones) pass through untouched.
-  int walk_threads = 0;
   /// Default query options; per-request overrides take precedence.
   QueryOptions query;
 };

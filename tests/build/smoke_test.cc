@@ -26,19 +26,19 @@ TEST_F(SmokeTest, BuildAndQueryEndToEnd) {
   auto cw = CloudWalker::Build(&graph_);
   ASSERT_TRUE(cw.ok()) << cw.status().ToString();
 
-  auto pair = cw->SinglePair(1, 2);
-  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
-  EXPECT_GE(pair.value(), 0.0);
-  EXPECT_LE(pair.value(), 1.0);
+  const QueryResponse pair = cw->Execute(QueryRequest::Pair(1, 2));
+  ASSERT_TRUE(pair.ok()) << pair.status.ToString();
+  EXPECT_GE(pair.score(), 0.0);
+  EXPECT_LE(pair.score(), 1.0);
 
-  auto self = cw->SinglePair(3, 3);
+  const QueryResponse self = cw->Execute(QueryRequest::Pair(3, 3));
   ASSERT_TRUE(self.ok());
-  EXPECT_DOUBLE_EQ(self.value(), 1.0);
+  EXPECT_DOUBLE_EQ(self.score(), 1.0);
 
-  auto topk = cw->SingleSourceTopK(1, /*k=*/5);
-  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-  EXPECT_LE(topk->size(), 5u);
-  for (const auto& scored : *topk) {
+  const QueryResponse topk = cw->Execute(QueryRequest::SourceTopK(1, /*k=*/5));
+  ASSERT_TRUE(topk.ok()) << topk.status.ToString();
+  EXPECT_LE(topk.topk()->size(), 5u);
+  for (const auto& scored : *topk.topk()) {
     EXPECT_NE(scored.node, NodeId{1});
     EXPECT_GE(scored.score, 0.0);
     EXPECT_LE(scored.score, 1.0);
@@ -64,10 +64,11 @@ TEST_F(SmokeTest, WriteSnapshotOpenRoundTrip) {
   // Identical index + identical query seed: the estimates must agree.
   QueryOptions q;
   q.seed = 12345;
-  auto a = built->SinglePair(4, 9, q);
-  auto b = (*reloaded)->SinglePair(4, 9, q);
+  const QueryRequest request = QueryRequest::Pair(4, 9).WithOptions(q);
+  const QueryResponse a = built->Execute(request);
+  const QueryResponse b = (*reloaded)->Execute(request);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_DOUBLE_EQ(a.value(), b.value());
+  EXPECT_DOUBLE_EQ(a.score(), b.score());
 
   std::remove(path.c_str());
 }
@@ -75,8 +76,9 @@ TEST_F(SmokeTest, WriteSnapshotOpenRoundTrip) {
 TEST_F(SmokeTest, RejectsOutOfRangeNodes) {
   auto cw = CloudWalker::Build(&graph_);
   ASSERT_TRUE(cw.ok());
-  EXPECT_FALSE(cw->SinglePair(0, graph_.num_nodes()).ok());
-  EXPECT_FALSE(cw->SingleSource(graph_.num_nodes()).ok());
+  EXPECT_FALSE(cw->Execute(QueryRequest::Pair(0, graph_.num_nodes())).ok());
+  EXPECT_FALSE(
+      cw->Execute(QueryRequest::SingleSource(graph_.num_nodes())).ok());
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <memory>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "graph/generators.h"
+#include "ooc/reorder.h"
 
 namespace cloudwalker {
 namespace {
@@ -51,9 +57,10 @@ TEST(CloudWalkerTest, SinglePairSelfIsOne) {
   const Graph g = GenerateCycle(12);
   auto cw = CloudWalker::Build(&g, FastIndex());
   ASSERT_TRUE(cw.ok());
-  auto s = cw->SinglePair(4, 4, FastQuery());
+  const QueryResponse s =
+      cw->Execute(QueryRequest::Pair(4, 4).WithOptions(FastQuery()));
   ASSERT_TRUE(s.ok());
-  EXPECT_DOUBLE_EQ(s.value(), 1.0);
+  EXPECT_DOUBLE_EQ(s.score(), 1.0);
 }
 
 TEST(CloudWalkerTest, SinglePairClampedToUnitInterval) {
@@ -62,10 +69,11 @@ TEST(CloudWalkerTest, SinglePairClampedToUnitInterval) {
   ASSERT_TRUE(cw.ok());
   for (NodeId i = 0; i < 10; ++i) {
     for (NodeId j = 0; j < 10; ++j) {
-      auto s = cw->SinglePair(i, j, FastQuery());
+      const QueryResponse s =
+          cw->Execute(QueryRequest::Pair(i, j).WithOptions(FastQuery()));
       ASSERT_TRUE(s.ok());
-      EXPECT_GE(s.value(), 0.0);
-      EXPECT_LE(s.value(), 1.0);
+      EXPECT_GE(s.score(), 0.0);
+      EXPECT_LE(s.score(), 1.0);
     }
   }
 }
@@ -74,10 +82,12 @@ TEST(CloudWalkerTest, SinglePairOutOfRangeFails) {
   const Graph g = GenerateCycle(5);
   auto cw = CloudWalker::Build(&g, FastIndex());
   ASSERT_TRUE(cw.ok());
-  EXPECT_EQ(cw->SinglePair(0, 99, FastQuery()).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(cw->SinglePair(99, 0, FastQuery()).status().code(),
-            StatusCode::kOutOfRange);
+  const QueryResponse high_j =
+      cw->Execute(QueryRequest::Pair(0, 99).WithOptions(FastQuery()));
+  EXPECT_EQ(high_j.status.code(), StatusCode::kOutOfRange);
+  const QueryResponse high_i =
+      cw->Execute(QueryRequest::Pair(99, 0).WithOptions(FastQuery()));
+  EXPECT_EQ(high_i.status.code(), StatusCode::kOutOfRange);
 }
 
 TEST(CloudWalkerTest, SinglePairInvalidOptionsFail) {
@@ -86,7 +96,7 @@ TEST(CloudWalkerTest, SinglePairInvalidOptionsFail) {
   ASSERT_TRUE(cw.ok());
   QueryOptions q;
   q.num_walkers = 0;
-  EXPECT_EQ(cw->SinglePair(0, 1, q).status().code(),
+  EXPECT_EQ(cw->Execute(QueryRequest::Pair(0, 1).WithOptions(q)).status.code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -94,10 +104,11 @@ TEST(CloudWalkerTest, SingleSourcePinsSelfToOne) {
   const Graph g = GenerateRmat(60, 420, 5);
   auto cw = CloudWalker::Build(&g, FastIndex());
   ASSERT_TRUE(cw.ok());
-  auto s = cw->SingleSource(7, FastQuery());
+  const QueryResponse s =
+      cw->Execute(QueryRequest::SingleSource(7).WithOptions(FastQuery()));
   ASSERT_TRUE(s.ok());
-  EXPECT_DOUBLE_EQ(s->Get(7), 1.0);
-  for (const SparseEntry& e : *s) {
+  EXPECT_DOUBLE_EQ(s.scores()->Get(7), 1.0);
+  for (const SparseEntry& e : *s.scores()) {
     EXPECT_GE(e.value, 0.0);
     EXPECT_LE(e.value, 1.0);
   }
@@ -110,23 +121,28 @@ TEST(CloudWalkerTest, SingleSourceIsolatedNodeStillHasSelf) {
   const Graph g = std::move(b.Build()).value();
   auto cw = CloudWalker::Build(&g, FastIndex());
   ASSERT_TRUE(cw.ok());
-  auto s = cw->SingleSource(2, FastQuery());
+  const QueryResponse s =
+      cw->Execute(QueryRequest::SingleSource(2).WithOptions(FastQuery()));
   ASSERT_TRUE(s.ok());
-  EXPECT_DOUBLE_EQ(s->Get(2), 1.0);
+  EXPECT_DOUBLE_EQ(s.scores()->Get(2), 1.0);
 }
 
 TEST(CloudWalkerTest, SingleSourceTopKExcludesSelf) {
   const Graph g = GenerateRmat(60, 420, 6);
   auto cw = CloudWalker::Build(&g, FastIndex());
   ASSERT_TRUE(cw.ok());
-  auto top = cw->SingleSourceTopK(3, 5, FastQuery());
+  const QueryResponse top =
+      cw->Execute(QueryRequest::SourceTopK(3, 5).WithOptions(FastQuery()));
   ASSERT_TRUE(top.ok());
-  EXPECT_LE(top->size(), 5u);
-  for (const ScoredNode& sn : *top) {
+  EXPECT_LE(top.topk()->size(), 5u);
+  for (const ScoredNode& sn : *top.topk()) {
     EXPECT_NE(sn.node, 3u);
     EXPECT_GE(sn.score, 0.0);
     EXPECT_LE(sn.score, 1.0);
   }
+  // Execute fills the execution metadata beside the answer.
+  EXPECT_GT(top.stats.walk_steps, 0u);
+  EXPECT_GT(top.latency_seconds, 0.0);
 }
 
 TEST(CloudWalkerTest, AllPairsCoversEverySource) {
@@ -136,9 +152,10 @@ TEST(CloudWalkerTest, AllPairsCoversEverySource) {
   QueryOptions q = FastQuery();
   q.num_walkers = 400;
   ThreadPool pool(4);
-  auto all = cw->AllPairs(3, q, &pool);
+  const QueryResponse all =
+      cw->Execute(QueryRequest::AllPairsTopK(3).WithOptions(q), &pool);
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), g.num_nodes());
+  EXPECT_EQ(all.all_pairs()->size(), g.num_nodes());
 }
 
 TEST(CloudWalkerTest, FromIndexRejectsMismatchedSizes) {
@@ -155,59 +172,25 @@ TEST(CloudWalkerTest, QueriesAreThreadSafe) {
   std::vector<double> results(64, -1.0);
   pool.ParallelFor(0, 64, 1, [&](uint64_t b, uint64_t e) {
     for (uint64_t i = b; i < e; ++i) {
-      auto s = cw->SinglePair(static_cast<NodeId>(i % 40),
-                              static_cast<NodeId>((i * 7) % 80), FastQuery());
+      const QueryRequest pair = QueryRequest::Pair(
+          static_cast<NodeId>(i % 40), static_cast<NodeId>((i * 7) % 80));
+      const QueryResponse s = cw->Execute(pair.WithOptions(FastQuery()));
       ASSERT_TRUE(s.ok());
-      results[i] = s.value();
+      results[i] = s.score();
     }
   });
   // Re-run serially and compare: concurrent execution must not perturb
   // deterministic per-query results.
   for (uint64_t i = 0; i < 64; ++i) {
-    auto s = cw->SinglePair(static_cast<NodeId>(i % 40),
-                            static_cast<NodeId>((i * 7) % 80), FastQuery());
+    const QueryRequest pair = QueryRequest::Pair(
+        static_cast<NodeId>(i % 40), static_cast<NodeId>((i * 7) % 80));
+    const QueryResponse s = cw->Execute(pair.WithOptions(FastQuery()));
     ASSERT_TRUE(s.ok());
-    EXPECT_DOUBLE_EQ(results[i], s.value()) << "query " << i;
+    EXPECT_DOUBLE_EQ(results[i], s.score()) << "query " << i;
   }
 }
 
-// --- Execute(): the unified request entry point. -------------------------
-
-TEST(CloudWalkerTest, ExecuteMatchesPerKindMethodsBitExactly) {
-  const Graph g = GenerateRmat(100, 700, 1);
-  auto cw = CloudWalker::Build(&g, FastIndex());
-  ASSERT_TRUE(cw.ok());
-  const QueryOptions q = FastQuery();
-
-  const QueryResponse pair =
-      cw->Execute(QueryRequest::Pair(3, 17).WithOptions(q));
-  ASSERT_TRUE(pair.ok()) << pair.status.ToString();
-  EXPECT_EQ(pair.score(), cw->SinglePair(3, 17, q).value());
-  EXPECT_GT(pair.stats.walk_steps, 0u);
-  EXPECT_GT(pair.latency_seconds, 0.0);
-
-  const QueryResponse source =
-      cw->Execute(QueryRequest::SingleSource(7).WithOptions(q));
-  ASSERT_TRUE(source.ok());
-  auto direct_source = cw->SingleSource(7, q);
-  ASSERT_TRUE(direct_source.ok());
-  ASSERT_EQ(source.scores()->size(), direct_source->size());
-  for (size_t i = 0; i < direct_source->size(); ++i) {
-    EXPECT_EQ((*source.scores())[i], (*direct_source)[i]);
-  }
-
-  const QueryResponse topk =
-      cw->Execute(QueryRequest::SourceTopK(7, 5).WithOptions(q));
-  ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(*topk.topk(), cw->SingleSourceTopK(7, 5, q).value());
-
-  QueryOptions light = q;
-  light.num_walkers = 100;  // keep the full sweep cheap
-  const QueryResponse all =
-      cw->Execute(QueryRequest::AllPairsTopK(2).WithOptions(light));
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(*all.all_pairs(), cw->AllPairs(2, light).value());
-}
+// --- Execute(): validation and deadlines. -------------------------------
 
 TEST(CloudWalkerTest, ExecuteValidatesWithTheCentralValidator) {
   const Graph g = GenerateCycle(10);
@@ -233,6 +216,174 @@ TEST(CloudWalkerTest, ExecuteHonorsRequestDeadline) {
       QueryRequest::SourceTopK(3, 5).WithOptions(heavy).WithTimeout(1e-3));
   EXPECT_TRUE(r.status.IsDeadlineExceeded()) << r.status.ToString();
   EXPECT_TRUE(std::holds_alternative<std::monostate>(r.payload));
+}
+
+// --- Golden: Execute's post-processing, pinned bit for bit. --------------
+
+// FNV-1a over raw bytes, chained onto `h`.
+uint64_t Fnv(const void* data, size_t n, uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t HashTopK(const TopKResult& top, uint64_t h) {
+  const uint64_t size = top.size();  // so list boundaries count
+  h = Fnv(&size, sizeof(size), h);
+  for (const ScoredNode& s : top) {
+    h = Fnv(&s.node, sizeof(s.node), h);
+    h = Fnv(&s.score, sizeof(s.score), h);
+  }
+  return h;
+}
+
+// Hashes the payload bits of one OK response of any kind onto `h`.
+uint64_t HashPayload(const QueryResponse& r, uint64_t h) {
+  switch (r.kind) {
+    case QueryKind::kPair: {
+      const double s = r.score();
+      return Fnv(&s, sizeof(s), h);
+    }
+    case QueryKind::kSingleSource:
+      for (const SparseEntry& e : *r.scores()) {
+        h = Fnv(&e.index, sizeof(e.index), h);
+        h = Fnv(&e.value, sizeof(e.value), h);
+      }
+      return h;
+    case QueryKind::kSourceTopK:
+    case QueryKind::kPersonalizedPageRank:
+    case QueryKind::kNode2Vec:
+      return HashTopK(*r.topk(), h);
+    case QueryKind::kAllPairsTopK:
+      for (const TopKResult& top : *r.all_pairs()) h = HashTopK(top, h);
+      return h;
+  }
+  return h;
+}
+
+constexpr NodeId kGoldenSources[] = {0, 1, 7, 42, 311, 1024, 1999};
+
+// The requests of one kind, all at R' = 1000: pairs chain consecutive
+// golden sources (with one self pair), the per-source kinds run every
+// golden source at k = 10, and the all-pairs sweep runs on `small`.
+std::vector<QueryRequest> GoldenRequests(QueryKind kind) {
+  QueryOptions q;
+  q.num_walkers = 1000;
+  q.seed = 29;
+  q.ppr_alpha = 0.7;
+  q.n2v_return_p = 0.5;
+  q.n2v_in_out_q = 2.0;
+  std::vector<QueryRequest> requests;
+  const size_t n = std::size(kGoldenSources);
+  for (size_t s = 0; s < n; ++s) {
+    const NodeId a = kGoldenSources[s];
+    switch (kind) {
+      case QueryKind::kPair:
+        requests.push_back(QueryRequest::Pair(a, kGoldenSources[(s + 1) % n]));
+        break;
+      case QueryKind::kSingleSource:
+        requests.push_back(QueryRequest::SingleSource(a));
+        break;
+      case QueryKind::kSourceTopK:
+        requests.push_back(QueryRequest::SourceTopK(a, 10));
+        break;
+      case QueryKind::kPersonalizedPageRank:
+        requests.push_back(QueryRequest::PersonalizedPageRank(a, 10));
+        break;
+      case QueryKind::kNode2Vec:
+        requests.push_back(QueryRequest::Node2Vec(a, 10));
+        break;
+      case QueryKind::kAllPairsTopK:
+        if (s == 0) requests.push_back(QueryRequest::AllPairsTopK(5));
+        break;
+    }
+  }
+  if (kind == QueryKind::kPair) requests.push_back(QueryRequest::Pair(42, 42));
+  for (QueryRequest& r : requests) r = r.WithOptions(q);
+  return requests;
+}
+
+// Hash of every golden request of `kind`; the all-pairs sweep runs on
+// `small`, every other kind on `large`.
+uint64_t GoldenHash(const CloudWalker& large, const CloudWalker& small,
+                    QueryKind kind) {
+  const CloudWalker& cw = kind == QueryKind::kAllPairsTopK ? small : large;
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const QueryRequest& request : GoldenRequests(kind)) {
+    const QueryResponse r = cw.Execute(request);
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    if (r.ok()) h = HashPayload(r, h);
+  }
+  return h;
+}
+
+// Builds an engine over `graph` and reopens its BFS-reordered snapshot.
+struct GoldenEngines {
+  std::shared_ptr<const CloudWalker> built;
+  std::shared_ptr<const CloudWalker> reordered;
+};
+
+GoldenEngines BuildGoldenEngines(Graph graph, const std::string& name) {
+  IndexingOptions io = FastIndex();
+  io.num_walkers = 100;
+  GoldenEngines engines;
+  auto built = CloudWalker::Build(std::move(graph), io);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return engines;
+  engines.built = *built;
+  const std::string path = ::testing::TempDir() + "/" + name;
+  const Status written =
+      engines.built->WriteReorderedSnapshot(path, ReorderKind::kBfs);
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  auto reordered = CloudWalker::Open(path);
+  EXPECT_TRUE(reordered.ok()) << reordered.status().ToString();
+  if (reordered.ok()) engines.reordered = *reordered;
+  std::remove(path.c_str());  // the mapping keeps the opened file alive
+  return engines;
+}
+
+// Pins Execute's answers — the kernel dispatch plus the facade's
+// post-processing: clamping, the kSingleSource self pin, the external-id
+// translation before top-k and the all-pairs re-indexing — for every
+// kind, on a built engine and on its BFS-reordered snapshot reopened.
+// QueriesGoldenTest pins the kernels beneath; this pins what the facade
+// makes of them. The constants assume IEEE-754 doubles without FMA
+// contraction, as on x86-64.
+TEST(CloudWalkerGoldenTest, ExecuteAnswersArePinned) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden constants are recorded for x86-64";
+#endif
+  const GoldenEngines large = BuildGoldenEngines(
+      GenerateRmat(2000, 16000, /*seed=*/41), "golden_large_bfs.cwk");
+  const GoldenEngines small = BuildGoldenEngines(
+      GenerateRmat(100, 700, /*seed=*/43), "golden_small_bfs.cwk");
+  ASSERT_TRUE(large.built && large.reordered && small.built && small.reordered);
+
+  struct Expected {
+    QueryKind kind;
+    uint64_t built;
+    uint64_t reordered;
+  };
+  const Expected expected[] = {
+      {QueryKind::kPair, 0x7724313a637f684cull, 0xdd99c63b971e17cdull},
+      {QueryKind::kSingleSource, 0x9d2ed84c95c249b9ull, 0xadae36a37984444aull},
+      {QueryKind::kSourceTopK, 0x2b43c9ddca42119bull, 0xc92361e43628c4bcull},
+      {QueryKind::kAllPairsTopK, 0x2565b16f8fd7329dull, 0xea198e1db49739eeull},
+      {QueryKind::kPersonalizedPageRank, 0x3a0786bcf5d78d7aull,
+       0x3a0786bcf5d78d7aull},
+      {QueryKind::kNode2Vec, 0x38435649194638abull, 0x38435649194638abull},
+  };
+  for (const Expected& want : expected) {
+    SCOPED_TRACE(QueryKindToString(want.kind));
+    const uint64_t built = GoldenHash(*large.built, *small.built, want.kind);
+    EXPECT_EQ(built, want.built) << std::hex << built;
+    const uint64_t reordered =
+        GoldenHash(*large.reordered, *small.reordered, want.kind);
+    EXPECT_EQ(reordered, want.reordered) << std::hex << reordered;
+  }
 }
 
 }  // namespace

@@ -9,61 +9,6 @@
 namespace cloudwalker {
 namespace {
 
-Graph TwoCycles() {
-  GraphBuilder b(8);
-  for (NodeId v = 0; v < 4; ++v) b.AddEdge(v, (v + 1) % 4);
-  for (NodeId v = 4; v < 8; ++v) b.AddEdge(v, 4 + ((v - 4 + 1) % 4));
-  return std::move(b.Build()).value();
-}
-
-TEST(WeakComponentsTest, SingleComponentCycle) {
-  const ComponentInfo info = ComputeWeakComponents(GenerateCycle(10));
-  EXPECT_EQ(info.num_components, 1u);
-  EXPECT_EQ(info.sizes[0], 10u);
-  for (uint32_t c : info.component) EXPECT_EQ(c, 0u);
-}
-
-TEST(WeakComponentsTest, TwoComponents) {
-  const ComponentInfo info = ComputeWeakComponents(TwoCycles());
-  EXPECT_EQ(info.num_components, 2u);
-  EXPECT_EQ(info.sizes[0], 4u);
-  EXPECT_EQ(info.sizes[1], 4u);
-  EXPECT_EQ(info.component[0], info.component[3]);
-  EXPECT_EQ(info.component[4], info.component[7]);
-  EXPECT_NE(info.component[0], info.component[4]);
-}
-
-TEST(WeakComponentsTest, IsolatedNodesAreSingletons) {
-  GraphBuilder b(5);
-  b.AddEdge(0, 1);
-  const Graph g = std::move(b.Build()).value();
-  const ComponentInfo info = ComputeWeakComponents(g);
-  EXPECT_EQ(info.num_components, 4u);  // {0,1}, {2}, {3}, {4}
-  uint64_t total = 0;
-  for (uint64_t s : info.sizes) total += s;
-  EXPECT_EQ(total, 5u);
-}
-
-TEST(WeakComponentsTest, DirectionIgnored) {
-  // 0 -> 1 <- 2: weakly connected despite no directed path 0 -> 2.
-  GraphBuilder b(3);
-  b.AddEdge(0, 1);
-  b.AddEdge(2, 1);
-  const ComponentInfo info =
-      ComputeWeakComponents(std::move(b.Build()).value());
-  EXPECT_EQ(info.num_components, 1u);
-}
-
-TEST(WeakComponentsTest, LargestComponent) {
-  GraphBuilder b(7);
-  b.AddEdge(0, 1);          // component of size 2
-  b.AddEdge(2, 3);
-  b.AddEdge(3, 4);          // component of size 3
-  const ComponentInfo info =
-      ComputeWeakComponents(std::move(b.Build()).value());
-  EXPECT_EQ(info.sizes[info.LargestComponent()], 3u);
-}
-
 TEST(BfsReachableTest, ForwardDistancesOnPath) {
   const Graph g = GeneratePath(5);
   const auto order = BfsReachable(g, 1, Direction::kForward);
@@ -96,65 +41,6 @@ TEST(BfsReachableTest, VisitsEachNodeOnce) {
   for (const BfsVisit& v : order) {
     EXPECT_TRUE(seen.insert(v.node).second) << "duplicate " << v.node;
   }
-}
-
-TEST(InducedSubgraphTest, KeepsInternalEdgesOnly) {
-  // 0 -> 1 -> 2 -> 3; keep {1, 2, 3}.
-  const Graph g = GeneratePath(4);
-  std::vector<NodeId> mapping;
-  auto sub = InducedSubgraph(g, {1, 2, 3}, &mapping);
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->num_nodes(), 3u);
-  EXPECT_EQ(sub->num_edges(), 2u);  // 1->2, 2->3 survive; 0->1 dropped
-  EXPECT_EQ(mapping[0], kInvalidNode);
-  EXPECT_EQ(mapping[1], 0u);
-  EXPECT_EQ(mapping[3], 2u);
-  EXPECT_TRUE(sub->HasEdge(0, 1));
-  EXPECT_TRUE(sub->HasEdge(1, 2));
-}
-
-TEST(InducedSubgraphTest, DeduplicatesNodeList) {
-  const Graph g = GenerateCycle(5);
-  auto sub = InducedSubgraph(g, {2, 2, 1, 1});
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->num_nodes(), 2u);
-  EXPECT_EQ(sub->num_edges(), 1u);  // 1 -> 2 survives
-}
-
-TEST(InducedSubgraphTest, OutOfRangeFails) {
-  const Graph g = GenerateCycle(5);
-  auto sub = InducedSubgraph(g, {1, 99});
-  EXPECT_EQ(sub.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(InducedSubgraphTest, EmptySelectionYieldsEmptyGraph) {
-  const Graph g = GenerateCycle(5);
-  auto sub = InducedSubgraph(g, {});
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->num_nodes(), 0u);
-}
-
-TEST(LargestComponentSubgraphTest, ExtractsLargest) {
-  const Graph g = TwoCycles();
-  const Graph sub = LargestComponentSubgraph(g);
-  EXPECT_EQ(sub.num_nodes(), 4u);
-  EXPECT_EQ(sub.num_edges(), 4u);
-}
-
-TEST(LargestComponentSubgraphTest, PreservesStructure) {
-  GraphBuilder b(6);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(2, 0);
-  b.AddEdge(4, 5);
-  const Graph g = std::move(b.Build()).value();
-  std::vector<NodeId> mapping;
-  const Graph sub = LargestComponentSubgraph(g, &mapping);
-  EXPECT_EQ(sub.num_nodes(), 3u);
-  EXPECT_EQ(sub.num_edges(), 3u);
-  EXPECT_TRUE(sub.HasEdge(mapping[0], mapping[1]));
-  EXPECT_TRUE(sub.HasEdge(mapping[2], mapping[0]));
-  EXPECT_EQ(mapping[4], kInvalidNode);
 }
 
 }  // namespace

@@ -155,9 +155,11 @@ TEST_F(AccuracyTest, SingleSourcePrecisionAtTen) {
   double precision = 0.0;
   const std::vector<NodeId> queries = {0, 25, 50, 75, 100};
   for (NodeId q : queries) {
-    auto est = cw->SingleSource(q, qo);
+    const QueryResponse est =
+        cw->Execute(QueryRequest::SingleSource(q).WithOptions(qo));
     ASSERT_TRUE(est.ok());
-    const std::vector<double> dense = ToDense(*est, graph_->num_nodes());
+    const std::vector<double> dense =
+        ToDense(*est.scores(), graph_->num_nodes());
     const std::vector<double> truth = exact_->Row(q);
     precision += PrecisionAtK(TopKIndices(dense, 10, q),
                               TopKIndices(truth, 10, q), 10);
@@ -177,8 +179,8 @@ TEST_F(AccuracyTest, DefaultParametersHitPaperQuality) {
   int pairs = 0;
   for (NodeId i = 0; i < 14; ++i) {
     for (NodeId j = i + 1; j < 14; ++j) {
-      err += std::fabs(cw->SinglePair(i, j, qo).value() -
-                       exact_->Similarity(i, j));
+      const QueryRequest request = QueryRequest::Pair(i, j).WithOptions(qo);
+      err += std::fabs(cw->Execute(request).score() - exact_->Similarity(i, j));
       ++pairs;
     }
   }

@@ -52,10 +52,11 @@ TEST(IntegrationTest, GenerateSaveLoadIndexQueryPipeline) {
   qo.num_walkers = 2000;
   for (NodeId i : {0u, 10u, 100u}) {
     for (NodeId j : {5u, 50u, 250u}) {
-      auto a = cw->SinglePair(i, j, qo);
-      auto b = (*cw2)->SinglePair(i, j, qo);
+      const QueryRequest request = QueryRequest::Pair(i, j).WithOptions(qo);
+      const QueryResponse a = cw->Execute(request);
+      const QueryResponse b = (*cw2)->Execute(request);
       ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_DOUBLE_EQ(a.value(), b.value());
+      EXPECT_DOUBLE_EQ(a.score(), b.score());
     }
   }
   std::remove(graph_path.c_str());
@@ -76,9 +77,10 @@ TEST(IntegrationTest, DistributedIndexFeedsLocalQueries) {
   ASSERT_TRUE(cw.ok());
   QueryOptions qo;
   qo.num_walkers = 1000;
-  auto top = (*cw)->SingleSourceTopK(3, 10, qo);
+  const QueryResponse top =
+      (*cw)->Execute(QueryRequest::SourceTopK(3, 10).WithOptions(qo));
   ASSERT_TRUE(top.ok());
-  EXPECT_LE(top->size(), 10u);
+  EXPECT_LE(top.topk()->size(), 10u);
 }
 
 TEST(IntegrationTest, AllMethodsRankSimilarNodesConsistently) {
@@ -103,8 +105,10 @@ TEST(IntegrationTest, AllMethodsRankSimilarNodesConsistently) {
   ASSERT_TRUE(exact.ok());
 
   // Node 0's true peers are exactly nodes 1..29 (score c), never 30..59.
-  auto scores = cw->SingleSource(0, qo);
-  ASSERT_TRUE(scores.ok());
+  const QueryResponse response =
+      cw->Execute(QueryRequest::SingleSource(0).WithOptions(qo));
+  ASSERT_TRUE(response.ok());
+  const SingleSourcePtr& scores = response.scores();
   for (NodeId v = 1; v < 30; ++v) {
     EXPECT_NEAR(scores->Get(v), exact->Similarity(0, v), 0.05) << v;
     EXPECT_GT(scores->Get(v), 0.5);
@@ -143,7 +147,8 @@ TEST(IntegrationTest, BaselinesAgreeOnCommunityGraph) {
   for (NodeId i = 0; i < 12; ++i) {
     for (NodeId j = i + 1; j < 12; ++j) {
       const double truth = exact->Similarity(i, j);
-      cw_err += std::fabs(cw->SinglePair(i, j, qo).value() - truth);
+      const QueryRequest request = QueryRequest::Pair(i, j).WithOptions(qo);
+      cw_err += std::fabs(cw->Execute(request).score() - truth);
       lin_err += std::fabs(lin->SinglePair(i, j) - truth);
       fmt_err += std::fabs(fmt->SinglePair(i, j) - truth);
       ++pairs;
@@ -215,9 +220,10 @@ TEST(IntegrationTest, MetricsPipelineOnRealScores) {
   }
   ASSERT_GT(best_mass, 0.1);
 
-  auto est_sparse = cw->SingleSource(q, qo);
+  const QueryResponse est_sparse =
+      cw->Execute(QueryRequest::SingleSource(q).WithOptions(qo));
   ASSERT_TRUE(est_sparse.ok());
-  std::vector<double> est = ToDense(*est_sparse, graph.num_nodes());
+  std::vector<double> est = ToDense(*est_sparse.scores(), graph.num_nodes());
   std::vector<double> truth = exact->Row(q);
 
   auto err = ComputeErrorStats(est, truth);

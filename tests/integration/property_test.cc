@@ -149,13 +149,15 @@ TEST_P(GraphFamilyTest, FacadeClampsAndValidates) {
   ASSERT_TRUE(cw.ok());
   QueryOptions q;
   q.num_walkers = 300;
-  auto ss = cw->SingleSource(0, q);
+  const QueryResponse ss =
+      cw->Execute(QueryRequest::SingleSource(0).WithOptions(q));
   ASSERT_TRUE(ss.ok());
-  for (const SparseEntry& e : *ss) {
+  for (const SparseEntry& e : *ss.scores()) {
     EXPECT_GE(e.value, 0.0);
     EXPECT_LE(e.value, 1.0);
   }
-  EXPECT_FALSE(cw->SinglePair(0, g.num_nodes(), q).ok());
+  EXPECT_FALSE(
+      cw->Execute(QueryRequest::Pair(0, g.num_nodes()).WithOptions(q)).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -115,8 +115,10 @@ TEST(DistributedProcessTest, KilledWorkerIsReplacedAndAnswersBitIdentically) {
 
   QueryOptions q;
   q.num_walkers = 120;
-  const double want_pair = (*base)->SinglePair(4, 80, q).value();
-  const auto want_topk = (*base)->SingleSourceTopK(4, 10, q).value();
+  const QueryRequest pair = QueryRequest::Pair(4, 80).WithOptions(q);
+  const QueryRequest topk = QueryRequest::SourceTopK(4, 10).WithOptions(q);
+  const double want_pair = (*base)->Execute(pair).score();
+  const TopKResult want_topk = *(*base)->Execute(topk).topk();
 
   auto w0 = std::make_unique<WorkerProcess>(binary, path, dir + "/p0.port");
   auto w1 = std::make_unique<WorkerProcess>(binary, path, dir + "/p1.port");
@@ -133,7 +135,7 @@ TEST(DistributedProcessTest, KilledWorkerIsReplacedAndAnswersBitIdentically) {
   auto remote = CloudWalker::Distribute(*base, options);
   ASSERT_TRUE(remote.ok()) << remote.status().message();
 
-  EXPECT_EQ((*remote)->SinglePair(4, 80, q).value(), want_pair);
+  EXPECT_EQ((*remote)->Execute(pair).score(), want_pair);
 
   // Hard-kill worker 1 and immediately start a replacement on its port.
   w1->Kill();
@@ -141,12 +143,13 @@ TEST(DistributedProcessTest, KilledWorkerIsReplacedAndAnswersBitIdentically) {
                                        port1);
   ASSERT_EQ(w1->WaitForPort(), port1);
 
-  const auto got_topk = (*remote)->SingleSourceTopK(4, 10, q);
-  ASSERT_TRUE(got_topk.ok()) << got_topk.status().ToString();
-  ASSERT_EQ(got_topk->size(), want_topk.size());
+  const QueryResponse got = (*remote)->Execute(topk);
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  const TopKResult& got_topk = *got.topk();
+  ASSERT_EQ(got_topk.size(), want_topk.size());
   for (size_t i = 0; i < want_topk.size(); ++i) {
-    EXPECT_EQ((*got_topk)[i].node, want_topk[i].node) << "rank " << i;
-    EXPECT_EQ((*got_topk)[i].score, want_topk[i].score) << "rank " << i;
+    EXPECT_EQ(got_topk[i].node, want_topk[i].node) << "rank " << i;
+    EXPECT_EQ(got_topk[i].score, want_topk[i].score) << "rank " << i;
   }
 
   // A worker killed with no replacement exhausts the retry budget into
@@ -160,10 +163,10 @@ TEST(DistributedProcessTest, KilledWorkerIsReplacedAndAnswersBitIdentically) {
   fast.retry_backoff_seconds = 0.01;
   auto dead = CloudWalker::Distribute(*base, fast);
   if (dead.ok()) {
-    const auto response = (*dead)->SinglePair(4, 80, q);
+    const QueryResponse response = (*dead)->Execute(pair);
     ASSERT_FALSE(response.ok());
-    EXPECT_TRUE(response.status().IsUnavailable())
-        << response.status().ToString();
+    EXPECT_TRUE(response.status.IsUnavailable())
+        << response.status.ToString();
   } else {
     EXPECT_TRUE(dead.status().IsUnavailable()) << dead.status().ToString();
   }

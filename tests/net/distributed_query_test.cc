@@ -149,8 +149,11 @@ TEST_F(DistributedQueryTest, AllSixKindsBitIdenticalAtTwoAndThreeWorkers) {
 TEST_F(DistributedQueryTest, WorkerRestartMidWorkloadStaysBitIdentical) {
   QueryOptions q;
   q.num_walkers = 120;
-  const double pair = base()->SinglePair(9, 60, q).value();
-  const auto topk = base()->PersonalizedPageRankTopK(9, 8, q).value();
+  const QueryRequest pair_request = QueryRequest::Pair(9, 60).WithOptions(q);
+  const QueryRequest ppr_request =
+      QueryRequest::PersonalizedPageRank(9, 8).WithOptions(q);
+  const double pair = base()->Execute(pair_request).score();
+  const TopKResult topk = *base()->Execute(ppr_request).topk();
 
   WorkerFleet fleet(path(), 2);
   RemoteBackendOptions options;
@@ -159,18 +162,18 @@ TEST_F(DistributedQueryTest, WorkerRestartMidWorkloadStaysBitIdentical) {
   options.superstep_timeout_seconds = 5.0;
   auto remote = CloudWalker::Distribute(base(), options);
   ASSERT_TRUE(remote.ok());
-  EXPECT_EQ((*remote)->SinglePair(9, 60, q).value(), pair);
+  EXPECT_EQ((*remote)->Execute(pair_request).score(), pair);
 
   // Kill worker 1 and bring it back on the same port: the next query
   // must reconnect (possibly after a retry) and answer identically.
   fleet.Stop(1);
   fleet.Restart(1, path());
-  const auto got = (*remote)->PersonalizedPageRankTopK(9, 8, q);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), topk.size());
+  const QueryResponse got = (*remote)->Execute(ppr_request);
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  ASSERT_EQ(got.topk()->size(), topk.size());
   for (size_t i = 0; i < topk.size(); ++i) {
-    EXPECT_EQ((*got)[i].node, topk[i].node);
-    EXPECT_EQ((*got)[i].score, topk[i].score);
+    EXPECT_EQ((*got.topk())[i].node, topk[i].node);
+    EXPECT_EQ((*got.topk())[i].score, topk[i].score);
   }
 }
 
@@ -227,7 +230,8 @@ TEST_F(DistributedQueryTest, QueryServiceNeverCachesUnavailable) {
     // And the recovered answer matches the single-node truth.
     QueryOptions q;
     q.num_walkers = 120;
-    const auto want = base()->SingleSourceTopK(6, 10, q).value();
+    const TopKResult want =
+        *base()->Execute(QueryRequest::SourceTopK(6, 10).WithOptions(q)).topk();
     const TopKResult& got = *recovered.topk();
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {

@@ -173,10 +173,12 @@ TEST_F(RemoteBackendTest, DistributeAnswersMatchSingleNode) {
   ASSERT_TRUE(remote.ok()) << remote.status().message();
 
   const QueryOptions q = FastOptions();
-  EXPECT_EQ(base()->SinglePair(3, 40, q).value(),
-            (*remote)->SinglePair(3, 40, q).value());
-  const auto want = base()->PersonalizedPageRankTopK(7, 10, q).value();
-  const auto got = (*remote)->PersonalizedPageRankTopK(7, 10, q).value();
+  const QueryRequest pair = QueryRequest::Pair(3, 40).WithOptions(q);
+  EXPECT_EQ(base()->Execute(pair).score(), (*remote)->Execute(pair).score());
+  const QueryRequest ppr =
+      QueryRequest::PersonalizedPageRank(7, 10).WithOptions(q);
+  const TopKResult want = *base()->Execute(ppr).topk();
+  const TopKResult got = *(*remote)->Execute(ppr).topk();
   ASSERT_EQ(want.size(), got.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(want[i].node, got[i].node);
@@ -205,7 +207,8 @@ TEST_F(RemoteBackendTest, WorkerFaultIsReplayedBitIdentically) {
   // kWalk — exactly once. The coordinator must reconnect, re-handshake,
   // resend the same job, and produce the same answer as a fault-free run.
   const QueryOptions q = FastOptions();
-  const double want = base()->SinglePair(5, 90, q).value();
+  const QueryRequest pair = QueryRequest::Pair(5, 90).WithOptions(q);
+  const double want = base()->Execute(pair).score();
 
   WorkerFleet fleet(path(), 2, /*fail_after=*/2);
   RemoteBackendOptions options;
@@ -213,9 +216,9 @@ TEST_F(RemoteBackendTest, WorkerFaultIsReplayedBitIdentically) {
   options.superstep_timeout_seconds = 5.0;
   auto remote = CloudWalker::Distribute(base(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().message();
-  const auto got = (*remote)->SinglePair(5, 90, q);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, want);
+  const QueryResponse got = (*remote)->Execute(pair);
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  EXPECT_EQ(got.score(), want);
 
   // The recovery is visible in the exchange telemetry.
   const auto* backend =
@@ -237,16 +240,17 @@ TEST_F(RemoteBackendTest, DeadFleetSurfacesUnavailableNotPartialAnswer) {
   auto remote = CloudWalker::Distribute(base(), options);
   ASSERT_TRUE(remote.ok());
   const QueryOptions q = FastOptions();
-  ASSERT_TRUE((*remote)->SinglePair(2, 30, q).ok());
+  const QueryRequest pair = QueryRequest::Pair(2, 30).WithOptions(q);
+  ASSERT_TRUE((*remote)->Execute(pair).ok());
 
   fleet.StopAll();
-  const auto dead = (*remote)->SinglePair(2, 30, q);
+  const QueryResponse dead = (*remote)->Execute(pair);
   ASSERT_FALSE(dead.ok());
-  EXPECT_TRUE(dead.status().IsUnavailable()) << dead.status().ToString();
+  EXPECT_TRUE(dead.status.IsUnavailable()) << dead.status.ToString();
 
   // The error was drained: it must not leak into a later query's result.
-  const auto again = (*remote)->SinglePair(2, 30, q);
-  EXPECT_TRUE(again.status().IsUnavailable());
+  const QueryResponse again = (*remote)->Execute(pair);
+  EXPECT_TRUE(again.status.IsUnavailable());
 }
 
 TEST_F(RemoteBackendTest, PartialFailureDoesNotWedgeSurvivorConnections) {

@@ -96,48 +96,51 @@ TEST_F(OocBackendTest, SinglePairBitIdentical) {
                             {3, 250},
                             {499, 7},
                             {42, 42}}) {
-    auto a = mem().SinglePair(i, j);
-    auto b = ooc().SinglePair(i, j);
+    const QueryResponse a = mem().Execute(QueryRequest::Pair(i, j));
+    const QueryResponse b = ooc().Execute(QueryRequest::Pair(i, j));
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "(" << i << ", " << j << ")";
+    EXPECT_EQ(a.score(), b.score()) << "(" << i << ", " << j << ")";
   }
 }
 
 TEST_F(OocBackendTest, SingleSourceBitIdentical) {
   for (const NodeId q : {NodeId{0}, NodeId{123}, NodeId{499}}) {
-    auto a = mem().SingleSource(q);
-    auto b = ooc().SingleSource(q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->entries().size(), b->entries().size()) << "q=" << q;
-    for (size_t e = 0; e < a->entries().size(); ++e) {
-      EXPECT_EQ(a->entries()[e].index, b->entries()[e].index);
-      EXPECT_EQ(a->entries()[e].value, b->entries()[e].value);
+    const QueryResponse ra = mem().Execute(QueryRequest::SingleSource(q));
+    const QueryResponse rb = ooc().Execute(QueryRequest::SingleSource(q));
+    ASSERT_TRUE(ra.ok() && rb.ok());
+    const SparseVector& a = *ra.scores();
+    const SparseVector& b = *rb.scores();
+    ASSERT_EQ(a.entries().size(), b.entries().size()) << "q=" << q;
+    for (size_t e = 0; e < a.entries().size(); ++e) {
+      EXPECT_EQ(a.entries()[e].index, b.entries()[e].index);
+      EXPECT_EQ(a.entries()[e].value, b.entries()[e].value);
     }
   }
 }
 
 TEST_F(OocBackendTest, SingleSourceTopKBitIdentical) {
   for (const NodeId q : {NodeId{5}, NodeId{321}}) {
-    auto a = mem().SingleSourceTopK(q, 10);
-    auto b = ooc().SingleSourceTopK(q, 10);
+    const QueryResponse a = mem().Execute(QueryRequest::SourceTopK(q, 10));
+    const QueryResponse b = ooc().Execute(QueryRequest::SourceTopK(q, 10));
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "q=" << q;
+    EXPECT_EQ(*a.topk(), *b.topk()) << "q=" << q;
   }
 }
 
 TEST_F(OocBackendTest, AllPairsBitIdentical) {
-  auto a = mem().AllPairs(5);
-  auto b = ooc().AllPairs(5);
+  const QueryResponse a = mem().Execute(QueryRequest::AllPairsTopK(5));
+  const QueryResponse b = ooc().Execute(QueryRequest::AllPairsTopK(5));
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(*a.all_pairs(), *b.all_pairs());
 }
 
 TEST_F(OocBackendTest, PersonalizedPageRankTopKBitIdentical) {
   for (const NodeId q : {NodeId{9}, NodeId{400}}) {
-    auto a = mem().PersonalizedPageRankTopK(q, 10);
-    auto b = ooc().PersonalizedPageRankTopK(q, 10);
+    const QueryRequest r = QueryRequest::PersonalizedPageRank(q, 10);
+    const QueryResponse a = mem().Execute(r);
+    const QueryResponse b = ooc().Execute(r);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "q=" << q;
+    EXPECT_EQ(*a.topk(), *b.topk()) << "q=" << q;
   }
 }
 
@@ -151,11 +154,13 @@ TEST_F(OocBackendTest, Node2VecTopKBitIdentical) {
   biased.n2v_in_out_q = 2.0;
   for (const QueryOptions& options : {QueryOptions{}, q_one, biased}) {
     for (const NodeId q : {NodeId{2}, NodeId{350}}) {
-      auto a = mem().Node2VecTopK(q, 10, options);
-      auto b = ooc().Node2VecTopK(q, 10, options);
+      const QueryRequest r = QueryRequest::Node2Vec(q, 10).WithOptions(options);
+      const QueryResponse a = mem().Execute(r);
+      const QueryResponse b = ooc().Execute(r);
       ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(*a, *b) << "source " << q << " p " << options.n2v_return_p
-                        << " q " << options.n2v_in_out_q;
+      EXPECT_EQ(*a.topk(), *b.topk())
+          << "source " << q << " p " << options.n2v_return_p << " q "
+          << options.n2v_in_out_q;
     }
   }
 }
@@ -224,12 +229,13 @@ TEST_F(OocBackendTest, BiasedNode2VecOnReorderedSnapshotMatches) {
   biased.n2v_return_p = 0.5;
   biased.n2v_in_out_q = 2.0;
   for (const NodeId q : {NodeId{0}, NodeId{77}, NodeId{321}, NodeId{499}}) {
-    auto want = mem().Node2VecTopK(q, 10, biased);
-    auto via_mmap = (*mmap_open)->Node2VecTopK(q, 10, biased);
-    auto via_paged = (*paged_open)->Node2VecTopK(q, 10, biased);
+    const QueryRequest r = QueryRequest::Node2Vec(q, 10).WithOptions(biased);
+    const QueryResponse want = mem().Execute(r);
+    const QueryResponse via_mmap = (*mmap_open)->Execute(r);
+    const QueryResponse via_paged = (*paged_open)->Execute(r);
     ASSERT_TRUE(want.ok() && via_mmap.ok() && via_paged.ok());
-    EXPECT_EQ(*want, *via_mmap) << "q=" << q;
-    EXPECT_EQ(*want, *via_paged) << "q=" << q;
+    EXPECT_EQ(*want.topk(), *via_mmap.topk()) << "q=" << q;
+    EXPECT_EQ(*want.topk(), *via_paged.topk()) << "q=" << q;
   }
   std::remove(reordered_path.c_str());
 }
@@ -246,17 +252,20 @@ TEST_F(OocBackendTest, NoBlockIndexFallbackAnswersIdentically) {
   auto fallback = CloudWalker::OutOfCore(flat_path);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
   EXPECT_TRUE((*fallback)->ooc_backend()->paged_snapshot().all_resident());
-  auto a = mem().SingleSource(77);
-  auto b = (*fallback)->SingleSource(77);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->entries().size(), b->entries().size());
-  for (size_t e = 0; e < a->entries().size(); ++e) {
-    EXPECT_EQ(a->entries()[e].value, b->entries()[e].value);
+  const QueryResponse ra = mem().Execute(QueryRequest::SingleSource(77));
+  const QueryResponse rb = (*fallback)->Execute(QueryRequest::SingleSource(77));
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  const SparseVector& a = *ra.scores();
+  const SparseVector& b = *rb.scores();
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (size_t e = 0; e < a.entries().size(); ++e) {
+    EXPECT_EQ(a.entries()[e].value, b.entries()[e].value);
   }
-  auto ppr_a = mem().PersonalizedPageRankTopK(8, 10);
-  auto ppr_b = (*fallback)->PersonalizedPageRankTopK(8, 10);
+  const QueryRequest ppr = QueryRequest::PersonalizedPageRank(8, 10);
+  const QueryResponse ppr_a = mem().Execute(ppr);
+  const QueryResponse ppr_b = (*fallback)->Execute(ppr);
   ASSERT_TRUE(ppr_a.ok() && ppr_b.ok());
-  EXPECT_EQ(*ppr_a, *ppr_b);
+  EXPECT_EQ(*ppr_a.topk(), *ppr_b.topk());
   std::remove(flat_path.c_str());
 }
 

@@ -183,25 +183,28 @@ TEST_F(ReorderRoundTripTest, PermutationRoundTripsThroughTheSnapshot) {
 
 TEST_F(ReorderRoundTripTest, WalkQueriesIdenticalForExternalIds) {
   // The endpoint top-k kinds are exactly identical (identical draw
-  // streams + id translation at the boundary). SinglePair's combine dots
+  // streams + id translation at the boundary). kPair's combine dots
   // the two walk distributions in internal-id order, so reordering
   // reassociates that float sum — identical distributions, equality to
   // within rounding.
   for (const NodeId q : {NodeId{0}, NodeId{101}, NodeId{349}}) {
-    auto pair_a = plain().SinglePair(q, (q + 7) % 350);
-    auto pair_b = reordered().SinglePair(q, (q + 7) % 350);
+    const QueryRequest pair = QueryRequest::Pair(q, (q + 7) % 350);
+    const QueryResponse pair_a = plain().Execute(pair);
+    const QueryResponse pair_b = reordered().Execute(pair);
     ASSERT_TRUE(pair_a.ok() && pair_b.ok());
-    EXPECT_NEAR(*pair_a, *pair_b, 1e-12) << "q=" << q;
+    EXPECT_NEAR(pair_a.score(), pair_b.score(), 1e-12) << "q=" << q;
 
-    auto ppr_a = plain().PersonalizedPageRankTopK(q, 10);
-    auto ppr_b = reordered().PersonalizedPageRankTopK(q, 10);
+    const QueryRequest ppr = QueryRequest::PersonalizedPageRank(q, 10);
+    const QueryResponse ppr_a = plain().Execute(ppr);
+    const QueryResponse ppr_b = reordered().Execute(ppr);
     ASSERT_TRUE(ppr_a.ok() && ppr_b.ok());
-    EXPECT_EQ(*ppr_a, *ppr_b) << "q=" << q;
+    EXPECT_EQ(*ppr_a.topk(), *ppr_b.topk()) << "q=" << q;
 
-    auto n2v_a = plain().Node2VecTopK(q, 10);
-    auto n2v_b = reordered().Node2VecTopK(q, 10);
+    const QueryRequest n2v = QueryRequest::Node2Vec(q, 10);
+    const QueryResponse n2v_a = plain().Execute(n2v);
+    const QueryResponse n2v_b = reordered().Execute(n2v);
     ASSERT_TRUE(n2v_a.ok() && n2v_b.ok());
-    EXPECT_EQ(*n2v_a, *n2v_b) << "q=" << q;
+    EXPECT_EQ(*n2v_a.topk(), *n2v_b.topk()) << "q=" << q;
   }
 }
 
@@ -214,13 +217,16 @@ TEST_F(ReorderRoundTripTest, ExactPushSingleSourceIdentical) {
   QueryOptions options;
   options.push = PushStrategy::kExact;
   for (const NodeId q : {NodeId{3}, NodeId{222}}) {
-    auto a = plain().SingleSource(q, options);
-    auto b = reordered().SingleSource(q, options);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->entries().size(), b->entries().size()) << "q=" << q;
-    for (size_t e = 0; e < a->entries().size(); ++e) {
-      EXPECT_EQ(a->entries()[e].index, b->entries()[e].index);
-      EXPECT_NEAR(a->entries()[e].value, b->entries()[e].value, 1e-12);
+    const QueryRequest r = QueryRequest::SingleSource(q).WithOptions(options);
+    const QueryResponse ra = plain().Execute(r);
+    const QueryResponse rb = reordered().Execute(r);
+    ASSERT_TRUE(ra.ok() && rb.ok());
+    const SparseVector& a = *ra.scores();
+    const SparseVector& b = *rb.scores();
+    ASSERT_EQ(a.entries().size(), b.entries().size()) << "q=" << q;
+    for (size_t e = 0; e < a.entries().size(); ++e) {
+      EXPECT_EQ(a.entries()[e].index, b.entries()[e].index);
+      EXPECT_NEAR(a.entries()[e].value, b.entries()[e].value, 1e-12);
     }
   }
 }
@@ -235,10 +241,11 @@ TEST_F(ReorderRoundTripTest, SampledSourceIsEquivalentNotIdentical) {
   QueryOptions options;
   options.push = PushStrategy::kSampled;
   for (const NodeId q : {NodeId{3}, NodeId{222}}) {
-    auto b = reordered().SingleSource(q, options);
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    const QueryResponse b =
+        reordered().Execute(QueryRequest::SingleSource(q).WithOptions(options));
+    ASSERT_TRUE(b.ok()) << b.status.ToString();
     bool saw_self = false;
-    for (const SparseEntry& e : b->entries()) {
+    for (const SparseEntry& e : b.scores()->entries()) {
       ASSERT_LT(e.index, reordered().graph().num_nodes());
       EXPECT_GE(e.value, 0.0);
       EXPECT_LE(e.value, 1.0);
@@ -256,14 +263,15 @@ TEST_F(ReorderRoundTripTest, OutOfCoreOpenOfReorderedSnapshotAgrees) {
   ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
   ASSERT_FALSE((*ooc)->permutation().empty());
   for (const NodeId q : {NodeId{11}, NodeId{340}}) {
-    auto a = plain().PersonalizedPageRankTopK(q, 8);
-    auto b = (*ooc)->PersonalizedPageRankTopK(q, 8);
+    const QueryRequest ppr = QueryRequest::PersonalizedPageRank(q, 8);
+    const QueryResponse a = plain().Execute(ppr);
+    const QueryResponse b = (*ooc)->Execute(ppr);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "q=" << q;
-    auto pair_a = plain().SinglePair(q, 50);
-    auto pair_b = (*ooc)->SinglePair(q, 50);
+    EXPECT_EQ(*a.topk(), *b.topk()) << "q=" << q;
+    const QueryResponse pair_a = plain().Execute(QueryRequest::Pair(q, 50));
+    const QueryResponse pair_b = (*ooc)->Execute(QueryRequest::Pair(q, 50));
     ASSERT_TRUE(pair_a.ok() && pair_b.ok());
-    EXPECT_NEAR(*pair_a, *pair_b, 1e-12);
+    EXPECT_NEAR(pair_a.score(), pair_b.score(), 1e-12);
   }
 }
 

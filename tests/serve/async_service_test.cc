@@ -90,9 +90,10 @@ TEST_F(AsyncServiceTest, SubmitPairBitIdenticalToFacade) {
   QueryFuture f = service.Submit(QueryRequest::Pair(5, 77));
   const QueryResponse r = f.Wait();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  const auto direct = cloudwalker_->SinglePair(5, 77, Options().query);
+  const QueryResponse direct = cloudwalker_->Execute(
+      QueryRequest::Pair(5, 77).WithOptions(Options().query));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(r.score(), *direct);  // exact, not approximate
+  EXPECT_EQ(r.score(), direct.score());  // exact, not approximate
   EXPECT_GT(r.stats.walk_steps, 0u);
 }
 
@@ -103,9 +104,10 @@ TEST_F(AsyncServiceTest, SubmitSingleSourceBitIdenticalToFacade) {
       service.Submit(QueryRequest::SingleSource(7)).Wait();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
   EXPECT_EQ(r.kind, QueryKind::kSingleSource);
-  const auto direct = cloudwalker_->SingleSource(7, Options().query);
+  const QueryResponse direct = cloudwalker_->Execute(
+      QueryRequest::SingleSource(7).WithOptions(Options().query));
   ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(SameSparse(*r.scores(), *direct));
+  EXPECT_TRUE(SameSparse(*r.scores(), *direct.scores()));
 }
 
 TEST_F(AsyncServiceTest, SubmitTopKBitIdenticalToFacade) {
@@ -114,10 +116,10 @@ TEST_F(AsyncServiceTest, SubmitTopKBitIdenticalToFacade) {
   const QueryResponse r =
       service.Submit(QueryRequest::SourceTopK(42, 8)).Wait();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  const auto direct =
-      cloudwalker_->SingleSourceTopK(42, 8, Options().query);
+  const QueryResponse direct = cloudwalker_->Execute(
+      QueryRequest::SourceTopK(42, 8).WithOptions(Options().query));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*r.topk(), *direct);
+  EXPECT_EQ(*r.topk(), *direct.topk());
   // The typed accessor and the template accessor agree.
   EXPECT_EQ(r.Get<QueryKind::kSourceTopK>(), r.topk());
 }
@@ -133,9 +135,10 @@ TEST_F(AsyncServiceTest, SubmitAllPairsBitIdenticalToFacade) {
       service.Submit(QueryRequest::AllPairsTopK(3).WithOptions(light))
           .Wait();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  const auto direct = cloudwalker_->AllPairs(3, light);
+  const QueryResponse direct =
+      cloudwalker_->Execute(QueryRequest::AllPairsTopK(3).WithOptions(light));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*r.all_pairs(), *direct);
+  EXPECT_EQ(*r.all_pairs(), *direct.all_pairs());
 }
 
 // --- Deadlines. ----------------------------------------------------------
@@ -157,9 +160,10 @@ TEST_F(AsyncServiceTest, DeadlineFiresMidWalkWithoutPoisoningTheCache) {
   const QueryResponse retry = service.Submit(heavy).Wait();
   ASSERT_TRUE(retry.ok()) << retry.status.ToString();
   EXPECT_FALSE(retry.cache_hit);
-  const auto direct = cloudwalker_->SingleSourceTopK(3, 5, options.query);
+  const QueryResponse direct = cloudwalker_->Execute(
+      QueryRequest::SourceTopK(3, 5).WithOptions(options.query));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*retry.topk(), *direct);
+  EXPECT_EQ(*retry.topk(), *direct.topk());
 }
 
 TEST_F(AsyncServiceTest, DeadlineExpiredInQueueSkipsTheKernel) {
@@ -279,9 +283,10 @@ TEST_F(AsyncServiceTest, FollowerDeadlineHonoredWhileDedupWaiting) {
   // own answer is unaffected.
   const QueryResponse slow = leader.Wait();
   ASSERT_TRUE(slow.ok()) << slow.status.ToString();
-  const auto direct = cloudwalker_->SingleSourceTopK(8, 4, options.query);
+  const QueryResponse direct = cloudwalker_->Execute(
+      QueryRequest::SourceTopK(8, 4).WithOptions(options.query));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*slow.topk(), *direct);
+  EXPECT_EQ(*slow.topk(), *direct.topk());
 }
 
 // --- WhenAll ordering. ---------------------------------------------------
@@ -302,15 +307,12 @@ TEST_F(AsyncServiceTest, WhenAllAlignsResponsesWithSubmissionOrder) {
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(responses[i].ok()) << responses[i].status.ToString();
     ASSERT_EQ(responses[i].kind, requests[i].kind);
+    const QueryResponse direct =
+        cloudwalker_->Execute(requests[i].WithOptions(Options().query));
     if (requests[i].kind == QueryKind::kPair) {
-      const auto direct = cloudwalker_->SinglePair(requests[i].a,
-                                                   requests[i].b,
-                                                   Options().query);
-      EXPECT_EQ(responses[i].score(), *direct);
+      EXPECT_EQ(responses[i].score(), direct.score());
     } else {
-      const auto direct = cloudwalker_->SingleSourceTopK(
-          requests[i].a, requests[i].k, Options().query);
-      EXPECT_EQ(*responses[i].topk(), *direct);
+      EXPECT_EQ(*responses[i].topk(), *direct.topk());
     }
   }
   // An invalid (default) future yields Internal, not a crash.
@@ -335,9 +337,10 @@ TEST_F(AsyncServiceTest, OptionOverridesHitDistinctCacheKeys) {
       service.Submit(base.WithOptions(other)).Wait();
   ASSERT_TRUE(override_first.ok());
   EXPECT_FALSE(override_first.cache_hit);
-  const auto direct = cloudwalker_->SingleSourceTopK(9, 6, other);
+  const QueryResponse direct =
+      cloudwalker_->Execute(QueryRequest::SourceTopK(9, 6).WithOptions(other));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*override_first.topk(), *direct);
+  EXPECT_EQ(*override_first.topk(), *direct.topk());
 
   // Both entries are now resident, each under its own key.
   EXPECT_TRUE(service.Submit(base).Wait().cache_hit);

@@ -60,12 +60,14 @@ TEST(HotSwapTest, PublishMidStreamIsLossFreeAndUnmixed) {
   std::vector<TopKResult> truth1, truth2;
   size_t differing = 0;
   for (const NodeId s : sources) {
-    auto t1 = v1->SingleSourceTopK(s, k, options.query);
-    auto t2 = v2->SingleSourceTopK(s, k, options.query);
+    const QueryRequest r =
+        QueryRequest::SourceTopK(s, k).WithOptions(options.query);
+    const QueryResponse t1 = v1->Execute(r);
+    const QueryResponse t2 = v2->Execute(r);
     ASSERT_TRUE(t1.ok() && t2.ok());
-    if (*t1 != *t2) ++differing;
-    truth1.push_back(*std::move(t1));
-    truth2.push_back(*std::move(t2));
+    if (*t1.topk() != *t2.topk()) ++differing;
+    truth1.push_back(*t1.topk());
+    truth2.push_back(*t2.topk());
   }
   // Sanity: the versions genuinely disagree, so a mixed answer can't hide.
   ASSERT_GT(differing, sources.size() / 2);
@@ -150,10 +152,12 @@ TEST(HotSwapTest, InFlightRequestFinishesOnItsPinnedVersion) {
   ThreadPool pool(2);
   QueryService service(v1, options, &pool);
 
-  auto direct1 = v1->SingleSourceTopK(5, 10, options.query);
-  auto direct2 = v2->SingleSourceTopK(5, 10, options.query);
+  const QueryRequest probe =
+      QueryRequest::SourceTopK(5, 10).WithOptions(options.query);
+  const QueryResponse direct1 = v1->Execute(probe);
+  const QueryResponse direct2 = v2->Execute(probe);
   ASSERT_TRUE(direct1.ok() && direct2.ok());
-  ASSERT_NE(*direct1, *direct2);
+  ASSERT_NE(*direct1.topk(), *direct2.topk());
 
   // Admit against v1, swap immediately (the worker may not even have
   // started), then verify the answer is v1's.
@@ -161,12 +165,12 @@ TEST(HotSwapTest, InFlightRequestFinishesOnItsPinnedVersion) {
   ASSERT_TRUE(service.Publish(v2).ok());
   const QueryResponse r = f.Wait();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(*r.topk(), *direct1);
+  EXPECT_EQ(*r.topk(), *direct1.topk());
 
   // And a post-swap admission answers per v2.
   const QueryResponse after = service.Execute(QueryRequest::SourceTopK(5, 10));
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after.topk(), *direct2);
+  EXPECT_EQ(*after.topk(), *direct2.topk());
 }
 
 TEST(HotSwapTest, SwapBetweenHeapBuildAndSnapshotIsInvisible) {

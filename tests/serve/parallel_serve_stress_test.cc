@@ -1,11 +1,11 @@
 // TSan-targeted stress of the parallel walk executor behind the serving
-// layer (DESIGN.md section 12): concurrent Submit() with walk_threads > 1
-// while Publish() hot-swaps engine versions mid-stream. Every request
-// fans its walk phase out over the executor's worker pool while serving
-// workers race on the snapshot registry — the test asserts loss-free
-// completion and bit-identity to the single-threaded direct answers, and
-// under TSan (tests/serve/ job filter) it certifies the executor's
-// pool-sharing and the wrap-at-publish path race-free.
+// layer (DESIGN.md section 12): concurrent Submit() to engines wrapped by
+// CloudWalker::Parallelize while Publish() hot-swaps engine versions
+// mid-stream. Every request fans its walk phase out over the executor's
+// worker pool while serving workers race on the snapshot registry — the
+// test asserts loss-free completion and bit-identity to the
+// single-threaded direct answers, and under TSan (tests/serve/ job
+// filter) it certifies the executor's pool-sharing race-free.
 
 #include <cstdint>
 #include <cstdio>
@@ -45,7 +45,6 @@ TEST(ParallelServeStressTest, ConcurrentSubmitAcrossHotSwapWithWalkThreads) {
   options.query.num_walkers = 200;
   options.cache_capacity = 0;  // every request runs its walk phase
   options.max_queue_depth = 0;
-  options.walk_threads = 3;
 
   const uint32_t k = 8;
   std::vector<NodeId> sources;
@@ -53,15 +52,22 @@ TEST(ParallelServeStressTest, ConcurrentSubmitAcrossHotSwapWithWalkThreads) {
   // Ground truth from the unwrapped single-threaded engines.
   std::vector<TopKResult> truth1, truth2;
   for (const NodeId s : sources) {
-    auto t1 = v1->SingleSourceTopK(s, k, options.query);
-    auto t2 = v2->SingleSourceTopK(s, k, options.query);
+    const QueryRequest r = QueryRequest::SourceTopK(s, k);
+    const QueryResponse t1 = v1->Execute(r.WithOptions(options.query));
+    const QueryResponse t2 = v2->Execute(r.WithOptions(options.query));
     ASSERT_TRUE(t1.ok() && t2.ok());
-    truth1.push_back(*std::move(t1));
-    truth2.push_back(*std::move(t2));
+    truth1.push_back(*t1.topk());
+    truth2.push_back(*t2.topk());
   }
 
+  // The caller wraps each version before it constructs or publishes.
+  ParallelWalkOptions parallel_options;
+  parallel_options.num_threads = 3;
+  auto p1 = CloudWalker::Parallelize(v1, parallel_options);
+  auto p2 = CloudWalker::Parallelize(v2, parallel_options);
+  ASSERT_TRUE(p1.ok() && p2.ok());
   ThreadPool pool(4);
-  QueryService service(v1, options, &pool);
+  QueryService service(*p1, options, &pool);
 
   // Phase 1: pile requests onto the wrapped v1 (4 serving workers, each
   // fanning walks over the executor's 3 walk threads) and swap while
@@ -73,7 +79,7 @@ TEST(ParallelServeStressTest, ConcurrentSubmitAcrossHotSwapWithWalkThreads) {
     }
   }
 
-  auto epoch = service.Publish(v2);  // wraps v2 with the executor too
+  auto epoch = service.Publish(*p2);
   ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
 
   std::vector<QueryFuture> phase2;
@@ -100,7 +106,7 @@ TEST(ParallelServeStressTest, ConcurrentSubmitAcrossHotSwapWithWalkThreads) {
 
 TEST(ParallelServeStressTest, PreWrappedEnginePassesThroughUnchanged) {
   // An engine that already carries a walk backend (here: one the caller
-  // parallelized) must not be wrapped a second time at publish.
+  // parallelized) is published as it is.
   auto base = BuildWalker(/*graph_seed=*/5);
   ASSERT_NE(base, nullptr);
   ParallelWalkOptions popts;
@@ -112,7 +118,6 @@ TEST(ParallelServeStressTest, PreWrappedEnginePassesThroughUnchanged) {
 
   ServeOptions options;
   options.query.num_walkers = 100;
-  options.walk_threads = 4;
   ThreadPool pool(2);
   QueryService service(*wrapped, options, &pool);
   // The published engine still carries the caller's backend instance.
@@ -120,15 +125,16 @@ TEST(ParallelServeStressTest, PreWrappedEnginePassesThroughUnchanged) {
   const QueryResponse r =
       service.Submit(QueryRequest::SourceTopK(3, 5)).Wait();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  auto direct = base->SingleSourceTopK(3, 5, options.query);
+  const QueryResponse direct = base->Execute(
+      QueryRequest::SourceTopK(3, 5).WithOptions(options.query));
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*r.topk(), *direct);
+  EXPECT_EQ(*r.topk(), *direct.topk());
 }
 
 TEST(ParallelServeStressTest, ReorderedSnapshotIsParallelizedAtPublish) {
   // A locality-reordered snapshot opens with no walk backend of its own
   // (its walks key on external ids through the walk context), so
-  // walk_threads wraps it like any other engine — and the wrapped walks,
+  // Parallelize wraps it like any other engine — and the wrapped walks,
   // split into walker ranges, answer exactly as the direct engine does.
   auto base = BuildWalker(/*graph_seed=*/9);
   ASSERT_NE(base, nullptr);
@@ -143,9 +149,12 @@ TEST(ParallelServeStressTest, ReorderedSnapshotIsParallelizedAtPublish) {
   ServeOptions options;
   options.query.num_walkers = 1200;  // three ranges of >= 256 walkers
   options.cache_capacity = 0;
-  options.walk_threads = 3;
+  ParallelWalkOptions parallel_options;
+  parallel_options.num_threads = 3;
+  auto parallel = CloudWalker::Parallelize(*reordered, parallel_options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   ThreadPool pool(2);
-  QueryService service(*reordered, options, &pool);
+  QueryService service(*parallel, options, &pool);
   EXPECT_NE(dynamic_cast<const ParallelWalkExecutor*>(
                 service.CurrentSnapshot()->walker->walk_backend()),
             nullptr);

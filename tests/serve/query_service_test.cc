@@ -56,9 +56,10 @@ TEST_F(QueryServiceTest, PairBitIdenticalToDirectCall) {
            {0, 1}, {5, 77}, {33, 33}, {149, 2}}) {
     const QueryResponse r = service.Execute(QueryRequest::Pair(i, j));
     ASSERT_TRUE(r.status.ok());
-    const auto direct = cloudwalker_->SinglePair(i, j, Options().query);
+    const QueryResponse direct = cloudwalker_->Execute(
+        QueryRequest::Pair(i, j).WithOptions(Options().query));
     ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(r.score(), *direct);  // exact, not approximate
+    EXPECT_EQ(r.score(), direct.score());  // exact, not approximate
   }
 }
 
@@ -68,9 +69,10 @@ TEST_F(QueryServiceTest, TopKBitIdenticalToDirectCall) {
     const QueryResponse r =
         service.Execute(QueryRequest::SourceTopK(source, 8));
     ASSERT_TRUE(r.status.ok());
-    const auto direct =
-        cloudwalker_->SingleSourceTopK(source, 8, Options().query);
-    ASSERT_TRUE(direct.ok());
+    const QueryResponse response = cloudwalker_->Execute(
+        QueryRequest::SourceTopK(source, 8).WithOptions(Options().query));
+    ASSERT_TRUE(response.ok());
+    const TopKPtr& direct = response.topk();
     ASSERT_EQ(r.topk()->size(), direct->size());
     for (size_t p = 0; p < direct->size(); ++p) {
       EXPECT_EQ((*r.topk())[p].node, (*direct)[p].node);
@@ -124,14 +126,12 @@ TEST_F(QueryServiceTest, ConcurrentBatchBitIdenticalToDirectCalls) {
   ASSERT_EQ(responses.size(), requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
     ASSERT_TRUE(responses[r].status.ok()) << responses[r].status.ToString();
+    const QueryResponse direct =
+        cloudwalker_->Execute(requests[r].WithOptions(Options().query));
     if (requests[r].kind == QueryKind::kPair) {
-      const auto direct = cloudwalker_->SinglePair(
-          requests[r].a, requests[r].b, Options().query);
-      EXPECT_EQ(responses[r].score(), *direct);
+      EXPECT_EQ(responses[r].score(), direct.score());
     } else {
-      const auto direct = cloudwalker_->SingleSourceTopK(
-          requests[r].a, requests[r].k, Options().query);
-      EXPECT_EQ(*responses[r].topk(), *direct);
+      EXPECT_EQ(*responses[r].topk(), *direct.topk());
     }
   }
   // Replaying the whole batch yields the same answers again.
@@ -159,7 +159,8 @@ TEST_F(QueryServiceTest, DedupComputesOnceAndFansOut) {
   EXPECT_EQ(s.topk_queries, 64u);
   EXPECT_EQ(s.computed + s.dedup_shared, 64u);
   EXPECT_GE(s.computed, 1u);
-  const auto direct = cloudwalker_->SingleSourceTopK(9, 6, options.query);
+  const TopKPtr direct =
+      cloudwalker_->Execute(storm[0].WithOptions(options.query)).topk();
   for (const QueryResponse& r : responses) {
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(*r.topk(), *direct);  // fanned-out answers are bit-identical
@@ -222,16 +223,17 @@ TEST_F(QueryServiceTest, ProgramKindsBitIdenticalCachedAndCounted) {
   const QueryResponse ppr =
       service.Execute(QueryRequest::PersonalizedPageRank(7, 6));
   ASSERT_TRUE(ppr.status.ok()) << ppr.status.ToString();
-  const auto ppr_direct =
-      cloudwalker_->PersonalizedPageRankTopK(7, 6, Options().query);
+  const QueryResponse ppr_direct = cloudwalker_->Execute(
+      QueryRequest::PersonalizedPageRank(7, 6).WithOptions(Options().query));
   ASSERT_TRUE(ppr_direct.ok());
-  EXPECT_EQ(*ppr.topk(), *ppr_direct);  // bit-identical to the facade
+  EXPECT_EQ(*ppr.topk(), *ppr_direct.topk());  // bit-identical to the facade
 
   const QueryResponse n2v = service.Execute(QueryRequest::Node2Vec(7, 6));
   ASSERT_TRUE(n2v.status.ok()) << n2v.status.ToString();
-  const auto n2v_direct = cloudwalker_->Node2VecTopK(7, 6, Options().query);
+  const QueryResponse n2v_direct = cloudwalker_->Execute(
+      QueryRequest::Node2Vec(7, 6).WithOptions(Options().query));
   ASSERT_TRUE(n2v_direct.ok());
-  EXPECT_EQ(*n2v.topk(), *n2v_direct);
+  EXPECT_EQ(*n2v.topk(), *n2v_direct.topk());
 
   // Same (source, k) under three different kinds: three distinct cache
   // entries (the kind sits in the key), each replaying as a hit that
@@ -282,16 +284,17 @@ TEST_F(QueryServiceTest, ProgramKindsSubmitAsyncAndDedup) {
     storm.push_back(QueryRequest::Node2Vec(11, 4));
   }
   const std::vector<QueryResponse> responses = service.ExecuteBatch(storm);
-  const auto ppr_direct =
-      cloudwalker_->PersonalizedPageRankTopK(11, 4, options.query);
-  const auto n2v_direct = cloudwalker_->Node2VecTopK(11, 4, options.query);
+  const QueryResponse ppr_direct = cloudwalker_->Execute(
+      QueryRequest::PersonalizedPageRank(11, 4).WithOptions(options.query));
+  const QueryResponse n2v_direct = cloudwalker_->Execute(
+      QueryRequest::Node2Vec(11, 4).WithOptions(options.query));
   ASSERT_TRUE(ppr_direct.ok());
   ASSERT_TRUE(n2v_direct.ok());
   for (size_t r = 0; r < storm.size(); ++r) {
     ASSERT_TRUE(responses[r].status.ok()) << responses[r].status.ToString();
     const auto& expect = storm[r].kind == QueryKind::kPersonalizedPageRank
-                             ? *ppr_direct
-                             : *n2v_direct;
+                             ? *ppr_direct.topk()
+                             : *n2v_direct.topk();
     EXPECT_EQ(*responses[r].topk(), expect);  // never cross-kind answers
   }
   const ServeStats s = service.Stats();

@@ -88,7 +88,7 @@ TEST(SnapshotRegistryTest, PinsOutliveRetire) {
   ASSERT_TRUE(registry.Publish(2, TinyWalker(2)).ok());
   ASSERT_TRUE(registry.Retire(1).ok());
   EXPECT_FALSE(watch.expired());
-  auto score = pinned->walker->SinglePair(1, 2);
+  const QueryResponse score = pinned->walker->Execute(QueryRequest::Pair(1, 2));
   EXPECT_TRUE(score.ok());  // still fully usable
 
   // The last pin out the door releases it.

@@ -116,8 +116,7 @@ TEST(ShardServiceTest, ExpiredDeadlineNeverCachesAPartialAnswer) {
   // top-k instead of matching the direct facade call.
   const QueryResponse full = service.Execute(request);
   ASSERT_TRUE(full.ok()) << full.status.message();
-  const auto direct =
-      ShardIt(base, 3)->SingleSourceTopK(5, 10, heavy).value();
+  const TopKResult direct = *ShardIt(base, 3)->Execute(request).topk();
   ExpectSameTopK(direct, *full.topk(), "post-deadline resubmit");
 }
 

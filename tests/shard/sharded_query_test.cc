@@ -110,35 +110,21 @@ TEST(ShardedQueryTest, AllSixKindsBitIdenticalAtEveryShardCount) {
   }
 }
 
-TEST(ShardedQueryTest, LegacyMethodsMatchExecute) {
-  const auto base = BuildBase(120, 900, 9);
-  ShardingOptions opts;
-  opts.num_shards = 2;
-  const auto sharded = CloudWalker::Shard(base, opts).value();
-  const QueryOptions q = FastOptions();
-  const double via_execute =
-      sharded->Execute(QueryRequest::Pair(2, 77).WithOptions(q)).score();
-  EXPECT_EQ(sharded->SinglePair(2, 77, q).value(), via_execute);
-  ExpectSameTopK(
-      sharded->PersonalizedPageRankTopK(2, 8, q).value(),
-      *sharded->Execute(QueryRequest::PersonalizedPageRank(2, 8).WithOptions(q))
-           .topk(),
-      "ppr legacy");
-}
-
 TEST(ShardedQueryTest, ShardedInstanceSurvivesBaseRelease) {
   // The sharded engine shares ownership of the graph, so dropping
   // the base facade must not invalidate it.
   std::shared_ptr<const CloudWalker> sharded;
+  const QueryRequest pair =
+      QueryRequest::Pair(1, 50).WithOptions(FastOptions());
   double expected = 0.0;
   {
     const auto base = BuildBase(100, 700, 3);
-    expected = base->SinglePair(1, 50, FastOptions()).value();
+    expected = base->Execute(pair).score();
     ShardingOptions opts;
     opts.num_shards = 3;
     sharded = CloudWalker::Shard(base, opts).value();
   }
-  EXPECT_EQ(sharded->SinglePair(1, 50, FastOptions()).value(), expected);
+  EXPECT_EQ(sharded->Execute(pair).score(), expected);
 }
 
 TEST(ShardedQueryTest, ShardValidatesInputs) {
@@ -161,10 +147,10 @@ TEST(ShardedQueryTest, SnapshotRoundTripThenShardBitIdentical) {
   opts.num_shards = 4;
   const auto sharded = CloudWalker::Shard(*opened, opts).value();
   const QueryOptions q = FastOptions();
-  EXPECT_EQ(base->SinglePair(3, 80, q).value(),
-            sharded->SinglePair(3, 80, q).value());
-  ExpectSameTopK(base->SingleSourceTopK(3, 10, q).value(),
-                 sharded->SingleSourceTopK(3, 10, q).value(),
+  const QueryRequest pair = QueryRequest::Pair(3, 80).WithOptions(q);
+  EXPECT_EQ(base->Execute(pair).score(), sharded->Execute(pair).score());
+  const QueryRequest topk = QueryRequest::SourceTopK(3, 10).WithOptions(q);
+  ExpectSameTopK(*base->Execute(topk).topk(), *sharded->Execute(topk).topk(),
                  "snapshot round trip");
 }
 

@@ -225,38 +225,37 @@ TEST_F(SnapshotTest, AnswersBitIdenticalForAllQueryKinds) {
   // kPair.
   for (const auto& [i, j] : std::vector<std::pair<NodeId, NodeId>>{
            {1, 2}, {7, 300}, {42, 42}}) {
-    auto a = built().SinglePair(i, j, q);
-    auto b = cw.SinglePair(i, j, q);
+    const QueryRequest pair = QueryRequest::Pair(i, j).WithOptions(q);
+    const QueryResponse a = built().Execute(pair);
+    const QueryResponse b = cw.Execute(pair);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "pair (" << i << ", " << j << ")";
+    EXPECT_EQ(a.score(), b.score()) << "pair (" << i << ", " << j << ")";
   }
   // kSingleSource: exact sparse-vector equality.
   for (NodeId src : {NodeId{0}, NodeId{17}, NodeId{399}}) {
-    auto a = built().SingleSource(src, q);
-    auto b = cw.SingleSource(src, q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->size(), b->size()) << "source " << src;
-    for (size_t e = 0; e < a->size(); ++e) EXPECT_EQ((*a)[e], (*b)[e]);
+    const QueryRequest source = QueryRequest::SingleSource(src).WithOptions(q);
+    const QueryResponse ra = built().Execute(source);
+    const QueryResponse rb = cw.Execute(source);
+    ASSERT_TRUE(ra.ok() && rb.ok());
+    const SparseVector& a = *ra.scores();
+    const SparseVector& b = *rb.scores();
+    ASSERT_EQ(a.size(), b.size()) << "source " << src;
+    for (size_t e = 0; e < a.size(); ++e) EXPECT_EQ(a[e], b[e]);
   }
   // kSourceTopK.
-  auto ta = built().SingleSourceTopK(5, 10, q);
-  auto tb = cw.SingleSourceTopK(5, 10, q);
+  const QueryRequest topk = QueryRequest::SourceTopK(5, 10).WithOptions(q);
+  const QueryResponse ta = built().Execute(topk);
+  const QueryResponse tb = cw.Execute(topk);
   ASSERT_TRUE(ta.ok() && tb.ok());
-  EXPECT_EQ(*ta, *tb);
+  EXPECT_EQ(*ta.topk(), *tb.topk());
   // kAllPairsTopK.
   QueryOptions cheap = q;
   cheap.num_walkers = 40;
-  auto aa = built().AllPairs(3, cheap);
-  auto ab = cw.AllPairs(3, cheap);
+  const QueryRequest all = QueryRequest::AllPairsTopK(3).WithOptions(cheap);
+  const QueryResponse aa = built().Execute(all);
+  const QueryResponse ab = cw.Execute(all);
   ASSERT_TRUE(aa.ok() && ab.ok());
-  EXPECT_EQ(*aa, *ab);
-  // The unified Execute() path agrees too.
-  const QueryResponse ra = built().Execute(QueryRequest::SourceTopK(5, 10)
-                                               .WithOptions(q));
-  const QueryResponse rb = cw.Execute(QueryRequest::SourceTopK(5, 10)
-                                          .WithOptions(q));
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_EQ(*ra.topk(), *rb.topk());
+  EXPECT_EQ(*aa.all_pairs(), *ab.all_pairs());
 }
 
 TEST_F(SnapshotTest, SnapshotOfSnapshotIsByteStable) {
@@ -658,14 +657,18 @@ TEST_F(SnapshotTest, NoBlockIndexOpensThroughBothPathsIdentically) {
   ASSERT_NE((*ooc_open)->ooc_backend(), nullptr);
   EXPECT_TRUE((*ooc_open)->ooc_backend()->paged_snapshot().all_resident());
 
-  auto a = built().SingleSource(42);
-  auto b = (*mmap_open)->SingleSource(42);
-  auto c = (*ooc_open)->SingleSource(42);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  ASSERT_EQ(a->entries().size(), c->entries().size());
-  for (size_t e = 0; e < a->entries().size(); ++e) {
-    EXPECT_EQ(a->entries()[e].value, b->entries()[e].value);
-    EXPECT_EQ(a->entries()[e].value, c->entries()[e].value);
+  const QueryRequest source = QueryRequest::SingleSource(42);
+  const QueryResponse ra = built().Execute(source);
+  const QueryResponse rb = (*mmap_open)->Execute(source);
+  const QueryResponse rc = (*ooc_open)->Execute(source);
+  ASSERT_TRUE(ra.ok() && rb.ok() && rc.ok());
+  const SparseVector& a = *ra.scores();
+  const SparseVector& b = *rb.scores();
+  const SparseVector& c = *rc.scores();
+  ASSERT_EQ(a.entries().size(), c.entries().size());
+  for (size_t e = 0; e < a.entries().size(); ++e) {
+    EXPECT_EQ(a.entries()[e].value, b.entries()[e].value);
+    EXPECT_EQ(a.entries()[e].value, c.entries()[e].value);
   }
   std::remove(flat_path.c_str());
 }
@@ -677,10 +680,10 @@ TEST_F(SnapshotTest, MadviseFailureIsBestEffort) {
   auto opened = CloudWalker::Open(path());
   SetSnapshotMadviseFailForTest(false);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  auto hinted = (*opened)->SinglePair(1, 2);
-  auto plain = built().SinglePair(1, 2);
+  const QueryResponse hinted = (*opened)->Execute(QueryRequest::Pair(1, 2));
+  const QueryResponse plain = built().Execute(QueryRequest::Pair(1, 2));
   ASSERT_TRUE(hinted.ok() && plain.ok());
-  EXPECT_EQ(*hinted, *plain);
+  EXPECT_EQ(hinted.score(), plain.score());
 }
 
 TEST_F(SnapshotTest, InspectReportsDirectoryAndFlagsDamage) {

@@ -305,33 +305,28 @@ QueryOptions QueryFlags(const std::map<std::string, std::string>& flags) {
   return q;
 }
 
-int CmdPair(const std::map<std::string, std::string>& flags) {
-  auto cw = LoadEngine(flags);
-  if (!cw.ok()) return Fail(cw.status().ToString());
-  const NodeId i =
-      static_cast<NodeId>(ParseU64(flags, "i", "0"));
-  const NodeId j =
-      static_cast<NodeId>(ParseU64(flags, "j", "0"));
-  auto s = (*cw)->SinglePair(i, j, QueryFlags(flags));
-  if (!s.ok()) return Fail(s.status().ToString());
-  std::cout << "s(" << i << ", " << j << ") = " << FormatDouble(*s, 6)
-            << "\n";
-  return 0;
-}
-
-// source, ppr and n2v: the top-k answer of one request kind around
-// --node.
-int CmdTopK(const std::map<std::string, std::string>& flags,
-            QueryKind kind) {
+// pair, source, ppr and n2v: one request of `kind` — (--i, --j) for
+// pair, the top-k around --node otherwise.
+int CmdQuery(const std::map<std::string, std::string>& flags, QueryKind kind) {
   auto cw = LoadEngine(flags);
   if (!cw.ok()) return Fail(cw.status().ToString());
   QueryRequest request;
   request.kind = kind;
-  request.a = static_cast<NodeId>(ParseU64(flags, "node", "0"));
-  request.k = static_cast<uint32_t>(ParseU64(flags, "topk", "10"));
+  if (kind == QueryKind::kPair) {
+    request.a = static_cast<NodeId>(ParseU64(flags, "i", "0"));
+    request.b = static_cast<NodeId>(ParseU64(flags, "j", "0"));
+  } else {
+    request.a = static_cast<NodeId>(ParseU64(flags, "node", "0"));
+    request.k = static_cast<uint32_t>(ParseU64(flags, "topk", "10"));
+  }
   const QueryResponse r =
       (*cw)->Execute(request.WithOptions(QueryFlags(flags)));
   if (!r.ok()) return Fail(r.status.ToString());
+  if (kind == QueryKind::kPair) {
+    std::cout << "s(" << request.a << ", " << request.b << ") = "
+              << FormatDouble(r.score(), 6) << "\n";
+    return 0;
+  }
   for (const ScoredNode& sn : *r.topk()) {
     std::cout << sn.node << "\t" << FormatDouble(sn.score, 6) << "\n";
   }
@@ -659,10 +654,10 @@ int main(int argc, char** argv) {
       }
       return CmdSnapshotInfo(path);
     }
-    if (cmd == "pair") return CmdPair(flags);
-    if (cmd == "source") return CmdTopK(flags, QueryKind::kSourceTopK);
-    if (cmd == "ppr") return CmdTopK(flags, QueryKind::kPersonalizedPageRank);
-    if (cmd == "n2v") return CmdTopK(flags, QueryKind::kNode2Vec);
+    if (cmd == "pair") return CmdQuery(flags, QueryKind::kPair);
+    if (cmd == "source") return CmdQuery(flags, QueryKind::kSourceTopK);
+    if (cmd == "ppr") return CmdQuery(flags, QueryKind::kPersonalizedPageRank);
+    if (cmd == "n2v") return CmdQuery(flags, QueryKind::kNode2Vec);
     if (cmd == "serve") return CmdServe(flags);
   } catch (const std::invalid_argument& e) {
     return Fail(std::string("invalid flag value (") + e.what() +
