@@ -72,7 +72,8 @@ int main() {
 
   QueryOptions qo;
   qo.num_walkers = 5000;
-  qo.push = PushStrategy::kExact;  // small graph: exact push is cheap
+  qo.push = PushStrategy::kExact;  // small graph: no pruning needed
+  qo.prune_threshold = 0.0;
 
   // --- Similar items: SimRank vs plain co-purchase (co-citation). --------
   const NodeId probe_item = ItemNode(0);  // genre-0 item

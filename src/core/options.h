@@ -31,8 +31,8 @@ struct SimRankParams {
 enum class RowMode {
   /// Materialize all sparse rows once (O(n * R * T) memory, fastest).
   kStoreRows = 0,
-  /// Re-run the (deterministically seeded) walks every iteration
-  /// (O(n) memory, L+1 times the walk work) — the big-graph regime.
+  /// Re-run the (deterministically seeded) walks every Jacobi sweep
+  /// (O(n) memory, L times the walk work) — the big-graph regime.
   kRegenerate = 1,
 };
 
@@ -65,10 +65,12 @@ struct IndexingOptions {
 /// of its Horner recurrence (DESIGN.md section 5.1).
 enum class PushStrategy {
   /// push_fanout weighted samples per non-zero of the pushed vector: an
-  /// unbiased estimate whose cost does not grow with graph density.
+  /// unbiased estimate whose cost does not grow with graph density, but
+  /// whose top-10 barely overlaps exact SimRank's.
   kSampled = 0,
-  /// Exact sparse propagation with optional epsilon pruning: cost grows
-  /// with graph density; higher accuracy. Ablation mode.
+  /// Exact sparse propagation with epsilon pruning (the default): cost
+  /// follows the out-degrees of the entries that survive pruning;
+  /// deterministic given the walks, and ranks far closer to exact SimRank.
   kExact = 1,
 };
 
@@ -80,14 +82,18 @@ struct QueryOptions {
   /// QueryRequest::Pair(i, j) and Pair(j, i) answer exactly alike).
   uint64_t seed = 97;
   /// Single-source push strategy.
-  PushStrategy push = PushStrategy::kSampled;
+  PushStrategy push = PushStrategy::kExact;
   /// kSampled: weighted samples drawn per non-zero per step (>= 1).
   /// Larger values reduce variance at proportional cost.
   uint32_t push_fanout = 1;
   /// kExact: entries of the pushed vector x_{t+1} — the merged mass of
   /// every level above t — with |mass| below this are dropped before each
-  /// push (0 disables pruning).
-  double prune_threshold = 0.0;
+  /// push (0 disables pruning). The default 1e-2 keeps precision@10
+  /// against exact SimRank near the unpruned push's (0.67-0.76 against
+  /// 0.69-0.78 on four 2k-node R-MAT graphs) at a fraction of its work,
+  /// but a source of high in-degree can lose every level to it (DESIGN.md
+  /// section 5.1).
+  double prune_threshold = 1e-2;
   /// Behaviour at dangling nodes (must match the index to be meaningful).
   DanglingPolicy dangling = DanglingPolicy::kDie;
   /// kPersonalizedPageRank: continuation probability alpha in (0, 1).

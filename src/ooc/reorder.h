@@ -22,11 +22,11 @@
 // Combines that sum those distributions in internal-id order (the pair
 // dot product, the exact-push propagation) reassociate float sums only:
 // equal to within rounding, exact for the endpoint top-k kinds.
-// The one exception is the *sampled*-push single-source combine, whose
-// backward propagation draws from one sequential RNG in internal-id
-// iteration order — under a renumbering it redraws, so its answers are
-// statistically equivalent (same unbiased estimator, fresh sample), not
-// bit-identical. Use --exact-push where cross-artifact diffing matters.
+// The sampled-push single-source combine, which a caller must select, is
+// the one exception: it draws from one sequential RNG in internal-id
+// iteration order, so under a renumbering it redraws, and its answers
+// are statistically equivalent (same unbiased estimator, fresh sample),
+// not bit-identical.
 
 #ifndef CLOUDWALKER_OOC_REORDER_H_
 #define CLOUDWALKER_OOC_REORDER_H_

@@ -1,12 +1,19 @@
-// Test-only reference: the nested MCSS combine that SingleSourceQuery's
-// Horner recurrence (src/core/queries.cc) replaced. Each level's
-// z_t = c^t D û_{q,t} is pushed through P^T t times on its own, and the
-// level chains are summed in level order: T(T+1)/2 pushes per query.
+// Test-only references for SingleSourceQuery (src/core/queries.cc).
 //
-// Its draws come one at a time from the stream SingleSourceQuery keys,
-// (DeriveSeed(seed, "MCSS"), q), level 1's chain first, so it reproduces
-// the answers and counters of the nested form bit for bit. For the exact
-// push the two forms differ only in how the sums associate.
+// NestedSingleSource is the nested MCSS combine that the Horner recurrence
+// replaced. Each level's z_t = c^t D û_{q,t} is pushed through P^T t times
+// on its own, and the level chains are summed in level order: T(T+1)/2
+// pushes per query. Its draws come one at a time from the stream
+// SingleSourceQuery keys, (DeriveSeed(seed, "MCSS"), q), level 1's chain
+// first, so it reproduces the answers and counters of the nested form bit
+// for bit. For the exact push the two forms differ only in how the sums
+// associate.
+//
+// AccumulatorExactSingleSource is the Horner recurrence with the exact
+// push step that the sort-and-merge step replaced: every record of a
+// level, then z_t, added into one hash accumulator. Each node's sum adds
+// its terms in that order from 0.0, which the replacement keeps, so the
+// two agree bit for bit.
 
 #ifndef CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_
 #define CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_
@@ -128,6 +135,46 @@ inline SparseVector NestedSingleSource(const Graph& graph,
     ct *= index.params().decay;
   }
   return result.ToSortedVector();
+}
+
+/// The Horner combine over the walk `dists` of q with the accumulator's
+/// exact push step: x_top = z_top, x_t = z_t + P^T x_{t+1} with x_{t+1}'s
+/// entries below options.prune_threshold dropped. `level_records`, when
+/// given, receives the push records each step made, top step first.
+inline SparseVector AccumulatorExactSingleSource(
+    const Graph& graph, const DiagonalIndex& index,
+    const QueryOptions& options, const WalkDistributions& dists,
+    QueryStats* stats = nullptr, const NodeOwnerFn* owner = nullptr,
+    std::vector<uint64_t>* level_records = nullptr) {
+  size_t top = dists.levels.size();
+  while (top > 0 && dists.levels[top - 1].empty()) --top;
+  if (top == 0) return SparseVector();
+  const std::span<const double> diag = index.diagonal();
+  std::vector<double> ct(top);
+  for (size_t t = 0; t < top; ++t) {
+    ct[t] = t == 0 ? 1.0 : ct[t - 1] * index.params().decay;
+  }
+  SparseAccumulator acc;
+  const auto add_z = [&](size_t t) {
+    for (const SparseEntry& e : dists.levels[t]) {
+      const double v = ct[t] * diag[e.index] * e.value;
+      if (v != 0.0) acc.Add(e.index, v);
+    }
+  };
+  add_z(top - 1);
+  SparseVector x = acc.ToSortedVector();
+  for (size_t t = top - 1; t-- > 0;) {
+    QueryStats step;
+    ExactPush(graph, x, options.prune_threshold, acc, &step, owner);
+    if (stats != nullptr) {
+      stats->push_ops += step.push_ops;
+      stats->push_crossings += step.push_crossings;
+    }
+    if (level_records != nullptr) level_records->push_back(step.push_ops);
+    add_z(t);
+    x = acc.ToSortedVector();
+  }
+  return x;
 }
 
 }  // namespace mcss_reference

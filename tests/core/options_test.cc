@@ -102,7 +102,7 @@ TEST(QueryOptionsTest, EqualityComparesEveryKnob) {
   b.seed = 123;
   EXPECT_FALSE(a == b);
   b = a;
-  b.push = PushStrategy::kExact;
+  b.push = PushStrategy::kSampled;
   EXPECT_FALSE(a == b);
   b = a;
   b.prune_threshold = 0.5;

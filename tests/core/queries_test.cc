@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -124,6 +125,7 @@ TEST_F(QueriesTest, SingleSourceSelfEstimateNearOne) {
   // source; use the exact push so only walk noise and truncation remain.
   QueryOptions q = BigQuery();
   q.push = PushStrategy::kExact;
+  q.prune_threshold = 0.0;
   const SparseVector s = SingleSourceQuery(*graph_, *index_, 11, q);
   EXPECT_NEAR(s.Get(11), 1.0, 0.1);
 }
@@ -131,6 +133,7 @@ TEST_F(QueriesTest, SingleSourceSelfEstimateNearOne) {
 TEST_F(QueriesTest, SingleSourceExactPushMatchesExactSimRank) {
   QueryOptions q = BigQuery();
   q.push = PushStrategy::kExact;
+  q.prune_threshold = 0.0;
   const NodeId src = 17;
   const SparseVector s = SingleSourceQuery(*graph_, *index_, src, q);
   double max_err = 0.0;
@@ -147,6 +150,7 @@ TEST_F(QueriesTest, SingleSourceSampledPushUnbiased) {
   // approach the exact-push estimate.
   QueryOptions exact_q = BigQuery();
   exact_q.push = PushStrategy::kExact;
+  exact_q.prune_threshold = 0.0;
   const NodeId src = 23;
   const SparseVector ref =
       SingleSourceQuery(*graph_, *index_, src, exact_q);
@@ -159,6 +163,7 @@ TEST_F(QueriesTest, SingleSourceSampledPushUnbiased) {
   for (int r = 0; r < reps; ++r) {
     QueryOptions q = BigQuery();
     q.num_walkers = 5000;
+    q.push = PushStrategy::kSampled;
     q.push_fanout = 4;
     q.seed = 1000 + r;
     const SparseVector s = SingleSourceQuery(*graph_, *index_, src, q);
@@ -178,6 +183,7 @@ TEST_F(QueriesTest, SingleSourceAgreesWithSinglePair) {
   // walk seed the walk clouds coincide, so differences are push noise only.
   QueryOptions q = BigQuery();
   q.push = PushStrategy::kExact;
+  q.prune_threshold = 0.0;
   const NodeId src = 31;
   const SparseVector ss = SingleSourceQuery(*graph_, *index_, src, q);
   for (NodeId v : {1u, 5u, 64u}) {
@@ -189,6 +195,7 @@ TEST_F(QueriesTest, SingleSourceAgreesWithSinglePair) {
 TEST_F(QueriesTest, LargerFanoutReducesSampledPushError) {
   QueryOptions exact_q = BigQuery();
   exact_q.push = PushStrategy::kExact;
+  exact_q.prune_threshold = 0.0;
   const NodeId src = 42;
   const SparseVector ref =
       SingleSourceQuery(*graph_, *index_, src, exact_q);
@@ -198,6 +205,7 @@ TEST_F(QueriesTest, LargerFanoutReducesSampledPushError) {
     const int reps = 8;
     for (int r = 0; r < reps; ++r) {
       QueryOptions q = BigQuery();
+      q.push = PushStrategy::kSampled;
       q.push_fanout = fanout;
       q.seed = 5000 + r;
       const SparseVector s = SingleSourceQuery(*graph_, *index_, src, q);
@@ -430,9 +438,18 @@ QueryOptions GoldenMcssOptions(uint32_t fanout) {
   QueryOptions q;
   q.num_walkers = 1000;
   q.seed = 11;
+  q.push = PushStrategy::kSampled;
   q.push_fanout = fanout;
   return q;
 }
+
+// One pinned exact-push MCSS run over kGoldenSources at R' = 1000, seed 11.
+struct ExactGolden {
+  double prune_threshold;
+  uint64_t hash;
+  uint64_t push_ops;
+  uint64_t push_crossings;
+};
 
 // Pins the single-source (MCSS), single-pair (MCSP), PPR, node2vec and
 // index-row answers bit for bit on a fixed R-MAT graph, the walk step and
@@ -441,8 +458,8 @@ QueryOptions GoldenMcssOptions(uint32_t fanout) {
 // the order of the draws, to what counts as a step, or to the order in
 // which one node's contributions are summed moves these values; a pure
 // speedup of the walk, the push or the drains must not. The MCSS rows
-// pin the Horner combine, one push per level: its draws differ from the
-// nested form's one chain per level, whose values
+// pin the Horner combine, one push per level: the sampled rows' draws
+// differ from the nested form's one chain per level, whose values
 // NestedReferenceReproducesTheReplacedForm keeps pinned. Fanout 3 puts
 // push-batch boundaries inside one entry's draws. The constants assume
 // IEEE-754 doubles without FMA contraction, as on x86-64.
@@ -474,6 +491,32 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
     EXPECT_EQ(stats.walk_steps, want.walk_steps) << "fanout " << want.fanout;
     EXPECT_EQ(stats.walk_crossings, want.walk_crossings)
         << "fanout " << want.fanout;
+  }
+
+  // The exact push, unpruned and at the default threshold 1e-2. It draws
+  // nothing, so only the terms each node sums, or their order, can move
+  // these. Unpruned, the golden graph's lower levels make 19k-21k records,
+  // more than half its nodes, which the step adds into its accumulator; at
+  // 1e-2 it sorts them.
+  const ExactGolden exact_expected[] = {
+      {0.0, 0x11adfbc0e55abad3ull, 1210131, 810491},
+      {1e-2, 0xffb28ea1d2bf8475ull, 5695, 3818},
+  };
+  for (const ExactGolden& want : exact_expected) {
+    SCOPED_TRACE(testing::Message() << "prune " << want.prune_threshold);
+    QueryOptions q = GoldenMcssOptions(1);
+    q.push = PushStrategy::kExact;
+    q.prune_threshold = want.prune_threshold;
+    uint64_t h = 0xcbf29ce484222325ull;
+    QueryStats stats;
+    for (const NodeId s : kGoldenSources) {
+      h = HashSparse(SingleSourceQuery(g, *idx, s, q, &stats, &owner), h);
+    }
+    EXPECT_EQ(h, want.hash) << std::hex << h;
+    EXPECT_EQ(stats.push_ops, want.push_ops);
+    EXPECT_EQ(stats.push_crossings, want.push_crossings);
+    EXPECT_EQ(stats.walk_steps, 57344u);
+    EXPECT_EQ(stats.walk_crossings, 36594u);
   }
 
   // PPR: the stop coin's channel and when a retirement counts as a step.
@@ -649,6 +692,7 @@ TEST(QueriesHornerTest, ExactPushMatchesNestedReference) {
       q.num_walkers = 500;
       q.seed = 3;
       q.push = PushStrategy::kExact;
+      q.prune_threshold = 0.0;
       q.dangling = dangling;
       for (const NodeId s : sources) {
         SCOPED_TRACE(testing::Message()
@@ -679,6 +723,94 @@ TEST(QueriesHornerTest, ExactPushMatchesNestedReference) {
       }
     }
   }
+}
+
+// The exact push step against the accumulator step it replaced
+// (mcss_reference.h): answers and push counters bit for bit. The step
+// sorts its records in blocks of 16k and keeps the accumulator for steps
+// of more than 4 blocks or more than half the graph's nodes; the cases
+// put levels over several sorted blocks, past each of the two limits, and
+// fully pruned. They include sources whose walkers all die early
+// (RmatWithTail's root and tail) and walkers parked under kSelfLoop.
+TEST(QueriesExactPushTest, MatchesAccumulatorReferenceBitForBit) {
+  constexpr uint64_t kBlock = 16384;
+  constexpr uint64_t kBlocksMax = 4 * kBlock;
+  struct Case {
+    const char* name;
+    Graph graph;
+    std::vector<NodeId> sources;
+    std::vector<double> prune_thresholds;
+  };
+  Graph tail_graph = RmatWithTail();
+  const NodeId root = tail_graph.num_nodes() - 4;
+  const NodeId tail = tail_graph.num_nodes() - 1;
+  const std::vector<NodeId> sources = {0, 1, 7, 42, 199, 1024, 2999};
+  const Case cases[] = {
+      {"tail", std::move(tail_graph), {0, 1, 7, 42, 150, root, tail},
+       {0.0, 1e-2, /*fully pruned*/ 2.0}},
+      {"golden", GoldenGraph(), sources, {0.0, 1e-2}},
+      {"dense", GenerateRmat(3000, 150000, /*seed=*/3), sources, {0.0, 1e-3}},
+      {"60k", GenerateRmat(60000, 300000, /*seed=*/3), sources, {1e-4, 1e-3}},
+  };
+  const NodeOwnerFn owner = GoldenOwner;
+  // Steps that sorted several blocks, that passed 4 blocks, that passed
+  // half the nodes within 4 blocks, and that pushed nothing.
+  uint64_t multi_block = 0, over_blocks = 0, over_half = 0, empty = 0;
+  for (const Case& c : cases) {
+    const uint64_t half = c.graph.num_nodes() / 2;
+    for (const DanglingPolicy dangling :
+         {DanglingPolicy::kDie, DanglingPolicy::kSelfLoop}) {
+      IndexingOptions io;
+      io.num_walkers = 20;
+      io.dangling = dangling;
+      auto idx = BuildDiagonalIndex(c.graph, io, /*pool=*/nullptr);
+      ASSERT_TRUE(idx.ok());
+      for (const double prune : c.prune_thresholds) {
+        QueryOptions q;
+        q.num_walkers = 1000;
+        q.seed = 3;
+        q.push = PushStrategy::kExact;
+        q.prune_threshold = prune;
+        q.dangling = dangling;
+        for (const NodeId s : c.sources) {
+          SCOPED_TRACE(testing::Message()
+                       << c.name << " prune " << prune << " selfloop "
+                       << (dangling == DanglingPolicy::kSelfLoop) << " source "
+                       << s);
+          const WalkDistributions dists =
+              mcss_reference::QueryWalks(c.graph, *idx, s, q);
+          QueryStats got_stats, want_stats;
+          std::vector<uint64_t> level_records;
+          const SparseVector got =
+              SingleSourceQuery(c.graph, *idx, s, q, &got_stats, &owner);
+          const SparseVector want =
+              mcss_reference::AccumulatorExactSingleSource(
+                  c.graph, *idx, q, dists, &want_stats, &owner,
+                  &level_records);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].index, want[i].index) << "entry " << i;
+            ASSERT_EQ(std::bit_cast<uint64_t>(got[i].value),
+                      std::bit_cast<uint64_t>(want[i].value))
+                << "node " << got[i].index;
+          }
+          EXPECT_EQ(got_stats.push_ops, want_stats.push_ops);
+          EXPECT_EQ(got_stats.push_crossings, want_stats.push_crossings);
+          for (const uint64_t records : level_records) {
+            multi_block += records > kBlock && records <= kBlocksMax &&
+                           records <= half;
+            over_blocks += records > kBlocksMax;
+            over_half += records > half && records <= kBlocksMax;
+            empty += records == 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_block, 0u);
+  EXPECT_GT(over_blocks, 0u);
+  EXPECT_GT(over_half, 0u);
+  EXPECT_GT(empty, 0u);
 }
 
 TEST(AllPairsTest, ReturnsTopKPerSource) {

@@ -100,6 +100,7 @@ TEST(IntegrationTest, AllMethodsRankSimilarNodesConsistently) {
   QueryOptions qo;
   qo.num_walkers = 5000;
   qo.push = PushStrategy::kExact;
+  qo.prune_threshold = 0.0;
 
   auto exact = ExactSimRank::Compute(graph);
   ASSERT_TRUE(exact.ok());
@@ -202,6 +203,7 @@ TEST(IntegrationTest, MetricsPipelineOnRealScores) {
   QueryOptions qo;
   qo.num_walkers = 8000;
   qo.push = PushStrategy::kExact;
+  qo.prune_threshold = 0.0;
 
   // Choose a query node that actually has similar peers (largest
   // off-diagonal ground-truth row mass) so ranking metrics are meaningful.

@@ -216,6 +216,7 @@ TEST_F(ReorderRoundTripTest, ExactPushSingleSourceIdentical) {
   // than association shows up.
   QueryOptions options;
   options.push = PushStrategy::kExact;
+  options.prune_threshold = 0.0;
   for (const NodeId q : {NodeId{3}, NodeId{222}}) {
     const QueryRequest r = QueryRequest::SingleSource(q).WithOptions(options);
     const QueryResponse ra = plain().Execute(r);

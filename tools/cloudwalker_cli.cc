@@ -558,7 +558,8 @@ void Usage() {
       "  source    MCSS: the k nodes most similar to one node.\n"
       "            --snapshot=PATH;\n"
       "            --node=Q (0), --topk=K (10), --walkers=R' (10000),\n"
-      "            --seed=S (97), --exact-push, --shards=N,\n"
+      "            --seed=S (97), --exact-push (prune the exact push at\n"
+      "            1e-6, not the default 1e-2), --shards=N,\n"
       "            --walk-threads=N, --ooc-budget-mb=N\n"
       "  ppr       Personalized PageRank: top-k by teleport-walk endpoint\n"
       "            frequency around one node.\n"
