@@ -41,8 +41,8 @@ int main() {
             << web.InDegree(query) << ")\n\n";
 
   QueryOptions qo;  // paper default R' = 10,000
-  // On a 60K-page graph the exact push stays cheap pruned at 1e-5, far
-  // below the default 1e-2, which keeps heavy hubs' thin mass in play.
+  // On a 60K-page graph the exact push stays cheap pruned at 1e-5 of the
+  // source's largest walk term, far below the default 0.03.
   qo.push = PushStrategy::kExact;
   qo.prune_threshold = 1e-5;
   const TopKPtr related =

@@ -68,9 +68,10 @@ enum class PushStrategy {
   /// unbiased estimate whose cost does not grow with graph density, but
   /// whose top-10 barely overlaps exact SimRank's.
   kSampled = 0,
-  /// Exact sparse propagation with epsilon pruning (the default): cost
-  /// follows the out-degrees of the entries that survive pruning;
-  /// deterministic given the walks, and ranks far closer to exact SimRank.
+  /// Exact sparse propagation, pruned relative to the source (the
+  /// default): cost follows the out-degrees of the entries that survive
+  /// pruning; deterministic given the walks, and ranks far closer to exact
+  /// SimRank.
   kExact = 1,
 };
 
@@ -87,13 +88,17 @@ struct QueryOptions {
   /// Larger values reduce variance at proportional cost.
   uint32_t push_fanout = 1;
   /// kExact: entries of the pushed vector x_{t+1} — the merged mass of
-  /// every level above t — with |mass| below this are dropped before each
-  /// push (0 disables pruning). The default 1e-2 keeps precision@10
-  /// against exact SimRank near the unpruned push's (0.67-0.76 against
-  /// 0.69-0.78 on four 2k-node R-MAT graphs) at a fraction of its work,
-  /// but a source of high in-degree can lose every level to it (DESIGN.md
+  /// every level above t — below this times the source's largest walk
+  /// term past level 0, max |z_t[k]| over t >= 1, are dropped before each
+  /// push (0 disables pruning). The cutoff follows the source, so a hub,
+  /// whose mass spreads over its many in-neighbors, keeps its levels; a
+  /// pruned step past 4096 records keeps only its largest entries, down
+  /// to the one whose row passes that budget. The default 0.03 answers
+  /// bench_e2e's traffic as fully as the unpruned push, hubs included,
+  /// and ranks above the absolute 1e-2 cutoff it replaced on 2k-node
+  /// R-MAT graphs (precision@10 0.67-0.77 against exact SimRank; DESIGN.md
   /// section 5.1).
-  double prune_threshold = 1e-2;
+  double prune_threshold = 0.03;
   /// Behaviour at dangling nodes (must match the index to be meaningful).
   DanglingPolicy dangling = DanglingPolicy::kDie;
   /// kPersonalizedPageRank: continuation probability alpha in (0, 1).

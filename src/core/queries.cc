@@ -5,9 +5,9 @@
 #include <cmath>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/radix_sort.h"
 #include "common/random.h"
 #include "engine/walk.h"
 #include "engine/walk_backend.h"
@@ -104,28 +104,48 @@ void SampledPushStep(const Graph& graph, const SparseVector& z,
   }
 }
 
-// Records one sorted block of the exact push holds at most. The block and
-// the sort's buffer, 256 KiB each, stay in L2 while it is sorted and
-// folded.
-constexpr uint32_t kPushBlock = 1u << 14;
 // Records past which an exact push step adds into a SparseAccumulator
-// instead of sorting blocks: the unpruned push makes about 2.5M records a
-// level on a 200k-node, 2.8M-edge R-MAT graph, where the blocks ran 2.1x
-// slower than the hash table, while a push pruned at 1e-2 made at most
-// 42.5k records a step there over 3,000 sources. A step of more records
-// than half the graph's nodes keeps the accumulator too: its targets
-// repeat so often that merging them in place beats moving each through a
-// sort (unpruned, on 2k- and 5k-node R-MAT graphs, the blocks ran 1.5-2.4x
-// slower than the table).
-constexpr uint64_t kPushSortedRecordsMax = 4 * kPushBlock;
-// Records between writing a record and dividing it by its target's
-// in-degree: that record's in-offsets are prefetched meanwhile.
-constexpr uint32_t kPushPrefetchAhead = 8;
+// instead of sorting: one SumByIndex over a step's records and its
+// buffer, 256 KiB each at this bound, stay in L2. The unpruned push makes
+// about 2.5M records a level on a 200k-node, 2.8M-edge R-MAT graph, where
+// sorting ran 1.3-2.2x slower than the hash table.
+constexpr uint64_t kPushSortRecordsMax = 1u << 14;
+
+// Records past which a pruned exact push step keeps only its largest
+// entries (PrunedPushCutoff). Without it, a hub's steps made up to 425k
+// records each on a 200k-node R-MAT graph's zipf traffic.
+constexpr uint64_t kPrunedPushRecordsMax = 1u << 12;
 
 // Whether the exact push moves entry e of x_{t+1}: entries below a nonzero
-// prune threshold are dropped.
-bool Survives(const SparseEntry& e, double prune_threshold) {
-  return !(prune_threshold > 0.0 && std::abs(e.value) < prune_threshold);
+// cutoff are dropped.
+bool Survives(const SparseEntry& e, double cutoff) {
+  return !(cutoff > 0.0 && std::abs(e.value) < cutoff);
+}
+
+/// The cutoff of a pruned exact push step from `x`: `prune`, or, where the
+/// entries at or above it make more than kPrunedPushRecordsMax records,
+/// the |entry| whose row, counted in descending order, passes that budget.
+/// The step keeps its largest entries down to that one, so it always
+/// pushes, and makes at most one row more than the budget, but for ties.
+/// `order` is scratch.
+double PrunedPushCutoff(const Graph& graph, const SparseVector& x,
+                        double prune,
+                        std::vector<std::pair<double, uint32_t>>& order) {
+  order.clear();
+  uint64_t records = 0;
+  for (const SparseEntry& e : x) {
+    if (!Survives(e, prune)) continue;
+    const uint32_t out_deg = graph.OutDegree(e.index);
+    records += out_deg;
+    order.emplace_back(std::abs(e.value), out_deg);
+  }
+  if (records <= kPrunedPushRecordsMax) return prune;
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  size_t j = 0;
+  uint64_t kept = order[0].second;
+  while (kept <= kPrunedPushRecordsMax) kept += order[++j].second;
+  return order[j].first;
 }
 
 /// The records the exact push step from `x` makes, Σ|Out(k)| over the
@@ -154,101 +174,16 @@ uint64_t CountExactPush(const Graph& graph, const SparseVector& x,
   return records;
 }
 
-/// Adds the records a[0, n), sorted by index, into the sorted vector `x`,
-/// each index's run in order: an index of `x` continues its sum from its
-/// partial, a new one sums from 0.0 (so a lone -0.0 reads +0.0) and is
-/// inserted. The new entries are compacted at the front of `a`, behind
-/// the runs already read, then merged into `x` from the back.
-void FoldSorted(SparseEntry* a, size_t n, std::vector<SparseEntry>& x) {
-  const size_t old_size = x.size();
-  size_t p = 0;      // first entry of x not below the run's index
-  size_t fresh = 0;  // new entries written to a
-  for (size_t i = 0; i < n;) {
-    const uint32_t index = a[i].index;
-    while (p < old_size && x[p].index < index) ++p;
-    const bool found = p < old_size && x[p].index == index;
-    double sum = found ? x[p].value : 0.0;
-    for (; i < n && a[i].index == index; ++i) sum += a[i].value;
-    if (found) {
-      x[p].value = sum;
-    } else {
-      a[fresh++] = SparseEntry{index, sum};
-    }
-  }
-  x.resize(old_size + fresh);
-  size_t i = old_size, j = fresh, k = old_size + fresh;
-  while (j > 0) {
-    if (i > 0 && x[i - 1].index > a[j - 1].index) {
-      x[--k] = x[--i];
-    } else {
-      x[--k] = a[--j];
-    }
-  }
-}
-
-/// The push half of one exact step, P^T x over x's surviving entries, as
-/// a sorted vector, for a step of `records` <= kPushSortedRecordsMax
-/// records: each entry k sends x[k] / |In(v)| to every out-neighbor v. The
-/// records are made in x's order, each row in edge order, into blocks of
-/// at most kPushBlock; each block is sorted stably by index and folded
-/// into the result. So every index sums its records in the order they
-/// were made, from 0.0, as a SparseAccumulator fed them one by one would.
-std::vector<SparseEntry> SortedPushStep(const Graph& graph,
-                                        const SparseVector& x,
-                                        double prune_threshold,
-                                        uint64_t records, uint32_t id_bits,
-                                        std::vector<SparseEntry>& block,
-                                        std::vector<SparseEntry>& sort_buffer) {
-  std::vector<SparseEntry> out;
-  if (records == 0) return out;
-  const uint64_t* const out_offsets = graph.OutOffsets().data();
-  const NodeId* const out_targets = graph.OutTargets().data();
-  const uint64_t* const in_offsets = graph.InOffsets().data();
-  block.resize(std::min<uint64_t>(records, kPushBlock));
-  SparseEntry* const b = block.data();
-  // Record j holds (v, x[k]) until the in-degree division finishes it,
-  // kPushPrefetchAhead records later.
-  const auto finish = [b, in_offsets](uint32_t j) {
-    const NodeId v = b[j].index;
-    b[j].value /= static_cast<double>(
-        static_cast<uint32_t>(in_offsets[v + 1] - in_offsets[v]));
-  };
-  uint32_t n = 0;  // records in the block
-  const auto fold = [&] {
-    for (uint32_t j = n > kPushPrefetchAhead ? n - kPushPrefetchAhead : 0;
-         j < n; ++j) {
-      finish(j);
-    }
-    SparseEntry* const sorted =
-        SortByKey(b, n, id_bits, sort_buffer,
-                  [](const SparseEntry& e) { return e.index; });
-    FoldSorted(sorted, n, out);
-    n = 0;
-  };
-  for (const SparseEntry& e : x) {
-    if (!Survives(e, prune_threshold)) continue;
-    const uint64_t end = out_offsets[e.index + 1];
-    for (uint64_t slot = out_offsets[e.index]; slot < end; ++slot) {
-      const NodeId v = out_targets[slot];
-      PrefetchRead(in_offsets + v);
-      b[n] = SparseEntry{v, e.value};
-      if (n >= kPushPrefetchAhead) finish(n - kPushPrefetchAhead);
-      if (++n == kPushBlock) fold();
-    }
-  }
-  if (n > 0) fold();
-  return out;
-}
-
-/// The push half of one exact step over a SparseAccumulator, for the steps
-/// too large to sort: the same records, added in the same order.
-void AccumulatedPushStep(const Graph& graph, const SparseVector& x,
-                         double prune_threshold, SparseAccumulator& out) {
-  out.Clear();
+/// The push half of one exact step, P^T x over x's surviving entries: calls
+/// add(v, x[k] / |In(v)|) for every out-neighbor v of every surviving
+/// entry k, in x's order, each row in edge order.
+template <typename Add>
+void ExactPushStep(const Graph& graph, const SparseVector& x,
+                   double prune_threshold, Add&& add) {
   for (const SparseEntry& e : x) {
     if (!Survives(e, prune_threshold)) continue;
     for (const NodeId v : graph.OutNeighbors(e.index)) {
-      out.Add(v, e.value / static_cast<double>(graph.InDegree(v)));
+      add(v, e.value / static_cast<double>(graph.InDegree(v)));
     }
   }
 }
@@ -369,6 +304,23 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
       if (v != 0.0) add(e.index, v);
     }
   };
+  // The exact push drops the entries of x_{t+1} below prune_threshold
+  // times the largest term the walks add past the source, max |z_t[k]|
+  // over t >= 1: a source of in-degree d spreads its first level over
+  // about min(d, R') nodes, so its scores, and the entries that carry
+  // them, shrink with d, and a fixed cutoff would drop every level of a
+  // hub. A step whose survivors make too many records is cut further
+  // (PrunedPushCutoff).
+  double prune = 0.0;
+  if (options.push == PushStrategy::kExact) {
+    double largest = 0.0;
+    for (size_t t = 1; t < top; ++t) {
+      for_each_z(t, [&largest](NodeId, double v) {
+        largest = std::max(largest, std::abs(v));
+      });
+    }
+    prune = options.prune_threshold * largest;
+  }
 
   // Horner form of sum_t (P^T)^t z_t: x_top = z_top, x_t = z_t + P^T
   // x_{t+1}, and the answer is x_0 — one push and one merge per level.
@@ -380,49 +332,44 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
   SparseVector x = SparseVector::FromSorted(std::move(x_top));
   Xoshiro256 rng =
       Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
-  // The sampled push makes about 1.3 records per distinct node, which
-  // SumByIndex folds with one stable sort: the push's records in draw
-  // order, then z_t's. The exact push sorts and folds its records a block
-  // at a time into x_t, then folds z_t's (SortedPushStep); a step of more
-  // than `sorted_max` records adds them into the accumulator instead,
-  // sized like x_0, the largest iterate, which holds about twice the
-  // largest level's entries on R-MAT graphs. Either way each node of x_t
-  // sums its push records in the order they were made, then its z_t term.
-  const bool sampled = options.push == PushStrategy::kSampled;
+  // Each node of x_t sums its push records in the order they were made,
+  // then its z_t term, from 0.0. The records of a step of at most
+  // kPushSortRecordsMax are folded with one stable sort (SumByIndex): the
+  // sampled push makes about 1.3 per distinct node, and a pruned exact
+  // step no more than its budget and one row. A larger exact step adds
+  // them into the accumulator instead, sized like x_0, the largest
+  // iterate, which holds about twice the largest level's entries on R-MAT
+  // graphs.
   const uint32_t id_bits = NodeIdBits(graph.num_nodes());
-  const uint64_t sorted_max =
-      std::min<uint64_t>(kPushSortedRecordsMax, graph.num_nodes() / 2);
   std::vector<SparseEntry> records, sort_buffer;
+  const auto append = [&records](NodeId k, double v) {
+    records.push_back(SparseEntry{k, v});
+  };
+  std::vector<std::pair<double, uint32_t>> order;  // PrunedPushCutoff's
   std::optional<SparseAccumulator> acc;  // made by the first oversized step
   for (size_t t = top - 1; t-- > 0;) {
     if (Stopped(cancel)) break;  // caller discards the truncated vector
-    if (sampled) {
+    if (options.push == PushStrategy::kSampled) {
       SampledPushStep(graph, x, options.push_fanout, rng, records, stats,
                       owner);
-      for_each_z(t, [&records](NodeId k, double v) {
-        records.push_back(SparseEntry{k, v});
-      });
-      x = SumByIndex(records, id_bits, sort_buffer);
-      continue;
-    }
-    const uint64_t push_records =
-        CountExactPush(graph, x, options.prune_threshold, stats, owner);
-    if (push_records > sorted_max) {
+    } else if (const double cutoff =
+                   prune > 0.0 ? PrunedPushCutoff(graph, x, prune, order)
+                               : 0.0;
+               CountExactPush(graph, x, cutoff, stats, owner) <=
+               kPushSortRecordsMax) {
+      records.clear();
+      ExactPushStep(graph, x, cutoff, append);
+    } else {
       if (!acc) acc.emplace(4 * widest);
-      AccumulatedPushStep(graph, x, options.prune_threshold, *acc);
-      for_each_z(t, [&acc](NodeId k, double v) { acc->Add(k, v); });
+      acc->Clear();
+      const auto add = [&acc](NodeId k, double v) { acc->Add(k, v); };
+      ExactPushStep(graph, x, cutoff, add);
+      for_each_z(t, add);
       x = acc->ToSortedVector();
       continue;
     }
-    std::vector<SparseEntry> next =
-        SortedPushStep(graph, x, options.prune_threshold, push_records,
-                       id_bits, records, sort_buffer);
-    records.clear();
-    for_each_z(t, [&records](NodeId k, double v) {
-      records.push_back(SparseEntry{k, v});
-    });
-    FoldSorted(records.data(), records.size(), next);
-    x = SparseVector::FromSorted(std::move(next));
+    for_each_z(t, append);
+    x = SumByIndex(records, id_bits, sort_buffer);
   }
   return x;
 }

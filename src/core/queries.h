@@ -87,10 +87,11 @@ double SinglePairQueryPaired(const Graph& graph, const DiagonalIndex& index,
 /// x_top = z_top, x_t = z_t + P^T x_{t+1}, answer x_0, with top the
 /// highest non-empty level — one push of options.push per level
 /// (DESIGN.md section 5.1). The sampled push's records and z_t's fold into
-/// x_t through SumByIndex's one stable sort; the exact push (the default)
-/// sorts its records in blocks and folds each into x_t, then z_t, and
-/// keeps a SparseAccumulator for steps too large to sort. Each sums every
-/// node's terms in the order the records are made, then z_t's.
+/// x_t through SumByIndex's one stable sort, as do the exact push's (the
+/// default) but for steps too large to sort, which add into a
+/// SparseAccumulator. Each sums every node's terms in the order the
+/// records are made, then z_t's. The exact push prunes relative to the
+/// source's largest walk term, under a per-step record budget.
 SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
                                NodeId q, const QueryOptions& options,
                                QueryStats* stats = nullptr,

@@ -270,7 +270,7 @@ constexpr NodeId kGoldenSources[] = {0, 1, 7, 42, 311, 1024, 1999};
 // golden sources (with one self pair), the per-source kinds run every
 // golden source at k = 10, and the all-pairs sweep runs on `small`.
 // `sampled` sets the sampled push; otherwise the requests keep the default
-// push, the exact push pruned at 1e-2.
+// push, the exact push pruned at 0.03 of each source's largest walk term.
 std::vector<QueryRequest> GoldenRequests(QueryKind kind, bool sampled) {
   QueryOptions q;
   q.num_walkers = 1000;
@@ -383,12 +383,12 @@ TEST(CloudWalkerGoldenTest, ExecuteAnswersArePinned) {
        0x3a0786bcf5d78d7aull},
       {QueryKind::kNode2Vec, true, 0x38435649194638abull,
        0x38435649194638abull},
-      {QueryKind::kSingleSource, false, 0xf70239ec4231740aull,
-       0x0ddb6eae4a76e718ull},
-      {QueryKind::kSourceTopK, false, 0x9403e1572d4be303ull,
-       0x9403e1572d4be303ull},
-      {QueryKind::kAllPairsTopK, false, 0x91fcbe06d948db6full,
-       0xc54589dadec70dadull},
+      {QueryKind::kSingleSource, false, 0xd1b712b153286ef3ull,
+       0x1c84934eb33114c7ull},
+      {QueryKind::kSourceTopK, false, 0x357e442005293c0bull,
+       0x89d6e9f56c2a7a4full},
+      {QueryKind::kAllPairsTopK, false, 0xfcc196ccb7134070ull,
+       0xe43440ee17b64c69ull},
   };
   for (const Expected& want : expected) {
     SCOPED_TRACE(testing::Message() << QueryKindToString(want.kind)

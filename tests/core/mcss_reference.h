@@ -18,8 +18,10 @@
 #ifndef CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_
 #define CLOUDWALKER_TESTS_CORE_MCSS_REFERENCE_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -78,7 +80,10 @@ inline void SampledPush(const Graph& graph, const SparseVector& z,
   }
 }
 
-/// One exact push step, dropping entries of z below `prune_threshold`.
+/// One exact push step, dropping entries of z below `prune_threshold`, an
+/// absolute cutoff. NestedSingleSource passes options.prune_threshold
+/// straight through, so it matches SingleSourceQuery's exact push only
+/// unpruned, the one way the tests run it.
 inline void ExactPush(const Graph& graph, const SparseVector& z,
                       double prune_threshold, SparseAccumulator& out,
                       QueryStats* stats, const NodeOwnerFn* owner) {
@@ -137,14 +142,40 @@ inline SparseVector NestedSingleSource(const Graph& graph,
   return result.ToSortedVector();
 }
 
+/// The cutoff of a pruned step from `x` with a budget of `max_records`
+/// records: `prune`, or, where the entries at or above it make more, the
+/// value of the entry whose row, counted in descending order of value,
+/// passes the budget.
+inline double BudgetCutoff(const Graph& graph, const SparseVector& x,
+                           double prune, uint64_t max_records) {
+  std::vector<std::pair<double, uint32_t>> kept;
+  uint64_t records = 0;
+  for (const SparseEntry& e : x) {
+    if (std::abs(e.value) < prune) continue;
+    kept.emplace_back(std::abs(e.value), graph.OutDegree(e.index));
+    records += kept.back().second;
+  }
+  if (records <= max_records) return prune;
+  std::sort(kept.begin(), kept.end(), std::greater<>());
+  records = 0;
+  for (const auto& [value, out_deg] : kept) {
+    records += out_deg;
+    if (records > max_records) return value;
+  }
+  return prune;
+}
+
 /// The Horner combine over the walk `dists` of q with the accumulator's
-/// exact push step: x_top = z_top, x_t = z_t + P^T x_{t+1} with x_{t+1}'s
-/// entries below options.prune_threshold dropped. `level_records`, when
-/// given, receives the push records each step made, top step first.
+/// exact push step: x_top = z_top, x_t = z_t + P^T x_{t+1}. A nonzero
+/// options.prune_threshold drops x_{t+1}'s entries below it times the
+/// largest z_t entry, t >= 1, and, past `max_records` records a step,
+/// BudgetCutoff's. `level_records`, when given, receives the push records
+/// each step made, top step first.
 inline SparseVector AccumulatorExactSingleSource(
     const Graph& graph, const DiagonalIndex& index,
     const QueryOptions& options, const WalkDistributions& dists,
-    QueryStats* stats = nullptr, const NodeOwnerFn* owner = nullptr,
+    uint64_t max_records, QueryStats* stats = nullptr,
+    const NodeOwnerFn* owner = nullptr,
     std::vector<uint64_t>* level_records = nullptr) {
   size_t top = dists.levels.size();
   while (top > 0 && dists.levels[top - 1].empty()) --top;
@@ -161,11 +192,20 @@ inline SparseVector AccumulatorExactSingleSource(
       if (v != 0.0) acc.Add(e.index, v);
     }
   };
+  double largest = 0.0;
+  for (size_t t = 1; t < top; ++t) {
+    for (const SparseEntry& e : dists.levels[t]) {
+      largest = std::max(largest, std::abs(ct[t] * diag[e.index] * e.value));
+    }
+  }
   add_z(top - 1);
   SparseVector x = acc.ToSortedVector();
   for (size_t t = top - 1; t-- > 0;) {
     QueryStats step;
-    ExactPush(graph, x, options.prune_threshold, acc, &step, owner);
+    const double prune = options.prune_threshold * largest;
+    ExactPush(graph, x,
+              prune > 0.0 ? BudgetCutoff(graph, x, prune, max_records) : 0.0,
+              acc, &step, owner);
     if (stats != nullptr) {
       stats->push_ops += step.push_ops;
       stats->push_crossings += step.push_crossings;

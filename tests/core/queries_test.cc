@@ -6,10 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <vector>
 
 #include "baselines/exact_simrank.h"
+#include "common/radix_sort.h"
 #include "core/indexer.h"
 #include "engine/walk_program.h"
 #include "graph/generators.h"
@@ -493,14 +495,15 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
         << "fanout " << want.fanout;
   }
 
-  // The exact push, unpruned and at the default threshold 1e-2. It draws
-  // nothing, so only the terms each node sums, or their order, can move
-  // these. Unpruned, the golden graph's lower levels make 19k-21k records,
-  // more than half its nodes, which the step adds into its accumulator; at
-  // 1e-2 it sorts them.
+  // The exact push, unpruned and at the default threshold 0.03 of each
+  // source's largest walk term under the record budget. It draws nothing,
+  // so only the terms each node sums, their order, or which entries
+  // survive can move these. Unpruned, the golden graph's lower levels make
+  // 19k-21k records, which the step adds into its accumulator; pruned, it
+  // sorts them.
   const ExactGolden exact_expected[] = {
       {0.0, 0x11adfbc0e55abad3ull, 1210131, 810491},
-      {1e-2, 0xffb28ea1d2bf8475ull, 5695, 3818},
+      {0.03, 0x0c7257f61b07dc0bull, 103185, 68810},
   };
   for (const ExactGolden& want : exact_expected) {
     SCOPED_TRACE(testing::Message() << "prune " << want.prune_threshold);
@@ -726,15 +729,16 @@ TEST(QueriesHornerTest, ExactPushMatchesNestedReference) {
 }
 
 // The exact push step against the accumulator step it replaced
-// (mcss_reference.h): answers and push counters bit for bit. The step
-// sorts its records in blocks of 16k and keeps the accumulator for steps
-// of more than 4 blocks or more than half the graph's nodes; the cases
-// put levels over several sorted blocks, past each of the two limits, and
-// fully pruned. They include sources whose walkers all die early
-// (RmatWithTail's root and tail) and walkers parked under kSelfLoop.
+// (mcss_reference.h), with the same relative cutoff and record budget:
+// answers and push counters bit for bit. The step sorts a level of at
+// most 16k records and adds a larger one into the accumulator; the cases
+// put levels under the sort's insertion cutoff, just under the bound,
+// over it, cut by the budget, and fully pruned. They include sources
+// whose walkers all die early (RmatWithTail's root and tail) and walkers
+// parked under kSelfLoop.
 TEST(QueriesExactPushTest, MatchesAccumulatorReferenceBitForBit) {
-  constexpr uint64_t kBlock = 16384;
-  constexpr uint64_t kBlocksMax = 4 * kBlock;
+  constexpr uint64_t kSortMax = 16384;
+  constexpr uint64_t kPrunedMax = 4096;
   struct Case {
     const char* name;
     Graph graph;
@@ -747,17 +751,16 @@ TEST(QueriesExactPushTest, MatchesAccumulatorReferenceBitForBit) {
   const std::vector<NodeId> sources = {0, 1, 7, 42, 199, 1024, 2999};
   const Case cases[] = {
       {"tail", std::move(tail_graph), {0, 1, 7, 42, 150, root, tail},
-       {0.0, 1e-2, /*fully pruned*/ 2.0}},
+       {0.0, 1e-2, /*fully pruned*/ 1e3}},
       {"golden", GoldenGraph(), sources, {0.0, 1e-2}},
       {"dense", GenerateRmat(3000, 150000, /*seed=*/3), sources, {0.0, 1e-3}},
-      {"60k", GenerateRmat(60000, 300000, /*seed=*/3), sources, {1e-4, 1e-3}},
   };
   const NodeOwnerFn owner = GoldenOwner;
-  // Steps that sorted several blocks, that passed 4 blocks, that passed
-  // half the nodes within 4 blocks, and that pushed nothing.
-  uint64_t multi_block = 0, over_blocks = 0, over_half = 0, empty = 0;
+  // Steps sorted by insertion, sorted at more than half the bound, added
+  // into the accumulator, and that pushed nothing; queries the budget cut.
+  uint64_t small = 0, near_bound = 0, accumulated = 0, empty = 0;
+  uint64_t budgeted = 0;
   for (const Case& c : cases) {
-    const uint64_t half = c.graph.num_nodes() / 2;
     for (const DanglingPolicy dangling :
          {DanglingPolicy::kDie, DanglingPolicy::kSelfLoop}) {
       IndexingOptions io;
@@ -785,7 +788,7 @@ TEST(QueriesExactPushTest, MatchesAccumulatorReferenceBitForBit) {
               SingleSourceQuery(c.graph, *idx, s, q, &got_stats, &owner);
           const SparseVector want =
               mcss_reference::AccumulatorExactSingleSource(
-                  c.graph, *idx, q, dists, &want_stats, &owner,
+                  c.graph, *idx, q, dists, kPrunedMax, &want_stats, &owner,
                   &level_records);
           ASSERT_EQ(got.size(), want.size());
           for (size_t i = 0; i < got.size(); ++i) {
@@ -796,21 +799,65 @@ TEST(QueriesExactPushTest, MatchesAccumulatorReferenceBitForBit) {
           }
           EXPECT_EQ(got_stats.push_ops, want_stats.push_ops);
           EXPECT_EQ(got_stats.push_crossings, want_stats.push_crossings);
+          std::vector<uint64_t> unbudgeted;
+          mcss_reference::AccumulatorExactSingleSource(
+              c.graph, *idx, q, dists, UINT64_MAX, nullptr, nullptr,
+              &unbudgeted);
+          budgeted += unbudgeted != level_records;
           for (const uint64_t records : level_records) {
-            multi_block += records > kBlock && records <= kBlocksMax &&
-                           records <= half;
-            over_blocks += records > kBlocksMax;
-            over_half += records > half && records <= kBlocksMax;
+            small += records > 0 && records < kSmallSortCutoff;
+            near_bound += records > kSortMax / 2 && records <= kSortMax;
+            accumulated += records > kSortMax;
             empty += records == 0;
           }
         }
       }
     }
   }
-  EXPECT_GT(multi_block, 0u);
-  EXPECT_GT(over_blocks, 0u);
-  EXPECT_GT(over_half, 0u);
+  EXPECT_GT(small, 0u);
+  EXPECT_GT(near_bound, 0u);
+  EXPECT_GT(accumulated, 0u);
   EXPECT_GT(empty, 0u);
+  EXPECT_GT(budgeted, 0u);
+}
+
+// The default push answers a hub as fully as any other source: its cutoff
+// follows the source's own largest walk term, so a first level spread
+// over hundreds of in-neighbors still pushes, and the record budget keeps
+// each step to its largest entries. The golden graph's five highest
+// in-degree nodes each get k = 10 results at the library's R' and at the
+// serving R' = 1000, each step making at most one row past 4096 records.
+TEST(QueriesExactPushTest, DefaultAnswersHubSources) {
+  constexpr uint64_t kPrunedMax = 4096;
+  const Graph g = GoldenGraph();
+  auto idx = BuildDiagonalIndex(g, GoldenIndexing(), /*pool=*/nullptr);
+  ASSERT_TRUE(idx.ok());
+  std::vector<NodeId> hubs(g.num_nodes());
+  std::iota(hubs.begin(), hubs.end(), NodeId{0});
+  std::stable_sort(hubs.begin(), hubs.end(), [&g](NodeId a, NodeId b) {
+    return g.InDegree(a) > g.InDegree(b);
+  });
+  hubs.resize(5);
+  ASSERT_EQ(hubs[0], 0u);
+  ASSERT_GE(g.InDegree(hubs[4]), 100u);
+  uint64_t widest_row = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    widest_row = std::max<uint64_t>(widest_row, g.OutDegree(v));
+  }
+  for (const uint32_t walkers : {QueryOptions{}.num_walkers, 1000u}) {
+    QueryOptions q;
+    q.num_walkers = walkers;
+    for (const NodeId s : hubs) {
+      SCOPED_TRACE(testing::Message() << "R' " << walkers << " source " << s
+                                      << " in-degree " << g.InDegree(s));
+      QueryStats stats;
+      const SparseVector scores = SingleSourceQuery(g, *idx, s, q, &stats);
+      EXPECT_EQ(TopKFromSparse(scores, s, 10).size(), 10u);
+      EXPECT_GT(stats.push_ops, 0u);
+      EXPECT_LE(stats.push_ops,
+                idx->params().num_steps * (kPrunedMax + widest_row));
+    }
+  }
 }
 
 TEST(AllPairsTest, ReturnsTopKPerSource) {

@@ -207,9 +207,10 @@ TEST_F(AccuracyTest, DanglingPolicyChangesScoresOnDanglingGraph) {
 }
 
 // Precision@10 and mean |error| against exact SimRank of the default
-// single-source answer (the exact push pruned at 1e-2), the sampled push
-// (fanout 1) and the unpruned exact push, at the serving R' = 1000, over
-// 40 sources with in-links and 4 seeds. The sampled push's precision is
+// single-source answer (the exact push pruned at 0.03 of each source's
+// largest walk term), the sampled push (fanout 1) and the unpruned exact
+// push, at the serving R' = 1000, over 40 sources with in-links and 4
+// seeds. The sampled push's precision is
 // near zero and is recorded, not gated: the gates are that the Horner
 // combine's sampled error stays within 10% of the nested form's on the
 // same walks and seeds, and that the default and the unpruned exact push

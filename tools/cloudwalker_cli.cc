@@ -292,7 +292,7 @@ QueryOptions QueryFlags(const std::map<std::string, std::string>& flags) {
   q.seed = ParseU64(flags, "seed", "97");
   if (GetFlag(flags, "exact-push") == "true") {
     q.push = PushStrategy::kExact;
-    q.prune_threshold = 1e-6;
+    q.prune_threshold = 0.0;
   }
   q.ppr_alpha = std::stod(GetFlag(flags, "alpha", "0.85"));
   q.n2v_return_p = std::stod(GetFlag(flags, "p", "1"));
@@ -558,8 +558,9 @@ void Usage() {
       "  source    MCSS: the k nodes most similar to one node.\n"
       "            --snapshot=PATH;\n"
       "            --node=Q (0), --topk=K (10), --walkers=R' (10000),\n"
-      "            --seed=S (97), --exact-push (prune the exact push at\n"
-      "            1e-6, not the default 1e-2), --shards=N,\n"
+      "            --seed=S (97), --exact-push (the exact push unpruned,\n"
+      "            not pruned at the default 0.03 of the source's\n"
+      "            largest walk term), --shards=N,\n"
       "            --walk-threads=N, --ooc-budget-mb=N\n"
       "  ppr       Personalized PageRank: top-k by teleport-walk endpoint\n"
       "            frequency around one node.\n"
