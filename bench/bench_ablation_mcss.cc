@@ -1,14 +1,13 @@
 // Ablations for the design choices called out in DESIGN.md section 5:
-//   1. MCSS push strategy (sampled vs exact, fanout sweep): accuracy/time.
+//   1. MCSS accuracy/latency frontier against exact SimRank, by push
+//      pruning threshold.
 //   1b. MCSP estimator at equal walk cost.
-//   1c. MCSS accuracy/latency frontier against exact SimRank.
 //   2. Row storage vs regeneration: memory/time trade-off.
 //   3. Dangling-node policy sensitivity.
 
 #include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,8 +46,8 @@ std::vector<NodeId> SourcesWithInLinks(const Graph& g, size_t count,
 
 int main() {
   bench::PrintHeader("bench_ablation_mcss",
-                     "Ablations: MCSS push strategy, row mode, dangling "
-                     "policy (DESIGN.md section 5)");
+                     "Ablations: MCSS push pruning, MCSP estimator, row "
+                     "mode, dangling policy (DESIGN.md section 5)");
   ThreadPool pool;
   const PaperDatasetInstance ds = MakePaperDataset(
       PaperDataset::kWikiTalk, 2015, bench::BenchScale(), &pool);
@@ -63,64 +62,85 @@ int main() {
     return 1;
   }
 
-  // --- Ablation 1: push strategy. Reference = exact push (no pruning). ---
-  // Each fanout's mean |error| against the exact push over the same walks,
-  // averaged over 40 sources with in-links and 4 walk seeds: one source
-  // and one draw cannot show the error falling as the fanout grows.
+  // --- Ablation 1: MCSS accuracy/latency frontier (DESIGN.md 5.1). -------
+  // Each push pruning threshold against exact SimRank on its own R-MAT
+  // graph at the serving R' = 1000: precision@10 and mean |error| over 40
+  // sources with in-links, milliseconds per query with the walk included
+  // (median, and the nearest-rank p99, which over 40 queries is the
+  // slowest one), and push ops per query. Random sources are rarely hubs,
+  // so precision@10 over the 10 highest in-degree nodes, and how many of
+  // all 50 answers hold fewer than 10 nodes, are reported beside them.
+  // Reported only; SingleSourceGroundTruthTest gates the default's
+  // precision.
   {
-    const std::vector<NodeId> sources =
-        SourcesWithInLinks(ds.graph, 40, /*seed=*/29);
-    const uint64_t walk_seeds[] = {1, 2, 3, 4};
-    const uint32_t fanouts[] = {1, 2, 4, 8};
-    constexpr size_t kSettings = std::size(fanouts) + 1;  // exact push last
-    std::vector<std::vector<double>> ms(kSettings);
-    std::vector<double> error(kSettings, 0.0);
-    std::vector<uint64_t> push_ops(kSettings, 0);
-    for (const uint64_t walk_seed : walk_seeds) {
-      for (const NodeId q : sources) {
-        QueryOptions ref_opts = bench::PaperQueryOptions();
-        ref_opts.push = PushStrategy::kExact;
-        ref_opts.prune_threshold = 0.0;
-        ref_opts.seed = walk_seed;
-        WallTimer ref_timer;
-        const SparseVector ref = SingleSourceQuery(ds.graph, *idx, q, ref_opts);
-        ms[kSettings - 1].push_back(ref_timer.Seconds() * 1e3);
-        const std::vector<double> ref_dense =
-            ToDense(ref, ds.graph.num_nodes());
-        for (size_t f = 0; f < std::size(fanouts); ++f) {
-          QueryOptions qo = ref_opts;
-          qo.push = PushStrategy::kSampled;
-          qo.push_fanout = fanouts[f];
-          QueryStats stats;
-          WallTimer timer;
-          const SparseVector s =
-              SingleSourceQuery(ds.graph, *idx, q, qo, &stats);
-          ms[f].push_back(timer.Seconds() * 1e3);
-          push_ops[f] += stats.push_ops;
-          double err = 0.0;
-          for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
-            err += std::fabs(s.Get(v) - ref_dense[v]);
-          }
-          error[f] += err / ds.graph.num_nodes();
-        }
-      }
+    const bool quick = bench::BenchScale() <= 0.05;
+    const NodeId n = quick ? 2000 : 5000;
+    const Graph g = GenerateRmat(n, quick ? 20000 : 75000, /*seed=*/5);
+    auto exact = ExactSimRank::Compute(g, {}, &pool);
+    auto gidx = BuildDiagonalIndex(g, bench::PaperIndexingOptions(), &pool);
+    if (!exact.ok() || !gidx.ok()) {
+      std::cout << "ablation 1 setup failed\n";
+      return 1;
     }
-    const double queries =
-        static_cast<double>(sources.size() * std::size(walk_seeds));
-    auto p50 = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return FormatDouble(v[v.size() / 2], 3);
+    const std::vector<NodeId> sources = SourcesWithInLinks(g, 40, /*seed=*/29);
+    std::vector<NodeId> hubs(n);
+    for (NodeId v = 0; v < n; ++v) hubs[v] = v;
+    std::stable_sort(hubs.begin(), hubs.end(), [&g](NodeId a, NodeId b) {
+      return g.InDegree(a) > g.InDegree(b);
+    });
+    hubs.resize(10);
+    struct Setting {
+      const char* name;
+      double prune;
     };
-    TablePrinter t({"strategy", "ms/query (p50)", "mean |err| vs exact push",
+    const Setting settings[] = {
+        {"unpruned", 0.0},
+        {"pruned at 0.01", 0.01},
+        {"pruned at 0.03 (default)", 0.03},
+        {"pruned at 0.1", 0.1},
+    };
+    TablePrinter t({"push", "precision@10", "hubs p@10", "< 10 nodes",
+                    "mean |err|", "ms/query p50", "ms/query p99",
                     "push ops/query"});
-    t.AddRow({"exact push (ref)", p50(ms[kSettings - 1]), "0", "-"});
-    for (size_t f = 0; f < std::size(fanouts); ++f) {
-      t.AddRow({"sampled, fanout=" + std::to_string(fanouts[f]), p50(ms[f]),
-                FormatDouble(error[f] / queries, 6),
-                HumanCount(static_cast<uint64_t>(push_ops[f] / queries))});
+    for (const Setting& setting : settings) {
+      QueryOptions qo = bench::PaperQueryOptions();
+      qo.num_walkers = 1000;
+      qo.prune_threshold = setting.prune;
+      double precision = 0.0, error = 0.0;
+      int thin = 0;
+      std::vector<double> ms;
+      QueryStats stats;
+      for (const NodeId s : sources) {
+        WallTimer timer;
+        const SparseVector est = SingleSourceQuery(g, *gidx, s, qo, &stats);
+        ms.push_back(timer.Seconds() * 1e3);
+        thin += TopKFromSparse(est, s, 10).size() < 10;
+        const std::vector<double> dense = ToDense(est, n);
+        const std::vector<double> truth = exact->Row(s);
+        precision += PrecisionAtK(TopKIndices(dense, 10, s),
+                                  TopKIndices(truth, 10, s), 10);
+        error += ComputeErrorStats(dense, truth)->mean_abs;
+      }
+      double hub_precision = 0.0;
+      for (const NodeId s : hubs) {
+        const SparseVector est = SingleSourceQuery(g, *gidx, s, qo);
+        thin += TopKFromSparse(est, s, 10).size() < 10;
+        hub_precision += PrecisionAtK(TopKIndices(ToDense(est, n), 10, s),
+                                      TopKIndices(exact->Row(s), 10, s), 10);
+      }
+      std::sort(ms.begin(), ms.end());
+      const size_t p99_rank = (ms.size() * 99 + 99) / 100;  // ceil, 1-based
+      const double count = static_cast<double>(sources.size());
+      t.AddRow({setting.name, FormatDouble(precision / count, 3),
+                FormatDouble(hub_precision / hubs.size(), 3),
+                std::to_string(thin), FormatDouble(error / count, 6),
+                FormatDouble(ms[ms.size() / 2], 3),
+                FormatDouble(ms[p99_rank - 1], 3),
+                HumanCount(stats.push_ops / sources.size())});
     }
-    std::cout << "Ablation 1 — MCSS push strategy (" << sources.size()
-              << " sources x " << std::size(walk_seeds) << " walk seeds):\n";
+    std::cout << "Ablation 1 — MCSS against exact SimRank (R-MAT, |V|="
+              << HumanCount(n) << " |E|=" << HumanCount(g.num_edges())
+              << ", R'=1000, " << sources.size() << " sources):\n";
     t.RenderText(std::cout);
     std::cout << "\n";
   }
@@ -164,91 +184,6 @@ int main() {
               HumanSeconds(pair_secs)});
     std::cout << "Ablation 1b — MCSP estimator (equal walk cost, R'=10000):"
               << "\n";
-    t.RenderText(std::cout);
-    std::cout << "\n";
-  }
-
-  // --- Ablation 1c: MCSS accuracy/latency frontier (DESIGN.md 5.1). ------
-  // Each push setting against exact SimRank on its own R-MAT graph at the
-  // serving R' = 1000: precision@10 and mean |error| over 40 sources with
-  // in-links, milliseconds per query with the walk included (median, and
-  // the nearest-rank p99, which over 40 queries is the slowest one), and
-  // push ops per query. Random sources are rarely hubs, so precision@10
-  // over the 10 highest in-degree nodes, and how many of all 50 answers
-  // hold fewer than 10 nodes, are reported beside them. Reported only;
-  // SingleSourceGroundTruthTest gates the default's precision.
-  {
-    const bool quick = bench::BenchScale() <= 0.05;
-    const NodeId n = quick ? 2000 : 5000;
-    const Graph g = GenerateRmat(n, quick ? 20000 : 75000, /*seed=*/5);
-    auto exact = ExactSimRank::Compute(g, {}, &pool);
-    auto gidx = BuildDiagonalIndex(g, bench::PaperIndexingOptions(), &pool);
-    if (!exact.ok() || !gidx.ok()) {
-      std::cout << "ablation 1c setup failed\n";
-      return 1;
-    }
-    const std::vector<NodeId> sources = SourcesWithInLinks(g, 40, /*seed=*/29);
-    std::vector<NodeId> hubs(n);
-    for (NodeId v = 0; v < n; ++v) hubs[v] = v;
-    std::stable_sort(hubs.begin(), hubs.end(), [&g](NodeId a, NodeId b) {
-      return g.InDegree(a) > g.InDegree(b);
-    });
-    hubs.resize(10);
-    struct Setting {
-      const char* name;
-      PushStrategy push;
-      double prune;
-    };
-    const Setting settings[] = {
-        {"sampled, fanout 1", PushStrategy::kSampled, 0.0},
-        {"exact", PushStrategy::kExact, 0.0},
-        {"exact, pruned at 0.01", PushStrategy::kExact, 0.01},
-        {"exact, pruned at 0.03 (default)", PushStrategy::kExact, 0.03},
-        {"exact, pruned at 0.1", PushStrategy::kExact, 0.1},
-    };
-    TablePrinter t({"push", "precision@10", "hubs p@10", "< 10 nodes",
-                    "mean |err|", "ms/query p50", "ms/query p99",
-                    "push ops/query"});
-    for (const Setting& setting : settings) {
-      QueryOptions qo = bench::PaperQueryOptions();
-      qo.num_walkers = 1000;
-      qo.push = setting.push;
-      qo.prune_threshold = setting.prune;
-      double precision = 0.0, error = 0.0;
-      int thin = 0;
-      std::vector<double> ms;
-      QueryStats stats;
-      for (const NodeId s : sources) {
-        WallTimer timer;
-        const SparseVector est = SingleSourceQuery(g, *gidx, s, qo, &stats);
-        ms.push_back(timer.Seconds() * 1e3);
-        thin += TopKFromSparse(est, s, 10).size() < 10;
-        const std::vector<double> dense = ToDense(est, n);
-        const std::vector<double> truth = exact->Row(s);
-        precision += PrecisionAtK(TopKIndices(dense, 10, s),
-                                  TopKIndices(truth, 10, s), 10);
-        error += ComputeErrorStats(dense, truth)->mean_abs;
-      }
-      double hub_precision = 0.0;
-      for (const NodeId s : hubs) {
-        const SparseVector est = SingleSourceQuery(g, *gidx, s, qo);
-        thin += TopKFromSparse(est, s, 10).size() < 10;
-        hub_precision += PrecisionAtK(TopKIndices(ToDense(est, n), 10, s),
-                                      TopKIndices(exact->Row(s), 10, s), 10);
-      }
-      std::sort(ms.begin(), ms.end());
-      const size_t p99_rank = (ms.size() * 99 + 99) / 100;  // ceil, 1-based
-      const double count = static_cast<double>(sources.size());
-      t.AddRow({setting.name, FormatDouble(precision / count, 3),
-                FormatDouble(hub_precision / hubs.size(), 3),
-                std::to_string(thin), FormatDouble(error / count, 6),
-                FormatDouble(ms[ms.size() / 2], 3),
-                FormatDouble(ms[p99_rank - 1], 3),
-                HumanCount(stats.push_ops / sources.size())});
-    }
-    std::cout << "Ablation 1c — MCSS against exact SimRank (R-MAT, |V|="
-              << HumanCount(n) << " |E|=" << HumanCount(g.num_edges())
-              << ", R'=1000, " << sources.size() << " sources):\n";
     t.RenderText(std::cout);
     std::cout << "\n";
   }

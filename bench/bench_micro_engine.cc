@@ -605,7 +605,7 @@ int main() {
     constexpr int kReps = 3;
     const CombineTiming c = MeasureCombine(serving, num_sources, kReps);
     TablePrinter t({"query", "combine p50 ms"});
-    t.AddRow({"top-k (sampled push)", FormatDouble(c.topk_ms, 3)});
+    t.AddRow({"top-k (default push)", FormatDouble(c.topk_ms, 3)});
     t.AddRow({"node2vec visits", FormatDouble(c.n2v_ms, 3)});
     t.AddRow({"pair", FormatDouble(c.pair_ms, 3)});
     std::cout << "Table 4 — combine phase over replayed walks (|V|="

@@ -72,8 +72,7 @@ int main() {
 
   QueryOptions qo;
   qo.num_walkers = 5000;
-  qo.push = PushStrategy::kExact;  // small graph: no pruning needed
-  qo.prune_threshold = 0.0;
+  qo.prune_threshold = 0.0;  // small graph: no pruning needed
 
   // --- Similar items: SimRank vs plain co-purchase (co-citation). --------
   const NodeId probe_item = ItemNode(0);  // genre-0 item

@@ -43,7 +43,6 @@ int main() {
   QueryOptions qo;  // paper default R' = 10,000
   // On a 60K-page graph the exact push stays cheap pruned at 1e-5 of the
   // source's largest walk term, far below the default 0.03.
-  qo.push = PushStrategy::kExact;
   qo.prune_threshold = 1e-5;
   const TopKPtr related =
       cw->Execute(QueryRequest::SourceTopK(query, 10).WithOptions(qo)).topk();

@@ -16,7 +16,7 @@ StatusOr<LinIndex> LinIndex::Build(const Graph& graph, const Options& options,
   if (options.jacobi_iterations < 1) {
     return Status::InvalidArgument("jacobi_iterations must be >= 1");
   }
-  if (options.prune_threshold < 0.0) {
+  if (!(options.prune_threshold >= 0.0)) {
     return Status::InvalidArgument("prune_threshold must be >= 0");
   }
   if (graph.num_nodes() == 0) {

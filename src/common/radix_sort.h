@@ -1,9 +1,9 @@
 // The one sort behind every sorted drain: the walk kernel's per-level
 // endpoint aggregation, the sharded / threaded / socket / out-of-core
 // endpoint merges (AggregateEndpointNodes), SumByIndex's record fold
-// (the sampled MCSS push, node2vec's visit sum), SparseAccumulator's
-// ToSortedVector, and the indexer's one sort per row (DESIGN.md
-// section 8).
+// (the MCSS push steps of at most 16k records, node2vec's visit sum),
+// SparseAccumulator's ToSortedVector, and the indexer's one sort per row
+// (DESIGN.md section 8).
 
 #ifndef CLOUDWALKER_COMMON_RADIX_SORT_H_
 #define CLOUDWALKER_COMMON_RADIX_SORT_H_

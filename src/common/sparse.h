@@ -94,8 +94,8 @@ class SparseVector {
 /// index is summed from 0.0 in that order (so a lone -0.0 reads +0.0).
 /// Every index must be below 2^key_bits. Leaves `records` in unspecified
 /// order; `sort_buffer` is the sort's scratch, grown as needed and kept
-/// for reuse. Cheaper than the accumulator when records barely repeat
-/// their keys, as a sampled push's or a visit sum's do.
+/// for reuse. Cheaper than the accumulator while the records fit in L2,
+/// as a pruned MCSS push step's or a visit sum's do.
 SparseVector SumByIndex(std::vector<SparseEntry>& records, uint32_t key_bits,
                         std::vector<SparseEntry>& sort_buffer);
 
@@ -106,9 +106,9 @@ SparseVector SumByIndex(std::vector<SparseEntry>& records, uint32_t key_bits,
 /// Clear, ForEach and ToSortedVector cost O(entries), not O(capacity), so
 /// a table presized for the largest batch drains small ones cheaply.
 /// Each key's sum adds its values in call order. It merges records in
-/// place, so it suits producers that emit many records per key, such as
-/// the exact push (Σ|Out(k)| records per level); where keys barely
-/// repeat, SumByIndex's one sort is cheaper.
+/// place, so it suits producers that emit more records than a sort keeps
+/// in cache, such as an unpruned MCSS push step (Σ|Out(k)| records a
+/// level); below that, SumByIndex's one sort is cheaper.
 class SparseAccumulator {
  public:
   /// `expected` sizes the table to hold that many distinct keys without

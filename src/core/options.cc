@@ -33,10 +33,7 @@ Status ValidateQueryOptions(const QueryOptions& options) {
   if (options.num_walkers < 1) {
     return Status::InvalidArgument("num_walkers R' must be >= 1");
   }
-  if (options.push_fanout < 1) {
-    return Status::InvalidArgument("push_fanout must be >= 1");
-  }
-  if (options.prune_threshold < 0.0) {
+  if (!(options.prune_threshold >= 0.0)) {
     return Status::InvalidArgument("prune_threshold must be >= 0");
   }
   if (!(options.ppr_alpha > 0.0) || !(options.ppr_alpha < 1.0)) {
@@ -53,9 +50,7 @@ Status ValidateQueryOptions(const QueryOptions& options) {
 
 uint64_t QueryOptionsFingerprint(const QueryOptions& o) {
   uint64_t h = DeriveSeed(o.seed, o.num_walkers);
-  h = DeriveSeed(h, (static_cast<uint64_t>(o.push_fanout) << 8) |
-                        (static_cast<uint64_t>(o.push) << 4) |
-                        static_cast<uint64_t>(o.dangling));
+  h = DeriveSeed(h, static_cast<uint64_t>(o.dangling));
   h = DeriveSeed(h, std::bit_cast<uint64_t>(o.prune_threshold));
   h = DeriveSeed(h, std::bit_cast<uint64_t>(o.ppr_alpha));
   h = DeriveSeed(h, std::bit_cast<uint64_t>(o.n2v_return_p));

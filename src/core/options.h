@@ -61,20 +61,6 @@ struct IndexingOptions {
   Status Validate() const;
 };
 
-/// Strategy for the P^T pushes of the single-source combine, one per level
-/// of its Horner recurrence (DESIGN.md section 5.1).
-enum class PushStrategy {
-  /// push_fanout weighted samples per non-zero of the pushed vector: an
-  /// unbiased estimate whose cost does not grow with graph density, but
-  /// whose top-10 barely overlaps exact SimRank's.
-  kSampled = 0,
-  /// Exact sparse propagation, pruned relative to the source (the
-  /// default): cost follows the out-degrees of the entries that survive
-  /// pruning; deterministic given the walks, and ranks far closer to exact
-  /// SimRank.
-  kExact = 1,
-};
-
 /// Online query (MCSP / MCSS / MCAP) parameters.
 struct QueryOptions {
   /// R' — Monte-Carlo walkers per query source.
@@ -82,22 +68,18 @@ struct QueryOptions {
   /// Seed for query-time randomness (streams derived per source node, so
   /// QueryRequest::Pair(i, j) and Pair(j, i) answer exactly alike).
   uint64_t seed = 97;
-  /// Single-source push strategy.
-  PushStrategy push = PushStrategy::kExact;
-  /// kSampled: weighted samples drawn per non-zero per step (>= 1).
-  /// Larger values reduce variance at proportional cost.
-  uint32_t push_fanout = 1;
-  /// kExact: entries of the pushed vector x_{t+1} — the merged mass of
-  /// every level above t — below this times the source's largest walk
-  /// term past level 0, max |z_t[k]| over t >= 1, are dropped before each
-  /// push (0 disables pruning). The cutoff follows the source, so a hub,
-  /// whose mass spreads over its many in-neighbors, keeps its levels; a
-  /// pruned step past 4096 records keeps only its largest entries, down
-  /// to the one whose row passes that budget. The default 0.03 answers
-  /// bench_e2e's traffic as fully as the unpruned push, hubs included,
-  /// and ranks above the absolute 1e-2 cutoff it replaced on 2k-node
-  /// R-MAT graphs (precision@10 0.67-0.77 against exact SimRank; DESIGN.md
-  /// section 5.1).
+  /// The single-source push (MCSS, DESIGN.md section 5.1) is exact: each
+  /// level's P^T step moves every entry of x_{t+1}, the merged mass of the
+  /// levels above t, to all its out-neighbors. Entries below this times
+  /// the source's largest walk term past level 0, max |z_t[k]| over
+  /// t >= 1, are dropped before each push (0 disables pruning). The cutoff
+  /// follows the source, so a hub, whose mass spreads over its many
+  /// in-neighbors, keeps its levels; a pruned step past 4096 records keeps
+  /// only its largest entries, down to the one whose row passes that
+  /// budget. The default 0.03 answers bench_e2e's traffic as fully as the
+  /// unpruned push, hubs included, and ranks above the absolute 1e-2
+  /// cutoff it replaced on 2k-node R-MAT graphs (precision@10 0.67-0.77
+  /// against exact SimRank).
   double prune_threshold = 0.03;
   /// Behaviour at dangling nodes (must match the index to be meaningful).
   DanglingPolicy dangling = DanglingPolicy::kDie;
@@ -110,9 +92,9 @@ struct QueryOptions {
   /// 1/q (distance-1 nodes keep weight 1).
   double n2v_in_out_q = 1.0;
 
-  /// InvalidArgument unless num_walkers >= 1, push_fanout >= 1,
-  /// prune_threshold >= 0, 0 < ppr_alpha < 1, n2v_return_p > 0 and
-  /// n2v_in_out_q > 0. Shim over ValidateQueryOptions() below.
+  /// InvalidArgument unless num_walkers >= 1, prune_threshold >= 0 (NaN
+  /// fails), 0 < ppr_alpha < 1, n2v_return_p > 0 and n2v_in_out_q > 0.
+  /// Shim over ValidateQueryOptions() below.
   Status Validate() const;
 
   /// Two option sets are equal iff every knob matches — the relation the

@@ -32,78 +32,6 @@ bool Stopped(const CancelToken* cancel) {
   return cancel != nullptr && cancel->ShouldStop();
 }
 
-// Draws a sampled push step keeps in flight, so that the out-target and
-// in-offset misses of a whole batch overlap.
-constexpr uint32_t kPushBatch = 64;
-
-/// One sampled forward-push step: an unbiased one-sample estimate of
-/// z' = P^T z, as records for SumByIndex. Mass at node k moves to
-/// `fanout` sampled out-neighbors v, reweighted by
-/// |Out(k)| / (fanout * |In(v)|). Runs as the walk kernel's three-pass
-/// prefetch pipeline over batches of kPushBatch draws (DESIGN.md section
-/// 5.1): draw the out-edge slots and prefetch their targets; read the
-/// targets and prefetch their in-offsets; append. `out` receives one
-/// record per draw, in draw order, which does not depend on the batching.
-void SampledPushStep(const Graph& graph, const SparseVector& z,
-                     uint32_t fanout, Xoshiro256& rng,
-                     std::vector<SparseEntry>& out, QueryStats* stats,
-                     const NodeOwnerFn* owner) {
-  out.clear();
-  const uint64_t* const out_offsets = graph.OutOffsets().data();
-  const NodeId* const out_targets = graph.OutTargets().data();
-  const uint64_t* const in_offsets = graph.InOffsets().data();
-  uint64_t slot[kPushBatch];
-  double scale[kPushBatch];
-  NodeId from[kPushBatch];
-  NodeId to[kPushBatch];
-  size_t i = 0;    // next entry of z to draw for
-  uint32_t f = 0;  // draws already made for entry i
-  while (i < z.size()) {
-    // Pass 1: draw in entry order; a batch may end inside an entry.
-    uint32_t n = 0;
-    while (n < kPushBatch && i < z.size()) {
-      const NodeId k = z[i].index;
-      const uint64_t row = out_offsets[k];
-      const uint32_t out_deg = static_cast<uint32_t>(out_offsets[k + 1] - row);
-      if (out_deg == 0) {  // k is in nobody's in-neighborhood
-        ++i;
-        continue;
-      }
-      const double s = z[i].value * static_cast<double>(out_deg) /
-                       static_cast<double>(fanout);
-      for (; f < fanout && n < kPushBatch; ++f, ++n) {
-        slot[n] = row + rng.UniformInt32(out_deg);
-        PrefetchRead(out_targets + slot[n]);
-        scale[n] = s;
-        from[n] = k;
-      }
-      if (f == fanout) {
-        f = 0;
-        ++i;
-      }
-    }
-    // Pass 2: read the targets, prefetch their in-offsets.
-    for (uint32_t j = 0; j < n; ++j) {
-      to[j] = out_targets[slot[j]];
-      PrefetchRead(in_offsets + to[j]);
-    }
-    // Pass 3: append, in draw order.
-    for (uint32_t j = 0; j < n; ++j) {
-      const NodeId v = to[j];
-      const uint32_t in_deg =
-          static_cast<uint32_t>(in_offsets[v + 1] - in_offsets[v]);
-      CW_DCHECK(in_deg > 0);  // v has at least the edge k -> v
-      out.push_back(SparseEntry{v, scale[j] / static_cast<double>(in_deg)});
-      if (stats != nullptr) {
-        ++stats->push_ops;
-        if (owner != nullptr && (*owner)(from[j]) != (*owner)(v)) {
-          ++stats->push_crossings;
-        }
-      }
-    }
-  }
-}
-
 // Records past which an exact push step adds into a SparseAccumulator
 // instead of sorting: one SumByIndex over a step's records and its
 // buffer, 256 KiB each at this bound, stay in L2. The unpruned push makes
@@ -304,23 +232,19 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
       if (v != 0.0) add(e.index, v);
     }
   };
-  // The exact push drops the entries of x_{t+1} below prune_threshold
-  // times the largest term the walks add past the source, max |z_t[k]|
-  // over t >= 1: a source of in-degree d spreads its first level over
-  // about min(d, R') nodes, so its scores, and the entries that carry
-  // them, shrink with d, and a fixed cutoff would drop every level of a
-  // hub. A step whose survivors make too many records is cut further
-  // (PrunedPushCutoff).
-  double prune = 0.0;
-  if (options.push == PushStrategy::kExact) {
-    double largest = 0.0;
-    for (size_t t = 1; t < top; ++t) {
-      for_each_z(t, [&largest](NodeId, double v) {
-        largest = std::max(largest, std::abs(v));
-      });
-    }
-    prune = options.prune_threshold * largest;
+  // The push drops the entries of x_{t+1} below prune_threshold times the
+  // largest term the walks add past the source, max |z_t[k]| over t >= 1:
+  // a source of in-degree d spreads its first level over about min(d, R')
+  // nodes, so its scores, and the entries that carry them, shrink with d,
+  // and a fixed cutoff would drop every level of a hub. A step whose
+  // survivors make too many records is cut further (PrunedPushCutoff).
+  double largest = 0.0;
+  for (size_t t = 1; t < top; ++t) {
+    for_each_z(t, [&largest](NodeId, double v) {
+      largest = std::max(largest, std::abs(v));
+    });
   }
+  const double prune = options.prune_threshold * largest;
 
   // Horner form of sum_t (P^T)^t z_t: x_top = z_top, x_t = z_t + P^T
   // x_{t+1}, and the answer is x_0 — one push and one merge per level.
@@ -330,16 +254,13 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
     x_top.push_back(SparseEntry{k, v});
   });
   SparseVector x = SparseVector::FromSorted(std::move(x_top));
-  Xoshiro256 rng =
-      Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
-  // Each node of x_t sums its push records in the order they were made,
+  // Each node of x_t sums its push records in the order they are made,
   // then its z_t term, from 0.0. The records of a step of at most
-  // kPushSortRecordsMax are folded with one stable sort (SumByIndex): the
-  // sampled push makes about 1.3 per distinct node, and a pruned exact
-  // step no more than its budget and one row. A larger exact step adds
-  // them into the accumulator instead, sized like x_0, the largest
-  // iterate, which holds about twice the largest level's entries on R-MAT
-  // graphs.
+  // kPushSortRecordsMax are folded with one stable sort (SumByIndex), as
+  // are a pruned step's, which makes no more than its budget and one row.
+  // A larger step adds them into the accumulator instead, sized like x_0,
+  // the largest iterate, which holds about twice the largest level's
+  // entries on R-MAT graphs.
   const uint32_t id_bits = NodeIdBits(graph.num_nodes());
   std::vector<SparseEntry> records, sort_buffer;
   const auto append = [&records](NodeId k, double v) {
@@ -349,16 +270,14 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
   std::optional<SparseAccumulator> acc;  // made by the first oversized step
   for (size_t t = top - 1; t-- > 0;) {
     if (Stopped(cancel)) break;  // caller discards the truncated vector
-    if (options.push == PushStrategy::kSampled) {
-      SampledPushStep(graph, x, options.push_fanout, rng, records, stats,
-                      owner);
-    } else if (const double cutoff =
-                   prune > 0.0 ? PrunedPushCutoff(graph, x, prune, order)
-                               : 0.0;
-               CountExactPush(graph, x, cutoff, stats, owner) <=
-               kPushSortRecordsMax) {
+    const double cutoff =
+        prune > 0.0 ? PrunedPushCutoff(graph, x, prune, order) : 0.0;
+    if (CountExactPush(graph, x, cutoff, stats, owner) <=
+        kPushSortRecordsMax) {
       records.clear();
       ExactPushStep(graph, x, cutoff, append);
+      for_each_z(t, append);
+      x = SumByIndex(records, id_bits, sort_buffer);
     } else {
       if (!acc) acc.emplace(4 * widest);
       acc->Clear();
@@ -366,10 +285,7 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
       ExactPushStep(graph, x, cutoff, add);
       for_each_z(t, add);
       x = acc->ToSortedVector();
-      continue;
     }
-    for_each_z(t, append);
-    x = SumByIndex(records, id_bits, sort_buffer);
   }
   return x;
 }

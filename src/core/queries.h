@@ -1,9 +1,9 @@
 // Online Monte-Carlo query kernels:
 //   MCSP — single-pair  s(i, j), O(T R'): a branch-free merge of the two
 //          walk clouds per level
-//   MCSS — single-source s(q, *), T push steps in Horner form; at fanout 1
-//          a step draws once per entry of the pushed vector, and its
-//          records fold into the next iterate through one stable sort
+//   MCSS — single-source s(q, *), T exact push steps in Horner form,
+//          pruned relative to the source; a step's records fold into the
+//          next iterate through one stable sort
 //   MCAP — all-pairs via repeated MCSS, streamed as per-source top-k
 //
 // All kernels consume a DiagonalIndex built by core/indexer.h and estimate
@@ -85,13 +85,13 @@ double SinglePairQueryPaired(const Graph& graph, const DiagonalIndex& index,
 ///
 /// Combines the walk's levels z_t = c^t D û_{q,t} in Horner form:
 /// x_top = z_top, x_t = z_t + P^T x_{t+1}, answer x_0, with top the
-/// highest non-empty level — one push of options.push per level
-/// (DESIGN.md section 5.1). The sampled push's records and z_t's fold into
-/// x_t through SumByIndex's one stable sort, as do the exact push's (the
-/// default) but for steps too large to sort, which add into a
-/// SparseAccumulator. Each sums every node's terms in the order the
-/// records are made, then z_t's. The exact push prunes relative to the
-/// source's largest walk term, under a per-step record budget.
+/// highest non-empty level — one exact push per level (DESIGN.md section
+/// 5.1), pruned at options.prune_threshold times the source's largest walk
+/// term, under a per-step record budget. A step's records and z_t's fold
+/// into x_t through SumByIndex's one stable sort, but for steps too large
+/// to sort, which add into a SparseAccumulator. Each sums every node's
+/// terms in the order the records are made, then z_t's. The combine draws
+/// no random numbers: the answer is a function of the walks.
 SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
                                NodeId q, const QueryOptions& options,
                                QueryStats* stats = nullptr,

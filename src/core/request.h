@@ -243,6 +243,14 @@ struct QueryResponse {
   }
 };
 
+/// The answer equality of every bit-identity check: true iff `a` and `b`
+/// have the same kind and status code and their payloads match bit for
+/// bit — every node id and the bits of every score, so -0.0 and +0.0
+/// differ. Two failures of one kind and code are equal (neither carries a
+/// payload); a caller that needs an answer checks ok() as well. Stats,
+/// latency and provenance are not compared.
+bool BitIdentical(const QueryResponse& a, const QueryResponse& b);
+
 }  // namespace cloudwalker
 
 #endif  // CLOUDWALKER_CORE_REQUEST_H_

@@ -20,13 +20,9 @@
 // id translation, on every backend. node2vec's membership test searches
 // those rows by external id too (InRowContains in engine/walk.h).
 // Combines that sum those distributions in internal-id order (the pair
-// dot product, the exact-push propagation) reassociate float sums only:
-// equal to within rounding, exact for the endpoint top-k kinds.
-// The sampled-push single-source combine, which a caller must select, is
-// the one exception: it draws from one sequential RNG in internal-id
-// iteration order, so under a renumbering it redraws, and its answers
-// are statistically equivalent (same unbiased estimator, fresh sample),
-// not bit-identical.
+// dot product, the single-source push) reassociate float sums only:
+// equal to within rounding, exact for the endpoint top-k kinds. No
+// combine draws a random number, so a renumbering redraws nothing.
 
 #ifndef CLOUDWALKER_OOC_REORDER_H_
 #define CLOUDWALKER_OOC_REORDER_H_

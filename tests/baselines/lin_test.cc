@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "baselines/exact_simrank.h"
 #include "core/indexer.h"
@@ -25,6 +26,8 @@ TEST(LinTest, RejectsBadOptions) {
   EXPECT_FALSE(LinIndex::Build(g, o).ok());
   o = LinIndex::Options();
   o.prune_threshold = -1.0;
+  EXPECT_FALSE(LinIndex::Build(g, o).ok());
+  o.prune_threshold = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(LinIndex::Build(g, o).ok());
   o = LinIndex::Options();
   o.params.decay = 0.0;

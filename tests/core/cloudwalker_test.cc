@@ -268,14 +268,13 @@ constexpr NodeId kGoldenSources[] = {0, 1, 7, 42, 311, 1024, 1999};
 
 // The requests of one kind, all at R' = 1000: pairs chain consecutive
 // golden sources (with one self pair), the per-source kinds run every
-// golden source at k = 10, and the all-pairs sweep runs on `small`.
-// `sampled` sets the sampled push; otherwise the requests keep the default
-// push, the exact push pruned at 0.03 of each source's largest walk term.
-std::vector<QueryRequest> GoldenRequests(QueryKind kind, bool sampled) {
+// golden source at k = 10, and the all-pairs sweep runs on `small`. The
+// requests keep the default push, pruned at 0.03 of each source's largest
+// walk term.
+std::vector<QueryRequest> GoldenRequests(QueryKind kind) {
   QueryOptions q;
   q.num_walkers = 1000;
   q.seed = 29;
-  if (sampled) q.push = PushStrategy::kSampled;
   q.ppr_alpha = 0.7;
   q.n2v_return_p = 0.5;
   q.n2v_in_out_q = 2.0;
@@ -312,10 +311,10 @@ std::vector<QueryRequest> GoldenRequests(QueryKind kind, bool sampled) {
 // Hash of every golden request of `kind`; the all-pairs sweep runs on
 // `small`, every other kind on `large`.
 uint64_t GoldenHash(const CloudWalker& large, const CloudWalker& small,
-                    QueryKind kind, bool sampled) {
+                    QueryKind kind) {
   const CloudWalker& cw = kind == QueryKind::kAllPairsTopK ? small : large;
   uint64_t h = 0xcbf29ce484222325ull;
-  for (const QueryRequest& request : GoldenRequests(kind, sampled)) {
+  for (const QueryRequest& request : GoldenRequests(kind)) {
     const QueryResponse r = cw.Execute(request);
     EXPECT_TRUE(r.ok()) << r.status.ToString();
     if (r.ok()) h = HashPayload(r, h);
@@ -367,37 +366,24 @@ TEST(CloudWalkerGoldenTest, ExecuteAnswersArePinned) {
 
   struct Expected {
     QueryKind kind;
-    bool sampled;
     uint64_t built;
     uint64_t reordered;
   };
   const Expected expected[] = {
-      {QueryKind::kPair, true, 0x7724313a637f684cull, 0xdd99c63b971e17cdull},
-      {QueryKind::kSingleSource, true, 0x9d2ed84c95c249b9ull,
-       0xadae36a37984444aull},
-      {QueryKind::kSourceTopK, true, 0x2b43c9ddca42119bull,
-       0xc92361e43628c4bcull},
-      {QueryKind::kAllPairsTopK, true, 0x2565b16f8fd7329dull,
-       0xea198e1db49739eeull},
-      {QueryKind::kPersonalizedPageRank, true, 0x3a0786bcf5d78d7aull,
+      {QueryKind::kPair, 0x7724313a637f684cull, 0xdd99c63b971e17cdull},
+      {QueryKind::kPersonalizedPageRank, 0x3a0786bcf5d78d7aull,
        0x3a0786bcf5d78d7aull},
-      {QueryKind::kNode2Vec, true, 0x38435649194638abull,
-       0x38435649194638abull},
-      {QueryKind::kSingleSource, false, 0xd1b712b153286ef3ull,
-       0x1c84934eb33114c7ull},
-      {QueryKind::kSourceTopK, false, 0x357e442005293c0bull,
-       0x89d6e9f56c2a7a4full},
-      {QueryKind::kAllPairsTopK, false, 0xfcc196ccb7134070ull,
-       0xe43440ee17b64c69ull},
+      {QueryKind::kNode2Vec, 0x38435649194638abull, 0x38435649194638abull},
+      {QueryKind::kSingleSource, 0xd1b712b153286ef3ull, 0x1c84934eb33114c7ull},
+      {QueryKind::kSourceTopK, 0x357e442005293c0bull, 0x89d6e9f56c2a7a4full},
+      {QueryKind::kAllPairsTopK, 0xfcc196ccb7134070ull, 0xe43440ee17b64c69ull},
   };
   for (const Expected& want : expected) {
-    SCOPED_TRACE(testing::Message() << QueryKindToString(want.kind)
-                                    << (want.sampled ? " sampled" : ""));
-    const uint64_t built =
-        GoldenHash(*large.built, *small.built, want.kind, want.sampled);
+    SCOPED_TRACE(QueryKindToString(want.kind));
+    const uint64_t built = GoldenHash(*large.built, *small.built, want.kind);
     EXPECT_EQ(built, want.built) << std::hex << built;
-    const uint64_t reordered = GoldenHash(*large.reordered, *small.reordered,
-                                          want.kind, want.sampled);
+    const uint64_t reordered =
+        GoldenHash(*large.reordered, *small.reordered, want.kind);
     EXPECT_EQ(reordered, want.reordered) << std::hex << reordered;
   }
 }

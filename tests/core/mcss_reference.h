@@ -2,12 +2,9 @@
 //
 // NestedSingleSource is the nested MCSS combine that the Horner recurrence
 // replaced. Each level's z_t = c^t D û_{q,t} is pushed through P^T t times
-// on its own, and the level chains are summed in level order: T(T+1)/2
-// pushes per query. Its draws come one at a time from the stream
-// SingleSourceQuery keys, (DeriveSeed(seed, "MCSS"), q), level 1's chain
-// first, so it reproduces the answers and counters of the nested form bit
-// for bit. For the exact push the two forms differ only in how the sums
-// associate.
+// on its own, unpruned, and the level chains are summed in level order:
+// T(T+1)/2 pushes per query. It differs from the unpruned Horner form only
+// in how the sums associate.
 //
 // AccumulatorExactSingleSource is the Horner recurrence with the exact
 // push step that the sort-and-merge step replaced: every record of a
@@ -26,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "common/sparse.h"
 #include "core/diagonal.h"
 #include "core/options.h"
@@ -59,31 +55,8 @@ inline void CountPush(NodeId from, NodeId to, QueryStats* stats,
   }
 }
 
-/// One sampled push step, one draw at a time: mass at k moves to `fanout`
-/// uniformly drawn out-neighbors v, weighted |Out(k)| / (fanout |In(v)|).
-inline void SampledPush(const Graph& graph, const SparseVector& z,
-                        uint32_t fanout, Xoshiro256& rng,
-                        SparseAccumulator& out, QueryStats* stats,
-                        const NodeOwnerFn* owner) {
-  out.Clear();
-  for (const SparseEntry& e : z) {
-    const std::span<const NodeId> outs = graph.OutNeighbors(e.index);
-    const uint32_t out_deg = static_cast<uint32_t>(outs.size());
-    if (out_deg == 0) continue;
-    const double s = e.value * static_cast<double>(out_deg) /
-                     static_cast<double>(fanout);
-    for (uint32_t f = 0; f < fanout; ++f) {
-      const NodeId v = outs[rng.UniformInt32(out_deg)];
-      out.Add(v, s / static_cast<double>(graph.InDegree(v)));
-      CountPush(e.index, v, stats, owner);
-    }
-  }
-}
-
 /// One exact push step, dropping entries of z below `prune_threshold`, an
-/// absolute cutoff. NestedSingleSource passes options.prune_threshold
-/// straight through, so it matches SingleSourceQuery's exact push only
-/// unpruned, the one way the tests run it.
+/// absolute cutoff (0 keeps every entry).
 inline void ExactPush(const Graph& graph, const SparseVector& z,
                       double prune_threshold, SparseAccumulator& out,
                       QueryStats* stats, const NodeOwnerFn* owner) {
@@ -99,17 +72,15 @@ inline void ExactPush(const Graph& graph, const SparseVector& z,
   }
 }
 
-/// The nested combine over the walk `dists` of q: s(q, ·) =
-/// sum_t (P^T)^t z_t, each level's chain pushed on its own.
+/// The nested combine over a source's walk `dists`: s(q, ·) =
+/// sum_t (P^T)^t z_t, each level's chain pushed on its own, unpruned.
 inline SparseVector NestedSingleSource(const Graph& graph,
-                                       const DiagonalIndex& index, NodeId q,
+                                       const DiagonalIndex& index,
                                        const QueryOptions& options,
                                        const WalkDistributions& dists,
                                        QueryStats* stats = nullptr,
                                        const NodeOwnerFn* owner = nullptr) {
   const std::span<const double> diag = index.diagonal();
-  Xoshiro256 rng =
-      Xoshiro256::Derive(DeriveSeed(options.seed, 0x4d435353u /*MCSS*/), q);
   SparseAccumulator result(options.num_walkers * 4);
   SparseAccumulator ping(options.num_walkers * 2);
   SparseAccumulator pong(options.num_walkers * 2);
@@ -126,11 +97,7 @@ inline SparseVector NestedSingleSource(const Graph& graph,
     }
     for (size_t step = 0; step < t && !z.empty(); ++step) {
       SparseAccumulator& out = (step % 2 == 0) ? ping : pong;
-      if (options.push == PushStrategy::kSampled) {
-        SampledPush(graph, z, options.push_fanout, rng, out, stats, owner);
-      } else {
-        ExactPush(graph, z, options.prune_threshold, out, stats, owner);
-      }
+      ExactPush(graph, z, /*prune_threshold=*/0.0, out, stats, owner);
       if (step + 1 < t) {
         z = out.ToSortedVector();
       } else {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace cloudwalker {
@@ -69,16 +70,19 @@ TEST(QueryOptionsTest, RejectsZeroWalkers) {
   EXPECT_FALSE(o.Validate().ok());
 }
 
-TEST(QueryOptionsTest, RejectsZeroFanout) {
-  QueryOptions o;
-  o.push_fanout = 0;
-  EXPECT_FALSE(o.Validate().ok());
-}
-
 TEST(QueryOptionsTest, RejectsNegativePrune) {
   QueryOptions o;
   o.prune_threshold = -1e-9;
   EXPECT_FALSE(o.Validate().ok());
+}
+
+TEST(QueryOptionsTest, RejectsNanPrune) {
+  // NaN compares false both ways, so `prune_threshold < 0` would let it
+  // through, and the serving layer's intern table, keyed on option
+  // equality, would never match it to itself.
+  QueryOptions o;
+  o.prune_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryOptionsTest, ValidateIsAShimOverTheCentralValidator) {
@@ -88,8 +92,10 @@ TEST(QueryOptionsTest, ValidateIsAShimOverTheCentralValidator) {
   for (auto mutate : std::vector<void (*)(QueryOptions&)>{
            [](QueryOptions&) {},
            [](QueryOptions& q) { q.num_walkers = 0; },
-           [](QueryOptions& q) { q.push_fanout = 0; },
-           [](QueryOptions& q) { q.prune_threshold = -1.0; }}) {
+           [](QueryOptions& q) { q.prune_threshold = -1.0; },
+           [](QueryOptions& q) {
+             q.prune_threshold = std::numeric_limits<double>::quiet_NaN();
+           }}) {
     QueryOptions q;
     mutate(q);
     EXPECT_EQ(q.Validate(), ValidateQueryOptions(q));
@@ -100,9 +106,6 @@ TEST(QueryOptionsTest, EqualityComparesEveryKnob) {
   QueryOptions a, b;
   EXPECT_TRUE(a == b);
   b.seed = 123;
-  EXPECT_FALSE(a == b);
-  b = a;
-  b.push = PushStrategy::kSampled;
   EXPECT_FALSE(a == b);
   b = a;
   b.prune_threshold = 0.5;

@@ -124,9 +124,8 @@ TEST_F(QueriesTest, PairStatsCountWalks) {
 
 TEST_F(QueriesTest, SingleSourceSelfEstimateNearOne) {
   // The diagonal estimate sums pushed mass landing exactly back on the
-  // source; use the exact push so only walk noise and truncation remain.
+  // source; push unpruned so only walk noise and truncation remain.
   QueryOptions q = BigQuery();
-  q.push = PushStrategy::kExact;
   q.prune_threshold = 0.0;
   const SparseVector s = SingleSourceQuery(*graph_, *index_, 11, q);
   EXPECT_NEAR(s.Get(11), 1.0, 0.1);
@@ -134,7 +133,6 @@ TEST_F(QueriesTest, SingleSourceSelfEstimateNearOne) {
 
 TEST_F(QueriesTest, SingleSourceExactPushMatchesExactSimRank) {
   QueryOptions q = BigQuery();
-  q.push = PushStrategy::kExact;
   q.prune_threshold = 0.0;
   const NodeId src = 17;
   const SparseVector s = SingleSourceQuery(*graph_, *index_, src, q);
@@ -147,44 +145,11 @@ TEST_F(QueriesTest, SingleSourceExactPushMatchesExactSimRank) {
   EXPECT_LT(max_err, 0.06);
 }
 
-TEST_F(QueriesTest, SingleSourceSampledPushUnbiased) {
-  // Average sampled-push estimates over independent seeds; the mean should
-  // approach the exact-push estimate.
-  QueryOptions exact_q = BigQuery();
-  exact_q.push = PushStrategy::kExact;
-  exact_q.prune_threshold = 0.0;
-  const NodeId src = 23;
-  const SparseVector ref =
-      SingleSourceQuery(*graph_, *index_, src, exact_q);
-
-  // The sampled push is unbiased but heavy-tailed (importance weights
-  // |Out(k)| / |In(v)| are unbounded), so assert on the mean absolute
-  // deviation across all nodes, averaged over many independent seeds.
-  std::vector<double> mean(graph_->num_nodes(), 0.0);
-  const int reps = 48;
-  for (int r = 0; r < reps; ++r) {
-    QueryOptions q = BigQuery();
-    q.num_walkers = 5000;
-    q.push = PushStrategy::kSampled;
-    q.push_fanout = 4;
-    q.seed = 1000 + r;
-    const SparseVector s = SingleSourceQuery(*graph_, *index_, src, q);
-    for (const SparseEntry& e : s) mean[e.index] += e.value / reps;
-  }
-  double total_err = 0.0;
-  for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-    total_err += std::fabs(mean[v] - ref.Get(v));
-  }
-  // Loose bound: a weighting bug (e.g. dropping the |Out(k)| factor)
-  // produces errors an order of magnitude larger than residual MC noise.
-  EXPECT_LT(total_err / graph_->num_nodes(), 0.06);
-}
-
 TEST_F(QueriesTest, SingleSourceAgreesWithSinglePair) {
-  // MCSS and MCSP estimate the same quantity; with exact push and the same
-  // walk seed the walk clouds coincide, so differences are push noise only.
+  // MCSS and MCSP estimate the same quantity; with the unpruned push and
+  // the same walk seed the source's walk clouds coincide, so differences
+  // are the noise of v's own walks, which the push computes exactly.
   QueryOptions q = BigQuery();
-  q.push = PushStrategy::kExact;
   q.prune_threshold = 0.0;
   const NodeId src = 31;
   const SparseVector ss = SingleSourceQuery(*graph_, *index_, src, q);
@@ -192,34 +157,6 @@ TEST_F(QueriesTest, SingleSourceAgreesWithSinglePair) {
     const double sp = SinglePairQuery(*graph_, *index_, src, v, q);
     EXPECT_NEAR(ss.Get(v), sp, 0.05) << "node " << v;
   }
-}
-
-TEST_F(QueriesTest, LargerFanoutReducesSampledPushError) {
-  QueryOptions exact_q = BigQuery();
-  exact_q.push = PushStrategy::kExact;
-  exact_q.prune_threshold = 0.0;
-  const NodeId src = 42;
-  const SparseVector ref =
-      SingleSourceQuery(*graph_, *index_, src, exact_q);
-
-  auto mean_abs_err = [&](uint32_t fanout) {
-    double total = 0.0;
-    const int reps = 8;
-    for (int r = 0; r < reps; ++r) {
-      QueryOptions q = BigQuery();
-      q.push = PushStrategy::kSampled;
-      q.push_fanout = fanout;
-      q.seed = 5000 + r;
-      const SparseVector s = SingleSourceQuery(*graph_, *index_, src, q);
-      double err = 0.0;
-      for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-        err += std::fabs(s.Get(v) - ref.Get(v));
-      }
-      total += err / graph_->num_nodes();
-    }
-    return total / reps;
-  };
-  EXPECT_LT(mean_abs_err(8), mean_abs_err(1));
 }
 
 TEST_F(QueriesTest, SingleSourceStats) {
@@ -426,27 +363,16 @@ int GoldenOwner(NodeId v) { return static_cast<int>(v % 3); }
 
 constexpr NodeId kGoldenSources[] = {0, 1, 7, 42, 199, 1024, 2047, 2999};
 
-// One pinned MCSS run over kGoldenSources at R' = 1000, seed 11.
-struct McssGolden {
-  uint32_t fanout;
-  uint64_t hash;
-  uint64_t push_ops;
-  uint64_t push_crossings;
-  uint64_t walk_steps;
-  uint64_t walk_crossings;
-};
-
-QueryOptions GoldenMcssOptions(uint32_t fanout) {
+// The golden MCSS and MCSP runs' options: R' = 1000, seed 11.
+QueryOptions GoldenQueryOptions() {
   QueryOptions q;
   q.num_walkers = 1000;
   q.seed = 11;
-  q.push = PushStrategy::kSampled;
-  q.push_fanout = fanout;
   return q;
 }
 
-// One pinned exact-push MCSS run over kGoldenSources at R' = 1000, seed 11.
-struct ExactGolden {
+// One pinned MCSS run over kGoldenSources.
+struct McssGolden {
   double prune_threshold;
   uint64_t hash;
   uint64_t push_ops;
@@ -460,10 +386,7 @@ struct ExactGolden {
 // the order of the draws, to what counts as a step, or to the order in
 // which one node's contributions are summed moves these values; a pure
 // speedup of the walk, the push or the drains must not. The MCSS rows
-// pin the Horner combine, one push per level: the sampled rows' draws
-// differ from the nested form's one chain per level, whose values
-// NestedReferenceReproducesTheReplacedForm keeps pinned. Fanout 3 puts
-// push-batch boundaries inside one entry's draws. The constants assume
+// pin the Horner combine, one push per level. The constants assume
 // IEEE-754 doubles without FMA contraction, as on x86-64.
 TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
 #if !defined(__x86_64__)
@@ -475,40 +398,19 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   ASSERT_TRUE(idx.ok());
 
   const NodeOwnerFn owner = GoldenOwner;
-  const McssGolden expected[] = {
-      {1, 0x418d2b296d042e1cull, 34080, 22787, 57344, 36594},
-      {3, 0xab98d76d5c57a867ull, 145320, 97389, 57344, 36594},
-  };
-  for (const McssGolden& want : expected) {
-    const QueryOptions q = GoldenMcssOptions(want.fanout);
-    uint64_t h = 0xcbf29ce484222325ull;
-    QueryStats stats;
-    for (const NodeId s : kGoldenSources) {
-      h = HashSparse(SingleSourceQuery(g, *idx, s, q, &stats, &owner), h);
-    }
-    EXPECT_EQ(h, want.hash) << "fanout " << want.fanout;
-    EXPECT_EQ(stats.push_ops, want.push_ops) << "fanout " << want.fanout;
-    EXPECT_EQ(stats.push_crossings, want.push_crossings)
-        << "fanout " << want.fanout;
-    EXPECT_EQ(stats.walk_steps, want.walk_steps) << "fanout " << want.fanout;
-    EXPECT_EQ(stats.walk_crossings, want.walk_crossings)
-        << "fanout " << want.fanout;
-  }
-
-  // The exact push, unpruned and at the default threshold 0.03 of each
-  // source's largest walk term under the record budget. It draws nothing,
-  // so only the terms each node sums, their order, or which entries
+  // The push, unpruned and at the default threshold 0.03 of each source's
+  // largest walk term under the record budget. It draws nothing, so only
+  // the walks, the terms each node sums, their order, or which entries
   // survive can move these. Unpruned, the golden graph's lower levels make
   // 19k-21k records, which the step adds into its accumulator; pruned, it
   // sorts them.
-  const ExactGolden exact_expected[] = {
+  const McssGolden expected[] = {
       {0.0, 0x11adfbc0e55abad3ull, 1210131, 810491},
       {0.03, 0x0c7257f61b07dc0bull, 103185, 68810},
   };
-  for (const ExactGolden& want : exact_expected) {
+  for (const McssGolden& want : expected) {
     SCOPED_TRACE(testing::Message() << "prune " << want.prune_threshold);
-    QueryOptions q = GoldenMcssOptions(1);
-    q.push = PushStrategy::kExact;
+    QueryOptions q = GoldenQueryOptions();
     q.prune_threshold = want.prune_threshold;
     uint64_t h = 0xcbf29ce484222325ull;
     QueryStats stats;
@@ -608,7 +510,7 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   for (uint32_t s = 0; s + 1 < std::size(kGoldenSources); ++s) {
     pair_scores.push_back(SparseEntry{
         s, SinglePairQuery(g, *idx, kGoldenSources[s], kGoldenSources[s + 1],
-                           GoldenMcssOptions(1), &pair_stats, &owner)});
+                           GoldenQueryOptions(), &pair_stats, &owner)});
   }
   EXPECT_EQ(HashSparse(SparseVector::FromSorted(std::move(pair_scores))),
             0xece59d51165d7a89ull);
@@ -618,41 +520,6 @@ TEST(QueriesGoldenTest, AnswersArePinnedBitForBit) {
   const IndexRows rows = BuildIndexRows(g, io, /*pool=*/nullptr);
   ASSERT_EQ(rows.rows.size(), g.num_nodes());
   EXPECT_EQ(HashSparse(rows.rows[42]), 0x8b680ff79267caf4ull);
-}
-
-// The nested reference (mcss_reference.h) over the golden walks gives the
-// values the nested combine was pinned at before the Horner form replaced
-// it, so the comparisons below test against that form and no other.
-TEST(QueriesGoldenTest, NestedReferenceReproducesTheReplacedForm) {
-#if !defined(__x86_64__)
-  GTEST_SKIP() << "golden constants are recorded for x86-64";
-#endif
-  const Graph g = GoldenGraph();
-  auto idx = BuildDiagonalIndex(g, GoldenIndexing(), /*pool=*/nullptr);
-  ASSERT_TRUE(idx.ok());
-  const NodeOwnerFn owner = GoldenOwner;
-  const McssGolden nested[] = {
-      {1, 0x7ccb16ec82777a46ull, 69516, 46745, 57344, 36594},
-      {3, 0x57f20cbbdff2116bull, 567945, 381023, 57344, 36594},
-  };
-  for (const McssGolden& want : nested) {
-    const QueryOptions q = GoldenMcssOptions(want.fanout);
-    uint64_t h = 0xcbf29ce484222325ull;
-    QueryStats stats;
-    WalkStats walk;
-    for (const NodeId s : kGoldenSources) {
-      const WalkDistributions dists =
-          mcss_reference::QueryWalks(g, *idx, s, q, &walk);
-      h = HashSparse(mcss_reference::NestedSingleSource(g, *idx, s, q, dists,
-                                                        &stats, &owner),
-                     h);
-    }
-    EXPECT_EQ(h, want.hash) << "fanout " << want.fanout;
-    EXPECT_EQ(stats.push_ops, want.push_ops) << "fanout " << want.fanout;
-    EXPECT_EQ(stats.push_crossings, want.push_crossings)
-        << "fanout " << want.fanout;
-    EXPECT_EQ(walk.steps, want.walk_steps) << "fanout " << want.fanout;
-  }
 }
 
 // An R-MAT graph with a tail n -> n+1 -> n+2 -> n+3 hanging off it: n has
@@ -694,7 +561,6 @@ TEST(QueriesHornerTest, ExactPushMatchesNestedReference) {
       QueryOptions q;
       q.num_walkers = 500;
       q.seed = 3;
-      q.push = PushStrategy::kExact;
       q.prune_threshold = 0.0;
       q.dangling = dangling;
       for (const NodeId s : sources) {
@@ -712,7 +578,7 @@ TEST(QueriesHornerTest, ExactPushMatchesNestedReference) {
         const SparseVector horner =
             SingleSourceQuery(g, *idx, s, q, &horner_stats);
         const SparseVector nested = mcss_reference::NestedSingleSource(
-            g, *idx, s, q, dists, &nested_stats);
+            g, *idx, q, dists, &nested_stats);
         ASSERT_FALSE(nested.empty());
         for (NodeId v = 0; v < g.num_nodes(); ++v) {
           EXPECT_NEAR(horner.Get(v), nested.Get(v), 1e-12) << "node " << v;
@@ -772,7 +638,6 @@ TEST(QueriesExactPushTest, MatchesAccumulatorReferenceBitForBit) {
         QueryOptions q;
         q.num_walkers = 1000;
         q.seed = 3;
-        q.push = PushStrategy::kExact;
         q.prune_threshold = prune;
         q.dangling = dangling;
         for (const NodeId s : c.sources) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 
@@ -152,6 +153,56 @@ TEST(QueryOptionsTest, FingerprintSeparatesProgramKnobs) {
   EXPECT_NE(h0, QueryOptionsFingerprint(p));
   EXPECT_NE(h0, QueryOptionsFingerprint(q));
   EXPECT_NE(QueryOptionsFingerprint(p), QueryOptionsFingerprint(q));
+}
+
+// Separate payload objects with equal bits compare equal; a sign bit, a
+// node id, a kind or a status code apart do not.
+TEST(QueryResponseTest, BitIdenticalComparesKindCodeAndPayloadBits) {
+  const auto topk = [](QueryKind kind, NodeId node, double score) {
+    QueryResponse r;
+    r.kind = kind;
+    r.payload = std::make_shared<const TopKResult>(
+        TopKResult{{node, score}, {9, 0.25}});
+    return r;
+  };
+  const QueryResponse a = topk(QueryKind::kSourceTopK, 3, 0.0);
+  EXPECT_TRUE(BitIdentical(a, topk(QueryKind::kSourceTopK, 3, 0.0)));
+  EXPECT_FALSE(BitIdentical(a, topk(QueryKind::kSourceTopK, 3, -0.0)));
+  EXPECT_FALSE(BitIdentical(a, topk(QueryKind::kSourceTopK, 4, 0.0)));
+  EXPECT_FALSE(BitIdentical(a, topk(QueryKind::kNode2Vec, 3, 0.0)));
+
+  QueryResponse pair;
+  pair.payload = 0.5;
+  QueryResponse source;
+  source.kind = QueryKind::kSingleSource;
+  source.payload = std::make_shared<const SparseVector>(
+      SparseVector::FromSorted({{1, 0.5}, {2, -0.0}}));
+  QueryResponse source_copy = source;
+  source_copy.payload = std::make_shared<const SparseVector>(
+      SparseVector::FromSorted({{1, 0.5}, {2, -0.0}}));
+  QueryResponse all_pairs;
+  all_pairs.kind = QueryKind::kAllPairsTopK;
+  all_pairs.payload = std::make_shared<const AllPairsResult>(
+      AllPairsResult{{{1, 0.5}}, {}});
+  for (const QueryResponse& r : {pair, source, all_pairs}) {
+    EXPECT_TRUE(BitIdentical(r, r));
+  }
+  EXPECT_TRUE(BitIdentical(source, source_copy));
+  source_copy.payload = std::make_shared<const SparseVector>(
+      SparseVector::FromSorted({{1, 0.5}, {2, 0.0}}));
+  EXPECT_FALSE(BitIdentical(source, source_copy));
+
+  // Failures carry no payload: one kind and code are equal, and a failure
+  // never equals an answer.
+  QueryResponse failed;
+  failed.kind = QueryKind::kSourceTopK;
+  failed.status = Status::DeadlineExceeded("late");
+  QueryResponse other = failed;
+  other.status = Status::DeadlineExceeded("later");
+  EXPECT_TRUE(BitIdentical(failed, other));
+  other.status = Status::Cancelled("stopped");
+  EXPECT_FALSE(BitIdentical(failed, other));
+  EXPECT_FALSE(BitIdentical(failed, a));
 }
 
 }  // namespace

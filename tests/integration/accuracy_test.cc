@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "../core/mcss_reference.h"
 #include "baselines/exact_simrank.h"
 #include "common/random.h"
 #include "core/cloudwalker.h"
@@ -150,7 +149,6 @@ TEST_F(AccuracyTest, SingleSourcePrecisionAtTen) {
   ASSERT_TRUE(cw.ok());
   QueryOptions qo;
   qo.num_walkers = 10000;
-  qo.push = PushStrategy::kExact;
   qo.prune_threshold = 0.0;
 
   double precision = 0.0;
@@ -207,14 +205,10 @@ TEST_F(AccuracyTest, DanglingPolicyChangesScoresOnDanglingGraph) {
 }
 
 // Precision@10 and mean |error| against exact SimRank of the default
-// single-source answer (the exact push pruned at 0.03 of each source's
-// largest walk term), the sampled push (fanout 1) and the unpruned exact
-// push, at the serving R' = 1000, over 40 sources with in-links and 4
-// seeds. The sampled push's precision is
-// near zero and is recorded, not gated: the gates are that the Horner
-// combine's sampled error stays within 10% of the nested form's on the
-// same walks and seeds, and that the default and the unpruned exact push
-// both rank well.
+// single-source answer (the push pruned at 0.03 of each source's largest
+// walk term) and the unpruned push, at the serving R' = 1000, over 40
+// sources with in-links and 4 seeds. Both must rank well; the errors are
+// recorded, not gated.
 TEST(SingleSourceGroundTruthTest, DefaultErrorAndExactPushPrecision) {
   ThreadPool pool;
   const Graph graph = GenerateRmat(2000, 20000, /*seed=*/5);
@@ -246,43 +240,33 @@ TEST(SingleSourceGroundTruthTest, DefaultErrorAndExactPushPrecision) {
       error += ComputeErrorStats(dense, truth)->mean_abs;
     }
   };
-  Score default_push, sampled, nested, exact_push;
+  Score default_push, exact_push;
   int runs = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     QueryOptions qo;  // the default push
     qo.num_walkers = 1000;
     qo.seed = seed;
-    QueryOptions sampled_qo = qo;
-    sampled_qo.push = PushStrategy::kSampled;
     QueryOptions exact_qo = qo;
-    exact_qo.push = PushStrategy::kExact;
     exact_qo.prune_threshold = 0.0;
     for (const NodeId s : sources) {
       const std::vector<double> truth = exact->Row(s);
       default_push.Add(SingleSourceQuery(graph, *idx, s, qo), truth, s);
-      sampled.Add(SingleSourceQuery(graph, *idx, s, sampled_qo), truth, s);
-      nested.Add(mcss_reference::NestedSingleSource(
-                     graph, *idx, s, sampled_qo,
-                     mcss_reference::QueryWalks(graph, *idx, s, sampled_qo)),
-                 truth, s);
       exact_push.Add(SingleSourceQuery(graph, *idx, s, exact_qo), truth, s);
       ++runs;
     }
   }
-  for (Score* score : {&default_push, &sampled, &nested, &exact_push}) {
+  for (Score* score : {&default_push, &exact_push}) {
     score->precision /= runs;
     score->error /= runs;
   }
-  for (const auto& [name, score] :
-       {std::pair{"default", default_push}, std::pair{"sampled", sampled},
-        std::pair{"nested", nested}, std::pair{"exact_push", exact_push}}) {
+  for (const auto& [name, score] : {std::pair{"default", default_push},
+                                     std::pair{"exact_push", exact_push}}) {
     // RecordProperty's numeric overload takes an int.
     RecordProperty(std::string(name) + "_precision_at_10",
                    testing::PrintToString(score.precision));
     RecordProperty(std::string(name) + "_mean_abs_error",
                    testing::PrintToString(score.error));
   }
-  EXPECT_LE(sampled.error, 1.10 * nested.error);
   EXPECT_GE(default_push.precision, 0.6);
   EXPECT_GE(exact_push.precision, 0.6);
 }

@@ -99,7 +99,6 @@ TEST(IntegrationTest, AllMethodsRankSimilarNodesConsistently) {
   ASSERT_TRUE(cw.ok());
   QueryOptions qo;
   qo.num_walkers = 5000;
-  qo.push = PushStrategy::kExact;
   qo.prune_threshold = 0.0;
 
   auto exact = ExactSimRank::Compute(graph);
@@ -202,7 +201,6 @@ TEST(IntegrationTest, MetricsPipelineOnRealScores) {
   ASSERT_TRUE(cw.ok());
   QueryOptions qo;
   qo.num_walkers = 8000;
-  qo.push = PushStrategy::kExact;
   qo.prune_threshold = 0.0;
 
   // Choose a query node that actually has similar peers (largest

@@ -204,12 +204,12 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Query options sweep: all strategies obey the same invariants.
-class QueryParamTest
-    : public ::testing::TestWithParam<std::tuple<PushStrategy, uint32_t>> {};
+// Push pruning sweep: unpruned (0), the default (0.03) and fully pruned
+// (1e3: every push moves nothing, and the answer is the source's own
+// term) obey the same invariants.
+class QueryParamTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(QueryParamTest, SingleSourceInvariants) {
-  const auto [strategy, fanout] = GetParam();
   const Graph g = GenerateRmat(150, 1200, 6);
   IndexingOptions io;
   io.num_walkers = 150;
@@ -217,8 +217,7 @@ TEST_P(QueryParamTest, SingleSourceInvariants) {
   ASSERT_TRUE(idx.ok());
   QueryOptions q;
   q.num_walkers = 1000;
-  q.push = strategy;
-  q.push_fanout = fanout;
+  q.prune_threshold = GetParam();
   QueryStats stats;
   const SparseVector s = SingleSourceQuery(g, *idx, 4, q, &stats);
   EXPECT_GT(stats.walk_steps, 0u);
@@ -233,16 +232,11 @@ TEST_P(QueryParamTest, SingleSourceInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Strategies, QueryParamTest,
-    ::testing::Combine(::testing::Values(PushStrategy::kSampled,
-                                         PushStrategy::kExact),
-                       ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<PushStrategy, uint32_t>>&
-           info) {
-      return std::string(std::get<0>(info.param) == PushStrategy::kSampled
-                             ? "Sampled"
-                             : "Exact") +
-             "_f" + std::to_string(std::get<1>(info.param));
+    PruneThresholds, QueryParamTest, ::testing::Values(0.0, 0.03, 1e3),
+    [](const ::testing::TestParamInfo<double>& info) {
+      if (info.param == 0.0) return std::string("Unpruned");
+      if (info.param == 1e3) return std::string("FullyPruned");
+      return std::string("Default");
     });
 
 }  // namespace

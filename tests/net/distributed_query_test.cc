@@ -71,49 +71,6 @@ class DistributedQueryTest : public ::testing::Test {
 std::string* DistributedQueryTest::path_ = nullptr;
 std::shared_ptr<const CloudWalker>* DistributedQueryTest::base_ = nullptr;
 
-void ExpectSameResponse(const QueryResponse& got, const QueryResponse& want,
-                        QueryKind kind, const std::string& what) {
-  ASSERT_TRUE(want.ok()) << what;
-  ASSERT_TRUE(got.ok()) << what << ": " << got.status.message();
-  switch (kind) {
-    case QueryKind::kPair:
-      EXPECT_EQ(got.score(), want.score()) << what;
-      break;
-    case QueryKind::kSingleSource: {
-      const SparseVector& g = *got.scores();
-      const SparseVector& w = *want.scores();
-      ASSERT_EQ(g.size(), w.size()) << what;
-      for (size_t i = 0; i < g.size(); ++i) EXPECT_EQ(g[i], w[i]) << what;
-      break;
-    }
-    case QueryKind::kSourceTopK:
-    case QueryKind::kPersonalizedPageRank:
-    case QueryKind::kNode2Vec: {
-      const TopKResult& g = *got.Get<QueryKind::kSourceTopK>();
-      const TopKResult& w = *want.Get<QueryKind::kSourceTopK>();
-      ASSERT_EQ(g.size(), w.size()) << what;
-      for (size_t i = 0; i < g.size(); ++i) {
-        EXPECT_EQ(g[i].node, w[i].node) << what << " rank " << i;
-        EXPECT_EQ(g[i].score, w[i].score) << what << " rank " << i;
-      }
-      break;
-    }
-    case QueryKind::kAllPairsTopK: {
-      const AllPairsResult& g = *got.all_pairs();
-      const AllPairsResult& w = *want.all_pairs();
-      ASSERT_EQ(g.size(), w.size()) << what;
-      for (size_t s = 0; s < g.size(); ++s) {
-        ASSERT_EQ(g[s].size(), w[s].size()) << what << " source " << s;
-        for (size_t i = 0; i < g[s].size(); ++i) {
-          EXPECT_EQ(g[s][i].node, w[s][i].node) << what;
-          EXPECT_EQ(g[s][i].score, w[s][i].score) << what;
-        }
-      }
-      break;
-    }
-  }
-}
-
 TEST_F(DistributedQueryTest, AllSixKindsBitIdenticalAtTwoAndThreeWorkers) {
   const std::vector<QueryRequest> requests = MixedRequests();
   std::vector<QueryResponse> single;
@@ -139,9 +96,11 @@ TEST_F(DistributedQueryTest, AllSixKindsBitIdenticalAtTwoAndThreeWorkers) {
           "kind " + std::to_string(static_cast<int>(requests[i].kind)) +
           " workers " + std::to_string(workers);
       const QueryResponse got = (*remote)->Execute(requests[i]);
-      ExpectSameResponse(got, single[i], requests[i].kind, what + " vs single");
-      ExpectSameResponse(got, (*sharded)->Execute(requests[i]),
-                         requests[i].kind, what + " vs sharded");
+      ASSERT_TRUE(single[i].ok()) << what;
+      ASSERT_TRUE(got.ok()) << what << ": " << got.status.message();
+      EXPECT_TRUE(BitIdentical(got, single[i])) << what << " vs single";
+      EXPECT_TRUE(BitIdentical(got, (*sharded)->Execute(requests[i])))
+          << what << " vs sharded";
     }
   }
 }
@@ -304,14 +263,15 @@ TEST(ReorderedBackendsTest, ShardsThreadsAndWorkersServeReorderedSnapshots) {
     const QueryResponse want = (*reordered)->Execute(request);
     const std::string kind =
         "kind " + std::to_string(static_cast<int>(request.kind));
+    ASSERT_TRUE(want.ok()) << kind;
     if (request.kind == QueryKind::kPersonalizedPageRank ||
         request.kind == QueryKind::kNode2Vec) {
-      ExpectSameResponse(want, (*plain)->Execute(request), request.kind,
-                         kind + " reordered Open vs plain");
+      EXPECT_TRUE(BitIdentical((*plain)->Execute(request), want))
+          << kind << " reordered Open vs plain";
     }
     for (const auto& [name, engine] : backends) {
-      ExpectSameResponse(engine->Execute(request), want, request.kind,
-                         kind + " " + name);
+      EXPECT_TRUE(BitIdentical(engine->Execute(request), want))
+          << kind << " " << name;
     }
   }
 }

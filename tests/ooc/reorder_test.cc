@@ -209,13 +209,12 @@ TEST_F(ReorderRoundTripTest, WalkQueriesIdenticalForExternalIds) {
 }
 
 TEST_F(ReorderRoundTripTest, ExactPushSingleSourceIdentical) {
-  // The exact-push combine reassociates float sums only: the renumbering
+  // The push combine reassociates float sums only: the renumbering
   // changes the order in which a node's contributions add up, so on this
   // fixture some values differ in their last bits. Indices must match
   // exactly and values to rounding, so any reorder change that moves more
   // than association shows up.
   QueryOptions options;
-  options.push = PushStrategy::kExact;
   options.prune_threshold = 0.0;
   for (const NodeId q : {NodeId{3}, NodeId{222}}) {
     const QueryRequest r = QueryRequest::SingleSource(q).WithOptions(options);
@@ -229,33 +228,6 @@ TEST_F(ReorderRoundTripTest, ExactPushSingleSourceIdentical) {
       EXPECT_EQ(a.entries()[e].index, b.entries()[e].index);
       EXPECT_NEAR(a.entries()[e].value, b.entries()[e].value, 1e-12);
     }
-  }
-}
-
-TEST_F(ReorderRoundTripTest, SampledSourceIsEquivalentNotIdentical) {
-  // The documented exception (src/ooc/reorder.h): the sampled-push
-  // combine draws from one sequential RNG in internal-id iteration
-  // order, so a renumbering redraws its samples. Pin the contract's
-  // shape — the query succeeds on the permuted instance, speaks
-  // external ids, and stays a valid similarity vector — without
-  // asserting value equality the estimator does not promise.
-  QueryOptions options;
-  options.push = PushStrategy::kSampled;
-  for (const NodeId q : {NodeId{3}, NodeId{222}}) {
-    const QueryResponse b =
-        reordered().Execute(QueryRequest::SingleSource(q).WithOptions(options));
-    ASSERT_TRUE(b.ok()) << b.status.ToString();
-    bool saw_self = false;
-    for (const SparseEntry& e : b.scores()->entries()) {
-      ASSERT_LT(e.index, reordered().graph().num_nodes());
-      EXPECT_GE(e.value, 0.0);
-      EXPECT_LE(e.value, 1.0);
-      if (e.index == q) {
-        saw_self = true;
-        EXPECT_EQ(e.value, 1.0);
-      }
-    }
-    EXPECT_TRUE(saw_self) << "q=" << q;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <variant>
@@ -359,13 +360,19 @@ TEST_F(AsyncServiceTest, OptionOverridesHitDistinctCacheKeys) {
 
 TEST_F(AsyncServiceTest, InvalidOverrideRejectedAtAdmission) {
   QueryService service(cloudwalker_, Options());
-  QueryOptions bad = Options().query;
-  bad.num_walkers = 0;
-  const QueryResponse r =
-      service.Submit(QueryRequest::SourceTopK(1, 3).WithOptions(bad)).Wait();
-  EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
-  // Same message as the central validator — one source of truth.
-  EXPECT_EQ(r.status, ValidateQueryOptions(bad));
+  QueryOptions zero_walkers = Options().query;
+  zero_walkers.num_walkers = 0;
+  // A NaN threshold equals no option set, itself included, so admitting
+  // it would give every such request its own intern slot.
+  QueryOptions nan_prune = Options().query;
+  nan_prune.prune_threshold = std::numeric_limits<double>::quiet_NaN();
+  for (const QueryOptions& bad : {zero_walkers, nan_prune}) {
+    const QueryResponse r =
+        service.Submit(QueryRequest::SourceTopK(1, 3).WithOptions(bad)).Wait();
+    EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    // Same message as the central validator — one source of truth.
+    EXPECT_EQ(r.status, ValidateQueryOptions(bad));
+  }
   EXPECT_EQ(service.Stats().computed, 0u);
 }
 

@@ -128,7 +128,7 @@ std::vector<QueryResponse> AskAllKinds(const CloudWalker& cw) {
   return out;
 }
 
-// Each answer in `b` equals its counterpart in `a`, or — when
+// Each answer in `b` is bit-identical to its counterpart in `a`, or — when
 // `data_loss_allowed` — fails with kDataLoss.
 void ExpectSameAnswers(const std::vector<QueryResponse>& a,
                        const std::vector<QueryResponse>& b,
@@ -140,26 +140,7 @@ void ExpectSameAnswers(const std::vector<QueryResponse>& a,
     if (data_loss_allowed && b[i].status.IsDataLoss()) continue;
     ASSERT_TRUE(b[i].ok()) << what << " request " << i << ": "
                            << b[i].status.ToString();
-    ASSERT_EQ(a[i].kind, b[i].kind);
-    switch (a[i].kind) {
-      case QueryKind::kPair:
-        EXPECT_EQ(a[i].score(), b[i].score()) << what << " request " << i;
-        break;
-      case QueryKind::kSingleSource: {
-        const SparseVector& x = *a[i].scores();
-        const SparseVector& y = *b[i].scores();
-        ASSERT_EQ(x.size(), y.size()) << what << " request " << i;
-        for (size_t e = 0; e < x.size(); ++e) {
-          EXPECT_EQ(x[e], y[e]) << what << " request " << i;
-        }
-        break;
-      }
-      case QueryKind::kAllPairsTopK:
-        EXPECT_EQ(*a[i].all_pairs(), *b[i].all_pairs()) << what;
-        break;
-      default:
-        EXPECT_EQ(*a[i].topk(), *b[i].topk()) << what << " request " << i;
-    }
+    EXPECT_TRUE(BitIdentical(a[i], b[i])) << what << " request " << i;
   }
 }
 

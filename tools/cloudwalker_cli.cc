@@ -290,10 +290,7 @@ QueryOptions QueryFlags(const std::map<std::string, std::string>& flags) {
   q.num_walkers =
       static_cast<uint32_t>(ParseU64(flags, "walkers", "10000"));
   q.seed = ParseU64(flags, "seed", "97");
-  if (GetFlag(flags, "exact-push") == "true") {
-    q.push = PushStrategy::kExact;
-    q.prune_threshold = 0.0;
-  }
+  if (GetFlag(flags, "exact-push") == "true") q.prune_threshold = 0.0;
   q.ppr_alpha = std::stod(GetFlag(flags, "alpha", "0.85"));
   q.n2v_return_p = std::stod(GetFlag(flags, "p", "1"));
   q.n2v_in_out_q = std::stod(GetFlag(flags, "q", "1"));
